@@ -36,8 +36,9 @@ class ScalarExecutor(StepExecutor):
         key = (tup.schema.name, rule.name)
         tallies[key] = tallies.get(key, 0) + 1
         result.meter.charge("rule_fire")
+        trigger_ts = k.db.timestamp(tup)
         rec = (
-            FiringRecord(rule.name, k._rule_index[id(rule)], tup)
+            FiringRecord(rule.name, k._rule_index[id(rule)], tup, trigger_ts)
             if k._support is not None
             else None
         )
@@ -47,7 +48,7 @@ class ScalarExecutor(StepExecutor):
             result.meter,
             rule,
             tup,
-            k.db.timestamp(tup),
+            trigger_ts,
             k._check_mode,
             k.stats,
             k._lock,

@@ -559,20 +559,23 @@ class StepKernel:
         phase A inserts the whole class before phase B fires it."""
         sup = self._support
         assert sup is not None
-        per_table = sup.queries_by_table.get(tup.schema.name)
-        if not per_table:
+        self.stats.grown_checks += 1
+        candidates = sup.candidates(tup)
+        if not candidates:
             return
-        db = self.db
+        self.stats.grown_candidates += len(candidates)
+        firings = sup.firings
         doomed: list[int] = []
-        for fid in sorted(per_table):
-            rec = sup.firings.get(fid)
-            if rec is None or tup in rec.reads or tup == rec.trigger:
+        for fid in sorted(candidates):
+            rec = firings[fid]
+            if tup in rec.reads or tup == rec.trigger:
                 continue
-            if compare_timestamps(ts, db.timestamp(rec.trigger)) >= 0:
+            if compare_timestamps(ts, rec.trigger_ts) >= 0:
                 continue
-            if any(q.matches(tup) for q in per_table[fid]):
+            if any(q.matches(tup) for q in candidates[fid]):
                 doomed.append(fid)
         if doomed:
+            self.stats.grown_doomed += len(doomed)
             self._over_delete([], seed_fids=doomed)
 
     def _over_delete(
@@ -604,8 +607,8 @@ class StepKernel:
                 # the whole table is tainted, so every firing that wrote
                 # or read it goes down with this one
                 cleared_tables[name] = None
-                tainted = set(sup.native_users.get(name, ()))
-                tainted.update(sup.queries_by_table.get(name, {}))
+                tainted = sup.query_fids(name)
+                tainted.update(sup.native_users.get(name, ()))
                 for ofid in sorted(tainted):
                     kill(ofid)
             for t in rec.puts:
@@ -688,9 +691,8 @@ class StepKernel:
         class prints (true of every example app: output goes through
         dedicated println tables with singleton classes)."""
         trig = rec.trigger
-        ts = self.db.timestamp(trig)
         tie = (trig.schema.name, tuple(repr(v) for v in trig.values))
-        return (ts.key, tie, rec.rule_index, j)
+        return (rec.trigger_ts.key, tie, rec.rule_index, j)
 
     def _insert_output(self, key: tuple, line: str) -> None:
         i = bisect_right(self._out_keys, key)

@@ -140,7 +140,8 @@ def _restore_support(k, data: dict, schemas) -> None:
     opaque_restored = False
     entries: list[tuple[tuple, str, FiringRecord, int]] = []
     for f in data.get("firings", []):
-        rec = FiringRecord(f["rule"], int(f["rule_index"]), tup(f["trigger"]))
+        trigger = tup(f["trigger"])
+        rec = FiringRecord(f["rule"], int(f["rule_index"]), trigger, k.db.timestamp(trigger))
         rec.fid = int(f["fid"])
         rec.reads = {tup(e): None for e in f.get("reads", [])}
         rec.puts = tuple(tup(e) for e in f.get("puts", []))

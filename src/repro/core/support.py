@@ -13,8 +13,9 @@ support relation of classic incremental Datalog maintenance:
   over-deleted and its own dependents are visited in turn.
 * ``readers[t]`` / ``triggered[t]`` — the firings whose *inputs*
   include ``t``, used to find the dependent cone of a deleted fact.
-* ``queries_by_table`` — recorded query footprints per table, used for
-  grown-result invalidation: when a *new* tuple with a smaller
+* ``footprints`` — recorded query footprints, keyed the way
+  ``plan.indexplan`` keys Gamma (table, eq-bound columns, eq values),
+  used for grown-result invalidation: when a *new* tuple with a smaller
   timestamp appears (a DRed rederivation descending below an already
   -fired frontier), any earlier firing whose recorded query would have
   matched it computed its result from incomplete data and must be
@@ -27,6 +28,7 @@ session snapshot.
 
 from __future__ import annotations
 
+from repro.core.ordering import Timestamp
 from repro.core.query import Query
 from repro.core.tuples import JTuple
 
@@ -41,13 +43,14 @@ class FiringRecord:
     (negative/aggregate shapes matter even with no results: they define
     what *absence* the firing observed).  ``out_lines`` pairs each
     printed line with its deterministic output key, assigned at
-    registration time.
+    registration time; ``trigger_ts`` caches the trigger's timestamp.
     """
 
     __slots__ = (
         "rule_name",
         "rule_index",
         "trigger",
+        "trigger_ts",
         "reads",
         "queries",
         "puts",
@@ -57,10 +60,11 @@ class FiringRecord:
         "out_lines",
     )
 
-    def __init__(self, rule_name: str, rule_index: int, trigger: JTuple):
+    def __init__(self, rule_name: str, rule_index: int, trigger: JTuple, trigger_ts: Timestamp):
         self.rule_name = rule_name
         self.rule_index = rule_index
         self.trigger = trigger
+        self.trigger_ts = trigger_ts
         self.reads: dict[JTuple, None] = {}
         self.queries: list[Query] = []
         self.puts: tuple[JTuple, ...] = ()
@@ -84,6 +88,19 @@ class FiringRecord:
         )
 
 
+def _footprint_key(q: Query) -> tuple[tuple[int, ...], tuple]:
+    """A recorded query's place in :attr:`SupportIndex.footprints`: its
+    eq-bound columns and their values.  An unhashable eq value cannot be
+    probed for, so such a query joins the always-candidate ``()`` bucket."""
+    cols = tuple(sorted(q.eq))
+    vals = tuple(q.eq[c] for c in cols)
+    try:
+        hash(vals)
+    except TypeError:
+        return (), ()
+    return cols, vals
+
+
 class SupportIndex:
     """All live firings plus the inverted indexes the repair loop needs."""
 
@@ -96,7 +113,7 @@ class SupportIndex:
         "readers",
         "triggered",
         "live",
-        "queries_by_table",
+        "footprints",
         "native_users",
     )
 
@@ -118,8 +135,9 @@ class SupportIndex:
         #: rule/trigger pair (set semantics); doubles as the
         #: duplicate-delivery defence
         self.live: dict[tuple[int, JTuple], int] = {}
-        #: table name -> {fid: [recorded queries on that table]}
-        self.queries_by_table: dict[str, dict[int, list[Query]]] = {}
+        #: table name -> eq-bound columns -> eq values -> {fid: [recorded
+        #: queries]}; eq-free queries sit under the ``()`` columns
+        self.footprints: dict[str, dict[tuple, dict[tuple, dict[int, list[Query]]]]] = {}
         #: table name -> fids that touched it through ctx.native()
         self.native_users: dict[str, set[int]] = {}
 
@@ -144,9 +162,9 @@ class SupportIndex:
         for t in rec.puts:
             self.support.setdefault(t, set()).add(fid)
         for q in rec.queries:
-            self.queries_by_table.setdefault(q.schema.name, {}).setdefault(
-                fid, []
-            ).append(q)
+            cols, vals = _footprint_key(q)
+            by_vals = self.footprints.setdefault(q.schema.name, {}).setdefault(cols, {})
+            by_vals.setdefault(vals, {}).setdefault(fid, []).append(q)
         for name in rec.native:
             self.native_users.setdefault(name, set()).add(fid)
 
@@ -177,11 +195,19 @@ class SupportIndex:
                 if not sup:
                     del self.support[t]
         for q in rec.queries:
-            per_table = self.queries_by_table.get(q.schema.name)
-            if per_table is not None:
-                per_table.pop(fid, None)
-                if not per_table:
-                    del self.queries_by_table[q.schema.name]
+            cols, vals = _footprint_key(q)
+            by_cols = self.footprints.get(q.schema.name, {})
+            by_vals = by_cols.get(cols, {})
+            bucket = by_vals.get(vals)
+            if bucket is None:
+                continue  # an earlier query of this firing emptied it
+            bucket.pop(fid, None)
+            if not bucket:
+                del by_vals[vals]
+                if not by_vals:
+                    del by_cols[cols]
+                    if not by_cols:
+                        del self.footprints[q.schema.name]
         for name in rec.native:
             users = self.native_users.get(name)
             if users is not None:
@@ -189,6 +215,25 @@ class SupportIndex:
                 if not users:
                     del self.native_users[name]
         return rec
+
+    def candidates(self, tup: JTuple) -> dict[int, list[Query]]:
+        """The firings whose recorded queries ``tup`` could match, with
+        those queries: one bucket probed per eq-signature of its table
+        with the tuple's own values — a query it fails on an eq column
+        cannot match it; the ``()`` signature is always probed."""
+        values = tup.values
+        found: dict[int, list[Query]] = {}
+        for cols, by_vals in self.footprints.get(tup.schema.name, {}).items():
+            bucket = by_vals.get(tuple([values[c] for c in cols]))
+            if bucket:
+                for fid, queries in bucket.items():
+                    found.setdefault(fid, []).extend(queries)
+        return found
+
+    def query_fids(self, table: str) -> set[int]:
+        """Every live firing with a recorded query on ``table``."""
+        by_cols = self.footprints.get(table, {})
+        return {f for by_vals in by_cols.values() for b in by_vals.values() for f in b}
 
     def __len__(self) -> int:
         return len(self.firings)

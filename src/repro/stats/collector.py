@@ -84,6 +84,12 @@ class StatsCollector:
     retractions: int = 0
     #: retraction mode: triggers re-enqueued by DRed rederivation
     rederivations: int = 0
+    #: retraction mode, grown-result invalidation: new Gamma tuples
+    #: checked, live firings whose eq-footprint a newcomer hit (the
+    #: repair path's work), and firings it killed
+    grown_checks: int = 0
+    grown_candidates: int = 0
+    grown_doomed: int = 0
     #: engine configuration notes: options the engine adjusted (e.g.
     #: metering forced on by a virtual-time strategy) — surfaced in
     #: ``run_report`` so knob overrides are never silent
@@ -243,6 +249,9 @@ class StatsCollector:
             "faults": dict(sorted(self.faults.items())),
             "retractions": self.retractions,
             "rederivations": self.rederivations,
+            "grown_checks": self.grown_checks,
+            "grown_candidates": self.grown_candidates,
+            "grown_doomed": self.grown_doomed,
             "tables": {n: vars(s) for n, s in self.tables.items()},
             "rules": {n: vars(s) for n, s in self.rules.items()},
             # the incremental-session view: knob-override notes and the
@@ -277,6 +286,9 @@ class StatsCollector:
             "faults": dict(self.faults),
             "retractions": self.retractions,
             "rederivations": self.rederivations,
+            "grown_checks": self.grown_checks,
+            "grown_candidates": self.grown_candidates,
+            "grown_doomed": self.grown_doomed,
             "notes": list(self.notes),
             "settles": [dict(s) for s in self.settles],
         }
@@ -311,5 +323,8 @@ class StatsCollector:
         self.faults = {str(k): int(v) for k, v in state.get("faults", {}).items()}
         self.retractions = int(state.get("retractions", 0))
         self.rederivations = int(state.get("rederivations", 0))
+        self.grown_checks = int(state.get("grown_checks", 0))
+        self.grown_candidates = int(state.get("grown_candidates", 0))
+        self.grown_doomed = int(state.get("grown_doomed", 0))
         self.notes = [str(n) for n in state.get("notes", [])]
         self.settles = [dict(s) for s in state.get("settles", [])]

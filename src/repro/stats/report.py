@@ -158,11 +158,19 @@ def run_report(result: "RunResult") -> str:
             f"{k}={n}" for k, n in sorted(result.stats.faults.items())
         )
         parts.append(f"injected faults: {counts}")
-    if result.stats.retractions or result.stats.rederivations:
-        parts.append(
-            f"retraction: {result.stats.retractions} tuples retracted, "
-            f"{result.stats.rederivations} triggers rederived"
+    st = result.stats
+    if st.retractions or st.rederivations:
+        line = (
+            f"retraction: {st.retractions} tuples retracted, "
+            f"{st.rederivations} triggers rederived"
         )
+        if st.grown_checks:
+            line += (
+                f"; grown-result checks: {st.grown_checks} new tuples, "
+                f"{st.grown_candidates / st.grown_checks:.2f} candidate "
+                f"firings per check, {st.grown_doomed} invalidated"
+            )
+        parts.append(line)
     if result.report is not None:
         parts.append(format_machine(result.report))
     if getattr(result, "nodes", None):

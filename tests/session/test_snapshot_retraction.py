@@ -12,6 +12,7 @@ mismatches are refused rather than silently mis-restored.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -215,3 +216,82 @@ def test_non_retraction_snapshot_roundtrip_still_works():
         full = s3.close()
     assert resumed.output_text() == full.output_text()
     assert resumed.table_sizes == full.table_sizes
+
+
+def test_restore_rebuilds_footprint_index_and_trigger_timestamps():
+    """Snapshot → restore → 10 more delete/insert rounds: the footprint
+    index and the cached trigger timestamps are derived state, rebuilt
+    by ``register_restored`` and never written into the document, so
+    the resumed session repairs exactly like the uninterrupted one."""
+    p, Edge, Estimate = _dijkstra_fixture()
+    rng = random.Random(13)
+    n = 40
+    live = {}
+    for v in range(1, n):  # spanning tree, both directions, then chords
+        u = rng.randrange(v)
+        live[(u, v)] = live[(v, u)] = rng.randint(1, 9)
+    while len(live) < 3 * n:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b and (a, b) not in live:
+            live[(a, b)] = rng.randint(1, 9)
+    initial = [Edge.new(a, b, w) for (a, b), w in live.items()]
+    rounds = []
+    for _ in range(16):
+        evs = []
+        for key in rng.sample(sorted(live), 2):
+            evs.append(Delete(Edge.new(*key, live.pop(key))))
+        while len(evs) < 4:
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b and (a, b) not in live:
+                live[(a, b)] = rng.randint(1, 9)
+                evs.append(Edge.new(a, b, live[(a, b)]))
+        rounds.append(evs)
+
+    def play(session, some_rounds):
+        for evs in some_rounds:
+            session.feed(evs)
+            session.settle()
+
+    full_session = EngineSession(p, OPTS).open()
+    full_session.feed(initial + [Estimate.new(0, 0)])
+    full_session.settle()
+    play(full_session, rounds)
+    full_records = len(full_session.kernel._support)
+    full = full_session.close()
+    assert full.stats.grown_doomed > 0  # the rounds exercise the repair
+
+    s1 = EngineSession(p, OPTS).open()
+    s1.feed(initial + [Estimate.new(0, 0)])
+    s1.settle()
+    play(s1, rounds[:6])
+    payload = json.loads(json.dumps(s1.snapshot()))
+    s1.close()
+    # derived state stays out of the document: format unchanged
+    assert set(payload["support"]) == {
+        "next_fid", "base", "retracted_base", "refire", "firings",
+    }
+    assert all(
+        set(f) == {
+            "fid", "rule", "rule_index", "trigger", "reads", "puts",
+            "lines", "native", "queries",
+        }
+        for f in payload["support"]["firings"]
+    )
+    # a document written before the repair counters existed still loads
+    for key in ("grown_checks", "grown_candidates", "grown_doomed"):
+        del payload["stats"][key]
+
+    s2 = EngineSession.restore(payload, p, OPTS)
+    sup = s2.kernel._support
+    assert sup.footprints and len(sup) == len(payload["support"]["firings"])
+    assert all(
+        rec.trigger_ts == s2.kernel.db.timestamp(rec.trigger)
+        for rec in sup.firings.values()
+    )
+    play(s2, rounds[6:])
+    assert len(sup) == full_records
+    resumed = s2.close()
+    assert resumed.output_text() == full.output_text()
+    assert resumed.table_sizes == full.table_sizes
+    assert resumed.stats.retractions == full.stats.retractions
+    assert resumed.stats.rederivations == full.stats.rederivations
