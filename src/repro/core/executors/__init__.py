@@ -8,10 +8,8 @@ Each choice is a :class:`~repro.core.executors.base.StepExecutor`:
 * :mod:`~repro.core.executors.scalar` — one task per trigger through a
   fresh :class:`~repro.core.rules.RuleContext`; the reference tier and
   the only one every strategy supports;
-* :mod:`~repro.core.executors.columnar` — whole-class batch firing over
-  predicted-query prefetches (PR 8);
 * :mod:`~repro.core.executors.codegen` — rule bodies compiled at
-  ``freeze()`` into straight-line drivers (this PR).
+  ``freeze()`` into straight-line drivers; sequential strategies only.
 
 Tier selection, the refusal rows ``ExecOptions.__post_init__`` raises
 on, and the downgrade rows the kernel notes at init all live in one

@@ -43,15 +43,15 @@ class StepExecutor:
 
     Subclasses set :attr:`name` and implement :meth:`fire_one` and
     :meth:`fire_class`; :meth:`handle_puts` has a default (buffer
-    non--noDelta puts, cascade the rest through the kernel) that batch
-    tiers override with their hoisted loop.
+    non--noDelta puts, cascade the rest through the kernel) that the
+    codegen tier overrides with its hoisted loop.
     """
 
     #: registry name, matches the ``ExecOptions.execution`` value
     name = "?"
     #: phase C may skip store probe + timestamping for batch-local
     #: repeated puts (sound only when phase B never mutates Gamma
-    #: outside the -noDelta cascade path, which bumps the epoch)
+    #: outside the -noDelta cascade path)
     dedupe_phase_c = False
 
     def __init__(self, kernel: "StepKernel"):

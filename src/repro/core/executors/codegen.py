@@ -7,11 +7,10 @@ straight-line Python with pre-resolved field indices, inline
 ``PreparedSelect.run`` calls (or direct primary-key lookups), and
 statically-decided causality checks.  Rules the compiler cannot prove
 equivalent keep the scalar path, per rule, with the reason noted on the
-stats collector.  Queries run live against Gamma (no prefetching), so
-the tier needs no staleness epochs; results are byte-identical to the
-scalar tier by construction.  Sequential strategies only; the registry
-downgrades everything else, including traced runs (generated bodies
-emit no trace events).
+stats collector.  Queries run live against Gamma, so results are
+byte-identical to the scalar tier by construction.  Sequential
+strategies only; the registry downgrades everything else, including
+traced runs (generated bodies emit no trace events).
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class CodegenExecutor(StepExecutor):
         #: absorbs the plans
         self._site_hits: list = []
         #: tables whose orderby is all-literal share one timestamp
-        #: object per run (same memo the columnar tier keeps)
+        #: object per run
         self._const_names: frozenset[str] = frozenset(
             name
             for name, schema in program.schemas().items()
@@ -103,8 +102,9 @@ class CodegenExecutor(StepExecutor):
         self, ctx_puts: list[JTuple], result: TaskResult, rule_name: str
     ) -> None:
         """:meth:`StepExecutor.handle_puts` with the store / rule-list /
-        tally lookups hoisted per same-table run — the same shape as the
-        columnar tier's, because -noDelta cascades dominate here too."""
+        tally lookups hoisted per same-table run — -noDelta cascades
+        put thousands of same-table tuples per firing, and this loop is
+        where they spend phase B."""
         k = self.kernel
         tallies = k._put_tallies
         nd = k._no_delta
@@ -226,11 +226,12 @@ class CodegenExecutor(StepExecutor):
                     hit[1] += hits[1]
                 hits[0] = 0
                 hits[1] = 0
+        # run totals: the counters accumulate across settles and each
+        # settle rewrites the rule's one line in place
         gen, scalar = self._rule_gen_fires, self._rule_scalar_fires
         for name in sorted(set(gen) | set(scalar)):
-            k.stats.note(
-                f"codegen: rule {name!r} fired "
-                f"{gen.get(name, 0)} generated / {scalar.get(name, 0)} scalar"
+            prefix = f"codegen: rule {name!r} fired "
+            k.stats.replace_note(
+                prefix,
+                f"{prefix}{gen.get(name, 0)} generated / {scalar.get(name, 0)} scalar",
             )
-        gen.clear()
-        scalar.clear()

@@ -1,20 +1,16 @@
 """One table for execution-tier selection, refusal, and downgrade.
 
-Before this table existed the rules were split: ``program.py`` refused
-some ``execution=`` combinations at option-construction time while the
-kernel's init silently downgraded others with a stats note.  Both kinds
-of row now live here, keyed by tier:
+Both kinds of row live here, keyed by tier:
 
 * **refusal rows** are *configuration contradictions* — combinations the
-  run could never honour even in principle (columnar under the
+  run could never honour even in principle (codegen under the
   multiprocess shard runtime, codegen with retraction).  They raise the
   canonical ``invalid ExecOptions: ...`` error from
   ``ExecOptions.__post_init__`` via :func:`check_execution_options`, so
   an impossible request fails before any engine state exists.
 * **downgrade rows** are *environmental misses* — the option set is
   coherent but this particular run cannot arm the tier (non-sequential
-  strategy, plan cache disabled, tracing a tier that emits no trace
-  events).  :func:`resolve_executor` notes the reason on the stats
+  strategy, tracing a tier that emits no trace events).  :func:`resolve_executor` notes the reason on the stats
   collector and falls back to the scalar tier; results are identical
   either way, because execution tiers never change semantics.
 
@@ -39,7 +35,7 @@ __all__ = [
 ]
 
 #: valid ``ExecOptions.execution`` values, in documentation order
-EXECUTION_TIERS = ("scalar", "columnar", "codegen")
+EXECUTION_TIERS = ("scalar", "codegen")
 
 
 def _knobs(options: Any, *names: str) -> dict[str, Any]:
@@ -52,26 +48,6 @@ def _knobs(options: Any, *names: str) -> dict[str, Any]:
 # ``invalid ExecOptions: knob=value[, ...] -- reason`` message.
 
 REFUSALS: list[tuple[str, Callable[[Any], dict | None], str]] = [
-    (
-        "columnar",
-        lambda o: _knobs(o, "retraction") if o.retraction else None,
-        "columnar execution is incompatible with retraction: "
-        "batch firing does not record per-firing support yet",
-    ),
-    (
-        "columnar",
-        lambda o: _knobs(o, "strategy") if o.strategy == "processes" else None,
-        "columnar execution is not supported by the "
-        "multiprocess shard runtime yet",
-    ),
-    (
-        "columnar",
-        lambda o: (
-            _knobs(o, "task_granularity") if o.task_granularity != "tuple" else None
-        ),
-        "columnar execution requires task_granularity='tuple' "
-        "(the batch path owns the per-class firing loop)",
-    ),
     (
         "codegen",
         lambda o: _knobs(o, "retraction") if o.retraction else None,
@@ -129,37 +105,12 @@ def _non_sequential(kernel: "StepKernel") -> bool:
 
 DOWNGRADES: list[tuple[str, Callable[["StepKernel"], bool], Callable[["StepKernel"], str]]] = [
     (
-        "columnar",
-        _non_sequential,
-        lambda k: (
-            "execution='columnar' ignored: the batch firing path is "
-            f"sequential-only and this run uses the {k.strategy.name!r} "
-            "strategy; all rules fire through the scalar path"
-        ),
-    ),
-    (
-        "columnar",
-        lambda k: k._plans is None,
-        lambda k: (
-            "execution='columnar' ignored: batch plans build on the "
-            "compiled-plan cache, which plan_cache=False disables"
-        ),
-    ),
-    (
         "codegen",
         _non_sequential,
         lambda k: (
             "execution='codegen' ignored: the generated firing path is "
             f"sequential-only and this run uses the {k.strategy.name!r} "
             "strategy; all rules fire through the scalar path"
-        ),
-    ),
-    (
-        "codegen",
-        lambda k: k._plans is None,
-        lambda k: (
-            "execution='codegen' ignored: generated query sites build on "
-            "the compiled-plan cache, which plan_cache=False disables"
         ),
     ),
     (
@@ -186,12 +137,7 @@ def resolve_executor(kernel: "StepKernel") -> "StepExecutor":
             if tier == requested and applies(kernel):
                 kernel._note(note(kernel))
                 return ScalarExecutor(kernel)
-        if requested == "columnar":
-            from repro.core.executors.columnar import ColumnarExecutor
+        from repro.core.executors.codegen import CodegenExecutor
 
-            return ColumnarExecutor(kernel)
-        if requested == "codegen":
-            from repro.core.executors.codegen import CodegenExecutor
-
-            return CodegenExecutor(kernel)
+        return CodegenExecutor(kernel)
     return ScalarExecutor(kernel)

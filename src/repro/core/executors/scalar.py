@@ -49,12 +49,12 @@ class ScalarExecutor(StepExecutor):
             rule,
             tup,
             trigger_ts,
+            k._plans,
             k._check_mode,
             k.stats,
             k._lock,
             k.strategy.yield_point,
             result.events if k.tracer is not None else None,
-            k._plans,
             rec,
         )
         rule.body(ctx, tup)

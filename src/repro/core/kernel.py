@@ -191,14 +191,8 @@ class StepKernel:
                 "so metering was forced back on"
             )
         # compiled query plans, warmed from the program's static access
-        # patterns; None -> RuleContext uses the generic build_query path
-        self._plans = PlanCache(self.db, program) if options.plan_cache else None
-        #: per--noDelta-table mutation counters — batch tiers only serve
-        #: a prefetched/generated result while its table's epoch is
-        #: unchanged, because a -noDelta cascade can insert into Gamma
-        #: *during* phase B.  Lives here (empty unless a tier populates
-        #: it) because the shared ``_immediate`` cascade path bumps it.
-        self._mut_epoch: dict[str, int] = {}
+        # patterns; every RuleContext query dispatches through them
+        self._plans = PlanCache(self.db, program)
         # deferred stats tallies: (table, rule) -> firings and
         # (rule, table) -> puts, folded into the collector at settle time
         # — totals identical to per-event on_fire/on_put, without paying
@@ -386,10 +380,6 @@ class StepKernel:
                 self._tt(name)[1] += 1
                 return
             self._tt(name)[2] += 1
-            ep = self._mut_epoch
-            if ep:
-                # columnar: invalidate in-flight prefetches on this table
-                ep[name] += 1
             if self._retention:
                 self._note_retained(name, tup)
         else:
@@ -422,7 +412,7 @@ class StepKernel:
         ng = self._no_gamma
         db = self.db
         tt = self._tt
-        # batch tiers: a batch-local repeat always resolves to a Delta
+        # codegen tier: a batch-local repeat always resolves to a Delta
         # dedup — phase C never mutates Gamma, so the repeat sees the
         # same precheck verdict as its first occurrence, and the tree
         # (which already holds or rejected that occurrence) dedups it —
@@ -904,7 +894,7 @@ class StepKernel:
                         self._note_retained(tup.schema.name, tup)
             # Phase B: the execution tier fires the class (the scalar
             # tier builds one task per trigger and hands them to the
-            # strategy; batch tiers own the whole-class firing loop)
+            # strategy; the codegen tier owns the whole-class firing loop)
             results = self.executor.fire_class(prepared)
         if self.tracer is not None:
             self._flush_task_events(results)
@@ -1071,10 +1061,9 @@ class StepKernel:
         # counters into the shared plans' rule_hits, which
         # absorb_planned below folds into the collector and clears
         self.executor.flush_stats()
-        if self._plans is not None:
-            self.stats.absorb_planned(self._plans.plans())
-            for plan in self._plans.plans():
-                plan.rule_hits.clear()
+        self.stats.absorb_planned(self._plans.plans())
+        for plan in self._plans.plans():
+            plan.rule_hits.clear()
 
     # -- trace bookends ---------------------------------------------------------
 

@@ -141,10 +141,6 @@ class ExecOptions:
     #: meters — the fork/join virtual machine — force metering back on
     #: regardless of this flag; results are identical either way.
     metering: str = "on"
-    #: compile each rule's query shapes once and dispatch through the
-    #: precompiled plans (see :mod:`repro.plan`); off = the legacy
-    #: interpret-per-firing path.  Results are identical either way.
-    plan_cache: bool = True
     #: opt-in: pop consecutive minimal classes that trigger no rules
     #: together with the next triggering class, as one super-step.
     #: Outputs and table sizes are unchanged, but step counts (and the
@@ -165,12 +161,13 @@ class ExecOptions:
     #: insert-only path carries zero support-tracking overhead and is
     #: byte-identical to previous releases.
     retraction: bool = False
-    #: phase-B firing mode: "scalar" (one firing at a time, the default)
-    #: or "columnar" (evaluate each popped class's predicted queries as
-    #: one batch over the column-oriented access paths, falling back
-    #: per-rule to the scalar path whenever the prediction misses — see
-    #: :mod:`repro.plan.batchcompile`).  Outputs, table sizes and traces
-    #: are byte-identical either way.
+    #: phase-B firing tier: "scalar" (one fresh RuleContext per firing;
+    #: the reference, and the only tier every strategy, trace and
+    #: retraction support) or "codegen" (rule bodies compiled once into
+    #: straight-line drivers, see :mod:`repro.plan.codegen`; rules the
+    #: compiler refuses keep the scalar path with a stats note).  The
+    #: refusal/downgrade rows are :mod:`repro.core.executors.registry`.
+    #: Outputs and table sizes are byte-identical either way.
     execution: str = "scalar"
 
     def with_(self, **kw: Any) -> "ExecOptions":

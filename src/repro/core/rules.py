@@ -33,7 +33,7 @@ from repro.core.errors import (
     UnsafeOperationError,
 )
 from repro.core.ordering import Lit, OrderDecls, Seq, Timestamp, compare_timestamps
-from repro.core.query import Query, QueryKind, build_query
+from repro.core.query import Query, QueryKind
 from repro.core.reducers import Reducer, reduce_all
 from repro.core.tuples import JTuple, TableHandle
 
@@ -193,12 +193,12 @@ class RuleContext:
         rule: Rule,
         trigger: JTuple,
         trigger_ts: Timestamp,
+        plans: "PlanCache",
         check_mode: str = "warn",
         collector: Any = None,
         lock: Any = None,
         scheduler: Any = None,
         trace: list | None = None,
-        plans: "PlanCache | None" = None,
         record: Any = None,
     ):
         self._db = db
@@ -229,8 +229,7 @@ class RuleContext:
         # per-task trace event sink (flushed by the engine in
         # deterministic submission order)
         self._trace = trace
-        # compiled query plans shared across all firings of this run;
-        # None -> every query rebuilds through build_query (legacy path)
+        # compiled query plans shared across all firings of this run
         self._plans = plans
         # retraction mode: FiringRecord accumulating this firing's
         # Gamma footprint (reads, query shapes, native tables)
@@ -353,56 +352,18 @@ class RuleContext:
         tts = self.trigger_ts
         return [t for t in results if compare_timestamps(ts_of(t), tts) <= 0]
 
-    def _run_query(self, query: Query) -> list[JTuple]:
-        if self._sched is not None:
-            self._sched()
-        store = self._db.store(query.schema.name)
-        if self._lock is not None:
-            # real-threads strategy: coarse lock so store iteration never
-            # races a -noDelta cascade insert (functional validation only)
-            with self._lock:
-                results = self._db.select(query)
-        else:
-            results = self._db.select(query)
-        if self._record is not None:
-            results = self._causal_filter(results)
-        self._meter.charge_lookup(store, query)
-        if results:
-            self._meter.charge_store_op("result", store, len(results))
-        if self._collector is not None:
-            names = query.schema.field_names
-            self._collector.on_query(
-                self._rule.name,
-                query.schema.name,
-                len(results),
-                eq_fields=tuple(sorted(names[i] for i in query.eq)),
-                range_fields=tuple(sorted(names[i] for i in query.ranges)),
-            )
-        if self._trace is not None:
-            self._trace.append(
-                (
-                    "query",
-                    {
-                        "rule": self._rule.name,
-                        "table": query.schema.name,
-                        "kind": query.kind.value,
-                        "n_results": len(results),
-                    },
-                )
-            )
-        if self._record is not None:
-            self._record.note_query(query, results)
-        return results
-
     def _run_planned(self, plan: "CompiledQueryPlan", query: Query) -> list[JTuple]:
-        """:meth:`_run_query` for the compiled-plan fast path: the
-        store's access path and metering tags were resolved when the
-        shape compiled, so per firing this is one prepared select plus
-        flat counter bumps."""
+        """Serve one query — the single hook every ``get``-family
+        method funnels through (the dist contexts override it to route
+        across shards).  The store's access path and metering tags were
+        resolved when the shape compiled, so per firing this is one
+        prepared select plus flat counter bumps."""
         if self._sched is not None:
             self._sched()
         ps = plan.prepared
         if self._lock is not None:
+            # real-threads strategy: coarse lock so store iteration never
+            # races a -noDelta cascade insert (functional validation only)
             with self._lock:
                 results = ps.run(query)
         else:
@@ -434,23 +395,24 @@ class RuleContext:
             self._record.note_query(query, results)
         return results
 
-    def _check_negative(self, query: Query) -> None:
-        """Dynamic slice of the §4 law for negative/aggregate queries:
-        their observable region must lie strictly before the trigger."""
-        if self._check_mode == "off" or self._rule.assume_stratified:
-            return
-        self._adjudicate_negative(
-            query_upper_bound(query, self._decls), query.kind.value, query.schema.name
-        )
-
-    def _check_negative_planned(
-        self, plan: "CompiledQueryPlan", query: Query
-    ) -> None:
-        """:meth:`_check_negative` with the orderby walk precompiled."""
-        if self._check_mode == "off" or self._rule.assume_stratified:
-            return
-        bound = plan.bound.evaluate(query) if plan.bound is not None else None
-        self._adjudicate_negative(bound, query.kind.value, plan.table_name)
+    def _query_past(
+        self,
+        table: TableHandle,
+        prefix: tuple,
+        where: Callable[[JTuple], bool] | None,
+        ranges: Mapping[str, Any] | None,
+        eq: Mapping[str, Any],
+        kind: QueryKind,
+    ) -> list[JTuple]:
+        """A negative/aggregate query: the dynamic slice of the §4 law
+        (its observable region must lie strictly before the trigger,
+        checked against the shape's precompiled bound), then the
+        select."""
+        plan, q = self._plans.lookup(table, prefix, where, ranges, eq, kind)
+        if self._adjudicate:
+            bound = plan.bound.evaluate(q) if plan.bound is not None else None
+            self._adjudicate_negative(bound, kind.value, plan.table_name)
+        return self._run_planned(plan, q)
 
     def _adjudicate_negative(
         self,
@@ -503,11 +465,9 @@ class RuleContext:
     ) -> list[JTuple]:
         """Positive query: all matching tuples (``get T(args)``)."""
         self._guard()
-        plans = self._plans
-        if plans is None:
-            q = build_query(table, *prefix, where=where, ranges=ranges, **eq)
-            return self._run_query(q)
-        plan, q = plans.lookup(table, prefix, where, ranges, eq, QueryKind.POSITIVE)
+        plan, q = self._plans.lookup(
+            table, prefix, where, ranges, eq, QueryKind.POSITIVE
+        )
         return self._run_planned(plan, q)
 
     def get_uniq(
@@ -524,18 +484,9 @@ class RuleContext:
         so this is checked as NEGATIVE.  More than one match raises.
         """
         self._guard()
-        plans = self._plans
-        if plans is None:
-            q = build_query(
-                table, *prefix, where=where, ranges=ranges, kind=QueryKind.NEGATIVE, **eq
-            )
-            self._check_negative(q)
-            results = self._run_query(q)
-        else:
-            plan, q = plans.lookup(table, prefix, where, ranges, eq, QueryKind.NEGATIVE)
-            if self._adjudicate:
-                self._check_negative_planned(plan, q)
-            results = self._run_planned(plan, q)
+        results = self._query_past(
+            table, prefix, where, ranges, eq, QueryKind.NEGATIVE
+        )
         if len(results) > 1:
             raise RuleError(
                 f"get uniq? {table.name} matched {len(results)} tuples"
@@ -556,17 +507,9 @@ class RuleContext:
     ) -> bool:
         """Negative query: true iff *no* tuple matches."""
         self._guard()
-        plans = self._plans
-        if plans is None:
-            q = build_query(
-                table, *prefix, where=where, ranges=ranges, kind=QueryKind.NEGATIVE, **eq
-            )
-            self._check_negative(q)
-            return not self._run_query(q)
-        plan, q = plans.lookup(table, prefix, where, ranges, eq, QueryKind.NEGATIVE)
-        if self._adjudicate:
-            self._check_negative_planned(plan, q)
-        return not self._run_planned(plan, q)
+        return not self._query_past(
+            table, prefix, where, ranges, eq, QueryKind.NEGATIVE
+        )
 
     def get_min(
         self,
@@ -580,37 +523,27 @@ class RuleContext:
         """``get min T(args)``: matching tuple minimising field ``by``
         (an aggregate query)."""
         self._guard()
-        plans = self._plans
-        if plans is None:
-            q = build_query(
-                table, *prefix, where=where, ranges=ranges, kind=QueryKind.AGGREGATE, **eq
-            )
-            self._check_negative(q)
-            results = self._run_query(q)
-        else:
-            plan, q = plans.lookup(table, prefix, where, ranges, eq, QueryKind.AGGREGATE)
-            if self._adjudicate:
-                self._check_negative_planned(plan, q)
-            results = self._run_planned(plan, q)
+        results = self._query_past(
+            table, prefix, where, ranges, eq, QueryKind.AGGREGATE
+        )
         if not results:
             return None
         pos = table.schema.field_position(by)
         return min(results, key=lambda t: t.values[pos])
 
-    def count(self, table: TableHandle, *prefix: Any, **kw: Any) -> int:
+    def count(
+        self,
+        table: TableHandle,
+        *prefix: Any,
+        where: Callable[[JTuple], bool] | None = None,
+        ranges: Mapping[str, Any] | None = None,
+        **eq: Any,
+    ) -> int:
         """Aggregate count of matching tuples."""
         self._guard()
-        plans = self._plans
-        if plans is None:
-            q = build_query(table, *prefix, kind=QueryKind.AGGREGATE, **kw)
-            self._check_negative(q)
-            return len(self._run_query(q))
-        where = kw.pop("where", None)
-        ranges = kw.pop("ranges", None)
-        plan, q = plans.lookup(table, prefix, where, ranges, kw, QueryKind.AGGREGATE)
-        if self._adjudicate:
-            self._check_negative_planned(plan, q)
-        return len(self._run_planned(plan, q))
+        return len(
+            self._query_past(table, prefix, where, ranges, eq, QueryKind.AGGREGATE)
+        )
 
     def reduce(
         self,
@@ -625,18 +558,9 @@ class RuleContext:
         """Aggregate reduction over matching tuples — the Fig 4 pattern
         ``for (record : get PvWatts(...)) stats += record.power``."""
         self._guard()
-        plans = self._plans
-        if plans is None:
-            q = build_query(
-                table, *prefix, where=where, ranges=ranges, kind=QueryKind.AGGREGATE, **eq
-            )
-            self._check_negative(q)
-            results = self._run_query(q)
-        else:
-            plan, q = plans.lookup(table, prefix, where, ranges, eq, QueryKind.AGGREGATE)
-            if self._adjudicate:
-                self._check_negative_planned(plan, q)
-            results = self._run_planned(plan, q)
+        results = self._query_past(
+            table, prefix, where, ranges, eq, QueryKind.AGGREGATE
+        )
         self._meter.charge("reduce_op", n=len(results))
         return reduce_all(reducer, (value(t) for t in results))
 

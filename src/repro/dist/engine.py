@@ -40,6 +40,8 @@ from repro.dist.placement import OnNode, Partitioned, Placement, PlacementMap, R
 from repro.exec.metering import CostMeter
 from repro.gamma.base import StoreRegistry
 from repro.gamma.treeset import TreeSetStore
+from repro.plan.cache import PlanCache
+from repro.plan.compile import CompiledQueryPlan
 from repro.stats.collector import StatsCollector
 
 __all__ = [
@@ -89,7 +91,6 @@ _MATERIAL_KNOBS = (
     "index_mode",
     "indexes",
     "metering",
-    "plan_cache",
     "coalesce_steps",
     "trace",
     "admission",
@@ -174,9 +175,9 @@ class _DistRuleContext(RuleContext):
         self._engine = engine
         self._node = node
 
-    def _run_query(self, query: Query) -> list[JTuple]:
+    def _run_planned(self, plan: CompiledQueryPlan, query: Query) -> list[JTuple]:
         engine = self._engine
-        name = query.schema.name
+        name = plan.table_name
         placement = engine.placements[name]
         node = self._node
         if isinstance(placement, Replicated):
@@ -204,13 +205,12 @@ class _DistRuleContext(RuleContext):
                 engine.remote_queries += 1
             results.extend(rows)
         if self._collector is not None:
-            names = query.schema.field_names
             self._collector.on_query(
                 self._rule.name,
                 name,
                 len(results),
-                eq_fields=tuple(sorted(names[i] for i in query.eq)),
-                range_fields=tuple(sorted(names[i] for i in query.ranges)),
+                eq_fields=plan.stat_eq_fields,
+                range_fields=plan.stat_range_fields,
             )
         return results
 
@@ -247,6 +247,10 @@ class DistEngine:
         self.shards = [
             Database(schemas, registry, program.decls) for _ in range(self.n_nodes)
         ]
+        # query shapes compile once for the whole cluster: contexts use
+        # only the db-independent half of a plan (build, bound, stat
+        # fields) and route the select to the owning shards themselves
+        self._plans = PlanCache(self.shards[0], program)
         self.delta = DeltaTree()
         self.output: list[str] = []
         #: rule identity -> position, for canonical per-step output keys
@@ -354,6 +358,7 @@ class DistEngine:
                     rule,
                     tup,
                     trigger_ts,
+                    self._plans,
                     check_mode=self.causality_check,
                     collector=self.stats,
                 )

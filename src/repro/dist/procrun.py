@@ -100,9 +100,7 @@ __all__ = ["ProcessShardRuntime", "run_sharded"]
 #: ExecOptions knobs the process runtime honours; everything else is
 #: surfaced as a stats note / EngineWarning, same convention as the
 #: simulated engine
-_SUPPORTED_KNOBS = frozenset(
-    {"strategy", "threads", "trace", "metering", "plan_cache", "admission"}
-)
+_SUPPORTED_KNOBS = frozenset({"strategy", "threads", "trace", "metering", "admission"})
 
 #: forks attempted per node before the spawn handshake gives up
 _SPAWN_TRIES = 3

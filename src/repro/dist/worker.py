@@ -81,6 +81,7 @@ from repro.dist.transport import (
     wait_readable,
 )
 from repro.exec.metering import NULL_METER
+from repro.plan.compile import CompiledQueryPlan
 
 __all__ = ["ShardWorker", "program_fingerprint", "worker_entry"]
 
@@ -120,9 +121,9 @@ class _ShardRuleContext(RuleContext):
         super().__init__(*args, **kwargs)
         self._worker = worker
 
-    def _run_query(self, query: Query) -> list[JTuple]:
+    def _run_planned(self, plan: CompiledQueryPlan, query: Query) -> list[JTuple]:
         w = self._worker
-        name = query.schema.name
+        name = plan.table_name
         local = True
         remote: list[int] = []
         if (self._rule.name, name) in w.static_local:
@@ -154,13 +155,12 @@ class _ShardRuleContext(RuleContext):
             # single-node global order exactly
             results.sort(key=lambda t: t.values)
         if self._collector is not None:
-            names = query.schema.field_names
             self._collector.on_query(
                 self._rule.name,
                 name,
                 len(results),
-                eq_fields=tuple(sorted(names[i] for i in query.eq)),
-                range_fields=tuple(sorted(names[i] for i in query.ranges)),
+                eq_fields=plan.stat_eq_fields,
+                range_fields=plan.stat_range_fields,
             )
         if self._trace is not None:
             self._trace.append(
@@ -203,13 +203,13 @@ class ShardWorker:
         self._fault_serve_die = conf.get("fault_serve_die")
         # the worker's shard rides on the existing step kernel: same
         # registry construction, database, and timestamp machinery as a
-        # single-node sequential run (plans off — queries must route)
+        # single-node sequential run; its plan cache builds the queries
+        # that _ShardRuleContext then routes
         self.kernel = StepKernel(
             program,
             ExecOptions(
                 strategy="sequential",
                 causality_check=self.check_mode,
-                plan_cache=False,
                 metering="off",
             ),
         )
@@ -568,12 +568,12 @@ class ShardWorker:
                 rule,
                 tup,
                 ts,
+                self.kernel._plans,
                 self.check_mode,
                 self.stats,
                 None,
                 None,
                 events,
-                None,
             )
             rule.body(ctx, tup)
             ctx.finish()

@@ -40,7 +40,6 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "delta_pop": 5.5,      # removal of one tuple from the Delta tree
     "rule_fire": 0.5,      # dispatch overhead of firing a rule
     "gamma_query": 1.0,    # base cost of issuing a query
-    "gamma_batchselect": 0.7,  # one bulk-prefetched query (columnar phase B)
     "reduce_op": 0.3,      # one reducer step
     "user_work": 1.0,      # explicit ctx.charge (cost given by caller)
     "csv_parse": 0.6,      # parsing one CSV record (byte-level reader)
@@ -106,27 +105,15 @@ class CostMeter:
         if profile.resource is not None and profile.serial_fraction > 0.0:
             self.charge_shared(profile.resource, cost * profile.serial_fraction)
 
-    def charge_lookup(self, store: "TableStore", query) -> None:
-        """Charge one select against a store, letting the store price
-        the query (:meth:`~repro.gamma.base.TableStore.lookup_cost_for`).
-        For plain stores this is exactly ``charge_store_op("lookup")``;
-        index-aware stores charge a cheaper ``gamma_ixlookup:`` counter
-        for queries an index serves."""
-        profile = store.cost
-        cost, tag = store.lookup_cost_for(query)
-        counter = f"gamma_{tag}:{store.schema.name}"
-        self.counters[counter] = self.counters.get(counter, 0) + 1
-        self.costs[counter] = self.costs.get(counter, 0.0) + cost
-        self.total_cost += cost
-        if profile.resource is not None and profile.serial_fraction > 0.0:
-            self.charge_shared(profile.resource, cost * profile.serial_fraction)
-
     def charge_planned(self, ps: "PreparedSelect", n_results: int) -> None:
-        """Charge one select served through a compiled plan.  Ledger
-        effects are exactly ``charge_lookup(store, query)`` followed by
-        ``charge_store_op("result", store, n_results)`` (when results
-        were yielded) — the costs, counters, and shared fractions were
-        precomputed per shape on the :class:`~repro.gamma.base.PreparedSelect`."""
+        """Charge one select served through a compiled plan: the lookup
+        as the store priced the shape
+        (:meth:`~repro.gamma.base.TableStore.lookup_cost_for` — plain
+        stores charge ``gamma_lookup:``, index-served shapes the cheaper
+        ``gamma_ixlookup:``), then ``charge_store_op("result", store,
+        n_results)`` when results were yielded.  Costs, counters and
+        shared fractions were precomputed per shape on the
+        :class:`~repro.gamma.base.PreparedSelect`."""
         counters = self.counters
         costs = self.costs
         counter = ps.lookup_counter
@@ -234,9 +221,6 @@ class NullMeter(CostMeter):
         pass
 
     def charge_store_op(self, op: str, store: "TableStore", n: int = 1) -> None:
-        pass
-
-    def charge_lookup(self, store: "TableStore", query) -> None:
         pass
 
     def charge_planned(self, ps: "PreparedSelect", n_results: int) -> None:

@@ -15,7 +15,6 @@ backend                        Java analogue in the paper
 :class:`ArrayOfHashSetsStore`  the custom month-array PvWatts store (§6.2)
 :class:`NativeArrayStore`      Java 2-D primitive arrays (§6.4)
 :class:`TwoIterationArrayStore` ``double[2][N]`` Median store (§6.6)
-:class:`ColumnarStore`         struct-of-arrays batch-execution backend
 ============================  ==============================================
 
 On top of any backend, :class:`IndexedStore` maintains the secondary
@@ -25,7 +24,6 @@ program's rules by :func:`plan_indexes` (``ExecOptions(index_mode=
 """
 
 from repro.gamma.base import CostProfile, StoreFactory, StoreRegistry, TableStore
-from repro.gamma.columnar import ColumnarStore, columnar_store
 from repro.gamma.hashindex import ArrayOfHashSetsStore, HashIndexStore, HashKeyStore
 from repro.gamma.indexed import IndexedStore, IndexingRegistry
 from repro.gamma.indexplan import (
@@ -48,8 +46,6 @@ __all__ = [
     "SkipListSet",
     "TreeSetStore",
     "ConcurrentSkipListStore",
-    "ColumnarStore",
-    "columnar_store",
     "HashKeyStore",
     "HashIndexStore",
     "ArrayOfHashSetsStore",

@@ -64,9 +64,8 @@ class PreparedSelect:
     """A select path resolved once per query *shape* (see
     :mod:`repro.plan`): ``run`` materialises results for one concrete
     query of that shape, and the precomputed cost fields let
-    :meth:`~repro.exec.metering.CostMeter.charge_planned` replicate
-    ``charge_lookup`` + ``charge_store_op("result", ...)`` without
-    re-deriving anything.  ``lookup_shared`` / ``result_shared`` are the
+    :meth:`~repro.exec.metering.CostMeter.charge_planned` charge the
+    lookup and its results without re-deriving anything.  ``lookup_shared`` / ``result_shared`` are the
     serialisable work units per lookup / per result (0.0 when the store
     is uncontended)."""
 

@@ -16,8 +16,8 @@ Python with
   whole key),
 * put sites that inline the positional ``TableHandle.new`` fast path and
   skip the causality comparison when the orderby structure decides it
-  statically (:func:`~repro.plan.batchcompile.put_always_causal`) or by
-  one seq-value compare (:func:`~repro.plan.batchcompile.put_fast_compare`),
+  statically (:func:`~repro.plan.timestamps.put_always_causal`) or by
+  one seq-value compare (:func:`~repro.plan.timestamps.put_fast_compare`),
 * the trigger timestamp, output list, and put buffer passed as plain
   arguments — the generated driver holds no per-firing state, so
   -noDelta cascades may re-enter it freely.
@@ -31,7 +31,7 @@ keep the scalar path; refusal is per rule, never per firing.
 Known, documented divergences from the scalar tier (both gated by the
 registry so they cannot be observed): generated bodies emit no trace
 events (``trace=True`` downgrades the whole run to scalar) and carry no
-cost meter (the codegen executor forces metering off, like columnar).
+cost meter (the codegen executor forces metering off).
 ``ctx.charge`` arguments that are statically side-effect-free are
 dropped entirely; impure arguments are still evaluated for their
 effects.
@@ -53,7 +53,7 @@ from repro.core.reducers import reduce_all
 from repro.core.rules import Rule
 from repro.core.tuples import JTuple, TableHandle
 from repro.gamma.base import TableStore
-from repro.plan.batchcompile import put_always_causal, put_fast_compare
+from repro.plan.timestamps import put_always_causal, put_fast_compare
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.kernel import StepKernel

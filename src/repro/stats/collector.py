@@ -125,6 +125,15 @@ class StatsCollector:
         if message not in self.notes:
             self.notes.append(message)
 
+    def replace_note(self, prefix: str, message: str) -> None:
+        """Record a note that supersedes the earlier one starting with
+        ``prefix`` (a running total re-reported at every settle)."""
+        for i, old in enumerate(self.notes):
+            if old.startswith(prefix):
+                self.notes[i] = message
+                return
+        self.notes.append(message)
+
     def on_settle(self, record: dict) -> None:
         """Record one settle's frontier/fire deltas (incremental runs)."""
         self.settles.append(record)

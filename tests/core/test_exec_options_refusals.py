@@ -5,17 +5,30 @@ message format:
 
 Every refusal names the *values* of every offending knob, so a refusal
 seen in a log — or relayed through the session service as a structured
-``engine`` error — identifies the misconfiguration without a repro."""
+``engine`` error — identifies the misconfiguration without a repro.
+
+The execution-tier half of the matrix is *generated* from the one
+registry (:mod:`repro.core.executors.registry`): every ``REFUSALS`` row
+must refuse before any engine state exists, every ``DOWNGRADES`` row
+must run byte-identical to scalar with its note, and the option table
+in ``docs/LANGUAGE.md`` must carry exactly one row per registry row."""
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.apps.ship import build_ship_program
 from repro.core import EngineError, ExecOptions
+from repro.core.executors.registry import DOWNGRADES, REFUSALS
+from repro.core.kernel import StepKernel
 from repro.core.program import RetentionHint
 from repro.exec.chaos import FaultPlan
+from repro.trace import trace_diff
 
 CANONICAL = re.compile(r"^invalid ExecOptions: \S.* -- \S.*$")
 
@@ -60,23 +73,10 @@ MATRIX = [
     (dict(retraction=True, strategy="processes"),
      ["retraction=True", "strategy='processes'", "multiprocess"]),
     (dict(execution="vectorized"),
-     ["execution='vectorized'", "scalar, columnar, codegen"]),
-    (dict(execution="columnar", retraction=True),
-     ["execution='columnar'", "retraction=True", "per-firing support"]),
-    (dict(execution="columnar", strategy="processes"),
-     ["execution='columnar'", "strategy='processes'",
-      "multiprocess shard runtime"]),
-    (dict(execution="columnar", task_granularity="rule"),
-     ["execution='columnar'", "task_granularity='rule'",
-      "task_granularity='tuple'"]),
-    (dict(execution="codegen", retraction=True),
-     ["execution='codegen'", "retraction=True", "per-firing support"]),
-    (dict(execution="codegen", strategy="processes"),
-     ["execution='codegen'", "strategy='processes'",
-      "multiprocess shard runtime"]),
-    (dict(execution="codegen", task_granularity="rule"),
-     ["execution='codegen'", "task_granularity='rule'",
-      "task_granularity='tuple'"]),
+     ["execution='vectorized'", "valid modes: scalar, codegen"]),
+    # the deleted tier is an unknown mode like any other
+    (dict(execution="columnar"),
+     ["execution='columnar'", "valid modes: scalar, codegen"]),
 ]
 
 
@@ -118,20 +118,25 @@ def test_refusals_are_catchable_as_engine_errors():
         dict(retraction=True, strategy="threads", threads=2),
         dict(index_mode="explicit", indexes={"Edge": ("dst",)}),
         dict(retention={"T": RetentionHint("gen", 2)}),
-        dict(execution="columnar"),
-        dict(execution="columnar", metering="off"),
+        dict(execution="scalar"),
+        dict(execution="scalar", metering="off"),
         dict(execution="codegen"),
         dict(execution="codegen", metering="off"),
         # not refused: non-sequential strategies downgrade to scalar at
         # run time with a note rather than refusing up front
-        dict(execution="columnar", strategy="chaos", chaos_seed=3),
-        dict(execution="columnar", strategy="threads", threads=2),
+        dict(execution="codegen", strategy="chaos", chaos_seed=3),
+        dict(execution="codegen", strategy="forkjoin", threads=2),
         dict(execution="codegen", strategy="threads", threads=2),
         dict(execution="codegen", trace=True),
     ],
 )
 def test_valid_option_combinations_are_accepted(kwargs):
     assert ExecOptions(**kwargs)
+
+
+def test_removed_plan_cache_option_is_not_a_field():
+    with pytest.raises(TypeError):
+        ExecOptions(plan_cache=False)
 
 
 # -- registry resolution: one table decides the kernel's tier ----------------
@@ -155,16 +160,9 @@ def _tiny_program():
 RESOLUTION = [
     (dict(), "scalar", None),
     (dict(execution="scalar"), "scalar", None),
-    (dict(execution="columnar"), "columnar", None),
     (dict(execution="codegen"), "codegen", None),
-    (dict(execution="columnar", strategy="threads", threads=2),
-     "scalar", "execution='columnar' ignored"),
-    (dict(execution="columnar", plan_cache=False),
-     "scalar", "plan_cache=False disables"),
     (dict(execution="codegen", strategy="threads", threads=2),
      "scalar", "execution='codegen' ignored"),
-    (dict(execution="codegen", plan_cache=False),
-     "scalar", "plan_cache=False disables"),
     (dict(execution="codegen", trace=True),
      "scalar", "emit no trace events"),
 ]
@@ -179,8 +177,6 @@ RESOLUTION = [
     ],
 )
 def test_registry_resolves_executor_and_notes_downgrades(kwargs, tier, note):
-    from repro.core.kernel import StepKernel
-
     kernel = StepKernel(_tiny_program(), ExecOptions(**kwargs))
     assert kernel.executor.name == tier
     notes = "\n".join(kernel.stats.notes)
@@ -188,3 +184,132 @@ def test_registry_resolves_executor_and_notes_downgrades(kwargs, tier, note):
         assert "ignored" not in notes, notes
     else:
         assert note in notes, notes
+
+
+# -- the generated half: one test per registry row ---------------------------
+
+#: single-knob deviations from the default options.  A registry row is
+#: exercised with every entry that trips it, and fails when none does —
+#: extend the pool when adding a row.
+KNOB_POOL = [
+    dict(retraction=True),
+    dict(strategy="processes"),
+    dict(task_granularity="rule"),
+    dict(strategy="threads", threads=2),
+    dict(strategy="forkjoin", threads=2),
+    dict(strategy="chaos", chaos_seed=3),
+    dict(trace=True),
+    dict(metering="off"),
+    dict(index_mode="auto"),
+    dict(coalesce_steps=True),
+]
+
+_DEFAULTS = {f.name: getattr(ExecOptions(), f.name) for f in fields(ExecOptions)}
+
+
+def _probe(kwargs: dict) -> SimpleNamespace:
+    """The options as a plain namespace: refusal predicates can be
+    asked about them without building (and so refusing) ExecOptions."""
+    return SimpleNamespace(**{**_DEFAULTS, **kwargs})
+
+
+def _refusal_rows_tripped(kwargs: dict) -> list[int]:
+    probe = _probe(kwargs)
+    return [
+        i
+        for i, (tier, offending, _reason) in enumerate(REFUSALS)
+        if tier == probe.execution and offending(probe)
+    ]
+
+
+def _downgrade_row_applied(kwargs: dict) -> int | None:
+    """Index of the DOWNGRADES row that decides these options (the
+    first applicable one), or None when the tier arms / refuses."""
+    if kwargs.get("execution", "scalar") == "scalar" or _refusal_rows_tripped(kwargs):
+        return None
+    kernel = StepKernel(_tiny_program(), ExecOptions(**kwargs))
+    for i, (tier, applies, _note) in enumerate(DOWNGRADES):
+        if tier == kwargs["execution"] and applies(kernel):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("row", range(len(REFUSALS)))
+def test_every_refusal_row_refuses_before_engine_state(row):
+    tier, offending, reason = REFUSALS[row]
+    tripping = [
+        kwargs
+        for knobs in KNOB_POOL
+        if offending(_probe(kwargs := dict(execution=tier, **knobs)))
+    ]
+    assert tripping, f"no KNOB_POOL entry trips REFUSALS[{row}]"
+    for kwargs in tripping:
+        with pytest.raises(EngineError) as err:
+            ExecOptions(**kwargs)
+        message = str(err.value)
+        assert CANONICAL.match(message), message
+        assert reason in message
+        for name, value in offending(_probe(kwargs)).items():
+            assert f"{name}={value!r}" in message, (name, message)
+        # the run/session entry points build their options first, so
+        # the refusal fires with the program not even frozen
+        p, _ = build_ship_program()
+        for entry in (p.run, p.session):
+            with pytest.raises(EngineError, match="invalid ExecOptions"):
+                entry(**kwargs)
+        assert not p._frozen
+
+
+@pytest.mark.parametrize("row", range(len(DOWNGRADES)))
+def test_every_downgrade_row_runs_identical_to_scalar_with_its_note(row):
+    tier, _applies, note = DOWNGRADES[row]
+    deciding = [
+        kwargs
+        for knobs in KNOB_POOL
+        if _downgrade_row_applied(kwargs := dict(execution=tier, **knobs)) == row
+    ]
+    assert deciding, f"no KNOB_POOL entry makes DOWNGRADES[{row}] decide a run"
+    for kwargs in deciding:
+        kernel = StepKernel(build_ship_program()[0], ExecOptions(**kwargs))
+        assert kernel.executor.name == "scalar"
+        got = build_ship_program()[0].run(ExecOptions(**kwargs))
+        assert note(kernel) in got.stats.notes
+        ref = build_ship_program()[0].run(
+            ExecOptions(**{**kwargs, "execution": "scalar"})
+        )
+        assert got.output_text() == ref.output_text()
+        assert got.table_sizes == ref.table_sizes
+        if kwargs.get("trace"):
+            assert trace_diff(ref.trace, got.trace) is None
+
+
+# -- docs/LANGUAGE.md carries exactly the registry's rows --------------------
+
+
+def _doc_table_rows() -> list[tuple[dict, str]]:
+    """(options parsed from the first code span, behaviour cell) per
+    row of the combination table under "## Execution tiers"."""
+    text = (Path(__file__).parents[2] / "docs" / "LANGUAGE.md").read_text()
+    section = text.split("## Execution tiers", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or cells[0] in ("combination", "---"):
+            continue
+        span = re.search(r"`([^`]+)`", cells[0]).group(1)
+        rows.append((eval(f"dict({span})"), cells[1]))  # noqa: S307 - our own doc
+    return rows
+
+
+def test_language_doc_table_has_one_row_per_registry_row():
+    refused, downgraded = [], []
+    for kwargs, behaviour in _doc_table_rows():
+        if behaviour.startswith("refused"):
+            tripped = _refusal_rows_tripped(kwargs)
+            assert len(tripped) == 1, (kwargs, tripped)
+            refused.append(tripped[0])
+        else:
+            assert behaviour.startswith("downgrades"), behaviour
+            downgraded.append(_downgrade_row_applied(kwargs))
+    assert sorted(refused) == list(range(len(REFUSALS)))
+    assert sorted(downgraded) == list(range(len(DOWNGRADES)))

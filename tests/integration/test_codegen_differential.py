@@ -6,8 +6,7 @@ harness runs every example program with the codegen tier armed and
 asserts byte-identical ``output_text()`` and equal ``table_sizes``
 against the sequential scalar reference.
 
-The codegen tier differs from the columnar one in one visible way:
-generated rule bodies emit no trace events, so ``trace=True``
+Generated rule bodies emit no trace events, so ``trace=True``
 *downgrades* the whole run to the scalar path (registry row) instead of
 running generated code untraced.  The traced legs here therefore assert
 the downgrade note *and* full trace parity — the downgraded run is the

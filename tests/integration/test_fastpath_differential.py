@@ -6,7 +6,6 @@ change *time*, never results.  This harness runs every example program
 under the fast-path matrix
 
     {sequential, forkjoin×2, threads×2, chaos} × metering="off"
-    (plan cache on — the default — plus one plan_cache=False probe)
 
 and asserts byte-identical ``output_text()``, equal ``table_sizes``,
 and zero divergent semantic trace events (``trace_diff``) against the
@@ -31,24 +30,20 @@ from repro.core import ExecOptions
 from repro.csvio.synth import generate_csv_bytes
 from repro.trace import format_divergence, trace_diff
 
-# (strategy, threads-or-seed, plan_cache)
+# (strategy, threads-or-seed)
 FAST_CONFIGS = [
-    ("sequential", 1, True),
-    ("sequential", 1, False),
-    ("forkjoin", 2, True),
-    ("threads", 2, True),
-    ("chaos", 1, True),
+    ("sequential", 1),
+    ("forkjoin", 2),
+    ("threads", 2),
+    ("chaos", 1),
 ]
 
-MATRIX = [
-    pytest.param(c, id=f"{c[0]}-{c[1]}{'' if c[2] else '-noplan'}")
-    for c in FAST_CONFIGS
-]
+MATRIX = [pytest.param(c, id=f"{c[0]}-{c[1]}") for c in FAST_CONFIGS]
 
 
 def _fast_options(config) -> ExecOptions:
-    strategy, n, plan = config
-    kw = dict(metering="off", plan_cache=plan, trace=True)
+    strategy, n = config
+    kw = dict(metering="off", trace=True)
     if strategy == "chaos":
         return ExecOptions(strategy="chaos", chaos_seed=n, **kw)
     return ExecOptions(strategy=strategy, threads=n, **kw)

@@ -256,6 +256,35 @@ def test_causality_check_off_also_unlocks_negative_queries():
     ), got.stats.notes
 
 
+def test_fired_count_notes_are_run_totals_one_line_per_rule():
+    """A long-lived session reports each rule's generated/scalar firing
+    counts once, as totals — not one note per distinct per-settle count."""
+    p = Program("ticks")
+    Tick = p.table("Tick", "int t, int k", orderby=("Tick", "seq t"))
+    Out = p.table("Out", "int t, int k", orderby=("Tick", "seq t", "Out"))
+
+    @p.foreach(Tick)
+    def emit(ctx, tick):
+        ctx.put(Out.new(tick.t, tick.k))
+
+    @p.foreach(Tick)
+    def peers(ctx, tick):  # where= lambda: refused, stays scalar
+        ctx.get(Tick, tick.t, where=lambda other: other.k < tick.k)
+
+    fed = 0
+    with p.session(execution="codegen") as s:
+        for t in range(50):
+            width = 1 + (t * 5) % 7  # varying feed sizes
+            s.feed([Tick.new(t, k) for k in range(width)])
+            s.settle()
+            fed += width
+        notes = [n for n in s.kernel.stats.notes if "fired" in n]
+    assert sorted(notes) == [
+        f"codegen: rule 'emit' fired {fed} generated / 0 scalar",
+        f"codegen: rule 'peers' fired 0 generated / {fed} scalar",
+    ]
+
+
 # -- keyed direct lookups ----------------------------------------------------
 
 

@@ -1,18 +1,25 @@
 """Unit tests for the compiled-plan layer (:mod:`repro.plan`).
 
 The contract under test: for every call shape and every store kind, the
-planned path must be observationally identical to the legacy
-build-query-per-firing path — same results, same validation errors,
-same meter charges — while compiling each shape exactly once.
+planned path is observationally identical to its function-level
+references — the query :func:`~repro.core.query.build_query` builds,
+filtered by :meth:`Query.matches` over a full scan — with the same
+validation errors and the pinned meter charges of the interpreter it
+replaced, while compiling each shape exactly once.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ExecOptions, Program
 from repro.core.errors import SchemaError
 from repro.core.ordering import evaluate_orderby
+from repro.core.query import QueryKind, build_query
 from repro.core.reducers import SumReducer
 
 
@@ -66,26 +73,151 @@ def plan_program():
     return p
 
 
+#: ``plan_program()`` ledgers as the generic build_query-per-firing
+#: interpreter produced them at the last commit that had one (21ca2de,
+#: ``plan_cache=False``).  The compiled-plan path replaced it; these
+#: literals are what is left of it as a reference.
+_OUTPUT = [f"v={v} total=11 far=3 min=0" for v in range(4)]
+_COUNTERS = {
+    "delta_insert": 13, "delta_pop": 13, "rule_fire": 9, "tuple_put": 14,
+    "reduce_op": 20, "gamma_insert:Dist": 5, "gamma_insert:Done": 4,
+    "gamma_insert:Edge": 4, "gamma_lookup:Dist": 17, "gamma_lookup:Edge": 14,
+    "gamma_result:Dist": 53, "gamma_result:Edge": 9,
+}
+_COSTS = {
+    "delta_insert": 91.0, "delta_pop": 71.5, "rule_fire": 4.5, "tuple_put": 14.0,
+    "reduce_op": 6.0, "gamma_insert:Dist": 15.0, "gamma_insert:Done": 12.0,
+    "gamma_insert:Edge": 12.0, "gamma_lookup:Dist": 51.0, "gamma_lookup:Edge": 42.0,
+    "gamma_result:Dist": 15.9, "gamma_result:Edge": 2.7,
+}
+
+
+def _swap(d: dict, old: str, **new) -> dict:
+    return {**{k: v for k, v in d.items() if k != old}, **new}
+
+
+#: (options, counters, costs, shared, virtual_time)
+PINNED = {
+    "off": (dict(), _COUNTERS, _COSTS, {"delta": 27.3}, 342.36045778460755),
+    # the planner's hash(src) index serves every Edge query at probe
+    # cost and charges its maintenance on insert
+    "auto": (
+        dict(index_mode="auto"),
+        _swap(_COUNTERS, "gamma_lookup:Edge", **{"gamma_ixlookup:Edge": 14}),
+        _swap(
+            _COSTS,
+            "gamma_lookup:Edge",
+            **{"gamma_ixlookup:Edge": 16.8, "gamma_insert:Edge": 14.4},
+        ),
+        {"delta": 27.3},
+        319.56045778460754,
+    ),
+    # concurrent stores: dearer ops, a serialised fraction per table
+    "forkjoin": (
+        dict(strategy="forkjoin", threads=4),
+        _COUNTERS,
+        {
+            **_COSTS,
+            "gamma_insert:Dist": 30.0, "gamma_insert:Done": 24.0,
+            "gamma_insert:Edge": 24.0, "gamma_lookup:Dist": 85.0,
+            "gamma_lookup:Edge": 70.0, "gamma_result:Dist": 26.5,
+            "gamma_result:Edge": 4.5,
+        },
+        {"delta": 27.3, "gamma:Dist": 21.225, "gamma:Done": 3.6, "gamma:Edge": 14.775},
+        297.36045778460755,
+    ),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(PINNED))
+def test_planned_ledger_matches_pinned_reference(leg):
+    """Output, table sizes, meter counters, per-counter costs, shared
+    fractions and virtual time of the planned path, for plain, indexed
+    and concurrent stores."""
+    options, counters, costs, shared, virtual_time = PINNED[leg]
+    got = plan_program().run(ExecOptions(**options))
+    assert got.output == _OUTPUT
+    assert got.table_sizes == {"Edge": 4, "Dist": 5, "Done": 4}
+    assert got.meter.counters == counters
+    assert got.meter.costs == pytest.approx(costs)
+    assert got.meter.shared == pytest.approx(shared)
+    assert got.virtual_time == pytest.approx(virtual_time)
+
+
+# -- plans.lookup -> prepared.run against function-level references ----------
+
+_FIELDS = ("a", "b", "c")
+_ROWS = [
+    (a, b, c) for a in range(4) for b in range(3) for c in range(4) if (a + 2 * b + c) % 3
+]
+_WHERES = [None, lambda t: t.c % 2 == 0]
+_val = st.integers(min_value=0, max_value=3)
+_range_spec = st.one_of(
+    st.tuples(st.none() | _val, st.none() | _val),  # pair form, open ends
+    # op-dict form: the key *order* is part of the shape
+    st.lists(st.sampled_from(["gt", "ge", "lt", "le"]), min_size=1, unique=True).flatmap(
+        lambda ops: st.fixed_dictionaries({op: _val for op in ops})
+    ),
+)
+
+
+@st.composite
+def _call(draw):
+    """One ``ctx.get``-family call: positional prefix, named eq fields
+    (in any kwarg order), range specs, residual ``where``, kind."""
+    n_prefix = draw(st.integers(0, 3))
+    prefix = tuple(draw(_val) for _ in range(n_prefix))
+    rest = draw(st.permutations(_FIELDS[n_prefix:]))
+    n_eq = draw(st.integers(0, len(rest)))
+    eq = {name: draw(_val) for name in rest[:n_eq]}
+    n_rng = draw(st.integers(0, len(rest) - n_eq))
+    ranges = {name: draw(_range_spec) for name in rest[n_eq : n_eq + n_rng]}
+    return prefix, eq, ranges or None, draw(st.sampled_from(_WHERES)), draw(
+        st.sampled_from(list(QueryKind))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _populated_kernel(index_mode: str):
+    from repro.core.kernel import StepKernel
+    from repro.solver import RuleMeta
+
+    p = Program("shapes")
+    T = p.table("T", "int a, int b, int c", orderby=("T",))
+    Probe = p.table("Probe", "int b", orderby=("Z",))
+    p.order("T", "Z")
+    meta = RuleMeta(Probe)
+    meta.branch().query(T, b=meta.trigger["b"])  # auto mode: hash(b) on T
+
+    @p.foreach(Probe, meta=meta)
+    def probe(ctx, t):
+        ctx.get(T, b=t.b)
+
+    kernel = StepKernel(p, ExecOptions(index_mode=index_mode))
+    kernel.feed([T.new(*row) for row in _ROWS])
+    kernel.drain()
+    return kernel, T
+
+
 @pytest.mark.parametrize("index_mode", ["off", "auto"])
-def test_planned_equals_legacy(index_mode):
-    """Same outputs, table sizes, meter counters *and* per-counter costs
-    with the plan cache on and off, for plain and indexed stores."""
-    ref = plan_program().run(ExecOptions(plan_cache=False, index_mode=index_mode))
-    got = plan_program().run(ExecOptions(plan_cache=True, index_mode=index_mode))
-    assert got.output_text() == ref.output_text()
-    assert got.table_sizes == ref.table_sizes
-    assert got.meter.counters == ref.meter.counters
-    assert got.meter.costs == pytest.approx(ref.meter.costs)
-    assert got.meter.shared == pytest.approx(ref.meter.shared)
-    assert got.virtual_time == pytest.approx(ref.virtual_time)
-
-
-def test_planned_equals_legacy_forkjoin():
-    ref = plan_program().run(ExecOptions(strategy="forkjoin", threads=4, plan_cache=False))
-    got = plan_program().run(ExecOptions(strategy="forkjoin", threads=4))
-    assert got.output_text() == ref.output_text()
-    assert got.meter.counters == ref.meter.counters
-    assert got.virtual_time == pytest.approx(ref.virtual_time)
+@settings(max_examples=150, deadline=None)
+@given(call=_call())
+def test_planned_select_equals_brute_force(index_mode, call):
+    """``plans.lookup`` builds the query ``build_query`` would, field
+    for field, and its prepared select returns exactly the value-sorted
+    brute-force filter of the table — on first compile and from cache."""
+    kernel, T = _populated_kernel(index_mode)
+    store = kernel.db.store("T")
+    assert (type(store).__name__ == "IndexedStore") == (index_mode == "auto")
+    prefix, eq, ranges, where, kind = call
+    ref = build_query(T, *prefix, where=where, ranges=ranges, kind=kind, **eq)
+    brute = sorted((t for t in store.scan() if ref.matches(t)), key=lambda t: t.values)
+    for _ in range(2):
+        plan, q = kernel._plans.lookup(T, prefix, where, ranges, eq, kind)
+        assert q.schema is ref.schema and q.kind is ref.kind and q.where is ref.where
+        assert list(q.eq.items()) == list(ref.eq.items())
+        assert list(q.ranges.items()) == list(ref.ranges.items())
+        assert plan.prepared.run(q) == brute
 
 
 def test_shapes_compile_once():
