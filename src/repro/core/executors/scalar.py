@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.core.database import InsertOutcome
 from repro.core.executors.base import StepExecutor
+from repro.core.ordering import output_keys
 from repro.core.rules import Rule, RuleContext
 from repro.core.support import FiringRecord
 from repro.core.tuples import JTuple
@@ -63,14 +64,12 @@ class ScalarExecutor(StepExecutor):
         if ctx.output:
             result.output.extend(ctx.output)
             if rec is None:
-                # same key shape as _output_key, so the per-step sort in
-                # _run_step reproduces the keyed order retraction mode
-                # maintains via _insert_output
-                tie = (tup.schema.name, tuple(repr(v) for v in tup.values))
-                ridx = k._rule_index[id(rule)]
+                # the keys retraction mode maintains via _insert_output,
+                # so the per-step sort in _run_step reproduces its order
                 result.out_keys.extend(
-                    (ctx.trigger_ts.key, tie, ridx, j)
-                    for j in range(len(ctx.output))
+                    output_keys(
+                        trigger_ts, tup, k._rule_index[id(rule)], len(ctx.output)
+                    )
                 )
             k.stats.rule(rule.name).output_lines += len(ctx.output)
         if rec is not None:

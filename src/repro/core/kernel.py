@@ -56,7 +56,7 @@ from repro.core.errors import (
     UnknownTableError,
 )
 from repro.core.executors.registry import resolve_executor
-from repro.core.ordering import Timestamp, compare_timestamps
+from repro.core.ordering import Timestamp, compare_timestamps, output_keys
 from repro.core.program import ExecOptions, Program
 from repro.core.rules import Rule
 from repro.core.support import SupportIndex
@@ -673,16 +673,12 @@ class StepKernel:
 
     # -- retraction: keyed output ----------------------------------------------
 
-    def _output_key(self, rec: FiringRecord, j: int) -> tuple:
-        """Deterministic sort key of one printed line: trigger timestamp
-        key, then a trigger tie-break, then rule position, then line
-        position within the firing.  Sorting by this key reproduces the
-        causal append order whenever at most one firing per equivalence
-        class prints (true of every example app: output goes through
-        dedicated println tables with singleton classes)."""
-        trig = rec.trigger
-        tie = (trig.schema.name, tuple(repr(v) for v in trig.values))
-        return (rec.trigger_ts.key, tie, rec.rule_index, j)
+    def _output_keys(self, rec: FiringRecord) -> list[tuple]:
+        """Sort keys of the lines one firing printed.  Sorting by them
+        reproduces the causal append order whenever at most one firing
+        per equivalence class prints (true of every example app: output
+        goes through dedicated println tables with singleton classes)."""
+        return output_keys(rec.trigger_ts, rec.trigger, rec.rule_index, len(rec.lines))
 
     def _insert_output(self, key: tuple, line: str) -> None:
         i = bisect_right(self._out_keys, key)
@@ -709,8 +705,7 @@ class StepKernel:
         sup.register(rec)
         if rec.lines:
             out = []
-            for j, line in enumerate(rec.lines):
-                key = self._output_key(rec, j)
+            for key, line in zip(self._output_keys(rec), rec.lines):
                 self._insert_output(key, line)
                 out.append((key, line))
             rec.out_lines = tuple(out)

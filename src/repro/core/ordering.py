@@ -43,6 +43,7 @@ __all__ = [
     "OrderBySpec",
     "OrderDecls",
     "Timestamp",
+    "output_keys",
     "compare_timestamps",
     "KIND_LIT",
     "KIND_SEQ",
@@ -309,6 +310,18 @@ class Timestamp:
             else:
                 parts.append(f"par={disp!r}")
         return f"Ts({', '.join(parts)})"
+
+
+def output_keys(ts: Timestamp, trigger: Any, rule_index: int, n_lines: int) -> list[tuple]:
+    """Canonical sort keys of the ``n_lines`` lines one firing printed:
+    trigger timestamp key, a trigger tie-break (table name + value
+    reprs), rule position, line position.  Every runtime sorts a
+    class's output by these keys, which is what makes printed output a
+    pure function of the firing set — across strategies, repair orders
+    and distributed backends."""
+    key = ts.key
+    tie = (trigger.schema.name, tuple(repr(v) for v in trigger.values))
+    return [(key, tie, rule_index, j) for j in range(n_lines)]
 
 
 def _compare_component(a: tuple, b: tuple) -> int:

@@ -1,9 +1,21 @@
 """Distributed execution substrate (§2 stage 3: partitioned /
 duplicated / shared tuples across computers, with explicit
-communication costs).  Two runtimes share one placement vocabulary:
-`repro.dist.engine` *simulates* a cluster in-process (modelled network
-costs), `repro.dist.procrun` runs real OS worker processes — the latter
-is also reachable as ``ExecOptions(strategy="processes")``."""
+communication costs): one coordinator, two backends.
+
+:class:`repro.dist.superstep.Coordinator` decides everything a run's
+result depends on — the global Delta order, duplicate verdicts, which
+node fires a tuple, where a query reads
+(``PlacementMap.query_homes``), the order firing records merge in and
+what phase C accepts — and every backend fires rules through the same
+``fire_records`` / ``RoutedRuleContext``.  A backend implements two
+calls, ``execute(step, plan) -> records`` (land the planned class on
+its shards, fire it there) and ``committed(step, effects)`` (hear
+phase C's verdicts), plus the shard reads ``select`` / ``fetch``; it
+may price, ship, retry and account, but not decide.
+`repro.dist.engine` is the cost-model backend (in-process shards, a
+LogP-style network model, virtual time), `repro.dist.procrun` the
+worker mesh (real OS processes over pipes or TCP) — the latter is also
+reachable as ``ExecOptions(strategy="processes")``."""
 
 from repro.dist.check import QueryLocality, check_locality, locality_summary
 from repro.dist.engine import DistEngine, DistOptions, DistRunResult, run_distributed

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.program import Program
-from repro.dist.placement import OnNode, PlacementMap, Partitioned, Replicated
+from repro.dist.placement import OnNode, PlacementMap, Partitioned
 from repro.solver.obligations import RuleMeta
 
 __all__ = ["QueryLocality", "check_locality", "locality_summary"]
@@ -48,6 +48,16 @@ class QueryLocality:
         return f"<{self.rule} -> {self.table}: {self.verdict} ({self.detail})>"
 
 
+def _describe(placement, verdict: str) -> str:
+    if verdict == "local":
+        return "replicated"
+    if isinstance(placement, OnNode):
+        return f"pinned to node {placement.node}"
+    if verdict == "routed":
+        return f"binds partition field {placement.field!r}"
+    return f"partition field {placement.field!r} unbound"
+
+
 def _classify_observed(
     rule: str, pm: PlacementMap, shapes: list[tuple[str, tuple[str, ...]]]
 ) -> list[QueryLocality]:
@@ -56,20 +66,8 @@ def _classify_observed(
     run) — one finding per query, with the real table name."""
     findings = []
     for table, eq_fields in shapes:
-        placement = pm[table]
-        if isinstance(placement, Replicated):
-            verdict, detail = "local", "replicated (observed query)"
-        elif isinstance(placement, OnNode):
-            verdict = "routed"
-            detail = f"pinned to node {placement.node} (observed query)"
-        elif placement.field in eq_fields:
-            verdict = "routed"
-            detail = f"binds partition field {placement.field!r} (observed query)"
-        else:
-            verdict = "broadcast"
-            detail = (
-                f"partition field {placement.field!r} unbound (observed query)"
-            )
+        verdict = pm.query_verdict(table, eq_fields)
+        detail = f"{_describe(pm[table], verdict)} (observed query)"
         findings.append(QueryLocality(rule, table, verdict, detail))
     return findings
 
@@ -121,41 +119,19 @@ def check_locality(
             trig_part_term = meta.trigger.get(trig_placement.field)
         for branch in meta.branches:
             for q in branch.queries:
-                placement = pm[q.schema.name]
-                if isinstance(placement, Replicated):
-                    findings.append(
-                        QueryLocality(rule.name, q.schema.name, "local", "replicated")
-                    )
-                    continue
-                if isinstance(placement, OnNode):
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "routed",
-                            f"pinned to node {placement.node}",
-                        )
-                    )
-                    continue
-                bound = q.bound.get(placement.field)
-                if bound is None:
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "broadcast",
-                            f"partition field {placement.field!r} unbound",
-                        )
-                    )
-                    continue
-                if trig_part_term is not None and bound == trig_part_term:
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "local",
-                            f"co-partitioned on {placement.field!r} with the trigger",
-                        )
-                    )
-                else:
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "routed",
-                            f"binds partition field {placement.field!r}",
-                        )
-                    )
+                name = q.schema.name
+                placement = pm[name]
+                verdict = pm.query_verdict(name, q.bound)
+                detail = _describe(placement, verdict)
+                if (
+                    verdict == "routed"
+                    and trig_part_term is not None
+                    and isinstance(placement, Partitioned)
+                    and q.bound[placement.field] == trig_part_term
+                ):
+                    # the one refinement only the static form can make:
+                    # the bound value provably is the trigger's own
+                    verdict = "local"
+                    detail = f"co-partitioned on {placement.field!r} with the trigger"
+                findings.append(QueryLocality(rule.name, name, verdict, detail))
     return findings

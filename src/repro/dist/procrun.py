@@ -1,55 +1,42 @@
-"""Real multiprocess shard execution — ``ExecOptions(strategy="processes")``.
+"""The worker-mesh backend of the superstep coordinator —
+``ExecOptions(strategy="processes")``.
 
-Where :class:`~repro.dist.engine.DistEngine` *simulates* a cluster (N
+Where :class:`~repro.dist.engine.DistEngine` *prices* a cluster (N
 shard views, one process, modelled network costs), this module runs the
 real thing: N OS worker processes (:mod:`repro.dist.worker`), each
 owning the Gamma shards its :class:`~repro.dist.placement.PlacementMap`
-assigns it, driven in causal supersteps by a coordinator.
-
-The v2 runtime splits the wire into two planes:
+assigns it.  What runs is the shared
+:class:`~repro.dist.superstep.Coordinator`'s — class order, duplicate
+verdicts, fire nodes, the (batch index, rule) merge, phase C — so
+output, table sizes and the semantic trace are byte-identical to a
+sequential run (§1.3 across *machines*, not just strategies).  This
+module implements only the backend contract, over two planes:
 
 * a **control plane** — one coordinator↔worker channel per worker
   (:mod:`~repro.dist.transport`: a duplex pipe, or length-prefixed TCP
-  so workers can live on other hosts) carrying step broadcasts, done
+  so workers can live on other hosts) carrying step frames, done
   records, membership, and recovery;
 * a **data plane** — a direct worker↔worker peer mesh carrying the
-  put-set shuffle and routed queries.  PR 5 relayed both through the
-  coordinator's single drain loop; v2's coordinator never touches a
-  query, and its downstream step frames reference staged put-sets by
-  ref instead of re-sending values.
+  put-set shuffle and routed queries; the coordinator never touches a
+  query.
 
-The superstep protocol still mirrors the single-node
-:class:`~repro.core.kernel.StepKernel` phase for phase:
+``execute`` turns a planned class into one step frame per worker —
+phase-A inserts for the slice the worker owns, fire assignments
+referencing them — and gathers the done records.  Workers stage each
+fresh put at its owners *while the step fires*, keyed by the put's
+identity; ``committed`` hears which puts phase C accepted, so a later
+frame names an accepted put by that ref instead of re-sending values
+and tells the owners to drop the rejected ones.  The shuffle of step N
+thus overlaps step N's firing and resolves lazily whenever a later step
+consumes it — the pipelining never reorders the merge.  The fire spread
+of replicated triggers is reweighted by
+:mod:`~repro.dist.rebalance` from the coordinator's per-node fire
+counts.
 
-* the coordinator owns the global Delta tree and a full **control
-  replica** of Gamma; each superstep pops the minimal equivalence
-  class, exactly like ``drain()``;
-* **phase A**: each worker inserts the slice of the class its placement
-  assigns it — resolved from its staging buffer when the tuple was
-  shuffled to it directly, from the frame itself otherwise;
-* **phase B**: each non-duplicate tuple fires on exactly one node — its
-  partition home, or the (adaptively reweighted, see
-  :mod:`~repro.dist.rebalance`) stable-hash spread for replicated
-  triggers — via the unmodified
-  :class:`~repro.core.rules.RuleContext` machinery; remote queries go
-  peer-to-peer and are ready-gated against the receiver's phase A;
-* **phase C**: the coordinator merges every worker's done records in
-  global (batch index, rule declaration) order — the single-node task
-  order — and applies the put-set to Delta with the exact
-  ``_enqueue_delta_batch`` semantics.  The fire node is always one of
-  the put-owners' targets, so the shuffle of step N overlaps step N's
-  firing, and its frames resolve lazily whenever a later step consumes
-  them — the pipelining never reorders the merge.
-
-Because the merge order is deterministic and Gamma is read-only while
-a class fires, output, table sizes, and the semantic trace are
-byte-identical to a sequential run (§1.3 across *machines*, not just
-strategies).
-
-Crash recovery: the control replica commits each superstep only after
-every worker reported it.  When a worker dies mid-step
+Crash recovery: the coordinator commits a superstep to its control
+replica only after ``execute`` returned.  When a worker dies mid-step
 (:class:`~repro.core.errors.WorkerLostError` names the node and the
-step/attempt epoch), the coordinator aborts the step on the survivors,
+step/attempt epoch), ``execute`` aborts the step on the survivors,
 re-forks the lost node, re-meshes it (the replacement dials every
 survivor), bootstraps it from the owned slice of the last committed
 superstep, and re-broadcasts the step under a new attempt epoch;
@@ -71,17 +58,14 @@ import signal
 import time
 from multiprocessing import get_context
 
-from repro.core.database import Database
-from repro.core.delta import DeltaTree
 from repro.core.errors import EngineError, WorkerLostError
 from repro.core.kernel import RunResult
 from repro.core.program import ExecOptions, Program
 from repro.core.tuples import JTuple
-from repro.dist.check import check_locality
-from repro.dist.engine import surface_exec_knobs
 from repro.dist.network import WireStats
-from repro.dist.placement import OnNode, PlacementMap, Partitioned, spread_hash
+from repro.dist.placement import PlacementMap
 from repro.dist.rebalance import Rebalancer
+from repro.dist.superstep import Coordinator, surface_exec_knobs
 from repro.dist.transport import (
     PeerListener,
     PipeChannel,
@@ -90,10 +74,6 @@ from repro.dist.transport import (
 )
 from repro.dist.worker import program_fingerprint, worker_entry
 from repro.exec.metering import CostMeter
-from repro.gamma.base import StoreRegistry
-from repro.gamma.treeset import TreeSetStore
-from repro.stats.collector import StatsCollector
-from repro.trace.recorder import TraceRecorder, output_hash
 
 __all__ = ["ProcessShardRuntime", "run_sharded"]
 
@@ -121,7 +101,8 @@ class _Worker:
 
 
 class ProcessShardRuntime:
-    """Coordinator of one multiprocess sharded run."""
+    """One multiprocess sharded run: the worker processes and the wire
+    behind a :class:`~repro.dist.superstep.Coordinator`."""
 
     def __init__(
         self,
@@ -149,30 +130,23 @@ class ProcessShardRuntime:
                 "run such programs single-node"
             )
         self.transport = resolve_transport(transport)
-        self.placements = (
-            placements
-            if isinstance(placements, PlacementMap)
-            else PlacementMap(program.schemas(), placements, n_nodes=self.n_nodes)
+        self._rebalancer = Rebalancer(self.n_nodes, every=rebalance_every)
+        self.core = Coordinator(
+            program,
+            placements,
+            self.n_nodes,
+            self,
+            check_mode=self.options.causality_check,
+            max_steps=self.options.max_steps,
+            traced=self.options.trace,
+            spread=self._rebalancer.fire_node,
         )
-        self.schemas = program.schemas()
-        # control replica: the coordinator's authoritative copy of Gamma,
-        # committed one superstep behind the workers so a lost node can
-        # always be rebuilt from the last *completed* step
-        registry = StoreRegistry(lambda schema: TreeSetStore(schema))
-        self.db = Database(self.schemas, registry, program.decls)
-        self.delta = DeltaTree()
-        self.stats = StatsCollector()
-        self.tracer = TraceRecorder() if self.options.trace else None
-        self.output: list[str] = []
-        #: rule name -> position, for canonical per-step output keys
-        #: (worker records identify rules by name)
-        self._rule_pos = {r.name: i for i, r in enumerate(program.rules)}
-        self.steps = 0
-        self._check_mode = self.options.causality_check
+        self.placements = self.core.placements
+        self.stats = self.core.stats
         surface_exec_knobs(
             self.options,
             self.stats.note,
-            strict=self._check_mode == "strict",
+            strict=self.core.check_mode == "strict",
             runtime="the multiprocess runtime",
             supported=_SUPPORTED_KNOBS,
         )
@@ -186,13 +160,10 @@ class ProcessShardRuntime:
         self._killed = False
         self._epoch = 1
         self._recoveries: dict[int, int] = {}
-        self._node_fires: dict[int, int] = {}
-        self._node_puts: dict[int, int] = {}
         self.workers: list[_Worker] = []
         self._by_chan: dict = {}
         self._ctx = get_context("fork")
         self._ctl_listener: PeerListener | None = None
-        self._rebalancer = Rebalancer(self.n_nodes, every=rebalance_every)
         # -- shuffle bookkeeping ---------------------------------------------
         #: node -> refs known staged at that node's *current* incarnation
         self._staged: dict[int, set] = {n: set() for n in range(self.n_nodes)}
@@ -201,24 +172,17 @@ class ProcessShardRuntime:
         #: node -> refs whose staged copies will never be referenced
         #: (rejected puts); piggybacked on the next step frame
         self._drops: dict[int, list] = {n: [] for n in range(self.n_nodes)}
+        #: node -> ref/value insert counts of the latest step frames
+        self._frame_meta: dict[int, dict] = {}
         #: node -> counters snapshot from its most recent done record,
         #: the carry-forward source when that incarnation crashes
         self._last_counters: dict[int, dict] = {}
         #: node -> counters carried over from crashed incarnations
         self._carry: dict[int, dict] = {}
-        # co-located queries proved by the static locality checker skip
-        # placement routing in the workers (reuse of the check_locality
-        # verdicts at runtime).  The set is keyed (rule, table), so a
-        # pair qualifies only when EVERY query that rule makes on that
-        # table is local — one routed query among locals must still route
-        verdicts: dict[tuple[str, str], bool] = {}
-        for f in check_locality(program, self.placements):
-            key = (f.rule, f.table)
-            verdicts[key] = verdicts.get(key, True) and f.verdict == "local"
         self._conf = {
-            "check_mode": self._check_mode,
-            "traced": self.tracer is not None,
-            "static_local": frozenset(k for k, ok in verdicts.items() if ok),
+            "check_mode": self.core.check_mode,
+            "traced": self.options.trace,
+            "static_local": self.core.static_local,
             "transport": self.transport,
             "fault_serve_die": fault_die_on_serve,
         }
@@ -391,7 +355,7 @@ class ProcessShardRuntime:
         )
         self._expect_mesh(fresh)
         tables: dict[str, list] = {}
-        for name, store in self.db.stores.items():
+        for name, store in self.core.db.stores.items():
             rows = []
             for t in store.scan():
                 home = self.placements.home_of(t, self.n_nodes)
@@ -415,29 +379,27 @@ class ProcessShardRuntime:
         try:
             w.channel.send_bytes(data)
         except (BrokenPipeError, ConnectionResetError, OSError):
-            raise WorkerLostError(w.node, self.steps or None, self._epoch) from None
+            raise WorkerLostError(w.node, self.core.steps or None, self._epoch) from None
         w.wire.on_send(len(data))
 
     def _recv(self, w: _Worker) -> dict:
         try:
             data = w.channel.recv_bytes()
         except (EOFError, ConnectionResetError, OSError):
-            raise WorkerLostError(w.node, self.steps or None, self._epoch) from None
+            raise WorkerLostError(w.node, self.core.steps or None, self._epoch) from None
         w.wire.on_recv(len(data))
         return pickle.loads(data)
-
-    def _tuple(self, table: str, values) -> JTuple:
-        return JTuple(self.schemas[table], tuple(values))
 
     # -- the run ---------------------------------------------------------------
 
     def run(self) -> RunResult:
+        core = self.core
         t0 = time.perf_counter()
         try:
             self._start_workers()
-            self._emit_run_start()
-            self._feed_initial()
-            self._drain()
+            core.emit_run_start()
+            core.feed_initial()
+            core.drain()
             nodes = self._finish()
         except BaseException:
             self._terminate_all()
@@ -446,95 +408,30 @@ class ProcessShardRuntime:
             self._ctl_listener.close()
             self._ctl_listener = None
         wall = time.perf_counter() - t0
-        self._emit_run_end()
+        core.emit_run_end()
         return RunResult(
             program=self.program.name,
             strategy="processes",
             threads=self.n_nodes,
-            output=self.output,
+            output=core.output,
             wall_time=wall,
             report=None,
             stats=self.stats,
-            table_sizes=self.db.table_sizes(),
+            table_sizes=core.db.table_sizes(),
             meter=CostMeter(),
-            steps=self.steps,
+            steps=core.steps,
             options=self.options,
-            database=self.db,
-            trace=self.tracer,
+            database=core.db,
+            trace=core.tracer,
             nodes=nodes,
         )
 
-    def _feed_initial(self) -> None:
-        """Initial puts, exactly like the kernel's ``<init>`` feed (no
-        admission boundary exists before the first step)."""
-        puts = list(self.program.initial_puts)
-        for tup in puts:
-            self.stats.on_put("<init>", tup.schema.name)
-        if not puts:
-            return
-        flags = self._enqueue(puts)
-        if self.tracer is not None:
-            for tup, accepted in zip(puts, flags):
-                self.tracer.emit("admit", {"tuple": repr(tup), "accepted": accepted})
+    # -- the backend contract ----------------------------------------------------
 
-    def _enqueue(self, puts: list[JTuple]) -> list[bool]:
-        """Phase C against the control replica — per-put semantics are
-        exactly ``StepKernel._enqueue_delta_batch`` (Gamma-duplicate
-        precheck, then Delta dedup), minus the cost metering."""
-        flags = [False] * len(puts)
-        items: list[tuple[JTuple, object]] = []
-        idx: list[int] = []
-        db = self.db
-        for i, tup in enumerate(puts):
-            if tup in db:
-                self.stats.table(tup.schema.name).duplicates += 1
-                continue
-            items.append((tup, db.timestamp(tup)))
-            idx.append(i)
-        if not items:
-            return flags
-        accepted = self.delta.insert_batch(items)
-        for k, ok in enumerate(accepted):
-            i = idx[k]
-            name = puts[i].schema.name
-            if ok:
-                flags[i] = True
-                self.stats.table(name).delta_inserts += 1
-            else:
-                self.stats.table(name).duplicates += 1
-        return flags
-
-    def _drain(self) -> None:
-        max_steps = self.options.max_steps
-        while self.delta:
-            if max_steps is not None and self.steps >= max_steps:
-                raise EngineError(
-                    f"program exceeded max_steps={max_steps}; "
-                    f"{len(self.delta)} tuples still pending"
-                )
-            self.steps += 1
-            batch = self.delta.pop_min_class()
-            self._superstep(batch)
-
-    def _fire_home(self, tup: JTuple) -> int:
-        """Node that fires this tuple's rules — the partition home, or
-        the (adaptively weighted) stable-hash spread for replicated
-        triggers.  Always one of the tuple's owners, which is what lets
-        the fire assignment reference the phase-A insert."""
-        home = self.placements.home_of(tup, self.n_nodes)
-        if home is not None:
-            return home
-        return self._rebalancer.fire_node(spread_hash(tup.values))
-
-    def _superstep(self, batch: list[JTuple]) -> None:
-        step = self.steps
-        self.stats.on_step(len(batch))
-        if self.tracer is not None:
-            self.tracer.step = step
-            self.tracer.emit(
-                "step",
-                {"step": step, "width": len(batch), "frontier": [repr(t) for t in batch]},
-            )
+    def execute(self, step: int, plan: list) -> dict[int, list[dict]]:
+        """Broadcast the planned class and gather its done records,
+        re-forking lost workers and retrying the step until one attempt
+        completes on every node."""
         if (
             self._fault_kill is not None
             and not self._killed
@@ -546,13 +443,21 @@ class ProcessShardRuntime:
             victim = self.workers[self._fault_kill[0]]
             os.kill(victim.proc.pid, signal.SIGKILL)
             victim.proc.join(timeout=10)
-        # plan: duplicate verdicts against the pre-step control Gamma,
-        # and one fire node per fresh tuple
-        plan: list[tuple[JTuple, bool, int]] = []
-        for tup in batch:
-            plan.append((tup, tup in self.db, self._fire_home(tup)))
-        records = self._execute(step, plan)
-        # the step committed: the drop lists rode out with its frames,
+        deaths = 0
+        while True:
+            frames = self._build_frames(step, plan)
+            try:
+                records = self._attempt(step, frames)
+                break
+            except WorkerLostError as exc:
+                deaths += 1
+                if deaths > 2 * self.n_nodes:
+                    raise EngineError(
+                        f"step {step} could not complete: workers kept dying "
+                        f"({deaths} deaths); last lost node {exc.node}"
+                    ) from exc
+                self._recover(exc.node)
+        # the step completed: the drop lists rode out with its frames,
         # and the batch's staged copies were consumed
         for n in range(self.n_nodes):
             self._drops[n].clear()
@@ -561,136 +466,55 @@ class ProcessShardRuntime:
             if ref is not None:
                 for o in self.placements.owners_of(tup, self.n_nodes):
                     self._staged[o].discard(ref)
-        # commit phase A to the control replica only now: a worker lost
-        # mid-step re-bootstraps from the last *completed* superstep
-        self.db.insert_batch(batch, frozenset())
-        pending: list[tuple[JTuple, int, tuple]] = []
-        step_lines: list[tuple[tuple, str]] = []
-        for idx, (tup, dup, node) in enumerate(plan):
-            name = tup.schema.name
-            if dup:
-                self.stats.table(name).duplicates += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "task",
-                        {
-                            "trigger": repr(tup),
-                            "duplicate": True,
-                            "fired": [],
-                            "n_puts": 0,
-                            "n_output": 0,
-                            "cost": 0.0,
-                            "node": node,
-                        },
-                    )
-                continue
-            self.stats.table(name).gamma_inserts += 1
-            entries = records.get(idx, [])
-            fired: list[str] = []
-            n_puts = 0
-            n_output = 0
-            for eidx, entry in enumerate(entries):
-                rule = entry["rule"]
-                fired.append(rule)
-                self.stats.on_fire(name, rule)
-                self._node_fires[node] = self._node_fires.get(node, 0) + 1
-                if self.tracer is not None:
-                    for kind, data in entry["events"]:
-                        data = dict(data)
-                        data["node"] = node
-                        self.tracer.emit(kind, data)
-                out = entry["output"]
-                if out:
-                    tie = (name, tuple(repr(v) for v in tup.values))
-                    ridx = self._rule_pos[rule]
-                    ts_key = self.db.timestamp(tup).key
-                    step_lines.extend(
-                        ((ts_key, tie, ridx, j), line)
-                        for j, line in enumerate(out)
-                    )
-                    self.stats.rule(rule).output_lines += len(out)
-                    n_output += len(out)
-                for j, (tname, vals) in enumerate(entry["puts"]):
-                    self.stats.on_put(rule, tname)
-                    self._node_puts[node] = self._node_puts.get(node, 0) + 1
-                    # the ref this put was staged under at its owners,
-                    # reconstructed exactly as the firing worker built it
-                    pending.append(
-                        (self._tuple(tname, vals), node, (node, step, idx, eidx, j))
-                    )
-                    n_puts += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "task",
-                    {
-                        "trigger": repr(tup),
-                        "duplicate": False,
-                        "fired": fired,
-                        "n_puts": n_puts,
-                        "n_output": n_output,
-                        "cost": 0.0,
-                        "node": node,
-                    },
-                )
-        # output in canonical keyed order (a step is one equivalence
-        # class), matching the single-node kernel byte-for-byte when
-        # several firings of one class print
-        if step_lines:
-            if len(step_lines) > 1:
-                step_lines.sort(key=lambda kl: kl[0])
-            self.output.extend(line for _key, line in step_lines)
-        staged_now = {n: 0 for n in range(self.n_nodes)}
+        return records
+
+    def committed(self, step: int, effects: list) -> None:
+        """Settle the ref economy for the step's put-set: the firing
+        worker staged every put at its owners under the put's identity,
+        so an accepted put's eventual phase-A insert can travel as a
+        ref, and a rejected one's staged copies are dropped."""
+        staged_now = [0] * self.n_nodes
         dropped_now = 0
-        if pending:
-            flags = self._enqueue([tup for tup, _node, _ref in pending])
-            for (tup, node, ref), accepted in zip(pending, flags):
-                owners = self.placements.owners_of(tup, self.n_nodes)
-                if accepted:
-                    # the owners hold (or will momentarily hold) this
-                    # put under its ref: the eventual phase-A insert can
-                    # travel as control-plane bytes only
-                    self._ref_of[tup] = ref
-                    for o in owners:
-                        self._staged[o].add(ref)
-                        staged_now[o] += 1
-                else:
-                    # rejected put: the staged copies will never be
-                    # referenced — tell the owners to drop them
-                    for o in owners:
-                        self._drops[o].append(ref)
-                    dropped_now += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "effect",
-                        {"tuple": repr(tup), "accepted": accepted, "node": node},
-                    )
-        if self.tracer is not None:
+        for tup, ref, accepted in effects:
+            owners = self.placements.owners_of(tup, self.n_nodes)
+            if accepted:
+                self._ref_of[tup] = ref
+                for o in owners:
+                    self._staged[o].add(ref)
+                    staged_now[o] += 1
+            else:
+                for o in owners:
+                    self._drops[o].append(ref)
+                dropped_now += 1
+        tracer = self.core.tracer
+        if tracer is not None:
             # node-tagged shuffle accounting (meta: wire behaviour, not
             # semantics — excluded from trace_diff like every meta event)
-            meta = getattr(self, "_frame_meta", {})
             for n in range(self.n_nodes):
-                fm = meta.get(n, {})
-                if not (staged_now[n] or fm.get("ref_inserts") or fm.get("value_inserts")):
+                fm = self._frame_meta[n]
+                if not (staged_now[n] or fm["ref_inserts"] or fm["value_inserts"]):
                     continue
-                self.tracer.emit(
+                tracer.emit(
                     "shuffle",
                     {
                         "step": step,
                         "node": n,
                         "staged": staged_now[n],
-                        "ref_inserts": fm.get("ref_inserts", 0),
-                        "value_inserts": fm.get("value_inserts", 0),
+                        "ref_inserts": fm["ref_inserts"],
+                        "value_inserts": fm["value_inserts"],
                         "dropped": dropped_now,
                     },
                     meta=True,
                 )
-        plan_change = self._rebalancer.maybe_rebalance(step, self._node_fires)
+        plan_change = self._rebalancer.maybe_rebalance(
+            step, dict(enumerate(self.core.node_fires))
+        )
         if plan_change is not None:
             self.stats.note(Rebalancer.describe(plan_change))
-            if self.tracer is not None:
-                self.tracer.emit("rebalance", dict(plan_change), meta=True)
+            if tracer is not None:
+                tracer.emit("rebalance", dict(plan_change), meta=True)
 
-    # -- superstep execution with crash recovery ------------------------------
+    # -- step frames, attempts, recovery ---------------------------------------
 
     def _build_frames(self, step: int, plan: list) -> list[dict]:
         """One step frame per worker: phase-A inserts (by ref where the
@@ -727,21 +551,6 @@ class ProcessShardRuntime:
             for n in range(self.n_nodes)
         ]
 
-    def _execute(self, step: int, plan: list) -> dict:
-        deaths = 0
-        while True:
-            frames = self._build_frames(step, plan)
-            try:
-                return self._attempt(step, frames)
-            except WorkerLostError as exc:
-                deaths += 1
-                if deaths > 2 * self.n_nodes:
-                    raise EngineError(
-                        f"step {step} could not complete: workers kept dying "
-                        f"({deaths} deaths); last lost node {exc.node}"
-                    ) from exc
-                self._recover(exc.node)
-
     def _attempt(self, step: int, frames: list[dict]) -> dict:
         epoch = self._epoch
         for w in self.workers:
@@ -777,7 +586,7 @@ class ProcessShardRuntime:
         self._epoch += 1
         self._recoveries[node] = self._recoveries.get(node, 0) + 1
         self.stats.note(
-            f"worker {node} died during step {self.steps}; restarted from "
+            f"worker {node} died during step {self.core.steps}; restarted from "
             "the last committed superstep snapshot"
         )
         dead = [node]
@@ -791,7 +600,7 @@ class ProcessShardRuntime:
                     continue
                 try:
                     self._send(
-                        w, {"t": "abort", "step": self.steps, "attempt": self._epoch}
+                        w, {"t": "abort", "step": self.core.steps, "attempt": self._epoch}
                     )
                     aborted.add(w.node)
                 except WorkerLostError:
@@ -805,9 +614,8 @@ class ProcessShardRuntime:
         for w in self.workers:
             self._send(w, {"t": "finish"})
         nodes: list[dict] = []
-        control_sizes = self.db.table_sizes()
         shard_sizes: dict[str, list[int]] = {
-            name: [0] * self.n_nodes for name in control_sizes
+            name: [0] * self.n_nodes for name in self.core.schemas
         }
         for w in self.workers:
             msg = self._recv(w)
@@ -829,8 +637,8 @@ class ProcessShardRuntime:
             nodes.append(
                 {
                     "node": w.node,
-                    "fires": self._node_fires.get(w.node, 0),
-                    "puts": self._node_puts.get(w.node, 0),
+                    "fires": self.core.node_fires[w.node],
+                    "puts": self.core.node_puts[w.node],
                     "queries_served": served,
                     "remote_queries": remote,
                     "msgs": wire.msgs_sent + wire.msgs_recv,
@@ -844,32 +652,8 @@ class ProcessShardRuntime:
             )
             w.proc.join(timeout=10)
             w.channel.close()
-        self._check_integrity(control_sizes, shard_sizes)
+        self.core.check_shards(shard_sizes)
         return nodes
-
-    def _check_integrity(
-        self, control: dict[str, int], shards: dict[str, list[int]]
-    ) -> None:
-        """The distributed shards must jointly equal the control replica:
-        replicated tables everywhere in full, partitioned/pinned tables
-        exactly once across the cluster."""
-        for name, total in control.items():
-            per_node = shards[name]
-            placement = self.placements[name]
-            if isinstance(placement, Partitioned):
-                ok = sum(per_node) == total
-                detail = f"shards sum to {sum(per_node)}"
-            elif isinstance(placement, OnNode):
-                ok = per_node[placement.node] == total and sum(per_node) == total
-                detail = f"pinned shard holds {per_node[placement.node]}"
-            else:  # replicated
-                ok = all(s == total for s in per_node)
-                detail = f"replica sizes {per_node}"
-            if not ok:
-                raise EngineError(
-                    f"shard integrity check failed for table {name!r}: "
-                    f"control replica has {total} tuples, {detail}"
-                )
 
     def _merge_worker_stats(self, state: dict) -> None:
         """Fold one worker's query-side statistics into the coordinator
@@ -893,39 +677,6 @@ class ProcessShardRuntime:
             self.stats.rule_query_shapes[rshape] = (
                 self.stats.rule_query_shapes.get(rshape, 0) + n
             )
-
-    # -- trace bookends ---------------------------------------------------------
-
-    def _emit_run_start(self) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.emit(
-            "run-start",
-            {
-                "program": self.program.name,
-                "strategy": "processes",
-                "threads": self.n_nodes,
-                "nodes": self.n_nodes,
-                "chaos_seed": None,
-                "fault_plan": None,
-                "task_granularity": "tuple",
-            },
-            meta=True,
-        )
-
-    def _emit_run_end(self) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.step = self.steps
-        self.tracer.emit(
-            "run-end",
-            {
-                "steps": self.steps,
-                "output": output_hash(self.output),
-                "n_output": len(self.output),
-                "table_sizes": dict(sorted(self.db.table_sizes().items())),
-            },
-        )
 
 
 def run_sharded(

@@ -6,10 +6,10 @@ a thin loop around the existing single-node machinery:
 
 * its Gamma shard is a :class:`~repro.core.kernel.StepKernel` database
   (same registry construction, same insert/select semantics);
-* firing reuses :class:`~repro.core.rules.RuleContext` verbatim, except
-  that queries route across the cluster (:class:`_ShardRuleContext`),
-  the exact override point the simulated
-  :class:`~repro.dist.engine.DistEngine` uses.
+* firing is :func:`~repro.dist.superstep.fire_records`, the function
+  every backend fires through; the worker is the *shard view* its
+  routed context reads: ``select`` on the local shard, ``fetch`` from
+  the owning peers over the mesh.
 
 v2 replaces PR 5's coordinator relay with a **peer mesh**: every
 worker holds a direct :mod:`~repro.dist.transport` channel to every
@@ -40,11 +40,9 @@ The coordinator drives supersteps over the control channel:
 list), ``abort`` (another worker died mid-step: unwind and await the
 retry), ``finish`` (report shard sizes + stats and exit).
 
-Determinism: a worker never mutates anything but its own shard, all
-effects (puts, output) travel back as records the coordinator merges in
-global batch order, and remote query results are value-sorted on the
-requesting side — so the merged run is byte-identical to the
-single-node engine.
+Determinism: a worker never mutates anything but its own shard, and
+all effects (puts, output) travel back as records the coordinator
+merges in global batch order.
 
 Idempotency: the reply to each executed step is cached; a retried step
 (after another worker's crash) replays the cached records — and re-sends
@@ -68,10 +66,10 @@ from repro.core.errors import EngineError
 from repro.core.kernel import StepKernel
 from repro.core.program import ExecOptions, Program
 from repro.core.query import Query, QueryKind
-from repro.core.rules import RuleContext
 from repro.core.tuples import JTuple
 from repro.dist.network import WireStats
-from repro.dist.placement import OnNode, PlacementMap, Partitioned, Replicated
+from repro.dist.placement import PlacementMap
+from repro.dist.superstep import fire_records
 from repro.dist.transport import (
     Channel,
     PeerListener,
@@ -81,7 +79,6 @@ from repro.dist.transport import (
     wait_readable,
 )
 from repro.exec.metering import NULL_METER
-from repro.plan.compile import CompiledQueryPlan
 
 __all__ = ["ShardWorker", "program_fingerprint", "worker_entry"]
 
@@ -105,76 +102,6 @@ def program_fingerprint(program: Program) -> str:
 class _StepAborted(Exception):
     """Raised out of a firing when the coordinator aborts the step
     (another worker died); the step will be re-broadcast."""
-
-
-class _ShardRuleContext(RuleContext):
-    """Rule context whose queries route across the cluster — directly
-    to the owning peers over the mesh.  Same override point as the
-    simulated engine's ``_DistRuleContext``; verdicts follow
-    ``check_locality``: local (replicated / co-partitioned / pinned
-    here), routed (one remote owner), or broadcast (partition field
-    unbound)."""
-
-    __slots__ = ("_worker",)
-
-    def __init__(self, worker: "ShardWorker", *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._worker = worker
-
-    def _run_planned(self, plan: CompiledQueryPlan, query: Query) -> list[JTuple]:
-        w = self._worker
-        name = plan.table_name
-        local = True
-        remote: list[int] = []
-        if (self._rule.name, name) in w.static_local:
-            pass  # check_locality proved this query co-located
-        else:
-            placement = w.placements[name]
-            if isinstance(placement, Replicated):
-                pass
-            elif isinstance(placement, OnNode):
-                if placement.node != w.node:
-                    local = False
-                    remote = [placement.node]
-            else:  # Partitioned
-                pos = query.schema.field_position(placement.field)
-                if pos in query.eq:
-                    home = placement.home_for_value(query.eq[pos], w.n_nodes)
-                    if home != w.node:
-                        local = False
-                        remote = [home]
-                else:
-                    remote = [h for h in range(w.n_nodes) if h != w.node]
-        results = w.db.select(query) if local else []
-        if remote:
-            rows = w.remote_query(query, remote)
-            fetched = [w.make_tuple(name, vals) for vals in rows]
-            results = results + [t for t in fetched if query.matches(t)]
-            # per-shard result sets are value-sorted (TreeSetStore scan
-            # order); re-sorting the merged set by value reproduces the
-            # single-node global order exactly
-            results.sort(key=lambda t: t.values)
-        if self._collector is not None:
-            self._collector.on_query(
-                self._rule.name,
-                name,
-                len(results),
-                eq_fields=plan.stat_eq_fields,
-                range_fields=plan.stat_range_fields,
-            )
-        if self._trace is not None:
-            self._trace.append(
-                (
-                    "query",
-                    {
-                        "rule": self._rule.name,
-                        "table": name,
-                        "kind": query.kind.value,
-                        "n_results": len(results),
-                    },
-                )
-            )
-        return results
 
 
 class ShardWorker:
@@ -204,7 +131,7 @@ class ShardWorker:
         # the worker's shard rides on the existing step kernel: same
         # registry construction, database, and timestamp machinery as a
         # single-node sequential run; its plan cache builds the queries
-        # that _ShardRuleContext then routes
+        # that the routed rule context then routes
         self.kernel = StepKernel(
             program,
             ExecOptions(
@@ -214,6 +141,7 @@ class ShardWorker:
             ),
         )
         self.db = self.kernel.db
+        self.plans = self.kernel._plans
         self.stats = self.kernel.stats
         self.schemas = program.schemas()
         self.wire = WireStats()  # control channel (coordinator)
@@ -326,34 +254,56 @@ class ShardWorker:
         return True
 
     def _pump_peers(self, timeout: float = 0.0) -> bool:
-        """Read one round of ready mesh traffic.  Stage tuples and
-        answers are absorbed immediately; queries go to the inbox (they
-        are only *served* from safe points, never mid-send).  Returns
-        True when anything was handled."""
+        """Read one round of ready mesh traffic (see :meth:`_pump_one`).
+        Returns True when anything was handled."""
         chans: list = [self.listener]
         chans.extend(self.peers.values())
         ready = wait_readable(chans, timeout)
         for ch in ready:
             if ch is self.listener:
                 self._accept_peer()
-                continue
-            try:
-                data = ch.recv_bytes()
-            except (EOFError, ConnectionResetError, OSError):
-                self._drop_peer(ch)
-                continue
-            self.peer_wire.on_recv(len(data))
-            msg = pickle.loads(data)
-            t = msg["t"]
-            if t == "stage":
-                self._staging[tuple(msg["ref"])] = (msg["table"], msg["vals"])
-            elif t == "a":
-                self._answers.setdefault(msg["qid"], []).append(
-                    (msg["node"], msg["rows"])
-                )
-            elif t == "q":
-                self._inbox.append((ch, msg))
+            else:
+                self._pump_one(ch)
         return bool(ready)
+
+    def _pump_one(self, ch: SocketChannel) -> None:
+        """Read one mesh frame.  Stage tuples and answers are absorbed
+        immediately; queries go to the inbox (they are only *served*
+        from safe points, never mid-send)."""
+        try:
+            data = ch.recv_bytes()
+        except (EOFError, ConnectionResetError, OSError):
+            self._drop_peer(ch)
+            return
+        self.peer_wire.on_recv(len(data))
+        msg = pickle.loads(data)
+        t = msg["t"]
+        if t == "stage":
+            self._staging[tuple(msg["ref"])] = (msg["table"], msg["vals"])
+        elif t == "a":
+            self._answers.setdefault(msg["qid"], []).append((msg["node"], msg["rows"]))
+        elif t == "q":
+            self._inbox.append((ch, msg))
+
+    def _await_control(self, timeout: float | None) -> bool:
+        """Serve the inbox, then wait for traffic on the control channel
+        or the mesh and handle the mesh's share (stage traffic, queries,
+        a replacement peer dialling in).  True when a coordinator
+        message is ready — read it only after the mesh: a re-forked
+        peer must be re-registered before the retry step that will make
+        us stage to it."""
+        self._service_inbox()
+        chans: list = [self.channel, self.listener]
+        chans.extend(self.peers.values())
+        control_ready = False
+        for ch in wait_readable(chans, timeout):
+            if ch is self.channel:
+                control_ready = True
+            elif ch is self.listener:
+                self._accept_peer()
+            else:
+                self._pump_one(ch)
+        return control_ready
 
     def _service_inbox(self) -> None:
         """Serve every inbox query whose step is ready; queries that
@@ -406,41 +356,10 @@ class ShardWorker:
 
     def _next_control(self) -> dict:
         """Block for the next coordinator message, servicing the mesh
-        (stage traffic, queries, a replacement peer dialling in) while
-        idle."""
-        while True:
-            self._service_inbox()
-            chans: list = [self.channel, self.listener]
-            chans.extend(self.peers.values())
-            ready = wait_readable(chans, timeout=None)
-            # mesh first: a re-forked peer must be re-registered before
-            # the retry step that will make us stage to it
-            control_ready = False
-            for ch in ready:
-                if ch is self.channel:
-                    control_ready = True
-                elif ch is self.listener:
-                    self._accept_peer()
-                else:
-                    self._pump_one(ch)
-            if control_ready:
-                return self._recv()
-
-    def _pump_one(self, ch: SocketChannel) -> None:
-        try:
-            data = ch.recv_bytes()
-        except (EOFError, ConnectionResetError, OSError):
-            self._drop_peer(ch)
-            return
-        self.peer_wire.on_recv(len(data))
-        msg = pickle.loads(data)
-        t = msg["t"]
-        if t == "stage":
-            self._staging[tuple(msg["ref"])] = (msg["table"], msg["vals"])
-        elif t == "a":
-            self._answers.setdefault(msg["qid"], []).append((msg["node"], msg["rows"]))
-        elif t == "q":
-            self._inbox.append((ch, msg))
+        while idle."""
+        while not self._await_control(None):
+            pass
+        return self._recv()
 
     # -- superstep -----------------------------------------------------------
 
@@ -492,7 +411,7 @@ class ShardWorker:
         try:
             for idx, pos in msg["fire"]:
                 tup = owned[pos]
-                entries = self._fire(tup)
+                entries = fire_records(self, tup, NULL_METER)
                 # eagerly shuffle the fresh puts to their owner shards:
                 # step N's put-sets travel while step N is still firing,
                 # and resolve lazily whenever a later step consumes them
@@ -551,41 +470,15 @@ class ShardWorker:
                     stage_log.append((o, smsg))
                     self._peer_send(o, smsg)
 
-    def _fire(self, tup: JTuple) -> list[dict]:
-        """Fire every rule the tuple triggers, one record per rule in
-        declaration order — the coordinator merges them in global
-        (batch index, rule) order, which is the single-node task
-        order."""
-        entries: list[dict] = []
-        ts = self.db.timestamp(tup)
-        for rule in self.program.rules_for(tup.schema.name):
-            events: list | None = [] if self.traced else None
-            ctx = _ShardRuleContext(
-                self,
-                self.db,
-                self.program.decls,
-                NULL_METER,
-                rule,
-                tup,
-                ts,
-                self.kernel._plans,
-                self.check_mode,
-                self.stats,
-                None,
-                None,
-                events,
-            )
-            rule.body(ctx, tup)
-            ctx.finish()
-            entries.append(
-                {
-                    "rule": rule.name,
-                    "puts": [(p.schema.name, tuple(p.values)) for p in ctx.puts],
-                    "output": list(ctx.output),
-                    "events": events or [],
-                }
-            )
-        return entries
+    # -- the shard view of RoutedRuleContext ----------------------------------
+
+    def select(self, query: Query, _meter) -> list[JTuple]:
+        return self.db.select(query)
+
+    def fetch(self, query: Query, homes: list[int], _meter) -> list[JTuple]:
+        name = query.schema.name
+        fetched = (self.make_tuple(name, vals) for vals in self.remote_query(query, homes))
+        return [t for t in fetched if query.matches(t)]
 
     # -- remote queries ------------------------------------------------------
 
@@ -620,25 +513,14 @@ class ShardWorker:
                 if node in awaiting:
                     awaiting.discard(node)
                     rows.extend(part)
-            if not awaiting:
-                break
-            self._service_inbox()
-            chans: list = [self.channel, self.listener]
-            chans.extend(self.peers.values())
-            ready = wait_readable(chans, timeout=1.0)
-            for ch in ready:
-                if ch is self.channel:
-                    cmsg = self._recv()
-                    if cmsg["t"] == "abort":
-                        raise _StepAborted()
-                    raise EngineError(
-                        f"worker {self.node}: unexpected {cmsg['t']!r} while "
-                        f"awaiting query {qid}"
-                    )
-                if ch is self.listener:
-                    self._accept_peer()
-                else:
-                    self._pump_one(ch)
+            if awaiting and self._await_control(1.0):
+                cmsg = self._recv()
+                if cmsg["t"] == "abort":
+                    raise _StepAborted()
+                raise EngineError(
+                    f"worker {self.node}: unexpected {cmsg['t']!r} while "
+                    f"awaiting query {qid}"
+                )
         return rows
 
     def _serve_peer(self, ch: SocketChannel, msg: dict) -> None:

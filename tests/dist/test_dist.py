@@ -112,6 +112,48 @@ def counter_program(limit=6):
     return p
 
 
+def remote_probe_program():
+    """Go(2) probes Data(3): a query binding a foreign partition value.
+    Returns the program and the dict the probe rule records into."""
+    p = Program("remote")
+    Data = p.table("Data", "int k -> int v", orderby=("A", "seq k"))
+    Go = p.table("Go", "int g", orderby=("B", "seq g"))
+    p.order("A", "B")
+    seen = {}
+
+    @p.foreach(Go)
+    def probe(ctx, g):
+        row = ctx.get_uniq(Data, k=g.g + 1)
+        seen[g.g] = row.v if row else None
+        ctx.println(f"probe {g.g} -> {row.v if row else None}")
+
+    for k in range(6):
+        p.put(Data.new(k, k * 10))
+    p.put(Go.new(2))
+    return p, seen
+
+
+def broadcast_program():
+    """One rule reads all 8 Data rows with no partition binding and
+    prints them in the order the query returned them."""
+    p = Program("bcast")
+    Data = p.table("Data", "int k, int v", orderby=("A",))
+    Go = p.table("Go", "int g", orderby=("B",))
+    p.order("A", "B")
+    got = {}
+
+    @p.foreach(Go)
+    def agg(ctx, g):
+        rows = ctx.get(Data)  # no partition binding
+        got["n"] = len(rows)
+        ctx.println(",".join(str(t.k) for t in rows))
+
+    for k in range(8):
+        p.put(Data.new(k, k))
+    p.put(Go.new(0))
+    return p, got
+
+
 class TestDistEngine:
     def test_output_identical_to_single_node(self):
         ref = counter_program().run().output
@@ -155,20 +197,7 @@ class TestDistEngine:
 
     def test_remote_queries_counted(self):
         """A query binding a foreign partition value must travel."""
-        p = Program("remote")
-        Data = p.table("Data", "int k -> int v", orderby=("A", "seq k"))
-        Go = p.table("Go", "int g", orderby=("B", "seq g"))
-        p.order("A", "B")
-        seen = {}
-
-        @p.foreach(Go)
-        def probe(ctx, g):
-            row = ctx.get_uniq(Data, k=g.g + 1)
-            seen[g.g] = row.v if row else None
-
-        for k in range(6):
-            p.put(Data.new(k, k * 10))
-        p.put(Go.new(2))
+        p, seen = remote_probe_program()
         r = run_distributed(
             p,
             n_nodes=3,
@@ -179,19 +208,7 @@ class TestDistEngine:
         assert r.remote_queries >= 1
 
     def test_unbound_partition_field_broadcasts(self):
-        p = Program("bcast")
-        Data = p.table("Data", "int k, int v", orderby=("A",))
-        Go = p.table("Go", "int g", orderby=("B",))
-        p.order("A", "B")
-        got = {}
-
-        @p.foreach(Go)
-        def agg(ctx, g):
-            got["n"] = len(ctx.get(Data))  # no partition binding
-
-        for k in range(8):
-            p.put(Data.new(k, k))
-        p.put(Go.new(0))
+        p, got = broadcast_program()
         r = run_distributed(p, n_nodes=4, placements={"Data": Partitioned("k")})
         assert got["n"] == 8  # gather returns everything
         assert r.remote_queries >= 3  # asked every other shard
