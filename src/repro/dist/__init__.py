@@ -14,8 +14,10 @@ phase C's verdicts), plus the shard reads ``select`` / ``fetch``; it
 may price, ship, retry and account, but not decide.
 `repro.dist.engine` is the cost-model backend (in-process shards, a
 LogP-style network model, virtual time), `repro.dist.procrun` the
-worker mesh (real OS processes over pipes or TCP) — the latter is also
-reachable as ``ExecOptions(strategy="processes")``."""
+worker mesh (real OS processes over pipes or TCP; tuples ride the
+coordinator's step frames and done records, routed queries the
+worker↔worker peer plane) — the latter is also reachable as
+``ExecOptions(strategy="processes")``."""
 
 from repro.dist.check import QueryLocality, check_locality, locality_summary
 from repro.dist.engine import DistEngine, DistOptions, DistRunResult, run_distributed
@@ -29,7 +31,6 @@ from repro.dist.placement import (
     spread_hash,
 )
 from repro.dist.procrun import ProcessShardRuntime, run_sharded
-from repro.dist.rebalance import Rebalancer
 from repro.dist.transport import TRANSPORTS, resolve_transport
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "QueryLocality",
     "check_locality",
     "locality_summary",
-    "Rebalancer",
     "TRANSPORTS",
     "resolve_transport",
 ]

@@ -43,6 +43,7 @@ from repro.gamma.base import StoreRegistry
 from repro.gamma.treeset import TreeSetStore
 from repro.plan.cache import PlanCache
 from repro.stats.collector import StatsCollector
+from repro.trace.recorder import TraceRecorder
 
 __all__ = ["DistOptions", "DistRunResult", "DistEngine", "run_distributed"]
 
@@ -60,10 +61,10 @@ class DistOptions:
     causality_check: str = "warn"
     max_steps: int | None = None
     #: the single-node options this distributed run stands in for; the
-    #: engine honours what it can (``causality_check``, ``max_steps``)
-    #: and surfaces every other non-default knob as a stats note — an
-    #: :class:`EngineWarning` under strict checking — instead of
-    #: silently dropping it
+    #: engine honours what it can (``causality_check``, ``max_steps``,
+    #: ``trace``) and surfaces every other non-default knob as a stats
+    #: note — an :class:`EngineWarning` under strict checking — instead
+    #: of silently dropping it
     exec_options: ExecOptions | None = None
 
     def __post_init__(self) -> None:
@@ -88,6 +89,8 @@ class DistRunResult:
     stats: StatsCollector = field(default_factory=StatsCollector)
     shard_sizes: dict[str, list[int]] = field(default_factory=dict)
     shards: list[Database] = field(repr=False, default_factory=list)
+    #: the coordinator's node-tagged trace under ``exec_options.trace``
+    trace: TraceRecorder | None = field(repr=False, default=None)
 
     @property
     def imbalance(self) -> float:
@@ -118,7 +121,7 @@ class _SimShard:
         self.plans = engine._plans
         self.check_mode = core.check_mode
         self.stats = core.stats
-        self.traced = False
+        self.traced = core.tracer is not None
 
     def _read(self, home: int, query: Query, meter: CostMeter) -> list[JTuple]:
         shard = self.engine.shards[home]
@@ -167,12 +170,14 @@ class DistEngine:
             self,
             check_mode=check_mode,
             max_steps=max_steps,
+            traced=eo is not None and eo.trace,
         )
         surface_exec_knobs(
             options.exec_options,
             self.core.stats.note,
             strict=check_mode == "strict",
             runtime="the simulated DistEngine",
+            supported=frozenset({"trace"}),
         )
         schemas = program.schemas()
         registry = StoreRegistry(lambda s: TreeSetStore(s))
@@ -224,7 +229,7 @@ class DistEngine:
             # know)
             if accepted or tup not in core.db:
                 for owner in core.placements.owners_of(tup, self.n_nodes):
-                    self.traffic.send(origin[0], owner, 1)
+                    self.traffic.send(origin, owner, 1)
         compute = max(self._node_cost)
         comm = self.traffic.comm_time(self.n_nodes)
         barrier = _BARRIER_COST * math.log2(max(2, self.n_nodes))
@@ -257,6 +262,8 @@ class DistEngine:
         }
         core.check_shards(t.shard_sizes)
         t.shards = self.shards
+        core.emit_run_end()
+        t.trace = core.tracer
         return t
 
 

@@ -18,13 +18,16 @@ per-node send/recv cost.
 
 :class:`WireStats` is the *real* counterpart: the multiprocess runtime
 (:mod:`repro.dist.procrun`) counts actual pickled bytes and messages on
-each coordinator↔worker control channel *and* on each worker's peer
-mesh (the v2 worker-to-worker shuffle), so the network columns of a
-distributed ``run_report`` are measured traffic, not modelled cost.
-Workers snapshot their counters into every ``done`` record
-(:meth:`WireStats.to_state`); the coordinator folds the last snapshot
-of a crashed incarnation into its replacement so report totals survive
-recovery.
+each coordinator↔worker control channel (step frames out, done records
+back — every tuple travels here) *and* on each worker's peer mesh
+(routed queries and their answers, nothing else), so the network
+columns of a distributed ``run_report`` are measured traffic, not
+modelled cost.  Workers snapshot their counters into every ``done``
+record as one fixed-width block (``repro.dist.worker.COUNTERS``), so a
+record's size does not depend on how far a counter has run and the
+byte counts of one program on one transport repeat exactly; the
+coordinator folds the last snapshot of a crashed incarnation into its
+replacement so report totals survive recovery.
 """
 
 from __future__ import annotations
@@ -52,36 +55,17 @@ class WireStats:
         self.msgs_recv += 1
         self.bytes_recv += n_bytes
 
-    def merge(self, other: "WireStats") -> None:
-        self.msgs_sent += other.msgs_sent
-        self.msgs_recv += other.msgs_recv
-        self.bytes_sent += other.bytes_sent
-        self.bytes_recv += other.bytes_recv
+    def to_state(self) -> tuple[int, int, int, int]:
+        """The four counters in field order — what a worker packs into
+        its fixed-width counter block."""
+        return (self.msgs_sent, self.msgs_recv, self.bytes_sent, self.bytes_recv)
 
-    def to_state(self) -> dict:
-        """Plain-dict snapshot (wire-safe, versionless)."""
-        return {
-            "msgs_sent": self.msgs_sent,
-            "msgs_recv": self.msgs_recv,
-            "bytes_sent": self.bytes_sent,
-            "bytes_recv": self.bytes_recv,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "WireStats":
-        return cls(
-            msgs_sent=int(state.get("msgs_sent", 0)),
-            msgs_recv=int(state.get("msgs_recv", 0)),
-            bytes_sent=int(state.get("bytes_sent", 0)),
-            bytes_recv=int(state.get("bytes_recv", 0)),
-        )
-
-    def add_state(self, state: dict) -> None:
+    def add_state(self, state: tuple[int, int, int, int]) -> None:
         """Fold a :meth:`to_state` snapshot into this counter."""
-        self.msgs_sent += int(state.get("msgs_sent", 0))
-        self.msgs_recv += int(state.get("msgs_recv", 0))
-        self.bytes_sent += int(state.get("bytes_sent", 0))
-        self.bytes_recv += int(state.get("bytes_recv", 0))
+        self.msgs_sent += state[0]
+        self.msgs_recv += state[1]
+        self.bytes_sent += state[2]
+        self.bytes_recv += state[3]
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,8 @@ class PlacementMap:
 
     def owners_of(self, tup: JTuple, n_nodes: int) -> list[int]:
         """Every node whose shard stores this tuple: one node for
-        partitioned/pinned tables, all nodes for replicated ones.  The
-        v2 runtime ships each fresh put to exactly this set (the
-        worker-to-worker shuffle targets)."""
+        partitioned/pinned tables, all nodes for replicated ones — the
+        shards a backend's phase A lands the tuple on."""
         home = self.home_of(tup, n_nodes)
         if home is None:
             return list(range(n_nodes))

@@ -15,23 +15,25 @@ module implements only the backend contract, over two planes:
 * a **control plane** — one coordinator↔worker channel per worker
   (:mod:`~repro.dist.transport`: a duplex pipe, or length-prefixed TCP
   so workers can live on other hosts) carrying step frames, done
-  records, membership, and recovery;
-* a **data plane** — a direct worker↔worker peer mesh carrying the
-  put-set shuffle and routed queries; the coordinator never touches a
-  query.
+  records, membership, and recovery.  Every tuple travels here, once
+  each way: a put rides the firing worker's done record to the
+  coordinator (phase C needs its values), and the step frame of the
+  class that later pops it carries it, by value, to its owners;
+* a **peer plane** — a direct worker↔worker mesh carrying routed
+  queries and their answers, nothing else; the coordinator never
+  touches a query.
 
-``execute`` turns a planned class into one step frame per worker —
+``execute`` turns a planned class into one step frame per worker,
+``{step, attempt, insert: [(table, values)…], fire: [(idx, pos)…]}`` —
 phase-A inserts for the slice the worker owns, fire assignments
-referencing them — and gathers the done records.  Workers stage each
-fresh put at its owners *while the step fires*, keyed by the put's
-identity; ``committed`` hears which puts phase C accepted, so a later
-frame names an accepted put by that ref instead of re-sending values
-and tells the owners to drop the rejected ones.  The shuffle of step N
-thus overlaps step N's firing and resolves lazily whenever a later step
-consumes it — the pipelining never reorders the merge.  The fire spread
-of replicated triggers is reweighted by
-:mod:`~repro.dist.rebalance` from the coordinator's per-node fire
-counts.
+indexing into them — and gathers the done records.  The step frame is
+the once-per-iteration exchange; nothing is shipped per derived fact.
+(Shipping each put a second time — to its owners over the mesh, one
+frame per put per owner, so the later insert could name it by a 5-field
+reference — was measured and removed: for the small tuples this repo
+ships the reference was wider than the value, and without it
+``dijkstra_mesh`` moves 43 466 → 23 946 peer messages and 149.7 → 101.5
+wire bytes per stored tuple.  EXPERIMENTS.md, "Benchmark anomaly 2".)
 
 Crash recovery: the coordinator commits a superstep to its control
 replica only after ``execute`` returned.  When a worker dies mid-step
@@ -39,15 +41,13 @@ replica only after ``execute`` returned.  When a worker dies mid-step
 step/attempt epoch), ``execute`` aborts the step on the survivors,
 re-forks the lost node, re-meshes it (the replacement dials every
 survivor), bootstraps it from the owned slice of the last committed
-superstep, and re-broadcasts the step under a new attempt epoch;
-workers replay completed steps from a reply cache — re-sending their
-cached stage frames so the replacement regains its staged put-sets —
-so rule execution stays at-most-once per completed step.  Every
-membership change resets the ref economy: staged references are
-forgotten and inserts fall back to values until fresh done records
-re-establish them.  A worker's wire counters are snapshotted into every
-done record, and the last snapshot of a crashed incarnation is folded
-into its replacement's totals, so ``format_nodes`` survives recovery.
+superstep, and re-sends the same step frames under a new attempt
+epoch; workers replay a completed step from a reply cache, so rule
+execution stays at-most-once per completed step.  The frames carry
+values, so a replacement needs nothing its predecessor held.  A
+worker's counters are snapshotted into every done record, and the last
+snapshot of a crashed incarnation is folded into its replacement's
+totals, so ``format_nodes`` survives recovery.
 """
 
 from __future__ import annotations
@@ -61,10 +61,8 @@ from multiprocessing import get_context
 from repro.core.errors import EngineError, WorkerLostError
 from repro.core.kernel import RunResult
 from repro.core.program import ExecOptions, Program
-from repro.core.tuples import JTuple
 from repro.dist.network import WireStats
 from repro.dist.placement import PlacementMap
-from repro.dist.rebalance import Rebalancer
 from repro.dist.superstep import Coordinator, surface_exec_knobs
 from repro.dist.transport import (
     PeerListener,
@@ -72,7 +70,7 @@ from repro.dist.transport import (
     resolve_transport,
     wait_readable,
 )
-from repro.dist.worker import program_fingerprint, worker_entry
+from repro.dist.worker import COUNTERS, program_fingerprint, worker_entry
 from repro.exec.metering import CostMeter
 
 __all__ = ["ProcessShardRuntime", "run_sharded"]
@@ -114,7 +112,6 @@ class ProcessShardRuntime:
         fault_kill: tuple[int, int] | None = None,
         fault_die_on_serve: tuple[int, int] | None = None,
         transport: str | None = None,
-        rebalance_every: int = 16,
     ):
         program.freeze()
         self.program = program
@@ -130,7 +127,6 @@ class ProcessShardRuntime:
                 "run such programs single-node"
             )
         self.transport = resolve_transport(transport)
-        self._rebalancer = Rebalancer(self.n_nodes, every=rebalance_every)
         self.core = Coordinator(
             program,
             placements,
@@ -139,7 +135,6 @@ class ProcessShardRuntime:
             check_mode=self.options.causality_check,
             max_steps=self.options.max_steps,
             traced=self.options.trace,
-            spread=self._rebalancer.fire_node,
         )
         self.placements = self.core.placements
         self.stats = self.core.stats
@@ -150,11 +145,6 @@ class ProcessShardRuntime:
             runtime="the multiprocess runtime",
             supported=_SUPPORTED_KNOBS,
         )
-        if self.options.metering == "on":
-            self.stats.note(
-                "the multiprocess runtime measures real wire traffic instead "
-                "of virtual time; cost metering is off in the workers"
-            )
         self._fingerprint = program_fingerprint(program)
         self._fault_kill = fault_kill
         self._killed = False
@@ -164,21 +154,11 @@ class ProcessShardRuntime:
         self._by_chan: dict = {}
         self._ctx = get_context("fork")
         self._ctl_listener: PeerListener | None = None
-        # -- shuffle bookkeeping ---------------------------------------------
-        #: node -> refs known staged at that node's *current* incarnation
-        self._staged: dict[int, set] = {n: set() for n in range(self.n_nodes)}
-        #: pending tuple -> the ref its owners hold it under
-        self._ref_of: dict[JTuple, tuple] = {}
-        #: node -> refs whose staged copies will never be referenced
-        #: (rejected puts); piggybacked on the next step frame
-        self._drops: dict[int, list] = {n: [] for n in range(self.n_nodes)}
-        #: node -> ref/value insert counts of the latest step frames
-        self._frame_meta: dict[int, dict] = {}
-        #: node -> counters snapshot from its most recent done record,
-        #: the carry-forward source when that incarnation crashes
-        self._last_counters: dict[int, dict] = {}
-        #: node -> counters carried over from crashed incarnations
-        self._carry: dict[int, dict] = {}
+        #: node -> counter block of its most recent done record, the
+        #: carry-forward source when that incarnation crashes
+        self._last_counters: dict[int, bytes] = {}
+        #: node -> the last counter block of each crashed incarnation
+        self._carry: dict[int, list[bytes]] = {}
         self._conf = {
             "check_mode": self.core.check_mode,
             "traced": self.options.trace,
@@ -315,32 +295,14 @@ class ProcessShardRuntime:
         # node's carry so the final report keeps its traffic
         snap = self._last_counters.pop(node, None)
         if snap is not None:
-            carry = self._carry.setdefault(
-                node,
-                {
-                    "wire": WireStats(),
-                    "peer_wire": WireStats(),
-                    "queries_served": 0,
-                    "remote_queries": 0,
-                },
-            )
-            carry["wire"].add_state(snap["wire"])
-            carry["peer_wire"].add_state(snap["peer_wire"])
-            carry["queries_served"] += snap["queries_served"]
-            carry["remote_queries"] += snap["remote_queries"]
+            self._carry.setdefault(node, []).append(snap)
         self._reap(w)
         fresh = self._spawn(node, incarnation=w.incarnation + 1)
-        fresh.wire.merge(w.wire)  # traffic to the node, across incarnations
+        # our side of the channel counts traffic to the node, across
+        # incarnations
+        fresh.wire.add_state(w.wire.to_state())
         self.workers[node] = fresh
         self._by_chan = {v.channel: v for v in self.workers}
-        # every membership change resets the ref economy: staged copies
-        # at the dead node are gone, and in-flight stage deliveries can
-        # no longer be trusted anywhere — fall back to values until
-        # fresh done records re-establish the refs
-        for refs in self._staged.values():
-            refs.clear()
-        self._ref_of.clear()
-        self._drops = {n: [] for n in range(self.n_nodes)}
         # the replacement dials every survivor; survivors accept it from
         # their poll loops before the retry step reaches them
         self._send(
@@ -443,12 +405,11 @@ class ProcessShardRuntime:
             victim = self.workers[self._fault_kill[0]]
             os.kill(victim.proc.pid, signal.SIGKILL)
             victim.proc.join(timeout=10)
+        frames = self._build_frames(step, plan)
         deaths = 0
         while True:
-            frames = self._build_frames(step, plan)
             try:
-                records = self._attempt(step, frames)
-                break
+                return self._attempt(step, frames)
             except WorkerLostError as exc:
                 deaths += 1
                 if deaths > 2 * self.n_nodes:
@@ -457,106 +418,35 @@ class ProcessShardRuntime:
                         f"({deaths} deaths); last lost node {exc.node}"
                     ) from exc
                 self._recover(exc.node)
-        # the step completed: the drop lists rode out with its frames,
-        # and the batch's staged copies were consumed
-        for n in range(self.n_nodes):
-            self._drops[n].clear()
-        for tup, _dup, _node in plan:
-            ref = self._ref_of.pop(tup, None)
-            if ref is not None:
-                for o in self.placements.owners_of(tup, self.n_nodes):
-                    self._staged[o].discard(ref)
-        return records
 
     def committed(self, step: int, effects: list) -> None:
-        """Settle the ref economy for the step's put-set: the firing
-        worker staged every put at its owners under the put's identity,
-        so an accepted put's eventual phase-A insert can travel as a
-        ref, and a rejected one's staged copies are dropped."""
-        staged_now = [0] * self.n_nodes
-        dropped_now = 0
-        for tup, ref, accepted in effects:
-            owners = self.placements.owners_of(tup, self.n_nodes)
-            if accepted:
-                self._ref_of[tup] = ref
-                for o in owners:
-                    self._staged[o].add(ref)
-                    staged_now[o] += 1
-            else:
-                for o in owners:
-                    self._drops[o].append(ref)
-                dropped_now += 1
-        tracer = self.core.tracer
-        if tracer is not None:
-            # node-tagged shuffle accounting (meta: wire behaviour, not
-            # semantics — excluded from trace_diff like every meta event)
-            for n in range(self.n_nodes):
-                fm = self._frame_meta[n]
-                if not (staged_now[n] or fm["ref_inserts"] or fm["value_inserts"]):
-                    continue
-                tracer.emit(
-                    "shuffle",
-                    {
-                        "step": step,
-                        "node": n,
-                        "staged": staged_now[n],
-                        "ref_inserts": fm["ref_inserts"],
-                        "value_inserts": fm["value_inserts"],
-                        "dropped": dropped_now,
-                    },
-                    meta=True,
-                )
-        plan_change = self._rebalancer.maybe_rebalance(
-            step, dict(enumerate(self.core.node_fires))
-        )
-        if plan_change is not None:
-            self.stats.note(Rebalancer.describe(plan_change))
-            if tracer is not None:
-                tracer.emit("rebalance", dict(plan_change), meta=True)
+        """Nothing to settle: the step's puts reached the coordinator in
+        the done records, and each accepted one leaves again by value in
+        the step frame of the class that pops it."""
 
     # -- step frames, attempts, recovery ---------------------------------------
 
     def _build_frames(self, step: int, plan: list) -> list[dict]:
-        """One step frame per worker: phase-A inserts (by ref where the
-        owner already holds the staged put-set, by value otherwise),
-        fire assignments referencing insert positions, and the pending
-        drop list."""
+        """One step frame per worker: the phase-A inserts of the slice
+        it owns, by value, and fire assignments as (batch index,
+        position in that insert list)."""
         inserts: list[list] = [[] for _ in range(self.n_nodes)]
         fires: list[list] = [[] for _ in range(self.n_nodes)]
-        self._frame_meta = {
-            n: {"ref_inserts": 0, "value_inserts": 0} for n in range(self.n_nodes)
-        }
         for idx, (tup, dup, node) in enumerate(plan):
-            name = tup.schema.name
-            vals = tuple(tup.values)
-            ref = self._ref_of.get(tup)
+            row = (tup.schema.name, tuple(tup.values))
             for o in self.placements.owners_of(tup, self.n_nodes):
-                pos = len(inserts[o])
-                if ref is not None and ref in self._staged[o]:
-                    inserts[o].append(("r", ref))
-                    self._frame_meta[o]["ref_inserts"] += 1
-                else:
-                    inserts[o].append(("v", name, vals))
-                    self._frame_meta[o]["value_inserts"] += 1
                 if o == node and not dup:
-                    fires[o].append((idx, pos))
+                    fires[o].append((idx, len(inserts[o])))
+                inserts[o].append(row)
         return [
-            {
-                "t": "step",
-                "step": step,
-                "insert": inserts[n],
-                "fire": fires[n],
-                "drop": list(self._drops[n]),
-            }
+            {"t": "step", "step": step, "insert": inserts[n], "fire": fires[n]}
             for n in range(self.n_nodes)
         ]
 
     def _attempt(self, step: int, frames: list[dict]) -> dict:
         epoch = self._epoch
         for w in self.workers:
-            frame = dict(frames[w.node])
-            frame["attempt"] = epoch
-            self._send(w, frame)
+            self._send(w, {**frames[w.node], "attempt": epoch})
         records: dict[int, list] = {}
         done: set[int] = set()
         chans = [w.channel for w in self.workers]
@@ -623,17 +513,13 @@ class ProcessShardRuntime:
                 msg = self._recv(w)
             for name, size in msg["table_sizes"].items():
                 shard_sizes[name][w.node] = size
-            self._merge_worker_stats(msg["stats"])
-            wire = WireStats.from_state(msg["wire"])
-            peer = WireStats.from_state(msg["peer_wire"])
-            served = msg["queries_served"]
-            remote = msg["remote_queries"]
-            carry = self._carry.get(w.node)
-            if carry is not None:
-                wire.merge(carry["wire"])
-                peer.merge(carry["peer_wire"])
-                served += carry["queries_served"]
-                remote += carry["remote_queries"]
+            # workers only observe queries; fires/puts/output were
+            # counted here from the merged records
+            self.stats.merge_state(msg["stats"])
+            blocks = [msg["counters"], *self._carry.get(w.node, ())]
+            counters = [sum(col) for col in zip(*map(COUNTERS.unpack, blocks))]
+            wire, peer = WireStats(*counters[:4]), WireStats(*counters[4:8])
+            served, remote = counters[8:]
             nodes.append(
                 {
                     "node": w.node,
@@ -655,29 +541,6 @@ class ProcessShardRuntime:
         self.core.check_shards(shard_sizes)
         return nodes
 
-    def _merge_worker_stats(self, state: dict) -> None:
-        """Fold one worker's query-side statistics into the coordinator
-        collector (fires/puts/output are counted coordinator-side from
-        the merged records; workers only observe queries)."""
-        for name, d in state.get("tables", {}).items():
-            t = self.stats.table(name)
-            for k, v in d.items():
-                setattr(t, k, getattr(t, k) + int(v))
-        for name, d in state.get("rules", {}).items():
-            r = self.stats.rule(name)
-            for k, v in d.items():
-                setattr(r, k, getattr(r, k) + int(v))
-        for a, b, n in state.get("query_edges", []):
-            self.stats.query_edges[(a, b)] = self.stats.query_edges.get((a, b), 0) + n
-        for t, eq, rng, n in state.get("query_shapes", []):
-            shape = (t, tuple(eq), tuple(rng))
-            self.stats.query_shapes[shape] = self.stats.query_shapes.get(shape, 0) + n
-        for r, t, eq, rng, n in state.get("rule_query_shapes", []):
-            rshape = (r, t, tuple(eq), tuple(rng))
-            self.stats.rule_query_shapes[rshape] = (
-                self.stats.rule_query_shapes.get(rshape, 0) + n
-            )
-
 
 def run_sharded(
     program: Program,
@@ -688,7 +551,6 @@ def run_sharded(
     fault_kill: tuple[int, int] | None = None,
     fault_die_on_serve: tuple[int, int] | None = None,
     transport: str | None = None,
-    rebalance_every: int = 16,
 ) -> RunResult:
     """Run ``program`` on real worker processes and return the merged
     :class:`~repro.core.kernel.RunResult` (its ``nodes`` field carries
@@ -700,8 +562,8 @@ def run_sharded(
     step)`` SIGKILLs one worker at the start of one superstep;
     ``fault_die_on_serve=(node, step)`` makes a worker die with a peer
     query in flight (between request and reply) — the crash-recovery
-    test hooks.  ``rebalance_every`` is the adaptive fire-placement
-    window (0 disables it).
+    test hooks.  The result's ``meter`` is empty: the mesh measures real
+    wire traffic, not virtual time.
     """
     return ProcessShardRuntime(
         program,
@@ -711,5 +573,4 @@ def run_sharded(
         fault_kill=fault_kill,
         fault_die_on_serve=fault_die_on_serve,
         transport=transport,
-        rebalance_every=rebalance_every,
     ).run()

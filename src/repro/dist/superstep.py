@@ -62,10 +62,9 @@ __all__ = [
 
 #: one planned tuple of a class: (tuple, already in Gamma, fire node)
 Planned = tuple[JTuple, bool, int]
-#: one put after phase C: (tuple, (fire node, step, batch index, rule
-#: index, put index) — the put's identity, which is also the ref the
-#: mesh stages it under — and whether Delta accepted it)
-Effect = tuple[JTuple, tuple[int, int, int, int, int], bool]
+#: one put after phase C: (tuple, the node that fired it, whether Delta
+#: accepted it)
+Effect = tuple[JTuple, int, bool]
 
 #: ExecOptions fields a distributed runtime might drop; anything here
 #: that deviates from its default and is not in the runtime's
@@ -142,8 +141,11 @@ class Backend(Protocol):
 
     def committed(self, step: int, effects: list[Effect]) -> None:
         """Phase C's verdict on every put of the step, in merge order —
-        the hook for whatever the wire accounts per step (modelled
-        traffic and time, staged-ref bookkeeping)."""
+        the hook for what a backend accounts per step.  The cost model
+        prices the put traffic and the step's time here; the worker
+        mesh has nothing to do, because its puts already reached the
+        coordinator in the done records and leave it again, by value,
+        in the step frame of the class that pops them."""
 
 
 class RoutedRuleContext(RuleContext):
@@ -251,7 +253,6 @@ class Coordinator:
         check_mode: str = "warn",
         max_steps: int | None = None,
         traced: bool = False,
-        spread: Callable[[int], int] | None = None,
     ):
         self.program = program
         self.n_nodes = n_nodes
@@ -264,9 +265,6 @@ class Coordinator:
             if isinstance(placements, PlacementMap)
             else PlacementMap(self.schemas, placements, n_nodes=n_nodes)
         )
-        #: replicated-trigger spread over the stable hash space; a
-        #: backend may reweight it (it moves fire placement, never data)
-        self._spread = spread if spread is not None else lambda h: h % n_nodes
         # control replica: the authoritative copy of Gamma, committed
         # only after a backend executed the step — so a backend that
         # loses a shard mid-step can rebuild it from the last
@@ -302,7 +300,7 @@ class Coordinator:
         home = self.placements.home_of(tup, self.n_nodes)
         if home is not None:
             return home
-        return self._spread(spread_hash(tup.values))
+        return spread_hash(tup.values) % self.n_nodes
 
     # -- the run -----------------------------------------------------------------
 
@@ -342,15 +340,15 @@ class Coordinator:
         plan = [(tup, tup in db, self.fire_node(tup)) for tup in batch]
         records = self.backend.execute(step, plan)
         db.insert_batch(batch)
-        self.backend.committed(step, self._merge(step, plan, records))
+        self.backend.committed(step, self._merge(plan, records))
 
-    def _merge(self, step: int, plan: list[Planned], records: dict) -> list[Effect]:
+    def _merge(self, plan: list[Planned], records: dict) -> list[Effect]:
         """Fold a step's records into stats, trace and output in (batch
         index, rule) order, then run phase C over its put-set."""
         stats = self.stats
         tracer = self.tracer
         puts: list[JTuple] = []
-        origins: list[tuple] = []
+        origins: list[int] = []
         lines: list[tuple[tuple, str]] = []
         for idx, (tup, dup, node) in enumerate(plan):
             name = tup.schema.name
@@ -360,7 +358,7 @@ class Coordinator:
                 stats.table(name).duplicates += 1
             else:
                 stats.table(name).gamma_inserts += 1
-                for eidx, entry in enumerate(records.get(idx, ())):
+                for entry in records.get(idx, ()):
                     rule = entry["rule"]
                     fired.append(rule)
                     stats.on_fire(name, rule)
@@ -375,10 +373,10 @@ class Coordinator:
                         lines.extend(zip(keys, out))
                         stats.rule(rule).output_lines += len(out)
                         n_output += len(out)
-                    for j, (tname, vals) in enumerate(entry["puts"]):
+                    for tname, vals in entry["puts"]:
                         stats.on_put(rule, tname)
                         puts.append(JTuple(self.schemas[tname], tuple(vals)))
-                        origins.append((node, step, idx, eidx, j))
+                        origins.append(node)
                     n_puts += len(entry["puts"])
                 self.node_fires[node] += len(fired)
                 self.node_puts[node] += n_puts
@@ -403,9 +401,7 @@ class Coordinator:
         effects = list(zip(puts, origins, self._enqueue(puts)))
         if tracer is not None:
             for tup, origin, ok in effects:
-                tracer.emit(
-                    "effect", {"tuple": repr(tup), "accepted": ok, "node": origin[0]}
-                )
+                tracer.emit("effect", {"tuple": repr(tup), "accepted": ok, "node": origin})
         return effects
 
     def _enqueue(self, puts: list[JTuple]) -> list[bool]:

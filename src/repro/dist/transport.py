@@ -1,15 +1,14 @@
 """Pluggable wire transports for the multiprocess shard runtime.
 
-PR 5's runtime hard-wired one duplex :func:`multiprocessing.Pipe` per
-worker and relayed *everything* — control, queries, answers — through
-it.  The v2 runtime (:mod:`repro.dist.procrun` / ``worker``) separates
-the two planes and makes both pluggable:
+The runtime (:mod:`repro.dist.procrun` / ``worker``) has two planes
+and both are pluggable:
 
-* the **control channel** (coordinator ↔ worker: step broadcast, done
-  records, membership) is a :class:`PipeChannel` under the ``pipe``
-  transport or a length-prefixed :class:`SocketChannel` under ``tcp``;
-* the **peer mesh** (worker ↔ worker: staged put-sets, routed queries,
-  answers) is always socket-based — ``AF_UNIX`` under ``pipe`` (same
+* the **control channel** (coordinator ↔ worker: step frames carrying
+  each class's inserts by value, done records carrying its puts,
+  membership) is a :class:`PipeChannel` under the ``pipe`` transport or
+  a length-prefixed :class:`SocketChannel` under ``tcp``;
+* the **peer mesh** (worker ↔ worker: routed queries and their
+  answers, nothing else) is always socket-based — ``AF_UNIX`` under ``pipe`` (same
   host, pipe-like semantics, connectable after fork, which a raw pipe
   is not) and loopback ``AF_INET`` under ``tcp``.  A re-forked worker
   can therefore rejoin the mesh by *connecting*, which is what makes
@@ -19,7 +18,8 @@ Socket framing reuses the :mod:`repro.serve.protocol` discipline — a
 4-byte big-endian unsigned length followed by that many payload bytes —
 so a TCP worker on another host speaks the same frame grammar as the
 session service.  Bodies here are pickles, not JSON, and the frame
-ceiling is sized for bulk put-set shuffle rather than client requests.
+ceiling is sized for a whole class's step frame rather than a client
+request.
 
 The transport is chosen per run (``run_sharded(transport=...)``) or via
 the ``DIST_TRANSPORT`` environment variable, which is how CI runs the
@@ -52,8 +52,9 @@ __all__ = [
 #: same header discipline as ``repro.serve.protocol.HEADER``
 HEADER = struct.Struct(">I")
 
-#: ceiling on one frame — a whole staged put-set can travel in one
-#: frame, so this is far above the service protocol's request ceiling
+#: ceiling on one frame — a step frame carries a whole class's inserts
+#: and a done record its put-set, so this is far above the service
+#: protocol's request ceiling
 MAX_FRAME_BYTES = 512 * 1024 * 1024
 
 TRANSPORTS = ("pipe", "tcp")
@@ -152,7 +153,7 @@ class SocketChannel(Channel):
         """Send one frame, servicing ``drain()`` whenever the send
         buffer is full.
 
-        An all-to-all shuffle can deadlock two blocking senders whose
+        An all-to-all exchange can deadlock two blocking senders whose
         receive buffers are both full of each other's frames; draining
         incoming traffic while waiting for buffer space breaks the
         cycle without threads."""

@@ -11,45 +11,34 @@ a thin loop around the existing single-node machinery:
   routed context reads: ``select`` on the local shard, ``fetch`` from
   the owning peers over the mesh.
 
-v2 replaces PR 5's coordinator relay with a **peer mesh**: every
-worker holds a direct :mod:`~repro.dist.transport` channel to every
-other worker, and two kinds of data-plane traffic travel on it —
-
-* ``stage`` — the put-set shuffle.  While firing step N, a worker
-  eagerly ships each fresh put to the put's owner shards, keyed by a
-  deterministic ref ``(origin, step, batch idx, rule idx, put idx)``.
-  The coordinator's later phase-A insert for that tuple is then just
-  the ref (control-plane bytes), resolved from the local staging
-  buffer — the shuffle of step N overlaps both the firing of step N
-  and, because resolution is lazy, the firing of whatever later step
-  finally pops the tuple;
-* ``q`` / ``a`` — routed queries and their answers, worker to owner
-  directly.  A worker blocked on an answer keeps serving incoming
-  queries (and draining stage traffic), which keeps the all-to-all
-  exchange deadlock-free exactly like PR 5's serve-while-blocked
-  discipline — just without the two extra coordinator hops.
+The workers form a **peer mesh**: every worker holds a direct
+:mod:`~repro.dist.transport` channel to every other worker, and exactly
+one kind of traffic travels on it — ``q`` / ``a``, routed queries and
+their answers, worker to owner directly.  A worker blocked on an answer
+keeps serving incoming queries, which keeps the all-to-all exchange
+deadlock-free without threads and without coordinator hops.  Tuples do
+not travel here: a put goes home in the done record, and comes back by
+value in the step frame of the class that pops it.
 
 Queries are tagged with their superstep and **ready-gated**: a query
 for step N that beats the receiver's own phase-A insert for N into the
-mesh is deferred until that insert lands, restoring the barrier the
-coordinator's FIFO relay used to provide implicitly.
+mesh is deferred until that insert lands — the barrier a query needs
+before it may read a shard.
 
 The coordinator drives supersteps over the control channel:
 ``bootstrap`` (load the owned slice of the last committed snapshot),
-``step`` (phase-A insert refs/values, fire assignments, staging drop
-list), ``abort`` (another worker died mid-step: unwind and await the
-retry), ``finish`` (report shard sizes + stats and exit).
+``step`` (phase-A inserts by value, fire assignments), ``abort``
+(another worker died mid-step: unwind and await the retry), ``finish``
+(report shard sizes + stats and exit).
 
 Determinism: a worker never mutates anything but its own shard, and
 all effects (puts, output) travel back as records the coordinator
 merges in global batch order.
 
 Idempotency: the reply to each executed step is cached; a retried step
-(after another worker's crash) replays the cached records — and re-sends
-its cached stage messages, so a re-forked receiver regains the staged
-tuples — without re-executing, giving at-most-once rule execution per
-worker per step, which is what keeps ``unsafe`` I/O rules safe under
-crash recovery.
+(after another worker's crash) replays the cached records without
+re-executing, giving at-most-once rule execution per worker per step,
+which is what keeps ``unsafe`` I/O rules safe under crash recovery.
 """
 
 from __future__ import annotations
@@ -57,10 +46,10 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
 import time
 import traceback
 from collections import deque
-from typing import Any
 
 from repro.core.errors import EngineError
 from repro.core.kernel import StepKernel
@@ -80,7 +69,15 @@ from repro.dist.transport import (
 )
 from repro.exec.metering import NULL_METER
 
-__all__ = ["ShardWorker", "program_fingerprint", "worker_entry"]
+__all__ = ["COUNTERS", "ShardWorker", "program_fingerprint", "worker_entry"]
+
+#: a worker's counters as they ride every done record and the bye:
+#: control wire, peer wire (``WireStats.to_state`` each), queries
+#: served, remote queries.  Fixed width, because when a done record is
+#: sent relative to a peer's query is a matter of timing, and a pickled
+#: int grows a byte at 256 and at 65 536 — the record's size, and with
+#: it the control plane's byte count, must not depend on either
+COUNTERS = struct.Struct(">10Q")
 
 
 def program_fingerprint(program: Program) -> str:
@@ -162,16 +159,9 @@ class ShardWorker:
         self._deferred: deque = deque()
         #: qid -> [(responder node, rows)] for the in-flight query
         self._answers: dict[str, list] = {}
-        # -- shuffle state ----------------------------------------------------
-        #: ref -> (table, values): put-sets staged here by their origin
-        self._staging: dict[tuple, tuple[str, Any]] = {}
-        #: step -> refs resolved by that step's phase A; purged once a
-        #: *later* step arrives (the coordinator broadcasting step N+1
-        #: is the commit acknowledgement for step N)
-        self._consumed: dict[int, list[tuple]] = {}
-        #: (step number, cached reply, staged sends) of the last executed
-        #: step — the at-most-once replay buffer for crash-recovery retries
-        self._cache: tuple[int, dict, list] | None = None
+        #: (step number, cached reply) of the last executed step — the
+        #: at-most-once replay buffer for crash-recovery retries
+        self._cache: tuple[int, dict] | None = None
 
     # -- control framing (real byte counts, not simulated ones) ---------------
 
@@ -267,9 +257,9 @@ class ShardWorker:
         return bool(ready)
 
     def _pump_one(self, ch: SocketChannel) -> None:
-        """Read one mesh frame.  Stage tuples and answers are absorbed
-        immediately; queries go to the inbox (they are only *served*
-        from safe points, never mid-send)."""
+        """Read one mesh frame.  Answers are absorbed immediately;
+        queries go to the inbox (they are only *served* from safe
+        points, never mid-send)."""
         try:
             data = ch.recv_bytes()
         except (EOFError, ConnectionResetError, OSError):
@@ -277,21 +267,18 @@ class ShardWorker:
             return
         self.peer_wire.on_recv(len(data))
         msg = pickle.loads(data)
-        t = msg["t"]
-        if t == "stage":
-            self._staging[tuple(msg["ref"])] = (msg["table"], msg["vals"])
-        elif t == "a":
+        if msg["t"] == "a":
             self._answers.setdefault(msg["qid"], []).append((msg["node"], msg["rows"]))
-        elif t == "q":
+        elif msg["t"] == "q":
             self._inbox.append((ch, msg))
 
     def _await_control(self, timeout: float | None) -> bool:
         """Serve the inbox, then wait for traffic on the control channel
-        or the mesh and handle the mesh's share (stage traffic, queries,
-        a replacement peer dialling in).  True when a coordinator
-        message is ready — read it only after the mesh: a re-forked
-        peer must be re-registered before the retry step that will make
-        us stage to it."""
+        or the mesh and handle the mesh's share (queries, answers, a
+        replacement peer dialling in).  True when a coordinator message
+        is ready — read it only after the mesh: a re-forked peer must
+        be re-registered before the retry step whose queries we will
+        route to it."""
         self._service_inbox()
         chans: list = [self.channel, self.listener]
         chans.extend(self.peers.values())
@@ -330,7 +317,6 @@ class ShardWorker:
             {
                 "t": "hello",
                 "node": self.node,
-                "pid": os.getpid(),
                 "incarnation": self.incarnation,
                 "fingerprint": program_fingerprint(self.program),
                 "peer_addr": self.listener.address,
@@ -363,112 +349,42 @@ class ShardWorker:
 
     # -- superstep -----------------------------------------------------------
 
-    def _counters(self) -> dict:
-        return {
-            "wire": self.wire.to_state(),
-            "peer_wire": self.peer_wire.to_state(),
-            "queries_served": self.queries_served,
-            "remote_queries": self.remote_queries,
-        }
+    def _counters(self) -> bytes:
+        return COUNTERS.pack(
+            *self.wire.to_state(),
+            *self.peer_wire.to_state(),
+            self.queries_served,
+            self.remote_queries,
+        )
 
     def _step(self, msg: dict) -> None:
         step = msg["step"]
         self._attempt = msg["attempt"]
         self._step_no = step
         self._answers.clear()
-        for ref in msg.get("drop", ()):
-            self._staging.pop(tuple(ref), None)
         if self._cache is not None and self._cache[0] == step:
             # crash-recovery retry of a step this worker already ran:
             # replay the cached records, do not re-execute (rules with
-            # unsafe I/O must run at most once per worker per step).
-            # Re-send the cached stage messages first: a re-forked
-            # receiver lost its staging buffer and the coordinator will
-            # reference by value only for tuples it knows are gone —
-            # idempotent for everyone who kept theirs.
-            for target, smsg in self._cache[2]:
-                self._peer_send(target, smsg)
-            payload = dict(self._cache[1])
-            payload["attempt"] = self._attempt
-            payload["counters"] = self._counters()
-            self._send(payload)
-            return
-        # a step beyond anything consumed so far acknowledges every
-        # earlier step's commit: purge the staging refs they resolved
-        for s in [s for s in self._consumed if s < step]:
-            for ref in self._consumed.pop(s):
-                self._staging.pop(ref, None)
-        owned, used_refs = self._resolve_inserts(msg["insert"])
-        if owned:
-            # phase A: land this shard's slice of the minimal class;
-            # duplicate outcomes are fine (retried steps re-insert)
-            self.db.insert_batch(owned, frozenset())
-        self._consumed.setdefault(step, []).extend(used_refs)
-        self._applied = max(self._applied, step)
-        self._flush_deferred()
-        records: list[tuple[int, list[dict]]] = []
-        stage_log: list[tuple[int, dict]] = []
-        try:
-            for idx, pos in msg["fire"]:
-                tup = owned[pos]
-                entries = fire_records(self, tup, NULL_METER)
-                # eagerly shuffle the fresh puts to their owner shards:
-                # step N's put-sets travel while step N is still firing,
-                # and resolve lazily whenever a later step consumes them
-                self._stage_puts(step, idx, entries, stage_log)
-                records.append((idx, entries))
-        except _StepAborted:
-            return  # partial work discarded; the retry re-executes
-        payload = {
-            "t": "done",
-            "step": step,
-            "attempt": self._attempt,
-            "records": records,
-        }
-        self._cache = (step, payload, stage_log)
-        payload = dict(payload)
-        payload["counters"] = self._counters()
-        self._send(payload)
-
-    def _resolve_inserts(self, entries: list) -> tuple[list[JTuple], list[tuple]]:
-        """Materialise a phase-A insert list.  ``("v", table, values)``
-        entries carry the tuple; ``("r", ref)`` entries resolve from the
-        staging buffer, blocking on the mesh if the origin's stage
-        frame is still in flight (it was sent before the done record
-        that made the coordinator reference it, so it *will* arrive)."""
-        owned: list[JTuple] = []
-        used: list[tuple] = []
-        for e in entries:
-            if e[0] == "v":
-                owned.append(self.make_tuple(e[1], e[2]))
-                continue
-            ref = tuple(e[1])
-            ent = self._staging.get(ref)
-            while ent is None:
-                self._pump_peers(1.0)
-                ent = self._staging.get(ref)
-            owned.append(self.make_tuple(ent[0], ent[1]))
-            used.append(ref)
-        return owned, used
-
-    def _stage_puts(
-        self, step: int, idx: int, entries: list[dict], stage_log: list
-    ) -> None:
-        for eidx, entry in enumerate(entries):
-            for j, (tname, vals) in enumerate(entry["puts"]):
-                ref = (self.node, step, idx, eidx, j)
-                owners = self.placements.owners_of(
-                    self.make_tuple(tname, vals), self.n_nodes
-                )
-                smsg = None
-                for o in owners:
-                    if o == self.node:
-                        self._staging[ref] = (tname, vals)
-                        continue
-                    if smsg is None:
-                        smsg = {"t": "stage", "ref": ref, "table": tname, "vals": vals}
-                    stage_log.append((o, smsg))
-                    self._peer_send(o, smsg)
+            # unsafe I/O must run at most once per worker per step)
+            payload = self._cache[1]
+        else:
+            owned = [self.make_tuple(table, vals) for table, vals in msg["insert"]]
+            if owned:
+                # phase A: land this shard's slice of the minimal class;
+                # duplicate outcomes are fine (retried steps re-insert)
+                self.db.insert_batch(owned, frozenset())
+            self._applied = max(self._applied, step)
+            self._flush_deferred()
+            try:
+                records = [
+                    (idx, fire_records(self, owned[pos], NULL_METER))
+                    for idx, pos in msg["fire"]
+                ]
+            except _StepAborted:
+                return  # partial work discarded; the retry re-executes
+            payload = {"t": "done", "step": step, "records": records}
+            self._cache = (step, payload)
+        self._send({**payload, "attempt": self._attempt, "counters": self._counters()})
 
     # -- the shard view of RoutedRuleContext ----------------------------------
 
@@ -487,8 +403,8 @@ class ShardWorker:
         the mesh.  Only the shippable parts travel (table, eq, ranges) —
         residual ``where`` lambdas are applied requester-side.  While
         blocked on an answer, the worker keeps serving incoming peer
-        queries and draining stage traffic, which is what keeps the
-        direct all-to-all exchange deadlock-free.  A dead responder is
+        queries, which is what keeps the direct all-to-all exchange
+        deadlock-free.  A dead responder is
         waited out: its death also severs its coordinator channel, so an
         abort for this attempt is already on its way."""
         self._qid += 1
@@ -553,10 +469,7 @@ class ShardWorker:
                 "node": self.node,
                 "table_sizes": self.db.table_sizes(),
                 "stats": self.stats.to_state(),
-                "wire": self.wire.to_state(),
-                "peer_wire": self.peer_wire.to_state(),
-                "queries_served": self.queries_served,
-                "remote_queries": self.remote_queries,
+                "counters": self._counters(),
             }
         )
         for ch in list(self.peers.values()):

@@ -302,30 +302,39 @@ class StatsCollector:
             "settles": [dict(s) for s in self.settles],
         }
 
+    def merge_state(self, state: dict) -> None:
+        """Add the table and rule counters and the edge and shape
+        counts of a :meth:`to_state` document to this collector — the
+        decode half of :meth:`load_state`, and how the worker mesh
+        folds each worker's query-side observations into the
+        coordinator's collector."""
+        for section, record_of in (("tables", self.table), ("rules", self.rule)):
+            for name, d in state.get(section, {}).items():
+                record = record_of(name)
+                for k, v in d.items():
+                    setattr(record, k, getattr(record, k) + int(v))
+        for field_name in ("trigger_edges", "put_edges", "query_edges"):
+            edges = getattr(self, field_name)
+            for a, b, n in state.get(field_name, []):
+                edges[(a, b)] = edges.get((a, b), 0) + int(n)
+        for t, eq, rng, n in state.get("query_shapes", []):
+            shape = (t, tuple(eq), tuple(rng))
+            self.query_shapes[shape] = self.query_shapes.get(shape, 0) + int(n)
+        for r, t, eq, rng, n in state.get("rule_query_shapes", []):
+            rshape = (r, t, tuple(eq), tuple(rng))
+            self.rule_query_shapes[rshape] = self.rule_query_shapes.get(rshape, 0) + int(n)
+
     def load_state(self, state: dict) -> None:
         """Restore in place (the engine's strategies hold references to
         this collector, so the instance must not be replaced)."""
-        self.tables = {
-            n: TableStats(**{k: int(v) for k, v in d.items()})
-            for n, d in state.get("tables", {}).items()
-        }
-        self.rules = {
-            n: RuleStats(**{k: int(v) for k, v in d.items()})
-            for n, d in state.get("rules", {}).items()
-        }
-        self.trigger_edges = {
-            (a, b): int(n) for a, b, n in state.get("trigger_edges", [])
-        }
-        self.put_edges = {(a, b): int(n) for a, b, n in state.get("put_edges", [])}
-        self.query_edges = {(a, b): int(n) for a, b, n in state.get("query_edges", [])}
-        self.query_shapes = {
-            (t, tuple(eq), tuple(rng)): int(n)
-            for t, eq, rng, n in state.get("query_shapes", [])
-        }
-        self.rule_query_shapes = {
-            (r, t, tuple(eq), tuple(rng)): int(n)
-            for r, t, eq, rng, n in state.get("rule_query_shapes", [])
-        }
+        self.tables = {}
+        self.rules = {}
+        self.trigger_edges = {}
+        self.put_edges = {}
+        self.query_edges = {}
+        self.query_shapes = {}
+        self.rule_query_shapes = {}
+        self.merge_state(state)
         self.steps = int(state.get("steps", 0))
         self.max_batch = int(state.get("max_batch", 0))
         self.frontier_widths = [int(w) for w in state.get("frontier_widths", [])]

@@ -98,8 +98,8 @@ def format_settles(settles: list[dict]) -> str:
 def format_nodes(nodes: list[dict]) -> str:
     """Per-node compute and measured wire traffic of a multiprocess
     sharded run (:mod:`repro.dist.procrun`) — control plane (msgs /
-    sent B / recv B, coordinator↔worker) and data plane (peer columns,
-    the worker-to-worker shuffle mesh) separately."""
+    sent B / recv B, coordinator↔worker: every tuple) and peer plane
+    (peer columns, worker↔worker: routed queries) separately."""
     headers = [
         "node",
         "fires",

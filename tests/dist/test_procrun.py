@@ -252,9 +252,13 @@ class TestWiring:
             counter_program(),
             ExecOptions(strategy="processes", threads=2, coalesce_steps=True),
         )
-        assert any("coalesce_steps" in n for n in got.stats.notes)
+        # noted: the knob the caller set, and nothing a default run has
+        assert len(got.stats.notes) == 1 and "coalesce_steps" in got.stats.notes[0]
         ref = counter_program().run(ExecOptions())
         assert ref.output_text() == got.output_text()
+        # metering="off" is what the workers do anyway: honoured, silent
+        quiet = run_sharded(counter_program(), ExecOptions(metering="off"), n_workers=2)
+        assert quiet.stats.notes == []
 
     def test_max_steps_enforced(self):
         with pytest.raises(EngineError, match="max_steps=3"):

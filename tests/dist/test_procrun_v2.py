@@ -1,8 +1,7 @@
-"""v2 distributed runtime (worker-to-worker shuffle, pipelined
-supersteps, pluggable transport): the 8-worker acceptance differential
-on both transports, crash recovery with a shuffled query in flight, the
-spawn-handshake bounded wait, wire-counter carryover across a crash,
-adaptive rebalancing, and the node-tagged shuffle trace events."""
+"""The worker mesh (worker-to-worker routed queries, pluggable
+transport): the 8-worker acceptance differential on both transports,
+crash recovery with a peer query in flight, the spawn-handshake bounded
+wait, and wire-counter carryover across a crash."""
 
 from __future__ import annotations
 
@@ -15,11 +14,9 @@ from repro.apps.shortestpath import (
     build_shortestpath_program,
     run_shortestpath,
 )
-from repro.apps.ship import build_ship_program
 from repro.dist.check import check_locality, locality_summary
-from repro.dist.placement import OnNode, Partitioned, Replicated, spread_hash
+from repro.dist.placement import OnNode, Partitioned, Replicated
 from repro.dist.procrun import run_sharded
-from repro.dist.rebalance import Rebalancer
 from repro.stats.report import format_nodes
 from repro.trace.diff import trace_diff
 
@@ -112,21 +109,8 @@ class TestPeerMesh:
         text = format_nodes(got.nodes)
         assert "peer msgs" in text and "peer sent B" in text
 
-    def test_shuffle_trace_events_are_node_tagged_meta(self):
-        got = run_sharded(
-            counter_program(),
-            ExecOptions(strategy="processes", threads=2, trace=True),
-        )
-        shuffles = [e for e in got.trace.events if e.kind == "shuffle"]
-        assert shuffles, "no shuffle events recorded"
-        assert all(e.meta for e in shuffles)
-        assert all("node" in e.data and "staged" in e.data for e in shuffles)
-        # staged put-sets later consumed as refs: the pipelined shuffle
-        # actually replaced value re-sends on the control plane
-        assert sum(e.data["ref_inserts"] for e in shuffles) > 0
 
-
-# -- crash recovery with a shuffled query in flight ---------------------------
+# -- crash recovery with a peer query in flight -------------------------------
 
 
 class TestInFlightQueryCrash:
@@ -198,58 +182,6 @@ class TestCounterCarryover:
         # a done frame cannot include its own size in the snapshot it
         # carries, so the carried bytes run one frame behind exactness
         assert crashed.nodes[1]["bytes_sent"] >= 0.95 * clean.nodes[1]["bytes_sent"]
-
-
-# -- adaptive rebalancing -----------------------------------------------------
-
-
-class TestRebalancer:
-    def test_uniform_spread_before_any_plan(self):
-        r = Rebalancer(4)
-        assert [r.fire_node(h) for h in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_no_plan_when_balanced_or_off_window(self):
-        r = Rebalancer(2, every=16)
-        assert r.maybe_rebalance(15, {0: 100, 1: 100}) is None  # off-window
-        assert r.maybe_rebalance(16, {0: 100, 1: 100}) is None  # balanced
-        assert r.maybe_rebalance(16, {0: 2, 1: 0}) is None  # too few fires
-        assert Rebalancer(2, every=0).maybe_rebalance(16, {0: 500, 1: 0}) is None
-        assert Rebalancer(1).maybe_rebalance(16, {0: 500}) is None
-
-    def test_skew_produces_inverse_weighted_plan(self):
-        r = Rebalancer(2, every=16)
-        plan = r.maybe_rebalance(16, {0: 180, 1: 20})
-        assert plan is not None
-        assert plan["step"] == 16 and plan["fires"] == [180, 20]
-        assert r.weights[1] > r.weights[0]
-        # the reweighted cut must shift spread fires toward the idle
-        # node (string keys FNV-hash across the whole spread space)
-        share = sum(
-            1 for h in range(10_000) if r.fire_node(spread_hash((f"k{h}",))) == 1
-        )
-        assert share > 6_000
-        note = Rebalancer.describe(plan)
-        assert "rebalance plan at step 16" in note
-        assert "reweighted" in note
-
-    def test_weights_are_clamped(self):
-        r = Rebalancer(4, every=16)
-        r.maybe_rebalance(16, {0: 20_000})
-        assert r.weights == [0.25, 4.0, 4.0, 4.0]
-
-    def test_aggressive_rebalancing_is_semantically_transparent(self):
-        """Rebalancing moves only fire placement, never ownership, so
-        even a plan every superstep keeps the run byte-identical."""
-        p, _ = build_ship_program()
-        ref = p.run(ExecOptions(trace=True))
-        p2, _ = build_ship_program()
-        got = run_sharded(
-            p2,
-            ExecOptions(strategy="processes", threads=3, trace=True),
-            placements={name: Replicated() for name in p2.schemas()},
-            rebalance_every=1,
-        )
-        _assert_identical(ref, got, "ship rebalance_every=1")
 
 
 # -- locality summary ---------------------------------------------------------
