@@ -89,10 +89,6 @@ class Engine:
         return self.kernel._plans
 
     @property
-    def _coalesce(self) -> bool:
-        return self.kernel._coalesce
-
-    @property
     def _metered(self) -> bool:
         return self.kernel._metered
 

@@ -104,9 +104,8 @@ class RetractionError(EngineError):
 
 class EngineWarning(UserWarning):
     """The engine adjusted an execution option the caller asked for
-    (e.g. ``metering="off"`` forced back on by a virtual-time strategy,
-    or ``coalesce_steps`` disabled by retention hints).  Always recorded
-    as a note on the run's statistics; additionally *warned* when
+    (e.g. ``metering="off"`` forced back on by a virtual-time
+    strategy).  Always recorded as a note on the run's statistics; additionally *warned* when
     ``causality_check="strict"`` so strict runs never silently diverge
     from their requested configuration."""
 

@@ -11,9 +11,15 @@ Each choice is a :class:`~repro.core.executors.base.StepExecutor`:
 * :mod:`~repro.core.executors.codegen` — rule bodies compiled at
   ``freeze()`` into straight-line drivers; sequential strategies only.
 
+A third, :class:`repro.dist.superstep.ShardedExecutor`, fires a class
+on the Gamma shards of a backend (``strategy="processes"``); it lives
+with the rest of :mod:`repro.dist` and is handed to the kernel by the
+sharded runtimes, because it needs a backend no option can name.
+
 Tier selection, the refusal rows ``ExecOptions.__post_init__`` raises
-on, and the downgrade rows the kernel notes at init all live in one
-table: :mod:`~repro.core.executors.registry`.
+on — the sharded tier's included — and the downgrade rows the kernel
+notes at init all live in one table:
+:mod:`~repro.core.executors.registry`.
 """
 
 from repro.core.executors.base import StepExecutor

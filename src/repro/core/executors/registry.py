@@ -1,13 +1,17 @@
 """One table for execution-tier selection, refusal, and downgrade.
 
-Both kinds of row live here, keyed by tier:
+Both kinds of row live here, keyed by tier — an ``execution`` value, or
+``"processes"`` for the sharded tier, which the ``strategy`` selects
+(:mod:`repro.dist.superstep`; the sharded runtimes hand it to the
+kernel, so it never passes through :func:`resolve_executor`):
 
 * **refusal rows** are *configuration contradictions* — combinations the
-  run could never honour even in principle (codegen under the
-  multiprocess shard runtime, codegen with retraction).  They raise the
-  canonical ``invalid ExecOptions: ...`` error from
+  run could never honour even in principle (codegen with retraction, a
+  ``-noDelta`` cascade on a shard that holds no Delta tree).  They raise
+  the canonical ``invalid ExecOptions: ...`` error from
   ``ExecOptions.__post_init__`` via :func:`check_execution_options`, so
-  an impossible request fails before any engine state exists.
+  an impossible request fails before any engine state exists — for the
+  sharded tier, before any worker is forked.
 * **downgrade rows** are *environmental misses* — the option set is
   coherent but this particular run cannot arm the tier (non-sequential
   strategy, tracing a tier that emits no trace events).  :func:`resolve_executor` notes the reason on the stats
@@ -20,7 +24,7 @@ refuses; anything that depends on the run environment downgrades.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executors.base import StepExecutor
@@ -40,6 +44,23 @@ EXECUTION_TIERS = ("scalar", "codegen")
 
 def _knobs(options: Any, *names: str) -> dict[str, Any]:
     return {"execution": options.execution, **{n: getattr(options, n) for n in names}}
+
+
+def _sharded(knob: str, default: Any, reason: str):
+    """A row of the sharded tier: ``knob`` set off its default.  Every
+    knob the kernel would *act* on where a shard cannot follow refuses;
+    the rest (``max_steps``, ``trace``, ``causality_check``,
+    ``admission``, ``threads``, ``metering``) compose through the one
+    step loop."""
+
+    def offending(options: Any) -> dict | None:
+        value = getattr(options, knob)
+        if value == default:
+            return None
+        shown = sorted(value) if isinstance(value, (frozenset, Mapping)) else value
+        return {"strategy": options.strategy, knob: shown}
+
+    return ("processes", offending, reason)
 
 
 # -- refusal rows ------------------------------------------------------------
@@ -68,6 +89,51 @@ REFUSALS: list[tuple[str, Callable[[Any], dict | None], str]] = [
         "codegen execution requires task_granularity='tuple' "
         "(the generated driver owns the per-class firing loop)",
     ),
+    _sharded(
+        "retraction",
+        False,
+        "retraction is not supported by the multiprocess shard runtime yet; "
+        "use sequential/forkjoin/threads/chaos",
+    ),
+    _sharded(
+        "no_delta",
+        frozenset(),
+        "a -noDelta put cascades inside the producing task, but a sharded "
+        "firing only returns its puts in a record: the cascade would fire "
+        "on the coordinator, outside every shard",
+    ),
+    _sharded(
+        "no_gamma",
+        frozenset(),
+        "the sharded tier lands every class in its owners' Gamma shards "
+        "before firing it and checks the shards against the control "
+        "replica; a -noGamma table is stored in neither",
+    ),
+    _sharded(
+        "retention",
+        {},
+        "retention hints prune the control replica only; the shards "
+        "would keep the discarded generations and answer queries from them",
+    ),
+    _sharded(
+        "store_overrides",
+        {},
+        "native/array stores are whole-table structures accessed through "
+        "ctx.native, which has no meaning across shards; run such "
+        "programs single-node",
+    ),
+    _sharded(
+        "index_mode",
+        "off",
+        "shard databases carry no secondary indexes; the plan would index "
+        "only the control replica, which no rule reads",
+    ),
+    _sharded(
+        "task_granularity",
+        "tuple",
+        "the sharded tier ships one task per tuple: a shard fires every "
+        "rule its tuple triggers and answers with one record",
+    ),
 ]
 
 
@@ -83,7 +149,7 @@ def check_execution_options(options: Any, refuse: Callable[..., None]) -> None:
             execution=options.execution,
         )
     for tier, offending, reason in REFUSALS:
-        if tier != options.execution:
+        if tier not in (options.execution, options.strategy):
             continue
         knobs = offending(options)
         if knobs:

@@ -42,7 +42,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import ContextManager, Iterable
+from typing import Callable, ContextManager, Iterable
 
 from repro.core.database import Database, InsertOutcome
 from repro.core.delta import Delete, DeltaTree, Insert
@@ -55,6 +55,7 @@ from repro.core.errors import (
     RetractionError,
     UnknownTableError,
 )
+from repro.core.executors.base import StepExecutor
 from repro.core.executors.registry import resolve_executor
 from repro.core.ordering import Timestamp, compare_timestamps, output_keys
 from repro.core.program import ExecOptions, Program
@@ -133,6 +134,12 @@ class FeedReport:
     quarantined: list[JTuple] = field(default_factory=list)
 
 
+def _node_tag(result: TaskResult) -> dict:
+    """The ``node`` key of a sharded task's ``task`` / ``effect``
+    events; nothing for single-process tiers."""
+    return {} if result.node is None else {"node": result.node}
+
+
 class StepKernel:
     """Step machinery for one program under one set of options.
 
@@ -151,6 +158,7 @@ class StepKernel:
         program: Program,
         options: ExecOptions,
         strategy: Strategy | None = None,
+        executor: Callable[["StepKernel"], StepExecutor] | None = None,
     ):
         program.freeze()
         self.program = program
@@ -213,15 +221,6 @@ class StepKernel:
             if schema is None:
                 raise EngineError(f"retention hint for unknown table {name!r}")
             self._retention[name] = [schema.field_position(hint.field), hint.keep_last, None, None]
-        # step coalescing merges trigger-less minimal classes into the
-        # following step; retention prunes per step, so hints keep the
-        # one-class-per-step cadence
-        self._coalesce = options.coalesce_steps and not self._retention
-        if options.coalesce_steps and self._retention:
-            self._note(
-                "coalesce_steps disabled: retention hints prune Gamma per "
-                "step and require the one-class-per-step cadence"
-            )
         # retraction mode: the support index is the whole switch — when
         # None, no hot-path branch below does anything beyond one
         # is-None check, so insert-only runs are byte-identical to the
@@ -244,13 +243,6 @@ class StepKernel:
         self._out_keys: list[tuple] = []
         if options.retraction:
             self._support = SupportIndex()
-            if self._coalesce:
-                self._coalesce = False
-                self._note(
-                    "coalesce_steps disabled: retraction repair re-enqueues "
-                    "triggers and requires the one-class-per-step cadence"
-                )
-        self._silent_tables: dict[str, bool] = {}
         self._lock: ContextManager | None = None
         if self.strategy.needs_locks:
             import threading
@@ -258,11 +250,13 @@ class StepKernel:
             self._lock = threading.Lock()
         # execution tier (ExecOptions.execution): how phase B fires and
         # how puts route.  The registry applies the one downgrade table
-        # (noting why a requested tier stays off); whatever tier wins,
-        # results are byte-identical — tiers change cost, never
+        # (noting why a requested tier stays off) unless the caller
+        # hands the kernel its tier — the sharded runtimes do, because
+        # that tier needs a backend no option can name; whatever tier
+        # wins, results are byte-identical — tiers change cost, never
         # semantics.  The bound methods are cached on the instance so
         # cascades pay one attribute load, not a dispatch chain.
-        self.executor = resolve_executor(self)
+        self.executor = executor(self) if executor is not None else resolve_executor(self)
         self._fire_one = self.executor.fire_one
         self._handle_puts = self.executor.handle_puts
 
@@ -293,10 +287,11 @@ class StepKernel:
         if options.strategy == "processes":
             raise EngineError(
                 "'processes' is a whole-engine runtime, not a step strategy: "
-                "it owns its own supersteps and worker processes, so it "
-                "cannot drive a StepKernel (sessions/checkpoints are "
-                "unsupported).  Use Program.run(strategy='processes') or "
-                "repro.dist.procrun.run_sharded directly"
+                "its execution tier fires classes on worker processes that "
+                "only repro.dist.procrun starts and reaps, so a bare "
+                "StepKernel cannot be built for it (sessions/checkpoints "
+                "are unsupported).  Use Program.run(strategy='processes') "
+                "or repro.dist.procrun.run_sharded directly"
             )
         raise EngineError(
             f"unknown strategy {options.strategy!r}; valid strategies: "
@@ -806,37 +801,6 @@ class StepKernel:
                 self.stats.table(name).gamma_discarded += len(doomed)
             ent[3] = max_seen
 
-    def _class_silent(self, batch: list[JTuple]) -> bool:
-        """True iff no tuple of this class triggers any rule — its whole
-        effect is the phase-A Gamma insert."""
-        silent = self._silent_tables
-        for tup in batch:
-            name = tup.schema.name
-            s = silent.get(name)
-            if s is None:
-                s = silent[name] = not self.program.rules_for(name)
-            if not s:
-                return False
-        return True
-
-    def _pop_super_batch(self) -> list[JTuple]:
-        """Step coalescing (``coalesce_steps``): pop consecutive
-        trigger-less minimal classes together with the first triggering
-        class as one super-step.  Sound because a silent class fires
-        nothing — its tuples only need to be in Gamma before any *later*
-        class fires, and phase A inserts the merged batch in pop order
-        before phase B runs."""
-        batch = self.delta.pop_min_class()
-        if not self.delta or not self._class_silent(batch):
-            return batch
-        out = list(batch)
-        while self.delta:
-            cls = self.delta.pop_min_class()
-            out.extend(cls)
-            if not self._class_silent(cls):
-                break
-        return out
-
     def _flush_task_events(self, results: list[TaskResult]) -> None:
         """Emit each task's buffered micro events plus a per-task
         summary, in submission order — the only order that is stable
@@ -854,6 +818,7 @@ class StepKernel:
                     "n_puts": len(r.puts),
                     "n_output": len(r.output),
                     "cost": r.meter.total_cost,
+                    **_node_tag(r),
                 },
             )
 
@@ -907,10 +872,14 @@ class StepKernel:
         if pending:
             flags = self._enqueue_delta_batch(pending)
             if self.tracer is not None:
-                for (put, _meter), accepted in zip(pending, flags):
-                    self.tracer.emit(
-                        "effect", {"tuple": repr(put), "accepted": accepted}
-                    )
+                accepted = iter(flags)  # parallel to pending: results' puts, in order
+                for r in results:
+                    tag = _node_tag(r)
+                    for put in r.puts:
+                        self.tracer.emit(
+                            "effect",
+                            {"tuple": repr(put), "accepted": next(accepted), **tag},
+                        )
         if self._retention:
             self._apply_retention()
         if self._support is None:
@@ -1039,7 +1008,7 @@ class StepKernel:
                     f"{len(self.delta)} tuples still pending"
                 )
             self.steps += 1
-            batch = self._pop_super_batch() if self._coalesce else self.delta.pop_min_class()
+            batch = self.delta.pop_min_class()
             self.high_water = self.db.timestamp(batch[-1])
             self._run_step(batch)
         return self.steps - before

@@ -124,7 +124,6 @@ class ExecOptions:
     #: virtual-machine calibration
     calib: CalibratedCosts = field(default_factory=CalibratedCosts)
     gc_model: GcModel = field(default_factory=GcModel)
-    collect_stats: bool = True
     #: safety valve against diverging programs (None = unlimited)
     max_steps: int | None = None
     #: record a structured event trace of the run (see repro.trace);
@@ -141,12 +140,6 @@ class ExecOptions:
     #: meters — the fork/join virtual machine — force metering back on
     #: regardless of this flag; results are identical either way.
     metering: str = "on"
-    #: opt-in: pop consecutive minimal classes that trigger no rules
-    #: together with the next triggering class, as one super-step.
-    #: Outputs and table sizes are unchanged, but step counts (and the
-    #: trace's step events) differ from uncoalesced runs, so this is
-    #: off by default and disabled under retention hints.
-    coalesce_steps: bool = False
     #: session feed admission, mirroring ``causality_check``: a tuple
     #: fed below the completed high-water mark is rejected with a
     #: :class:`~repro.core.errors.CausalityError` (``"strict"``) or
@@ -209,10 +202,12 @@ class ExecOptions:
                 "unknown metering mode; valid modes: on, off",
                 metering=self.metering,
             )
-        # execution-tier refusals live in one table shared with the
-        # kernel's tier registry (repro.core.executors.registry): rows a
-        # different option value would fix refuse here; rows that depend
-        # on the run environment downgrade with a note at kernel init
+        # execution-tier refusals — the sharded tier's
+        # (strategy="processes") among them — live in one table shared
+        # with the kernel's tier registry
+        # (repro.core.executors.registry): rows a different option value
+        # would fix refuse here; rows that depend on the run environment
+        # downgrade with a note at kernel init
         from repro.core.executors.registry import check_execution_options
 
         check_execution_options(self, _refuse)
@@ -295,13 +290,6 @@ class ExecOptions:
                     "(support records are keyed per (rule, trigger) firing)",
                     retraction=self.retraction,
                     task_granularity=self.task_granularity,
-                )
-            if self.strategy == "processes":
-                _refuse(
-                    "retraction is not supported by the multiprocess shard "
-                    "runtime yet; use sequential/forkjoin/threads/chaos",
-                    retraction=self.retraction,
-                    strategy=self.strategy,
                 )
 
 
@@ -442,8 +430,8 @@ class Program:
         if kw:
             opts = opts.with_(**kw)
         if opts.strategy == "processes":
-            # real multiprocess shard execution is a whole-engine
-            # runtime, not a step strategy — it owns its own supersteps
+            # the sharded tier needs worker processes around the step
+            # loop, which only the mesh runtime starts and reaps
             from repro.dist.procrun import run_sharded  # local: dist imports us
 
             return run_sharded(self, opts)

@@ -1,23 +1,28 @@
 """Distributed execution substrate (§2 stage 3: partitioned /
 duplicated / shared tuples across computers, with explicit
-communication costs): one coordinator, two backends.
+communication costs): one step loop, a sharded tier, two wires.
 
-:class:`repro.dist.superstep.Coordinator` decides everything a run's
-result depends on — the global Delta order, duplicate verdicts, which
-node fires a tuple, where a query reads
-(``PlacementMap.query_homes``), the order firing records merge in and
-what phase C accepts — and every backend fires rules through the same
-``fire_records`` / ``RoutedRuleContext``.  A backend implements two
-calls, ``execute(step, plan) -> records`` (land the planned class on
-its shards, fire it there) and ``committed(step, effects)`` (hear
-phase C's verdicts), plus the shard reads ``select`` / ``fetch``; it
+A distributed run is an ordinary
+:class:`~repro.core.session.EngineSession` over the ordinary
+:class:`~repro.core.kernel.StepKernel` — the global Delta order,
+duplicate verdicts, phase C, stats, trace and output are the kernel's —
+given :class:`repro.dist.superstep.ShardedExecutor` as its execution
+tier: it decides which node fires a tuple and the order firing records
+reach the kernel, and every backend fires rules through the same
+``fire_records`` / ``RoutedRuleContext``, which decide where a query
+reads (``PlacementMap.query_homes``).  A backend implements one call,
+``execute(step, plan) -> records`` (land the planned class on its
+shards, fire it there), plus the shard reads ``select`` / ``fetch``; it
 may price, ship, retry and account, but not decide.
 `repro.dist.engine` is the cost-model backend (in-process shards, a
 LogP-style network model, virtual time), `repro.dist.procrun` the
 worker mesh (real OS processes over pipes or TCP; tuples ride the
 coordinator's step frames and done records, routed queries the
 worker↔worker peer plane) — the latter is also reachable as
-``ExecOptions(strategy="processes")``."""
+``ExecOptions(strategy="processes")``.  Either entry point normalises
+the options it is handed to that strategy, so a knob composes through
+the step loop or refuses before any state exists
+(:mod:`repro.core.executors.registry`)."""
 
 from repro.dist.check import QueryLocality, check_locality, locality_summary
 from repro.dist.engine import DistEngine, DistOptions, DistRunResult, run_distributed

@@ -1,14 +1,16 @@
-"""The cost-model backend of the superstep coordinator (§2 stage 3,
-the [7] track).
+"""The cost-model backend of the sharded tier (§2 stage 3, the [7]
+track).
 
 A :class:`DistEngine` runs an *unmodified* program on a simulated
-cluster.  What runs — class order, fire nodes, query routing, merge
-order, phase C — is the shared
-:class:`~repro.dist.superstep.Coordinator`'s; this module only holds the
-per-node Gamma shards in one process and **prices** what the
-coordinator has it execute: a :class:`~repro.exec.metering.CostMeter`
-per firing, routed queries as round trips and puts as batched messages
-on a :class:`~repro.dist.network.NetModel`.  Outputs are therefore
+cluster.  What runs is the one step loop
+(:class:`~repro.core.kernel.StepKernel`, driven through an ordinary
+:class:`~repro.core.session.EngineSession`) with the sharded tier
+(:class:`~repro.dist.superstep.ShardedExecutor`) as its phase B; this
+module only holds the per-node Gamma shards in one process and
+**prices** what the tier has it execute: a
+:class:`~repro.exec.metering.CostMeter` per firing, routed queries as
+round trips and puts as batched messages on a
+:class:`~repro.dist.network.NetModel`.  Outputs are therefore
 **identical to the single-node engine** and to the worker mesh (the
 same §1.3 determinism guarantee, asserted by the tests).
 
@@ -18,10 +20,10 @@ Virtual time per superstep::
     + coordination barrier
 
 Limitations (documented, not hidden): one core per node (compose with
-the fork/join machine mentally, not in code), no ``-noDelta`` path, and
-the Delta order is coordinated globally — the cost of that coordination
-is charged per superstep but its distribution is future work in the
-paper's lineage too ([7]).
+the fork/join machine mentally, not in code), and the Delta order is
+coordinated globally — the cost of that coordination is charged per
+superstep but its distribution is future work in the paper's lineage
+too ([7]).
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ from repro.core.database import Database
 from repro.core.errors import EngineError
 from repro.core.program import ExecOptions, Program
 from repro.core.query import Query
+from repro.core.session import EngineSession
 from repro.core.tuples import JTuple
 from repro.dist.network import NetModel, StepTraffic
 from repro.dist.placement import Placement
-from repro.dist.superstep import Coordinator, fire_records, surface_exec_knobs
+from repro.dist.superstep import fire_records, sharded_kernel
 from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
 from repro.gamma.base import StoreRegistry
 from repro.gamma.treeset import TreeSetStore
-from repro.plan.cache import PlanCache
 from repro.stats.collector import StatsCollector
 from repro.trace.recorder import TraceRecorder
 
@@ -58,13 +60,11 @@ class DistOptions:
     n_nodes: int = 4
     placements: Mapping[str, Placement] = field(default_factory=dict)
     net: NetModel = field(default_factory=NetModel)
-    causality_check: str = "warn"
-    max_steps: int | None = None
-    #: the single-node options this distributed run stands in for; the
-    #: engine honours what it can (``causality_check``, ``max_steps``,
-    #: ``trace``) and surfaces every other non-default knob as a stats
-    #: note — an :class:`EngineWarning` under strict checking — instead
-    #: of silently dropping it
+    #: the single-node options this distributed run stands in for, and
+    #: the only source of ``causality_check``, ``max_steps`` and
+    #: ``trace``; normalised to the sharded tier's
+    #: (:func:`~repro.dist.superstep.sharded_kernel`), so a knob either
+    #: composes through the step loop or refuses before any state exists
     exec_options: ExecOptions | None = None
 
     def __post_init__(self) -> None:
@@ -89,7 +89,7 @@ class DistRunResult:
     stats: StatsCollector = field(default_factory=StatsCollector)
     shard_sizes: dict[str, list[int]] = field(default_factory=dict)
     shards: list[Database] = field(repr=False, default_factory=list)
-    #: the coordinator's node-tagged trace under ``exec_options.trace``
+    #: the kernel's node-tagged trace under ``exec_options.trace``
     trace: TraceRecorder | None = field(repr=False, default=None)
 
     @property
@@ -110,18 +110,20 @@ class _SimShard:
     read priced on the firing's meter."""
 
     def __init__(self, engine: "DistEngine", node: int):
-        core = engine.core
+        kernel, tier = engine.kernel, engine.tier
         self.engine = engine
         self.node = node
-        self.n_nodes = core.n_nodes
-        self.placements = core.placements
-        self.static_local = core.static_local
-        self.program = core.program
+        self.n_nodes = tier.n_nodes
+        self.placements = tier.placements
+        self.static_local = tier.static_local
+        self.program = kernel.program
         self.db = engine.shards[node]
-        self.plans = engine._plans
-        self.check_mode = core.check_mode
-        self.stats = core.stats
-        self.traced = core.tracer is not None
+        # contexts use only the db-independent half of a plan (build,
+        # bound, stat fields); the shard views do the selects themselves
+        self.plans = kernel._plans
+        self.check_mode = kernel.options.causality_check
+        self.stats = kernel.stats
+        self.traced = kernel.tracer is not None
 
     def _read(self, home: int, query: Query, meter: CostMeter) -> list[JTuple]:
         shard = self.engine.shards[home]
@@ -150,65 +152,41 @@ class DistEngine:
     """One distributed execution of one program on the cost model."""
 
     def __init__(self, program: Program, options: DistOptions):
-        program.freeze()
         self.program = program
         self.options = options
         self.n_nodes = options.n_nodes
-        # honour what we can from the single-node options, surface the rest
-        check_mode = options.causality_check
-        max_steps = options.max_steps
-        eo = options.exec_options
-        if eo is not None:
-            if check_mode == "warn":
-                check_mode = eo.causality_check
-            if max_steps is None:
-                max_steps = eo.max_steps
-        self.core = Coordinator(
-            program,
-            options.placements,
-            self.n_nodes,
-            self,
-            check_mode=check_mode,
-            max_steps=max_steps,
-            traced=eo is not None and eo.trace,
+        self.kernel = sharded_kernel(
+            program, options.exec_options, options.placements, self.n_nodes, self
         )
-        surface_exec_knobs(
-            options.exec_options,
-            self.core.stats.note,
-            strict=check_mode == "strict",
-            runtime="the simulated DistEngine",
-            supported=frozenset({"trace"}),
-        )
+        self.tier = self.kernel.executor
         schemas = program.schemas()
         registry = StoreRegistry(lambda s: TreeSetStore(s))
         self.shards = [
             Database(schemas, registry, program.decls) for _ in range(self.n_nodes)
         ]
-        # query shapes compile once for the whole cluster: contexts use
-        # only the db-independent half of a plan (build, bound, stat
-        # fields) and the shard views do the selects themselves
-        self._plans = PlanCache(self.shards[0], program)
         self._views = [_SimShard(self, n) for n in range(self.n_nodes)]
         self.traffic = StepTraffic(options.net)
-        self._node_cost = [0.0] * self.n_nodes
         self._totals = DistRunResult(
             program.name,
             self.n_nodes,
-            self.core.output,
+            self.kernel.output,
             node_busy=[0.0] * self.n_nodes,
-            stats=self.core.stats,
+            stats=self.kernel.stats,
         )
         self._ran = False
 
     # -- the backend contract ----------------------------------------------------
 
     def execute(self, step: int, plan: list) -> dict[int, list[dict]]:
-        core = self.core
-        self.traffic = StepTraffic(self.options.net)
-        self._node_cost = [0.0] * self.n_nodes
+        n = self.n_nodes
+        owners_of = self.tier.placements.owners_of
+        schemas = self.tier.schemas
+        gamma = self.kernel.db
+        self.traffic = traffic = StepTraffic(self.options.net)
+        node_cost = [0.0] * n
         # phase A: land the class on its shards
         for tup, _dup, _node in plan:
-            for owner in core.placements.owners_of(tup, self.n_nodes):
+            for owner in owners_of(tup, n):
                 self.shards[owner].insert(tup)
         # phase B: fire, in class order, on the assigned nodes
         records: dict[int, list[dict]] = {}
@@ -218,30 +196,29 @@ class DistEngine:
             meter = CostMeter()
             meter.charge("delta_pop")
             records[idx] = fire_records(self._views[node], tup, meter)
-            self._node_cost[node] += meter.total_cost
-        return records
-
-    def committed(self, step: int, effects: list) -> None:
-        core = self.core
-        for tup, origin, accepted in effects:
-            # a put travels to its owners unless Gamma already holds it
-            # (one Delta still holds is sent again: the producer cannot
-            # know)
-            if accepted or tup not in core.db:
-                for owner in core.placements.owners_of(tup, self.n_nodes):
-                    self.traffic.send(origin, owner, 1)
-        compute = max(self._node_cost)
-        comm = self.traffic.comm_time(self.n_nodes)
-        barrier = _BARRIER_COST * math.log2(max(2, self.n_nodes))
+            node_cost[node] += meter.total_cost
+            for entry in records[idx]:
+                for table, values in entry["puts"]:
+                    # a put travels to its owners unless Gamma already
+                    # holds it (one Delta still holds is sent again: the
+                    # producer cannot know)
+                    put = JTuple(schemas[table], values)
+                    if put not in gamma:
+                        for owner in owners_of(put, n):
+                            traffic.send(node, owner, 1)
+        compute = max(node_cost)
+        comm = traffic.comm_time(n)
+        barrier = _BARRIER_COST * math.log2(max(2, n))
         t = self._totals
         t.compute_time += compute
         t.comm_time += comm
         t.barrier_time += barrier
         t.elapsed += compute + comm + barrier
-        t.messages += self.traffic.messages()
-        t.tuples_moved += self.traffic.tuples_moved()
-        for i, c in enumerate(self._node_cost):
+        t.messages += traffic.messages()
+        t.tuples_moved += traffic.tuples_moved()
+        for i, c in enumerate(node_cost):
             t.node_busy[i] += c
+        return records
 
     # -- run ------------------------------------------------------------
 
@@ -249,21 +226,22 @@ class DistEngine:
         if self._ran:
             raise EngineError("a DistEngine instance can only run once")
         self._ran = True
-        core = self.core
+        kernel = self.kernel
         t = self._totals
-        # the initial puts are priced as Delta inserts on the
-        # coordinator; their traffic is not modelled
-        t.elapsed += sum(core.feed_initial()) * DEFAULT_WEIGHTS["delta_insert"]
-        core.drain()
-        t.steps = core.steps
-        t.shard_sizes = {
-            name: [shard.size(name) for shard in self.shards]
-            for name in self.program.tables
-        }
-        core.check_shards(t.shard_sizes)
+        with EngineSession(self.program, _kernel=kernel) as session:
+            session.feed(self.program.initial_puts, source="<init>")
+            # the initial puts are priced as Delta inserts on the
+            # coordinator; their traffic is not modelled
+            t.elapsed += len(kernel.delta) * DEFAULT_WEIGHTS["delta_insert"]
+            session.settle()
+            t.shard_sizes = {
+                name: [shard.size(name) for shard in self.shards]
+                for name in self.program.tables
+            }
+            self.tier.check_shards(t.shard_sizes)
+        t.steps = kernel.steps
         t.shards = self.shards
-        core.emit_run_end()
-        t.trace = core.tracer
+        t.trace = kernel.tracer
         return t
 
 

@@ -1,16 +1,19 @@
-"""The worker-mesh backend of the superstep coordinator —
+"""The worker-mesh backend of the sharded tier —
 ``ExecOptions(strategy="processes")``.
 
 Where :class:`~repro.dist.engine.DistEngine` *prices* a cluster (N
 shard views, one process, modelled network costs), this module runs the
 real thing: N OS worker processes (:mod:`repro.dist.worker`), each
 owning the Gamma shards its :class:`~repro.dist.placement.PlacementMap`
-assigns it.  What runs is the shared
-:class:`~repro.dist.superstep.Coordinator`'s — class order, duplicate
-verdicts, fire nodes, the (batch index, rule) merge, phase C — so
-output, table sizes and the semantic trace are byte-identical to a
-sequential run (§1.3 across *machines*, not just strategies).  This
-module implements only the backend contract, over two planes:
+assigns it.  What runs is the one step loop — an ordinary
+:class:`~repro.core.session.EngineSession` over a
+:class:`~repro.core.kernel.StepKernel` whose phase B is the sharded
+tier (:class:`~repro.dist.superstep.ShardedExecutor`): class order,
+duplicate verdicts and phase C are the kernel's, fire nodes and the
+(batch index, rule) record order the tier's — so output, table sizes
+and the semantic trace are byte-identical to a sequential run (§1.3
+across *machines*, not just strategies).  This module implements only
+the backend contract, over two planes:
 
 * a **control plane** — one coordinator↔worker channel per worker
   (:mod:`~repro.dist.transport`: a duplex pipe, or length-prefixed TCP
@@ -35,19 +38,21 @@ ships the reference was wider than the value, and without it
 ``dijkstra_mesh`` moves 43 466 → 23 946 peer messages and 149.7 → 101.5
 wire bytes per stored tuple.  EXPERIMENTS.md, "Benchmark anomaly 2".)
 
-Crash recovery: the coordinator commits a superstep to its control
-replica only after ``execute`` returned.  When a worker dies mid-step
-(:class:`~repro.core.errors.WorkerLostError` names the node and the
-step/attempt epoch), ``execute`` aborts the step on the survivors,
-re-forks the lost node, re-meshes it (the replacement dials every
-survivor), bootstraps it from the owned slice of the last committed
-superstep, and re-sends the same step frames under a new attempt
-epoch; workers replay a completed step from a reply cache, so rule
-execution stays at-most-once per completed step.  The frames carry
-values, so a replacement needs nothing its predecessor held.  A
-worker's counters are snapshotted into every done record, and the last
-snapshot of a crashed incarnation is folded into its replacement's
-totals, so ``format_nodes`` survives recovery.
+Crash recovery: the kernel's Gamma is the control replica, and it holds
+the class being fired — phase A precedes phase B, as on one node.  When
+a worker dies mid-step (:class:`~repro.core.errors.WorkerLostError`
+names the node and the step/attempt epoch), ``execute`` aborts the step
+on the survivors, re-forks the lost node, re-meshes it (the replacement
+dials every survivor), bootstraps it from the owned slice of the
+replica, and re-sends the same step frames under a new attempt epoch.
+That the bootstrap already contains the step's inserts is harmless —
+a worker's phase A is idempotent and fire assignments index the frame,
+not the outcome — and workers replay a completed step from a reply
+cache, so rule execution stays at-most-once per completed step.  The
+frames carry values, so a replacement needs nothing its predecessor
+held.  A worker's counters are snapshotted into every done record, and
+the last snapshot of a crashed incarnation is folded into its
+replacement's totals, so ``format_nodes`` survives recovery.
 """
 
 from __future__ import annotations
@@ -61,9 +66,10 @@ from multiprocessing import get_context
 from repro.core.errors import EngineError, WorkerLostError
 from repro.core.kernel import RunResult
 from repro.core.program import ExecOptions, Program
+from repro.core.session import EngineSession
 from repro.dist.network import WireStats
 from repro.dist.placement import PlacementMap
-from repro.dist.superstep import Coordinator, surface_exec_knobs
+from repro.dist.superstep import sharded_kernel
 from repro.dist.transport import (
     PeerListener,
     PipeChannel,
@@ -71,14 +77,8 @@ from repro.dist.transport import (
     wait_readable,
 )
 from repro.dist.worker import COUNTERS, program_fingerprint, worker_entry
-from repro.exec.metering import CostMeter
 
 __all__ = ["ProcessShardRuntime", "run_sharded"]
-
-#: ExecOptions knobs the process runtime honours; everything else is
-#: surfaced as a stats note / EngineWarning, same convention as the
-#: simulated engine
-_SUPPORTED_KNOBS = frozenset({"strategy", "threads", "trace", "metering", "admission"})
 
 #: forks attempted per node before the spawn handshake gives up
 _SPAWN_TRIES = 3
@@ -100,7 +100,7 @@ class _Worker:
 
 class ProcessShardRuntime:
     """One multiprocess sharded run: the worker processes and the wire
-    behind a :class:`~repro.dist.superstep.Coordinator`."""
+    behind the step kernel's sharded tier."""
 
     def __init__(
         self,
@@ -113,38 +113,18 @@ class ProcessShardRuntime:
         fault_die_on_serve: tuple[int, int] | None = None,
         transport: str | None = None,
     ):
-        program.freeze()
         self.program = program
-        self.options = options if options is not None else ExecOptions()
-        self.n_nodes = n_workers if n_workers is not None else self.options.threads
+        if options is None:
+            options = ExecOptions()
+        self.n_nodes = n_workers if n_workers is not None else options.threads
         if self.n_nodes < 1:
             raise EngineError("the process runtime needs at least one worker")
-        if self.options.store_overrides:
-            raise EngineError(
-                "the process runtime cannot shard tables with store_overrides: "
-                "native/array stores are whole-table structures accessed "
-                "through ctx.native, which has no meaning across processes; "
-                "run such programs single-node"
-            )
         self.transport = resolve_transport(transport)
-        self.core = Coordinator(
-            program,
-            placements,
-            self.n_nodes,
-            self,
-            check_mode=self.options.causality_check,
-            max_steps=self.options.max_steps,
-            traced=self.options.trace,
-        )
-        self.placements = self.core.placements
-        self.stats = self.core.stats
-        surface_exec_knobs(
-            self.options,
-            self.stats.note,
-            strict=self.core.check_mode == "strict",
-            runtime="the multiprocess runtime",
-            supported=_SUPPORTED_KNOBS,
-        )
+        self.kernel = sharded_kernel(program, options, placements, self.n_nodes, self)
+        self.tier = self.kernel.executor
+        self.options = self.kernel.options
+        self.placements = self.tier.placements
+        self.stats = self.kernel.stats
         self._fingerprint = program_fingerprint(program)
         self._fault_kill = fault_kill
         self._killed = False
@@ -160,9 +140,9 @@ class ProcessShardRuntime:
         #: node -> the last counter block of each crashed incarnation
         self._carry: dict[int, list[bytes]] = {}
         self._conf = {
-            "check_mode": self.core.check_mode,
+            "check_mode": self.options.causality_check,
             "traced": self.options.trace,
-            "static_local": self.core.static_local,
+            "static_local": self.tier.static_local,
             "transport": self.transport,
             "fault_serve_die": fault_die_on_serve,
         }
@@ -317,7 +297,7 @@ class ProcessShardRuntime:
         )
         self._expect_mesh(fresh)
         tables: dict[str, list] = {}
-        for name, store in self.core.db.stores.items():
+        for name, store in self.kernel.db.stores.items():
             rows = []
             for t in store.scan():
                 home = self.placements.home_of(t, self.n_nodes)
@@ -341,52 +321,40 @@ class ProcessShardRuntime:
         try:
             w.channel.send_bytes(data)
         except (BrokenPipeError, ConnectionResetError, OSError):
-            raise WorkerLostError(w.node, self.core.steps or None, self._epoch) from None
+            raise WorkerLostError(w.node, self.kernel.steps or None, self._epoch) from None
         w.wire.on_send(len(data))
 
     def _recv(self, w: _Worker) -> dict:
         try:
             data = w.channel.recv_bytes()
         except (EOFError, ConnectionResetError, OSError):
-            raise WorkerLostError(w.node, self.core.steps or None, self._epoch) from None
+            raise WorkerLostError(w.node, self.kernel.steps or None, self._epoch) from None
         w.wire.on_recv(len(data))
         return pickle.loads(data)
 
     # -- the run ---------------------------------------------------------------
 
     def run(self) -> RunResult:
-        core = self.core
         t0 = time.perf_counter()
+        session = EngineSession(self.program, _kernel=self.kernel)
         try:
             self._start_workers()
-            core.emit_run_start()
-            core.feed_initial()
-            core.drain()
-            nodes = self._finish()
+            with session:
+                session.feed(self.program.initial_puts, source="<init>")
+                session.settle()
+                nodes = self._finish()
         except BaseException:
             self._terminate_all()
             raise
         if self._ctl_listener is not None:
             self._ctl_listener.close()
             self._ctl_listener = None
-        wall = time.perf_counter() - t0
-        core.emit_run_end()
-        return RunResult(
-            program=self.program.name,
-            strategy="processes",
-            threads=self.n_nodes,
-            output=core.output,
-            wall_time=wall,
-            report=None,
-            stats=self.stats,
-            table_sizes=core.db.table_sizes(),
-            meter=CostMeter(),
-            steps=core.steps,
-            options=self.options,
-            database=core.db,
-            trace=core.tracer,
-            nodes=nodes,
-        )
+        result = session.result
+        # the session timed its own feed and settle; a sharded run's
+        # wall also covers spawning, meshing and reaping the workers
+        result.wall_time = time.perf_counter() - t0
+        result.nodes = nodes
+        return result
 
     # -- the backend contract ----------------------------------------------------
 
@@ -418,11 +386,6 @@ class ProcessShardRuntime:
                         f"({deaths} deaths); last lost node {exc.node}"
                     ) from exc
                 self._recover(exc.node)
-
-    def committed(self, step: int, effects: list) -> None:
-        """Nothing to settle: the step's puts reached the coordinator in
-        the done records, and each accepted one leaves again by value in
-        the step frame of the class that pops it."""
 
     # -- step frames, attempts, recovery ---------------------------------------
 
@@ -471,13 +434,13 @@ class ProcessShardRuntime:
         return records
 
     def _recover(self, node: int) -> None:
-        """Bring a lost node back from the last committed superstep and
-        abort the in-flight attempt on the survivors."""
+        """Bring a lost node back from the control replica and abort the
+        in-flight attempt on the survivors."""
         self._epoch += 1
         self._recoveries[node] = self._recoveries.get(node, 0) + 1
         self.stats.note(
-            f"worker {node} died during step {self.core.steps}; restarted from "
-            "the last committed superstep snapshot"
+            f"worker {node} died during step {self.kernel.steps}; restarted from "
+            "the control replica"
         )
         dead = [node]
         aborted: set[int] = set()
@@ -490,7 +453,7 @@ class ProcessShardRuntime:
                     continue
                 try:
                     self._send(
-                        w, {"t": "abort", "step": self.core.steps, "attempt": self._epoch}
+                        w, {"t": "abort", "step": self.kernel.steps, "attempt": self._epoch}
                     )
                     aborted.add(w.node)
                 except WorkerLostError:
@@ -505,7 +468,7 @@ class ProcessShardRuntime:
             self._send(w, {"t": "finish"})
         nodes: list[dict] = []
         shard_sizes: dict[str, list[int]] = {
-            name: [0] * self.n_nodes for name in self.core.schemas
+            name: [0] * self.n_nodes for name in self.tier.schemas
         }
         for w in self.workers:
             msg = self._recv(w)
@@ -523,8 +486,8 @@ class ProcessShardRuntime:
             nodes.append(
                 {
                     "node": w.node,
-                    "fires": self.core.node_fires[w.node],
-                    "puts": self.core.node_puts[w.node],
+                    "fires": self.tier.node_fires[w.node],
+                    "puts": self.tier.node_puts[w.node],
                     "queries_served": served,
                     "remote_queries": remote,
                     "msgs": wire.msgs_sent + wire.msgs_recv,
@@ -538,7 +501,7 @@ class ProcessShardRuntime:
             )
             w.proc.join(timeout=10)
             w.channel.close()
-        self.core.check_shards(shard_sizes)
+        self.tier.check_shards(shard_sizes)
         return nodes
 
 

@@ -26,7 +26,7 @@ mesh is deferred until that insert lands — the barrier a query needs
 before it may read a shard.
 
 The coordinator drives supersteps over the control channel:
-``bootstrap`` (load the owned slice of the last committed snapshot),
+``bootstrap`` (load the owned slice of the control replica),
 ``step`` (phase-A inserts by value, fire assignments), ``abort``
 (another worker died mid-step: unwind and await the retry), ``finish``
 (report shard sizes + stats and exit).

@@ -60,6 +60,10 @@ class TaskResult:
     #: retraction mode maintains — instead of depending on the pop order
     #: within an equivalence class
     out_keys: list = field(default_factory=list)
+    #: the node that ran this task (sharded tier only): placement, not
+    #: semantics — the kernel copies it onto the task's ``task`` and
+    #: ``effect`` trace events, where it is a volatile key
+    node: int | None = None
 
 
 @dataclass(slots=True)

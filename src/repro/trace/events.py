@@ -34,10 +34,10 @@ Event kinds
 ``fault``      (meta)      one injected fault that actually triggered
 ``run-end``    (semantic)  run summary: steps, output hash, table sizes
 
-Distributed runs (:class:`repro.dist.procrun.ProcessShardRuntime`) tag
-their ``step``/``task``/``query``/``put``/``effect`` events with the
-worker ``node`` that produced them, merged into one causal trace in the
-coordinator's deterministic step order.  ``node`` is placement, not
+Sharded runs (:mod:`repro.dist`, both backends) tag their
+``task``/``query``/``put``/``effect`` events with the ``node`` that
+produced them, in one causal trace in the kernel's deterministic step
+order.  ``node`` is placement, not
 semantics — it lives in ``VOLATILE_KEYS`` so a sharded trace still
 compares equal to the single-node trace of the same program.
 """

@@ -9,12 +9,19 @@ seen in a log — or relayed through the session service as a structured
 
 The execution-tier half of the matrix is *generated* from the one
 registry (:mod:`repro.core.executors.registry`): every ``REFUSALS`` row
-must refuse before any engine state exists, every ``DOWNGRADES`` row
-must run byte-identical to scalar with its note, and the option table
-in ``docs/LANGUAGE.md`` must carry exactly one row per registry row."""
+— the sharded tier's (``strategy="processes"``) among them — must
+refuse before any engine state exists, every ``DOWNGRADES`` row must
+run byte-identical to scalar with its note, and the option table in
+``docs/LANGUAGE.md`` must carry exactly one row per registry row.  The
+sharded entry points (``run_sharded``, ``run_distributed``) normalise
+whatever options they are handed to that tier, so the same rows decide
+for them: every single-node knob either composes — byte-identical to
+the sequential run — or refuses with no worker forked.  Nothing in this
+file forks."""
 
 from __future__ import annotations
 
+import multiprocessing
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -24,10 +31,12 @@ import pytest
 
 from repro.apps.ship import build_ship_program
 from repro.core import EngineError, ExecOptions
-from repro.core.executors.registry import DOWNGRADES, REFUSALS
+from repro.core.executors.registry import DOWNGRADES, EXECUTION_TIERS, REFUSALS
 from repro.core.kernel import StepKernel
 from repro.core.program import RetentionHint
+from repro.dist import run_distributed, run_sharded
 from repro.exec.chaos import FaultPlan
+from repro.gamma import HashKeyStore
 from repro.trace import trace_diff
 
 CANONICAL = re.compile(r"^invalid ExecOptions: \S.* -- \S.*$")
@@ -139,6 +148,13 @@ def test_removed_plan_cache_option_is_not_a_field():
         ExecOptions(plan_cache=False)
 
 
+@pytest.mark.parametrize("knob", ["coalesce_steps", "collect_stats"])
+def test_removed_knob_is_not_a_field(knob):
+    with pytest.raises(TypeError):
+        ExecOptions(**{knob: True})
+    assert len(fields(ExecOptions)) == 20
+
+
 # -- registry resolution: one table decides the kernel's tier ----------------
 
 
@@ -201,7 +217,31 @@ KNOB_POOL = [
     dict(trace=True),
     dict(metering="off"),
     dict(index_mode="auto"),
-    dict(coalesce_steps=True),
+]
+
+#: one deviation per ExecOptions knob a caller might hand a sharded run:
+#: every knob the distributed runtimes used to drop with a "does not
+#: support ...; knob ignored" note, and the ones they honoured
+SHARDED_KNOBS = [
+    dict(strategy="forkjoin"),
+    dict(threads=3),
+    dict(no_delta=frozenset({"Ship"})),
+    dict(no_gamma=frozenset({"Ship"})),
+    dict(task_granularity="rule"),
+    dict(retention={"Ship": RetentionHint("frame", 2)}),
+    dict(store_overrides={"Ship": HashKeyStore}),
+    dict(index_mode="auto"),
+    dict(index_mode="explicit", indexes={"Ship": ("x",)}),
+    dict(metering="off"),
+    dict(trace=True),
+    dict(admission="warn"),
+    dict(strategy="chaos", chaos_seed=3),
+    dict(strategy="chaos", fault_plan=FaultPlan(raise_prob=0.2)),
+    dict(max_steps=10_000),
+    dict(causality_check="strict"),
+    dict(causality_check="off"),
+    dict(retraction=True),
+    dict(execution="codegen"),
 ]
 
 _DEFAULTS = {f.name: getattr(ExecOptions(), f.name) for f in fields(ExecOptions)}
@@ -213,12 +253,18 @@ def _probe(kwargs: dict) -> SimpleNamespace:
     return SimpleNamespace(**{**_DEFAULTS, **kwargs})
 
 
+def _selecting(tier: str) -> dict:
+    """The option that selects a registry tier: an ``execution`` value,
+    or ``strategy="processes"`` for the sharded tier."""
+    return {"execution" if tier in EXECUTION_TIERS else "strategy": tier}
+
+
 def _refusal_rows_tripped(kwargs: dict) -> list[int]:
     probe = _probe(kwargs)
     return [
         i
         for i, (tier, offending, _reason) in enumerate(REFUSALS)
-        if tier == probe.execution and offending(probe)
+        if tier in (probe.execution, probe.strategy) and offending(probe)
     ]
 
 
@@ -239,10 +285,10 @@ def test_every_refusal_row_refuses_before_engine_state(row):
     tier, offending, reason = REFUSALS[row]
     tripping = [
         kwargs
-        for knobs in KNOB_POOL
-        if offending(_probe(kwargs := dict(execution=tier, **knobs)))
+        for knobs in KNOB_POOL + SHARDED_KNOBS
+        if row in _refusal_rows_tripped(kwargs := {**_selecting(tier), **knobs})
     ]
-    assert tripping, f"no KNOB_POOL entry trips REFUSALS[{row}]"
+    assert tripping, f"no KNOB_POOL / SHARDED_KNOBS entry trips REFUSALS[{row}]"
     for kwargs in tripping:
         with pytest.raises(EngineError) as err:
             ExecOptions(**kwargs)
@@ -258,6 +304,48 @@ def test_every_refusal_row_refuses_before_engine_state(row):
             with pytest.raises(EngineError, match="invalid ExecOptions"):
                 entry(**kwargs)
         assert not p._frozen
+
+
+# -- the sharded entry points: compose or refuse, nothing dropped -------------
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    SHARDED_KNOBS,
+    ids=[f"{i}:" + "-".join(sorted(k)) for i, k in enumerate(SHARDED_KNOBS)],
+)
+def test_sharded_entry_points_compose_or_refuse(knobs):
+    """``run_sharded`` and ``run_distributed`` normalise the options
+    they are handed through ``with_(strategy="processes", ...)``: what
+    that refuses, they refuse — same message, program not frozen, no
+    worker forked — and what it accepts runs byte-identical to the
+    sequential engine, with nothing noted as ignored."""
+    handed = ExecOptions(**knobs)
+    try:
+        handed.with_(strategy="processes")
+    except EngineError as exc:
+        refusal = str(exc)
+    else:
+        refusal = None
+    p, _ = build_ship_program()
+    if refusal is None:
+        ref = build_ship_program()[0].run()
+        got = run_distributed(p, n_nodes=2, exec_options=handed)
+        assert got.output == ref.output
+        assert {t: got.table_total(t) for t in ref.table_sizes} == ref.table_sizes
+        assert got.steps == ref.steps
+        assert got.stats.notes == []
+        return
+    assert CANONICAL.match(refusal), refusal
+    for entry in (
+        lambda: run_sharded(p, handed, n_workers=2),
+        lambda: run_distributed(p, n_nodes=2, exec_options=handed),
+    ):
+        with pytest.raises(EngineError) as err:
+            entry()
+        assert str(err.value) == refusal
+    assert not p._frozen
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("row", range(len(DOWNGRADES)))

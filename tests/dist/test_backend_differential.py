@@ -1,4 +1,4 @@
-"""One differential over the backends of the superstep coordinator.
+"""One differential over the backends of the sharded tier.
 
 The sequential engine, the cost-model backend (``run_distributed``) and
 the worker mesh (``run_sharded``) run the same program under the same
@@ -21,11 +21,14 @@ identical per-node wire counts."""
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.apps.pvwatts import build_pvwatts_program
 from repro.apps.ship import build_ship_program
 from repro.apps.shortestpath import GraphSpec, build_shortestpath_program
+from repro.core.errors import EngineError
 from repro.core.program import ExecOptions, Program
 from repro.dist import OnNode, Partitioned, PlacementMap, Replicated
 from repro.dist import run_distributed, run_sharded
@@ -215,6 +218,11 @@ def test_mesh_places_like_the_cost_model_and_repeats_its_wire_counts(
     assert trace_diff(seq.trace, sim.trace) is None
     assert trace_diff(seq.trace, mesh.trace) is None
     assert _node_tags(sim.trace) == _node_tags(mesh.trace)
+    # one step loop emits every backend's bookends (the cost model used
+    # to open on its first ``admit``)
+    for run in (seq, sim, mesh):
+        kinds = [e.kind for e in run.trace.events]
+        assert (kinds[0], kinds[-1]) == ("run-start", "run-end")
     if fault_kill is not None:
         assert mesh.nodes[fault_kill[0]]["recovered"] == 1
         return  # recovery traffic depends on where the kill landed
@@ -228,6 +236,25 @@ def test_mesh_places_like_the_cost_model_and_repeats_its_wire_counts(
     )
     wire = [{k: nd[k] for k in WIRE_KEYS} for nd in mesh.nodes]
     assert [{k: nd[k] for k in WIRE_KEYS} for nd in again.nodes] == wire
+
+
+@pytest.mark.parametrize("transport", ["pipe", "tcp"])
+def test_max_steps_overrun_raises_the_kernels_error(transport):
+    """The sequential engine, the cost model and the mesh stop a
+    diverging program with one error from one place, and the mesh
+    leaves no worker behind."""
+    opts = ExecOptions(max_steps=5)
+    with pytest.raises(EngineError) as seq:
+        counter_program(limit=50).run(opts)
+    assert "exceeded max_steps=5" in str(seq.value)
+    for run in (
+        lambda: run_distributed(counter_program(limit=50), n_nodes=2, exec_options=opts),
+        lambda: run_sharded(counter_program(limit=50), opts, n_workers=2, transport=transport),
+    ):
+        with pytest.raises(EngineError) as err:
+            run()
+        assert str(err.value) == str(seq.value)
+    assert multiprocessing.active_children() == []
 
 
 def test_broadcast_gather_is_in_single_node_value_order():

@@ -193,7 +193,11 @@ class TestDistEngine:
 
     def test_max_steps(self):
         with pytest.raises(EngineError, match="max_steps"):
-            run_distributed(counter_program(limit=50), n_nodes=2, max_steps=5)
+            run_distributed(
+                counter_program(limit=50),
+                n_nodes=2,
+                exec_options=ExecOptions(max_steps=5),
+            )
 
     def test_remote_queries_counted(self):
         """A query binding a foreign partition value must travel."""
@@ -330,7 +334,7 @@ class TestLocalityCheck:
 
         p.put(Data.new(0, 1))
         p.put(Go.new(0))
-        result = p.run(ExecOptions(collect_stats=True))
+        result = p.run()
         findings = check_locality(
             p, {"Data": Partitioned("k")}, observed=result.stats
         )
@@ -393,26 +397,64 @@ class TestOnNodePinValidation:
 
 
 class TestExecKnobSurfacing:
-    def test_unsupported_knobs_become_notes(self):
-        eo = ExecOptions(
-            no_delta=frozenset({"Log"}),
-            no_gamma=frozenset({"Log"}),
-            coalesce_steps=True,
+    """A single-node knob handed to the cost model composes through the
+    one step loop or refuses before any state exists — the generated
+    matrix in ``tests/core/test_exec_options_refusals.py`` walks every
+    row; nothing is dropped with a note any more."""
+
+    def test_unsupported_knobs_refuse(self):
+        for eo in (
+            ExecOptions(no_delta=frozenset({"Log"})),
+            ExecOptions(no_gamma=frozenset({"Log"})),
+        ):
+            p = counter_program()
+            with pytest.raises(
+                EngineError, match="invalid ExecOptions: strategy='processes', no_"
+            ):
+                run_distributed(p, n_nodes=2, exec_options=eo)
+            assert not p._frozen
+
+    def test_exec_options_alone_decide_check_mode_and_max_steps(self):
+        """``DistOptions`` used to carry its own ``causality_check`` and
+        ``max_steps``, merged with ``exec_options``' under a precedence
+        that ran "off" + strict as off and could not say "warn" over
+        strict."""
+        from dataclasses import fields
+
+        from repro.core import CausalityError
+
+        assert [f.name for f in fields(DistOptions)] == [
+            "n_nodes",
+            "placements",
+            "net",
+            "exec_options",
+        ]
+        with pytest.raises(TypeError):
+            DistOptions(causality_check="off")
+        with pytest.raises(TypeError):
+            run_distributed(counter_program(), max_steps=5)
+
+        def backwards():
+            p = Program()
+            T = p.table("T", "int t", orderby=("Int", "seq t"))
+
+            @p.foreach(T)
+            def back(ctx, t):
+                if t.t == 1:
+                    ctx.put(T.new(0))
+
+            p.put(T.new(1))
+            return p
+
+        for mode in ("warn", "strict"):
+            with pytest.raises(CausalityError):
+                run_distributed(
+                    backwards(), n_nodes=2, exec_options=ExecOptions(causality_check=mode)
+                )
+        r = run_distributed(
+            backwards(), n_nodes=2, exec_options=ExecOptions(causality_check="off")
         )
-        r = run_distributed(counter_program(), n_nodes=2, exec_options=eo)
-        joined = "\n".join(r.stats.notes)
-        assert "no_delta" in joined
-        assert "no_gamma" in joined
-        assert "coalesce_steps" in joined
-        # the run itself is unaffected
-        assert r.output == counter_program().run().output
-
-    def test_strict_escalates_to_engine_warning(self):
-        from repro.core.errors import EngineWarning
-
-        eo = ExecOptions(coalesce_steps=True, causality_check="strict")
-        with pytest.warns(EngineWarning, match="coalesce_steps"):
-            run_distributed(counter_program(), n_nodes=2, exec_options=eo)
+        assert r.table_total("T") == 2
 
     def test_honoured_knobs_fold_in(self):
         eo = ExecOptions(max_steps=5)

@@ -247,18 +247,21 @@ class TestWiring:
                 n_regions=4,
             )
 
-    def test_unsupported_knobs_surfaced_as_notes(self):
-        got = run_sharded(
-            counter_program(),
-            ExecOptions(strategy="processes", threads=2, coalesce_steps=True),
-        )
-        # noted: the knob the caller set, and nothing a default run has
-        assert len(got.stats.notes) == 1 and "coalesce_steps" in got.stats.notes[0]
-        ref = counter_program().run(ExecOptions())
-        assert ref.output_text() == got.output_text()
-        # metering="off" is what the workers do anyway: honoured, silent
-        quiet = run_sharded(counter_program(), ExecOptions(metering="off"), n_workers=2)
-        assert quiet.stats.notes == []
+    def test_unsupported_knobs_refuse_before_any_fork(self):
+        import multiprocessing
+
+        p = counter_program()
+        with pytest.raises(
+            EngineError,
+            match="invalid ExecOptions: strategy='processes', task_granularity='rule'",
+        ):
+            run_sharded(p, ExecOptions(task_granularity="rule"), n_workers=2)
+        assert not p._frozen
+        assert multiprocessing.active_children() == []
+        # metering="off" is what the sharded tier does anyway: honoured,
+        # silent — as is every default
+        for eo in (None, ExecOptions(metering="off")):
+            assert run_sharded(counter_program(), eo, n_workers=2).stats.notes == []
 
     def test_max_steps_enforced(self):
         with pytest.raises(EngineError, match="max_steps=3"):

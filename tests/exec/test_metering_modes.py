@@ -79,30 +79,6 @@ class TestMeteringModes:
         assert fast.meter.counters == ref.meter.counters
 
 
-class TestStepCoalescing:
-    def test_coalescing_merges_silent_classes(self):
-        """Out's classes trigger no rules, so each is merged into the
-        following step; results are unchanged, steps shrink."""
-        ref = tiny_program().run(ExecOptions())
-        got = tiny_program().run(ExecOptions(coalesce_steps=True, metering="off"))
-        assert got.output_text() == ref.output_text()
-        assert got.table_sizes == ref.table_sizes
-        assert got.steps < ref.steps
-
-    def test_retention_disables_coalescing(self):
-        from repro.core.engine import Engine
-        from repro.core.program import RetentionHint
-
-        p = tiny_program()
-        e = Engine(
-            p,
-            ExecOptions(
-                coalesce_steps=True, retention={"Out": RetentionHint("t", 2)}
-            ),
-        )
-        assert e._coalesce is False
-
-
 class TestStrategyValidation:
     def test_options_reject_unknown_strategy(self):
         with pytest.raises(EngineError, match="unknown strategy"):

@@ -73,7 +73,7 @@ class TestTextualDistributed:
                     "Estimate": Partitioned("vertex"),
                     "Done": Partitioned("vertex"),
                 },
-                causality_check="off",
+                exec_options=ExecOptions(causality_check="off"),
             )
             assert self._distances(r) == ref
             # vertex co-partitioning keeps the Done guard local; the

@@ -171,4 +171,6 @@ class TestDistEdges:
 
         p.put(T.new(1))
         with pytest.raises(CausalityError):
-            run_distributed(p, n_nodes=2, causality_check="strict")
+            run_distributed(
+                p, n_nodes=2, exec_options=ExecOptions(causality_check="strict")
+            )

@@ -93,7 +93,9 @@ def test_all_strategies_agree(spec):
 @given(program_specs(), st.integers(1, 5))
 def test_distributed_agrees(spec, nodes):
     ref = build(spec).run(ExecOptions(max_steps=500))
-    r = run_distributed(build(spec), n_nodes=nodes, max_steps=500)
+    r = run_distributed(
+        build(spec), n_nodes=nodes, exec_options=ExecOptions(max_steps=500)
+    )
     assert r.output == ref.output
     for name, total in ref.table_sizes.items():
         assert r.table_total(name) == total

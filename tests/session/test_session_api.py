@@ -15,7 +15,6 @@ from repro.core import (
     EngineWarning,
     ExecOptions,
     Program,
-    RetentionHint,
     UnknownTableError,
     causal_chunks,
 )
@@ -240,28 +239,6 @@ class TestKnobOverrideNotes:
         p.put(T.new(0, 1))
         r = p.run(ExecOptions(strategy="threads", threads=2, metering="off"))
         assert not any("metering" in n for n in r.stats.notes)
-
-    def test_coalesce_disabled_by_retention_is_noted(self):
-        p, T, _ = counter_program()
-        p.put(T.new(0, 1))
-        r = p.run(
-            ExecOptions(
-                coalesce_steps=True, retention={"T": RetentionHint("t", 2)}
-            )
-        )
-        assert any("coalesce" in n for n in r.stats.notes)
-
-    def test_coalesce_note_warns_under_strict(self):
-        p, T, _ = counter_program()
-        p.put(T.new(0, 1))
-        with pytest.warns(EngineWarning, match="coalesce"):
-            p.run(
-                ExecOptions(
-                    coalesce_steps=True,
-                    retention={"T": RetentionHint("t", 2)},
-                    causality_check="strict",
-                )
-            )
 
     def test_notes_shown_in_run_report(self):
         from repro.stats import run_report
