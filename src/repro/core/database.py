@@ -17,7 +17,6 @@ an invariant that only one Ship can exist within each frame value",
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
 from repro.core.errors import KeyInvariantError, UnknownTableError
 from repro.core.ordering import OrderDecls, Timestamp
@@ -145,9 +144,9 @@ class Database:
     # -- queries -----------------------------------------------------------
 
     def select(self, query: Query) -> list[JTuple]:
-        return list(self.store(query.schema.name).select(query))
-
-    def iter_select(self, query: Query) -> Iterator[JTuple]:
+        """One-off read for tests and tools (see
+        :meth:`~repro.gamma.base.TableStore.select`); rules read through
+        the plan cache's prepared selects."""
         return self.store(query.schema.name).select(query)
 
     def __contains__(self, tup: JTuple) -> bool:

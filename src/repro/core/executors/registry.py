@@ -81,14 +81,6 @@ REFUSALS: list[tuple[str, Callable[[Any], dict | None], str]] = [
         "codegen execution is not supported by the "
         "multiprocess shard runtime yet",
     ),
-    (
-        "codegen",
-        lambda o: (
-            _knobs(o, "task_granularity") if o.task_granularity != "tuple" else None
-        ),
-        "codegen execution requires task_granularity='tuple' "
-        "(the generated driver owns the per-class firing loop)",
-    ),
     _sharded(
         "retraction",
         False,
@@ -127,12 +119,6 @@ REFUSALS: list[tuple[str, Callable[[Any], dict | None], str]] = [
         "off",
         "shard databases carry no secondary indexes; the plan would index "
         "only the control replica, which no rule reads",
-    ),
-    _sharded(
-        "task_granularity",
-        "tuple",
-        "the sharded tier ships one task per tuple: a shard fires every "
-        "rule its tuple triggers and answers with one record",
     ),
 ]
 

@@ -3,7 +3,7 @@
 This is the reference tier — the §5 semantics every other tier must be
 byte-identical to — and the only one that works under every strategy:
 each popped tuple becomes one :class:`~repro.exec.base.EngineTask`
-(or one per triggered rule under ``task_granularity="rule"``), each
+(the paper's "we create only one task for that tuple", §5.2), each
 firing gets a fresh :class:`~repro.core.rules.RuleContext`, and the
 strategy is free to interleave the tasks however it likes.
 
@@ -123,56 +123,10 @@ class ScalarExecutor(StepExecutor):
 
         return EngineTask(trigger=tup, run=run)
 
-    def _make_rule_task(
-        self,
-        tup: JTuple,
-        rule: Rule,
-        outcome: InsertOutcome | None,
-        charge_insert: bool,
-    ) -> EngineTask:
-        """§5.2's first extension: "we could create one task per rule
-        that is triggered".  The first rule task of a tuple also pays
-        its Delta-pop and Gamma-insert costs."""
-        k = self.kernel
-
-        def run() -> TaskResult:
-            result = k._new_result(tup)
-            name = tup.schema.name
-            if charge_insert:
-                result.meter.charge("delta_pop")
-                if outcome is None:
-                    k._tt(name)[3] += 1
-                else:
-                    result.meter.charge_store_op("insert", k.db.store(name))
-                    k._tt(name)[2] += 1
-            self.fire_one(rule, tup, result)
-            return result
-
-        return EngineTask(trigger=tup, run=run)
-
-    def _build_tasks(
-        self, prepared: list[tuple[JTuple, InsertOutcome | None]]
-    ) -> list[EngineTask]:
-        k = self.kernel
-        if not k._per_rule_tasks:
-            return [self.make_task(tup, outcome) for tup, outcome in prepared]
-        tasks: list[EngineTask] = []
-        for tup, outcome in prepared:
-            if outcome is InsertOutcome.DUPLICATE:
-                tasks.append(self.make_task(tup, outcome))  # dup bookkeeping
-                continue
-            rules = k.program.rules_for(tup.schema.name)
-            if not rules:
-                tasks.append(self.make_task(tup, outcome))
-                continue
-            for i, rule in enumerate(rules):
-                tasks.append(
-                    self._make_rule_task(tup, rule, outcome, charge_insert=i == 0)
-                )
-        return tasks
-
     def fire_class(
         self, prepared: list[tuple[JTuple, InsertOutcome | None]]
     ) -> list[TaskResult]:
         # Phase B: fire (possibly genuinely threaded).
-        return self.kernel.strategy.run_batch(self._build_tasks(prepared))
+        return self.kernel.strategy.run_batch(
+            [self.make_task(tup, outcome) for tup, outcome in prepared]
+        )

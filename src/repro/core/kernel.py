@@ -187,7 +187,6 @@ class StepKernel:
         self._no_gamma = options.no_gamma
         self._check_mode = options.causality_check
         self._delta_serial = options.calib.delta_serial_fraction
-        self._per_rule_tasks = options.task_granularity == "rule"
         # ``metering="off"`` replaces per-task meters with the shared
         # no-op meter — unless the strategy's virtual-time machine
         # consumes meters, in which case metering is forced back on
@@ -1026,8 +1025,6 @@ class StepKernel:
         # absorb_planned below folds into the collector and clears
         self.executor.flush_stats()
         self.stats.absorb_planned(self._plans.plans())
-        for plan in self._plans.plans():
-            plan.rule_hits.clear()
 
     # -- trace bookends ---------------------------------------------------------
 
@@ -1043,7 +1040,6 @@ class StepKernel:
                 "threads": self.strategy.n_threads,
                 "chaos_seed": self.options.chaos_seed,
                 "fault_plan": fp.to_dict() if fp is not None else None,
-                "task_granularity": self.options.task_granularity,
             },
             meta=True,
         )

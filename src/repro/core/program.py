@@ -104,10 +104,6 @@ class ExecOptions:
     no_gamma: frozenset[str] = frozenset()
     #: dynamic causality enforcement: "off" | "warn" | "strict"
     causality_check: str = "warn"
-    #: task granularity: "tuple" (paper's default: "we create only one
-    #: task for that tuple") or "rule" (§5.2's first extension: one task
-    #: per triggered rule)
-    task_granularity: str = "tuple"
     #: per-table lifetime hints (§5 step 4: manual hints determine when
     #: tuples can be discarded from Gamma); table name -> RetentionHint
     retention: Mapping[str, "RetentionHint"] = field(default_factory=dict)
@@ -184,11 +180,6 @@ class ExecOptions:
             _refuse(
                 "unknown causality_check; valid modes: off, warn, strict",
                 causality_check=self.causality_check,
-            )
-        if self.task_granularity not in ("tuple", "rule"):
-            _refuse(
-                "unknown task_granularity; valid granularities: tuple, rule",
-                task_granularity=self.task_granularity,
             )
         if self.threads < 1:
             _refuse("threads must be >= 1", threads=self.threads)
@@ -283,13 +274,6 @@ class ExecOptions:
                     "GC-discarded tuples cannot be counted for support",
                     retraction=self.retraction,
                     retention=sorted(self.retention),
-                )
-            if self.task_granularity != "tuple":
-                _refuse(
-                    "retraction requires task_granularity='tuple' "
-                    "(support records are keyed per (rule, trigger) firing)",
-                    retraction=self.retraction,
-                    task_granularity=self.task_granularity,
                 )
 
 

@@ -26,7 +26,7 @@ timestamps ``≤ T``, negative and aggregate queries only ``< T``.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.errors import SchemaError, UnknownFieldError
 from repro.core.schema import TableSchema
@@ -95,9 +95,6 @@ class Query:
             return False
         return True
 
-    def filter(self, tuples: Iterable[JTuple]) -> Iterable[JTuple]:
-        return (t for t in tuples if self.matches(t))
-
     def key_if_fully_bound(self) -> tuple | None:
         """If the equality constraints bind the whole primary key,
         return that key (enables O(1) lookup in keyed stores)."""
@@ -118,9 +115,6 @@ class Query:
         if not all(i in self.eq for i in idxs):
             return None
         return tuple(self.eq[i] for i in idxs)
-
-    def with_kind(self, kind: QueryKind) -> "Query":
-        return Query(self.schema, self.eq, self.ranges, self.where, kind)
 
     def __repr__(self) -> str:
         parts = []

@@ -353,11 +353,12 @@ class RuleContext:
         return [t for t in results if compare_timestamps(ts_of(t), tts) <= 0]
 
     def _run_planned(self, plan: "CompiledQueryPlan", query: Query) -> list[JTuple]:
-        """Serve one query — the single hook every ``get``-family
-        method funnels through (the dist contexts override it to route
-        across shards).  The store's access path and metering tags were
-        resolved when the shape compiled, so per firing this is one
-        prepared select plus flat counter bumps."""
+        """Serve one query — every ``get``-family method funnels
+        through here, on every tier and every node: this class has no
+        subclass.  The access path (on a shard, including where the
+        rows live) and metering tags were resolved when the shape
+        compiled, so per firing this is one prepared select plus flat
+        counter bumps."""
         if self._sched is not None:
             self._sched()
         ps = plan.prepared

@@ -9,11 +9,12 @@ duplicate verdicts, phase C, stats, trace and output are the kernel's —
 given :class:`repro.dist.superstep.ShardedExecutor` as its execution
 tier: it decides which node fires a tuple and the order firing records
 reach the kernel, and every backend fires rules through the same
-``fire_records`` / ``RoutedRuleContext``, which decide where a query
-reads (``PlacementMap.query_homes``).  A backend implements one call,
+``fire_records`` on the same ``Shard``, whose plan cache resolves where
+a query shape's rows live (``PlacementMap.query_verdict``) into its
+access path when the shape compiles.  A backend implements one call,
 ``execute(step, plan) -> records`` (land the planned class on its
-shards, fire it there), plus the shard reads ``select`` / ``fetch``; it
-may price, ship, retry and account, but not decide.
+shards, fire it there), plus the read it hands its shards, ``fetch``;
+it may price, ship, retry and account, but not decide.
 `repro.dist.engine` is the cost-model backend (in-process shards, a
 LogP-style network model, virtual time), `repro.dist.procrun` the
 worker mesh (real OS processes over pipes or TCP; tuples ride the

@@ -12,6 +12,9 @@ static: for every symbolic query under a placement,
 * ``routed``     — partition field bound: exactly one owner answers;
 * ``broadcast``  — partition field unbound: every node is asked;
 * ``unknown``    — the rule carries no metadata.
+
+An aid and nothing else: no run consults it — a shard routes a query by
+the value it binds, trusting no rule's metadata.
 """
 
 from __future__ import annotations

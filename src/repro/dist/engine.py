@@ -6,10 +6,12 @@ cluster.  What runs is the one step loop
 (:class:`~repro.core.kernel.StepKernel`, driven through an ordinary
 :class:`~repro.core.session.EngineSession`) with the sharded tier
 (:class:`~repro.dist.superstep.ShardedExecutor`) as its phase B; this
-module only holds the per-node Gamma shards in one process and
-**prices** what the tier has it execute: a
-:class:`~repro.exec.metering.CostMeter` per firing, routed queries as
-round trips and puts as batched messages on a
+module only holds the per-node shards
+(:class:`~repro.dist.superstep.Shard`) in one process and **prices**
+what the tier has it execute: a :class:`~repro.exec.metering.CostMeter`
+per firing — on which a routed select charges one store lookup per
+shard it reads, like any prepared select — routed queries as round
+trips and puts as batched messages on a
 :class:`~repro.dist.network.NetModel`.  Outputs are therefore
 **identical to the single-node engine** and to the worker mesh (the
 same §1.3 determinism guarantee, asserted by the tests).
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping
 
 from repro.core.database import Database
@@ -40,10 +43,8 @@ from repro.core.session import EngineSession
 from repro.core.tuples import JTuple
 from repro.dist.network import NetModel, StepTraffic
 from repro.dist.placement import Placement
-from repro.dist.superstep import fire_records, sharded_kernel
+from repro.dist.superstep import Shard, fire_records, sharded_kernel
 from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
-from repro.gamma.base import StoreRegistry
-from repro.gamma.treeset import TreeSetStore
 from repro.stats.collector import StatsCollector
 from repro.trace.recorder import TraceRecorder
 
@@ -104,50 +105,6 @@ class DistRunResult:
         return sum(self.shard_sizes[table])
 
 
-class _SimShard:
-    """One node's view of the simulated cluster — the shard interface
-    of :class:`~repro.dist.superstep.RoutedRuleContext`, with every
-    read priced on the firing's meter."""
-
-    def __init__(self, engine: "DistEngine", node: int):
-        kernel, tier = engine.kernel, engine.tier
-        self.engine = engine
-        self.node = node
-        self.n_nodes = tier.n_nodes
-        self.placements = tier.placements
-        self.static_local = tier.static_local
-        self.program = kernel.program
-        self.db = engine.shards[node]
-        # contexts use only the db-independent half of a plan (build,
-        # bound, stat fields); the shard views do the selects themselves
-        self.plans = kernel._plans
-        self.check_mode = kernel.options.causality_check
-        self.stats = kernel.stats
-        self.traced = kernel.tracer is not None
-
-    def _read(self, home: int, query: Query, meter: CostMeter) -> list[JTuple]:
-        shard = self.engine.shards[home]
-        store = shard.store(query.schema.name)
-        rows = shard.select(query)
-        meter.charge_store_op("lookup", store)
-        if rows:
-            meter.charge_store_op("result", store, len(rows))
-        return rows
-
-    def select(self, query: Query, meter: CostMeter) -> list[JTuple]:
-        return self._read(self.node, query, meter)
-
-    def fetch(self, query: Query, homes: list[int], meter: CostMeter) -> list[JTuple]:
-        engine = self.engine
-        rows: list[JTuple] = []
-        for home in homes:
-            part = self._read(home, query, meter)
-            engine.traffic.remote_query(self.node, home, len(part))
-            engine._totals.remote_queries += 1
-            rows.extend(part)
-        return rows
-
-
 class DistEngine:
     """One distributed execution of one program on the cost model."""
 
@@ -159,12 +116,21 @@ class DistEngine:
             program, options.exec_options, options.placements, self.n_nodes, self
         )
         self.tier = self.kernel.executor
-        schemas = program.schemas()
-        registry = StoreRegistry(lambda s: TreeSetStore(s))
-        self.shards = [
-            Database(schemas, registry, program.decls) for _ in range(self.n_nodes)
+        k = self.kernel
+        self.tier.shards = self._views = [
+            Shard(
+                program,
+                self.tier.placements,
+                n,
+                self.n_nodes,
+                partial(self._fetch, n),
+                k.options.causality_check,
+                k.stats,
+                k.tracer is not None,
+            )
+            for n in range(self.n_nodes)
         ]
-        self._views = [_SimShard(self, n) for n in range(self.n_nodes)]
+        self.shards = [view.db for view in self._views]
         self.traffic = StepTraffic(options.net)
         self._totals = DistRunResult(
             program.name,
@@ -176,6 +142,19 @@ class DistEngine:
         self._ran = False
 
     # -- the backend contract ----------------------------------------------------
+
+    def _fetch(self, node: int, query: Query, homes: list[int]) -> list[JTuple]:
+        """``node`` reads ``homes``: each answers through its own access
+        path for the shape, and the round trip is priced on the step's
+        traffic (the lookups themselves on the firing's meter, by the
+        shape's prepared select)."""
+        rows: list[JTuple] = []
+        for home in homes:
+            part = self._views[home].local(query).run(query)
+            self.traffic.remote_query(node, home, len(part))
+            self._totals.remote_queries += 1
+            rows.extend(part)
+        return rows
 
     def execute(self, step: int, plan: list) -> dict[int, list[dict]]:
         n = self.n_nodes

@@ -24,14 +24,11 @@ field) — the natural default for relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.core.errors import EngineError
 from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.query import Query
 
 __all__ = [
     "Partitioned",
@@ -45,7 +42,12 @@ __all__ = [
 
 def _stable_hash(value) -> int:
     """Deterministic cross-run hash for partitioning (Python's str hash
-    is salted per process; runs must be reproducible)."""
+    is salted per process; runs must be reproducible).  It agrees with
+    tuple equality, which is value equality: ``-3 == -3.0`` is one
+    Gamma entry, so an integral float hashes as its int and a query
+    binding a float partition field with an equal int finds its row."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int):
@@ -188,31 +190,16 @@ class PlacementMap:
         names) by equality lives: ``local`` (every node holds a
         replica), ``routed`` (exactly one owner — the pin, or the home
         of the bound partition value) or ``broadcast`` (partition field
-        unbound: every shard holds a slice of the answer)."""
+        unbound: every shard holds a slice of the answer).  A verdict
+        depends on the query's *shape* only, so a run takes it when the
+        shape compiles (:meth:`repro.dist.superstep.Shard.prepare`),
+        never per query."""
         p = self._map[table]
         if isinstance(p, Replicated):
             return "local"
         if isinstance(p, OnNode) or p.field in eq_fields:
             return "routed"
         return "broadcast"
-
-    def query_homes(self, query: "Query", node: int, n_nodes: int) -> list[int]:
-        """The shards a query issued on ``node`` must read — the
-        runtime form of :meth:`query_verdict`, and the only place a
-        distributed run decides where a query goes."""
-        schema = query.schema
-        fields = schema.fields
-        verdict = self.query_verdict(schema.name, [fields[i].name for i in query.eq])
-        if verdict == "local":
-            return [node]
-        if verdict == "broadcast":
-            return list(range(n_nodes))
-        p = self._map[schema.name]
-        if isinstance(p, OnNode):
-            # pins are validated against n_nodes at map construction;
-            # never wrap here (that silently re-homed bad pins)
-            return [p.node]
-        return [p.home_for_value(query.eq[schema.field_position(p.field)], n_nodes)]
 
     def owners_of(self, tup: JTuple, n_nodes: int) -> list[int]:
         """Every node whose shard stores this tuple: one node for

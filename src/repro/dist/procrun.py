@@ -142,7 +142,6 @@ class ProcessShardRuntime:
         self._conf = {
             "check_mode": self.options.causality_check,
             "traced": self.options.trace,
-            "static_local": self.tier.static_local,
             "transport": self.transport,
             "fault_serve_die": fault_die_on_serve,
         }

@@ -15,10 +15,11 @@ replica**), phase C, stats, trace and keyed output — whose phase B is
 * the **placement plan** of a popped class: the kernel's duplicate
   verdict per tuple plus one fire node — the tuple's partition home, or
   a stable-hash spread for replicated triggers;
-* :func:`fire_records` / :class:`RoutedRuleContext`, through which
-  every backend fires rules and routes queries
-  (:meth:`~repro.dist.placement.PlacementMap.query_homes`), so record
-  shape and gather order have one definition;
+* :class:`Shard` and :func:`fire_records`, through which every backend
+  fires rules.  *Where a table's rows live is a property of its access
+  path* (§1.4, §2 stage 3), not of the rule that reads it: a shard's
+  plan cache is built with a **routed prepare**, so a rule fired there
+  runs the ordinary :class:`~repro.core.rules.RuleContext`;
 * the conversion of the records a backend returns into the kernel's
   :class:`~repro.exec.base.TaskResult` list, in (batch index, rule
   declaration) order — the single-node task order — tagged with the
@@ -33,9 +34,9 @@ sequential engine and to each other.
 
 from __future__ import annotations
 
-from typing import Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
-from repro.core.database import InsertOutcome
+from repro.core.database import Database, InsertOutcome
 from repro.core.errors import EngineError
 from repro.core.executors.base import StepExecutor
 from repro.core.kernel import StepKernel
@@ -44,15 +45,17 @@ from repro.core.program import ExecOptions, Program
 from repro.core.query import Query
 from repro.core.rules import RuleContext
 from repro.core.tuples import JTuple
-from repro.dist.check import check_locality
 from repro.dist.placement import OnNode, Partitioned, PlacementMap, spread_hash
 from repro.exec.base import EngineTask, Strategy, TaskResult
 from repro.exec.metering import CostMeter
-from repro.plan.compile import CompiledQueryPlan
+from repro.gamma.base import PreparedSelect, StoreRegistry
+from repro.gamma.treeset import TreeSetStore
+from repro.plan.cache import PlanCache
+from repro.stats.collector import StatsCollector
 
 __all__ = [
     "Backend",
-    "RoutedRuleContext",
+    "Shard",
     "ShardedExecutor",
     "fire_records",
     "sharded_kernel",
@@ -67,8 +70,10 @@ class Backend(Protocol):
     result depends on: which class runs, which node fires a tuple,
     whether a tuple is a duplicate, where a query goes, the order
     records merge in, or what phase C accepts — those are the kernel's,
-    :class:`ShardedExecutor`'s and :class:`RoutedRuleContext`'s.  It
-    may price, ship, retry and account."""
+    :class:`ShardedExecutor`'s and :class:`Shard`'s.  It may price,
+    ship, retry and account: :meth:`execute`, and the one read it hands
+    each :class:`Shard` it builds — ``fetch(query, homes)``, the rows
+    of ``query`` on the other nodes ``homes``, traffic counted."""
 
     def execute(self, step: int, plan: list[Planned]) -> dict[int, list[dict]]:
         """Land the planned class on its owner shards, fire each
@@ -82,64 +87,91 @@ class Backend(Protocol):
         from are retried in here."""
 
 
-class RoutedRuleContext(RuleContext):
-    """The rule context of every distributed firing: queries route
-    across the cluster.  ``shard`` is the firing node's view of it:
-    ``node``, ``n_nodes``, ``placements``, ``static_local`` (the
-    ``(rule, table)`` pairs ``check_locality`` proved co-located), what
-    a firing needs (``program``, ``db``, ``plans``, ``check_mode``,
-    ``stats``, ``traced``), and the two reads a backend prices or
-    performs — ``select(query, meter)`` on the local shard and
-    ``fetch(query, homes, meter)`` for the rows of remote shards,
-    already filtered by the whole query."""
+class Shard:
+    """One node's shard of Gamma and the access paths into it — the
+    view :func:`fire_records` fires against: ``program``, ``db``,
+    ``plans``, ``check_mode``, ``stats``, ``traced``.  ``plans`` is an
+    ordinary :class:`~repro.plan.cache.PlanCache` built with
+    :meth:`prepare`: routing is resolved when a query shape compiles."""
 
-    __slots__ = ("_shard",)
+    def __init__(
+        self,
+        program: Program,
+        placements: PlacementMap,
+        node: int,
+        n_nodes: int,
+        fetch: Callable[[Query, list[int]], list[JTuple]],
+        check_mode: str,
+        stats: StatsCollector,
+        traced: bool,
+    ):
+        self.program = program
+        self.db = Database(program.schemas(), StoreRegistry(TreeSetStore), program.decls)
+        self.check_mode = check_mode
+        self.stats = stats
+        self.traced = traced
+        self._placements = placements
+        self._node = node
+        self._n_nodes = n_nodes
+        self._fetch = fetch
+        self._local: dict[tuple, PreparedSelect] = {}
+        self.plans = PlanCache(self.db, program, self.prepare)
 
-    def __init__(self, shard, *args):
-        super().__init__(shard.db, shard.program.decls, *args)
-        self._shard = shard
+    def local(self, query: Query) -> PreparedSelect:
+        """This shard's own access path for the query's shape: what a
+        routed select runs when the home is this node, and what a
+        peer's fetch is answered through."""
+        key = (query.schema.name, tuple(query.eq), tuple(query.ranges))
+        prepared = self._local.get(key)
+        if prepared is None:
+            prepared = self._local[key] = self.db.store(key[0]).prepare(query)
+        return prepared
 
-    def _run_planned(self, plan: CompiledQueryPlan, query: Query) -> list[JTuple]:
-        shard = self._shard
-        name = plan.table_name
-        meter = self._meter
-        if (self._rule.name, name) in shard.static_local:
-            results = shard.select(query, meter)
+    def prepare(self, query: Query) -> PreparedSelect:
+        """The routed prepare.  A ``local`` shape is the store's own
+        access path, untouched; a ``routed`` one reads its one home —
+        the pin, or the home of the bound partition value — here or
+        through ``fetch``; a ``broadcast`` one reads every shard and
+        re-sorts the union by value (per-shard results are value-sorted,
+        so this is the single-node order).  Priced as one store lookup
+        per shard read."""
+        schema = query.schema
+        local = self.local(query)
+        placement = self._placements[schema.name]
+        verdict = self._placements.query_verdict(
+            schema.name, [schema.field_names[i] for i in query.eq]
+        )
+        if verdict == "local":
+            return local
+        node, n_nodes, fetch, run_local = self._node, self._n_nodes, self._fetch, local.run
+        if verdict == "broadcast":
+            homes = [h for h in range(n_nodes) if h != node]
+            if not homes:
+                return local
+
+            def run(q: Query) -> list[JTuple]:
+                rows = run_local(q) + fetch(q, homes)
+                rows.sort(key=lambda t: t.values)
+                return rows
+
         else:
-            node = shard.node
-            homes = shard.placements.query_homes(query, node, shard.n_nodes)
-            remote = [h for h in homes if h != node]
-            results = shard.select(query, meter) if len(remote) < len(homes) else []
-            if remote:
-                results = results + shard.fetch(query, remote, meter)
-                # per-shard result sets are value-sorted (TreeSetStore
-                # scan order); re-sorting the union by value reproduces
-                # the single-node order exactly
-                results.sort(key=lambda t: t.values)
-        if self._collector is not None:
-            self._collector.on_query(
-                self._rule.name,
-                name,
-                len(results),
-                eq_fields=plan.stat_eq_fields,
-                range_fields=plan.stat_range_fields,
-            )
-        if self._trace is not None:
-            self._trace.append(
-                (
-                    "query",
-                    {
-                        "rule": self._rule.name,
-                        "table": name,
-                        "kind": query.kind.value,
-                        "n_results": len(results),
-                    },
-                )
-            )
-        return results
+            pin = placement.node if isinstance(placement, OnNode) else None
+            pos = None if pin is not None else schema.field_position(placement.field)
+
+            def run(q: Query) -> list[JTuple]:
+                home = pin if pos is None else placement.home_for_value(q.eq[pos], n_nodes)
+                return run_local(q) if home == node else fetch(q, [home])
+
+        return PreparedSelect(
+            run,
+            local.lookup_cost * (n_nodes if verdict == "broadcast" else 1),
+            local.lookup_tag,
+            self.db.store(schema.name).cost,
+            schema.name,
+        )
 
 
-def fire_records(shard, tup: JTuple, meter: CostMeter) -> list[dict]:
+def fire_records(shard: Shard, tup: JTuple, meter: CostMeter) -> list[dict]:
     """Fire every rule ``tup`` triggers on ``shard``'s node: one
     wire-safe record per rule in declaration order, which the
     coordinator merges in global (batch index, rule) order."""
@@ -148,8 +180,9 @@ def fire_records(shard, tup: JTuple, meter: CostMeter) -> list[dict]:
     for rule in shard.program.rules_for(tup.schema.name):
         meter.charge("rule_fire")
         events: list | None = [] if shard.traced else None
-        ctx = RoutedRuleContext(
-            shard,
+        ctx = RuleContext(
+            shard.db,
+            shard.program.decls,
             meter,
             rule,
             tup,
@@ -221,15 +254,14 @@ class ShardedExecutor(StepExecutor):
         #: rule name -> position, for canonical output keys (records
         #: identify rules by name)
         self._rule_pos = {r.name: i for i, r in enumerate(program.rules)}
-        # queries the static locality checker proved co-located skip
-        # placement routing.  Keyed (rule, table): a pair qualifies only
-        # when EVERY query that rule makes on that table is local — one
-        # routed query among locals must still route
-        verdicts: dict[tuple[str, str], bool] = {}
-        for f in check_locality(program, self.placements):
-            key = (f.rule, f.table)
-            verdicts[key] = verdicts.get(key, True) and f.verdict == "local"
-        self.static_local = frozenset(k for k, ok in verdicts.items() if ok)
+        #: the shards living in this process (the cost model registers
+        #: its own), whose plans' query counts :meth:`flush_stats` folds;
+        #: the mesh's live in its workers and come home with their bye
+        self.shards: list[Shard] = []
+
+    def flush_stats(self) -> None:
+        for shard in self.shards:
+            self.kernel.stats.absorb_planned(shard.plans.plans())
 
     def fire_node(self, tup: JTuple) -> int:
         """Node that fires this tuple's rules — the partition home, or

@@ -4,12 +4,13 @@ One worker = one OS process owning the Gamma shards its
 :class:`~repro.dist.placement.PlacementMap` assigns it.  The worker is
 a thin loop around the existing single-node machinery:
 
-* its Gamma shard is a :class:`~repro.core.kernel.StepKernel` database
-  (same registry construction, same insert/select semantics);
+* its Gamma shard is a :class:`~repro.dist.superstep.Shard` — the same
+  database, plan cache and routed access paths the cost model's shards
+  have — whose one outside read, ``fetch``, goes to the owning peers
+  over the mesh;
 * firing is :func:`~repro.dist.superstep.fire_records`, the function
-  every backend fires through; the worker is the *shard view* its
-  routed context reads: ``select`` on the local shard, ``fetch`` from
-  the owning peers over the mesh.
+  every backend fires through, and a peer's query is answered through
+  the shard's own access path for the shape.
 
 The workers form a **peer mesh**: every worker holds a direct
 :mod:`~repro.dist.transport` channel to every other worker, and exactly
@@ -52,13 +53,12 @@ import traceback
 from collections import deque
 
 from repro.core.errors import EngineError
-from repro.core.kernel import StepKernel
-from repro.core.program import ExecOptions, Program
+from repro.core.program import Program
 from repro.core.query import Query, QueryKind
 from repro.core.tuples import JTuple
 from repro.dist.network import WireStats
 from repro.dist.placement import PlacementMap
-from repro.dist.superstep import fire_records
+from repro.dist.superstep import Shard, fire_records
 from repro.dist.transport import (
     Channel,
     PeerListener,
@@ -68,6 +68,7 @@ from repro.dist.transport import (
     wait_readable,
 )
 from repro.exec.metering import NULL_METER
+from repro.stats.collector import StatsCollector
 
 __all__ = ["COUNTERS", "ShardWorker", "program_fingerprint", "worker_entry"]
 
@@ -115,31 +116,22 @@ class ShardWorker:
         conf: dict,
     ):
         self.node = node
-        self.n_nodes = n_nodes
         self.channel = channel
         self.program = program
-        self.placements = placements
-        self.check_mode: str = conf["check_mode"]
-        self.traced: bool = conf["traced"]
-        self.static_local: frozenset = conf["static_local"]
         self.transport: str = conf.get("transport", "pipe")
         self.incarnation: int = conf.get("incarnation", 0)
         self._fault_serve_die = conf.get("fault_serve_die")
-        # the worker's shard rides on the existing step kernel: same
-        # registry construction, database, and timestamp machinery as a
-        # single-node sequential run; its plan cache builds the queries
-        # that the routed rule context then routes
-        self.kernel = StepKernel(
+        self.shard = Shard(
             program,
-            ExecOptions(
-                strategy="sequential",
-                causality_check=self.check_mode,
-                metering="off",
-            ),
+            placements,
+            node,
+            n_nodes,
+            self.fetch,
+            conf["check_mode"],
+            StatsCollector(),
+            conf["traced"],
         )
-        self.db = self.kernel.db
-        self.plans = self.kernel._plans
-        self.stats = self.kernel.stats
+        self.db = self.shard.db
         self.schemas = program.schemas()
         self.wire = WireStats()  # control channel (coordinator)
         self.peer_wire = WireStats()  # mesh (other workers)
@@ -377,7 +369,7 @@ class ShardWorker:
             self._flush_deferred()
             try:
                 records = [
-                    (idx, fire_records(self, owned[pos], NULL_METER))
+                    (idx, fire_records(self.shard, owned[pos], NULL_METER))
                     for idx, pos in msg["fire"]
                 ]
             except _StepAborted:
@@ -386,49 +378,40 @@ class ShardWorker:
             self._cache = (step, payload)
         self._send({**payload, "attempt": self._attempt, "counters": self._counters()})
 
-    # -- the shard view of RoutedRuleContext ----------------------------------
+    # -- the shard's one outside read ------------------------------------------
 
-    def select(self, query: Query, _meter) -> list[JTuple]:
-        return self.db.select(query)
-
-    def fetch(self, query: Query, homes: list[int], _meter) -> list[JTuple]:
-        name = query.schema.name
-        fetched = (self.make_tuple(name, vals) for vals in self.remote_query(query, homes))
-        return [t for t in fetched if query.matches(t)]
-
-    # -- remote queries ------------------------------------------------------
-
-    def remote_query(self, query: Query, homes: list[int]) -> list:
+    def fetch(self, query: Query, homes: list[int]) -> list[JTuple]:
         """Gather a query's rows from the owning shard(s), directly over
         the mesh.  Only the shippable parts travel (table, eq, ranges) —
         residual ``where`` lambdas are applied requester-side.  While
         blocked on an answer, the worker keeps serving incoming peer
         queries, which is what keeps the direct all-to-all exchange
-        deadlock-free.  A dead responder is
-        waited out: its death also severs its coordinator channel, so an
-        abort for this attempt is already on its way."""
+        deadlock-free.  A dead responder is waited out: its death also
+        severs its coordinator channel, so an abort is on its way."""
         self._qid += 1
         qid = f"{self.node}:{self.incarnation}:{self._qid}"
         self.remote_queries += 1
+        name = query.schema.name
         msg = {
             "t": "q",
             "qid": qid,
             "node": self.node,
             "step": self._step_no,
             "attempt": self._attempt,
-            "table": query.schema.name,
+            "table": name,
             "eq": dict(query.eq),
             "ranges": {i: tuple(r) for i, r in query.ranges.items()},
         }
         awaiting = set(homes)
         for h in homes:
             self._peer_send(h, msg)
-        rows: list = []
+        rows: list[JTuple] = []
         while awaiting:
             for node, part in self._answers.pop(qid, ()):
                 if node in awaiting:
                     awaiting.discard(node)
-                    rows.extend(part)
+                    fetched = (self.make_tuple(name, vals) for vals in part)
+                    rows.extend(t for t in fetched if query.matches(t))
             if awaiting and self._await_control(1.0):
                 cmsg = self._recv()
                 if cmsg["t"] == "abort":
@@ -451,7 +434,7 @@ class ShardWorker:
             os._exit(1)
         schema = self.schemas[msg["table"]]
         q = Query(schema, dict(msg["eq"]), dict(msg["ranges"]), None, QueryKind.POSITIVE)
-        rows = [tuple(t.values) for t in self.db.select(q)]
+        rows = [tuple(t.values) for t in self.shard.local(q).run(q)]
         self.queries_served += 1
         node = self._peer_of.get(ch)
         if node is None:
@@ -463,12 +446,15 @@ class ShardWorker:
     # -- teardown ------------------------------------------------------------
 
     def _finish(self) -> None:
+        # queries were counted on the plans that served them
+        stats = self.shard.stats
+        stats.absorb_planned(self.shard.plans.plans())
         self._send(
             {
                 "t": "bye",
                 "node": self.node,
                 "table_sizes": self.db.table_sizes(),
-                "stats": self.stats.to_state(),
+                "stats": stats.to_state(),
                 "counters": self._counters(),
             }
         )

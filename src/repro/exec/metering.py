@@ -39,7 +39,6 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "delta_insert": 7.0,   # insertion into the Delta tree (calibrated to the paper's §6.2 noDelta effect)
     "delta_pop": 5.5,      # removal of one tuple from the Delta tree
     "rule_fire": 0.5,      # dispatch overhead of firing a rule
-    "gamma_query": 1.0,    # base cost of issuing a query
     "reduce_op": 0.3,      # one reducer step
     "user_work": 1.0,      # explicit ctx.charge (cost given by caller)
     "csv_parse": 0.6,      # parsing one CSV record (byte-level reader)
@@ -89,15 +88,12 @@ class CostMeter:
             self.splittable.append((cost, chunks))
 
     def charge_store_op(self, op: str, store: "TableStore", n: int = 1) -> None:
-        """Charge a Gamma store operation using its cost profile and
-        route the serialisable fraction to the store's resource."""
+        """Charge a Gamma store mutation using its cost profile and
+        route the serialisable fraction to the store's resource.
+        ``insert`` is the one op: selects are priced per shape and
+        charged by :meth:`charge_planned`."""
         profile = store.cost
-        per = {
-            "insert": profile.insert_cost,
-            "lookup": profile.lookup_cost,
-            "result": profile.result_cost,
-        }[op]
-        cost = per * n
+        cost = {"insert": profile.insert_cost}[op] * n
         counter = f"gamma_{op}:{store.schema.name}"
         self.counters[counter] = self.counters.get(counter, 0) + n
         self.costs[counter] = self.costs.get(counter, 0.0) + cost
@@ -107,11 +103,11 @@ class CostMeter:
 
     def charge_planned(self, ps: "PreparedSelect", n_results: int) -> None:
         """Charge one select served through a compiled plan: the lookup
-        as the store priced the shape
-        (:meth:`~repro.gamma.base.TableStore.lookup_cost_for` — plain
-        stores charge ``gamma_lookup:``, index-served shapes the cheaper
-        ``gamma_ixlookup:``), then ``charge_store_op("result", store,
-        n_results)`` when results were yielded.  Costs, counters and
+        as the store priced the shape in
+        :meth:`~repro.gamma.base.TableStore.prepare` (plain paths charge
+        ``gamma_lookup:``, index-served shapes the cheaper
+        ``gamma_ixlookup:``, a routed path one lookup per shard read),
+        then ``gamma_result:`` per result yielded.  Costs, counters and
         shared fractions were precomputed per shape on the
         :class:`~repro.gamma.base.PreparedSelect`."""
         counters = self.counters
@@ -133,14 +129,6 @@ class CostMeter:
             shared = ps.result_shared * n_results
             if shared:
                 self.shared[ps.resource] = self.shared.get(ps.resource, 0.0) + shared
-
-    def charge_query(self, table_name: str, n_results: int) -> None:
-        """Base query dispatch + per-result cost (store-agnostic share;
-        store-specific result costs are added by the engine where it
-        has the store in hand)."""
-        self.charge("gamma_query")
-        if n_results:
-            self.charge("query_result", n=n_results, cost=0.25 * n_results)
 
     # -- aggregation ----------------------------------------------------------
 
@@ -224,9 +212,6 @@ class NullMeter(CostMeter):
         pass
 
     def charge_planned(self, ps: "PreparedSelect", n_results: int) -> None:
-        pass
-
-    def charge_query(self, table_name: str, n_results: int) -> None:
         pass
 
     def merge(self, other: CostMeter) -> None:

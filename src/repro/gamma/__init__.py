@@ -2,8 +2,11 @@
 structures" and the §5/§6 data-structure experiments).
 
 The public surface is the :class:`~repro.gamma.base.TableStore`
-interface, the :class:`~repro.gamma.base.StoreRegistry` factory
-mechanism, and the concrete backends:
+interface — ``insert``, ``__contains__``, ``__len__``, ``scan``,
+``clear`` and optionally ``prepare``, the one read (an access path
+resolved per query shape); ``select`` is derived from it — the
+:class:`~repro.gamma.base.StoreRegistry` factory mechanism, and the
+concrete backends:
 
 ============================  ==============================================
 backend                        Java analogue in the paper

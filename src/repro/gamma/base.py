@@ -9,12 +9,17 @@ factory overrides ("we manually implemented a custom data structure for
 the PvWatts Gamma database ... by using inheritance to override one
 factory method", §6.2).
 
-A :class:`TableStore` must implement exact-duplicate detection
-(``insert`` returns ``False`` for duplicates — set semantics), primary
-key lookup when the table is keyed, and ``select`` over a
-:class:`~repro.core.query.Query`.  ``select`` may exploit whatever
-indexes the store has; filtering through :meth:`Query.matches` is the
-always-correct fallback.
+A :class:`TableStore`'s contract is ``insert`` (exact-duplicate
+detection: ``False`` for duplicates — set semantics), ``__contains__``,
+``__len__``, ``scan`` and ``clear``, and optionally :meth:`~TableStore.prepare`
+— the store's one read: given a :class:`~repro.core.query.Query`'s
+*shape* it resolves the access path (key probe, prefix range, bucket,
+index, scan) once and hands back a :class:`PreparedSelect` whose
+``run`` serves every query of that shape.  The base ``prepare`` probes
+a fully bound key through :meth:`~TableStore.lookup_key` and otherwise
+filters a scan through :meth:`Query.matches`, which is always correct;
+a store overrides it to exploit whatever indexes it has.
+:meth:`~TableStore.select` is derived from it and is never overridden.
 
 Each store also carries a :class:`CostProfile` used by the virtual-time
 machine: the op-cost weights and, for "concurrent" stores, the shared
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.core.errors import SchemaError
 from repro.core.query import Query
@@ -67,11 +72,14 @@ class PreparedSelect:
     :meth:`~repro.exec.metering.CostMeter.charge_planned` charge the
     lookup and its results without re-deriving anything.  ``lookup_shared`` / ``result_shared`` are the
     serialisable work units per lookup / per result (0.0 when the store
-    is uncontended)."""
+    is uncontended).  ``lookup_tag`` names the kind of access path the
+    lookup is charged as (``lookup``, or ``ixlookup`` when a secondary
+    index serves the shape)."""
 
     __slots__ = (
         "run",
         "lookup_cost",
+        "lookup_tag",
         "lookup_counter",
         "lookup_shared",
         "result_cost",
@@ -91,6 +99,7 @@ class PreparedSelect:
         self.run = run
         sf = profile.serial_fraction if profile.resource is not None else 0.0
         self.lookup_cost = lookup_cost
+        self.lookup_tag = lookup_tag
         self.lookup_counter = f"gamma_{lookup_tag}:{table_name}"
         self.lookup_shared = lookup_cost * sf
         self.result_cost = profile.result_cost
@@ -140,16 +149,12 @@ class TableStore(ABC):
                 return t
         return None
 
-    def select(self, query: Query) -> Iterator[JTuple]:
-        """Yield tuples matching the query.  Default: exploit a fully
-        bound key if present, else filter a full scan."""
-        key = query.key_if_fully_bound()
-        if key is not None:
-            t = self.lookup_key(key)
-            if t is not None and query.matches(t):
-                yield t
-            return
-        yield from query.filter(self.scan())
+    def select(self, query: Query) -> list[JTuple]:
+        """The tuples matching one query — a convenience for one-off
+        reads (tests, tools): resolve the shape, run it once.  Derived
+        from :meth:`prepare`, never overridden; no rule's query comes
+        through here (the plan cache keeps the resolved path)."""
+        return self.prepare(query).run(query)
 
     def discard(self, tup: JTuple) -> bool:
         """Remove a tuple (used only by lifetime-hint GC, §5 step 4).
@@ -163,28 +168,44 @@ class TableStore(ABC):
         retraction exact (e.g. also unwinding secondary indexes)."""
         return self.discard(tup)
 
-    def lookup_cost_for(self, query: Query) -> tuple[float, str]:
-        """Virtual-time cost of serving one select, plus the metering
-        tag it is charged under.  The default is the flat profile cost;
-        index-aware stores return a cheaper cost (and a distinct tag)
-        for queries an index serves."""
-        return (self.cost.lookup_cost, "lookup")
-
     def prepare(self, query: Query) -> PreparedSelect:
         """Resolve the select path for this query's *shape* once (plan
         cache, §5's compiled-query advantage).  Every query later run
         through the result constrains the same field positions, so any
         decision that depends only on positions — key coverage, index
-        choice, prefix length — may be made here.  The default simply
-        prices the shape via :meth:`lookup_cost_for` and delegates each
-        call to :meth:`select`; stores with shape-dependent paths
-        override this to pick the path up front."""
-        cost, tag = self.lookup_cost_for(query)
+        choice, prefix length — is made here and nowhere else.  The
+        default exploits a fully bound key if present, else filters a
+        full scan; stores with shape-dependent paths override this and
+        fall back to it for the shapes they do not serve."""
+        if query.key_if_fully_bound() is not None:
+            key_idx = self.schema.key_indexes
+            lookup_key = self.lookup_key
 
-        def run(q: Query) -> list[JTuple]:
-            return list(self.select(q))
+            def run(q: Query) -> list[JTuple]:
+                t = lookup_key(tuple(q.eq[i] for i in key_idx))
+                if t is not None and q.matches(t):
+                    return [t]
+                return []
 
-        return PreparedSelect(run, cost, tag, self.cost, self.schema.name)
+        else:
+            scan = self.scan
+
+            def run(q: Query) -> list[JTuple]:
+                return [t for t in scan() if q.matches(t)]
+
+        return self._priced(run)
+
+    def _priced(
+        self,
+        run: Callable[[Query], list[JTuple]],
+        lookup_cost: float | None = None,
+        lookup_tag: str = "lookup",
+    ) -> PreparedSelect:
+        """Price an access path of this store: the flat profile cost
+        under the ``lookup`` tag unless the path says otherwise."""
+        if lookup_cost is None:
+            lookup_cost = self.cost.lookup_cost
+        return PreparedSelect(run, lookup_cost, lookup_tag, self.cost, self.schema.name)
 
     def heap_tuples(self) -> int:
         """Number of tuples retained on the heap — feeds the GC-pressure

@@ -37,7 +37,7 @@ __all__ = ["HashKeyStore", "HashIndexStore", "ArrayOfHashSetsStore"]
 class HashKeyStore(TableStore):
     """Keyed table as a hash map key → tuple (HashMap analogue).
 
-    Requires a primary key.  ``select`` is O(1) when the key is fully
+    Requires a primary key.  A select is O(1) when the key is fully
     bound, otherwise a scan.
     """
 
@@ -104,7 +104,6 @@ class HashKeyStore(TableStore):
         """Fully-bound key shapes become a single dict probe; when the
         shape binds *exactly* the key (no ranges), every hit matches by
         construction and only the residual ``where`` runs."""
-        cost, tag = self.lookup_cost_for(query)
         if query.key_if_fully_bound() is not None:
             key_idx = self.schema.key_indexes
             data = self._data
@@ -125,7 +124,7 @@ class HashKeyStore(TableStore):
                         return [t]
                     return []
 
-            return PreparedSelect(run, cost, tag, self.cost, self.schema.name)
+            return self._priced(run)
         return super().prepare(query)
 
 
@@ -205,26 +204,12 @@ class HashIndexStore(TableStore):
         # retraction-exact: bucket membership and size stay consistent
         return self.discard(tup)
 
-    def select(self, query: Query) -> Iterator[JTuple]:
-        bound = query.eq_on(self.index_fields)
-        if bound is not None:
-            bucket = self._buckets.get(bound, ())
-            yield from query.filter(bucket)
-            return
-        key = query.key_if_fully_bound()
-        if key is not None:
-            t = self.lookup_key(key)
-            if t is not None and query.matches(t):
-                yield t
-            return
-        yield from query.filter(self.scan())
-
     def prepare(self, query: Query) -> PreparedSelect:
         """Index-covered shapes resolve to their bucket probe once.  A
         shape binding exactly the index fields (no ranges) skips the
         per-tuple eq re-check entirely: bucket members share those
-        values by construction."""
-        cost, tag = self.lookup_cost_for(query)
+        values by construction.  Anything else is the base store's key
+        probe or scan."""
         pos = self._positions
         eq = query.eq
         if all(p in eq for p in pos):
@@ -248,7 +233,7 @@ class HashIndexStore(TableStore):
                         return []
                     return [t for t in bucket if q.matches(t)]
 
-            return PreparedSelect(run, cost, tag, self.cost, self.schema.name)
+            return self._priced(run)
         return super().prepare(query)
 
 
@@ -331,18 +316,10 @@ class ArrayOfHashSetsStore(TableStore):
             return True
         return False
 
-    def select(self, query: Query) -> Iterator[JTuple]:
-        if self._pos in query.eq:
-            slot = self._slot(query.eq[self._pos])
-            yield from query.filter(slot)
-            return
-        yield from query.filter(self.scan())
-
     def prepare(self, query: Query) -> PreparedSelect:
         """Slot-covered shapes resolve to the array probe once; a shape
         binding only the slot field (no ranges) needs just the residual
         ``where`` — slot members share the slot value by construction."""
-        cost, tag = self.lookup_cost_for(query)
         pos = self._pos
         if pos in query.eq:
             if len(query.eq) == 1 and not query.ranges:
@@ -362,5 +339,5 @@ class ArrayOfHashSetsStore(TableStore):
                     slot = self._slot(q.eq[pos])
                     return [t for t in slot if q.matches(t)]
 
-            return PreparedSelect(run, cost, tag, self.cost, self.schema.name)
+            return self._priced(run)
         return super().prepare(query)

@@ -10,15 +10,16 @@ and maintains the secondary indexes of an index plan (see
   field, pruning the bucket with binary search for ``ranges``
   constraints on that field.
 
-``select`` picks the most selective usable index and filters the
-candidates through :meth:`~repro.core.query.Query.matches` — the index
-only narrows the candidate set, so residual ``where`` predicates and
-extra constraints stay correct.  Queries no index serves fall back to
-the base store's own ``select`` (which still exploits a fully-bound
-primary key).  §1.3 determinism note: every index path yields results
-sorted by tuple values, the same order the default tree/skip-list
-stores produce, so switching ``index_mode`` cannot perturb downstream
-iteration order (and hence output bytes).
+``prepare`` picks the most selective usable index for a query shape
+and filters the candidates through
+:meth:`~repro.core.query.Query.matches` — the index only narrows the
+candidate set, so residual ``where`` predicates and extra constraints
+stay correct.  Shapes no index serves fall back to the base store's own
+prepared select (which still exploits a fully-bound primary key).
+§1.3 determinism note: every index path yields results sorted by tuple
+values, the same order the default tree/skip-list stores produce, so
+switching ``index_mode`` cannot perturb downstream iteration order (and
+hence output bytes).
 
 :class:`IndexingRegistry` is the :class:`~repro.gamma.base.StoreRegistry`
 decorator that applies a plan when the engine builds the database.
@@ -172,7 +173,7 @@ class IndexedStore(TableStore):
 
     Everything the base store guarantees (set semantics, key invariant
     support, scan order) is delegated; this wrapper only adds index
-    maintenance on mutation and an index-first ``select`` path.
+    maintenance on mutation and an index-first access path.
     """
 
     def __init__(self, base: TableStore, specs: tuple[IndexSpec, ...]):
@@ -264,70 +265,41 @@ class IndexedStore(TableStore):
                 best, best_score = ix, score
         return best
 
-    def select(self, query: Query) -> Iterator[JTuple]:
-        if query.key_if_fully_bound() is not None:
-            self.key_hits += 1
-            yield from self.base.select(query)
-            return
-        ix = self._plan_query(query)
-        if ix is None:
-            self.scan_fallbacks += 1
-            yield from self.base.select(query)
-            return
-        self.index_hits[ix.spec] += 1
-        # candidates are bucket-sorted; a sorted index orders by the
-        # range field first, so re-sort by values to keep the §1.3
-        # deterministic yield order of the default stores
-        for tup in sorted(ix.candidates(query), key=lambda t: t.values):
-            if query.matches(tup):
-                yield tup
-
-    def lookup_cost_for(self, query: Query) -> tuple[float, str]:
-        if query.key_if_fully_bound() is not None:
-            return self.base.lookup_cost_for(query)
-        ix = self._plan_query(query)
-        if ix is None:
-            return (self.base.cost.lookup_cost, "lookup")
-        return (min(ix.probe_cost, self.base.cost.lookup_cost), "ixlookup")
-
     def prepare(self, query: Query) -> PreparedSelect:
-        """Index selection per *shape* instead of per select: the key /
-        index / fallback decision of :meth:`select` (and the matching
-        cost of :meth:`lookup_cost_for`) only reads constrained
-        positions.  Each runner bumps exactly the hit counter the
-        per-call path would, so the advisor's report is unchanged."""
-        name = self.schema.name
+        """Key, index or fallback, chosen per *shape*: the decision
+        only reads constrained positions.  A fully bound key and a
+        shape no index serves go to the base store's own prepared
+        select, bound once; an index-served shape is priced as the
+        cheaper ``ixlookup``.  Each runner bumps the hit counter of its
+        path, which is what the advisor's report reads."""
         base = self.base
-        if query.key_if_fully_bound() is not None:
-            cost, tag = base.lookup_cost_for(query)
+        keyed = query.key_if_fully_bound() is not None
+        ix = None if keyed else self._plan_query(query)
+        if ix is None:
+            base_run = base.prepare(query).run
 
             def run(q: Query) -> list[JTuple]:
-                self.key_hits += 1
-                return list(base.select(q))
-
-        else:
-            ix = self._plan_query(query)
-            if ix is None:
-                cost, tag = base.cost.lookup_cost, "lookup"
-
-                def run(q: Query) -> list[JTuple]:
+                if keyed:
+                    self.key_hits += 1
+                else:
                     self.scan_fallbacks += 1
-                    return list(base.select(q))
+                return base_run(q)
 
-            else:
-                cost, tag = min(ix.probe_cost, base.cost.lookup_cost), "ixlookup"
-                hits = self.index_hits
-                spec = ix.spec
+            return self._priced(run)
+        hits = self.index_hits
+        spec = ix.spec
+        candidates = ix.candidates
 
-                def run(q: Query, _ix=ix) -> list[JTuple]:
-                    hits[spec] += 1
-                    return [
-                        t
-                        for t in sorted(_ix.candidates(q), key=lambda t: t.values)
-                        if q.matches(t)
-                    ]
+        def run(q: Query) -> list[JTuple]:
+            hits[spec] += 1
+            # candidates are bucket-sorted; a sorted index orders by the
+            # range field first, so re-sort by values to keep the §1.3
+            # deterministic yield order of the default stores
+            return [
+                t for t in sorted(candidates(q), key=lambda t: t.values) if q.matches(t)
+            ]
 
-        return PreparedSelect(run, cost, tag, self.cost, name)
+        return self._priced(run, min(ix.probe_cost, base.cost.lookup_cost), "ixlookup")
 
     # -- reporting -----------------------------------------------------------
 

@@ -81,64 +81,28 @@ class TreeSetStore(TableStore):
         # retraction-exact: discard already unwinds the key index too
         return self.discard(tup)
 
-    def select(self, query: Query) -> Iterator[JTuple]:
-        key = query.key_if_fully_bound()
-        if key is not None:
-            t = self.lookup_key(key)
-            if t is not None and query.matches(t):
-                yield t
-            return
-        # Longest all-equality prefix of the field order -> range scan.
-        k = 0
-        while k in query.eq:
-            k += 1
-        if k == 0:
-            yield from query.filter(self._map.values())
-            return
-        prefix = tuple(query.eq[i] for i in range(k))
-        for values, tup in self._map.items_from(prefix):
-            if values[:k] != prefix:
-                break
-            if query.matches(tup):
-                yield tup
-
     def prepare(self, query: Query) -> PreparedSelect:
-        """Shape-resolved select: the key-vs-prefix-vs-scan decision of
-        :meth:`select` depends only on which positions are constrained,
-        so make it once and hand back a runner for that path."""
-        cost, tag = self.lookup_cost_for(query)
-        if query.key_if_fully_bound() is not None:
-            key_idx = self.schema.key_indexes
+        """The longest all-equality prefix of the field order becomes
+        an ordered range scan; a fully bound key, or no prefix at all,
+        is the base store's key probe / full scan."""
+        n = 0
+        while n in query.eq:
+            n += 1
+        if n == 0 or query.key_if_fully_bound() is not None:
+            return super().prepare(query)
+        items_from = self._map.items_from
 
-            def run(q: Query) -> list[JTuple]:
-                t = self.lookup_key(tuple(q.eq[i] for i in key_idx))
-                if t is not None and q.matches(t):
-                    return [t]
-                return []
+        def run(q: Query) -> list[JTuple]:
+            prefix = tuple(q.eq[i] for i in range(n))
+            out: list[JTuple] = []
+            for values, tup in items_from(prefix):
+                if values[:n] != prefix:
+                    break
+                if q.matches(tup):
+                    out.append(tup)
+            return out
 
-        else:
-            k = 0
-            while k in query.eq:
-                k += 1
-            if k == 0:
-
-                def run(q: Query) -> list[JTuple]:
-                    return [t for t in self._map.values() if q.matches(t)]
-
-            else:
-                n = k
-
-                def run(q: Query) -> list[JTuple]:
-                    prefix = tuple(q.eq[i] for i in range(n))
-                    out: list[JTuple] = []
-                    for values, tup in self._map.items_from(prefix):
-                        if values[:n] != prefix:
-                            break
-                        if q.matches(tup):
-                            out.append(tup)
-                    return out
-
-        return PreparedSelect(run, cost, tag, self.cost, self.schema.name)
+        return self._priced(run)
 
 
 class ConcurrentSkipListStore(TreeSetStore):

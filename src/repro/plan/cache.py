@@ -9,9 +9,14 @@ firing.  The :class:`PlanCache` closes that gap:
 * each distinct call shape — ``(schema, kind, #positional, named eq
   fields, range forms)`` — compiles once into a
   :class:`~repro.plan.compile.CompiledQueryPlan`;
-* prepared store selects are memoised separately by *constraint
-  positions*, so e.g. a POSITIVE ``get`` and a NEGATIVE ``absent`` on
-  the same fields share one resolved access path;
+* prepared selects are memoised separately by *constraint positions*,
+  so e.g. a POSITIVE ``get`` and a NEGATIVE ``absent`` on the same
+  fields share one resolved access path — resolved by the one function
+  the cache is built with: the table's own
+  :meth:`~repro.gamma.base.TableStore.prepare` on a single node, a
+  shard's routed prepare (:class:`repro.dist.superstep.Shard`) on a
+  cluster, so *where* a shape's rows live is part of its access path
+  and no reader of a plan can tell;
 * at construction (i.e. at ``Program.freeze()`` time, when the engine
   builds its database) the cache pre-resolves every query shape the
   program's rule metadata declares — the same
@@ -22,7 +27,7 @@ firing.  The :class:`PlanCache` closes that gap:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.query import Query, QueryKind, build_query
 from repro.gamma.base import PreparedSelect
@@ -39,11 +44,18 @@ __all__ = ["PlanCache"]
 class PlanCache:
     """Compiled query plans for one engine run (one database)."""
 
-    __slots__ = ("_db", "_decls", "_plans", "_prepared")
+    __slots__ = ("_schemas", "_decls", "_plans", "_prepare", "_prepared")
 
-    def __init__(self, db: "Database", program: "Program"):
-        self._db = db
+    def __init__(
+        self,
+        db: "Database",
+        program: "Program",
+        prepare: Callable[[Query], PreparedSelect] | None = None,
+    ):
+        self._schemas = db._schemas
         self._decls = program.decls
+        #: shape probe -> access path; the only place a plan meets a store
+        self._prepare = prepare or (lambda q: db.store(q.schema.name).prepare(q))
         self._plans: dict[tuple, CompiledQueryPlan] = {}
         # (schema, frozenset eq positions, frozenset range positions)
         # -> PreparedSelect; shared across kinds and call styles
@@ -65,7 +77,7 @@ class PlanCache:
         are unknown statically; every decision a ``prepare`` makes (key
         coverage, index choice) depends only on the constrained
         *positions*, so ``None`` placeholders suffice."""
-        schema = self._db._schemas.get(pattern.table)
+        schema = self._schemas.get(pattern.table)
         if schema is None:  # pragma: no cover - patterns name own tables
             return
         try:
@@ -76,10 +88,14 @@ class PlanCache:
             }
         except Exception:  # stale metadata must not break the run
             return
-        probe = Query(schema, eq, rng, None, QueryKind.POSITIVE)
-        pkey = (schema, frozenset(eq), frozenset(rng))
-        if pkey not in self._prepared:
-            self._prepared[pkey] = self._db.store(schema.name).prepare(probe)
+        self._prepared_for(Query(schema, eq, rng, None, QueryKind.POSITIVE))
+
+    def _prepared_for(self, probe: Query) -> PreparedSelect:
+        pkey = (probe.schema, frozenset(probe.eq), frozenset(probe.ranges))
+        prepared = self._prepared.get(pkey)
+        if prepared is None:
+            prepared = self._prepared[pkey] = self._prepare(probe)
+        return prepared
 
     # -- the per-call entry point -----------------------------------------
 
@@ -112,10 +128,4 @@ class PlanCache:
         # the generic builder runs once so its validation (unknown
         # fields, twice-constrained, eq+range conflicts) still applies
         probe = build_query(table, *prefix, where=where, ranges=ranges, kind=kind, **eq)
-        schema = probe.schema
-        pkey = (schema, frozenset(probe.eq), frozenset(probe.ranges))
-        prepared = self._prepared.get(pkey)
-        if prepared is None:
-            prepared = self._db.store(schema.name).prepare(probe)
-            self._prepared[pkey] = prepared
-        return CompiledQueryPlan(probe, ranges, self._decls, prepared)
+        return CompiledQueryPlan(probe, ranges, self._decls, self._prepared_for(probe))

@@ -212,8 +212,8 @@ class CompiledQueryPlan:
         self.stat_shape = (self.table_name, self.stat_eq_fields, self.stat_range_fields)
         self.bound = compile_bound(schema, probe, decls)
         # rule name -> [n_queries, n_results]; the context bumps these
-        # inline per firing and the collector absorbs them once at run
-        # end (same totals as per-call on_query, none of its dict churn)
+        # inline per firing and the collector absorbs them at settle
+        # time (one list bump per query, no per-call dict churn)
         self.rule_hits: dict[str, list] = {}
 
     def build(

@@ -150,29 +150,12 @@ class StatsCollector:
         key = (rule, table)
         self.put_edges[key] = self.put_edges.get(key, 0) + n
 
-    def on_query(
-        self,
-        rule: str,
-        table: str,
-        n_results: int,
-        eq_fields: tuple[str, ...] = (),
-        range_fields: tuple[str, ...] = (),
-    ) -> None:
-        t = self.table(table)
-        t.queries += 1
-        t.results += n_results
-        key = (rule, table)
-        self.query_edges[key] = self.query_edges.get(key, 0) + 1
-        shape = (table, eq_fields, range_fields)
-        self.query_shapes[shape] = self.query_shapes.get(shape, 0) + 1
-        rshape = (rule, table, eq_fields, range_fields)
-        self.rule_query_shapes[rshape] = self.rule_query_shapes.get(rshape, 0) + 1
-
     def absorb_planned(self, plans) -> None:
         """Fold the per-plan query tallies (see
         :attr:`~repro.plan.compile.CompiledQueryPlan.rule_hits`) into the
-        collector — called once at run end; totals are identical to
-        having routed every planned query through :meth:`on_query`."""
+        collector and reset them — called at settle time, and the only
+        way query counts reach it: every tier, sharded or not, counts a
+        query on the plan that served it."""
         for plan in plans:
             if not plan.rule_hits:
                 continue
@@ -192,6 +175,7 @@ class StatsCollector:
                 self.query_shapes.get(shape, 0)
                 + sum(h[0] for h in plan.rule_hits.values())
             )
+            plan.rule_hits.clear()
 
     def absorb_tallies(
         self,

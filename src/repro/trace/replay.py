@@ -106,7 +106,6 @@ class TraceReplayer:
             threads=int(self.config.get("threads", 1)),
             chaos_seed=self.config.get("chaos_seed"),
             fault_plan=FaultPlan.from_dict(fp) if fp else None,
-            task_granularity=self.config.get("task_granularity", "tuple"),
             trace=True,
         )
 

@@ -37,9 +37,8 @@ class TestEventDriven:
         [
             ExecOptions(strategy="forkjoin", threads=8),
             ExecOptions(strategy="threads", threads=3),
-            ExecOptions(strategy="forkjoin", threads=4, task_granularity="rule"),
         ],
-        ids=["forkjoin", "threads", "per-rule"],
+        ids=["forkjoin", "threads"],
     )
     def test_strategy_independent(self, opts):
         assert run_sensors(options=opts).output == run_sensors().output

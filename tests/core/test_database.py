@@ -77,12 +77,6 @@ class TestQueriesAndSizes:
         got = db.select(build_query(Plain, 1))
         assert sorted(t.y for t in got) == [1, 3]
 
-    def test_iter_select_lazy(self, env):
-        db, _, Plain = env
-        db.insert(Plain.new(0, 1))
-        it = db.iter_select(build_query(Plain))
-        assert next(it).y == 1
-
     def test_sizes(self, env):
         db, Keyed, Plain = env
         db.insert(Keyed.new(1, 1))

@@ -37,6 +37,7 @@ from repro.core.program import RetentionHint
 from repro.dist import run_distributed, run_sharded
 from repro.exec.chaos import FaultPlan
 from repro.gamma import HashKeyStore
+from repro.simcore.gc import NO_GC
 from repro.trace import trace_diff
 
 CANONICAL = re.compile(r"^invalid ExecOptions: \S.* -- \S.*$")
@@ -48,8 +49,6 @@ MATRIX = [
       "sequential, forkjoin, threads, chaos, processes"]),
     (dict(causality_check="maybe"),
      ["causality_check='maybe'", "off, warn, strict"]),
-    (dict(task_granularity="batch"),
-     ["task_granularity='batch'", "tuple, rule"]),
     (dict(threads=0), ["threads=0", ">= 1"]),
     (dict(strategy="threads", threads=-2), ["threads=-2"]),
     (dict(index_mode="magic"),
@@ -76,9 +75,6 @@ MATRIX = [
      ["retraction=True", "no_gamma=['U']", "fully tracked state"]),
     (dict(retraction=True, retention={"T": RetentionHint("gen", 2)}),
      ["retraction=True", "retention=['T']", "retention hints"]),
-    (dict(retraction=True, task_granularity="rule"),
-     ["retraction=True", "task_granularity='rule'",
-      "task_granularity='tuple'"]),
     (dict(retraction=True, strategy="processes"),
      ["retraction=True", "strategy='processes'", "multiprocess"]),
     (dict(execution="vectorized"),
@@ -148,11 +144,11 @@ def test_removed_plan_cache_option_is_not_a_field():
         ExecOptions(plan_cache=False)
 
 
-@pytest.mark.parametrize("knob", ["coalesce_steps", "collect_stats"])
+@pytest.mark.parametrize("knob", ["coalesce_steps", "collect_stats", "task_granularity"])
 def test_removed_knob_is_not_a_field(knob):
     with pytest.raises(TypeError):
         ExecOptions(**{knob: True})
-    assert len(fields(ExecOptions)) == 20
+    assert len(fields(ExecOptions)) == 19
 
 
 # -- registry resolution: one table decides the kernel's tier ----------------
@@ -210,7 +206,6 @@ def test_registry_resolves_executor_and_notes_downgrades(kwargs, tier, note):
 KNOB_POOL = [
     dict(retraction=True),
     dict(strategy="processes"),
-    dict(task_granularity="rule"),
     dict(strategy="threads", threads=2),
     dict(strategy="forkjoin", threads=2),
     dict(strategy="chaos", chaos_seed=3),
@@ -227,7 +222,7 @@ SHARDED_KNOBS = [
     dict(threads=3),
     dict(no_delta=frozenset({"Ship"})),
     dict(no_gamma=frozenset({"Ship"})),
-    dict(task_granularity="rule"),
+    dict(gc_model=NO_GC),  # virtual-time calibration: no shard consumes it
     dict(retention={"Ship": RetentionHint("frame", 2)}),
     dict(store_overrides={"Ship": HashKeyStore}),
     dict(index_mode="auto"),

@@ -1,9 +1,7 @@
-"""Tests for the §5.2 'additional parallelism' extensions and the §5
+"""Tests for the §5.2 'additional parallelism' extension and the §5
 step-4 lifetime hints — the paper's listed-but-unexploited headroom,
 implemented here as opt-in features.
 
-* per-rule task granularity ("we could create one task per rule that
-  is triggered");
 * in-rule parallel reducer loops (``ctx.par_reduce``: tree-combined,
   metered as divisible work);
 * :class:`RetentionHint` Gamma pruning ("use manual lifetime hints from
@@ -22,87 +20,6 @@ from repro.core import (
     Statistics,
     SumReducer,
 )
-
-
-def fanout_program():
-    """One table whose tuples trigger THREE rules."""
-    p = Program("fanout")
-    Src = p.table("Src", "int i", orderby=("A", "par i"))
-    Out = p.table("Out", "int rule_id, int i", orderby=("B", "par i"))
-    p.order("A", "B")
-
-    for rid in range(3):
-        @p.foreach(Src, name=f"r{rid}")
-        def r(ctx, s, rid=rid):
-            ctx.put(Out.new(rid, s.i))
-            ctx.charge(50.0)
-
-    for i in range(6):
-        p.put(Src.new(i))
-    return p
-
-
-class TestPerRuleTasks:
-    def test_same_output_both_granularities(self):
-        a = fanout_program().run(ExecOptions())
-        b = fanout_program().run(ExecOptions(task_granularity="rule"))
-        assert a.table_sizes == b.table_sizes == {"Src": 6, "Out": 18}
-        assert a.stats.rules["r0"].firings == b.stats.rules["r0"].firings == 6
-
-    def test_more_tasks_created(self):
-        tup = fanout_program().run(ExecOptions(strategy="forkjoin", threads=4))
-        rule = fanout_program().run(
-            ExecOptions(strategy="forkjoin", threads=4, task_granularity="rule")
-        )
-        # 6 Src tuples x 3 rules = 18 tasks vs 6 (plus the Out batch)
-        assert rule.report.tasks > tup.report.tasks
-
-    def test_exposes_more_parallelism(self):
-        """With fewer tuples than cores, per-rule tasks beat per-tuple
-        tasks because the three rules of one tuple can spread out."""
-        def run(gran):
-            p = Program("narrow")
-            Src = p.table("Src", "int i", orderby=("A", "par i"))
-            for rid in range(4):
-                @p.foreach(Src, name=f"r{rid}")
-                def r(ctx, s, rid=rid):
-                    ctx.charge(200.0)
-            p.put(Src.new(0))  # a single tuple
-            return p.run(
-                ExecOptions(strategy="forkjoin", threads=4, task_granularity=gran)
-            ).virtual_time
-
-        assert run("rule") < run("tuple")
-
-    def test_duplicates_still_skipped(self):
-        p = Program("dups")
-        Src = p.table("Src", "int i", orderby=("A", "par i"))
-        Out = p.table("Out", "int v", orderby=("B",))
-        p.order("A", "B")
-        fired = []
-
-        @p.foreach(Src)
-        def emit(ctx, s):
-            ctx.put(Out.new(7))
-
-        @p.foreach(Out)
-        def record(ctx, o):
-            fired.append(o.v)
-
-        for i in range(5):
-            p.put(Src.new(i))
-        p.run(ExecOptions(task_granularity="rule"))
-        assert fired == [7]
-
-    def test_threads_strategy_compatible(self):
-        a = fanout_program().run(
-            ExecOptions(strategy="threads", threads=3, task_granularity="rule")
-        )
-        assert a.table_sizes["Out"] == 18
-
-    def test_invalid_granularity_rejected(self):
-        with pytest.raises(EngineError):
-            ExecOptions(task_granularity="cell")
 
 
 class TestParReduce:

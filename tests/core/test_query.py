@@ -64,10 +64,6 @@ class TestBuildQuery:
     def test_default_kind_positive(self, PvWatts):
         assert build_query(PvWatts).kind is QueryKind.POSITIVE
 
-    def test_with_kind(self, PvWatts):
-        q = build_query(PvWatts).with_kind(QueryKind.NEGATIVE)
-        assert q.kind is QueryKind.NEGATIVE
-
 
 class TestMatching:
     def test_eq_match(self, PvWatts):
@@ -91,7 +87,7 @@ class TestMatching:
     def test_filter(self, PvWatts):
         tuples = [PvWatts.new(2012, m, 1, "h", m) for m in range(1, 5)]
         q = build_query(PvWatts, ranges={"month": {"le": 2}})
-        assert [t.month for t in q.filter(tuples)] == [1, 2]
+        assert [t.month for t in tuples if q.matches(t)] == [1, 2]
 
 
 class TestKeyBinding:

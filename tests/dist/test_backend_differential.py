@@ -70,10 +70,38 @@ def wide_program() -> Program:
     return p
 
 
+def float_partition_program() -> Program:
+    """A rule puts floats a later class looks up by the equal ints:
+    ``-3 == -3.0`` is one Gamma entry, so wherever ``T`` is partitioned
+    on ``v`` the partition hash must send both to one node (the
+    partition-on-last-field placement does; the hash used to split
+    negative and >= 2**31 integral floats from their ints)."""
+    p = Program("float-partition")
+    Seed = p.table("Seed", "int k", orderby=("A",))
+    T = p.table("T", "float v", orderby=("B",))
+    Ask = p.table("Ask", "int k", orderby=("C",))
+    p.order("A", "B")
+    p.order("B", "C")
+
+    @p.foreach(Seed)
+    def seed(ctx, s):
+        ctx.put(T.new(-3.0))
+        ctx.put(T.new(float(2**40)))
+        ctx.put(Ask.new(s.k))
+
+    @p.foreach(Ask)
+    def ask(ctx, a):
+        ctx.println(len(ctx.get(T, v=-3)), len(ctx.get(T, v=2**40)))
+
+    p.put(Seed.new(0))
+    return p
+
+
 def colocated_program() -> Program:
-    """Every query binds the trigger's own partition value, which the
-    rule's metadata lets ``check_locality`` prove (``static_local``);
-    the *puts* are what cross shards (``k`` -> ``k + 1``)."""
+    """Every query binds the trigger's own partition value, so routing
+    it by value reaches the firing node itself — nothing on trust, no
+    rule metadata consulted at run time; the *puts* are what cross
+    shards (``k`` -> ``k + 1``)."""
     p = Program("colocated")
     Cell = p.table("Cell", "int k -> int v", orderby=("A", "seq k"))
     Visit = p.table("Visit", "int k, int hop", orderby=("B", "seq hop"))
@@ -101,6 +129,7 @@ def colocated_program() -> Program:
 PROGRAMS = {
     "colocated": lambda csv: colocated_program(),
     "counter": lambda csv: counter_program(),
+    "float-partition": lambda csv: float_partition_program(),
     "remote-probe": lambda csv: remote_probe_program()[0],
     "broadcast": lambda csv: broadcast_program()[0],
     "shortestpath": lambda csv: build_shortestpath_program(GraphSpec(40, 60, 3), 4).program,
@@ -130,6 +159,17 @@ def _rule_counts(stats) -> dict:
     return {name: (r.firings, r.puts, r.output_lines) for name, r in stats.rules.items()}
 
 
+def _query_counts(stats) -> tuple:
+    """The read side of a run's stats.  Every tier counts a query on
+    the plan that served it, so where the shards' counts come home from
+    (in-process plan caches, a worker's ``bye``) must not show."""
+    return (
+        {name: (t.queries, t.results) for name, t in stats.tables.items()},
+        stats.query_edges,
+        stats.rule_query_shapes,
+    )
+
+
 def _agree(name, kind, n, csv, *, trace=False, **mesh_kw):
     """Run one case on the sequential engine, the cost model and the
     mesh, check everything the program computes, and hand the three
@@ -150,6 +190,7 @@ def _agree(name, kind, n, csv, *, trace=False, **mesh_kw):
     assert mesh.table_sizes == seq.table_sizes
     assert sim.steps == mesh.steps == seq.steps
     assert _rule_counts(sim.stats) == _rule_counts(mesh.stats) == _rule_counts(seq.stats)
+    assert _query_counts(sim.stats) == _query_counts(mesh.stats) == _query_counts(seq.stats)
     # the simulated shards jointly hold exactly the control replica
     pm = PlacementMap(program.schemas(), placements, n_nodes=n)
     for table, total in seq.table_sizes.items():
@@ -170,9 +211,9 @@ def test_backends_agree_with_sequential(name, kind, n, pvwatts_csv):
     if kind == "replicated":
         assert served == 0  # every node holds every row
     if (name, kind) == ("colocated", "default"):
-        # check_locality proved every query local, so only the handshake
-        # crosses the mesh — while the firings, and the puts that chain
-        # them, visit every node
+        # every query's home is the node that fires it, so only the
+        # handshake crosses the mesh — while the firings, and the puts
+        # that chain them, visit every node
         assert served == 0
         assert all(nd["fires"] for nd in mesh.nodes)
 
@@ -255,6 +296,30 @@ def test_max_steps_overrun_raises_the_kernels_error(transport):
             run()
         assert str(err.value) == str(seq.value)
     assert multiprocessing.active_children() == []
+
+
+def test_routing_is_resolved_per_query_shape_not_per_query(monkeypatch):
+    """A shard takes the placement's verdict when a query shape
+    compiles — once per (shard, table, constrained positions), warmed
+    shapes included — and never while a rule runs: the count does not
+    grow with the graph (it used to be taken for every routed query)."""
+    calls = []
+    verdict = PlacementMap.query_verdict
+
+    def counted(self, table, eq_fields):
+        calls.append((table, tuple(eq_fields)))
+        return verdict(self, table, eq_fields)
+
+    monkeypatch.setattr(PlacementMap, "query_verdict", counted)
+    taken = []
+    for spec in (GraphSpec(40, 60, 3), GraphSpec(80, 160, 3)):
+        del calls[:]
+        sim = run_distributed(build_shortestpath_program(spec, 4).program, n_nodes=2)
+        assert sim.remote_queries > len(calls)
+        # two range variants of Done(vertex) share one (table, eq) pair
+        assert len(calls) <= 2 * 2 * len(set(calls))
+        taken.append(sorted(calls))
+    assert taken[0] == taken[1]
 
 
 def test_broadcast_gather_is_in_single_node_value_order():

@@ -253,9 +253,9 @@ class TestWiring:
         p = counter_program()
         with pytest.raises(
             EngineError,
-            match="invalid ExecOptions: strategy='processes', task_granularity='rule'",
+            match=r"invalid ExecOptions: strategy='processes', no_delta=\['T'\]",
         ):
-            run_sharded(p, ExecOptions(task_granularity="rule"), n_workers=2)
+            run_sharded(p, ExecOptions(no_delta=frozenset({"T"})), n_workers=2)
         assert not p._frozen
         assert multiprocessing.active_children() == []
         # metering="off" is what the sharded tier does anyway: honoured,

@@ -57,15 +57,9 @@ class TestCharging:
     def test_sequential_store_no_shared(self):
         schema = TableSchema("T", "int x")
         m = CostMeter()
-        m.charge_store_op("lookup", TreeSetStore(schema))
+        m.charge_store_op("insert", TreeSetStore(schema))
         assert m.shared == {}
-        assert m.count("gamma_lookup:T") == 1
-
-    def test_result_op(self):
-        schema = TableSchema("T", "int x")
-        m = CostMeter()
-        m.charge_store_op("result", TreeSetStore(schema), n=10)
-        assert m.count("gamma_result:T") == 10
+        assert m.count("gamma_insert:T") == 1
 
 
 class TestAggregation:

@@ -203,10 +203,9 @@ class TestIndexedStoreBasics:
         store = IndexedStore(base, (IndexSpec(("b",)),))
         served = build_query(schema, b=1)
         unserved = build_query(schema, where=lambda t: True)
-        cost_ix, tag_ix = store.lookup_cost_for(served)
-        cost_scan, tag_scan = store.lookup_cost_for(unserved)
-        assert tag_ix == "ixlookup" and tag_scan == "lookup"
-        assert cost_ix < cost_scan == base.cost.lookup_cost
+        ix, scan = store.prepare(served), store.prepare(unserved)
+        assert ix.lookup_tag == "ixlookup" and scan.lookup_tag == "lookup"
+        assert ix.lookup_cost < scan.lookup_cost == base.cost.lookup_cost
 
     def test_usage_counters(self):
         schema = keyed_schema()

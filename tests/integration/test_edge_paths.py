@@ -32,14 +32,6 @@ class TestRetentionCombos:
         )
         assert r.table_sizes["T"] == 6  # last two generations x 3 lanes
 
-    def test_retention_with_rule_granularity(self):
-        r = self._program().run(
-            ExecOptions(
-                task_granularity="rule", retention={"T": RetentionHint("gen", 1)}
-            )
-        )
-        assert {t.gen for t in r.database.store("T").scan()} == {6}
-
     def test_retention_with_nodelta(self):
         """-noDelta cascades insert mid-step; pruning still converges."""
         r = self._program().run(

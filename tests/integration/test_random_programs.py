@@ -80,7 +80,6 @@ def test_all_strategies_agree(spec):
     configs = [
         ExecOptions(strategy="forkjoin", threads=1, max_steps=500),
         ExecOptions(strategy="forkjoin", threads=8, max_steps=500),
-        ExecOptions(strategy="forkjoin", threads=8, task_granularity="rule", max_steps=500),
         ExecOptions(strategy="threads", threads=3, max_steps=500),
     ]
     for opts in configs:

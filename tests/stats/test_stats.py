@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import networkx as nx
 
 from repro.core import ExecOptions, Program
@@ -47,7 +49,10 @@ class TestCollector:
         c.on_step(2)
         c.on_fire("T", "r")
         c.on_put("r", "U", 3)
-        c.on_query("r", "T", 7)
+        # query counts arrive one way: folded from the plans that served them
+        plan = SimpleNamespace(stat_shape=("T", (), ()), rule_hits={"r": [1, 7]})
+        c.absorb_planned([plan])
+        assert not plan.rule_hits
         assert c.steps == 2 and c.max_batch == 5
         assert c.tables["T"].triggers == 1
         assert c.rules["r"].firings == 1 and c.rules["r"].puts == 3
