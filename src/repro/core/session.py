@@ -285,11 +285,11 @@ class EngineSession:
 
         payload = build_snapshot(self, extra)
         if dest is not None:
+            text = json.dumps(payload)  # the C encoder; json.dump is iterencode
             if isinstance(dest, (str, Path)):
-                with open(dest, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh)
+                Path(dest).write_text(text, encoding="utf-8")
             else:
-                json.dump(payload, dest)
+                dest.write(text)
         return payload
 
     @classmethod

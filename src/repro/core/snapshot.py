@@ -226,7 +226,7 @@ def build_snapshot(session, extra: Any = None) -> dict:
             "out_cursor": session._out_cursor,
             "step_cursor": session._step_cursor,
             "fed_since_settle": session._fed_since_settle,
-            "wall": session._wall,
+            "wall": f"{session._wall:017.6f}",  # measured: fixed width, size follows inputs
         },
     }
 

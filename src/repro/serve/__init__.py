@@ -3,9 +3,10 @@
 PR 4's resumable sessions and PR 6's retraction, assembled into a
 server: an asyncio TCP frontend (length-prefixed JSON frames, see
 :mod:`repro.serve.protocol`) multiplexing many concurrent tenant
-:class:`~repro.core.EngineSession`s with per-tenant snapshot-backed
-durability, sequence-numbered exactly-once feed admission, admission
-control with explicit backpressure, and per-tenant statistics.
+:class:`~repro.core.EngineSession`s with per-tenant durability (a
+write-ahead log compacted into snapshots), sequence-numbered
+exactly-once feed admission, admission control with explicit
+backpressure, and per-tenant statistics.
 
 Quick taste::
 

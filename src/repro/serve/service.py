@@ -21,13 +21,15 @@ Architecture
   :class:`OverloadedError`) and touch nothing — the backpressure
   contract is "a refusal mutates no state; the identical request is
   valid later".
-* **Durability** is per-tenant: each checkpoint atomically writes the
-  engine snapshot plus the feed sequence number it covers
-  (:mod:`repro.serve.tenant`).  ``open`` of a tenant with a durable
-  checkpoint restores it and reports ``last_seq`` so the client can
-  replay exactly the feeds the crash lost — duplicates are acknowledged
-  without re-admission, gaps are refused, which together give
-  exactly-once admission across restarts.
+* **Durability** is per-tenant (:mod:`repro.serve.tenant`): a durable
+  point fsyncs the ops applied since the last one as one line of the
+  tenant's write-ahead log, in the same executor hop as its settle; an
+  atomic snapshot of the engine state plus the feed sequence number it
+  covers is written only to compact that log.  ``open`` of a tenant
+  with durable state restores it and reports ``last_seq`` so the client
+  can replay exactly the feeds the crash lost — duplicates are
+  acknowledged without re-admission, gaps are refused, which together
+  give exactly-once admission across restarts.
 """
 
 from __future__ import annotations
@@ -76,12 +78,9 @@ class ServiceConfig:
     #: refuse single frames larger than this (never above the protocol
     #: hard cap)
     max_frame_bytes: int = MAX_FRAME_BYTES
-    #: write a checkpoint every N settles (0 = only on explicit
+    #: reach a durable point every N settles (0 = only on explicit
     #: ``snapshot`` verbs and graceful shutdown)
     checkpoint_every_settles: int = 1
-    #: additionally checkpoint after this many feeds since the last
-    #: durable point (0 = off)
-    checkpoint_every_feeds: int = 0
     #: thread-pool width for engine work
     executor_workers: int = 8
 
@@ -103,7 +102,9 @@ class ServiceStats:
     feeds: int = 0
     fed_tuples: int = 0
     settles: int = 0
-    checkpoints: int = 0
+    checkpoints: int = 0  # durable points
+    compactions: int = 0
+    durable_bytes: int = 0  # log lines + snapshots written
     restores: int = 0
     closes: int = 0
     #: structured-error responses by wire code
@@ -122,6 +123,8 @@ class ServiceStats:
             "fed_tuples": self.fed_tuples,
             "settles": self.settles,
             "checkpoints": self.checkpoints,
+            "compactions": self.compactions,
+            "durable_bytes": self.durable_bytes,
             "restores": self.restores,
             "closes": self.closes,
             "rejections": dict(sorted(self.rejections.items())),
@@ -172,7 +175,7 @@ class SessionService:
             await self._server.serve_forever()
 
     async def stop(self, checkpoint: bool = True) -> None:
-        """Graceful shutdown: stop accepting, checkpoint every live
+        """Graceful shutdown: stop accepting, compact every live
         tenant (when durability is on), release the executor."""
         self._stopping = True
         if self._server is not None:
@@ -180,11 +183,8 @@ class SessionService:
             await self._server.wait_closed()
         if checkpoint and self.config.data_dir is not None:
             for tenant in list(self.tenants.values()):
-                if tenant.session.closed:
-                    continue
-                async with self._lock_for(tenant.tenant):
-                    await self._run_engine(tenant.checkpoint)
-                    self.stats.checkpoints += 1
+                if not tenant.session.closed:
+                    await self._run_tenant(tenant, tenant.checkpoint, True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -212,31 +212,37 @@ class SessionService:
             self._pool, fn, *args
         )
 
+    async def _run_tenant(self, tenant: TenantSession, fn, *args):
+        """One verb's engine work on a live tenant: under its lock, in
+        one executor hop; the service's durable totals advance — on the
+        loop — by what the tenant's did.  A session that ends here, closed
+        by its tenant or shut down by an engine error, frees its slot; the
+        durable snapshot and log of the latter stay restorable."""
+        async with self._lock_for(tenant.tenant):
+            before = tenant.checkpoints, tenant.compactions, tenant.durable_bytes
+            try:
+                return await self._run_engine(fn, *args)
+            finally:
+                self.stats.checkpoints += tenant.checkpoints - before[0]
+                self.stats.compactions += tenant.compactions - before[1]
+                self.stats.durable_bytes += tenant.durable_bytes - before[2]
+                if tenant.session.closed:
+                    self.tenants.pop(tenant.tenant, None)
+                    self._locks.pop(tenant.tenant, None)
+
     def _live_tenant(self, msg: dict) -> TenantSession:
         tenant_id = valid_tenant_id(msg.get("tenant"))
         tenant = self.tenants.get(tenant_id)
         if tenant is None:
-            has_checkpoint = self.config.data_dir is not None and (
-                TenantSession.snapshot_path(
-                    Path(self.config.data_dir), tenant_id
-                ).exists()
-            )
             raise UnknownTenantError(
                 f"tenant {tenant_id!r} has no live session"
                 + (
                     " (a durable checkpoint exists; send open to restore it)"
-                    if has_checkpoint
+                    if TenantSession.has_durable_state(self.config.data_dir, tenant_id)
                     else ""
                 )
             )
         return tenant
-
-    def _drop_if_dead(self, tenant: TenantSession) -> None:
-        """A session shut down by an engine error frees its slot; the
-        durable checkpoint (if any) stays restorable."""
-        if tenant.session.closed:
-            self.tenants.pop(tenant.tenant, None)
-            self._locks.pop(tenant.tenant, None)
 
     # -- connection handling ---------------------------------------------------
 
@@ -332,14 +338,10 @@ class SessionService:
                 "tenants); close a tenant or retry later"
             )
 
-        data_dir = (
-            Path(self.config.data_dir) if self.config.data_dir is not None else None
-        )
+        data_dir = self.config.data_dir
         restored = False
         async with self._lock_for(tenant_id):
-            if data_dir is not None and TenantSession.snapshot_path(
-                data_dir, tenant_id
-            ).exists():
+            if TenantSession.has_durable_state(data_dir, tenant_id):
                 tenant = await self._run_engine(
                     TenantSession.restore_from_disk, tenant_id, entry, data_dir
                 )
@@ -391,21 +393,9 @@ class SessionService:
             self.stats.peak_inflight_bytes, self._inflight_bytes
         )
         try:
-            async with self._lock_for(tenant.tenant):
-                try:
-                    payload = await self._run_engine(
-                        tenant.feed, events, seq, deletes_only
-                    )
-                    if (
-                        self.config.checkpoint_every_feeds
-                        and tenant.last_seq - tenant.durable_seq
-                        >= self.config.checkpoint_every_feeds
-                    ):
-                        ck = await self._run_engine(tenant.checkpoint)
-                        self.stats.checkpoints += 1
-                        payload["durable_seq"] = ck["durable_seq"]
-                finally:
-                    self._drop_if_dead(tenant)
+            payload = await self._run_tenant(
+                tenant, tenant.feed, events, seq, deletes_only
+            )
         finally:
             self._inflight_bytes -= nbytes
         self.stats.feeds += 1
@@ -417,41 +407,19 @@ class SessionService:
 
     async def _verb_settle(self, msg: dict, nbytes: int) -> dict:
         tenant = self._live_tenant(msg)
-        async with self._lock_for(tenant.tenant):
-            try:
-                payload = await self._run_engine(tenant.settle)
-                every = self.config.checkpoint_every_settles
-                if (
-                    every
-                    and self.config.data_dir is not None
-                    and tenant.settles % every == 0
-                ):
-                    ck = await self._run_engine(tenant.checkpoint)
-                    self.stats.checkpoints += 1
-                    payload["durable_seq"] = ck["durable_seq"]
-            finally:
-                self._drop_if_dead(tenant)
+        payload = await self._run_tenant(
+            tenant, tenant.settle, self.config.checkpoint_every_settles
+        )
         self.stats.settles += 1
         return payload
 
     async def _verb_snapshot(self, msg: dict, nbytes: int) -> dict:
         tenant = self._live_tenant(msg)
-        async with self._lock_for(tenant.tenant):
-            try:
-                payload = await self._run_engine(tenant.checkpoint)
-            finally:
-                self._drop_if_dead(tenant)
-        self.stats.checkpoints += 1
-        return payload
+        return await self._run_tenant(tenant, tenant.checkpoint, True)
 
     async def _verb_close(self, msg: dict, nbytes: int) -> dict:
         tenant = self._live_tenant(msg)
-        async with self._lock_for(tenant.tenant):
-            try:
-                payload = await self._run_engine(tenant.close)
-            finally:
-                self.tenants.pop(tenant.tenant, None)
-                self._locks.pop(tenant.tenant, None)
+        payload = await self._run_tenant(tenant, tenant.close)
         self.stats.closes += 1
         return payload
 
@@ -469,8 +437,7 @@ class SessionService:
                 },
             }
         tenant = self._live_tenant(msg)
-        async with self._lock_for(tenant.tenant):
-            return await self._run_engine(tenant.stats)
+        return await self._run_tenant(tenant, tenant.stats)
 
 
 _HANDLERS = {

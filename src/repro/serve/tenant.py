@@ -6,13 +6,20 @@ carries a monotonically increasing ``seq``.  The tenant applies a feed
 only when ``seq == last_seq + 1`` — a lower ``seq`` is acknowledged as
 a duplicate without touching the engine (so client replay after a
 restart is idempotent), a gap is refused (a lost feed must not be
-papered over).  Checkpoints write the engine snapshot and the
-``last_seq`` that produced it as **one** atomic document
-(``snapshot.json``, written via temp-file + ``os.replace``), so a crash
-can never persist engine state without the sequence number that
-describes it, or vice versa.  On restart the service rebuilds the
-tenant from the document and tells the client which ``seq`` is durable;
-the client replays everything after it.
+papered over).
+
+Durable state is a base snapshot plus a write-ahead log (DESIGN §5.5).
+``feed`` and ``settle`` append their op to an in-memory open
+transaction; a durable point (:meth:`TenantSession.checkpoint`) fsyncs
+it as **one JSON line** of ``feed.log`` before the reply, so a settle
+pays for what was fed, not for what is stored.  A complete line is a
+committed transaction; a torn tail was never acknowledged.  The log is
+*compacted* into ``snapshot.json`` — engine state and the ``last_seq``
+it covers as one atomic document — at the first durable point and
+before it outgrows ``max(COMPACT_FLOOR_BYTES, last snapshot)``.  Restart
+restores the snapshot, replays every complete line through the ordinary
+``feed`` / ``settle`` and tells the client which ``seq`` is durable; the
+client replays everything after it.
 
 All methods that touch the engine are synchronous and must be
 serialised per tenant — the service runs them on its executor under a
@@ -27,7 +34,7 @@ import re
 import time
 from pathlib import Path
 
-from repro.core.errors import ProtocolError, TenantClosedError
+from repro.core.errors import JStarError, ProtocolError, TenantClosedError
 from repro.core.session import EngineSession
 from repro.serve.protocol import decode_events
 from repro.serve.registry import ProgramEntry
@@ -37,6 +44,14 @@ __all__ = ["TenantSession", "valid_tenant_id", "TENANT_ID_PATTERN"]
 #: tenant ids become directory names; anything else is refused
 TENANT_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
+#: a tenant directory's two durable files
+SNAPSHOT_FILE, LOG_FILE = "snapshot.json", "feed.log"
+#: the log is compacted before it outgrows max(this, the last snapshot)
+COMPACT_FLOOR_BYTES = 64 * 1024
+#: the shortest wire triple, ``["+","T",[]]``: what an event adds to a
+#: log line at least, so an open transaction is weighed without encoding
+MIN_EVENT_BYTES = 12
+
 
 def valid_tenant_id(tenant: object) -> str:
     if not isinstance(tenant, str) or not TENANT_ID_PATTERN.fullmatch(tenant):
@@ -45,6 +60,15 @@ def valid_tenant_id(tenant: object) -> str:
             "[A-Za-z0-9._-] starting with an alphanumeric"
         )
     return tenant
+
+
+def _fsync_dir(path: Path) -> None:
+    """Make renames and creations inside ``path`` survive power loss."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class TenantSession:
@@ -68,11 +92,20 @@ class TenantSession:
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.session = session
         self.last_seq = last_seq            # last feed applied to the engine
-        self.durable_seq = last_seq         # last feed captured by a checkpoint
+        self.durable_seq = last_seq         # last feed covered by a durable point
         self.fed_tuples = fed_tuples
         self.quarantined_tuples = 0
         self.settles = settles
-        self.checkpoints = 0
+        self.checkpoints = 0                # durable points
+        #: the open transaction: ops applied since the last durable point.
+        #: None = not recorded (no data dir, or dropped for its size)
+        self._txn: list | None = [] if data_dir is not None else None
+        self._txn_events = 0
+        self.log_bytes = 0
+        self.snapshot_bytes = 0             # 0 = no base to log against yet
+        self.compactions = 0
+        self.durable_bytes = 0              # log lines + snapshots written
+        self.replayed_feeds = 0
         self.opened_at = time.time()
         self.last_active = self.opened_at
 
@@ -94,15 +127,20 @@ class TenantSession:
     def restore_from_disk(
         cls, tenant: str, entry: ProgramEntry, data_dir: Path
     ) -> "TenantSession":
-        """Rebuild a tenant from its durable checkpoint.  The engine
-        state and the ``last_seq`` come from the same atomic document,
-        so they are consistent by construction."""
-        doc = json.loads(cls.snapshot_path(data_dir, tenant).read_text())
+        """Rebuild a tenant from its base snapshot (engine state and the
+        ``last_seq`` it covers come from one atomic document) plus a
+        replay of its log.  A failure touches no file."""
+        tdir = cls.tenant_dir(data_dir, tenant)
+        snap, log = tdir / SNAPSHOT_FILE, tdir / LOG_FILE
+        if not snap.exists():
+            raise ProtocolError(f"{log} extends a snapshot that is gone (byte 0)")
+        text = snap.read_text()
+        doc = json.loads(text)
         extra = doc.get("extra") or {}
         if extra.get("tenant") != tenant:
             raise ProtocolError(
-                f"checkpoint at {cls.snapshot_path(data_dir, tenant)} "
-                f"belongs to tenant {extra.get('tenant')!r}, not {tenant!r}"
+                f"checkpoint at {snap} belongs to tenant "
+                f"{extra.get('tenant')!r}, not {tenant!r}"
             )
         if extra.get("program") != entry.name:
             raise ProtocolError(
@@ -112,7 +150,7 @@ class TenantSession:
         overrides = extra.get("overrides") or {}
         options = entry.build_options(overrides)
         session = EngineSession.restore(doc, entry.factory(), options)
-        return cls(
+        restored = cls(
             tenant,
             entry,
             overrides,
@@ -122,14 +160,56 @@ class TenantSession:
             fed_tuples=int(extra.get("fed_tuples", 0)),
             settles=int(extra.get("settles", 0)),
         )
+        # no log (a crash before the first compaction created it):
+        # snapshot_bytes stays 0 and the next durable point compacts
+        if log.exists():
+            restored.snapshot_bytes = len(text)
+            try:
+                restored._replay(log)
+            except BaseException as exc:
+                session.__exit__(type(exc), exc, None)  # release the strategy
+                raise
+        return restored
+
+    def _replay(self, log: Path) -> None:
+        """Re-apply every complete line, then cut the torn tail.  Ops
+        the snapshot covers (a compaction crashed between its replace
+        and its truncate) fall to the duplicate rule."""
+        data = log.read_bytes()
+        base_seq, offset = self.last_seq, 0
+        # what follows the last newline was never fsynced, so never acked
+        for raw in data.split(b"\n")[:-1]:
+            try:
+                for op in json.loads(raw)["ops"]:
+                    if op[0] == "feed":
+                        self.feed(op[3], op[1], op[2])
+                    elif op[0] != "settle" or op[1] > self.settles + 1:
+                        raise ProtocolError(f"op {op[:2]} does not follow settle {self.settles}")
+                    elif op[1] > self.settles:
+                        self.settle()
+            except (ValueError, LookupError, TypeError, JStarError) as exc:
+                raise ProtocolError(
+                    f"{log} cannot be replayed at byte {offset}: {exc}"
+                ) from exc
+            offset += len(raw) + 1
+        if offset < len(data):
+            os.truncate(log, offset)
+        self.log_bytes = offset
+        self.replayed_feeds = self.last_seq - base_seq
+        self._txn, self._txn_events = [], 0  # replayed ops are durable already
+        self.durable_seq = self.last_seq
 
     @staticmethod
     def tenant_dir(data_dir: Path, tenant: str) -> Path:
         return Path(data_dir) / tenant
 
-    @staticmethod
-    def snapshot_path(data_dir: Path, tenant: str) -> Path:
-        return TenantSession.tenant_dir(data_dir, tenant) / "snapshot.json"
+    @classmethod
+    def has_durable_state(cls, data_dir: Path | None, tenant: str) -> bool:
+        """A snapshot to restore, or a log that must not be started over."""
+        if data_dir is None:
+            return False
+        tdir = cls.tenant_dir(data_dir, tenant)
+        return (tdir / SNAPSHOT_FILE).exists() or (tdir / LOG_FILE).exists()
 
     # -- verbs (sync; run on the service executor under the tenant lock) ------
 
@@ -179,6 +259,13 @@ class TenantSession:
         self.last_seq = seq
         self.fed_tuples += report.admitted
         self.quarantined_tuples += len(report.quarantined)
+        if self._txn is not None:  # a list append: nothing is encoded here
+            self._txn.append(["feed", seq, deletes_only, triples])
+            self._txn_events += len(triples)
+            if self._txn_events * MIN_EVENT_BYTES > self._log_limit():
+                # too big to ever be logged: holding it would be unbounded
+                # memory when no durable point comes.  The next one compacts
+                self._txn = None
         return {
             "seq": seq,
             "duplicate": False,
@@ -188,39 +275,80 @@ class TenantSession:
             "durable_seq": self.durable_seq,
         }
 
-    def settle(self) -> dict:
+    def settle(self, checkpoint_every: int = 0) -> dict:
+        """Settle and, every ``checkpoint_every`` settles of a durable
+        tenant, reach a durable point in the same call."""
         self._require_live()
         self.last_active = time.time()
         result = self.session.settle()
         self.settles += 1
-        return {
+        if self._txn is not None:
+            self._txn.append(["settle", self.settles])
+        payload = {
             "settle": self.settles,
             "steps": result.steps,
             "output": list(result.output),
             "engine_wall": result.wall_time,
         }
+        if checkpoint_every and self.data_dir and self.settles % checkpoint_every == 0:
+            payload["durable_seq"] = self.checkpoint()["durable_seq"]
+        return payload
 
-    def checkpoint(self) -> dict:
-        """Write the atomic engine-state + durability document."""
+    def _log_limit(self) -> int:
+        return max(COMPACT_FLOOR_BYTES, self.snapshot_bytes)
+
+    def checkpoint(self, compact: bool = False) -> dict:
+        """A durable point: everything applied so far is on disk when
+        this returns — as one fsynced log line, or as a compaction when
+        asked for, when there is no base snapshot yet, when the open
+        transaction was dropped or when the line would outgrow the log."""
         self._require_live()
         if self.data_dir is None:
             raise ProtocolError(
                 "this service runs without a data directory; snapshots "
                 "are disabled"
             )
-        tdir = self.tenant_dir(self.data_dir, self.tenant)
-        tdir.mkdir(parents=True, exist_ok=True)
-        path = self.snapshot_path(self.data_dir, self.tenant)
-        tmp = tdir / "snapshot.json.tmp"
-        doc = self.session.snapshot(extra=self._extra())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        line = None
+        if not compact and self._txn is not None and self.snapshot_bytes:
+            txn = {"seq": self.last_seq, "settles": self.settles, "ops": self._txn}
+            line = json.dumps(txn, separators=(",", ":")).encode() + b"\n"
+        if line is None or self.log_bytes + len(line) > self._log_limit():
+            self._compact()
+        else:
+            with open(self.tenant_dir(self.data_dir, self.tenant) / LOG_FILE, "ab") as fh:
+                fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
+            self.log_bytes += len(line)
+            self.durable_bytes += len(line)
+        self._txn, self._txn_events = [], 0
         self.durable_seq = self.last_seq
         self.checkpoints += 1
         return {"durable_seq": self.durable_seq, "checkpoints": self.checkpoints}
+
+    def _compact(self) -> None:
+        """Fold the log into a fresh base snapshot.  The directory is
+        fsynced after the replace — the rename and the log's creation
+        must not sit in the page cache behind an acked durable point —
+        and only then is the log cut."""
+        tdir = self.tenant_dir(self.data_dir, self.tenant)
+        if not tdir.exists():
+            tdir.mkdir(parents=True)
+            _fsync_dir(tdir.parent)
+        tmp = tdir / (SNAPSHOT_FILE + ".tmp")
+        text = json.dumps(self.session.snapshot(extra=self._extra()))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, tdir / SNAPSHOT_FILE)
+        with open(tdir / LOG_FILE, "ab") as log:
+            _fsync_dir(tdir)
+            log.truncate(0)
+        self.snapshot_bytes = len(text)
+        self.log_bytes = 0
+        self.compactions += 1
+        self.durable_bytes += len(text)
 
     def _extra(self) -> dict:
         return {
@@ -238,11 +366,10 @@ class TenantSession:
         self._require_live()
         result = self.session.close()
         if self.data_dir is not None:
-            path = self.snapshot_path(self.data_dir, self.tenant)
             tdir = self.tenant_dir(self.data_dir, self.tenant)
             try:
-                path.unlink(missing_ok=True)
-                (tdir / "snapshot.json.tmp").unlink(missing_ok=True)
+                for name in (SNAPSHOT_FILE, SNAPSHOT_FILE + ".tmp", LOG_FILE):
+                    (tdir / name).unlink(missing_ok=True)
                 tdir.rmdir()
             except OSError:
                 pass  # someone else's files in the dir: leave them
@@ -271,6 +398,10 @@ class TenantSession:
             "quarantined_tuples": self.quarantined_tuples,
             "settles": self.settles,
             "checkpoints": self.checkpoints,
+            "compactions": self.compactions,
+            "log_bytes": self.log_bytes,
+            "snapshot_bytes": self.snapshot_bytes,
+            "replayed_feeds": self.replayed_feeds,
             "opened_at": self.opened_at,
             "last_active": self.last_active,
             "engine": self.session.stats.as_dict(),

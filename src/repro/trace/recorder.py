@@ -173,7 +173,7 @@ class TraceRecorder:
         doc = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
         close, fh = _open_for_write(dest)
         try:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))  # one C-encoder call, not iterencode
         finally:
             if close:
                 fh.close()
