@@ -9,7 +9,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import ExecOptions, Program
-from repro.solver import RuleMeta
 from repro.stats import run_report
 
 
@@ -24,14 +23,11 @@ def main() -> None:
         orderby=("Int", "seq frame"),
     )
 
-    # Symbolic metadata so the causality prover can check the rule
-    # statically (the paper's SMT obligations, §4).
-    meta = RuleMeta(Ship)
-    t = meta.trigger
-    meta.branch(when=[t["x"] < 400]).put(Ship, frame=t["frame"] + 1)
-
     # foreach (Ship s) { if (s.x < 400) put new Ship(s.frame+1, ...) }
-    @p.foreach(Ship, meta=meta)
+    # The causality prover reads this body's source: one put of
+    # Ship(frame + 1, ...) under the condition x < 400 (the paper's SMT
+    # obligations, §4) — nothing is declared beside the rule.
+    @p.foreach(Ship)
     def move_right(ctx, s):
         if s.x < 400:
             ctx.put(Ship.new(s.frame + 1, s.x + 150, s.y, s.dx, s.dy))

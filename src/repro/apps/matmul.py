@@ -45,7 +45,6 @@ import numpy as np
 from repro.core import ExecOptions, Program, RunResult
 from repro.core.tuples import TableHandle
 from repro.gamma import NativeArrayStore
-from repro.solver import RuleMeta
 
 __all__ = ["MatMulHandles", "build_matmul_program", "run_matmul", "random_matrix"]
 
@@ -95,16 +94,11 @@ def build_matmul_program(
         for row in range(req.n):
             ctx.put(RowRequest.new(req.c, row))
 
-    meta_row = RuleMeta(RowRequest)
-    # RowRequest puts nothing through the engine (native result writes),
-    # and only reads Mat < Row — declared as a positive query.
-    from repro.core.query import QueryKind
-
-    meta_row.branch().query(Matrix, kind=QueryKind.POSITIVE)
-
-    @p.foreach(RowRequest, meta=meta_row, unsafe=True)
+    @p.foreach(RowRequest, unsafe=True)
     def compute_row(ctx, rr):
-        """One output row: n dot products (the §6 nested reducer loop)."""
+        """One output row: n dot products (the §6 nested reducer loop).
+        It puts nothing through the engine (native result writes) and
+        only reads Mat < Row."""
         store: NativeArrayStore = ctx.native(Matrix)  # type: ignore[assignment]
         arr = store.array
         row = rr.row

@@ -42,7 +42,6 @@ from repro.core import ExecOptions, Program, RunResult, Statistics
 from repro.core.tuples import TableHandle
 from repro.csvio import PVWATTS_INT_POSITIONS, read_region, split_regions
 from repro.gamma import ArrayOfHashSetsStore, HashIndexStore
-from repro.solver import RuleMeta
 
 __all__ = [
     "PvWattsHandles",
@@ -116,24 +115,12 @@ def build_pvwatts_program(
         ctx.charge(0.6 * n, "csv_parse")
         ctx.charge(0.2 * n, "io_record")
 
-    # solver metadata for the two pure rules (the paper's SMT targets)
-    meta_sum = RuleMeta(PvWatts)
-    ts = meta_sum.trigger
-    meta_sum.branch().put(SumMonth, year=ts["year"], month=ts["month"])
-
-    @p.foreach(PvWatts, meta=meta_sum)
+    # the two pure rules are the paper's SMT targets
+    @p.foreach(PvWatts)
     def make_summonth(ctx, pv):
         ctx.put(SumMonth.new(pv.year, pv.month))
 
-    from repro.core.query import QueryKind
-
-    meta_avg = RuleMeta(SumMonth)
-    tm = meta_avg.trigger
-    meta_avg.branch().query(
-        PvWatts, kind=QueryKind.AGGREGATE, year=tm["year"], month=tm["month"]
-    )
-
-    @p.foreach(SumMonth, meta=meta_avg)
+    @p.foreach(SumMonth)
     def average_month(ctx, s):
         stats = ctx.reduce(
             PvWatts,

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core import ExecOptions, Program, RetentionHint, RunResult
 from repro.core.tuples import TableHandle
-from repro.solver import RuleMeta
 
 __all__ = [
     "SensorHandles",
@@ -83,17 +82,9 @@ def build_sensor_program(
     p.order("Int", "Out")
     p.order("Reading", "Alert", "Out")
 
-    meta = RuleMeta(Reading)
-    t = meta.trigger
-    b = meta.branch()
-    # reads the strictly-previous tick: a negative/aggregate-safe region
-    from repro.core.query import QueryKind
-
-    b.query(Reading, kind=QueryKind.NEGATIVE, tick=t["tick"] - 1, sensor=t["sensor"])
-    b.put(Alert, tick=t["tick"], sensor=t["sensor"])
-
-    @p.foreach(Reading, meta=meta)
+    @p.foreach(Reading)
     def detect_spike(ctx, r):
+        # reads the strictly-previous tick: a negative/aggregate-safe region
         prev = ctx.get_uniq(Reading, tick=r.tick - 1, sensor=r.sensor)
         if prev is not None and r.value > spike_factor * max(1, prev.value):
             ctx.put(Alert.new(r.tick, r.sensor, r.value, prev.value))

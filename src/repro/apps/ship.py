@@ -3,15 +3,15 @@
 A single ship moves right across the screen in 150-pixel jumps, then
 descends slowly, then moves left — all recorded as immutable tuples
 with the ``frame`` field as timestamp.  The program reproduces Fig 2's
-table exactly (8 frames) and carries full solver metadata, so it also
-serves as the quickstart example and the causality-prover demo.
+table exactly (8 frames) and every branch of its rule proves causal
+(each puts into ``frame + 1``), so it also serves as the quickstart
+example and the causality-prover demo.
 """
 
 from __future__ import annotations
 
 from repro.core import ExecOptions, Program, RunResult
 from repro.core.tuples import TableHandle
-from repro.solver import RuleMeta
 
 __all__ = ["FIG2_TRACE", "build_ship_program", "run_ship", "ship_trace"]
 
@@ -41,19 +41,7 @@ def build_ship_program() -> tuple[Program, TableHandle]:
         orderby=("Int", "seq frame"),
     )
 
-    # solver metadata: every branch puts into frame + 1
-    meta = RuleMeta(Ship)
-    t = meta.trigger
-    for when in (
-        [t["dx"] > 0, t["x"] + t["dx"] >= RIGHT_EDGE],
-        [t["dx"] > 0, t["x"] + t["dx"] < RIGHT_EDGE],
-        [t["dy"] > 0, t["y"] + t["dy"] >= BOTTOM],
-        [t["dy"] > 0, t["y"] + t["dy"] < BOTTOM],
-        [t["dx"] < 0, t["x"] + t["dx"] > LEFT_EDGE],
-    ):
-        meta.branch(when=when).put(Ship, frame=t["frame"] + 1)
-
-    @p.foreach(Ship, meta=meta)
+    @p.foreach(Ship)
     def fly(ctx, s):
         """Right until the edge, down twice, then left until done."""
         if s.dx > 0:  # moving right

@@ -50,10 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import ExecOptions, Program, RunResult
-from repro.core.query import QueryKind
 from repro.core.tuples import TableHandle
 from repro.gamma import HashIndexStore, HashKeyStore
-from repro.solver import RuleMeta
 
 __all__ = [
     "GraphSpec",
@@ -142,28 +140,14 @@ def build_shortestpath_program(
             ctx.put(Edge.new(s, d, w))
         ctx.charge(1.2 * (task.hi - task.lo), "user_work")  # RNG + alloc cost
 
-    meta = RuleMeta(Estimate)
-    t = meta.trigger
-    b = meta.branch()
-    # the guard query, with its [distance < dist.distance] made visible
-    b.query(
-        Done,
-        kind=QueryKind.NEGATIVE,
-        vertex=t["vertex"],
-        constraints=lambda f: [f["distance"] < t["distance"]],
-    )
-    b.put(Done, vertex=t["vertex"], distance=t["distance"])
-    # the neighbour enumeration: for (edge : get Edge(dist.vertex)) —
-    # Edge < Int makes it trivially causal, and its eq-on-src shape is
-    # what lets the index planner derive the §6.5 Edge hash index
-    b.query(Edge, src=t["vertex"])
-    # the unbounded neighbour check: get uniq? Done(edge.to) — distance
-    # free, hence unprovable (see module docstring)
-    b.query(Done, kind=QueryKind.NEGATIVE)
-
-    @p.foreach(Estimate, meta=meta, assume_stratified=True)
+    @p.foreach(Estimate, assume_stratified=True)
     def dijkstra(ctx, dist):
-        """Fig 5's rule, line for line."""
+        """Fig 5's rule, line for line.  What the static passes read off
+        it: the guard query with its ``[distance < dist.distance]``
+        bound; ``get Edge(dist.vertex)``, trivially causal (Edge < Int)
+        and the eq-on-src shape the index planner derives the §6.5 Edge
+        hash index from; and the unbounded ``get uniq? Done(edge.to)`` —
+        distance free, hence unprovable (see module docstring)."""
         if (
             ctx.get_uniq(
                 Done, vertex=dist.vertex, ranges={"distance": {"lt": dist.distance}}

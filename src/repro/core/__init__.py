@@ -30,6 +30,7 @@ from repro.core.errors import (
     JStarError,
     KeyInvariantError,
     OrderingError,
+    ProgramError,
     OverloadedError,
     ProtocolError,
     RetractionError,
@@ -121,6 +122,7 @@ __all__ = [
     "UnknownTableError",
     "UnknownFieldError",
     "OrderingError",
+    "ProgramError",
     "KeyInvariantError",
     "CausalityError",
     "RetractionError",

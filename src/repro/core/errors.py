@@ -33,6 +33,12 @@ class UnknownFieldError(SchemaError):
     """A tuple or query referenced a field not present in the schema."""
 
 
+class ProgramError(JStarError):
+    """A program's declarations contradict each other — raised at
+    ``freeze()``, before any state exists (e.g. a rule's ``meta=``
+    override that does not cover the sites its body performs)."""
+
+
 class OrderingError(JStarError):
     """The ``order`` declarations are inconsistent (cyclic), or two
     timestamps were compared that the program's orderings leave

@@ -287,8 +287,6 @@ class Program:
         self.decls = OrderDecls()
         self.initial_puts: list[JTuple] = []
         self._rules_by_trigger: dict[str, list[Rule]] | None = None
-        # (rule count it was computed at, patterns) — see query_shapes()
-        self._query_shapes: tuple[int, tuple] | None = None
 
     # -- declarations -----------------------------------------------------
 
@@ -366,26 +364,17 @@ class Program:
         return self.decls.frozen
 
     def freeze(self) -> None:
-        """Freeze order declarations and index rules by trigger.
-        Idempotent; called automatically by :meth:`run`."""
+        """Freeze order declarations, index rules by trigger and hold
+        every ``meta=`` override to its body (see
+        :func:`repro.solver.check.check_cover`).  Idempotent; called
+        automatically by :meth:`run`."""
+        from repro.solver.check import check_cover  # local: solver imports us
+
         self.decls.freeze()
         self._index_rules()
-        self.query_shapes()  # pre-resolve rule query shapes (plan cache)
-
-    def query_shapes(self) -> tuple:
-        """The distinct static query shapes of this program's rules —
-        the same access-pattern walk the index planner performs
-        (:func:`repro.gamma.indexplan.collect_access_patterns`), cached
-        so every engine's plan cache can warm up without re-probing the
-        rules' symbolic metadata."""
-        if self._query_shapes is None or self._query_shapes[0] != len(self.rules):
-            from repro.gamma.indexplan import collect_access_patterns
-
-            self._query_shapes = (
-                len(self.rules),
-                tuple(collect_access_patterns(self)),
-            )
-        return self._query_shapes[1]
+        for rule in self.rules:
+            if rule._meta is not None:
+                check_cover(rule)
 
     def _index_rules(self) -> None:
         by_trigger: dict[str, list[Rule]] = {}

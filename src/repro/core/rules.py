@@ -16,9 +16,11 @@ methods — but they interact with the world only through the
   the past; negative/aggregate queries must be about the fixed past)
   when the engine runs with ``causality_check != "off"``.
 
-Rules may carry symbolic metadata (``meta``) consumed by the static
-causality prover in :mod:`repro.solver`; that is the analogue of the
-paper's SMT proof obligations (§4).
+Every rule has symbolic metadata (``meta``), derived from its body's
+source by :mod:`repro.plan.analyse` and consumed by the static causality
+prover in :mod:`repro.solver`, the index planner and the locality
+checker; that is the analogue of the paper's compiler handing each
+rule's puts and queries to the SMT solvers (§4).
 """
 
 from __future__ import annotations
@@ -63,15 +65,19 @@ class Rule:
         Allows side-effecting context operations (file I/O); mirrors the
         paper's 'unsafe' system-rule blocks (§1.2 footnote).
     meta:
-        Optional symbolic description for the static prover
-        (:class:`repro.solver.obligations.RuleMeta`).
+        An override for the rule's symbolic description
+        (:class:`repro.solver.obligations.RuleMeta`).  Without one,
+        :attr:`meta` is derived from the body's source on first read.
     assume_stratified:
         Suppresses dynamic negative-query warnings for this rule — the
         analogue of the programmer accepting an SMT warning after
         manual reasoning/invariants (§4).
     """
 
-    __slots__ = ("name", "trigger", "body", "unsafe", "meta", "assume_stratified")
+    __slots__ = (
+        "name", "trigger", "body", "unsafe", "assume_stratified",
+        "_meta", "_analysis",
+    )
 
     def __init__(
         self,
@@ -86,8 +92,25 @@ class Rule:
         self.body = body
         self.name = name or getattr(body, "__name__", "<rule>")
         self.unsafe = unsafe
-        self.meta = meta
         self.assume_stratified = assume_stratified
+        self._meta = meta
+        self._analysis = None
+
+    def analysis(self):
+        """The body's :class:`~repro.plan.analyse.BodyAnalysis` — its
+        query and put sites, read off the source once per rule."""
+        if self._analysis is None:
+            from repro.plan.analyse import analyse_rule  # local: plan imports us
+
+            self._analysis = analyse_rule(self)
+        return self._analysis
+
+    @property
+    def meta(self):
+        """What the static passes read: the ``meta=`` override when one
+        was given, else the metadata derived from the body — ``None``
+        when analysis refuses (``analysis().refusal`` says why)."""
+        return self._meta if self._meta is not None else self.analysis().meta
 
     def __repr__(self) -> str:
         tag = " unsafe" if self.unsafe else ""

@@ -4,14 +4,15 @@ Before committing to a distribution, the programmer wants to know which
 queries stay on-node, which route to a single remote owner, and which
 degenerate into broadcast gathers — the same way the paper's stage 2/3
 tooling surfaces dependency structure before benchmarking.  Rule
-metadata (hand-written or extracted from textual rules) makes this
-static: for every symbolic query under a placement,
+metadata (derived from each rule's body, :mod:`repro.plan.analyse`)
+makes this static: for every symbolic query under a placement,
 
 * ``local``      — replicated table, or the bound partition value
   provably equals the trigger's partition value (co-located);
 * ``routed``     — partition field bound: exactly one owner answers;
 * ``broadcast``  — partition field unbound: every node is asked;
-* ``unknown``    — the rule carries no metadata.
+* ``unknown``    — analysis refused the rule's body (the detail says
+  why).
 
 An aid and nothing else: no run consults it — a shard routes a query by
 the value it binds, trusting no rule's metadata.
@@ -64,7 +65,7 @@ def _describe(placement, verdict: str) -> str:
 def _classify_observed(
     rule: str, pm: PlacementMap, shapes: list[tuple[str, tuple[str, ...]]]
 ) -> list[QueryLocality]:
-    """Classify a meta-less rule's *observed* query shapes (gathered by
+    """Classify an unanalysable rule's *observed* query shapes (gathered by
     :class:`~repro.stats.collector.StatsCollector` during a profiling
     run) — one finding per query, with the real table name."""
     findings = []
@@ -82,7 +83,7 @@ def check_locality(
 ) -> list[QueryLocality]:
     """Classify every statically-known query under a placement.
 
-    Rules without symbolic metadata cannot be classified statically;
+    A rule whose body analysis refuses cannot be classified statically;
     pass ``observed`` (a :class:`~repro.stats.collector.StatsCollector`
     from a profiling run, or its ``rule_query_shapes`` mapping) to
     classify the queries such rules actually performed — one finding
@@ -110,8 +111,7 @@ def check_locality(
                         rule.name,
                         rule.trigger.schema.name,
                         "unknown",
-                        "rule has no metadata; pass observed= run stats "
-                        "to classify its queries",
+                        f"body not analysed: {rule.analysis().refusal}",
                     )
                 )
             continue

@@ -5,11 +5,11 @@ are performed ... before deciding how to represent the data, which
 fields should be indexed, what data structures to use for each index".
 The data-structure *advisor* (:mod:`repro.stats.advisor`) closes that
 loop dynamically, from a profiled run; this module closes it
-**statically**: it walks a program's compiled rules — the same symbolic
+**statically**: it walks a program's rules — the same symbolic
 :class:`~repro.solver.obligations.RuleMeta` the causality prover
-consumes, which textual programs get extracted automatically
-(:mod:`repro.lang.meta`) — and derives, per table, the set of *access
-patterns* its rules use:
+consumes, derived from every rule body's source
+(:mod:`repro.plan.analyse`) — and derives, per table, the set of
+*access patterns* its rules use:
 
 * equality-constrained field sets (``get PvWatts(s.year, s.month)`` →
   ``{year, month}``);
@@ -158,8 +158,8 @@ def _pattern_of_symquery(query, rule_name: str) -> AccessPattern:
 
 
 def collect_access_patterns(program: "Program") -> list[AccessPattern]:
-    """Every distinct query access pattern in the program's rules that
-    carry symbolic metadata (hand-written or extracted from source)."""
+    """Every distinct query access pattern in the program's rules (a
+    rule whose body analysis refuses contributes none)."""
     from repro.solver.obligations import RuleMeta
 
     seen: set[tuple] = set()

@@ -14,18 +14,26 @@ Parse and run programs written the way the paper writes them::
     '''
     result = compile_source(src).run()
 
-Causality metadata is extracted from the AST automatically
-(:mod:`repro.lang.meta`), so ``program.check_causality()`` works on
-textual rules exactly as the paper's compiler-to-SMT pipeline does.
+Each rule is lowered to Python source, so its causality metadata is
+derived the way every rule's is (:mod:`repro.plan.analyse`) and
+``program.check_causality()`` works on textual rules exactly as the
+paper's compiler-to-SMT pipeline does.
 """
 
-from repro.lang.compile import CompileError, ReducerBox, compile_program, compile_source
+from repro.lang.compile import (
+    CompileError,
+    ReducerBox,
+    compile_program,
+    compile_source,
+    lowered_sources,
+)
 from repro.lang.lexer import LangSyntaxError, tokenize
 from repro.lang.parser import parse_expression, parse_program
 
 __all__ = [
     "compile_source",
     "compile_program",
+    "lowered_sources",
     "parse_program",
     "parse_expression",
     "tokenize",

@@ -1,8 +1,7 @@
 """AST for the JStar concrete syntax (see :mod:`repro.lang.parser`).
 
 Nodes carry their source line for diagnostics.  Expression nodes are
-plain data; evaluation lives in :mod:`repro.lang.compile`, symbolic
-translation (for the causality prover) in :mod:`repro.lang.meta`.
+plain data; :mod:`repro.lang.compile` lowers them to Python source.
 """
 
 from __future__ import annotations

@@ -16,13 +16,11 @@ firing.  The :class:`PlanCache` closes that gap:
   :meth:`~repro.gamma.base.TableStore.prepare` on a single node, a
   shard's routed prepare (:class:`repro.dist.superstep.Shard`) on a
   cluster, so *where* a shape's rows live is part of its access path
-  and no reader of a plan can tell;
-* at construction (i.e. at ``Program.freeze()`` time, when the engine
-  builds its database) the cache pre-resolves every query shape the
-  program's rule metadata declares — the same
-  :func:`~repro.gamma.indexplan.collect_access_patterns` walk the
-  static index planner uses — so hot rules never pay even a first-call
-  compile inside the run.
+  and no reader of a plan can tell.
+
+Nothing is resolved ahead of the first call: the scalar tier compiles a
+shape when a rule first asks for it, the codegen tier when it binds the
+rule's driver — so building a kernel reads no rule body.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ __all__ = ["PlanCache"]
 class PlanCache:
     """Compiled query plans for one engine run (one database)."""
 
-    __slots__ = ("_schemas", "_decls", "_plans", "_prepare", "_prepared")
+    __slots__ = ("_decls", "_plans", "_prepare", "_prepared")
 
     def __init__(
         self,
@@ -52,7 +50,6 @@ class PlanCache:
         program: "Program",
         prepare: Callable[[Query], PreparedSelect] | None = None,
     ):
-        self._schemas = db._schemas
         self._decls = program.decls
         #: shape probe -> access path; the only place a plan meets a store
         self._prepare = prepare or (lambda q: db.store(q.schema.name).prepare(q))
@@ -60,8 +57,6 @@ class PlanCache:
         # (schema, frozenset eq positions, frozenset range positions)
         # -> PreparedSelect; shared across kinds and call styles
         self._prepared: dict[tuple, PreparedSelect] = {}
-        for pattern in program.query_shapes():
-            self._warm(pattern)
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -69,26 +64,6 @@ class PlanCache:
     def plans(self):
         """All compiled plans, in first-compilation order."""
         return self._plans.values()
-
-    # -- freeze-time warming ----------------------------------------------
-
-    def _warm(self, pattern) -> None:
-        """Pre-resolve one static access pattern's store select.  Values
-        are unknown statically; every decision a ``prepare`` makes (key
-        coverage, index choice) depends only on the constrained
-        *positions*, so ``None`` placeholders suffice."""
-        schema = self._schemas.get(pattern.table)
-        if schema is None:  # pragma: no cover - patterns name own tables
-            return
-        try:
-            eq = {schema.field_position(n): None for n in pattern.eq_fields}
-            rng = {
-                schema.field_position(n): (None, None, True, True)
-                for n in pattern.range_fields
-            }
-        except Exception:  # stale metadata must not break the run
-            return
-        self._prepared_for(Query(schema, eq, rng, None, QueryKind.POSITIVE))
 
     def _prepared_for(self, probe: Query) -> PreparedSelect:
         pkey = (probe.schema, frozenset(probe.eq), frozenset(probe.ranges))

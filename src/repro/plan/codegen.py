@@ -5,9 +5,10 @@ The scalar tier interprets every rule firing through a
 plan cache through keyword dicts, each ``ctx.put`` re-derives the §4
 causality comparison, and every tuple field read goes through
 ``JTuple.__getattr__``.  This module removes that interpretation layer
-once per program: it parses the rule body's source, intercepts only the
-``ctx.*`` calls, and emits the whole query-and-put loop as straight-line
-Python with
+once per program: it takes the rule body's source and the site records
+:mod:`repro.plan.analyse` resolved for its ``ctx.*`` calls — this module
+re-derives nothing about a site — intercepts only those calls, and emits
+the whole query-and-put loop as straight-line Python with
 
 * field reads pre-resolved to ``values[i]`` tuple indexing,
 * query sites compiled to a prebound ``PreparedSelect.run`` call on an
@@ -40,9 +41,7 @@ effects.
 from __future__ import annotations
 
 import ast
-import inspect
 import linecache
-import textwrap
 import weakref
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -51,8 +50,18 @@ from repro.core.ordering import compare_timestamps
 from repro.core.query import Query, QueryKind
 from repro.core.reducers import reduce_all
 from repro.core.rules import Rule
-from repro.core.tuples import JTuple, TableHandle
+from repro.core.tuples import JTuple
 from repro.gamma.base import TableStore
+from repro.plan.analyse import (
+    JTUPLE_ATTRS,
+    QUERY_KINDS,
+    BodyAnalysis,
+    PutSite,
+    QuerySite,
+    ctx_method,
+    range_values,
+    site_key,
+)
 from repro.plan.timestamps import put_always_causal, put_fast_compare
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,23 +77,6 @@ __all__ = [
     "dump_generated_source",
     "all_generated_sources",
 ]
-
-#: real attributes of JTuple (``schema``, ``values``, ``copy``...);
-#: a field with one of these names never reaches ``__getattr__``, so
-#: attribute rewriting must leave it alone
-_JTUPLE_ATTRS = frozenset(dir(JTuple))
-
-_QUERY_KINDS = {
-    "get": QueryKind.POSITIVE,
-    "exists": QueryKind.POSITIVE,
-    "get_uniq": QueryKind.NEGATIVE,
-    "absent": QueryKind.NEGATIVE,
-    "count": QueryKind.AGGREGATE,
-    "get_min": QueryKind.AGGREGATE,
-    "reduce": QueryKind.AGGREGATE,
-}
-
-_RANGE_OPS = ("lt", "le", "gt", "ge")
 
 #: generated source by rule body function, for post-mortem inspection
 _SOURCE_BY_BODY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -118,29 +110,6 @@ def _make_put_check(rule_name: str, db) -> Callable:
             )
 
     return check
-
-
-# -- site descriptors --------------------------------------------------------
-
-
-class _QuerySite:
-    __slots__ = (
-        "i",
-        "flavor",
-        "handle",
-        "prefix_arity",
-        "eq_names",
-        "ranges",  # tuple[(field_name, form)]; form = "pair" | tuple[op,...]
-        "kind",
-        "key_args",  # arg indices in schema.key_indexes order, or None
-        "min_pos",  # get_min: position of the `by` field
-    )
-
-
-class _PutSite:
-    __slots__ = ("i", "schema", "mode", "pp", "tp", "inline")
-    # mode: "always" (statically causal) | "ge" (seq compare short-circuit)
-    #       | "dyn" (full check); schema None => untyped (isinstance guard)
 
 
 class CompiledRuleBody:
@@ -199,167 +168,28 @@ def _is_pure(node: ast.AST) -> bool:
     return False
 
 
-# -- variable tracking prepass -----------------------------------------------
-
-
-def _is_positive_get(node: ast.AST, ctx_name: str, env: dict):
-    """The schema a ``ctx.get(Table, ...)`` call returns elements of,
-    or None when ``node`` is not such a call."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == ctx_name
-        and node.func.attr == "get"
-        and node.args
-        and isinstance(node.args[0], ast.Name)
-    ):
-        h = env.get(node.args[0].id)
-        if isinstance(h, TableHandle):
-            return h.schema
-    return None
-
-
-def _collect_tracking(
-    fn: ast.FunctionDef, ctx_name: str, trig_name: str, env: dict, trigger_schema
-) -> dict:
-    """Names provably bound to JTuples of one schema throughout the
-    body: the trigger parameter (when never rebound) and for-loop
-    targets iterating a ``ctx.get`` result (directly or via a variable
-    that only ever holds such a result).  Conservative: any other
-    binding of a name untracks it everywhere."""
-    bindings: dict[str, list] = {}
-
-    def other(target: ast.AST) -> None:
-        for n in ast.walk(target):
-            if isinstance(n, ast.Name):
-                bindings.setdefault(n.id, []).append(("other",))
-
-    class V(ast.NodeVisitor):
-        def visit_Assign(self, node):
-            self.generic_visit(node)
-            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                sch = _is_positive_get(node.value, ctx_name, env)
-                src = ("list", sch) if sch is not None else ("other",)
-                bindings.setdefault(node.targets[0].id, []).append(src)
-            else:
-                for t in node.targets:
-                    other(t)
-
-        def visit_For(self, node):
-            self.generic_visit(node)
-            if isinstance(node.target, ast.Name):
-                sch = _is_positive_get(node.iter, ctx_name, env)
-                if sch is not None:
-                    src = ("elem", sch)
-                elif isinstance(node.iter, ast.Name):
-                    src = ("elem_of", node.iter.id)
-                else:
-                    src = ("other",)
-                bindings.setdefault(node.target.id, []).append(src)
-            else:
-                other(node.target)
-
-        def visit_AugAssign(self, node):
-            self.generic_visit(node)
-            other(node.target)
-
-        def visit_AnnAssign(self, node):
-            self.generic_visit(node)
-            other(node.target)
-
-        def visit_NamedExpr(self, node):
-            self.generic_visit(node)
-            other(node.target)
-
-        def visit_withitem(self, node):
-            self.generic_visit(node)
-            if node.optional_vars is not None:
-                other(node.optional_vars)
-
-        def visit_comprehension(self, node):
-            self.generic_visit(node)
-            other(node.target)
-
-        def visit_ExceptHandler(self, node):
-            self.generic_visit(node)
-            if node.name:
-                bindings.setdefault(node.name, []).append(("other",))
-
-        def visit_Delete(self, node):
-            self.generic_visit(node)
-            for t in node.targets:
-                other(t)
-
-        def visit_Import(self, node):
-            for a in node.names:
-                bindings.setdefault(
-                    (a.asname or a.name).split(".")[0], []
-                ).append(("other",))
-
-        visit_ImportFrom = visit_Import
-
-        def visit_Lambda(self, node):
-            self.generic_visit(node)
-            args = node.args
-            for a in (
-                args.posonlyargs + args.args + args.kwonlyargs
-            ) + ([args.vararg] if args.vararg else []) + (
-                [args.kwarg] if args.kwarg else []
-            ):
-                bindings.setdefault(a.arg, []).append(("other",))
-
-        def visit_FunctionDef(self, node):
-            self.generic_visit(node)
-            bindings.setdefault(node.name, []).append(("other",))
-            self.visit_Lambda(node)  # shadow its params too
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-    for stmt in fn.body:
-        V().visit(stmt)
-
-    list_schema: dict[str, Any] = {}
-    for n, srcs in bindings.items():
-        if srcs and all(s[0] == "list" for s in srcs):
-            schemas = {id(s[1]) for s in srcs}
-            if len(schemas) == 1:
-                list_schema[n] = srcs[0][1]
-    elem: dict[str, Any] = {}
-    for n, srcs in bindings.items():
-        sch = None
-        ok = bool(srcs)
-        for s in srcs:
-            if s[0] == "elem":
-                t = s[1]
-            elif s[0] == "elem_of":
-                t = list_schema.get(s[1])
-            else:
-                t = None
-            if t is None or (sch is not None and t is not sch):
-                ok = False
-                break
-            sch = t
-        if ok:
-            elem[n] = sch
-    if trig_name not in bindings:
-        elem[trig_name] = trigger_schema
-    return elem
-
-
 # -- the body transformer ----------------------------------------------------
 
 
+def _name(ident: str) -> ast.Name:
+    return ast.Name(id=ident, ctx=ast.Load())
+
+
+def _call(func: ast.expr, *args: ast.expr, at: ast.AST) -> ast.Call:
+    return ast.copy_location(ast.Call(func=func, args=list(args), keywords=[]), at)
+
+
 class _BodyTransformer(ast.NodeTransformer):
-    def __init__(self, rule, program, env, ctx_name, trig_name, elem):
+    """Rewrites one body around the site records of its analysis; a
+    construct generated code cannot reproduce raises
+    :class:`CodegenRefusal`."""
+
+    def __init__(self, rule: Rule, analysis: BodyAnalysis):
         self.rule = rule
-        self.program = program
-        self.env = env
-        self.ctx_name = ctx_name
-        self.trig_name = trig_name
-        self.elem = elem  # name -> TableSchema
-        self.qsites: list[_QuerySite] = []
-        self.psites: list[_PutSite] = []
+        self.ctx_name = analysis.ctx_name
+        self.trig_name = analysis.trig_name
+        self.elem = analysis.elem  # name -> TableSchema
+        self.sites = analysis.sites
         self.uses_tv = False
         self.uses: set[str] = set()  # helper bindings the module needs
 
@@ -367,23 +197,6 @@ class _BodyTransformer(ast.NodeTransformer):
 
     def _refuse(self, reason: str):
         raise CodegenRefusal(reason)
-
-    def _handle_of(self, node: ast.AST) -> TableHandle:
-        if isinstance(node, ast.Name):
-            h = self.env.get(node.id)
-            if isinstance(h, TableHandle):
-                return h
-        self._refuse("query table argument is not a statically-known table handle")
-
-    def _is_ctx_call(self, node: ast.AST) -> str | None:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == self.ctx_name
-        ):
-            return node.func.attr
-        return None
 
     # -- names / attributes --------------------------------------------------
 
@@ -403,24 +216,18 @@ class _BodyTransformer(ast.NodeTransformer):
             isinstance(node.ctx, ast.Load)
             and isinstance(node.value, ast.Name)
             and node.value.id in self.elem
-            and node.attr not in _JTUPLE_ATTRS
+            and node.attr not in JTUPLE_ATTRS
         ):
             schema = self.elem[node.value.id]
             pos = schema.index.get(node.attr)
             if pos is not None:
                 if node.value.id == self.trig_name:
                     self.uses_tv = True
-                    base = ast.Name(id="_cg_tv", ctx=ast.Load())
+                    base = _name("_cg_tv")
                 else:
-                    base = ast.Attribute(
-                        value=node.value, attr="values", ctx=ast.Load()
-                    )
+                    base = ast.Attribute(value=node.value, attr="values", ctx=ast.Load())
                 return ast.copy_location(
-                    ast.Subscript(
-                        value=base,
-                        slice=ast.Constant(value=pos),
-                        ctx=ast.Load(),
-                    ),
+                    ast.Subscript(value=base, slice=ast.Constant(value=pos), ctx=ast.Load()),
                     node,
                 )
         return node
@@ -464,7 +271,7 @@ class _BodyTransformer(ast.NodeTransformer):
     # -- statements ----------------------------------------------------------
 
     def visit_Expr(self, node):
-        m = self._is_ctx_call(node.value)
+        m = ctx_method(node.value, self.ctx_name)
         if m == "charge":
             call = node.value
             if any(isinstance(a, ast.Starred) for a in call.args) or any(
@@ -492,13 +299,13 @@ class _BodyTransformer(ast.NodeTransformer):
     # -- ctx.* calls ---------------------------------------------------------
 
     def visit_Call(self, node):
-        m = self._is_ctx_call(node)
+        m = ctx_method(node, self.ctx_name)
         if m is None:
             return self.generic_visit(node)
-        if m in _QUERY_KINDS:
-            return self._query_site(m, node)
+        if m in QUERY_KINDS:
+            return self._query_site(self.sites[site_key(node)], node)
         if m == "put":
-            return self._put_site(node)
+            return self._put_site(self.sites[site_key(node)], node)
         if m == "println":
             args = [self.visit(a) for a in node.args]
             if any(isinstance(a, ast.Starred) for a in node.args) or node.keywords:
@@ -507,30 +314,14 @@ class _BodyTransformer(ast.NodeTransformer):
                 payload = ast.Constant(value="")
             elif len(args) == 1:
                 self.uses.add("str")
-                payload = ast.Call(
-                    func=ast.Name(id="_cg_str", ctx=ast.Load()),
-                    args=args,
-                    keywords=[],
-                )
+                payload = _call(_name("_cg_str"), *args, at=node)
             else:
                 self.uses.add("strjoin")
-                payload = ast.Call(
-                    func=ast.Name(id="_cg_strjoin", ctx=ast.Load()),
-                    args=[ast.Tuple(elts=args, ctx=ast.Load())],
-                    keywords=[],
+                payload = _call(
+                    _name("_cg_strjoin"), ast.Tuple(elts=args, ctx=ast.Load()), at=node
                 )
-            return ast.copy_location(
-                ast.Call(
-                    func=ast.Attribute(
-                        value=ast.Name(id="_cg_out", ctx=ast.Load()),
-                        attr="append",
-                        ctx=ast.Load(),
-                    ),
-                    args=[payload],
-                    keywords=[],
-                ),
-                node,
-            )
+            out_append = ast.Attribute(value=_name("_cg_out"), attr="append", ctx=ast.Load())
+            return _call(out_append, payload, at=node)
         if m == "io_allowed":
             if not self.rule.unsafe:
                 self._refuse("ctx.io_allowed() in a rule not declared unsafe")
@@ -539,182 +330,28 @@ class _BodyTransformer(ast.NodeTransformer):
             self._refuse("ctx.charge(...) used outside statement position")
         self._refuse(f"unsupported context method ctx.{m}(...)")
 
-    def _query_site(self, flavor: str, node: ast.Call) -> ast.Call:
-        if any(isinstance(a, ast.Starred) for a in node.args):
-            self._refuse("starred query arguments")
-        handle = self._handle_of(node.args[0] if node.args else None)
-        schema = handle.schema
-        prefix = [self.visit(a) for a in node.args[1:]]
-        eq: list[tuple[str, ast.AST]] = []
-        ranges: list[tuple[str, Any, list]] = []  # (field, form, value exprs)
-        min_by = None
-        reduce_args: list[ast.AST] = []
-        for kw in node.keywords:
-            if kw.arg is None:
-                self._refuse("**kwargs in a query call")
-            if kw.arg == "where":
-                if not (isinstance(kw.value, ast.Constant) and kw.value.value is None):
-                    self._refuse("where= lambdas are opaque to generated code")
-                continue
-            if kw.arg == "ranges":
-                ranges = self._parse_ranges(kw.value, schema)
-                continue
-            if flavor == "get_min" and kw.arg == "by":
-                if not (isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str)):
-                    self._refuse("get_min by= must be a literal field name")
-                min_by = kw.value.value
-                continue
-            if flavor == "reduce" and kw.arg in ("reducer", "value"):
-                continue  # collected below, in signature order
-            schema.field_position(kw.arg)  # refuse unknown fields here
-            eq.append((kw.arg, self.visit(kw.value)))
-        if flavor == "reduce":
-            kwmap = {k.arg: k.value for k in node.keywords}
-            if "reducer" not in kwmap or "value" not in kwmap:
-                self._refuse("ctx.reduce(...) without reducer=/value=")
-            reduce_args = [self.visit(kwmap["reducer"]), self.visit(kwmap["value"])]
-        if flavor == "get_min":
-            if min_by is None:
-                self._refuse("ctx.get_min(...) without by=")
-            min_pos = schema.field_position(min_by)
-        else:
-            min_pos = None
+    def _query_site(self, s: QuerySite, node: ast.Call) -> ast.Call:
+        if s.refuse is not None:
+            self._refuse(s.refuse)
+        kw = {k.arg: k.value for k in node.keywords}
+        args = node.args[1:] + [kw[n] for n in s.eq_names]
+        if s.ranges:
+            args += range_values(kw["ranges"])
+        if s.flavor == "reduce":
+            args += [kw["reducer"], kw["value"]]
+        return _call(_name(f"_cg_s{s.i}"), *[self.visit(a) for a in args], at=node)
 
-        positions = list(range(len(prefix))) + [
-            schema.field_position(n) for n, _ in eq
-        ]
-        if len(set(positions)) != len(positions):
-            self._refuse("a query field is constrained twice")
-
-        s = _QuerySite()
-        s.i = len(self.qsites)
-        s.flavor = flavor
-        s.handle = handle
-        s.prefix_arity = len(prefix)
-        s.eq_names = tuple(n for n, _ in eq)
-        s.ranges = tuple((f, form) for f, form, _ in ranges)
-        s.kind = _QUERY_KINDS[flavor]
-        s.min_pos = min_pos
-        s.key_args = None
-        if (
-            flavor in ("get_uniq", "absent")
-            and not ranges
-            and schema.has_key
-            and sorted(positions) == sorted(schema.key_indexes)
-        ):
-            pos2arg = {p: j for j, p in enumerate(positions)}
-            s.key_args = tuple(pos2arg[p] for p in schema.key_indexes)
-        self.qsites.append(s)
-
-        call_args = [e for _, e in [(None, p) for p in prefix]] + [e for _, e in eq]
-        for _f, _form, exprs in ranges:
-            call_args.extend(exprs)
-        call_args.extend(reduce_args)
-        return ast.copy_location(
-            ast.Call(
-                func=ast.Name(id=f"_cg_s{s.i}", ctx=ast.Load()),
-                args=call_args,
-                keywords=[],
-            ),
-            node,
-        )
-
-    def _parse_ranges(self, node: ast.AST, schema) -> list:
-        if not isinstance(node, ast.Dict):
-            self._refuse("ranges= must be a literal dict of literal specs")
-        out = []
-        for k, v in zip(node.keys, node.values):
-            if not (isinstance(k, ast.Constant) and isinstance(k.value, str)):
-                self._refuse("ranges= must be a literal dict of literal specs")
-            field = k.value
-            schema.field_position(field)  # refuse unknown fields here
-            if isinstance(v, ast.Dict):
-                ops = []
-                exprs = []
-                for ok, ov in zip(v.keys, v.values):
-                    if not (
-                        isinstance(ok, ast.Constant)
-                        and ok.value in _RANGE_OPS
-                    ):
-                        self._refuse(
-                            "ranges= must be a literal dict of literal specs"
-                        )
-                    ops.append(ok.value)
-                    exprs.append(self.visit(ov))
-                out.append((field, tuple(ops), exprs))
-            elif isinstance(v, ast.Tuple) and len(v.elts) == 2:
-                out.append((field, "pair", [self.visit(e) for e in v.elts]))
-            else:
-                self._refuse("ranges= must be a literal dict of literal specs")
-        return out
-
-    def _put_site(self, node: ast.Call) -> ast.Call:
+    def _put_site(self, p: PutSite, node: ast.Call) -> ast.Call:
         if len(node.args) != 1 or node.keywords or isinstance(node.args[0], ast.Starred):
             self._refuse("ctx.put(...) must take exactly one tuple argument")
         arg = node.args[0]
-        handle = None
-        ctor = None
-        if isinstance(arg, ast.Call) and not any(
-            isinstance(a, ast.Starred) for a in arg.args
-        ):
-            f = arg.func
-            if (
-                isinstance(f, ast.Attribute)
-                and f.attr == "new"
-                and isinstance(f.value, ast.Name)
-            ):
-                h = self.env.get(f.value.id)
-                if isinstance(h, TableHandle):
-                    handle, ctor = h, arg
-            elif isinstance(f, ast.Name):
-                h = self.env.get(f.id)
-                if isinstance(h, TableHandle):
-                    handle, ctor = h, arg
-
-        p = _PutSite()
-        p.i = len(self.psites)
-        p.pp = p.tp = -1
-        trig_schema = self.rule.trigger.schema
-        decls = self.program.decls
-        if handle is not None:
-            p.schema = handle.schema
-            if put_always_causal(p.schema, trig_schema, decls):
-                p.mode = "always"
-            else:
-                fc = put_fast_compare(p.schema, trig_schema)
-                if fc is not None:
-                    p.mode = "ge"
-                    p.pp, p.tp = fc
-                else:
-                    p.mode = "dyn"
-            p.inline = (
-                len(ctor.args) == len(p.schema.fields) and not ctor.keywords
-            )
-        else:
-            p.schema = None
-            p.mode = "dyn"
-            p.inline = False
-        self.psites.append(p)
-
         if p.inline:
-            values = ast.Tuple(
-                elts=[self.visit(a) for a in ctor.args], ctx=ast.Load()
-            )
-            payload = values
+            payload = ast.Tuple(elts=[self.visit(a) for a in arg.args], ctx=ast.Load())
         else:
             payload = self.visit(arg)
-        return ast.copy_location(
-            ast.Call(
-                func=ast.Name(id=f"_cg_p{p.i}", ctx=ast.Load()),
-                args=[
-                    ast.Name(id="_cg_puts", ctx=ast.Load()),
-                    ast.Name(id="_cg_trig", ctx=ast.Load()),
-                    ast.Name(id="_cg_ts", ctx=ast.Load()),
-                    payload,
-                ],
-                keywords=[],
-            ),
-            node,
+        return _call(
+            _name(f"_cg_p{p.i}"), _name("_cg_puts"), _name("_cg_trig"), _name("_cg_ts"),
+            payload, at=node,
         )
 
 
@@ -741,7 +378,7 @@ def _quad_src(form, syms: list[str]) -> str:
     return f"({lo}, {hi}, {lo_inc}, {hi_inc})"
 
 
-def _emit_query_site(s: _QuerySite, a) -> None:
+def _emit_query_site(s: QuerySite, a) -> None:
     i = s.i
     schema = s.handle.schema
     n_eq = s.prefix_arity + len(s.eq_names)
@@ -833,12 +470,21 @@ def _emit_query_site(s: _QuerySite, a) -> None:
         planned_body(a, 8)
 
 
-def _emit_put_site(p: _PutSite, a) -> None:
+def _emit_put_site(p: PutSite, a, trig_schema, decls) -> None:
     i = p.i
-    if p.schema is not None:
+    # "always": statically causal; "ge": one seq compare short-circuits
+    # the check; "dyn": the full check (always, for an untyped put)
+    mode, pp, tp = "dyn", -1, -1
+    if p.typed:
         a(f"    _p{i}_schema = _cg['p{i}_schema']")
         if p.inline:
             a(f"    _p{i}_types = _cg['p{i}_types']")
+        if put_always_causal(p.schema, trig_schema, decls):
+            mode = "always"
+        else:
+            fc = put_fast_compare(p.schema, trig_schema)
+            if fc is not None:
+                mode, (pp, tp) = "ge", fc
 
     def mk(value_lines, check_lines):
         arg = "_cg_v" if p.inline else "_cg_t"
@@ -852,7 +498,7 @@ def _emit_put_site(p: _PutSite, a) -> None:
             f"_p{i}_types(_cg_v)",
             f"_cg_t = _cg_JTuple(_p{i}_schema, _cg_v)",
         ]
-    elif p.schema is not None:
+    elif p.typed:
         build = []
     else:
         build = [
@@ -861,30 +507,32 @@ def _emit_put_site(p: _PutSite, a) -> None:
             " % _cg_type(_cg_t).__name__)",
         ]
 
-    if p.mode == "always":
+    if mode == "always":
         # statically causal: the §4 comparison is decided by the orderby
         # structure alone, with or without a checker
         mk(build, [])
         return
-    if p.mode == "ge":
+    if mode == "ge":
         # skip the §4 comparison iff the put's seq value strictly
         # exceeds the trigger's (put_fast_compare contract)
         check = [
-            f"if _cg_pchk is not None and not _cg_t.values[{p.pp}]"
-            f" > _trig.values[{p.tp}]:",
+            f"if _cg_pchk is not None and not _cg_t.values[{pp}]"
+            f" > _trig.values[{tp}]:",
             "    _cg_pchk(_cg_t, _trig, _ts)",
         ]
         if p.inline:
             check[0] = (
-                f"if _cg_pchk is not None and not _cg_v[{p.pp}]"
-                f" > _trig.values[{p.tp}]:"
+                f"if _cg_pchk is not None and not _cg_v[{pp}]"
+                f" > _trig.values[{tp}]:"
             )
         mk(build, check)
         return
     mk(build, ["if _cg_pchk is not None:", "    _cg_pchk(_cg_t, _trig, _ts)"])
 
 
-def _assemble(rule, trig_name, body_stmts, tr: _BodyTransformer) -> str:
+def _assemble(rule, decls, analysis, body_stmts, tr: _BodyTransformer) -> str:
+    qsites, psites = analysis.query_sites, analysis.put_sites
+    trig_name = analysis.trig_name
     lines: list[str] = []
     a = lines.append
     a(f"# generated rule driver for {rule.name!r}")
@@ -894,25 +542,25 @@ def _assemble(rule, trig_name, body_stmts, tr: _BodyTransformer) -> str:
     a("    _cg_RuleError = _cg['RuleError']")
     a("    _cg_len = _cg['len']")
     a("    _cg_pchk = _cg['put_check']")
-    if any(s.flavor == "exists" for s in tr.qsites):
+    if any(s.flavor == "exists" for s in qsites):
         a("    _cg_bool = _cg['bool']")
-    if any(s.flavor == "get_min" for s in tr.qsites):
+    if any(s.flavor == "get_min" for s in qsites):
         a("    _cg_min = _cg['min']")
-    if any(s.flavor == "reduce" for s in tr.qsites):
+    if any(s.flavor == "reduce" for s in qsites):
         a("    _cg_reduce_all = _cg['reduce_all']")
-    if any(p.schema is None for p in tr.psites):
+    if not all(p.typed for p in psites):
         a("    _cg_isinstance = _cg['isinstance']")
         a("    _cg_type = _cg['type']")
     if "str" in tr.uses:
         a("    _cg_str = _cg['str']")
     if "strjoin" in tr.uses:
         a("    _cg_strjoin = _cg['strjoin']")
-    for s in tr.qsites:
+    for s in qsites:
         _emit_query_site(s, a)
-    for p in tr.psites:
-        _emit_put_site(p, a)
+    for p in psites:
+        _emit_put_site(p, a, rule.trigger.schema, decls)
     a(f"    def _cg_driver({trig_name}, _cg_ts, _cg_puts, _cg_out):")
-    if tr.psites:
+    if psites:
         a(f"        _cg_trig = {trig_name}")
     if tr.uses_tv:
         a(f"        _cg_tv = {trig_name}.values")
@@ -926,51 +574,23 @@ def _assemble(rule, trig_name, body_stmts, tr: _BodyTransformer) -> str:
 # -- compile -----------------------------------------------------------------
 
 
-def _compile(rule: Rule, program: "Program") -> CompiledRuleBody:
+def _compile(rule: Rule, program: "Program", analysis: BodyAnalysis) -> CompiledRuleBody:
     body = rule.body
-    try:
-        src = textwrap.dedent(inspect.getsource(body))
-    except (OSError, TypeError):
-        raise CodegenRefusal("rule body source is unavailable")
-    try:
-        tree = ast.parse(src)
-    except SyntaxError:
-        raise CodegenRefusal("rule body source does not parse standalone")
-    if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):
-        raise CodegenRefusal("rule body is not a plain function")
-    fn = tree.body[0]
-    args = fn.args
-    if (
-        args.vararg
-        or args.kwarg
-        or args.kwonlyargs
-        or args.defaults
-        or args.kw_defaults
-        or len(args.posonlyargs) + len(args.args) != 2
-    ):
-        raise CodegenRefusal("rule body signature is not (ctx, trigger)")
-    params = [a.arg for a in args.posonlyargs + args.args]
-    ctx_name, trig_name = params
-    if ctx_name.startswith("_cg") or trig_name.startswith("_cg"):
+    if analysis.source is None:
+        raise CodegenRefusal(analysis.refusal)
+    if analysis.ctx_name.startswith("_cg") or analysis.trig_name.startswith("_cg"):
         raise CodegenRefusal(
             "identifiers starting with '_cg' collide with generated code"
         )
-
-    env = dict(body.__globals__)
-    if body.__closure__:
-        for name, cell in zip(body.__code__.co_freevars, body.__closure__):
-            try:
-                env[name] = cell.cell_contents
-            except ValueError:
-                raise CodegenRefusal(f"closure cell {name!r} is empty")
-
-    elem = _collect_tracking(fn, ctx_name, trig_name, env, rule.trigger.schema)
-    tr = _BodyTransformer(rule, program, env, ctx_name, trig_name, elem)
+    # the analysis keeps positions, not nodes: the transformer rewrites
+    # this tree in place and finds each site again by source position
+    fn = ast.parse(analysis.source).body[0]
+    tr = _BodyTransformer(rule, analysis)
     body_stmts = [tr.visit(stmt) for stmt in fn.body]
     for stmt in body_stmts:
         ast.fix_missing_locations(stmt)
 
-    source = _assemble(rule, trig_name, body_stmts, tr)
+    source = _assemble(rule, program.decls, analysis, body_stmts, tr)
     filename = f"<codegen:{rule.name}:{id(body):x}>"
     linecache.cache[filename] = (
         len(source),
@@ -978,7 +598,7 @@ def _compile(rule: Rule, program: "Program") -> CompiledRuleBody:
         source.splitlines(True),
         filename,
     )
-    ns = env.copy()
+    ns = analysis.env.copy()
     code = compile(source, filename, "exec")
     exec(code, ns)
 
@@ -986,10 +606,10 @@ def _compile(rule: Rule, program: "Program") -> CompiledRuleBody:
     compiled.rule_name = rule.name
     compiled.source = source
     compiled.make = ns["_cg_make"]
-    compiled.query_sites = tuple(tr.qsites)
-    compiled.put_sites = tuple(tr.psites)
+    compiled.query_sites = tuple(analysis.query_sites)
+    compiled.put_sites = tuple(analysis.put_sites)
     compiled.has_neg_agg = any(
-        s.kind is not QueryKind.POSITIVE for s in tr.qsites
+        s.kind is not QueryKind.POSITIVE for s in analysis.query_sites
     )
     _SOURCE_BY_BODY[body] = source
     return compiled
@@ -997,9 +617,12 @@ def _compile(rule: Rule, program: "Program") -> CompiledRuleBody:
 
 def compile_rule(rule: Rule, program: "Program") -> CompiledRuleBody:
     """Compile one rule body, raising :class:`CodegenRefusal` (with a
-    human-readable reason) when the body cannot be proven equivalent."""
+    human-readable reason) when the body cannot be proven equivalent.
+    Reading the body is the analyser's job and its defects are loud;
+    only emission failures turn into refusals."""
+    analysis = rule.analysis()
     try:
-        return _compile(rule, program)
+        return _compile(rule, program, analysis)
     except CodegenRefusal:
         raise
     except Exception as e:  # defensive: refusal, never a crash
@@ -1058,7 +681,7 @@ def bind_driver(
     plans = kernel._plans
     for s in compiled.query_sites:
         # shape registration with placeholder values: plan compilation
-        # depends only on the constrained positions (cf. PlanCache._warm)
+        # depends only on the constrained positions
         dummy_ranges = {
             f: ((None, None) if form == "pair" else {op: None for op in form})
             for f, form in s.ranges
@@ -1085,7 +708,7 @@ def bind_driver(
                 else None
             )
     for p in compiled.put_sites:
-        if p.schema is not None:
+        if p.typed:
             cg[f"p{p.i}_schema"] = p.schema
             if p.inline:
                 cg[f"p{p.i}_types"] = p.schema.check_types

@@ -8,12 +8,17 @@ change the program."
 
 :func:`check_program` walks every rule:
 
-* rules carrying :class:`~repro.solver.obligations.RuleMeta` get their
-  obligations generated and discharged;
+* a rule's :class:`~repro.solver.obligations.RuleMeta` — derived from
+  its body by :mod:`repro.plan.analyse`, or its ``meta=`` override —
+  has its obligations generated and discharged;
 * rules marked ``assume_stratified`` are recorded as accepted-by-
   programmer (the paper's workflow when the prover fails but manual
   reasoning justifies the rule);
-* rules with no metadata are reported as unchecked.
+* a rule whose body analysis refuses is reported as unchecked, with
+  the refusal reason.
+
+:func:`check_cover` is what ``Program.freeze()`` holds a ``meta=``
+override to: the sites body analysis finds must all be declared.
 
 ``strict=True`` turns any unproved obligation into a
 :class:`~repro.core.errors.StratificationError` — the hard failure the
@@ -27,8 +32,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.errors import StratificationError, StratificationWarning
+from repro.core.errors import ProgramError, StratificationError, StratificationWarning
 from repro.core.program import Program
+from repro.core.rules import Rule
 from repro.solver.obligations import (
     Invariant,
     Obligation,
@@ -36,7 +42,7 @@ from repro.solver.obligations import (
     generate_obligations,
 )
 
-__all__ = ["RuleFinding", "CheckReport", "check_program"]
+__all__ = ["RuleFinding", "CheckReport", "check_program", "check_cover"]
 
 
 @dataclass(slots=True)
@@ -46,6 +52,8 @@ class RuleFinding:
     rule: str
     status: str  # "proved" | "failed" | "assumed" | "unchecked"
     obligations: list[Obligation] = field(default_factory=list)
+    #: why body analysis refused (rules without derived metadata)
+    reason: str = ""
 
     @property
     def failed_obligations(self) -> list[Obligation]:
@@ -68,7 +76,7 @@ class CheckReport:
     def summary(self) -> str:
         lines = []
         for f in self.findings:
-            lines.append(f"{f.rule}: {f.status}")
+            lines.append(f"{f.rule}: {f.status}" + (f" ({f.reason})" if f.reason else ""))
             for o in f.failed_obligations:
                 lines.append(f"  UNPROVED [{o.kind}] {o.description} — {o.reason}")
         return "\n".join(lines)
@@ -87,9 +95,10 @@ def check_program(
     program.freeze()
     findings: list[RuleFinding] = []
     for rule in program.rules:
-        if isinstance(rule.meta, RuleMeta):
+        meta = rule.meta
+        if isinstance(meta, RuleMeta):
             obs = generate_obligations(
-                rule.name, rule.meta, program.decls, invariants, prover=prover
+                rule.name, meta, program.decls, invariants, prover=prover
             )
             unproved = [o for o in obs if not o.proved]
             if not unproved:
@@ -106,8 +115,38 @@ def check_program(
             if strict:
                 raise StratificationError(msg)
             warnings.warn(msg, StratificationWarning, stacklevel=2)
-        elif rule.assume_stratified:
-            findings.append(RuleFinding(rule.name, "assumed"))
         else:
-            findings.append(RuleFinding(rule.name, "unchecked"))
+            status = "assumed" if rule.assume_stratified else "unchecked"
+            findings.append(
+                RuleFinding(rule.name, status, reason=rule.analysis().refusal or "")
+            )
     return CheckReport(findings)
+
+
+def check_cover(rule: Rule) -> None:
+    """An explicit ``meta=`` must *cover* its body: every query site
+    (table, kind, eq-bound fields) and put site (table) analysis finds
+    must be declared — a meta that says less than the body does plans
+    indexes and placements for a rule that does not exist.  Declaring
+    more is allowed, and so is a body analysis refuses."""
+    body = rule.analysis()
+    if body.meta is None:
+        return
+    branches = rule.meta.branches
+    queries = {
+        (q.schema.name, q.kind, tuple(sorted(q.bound))) for b in branches for q in b.queries
+    }
+    puts = {p.schema.name for b in branches for p in b.puts}
+    missing = [
+        (s, f"{s.kind.value} query ctx.{s.flavor}({s.handle.name}) binding {list(s.eq_fields())}")
+        for s in body.query_sites
+        if (s.handle.name, s.kind, s.eq_fields()) not in queries
+    ] + [(s, f"put into {s.schema.name}") for s in body.put_sites if s.schema.name not in puts]
+    if missing:
+        site, what = missing[0]
+        code = rule.body.__code__
+        raise ProgramError(
+            f"rule {rule.name}: meta= does not cover its body: the {what} at "
+            f"{code.co_filename}:{code.co_firstlineno + site.lineno - 1} is not "
+            "declared (delete meta= to use the metadata derived from the body)"
+        )

@@ -19,9 +19,9 @@ probe lands within the lookback window.  The sound hint is therefore
 
 Soundness requires seeing *all* queries, so the analysis demands
 symbolic metadata (:class:`~repro.solver.obligations.RuleMeta`) on
-every rule — automatic for textual programs (:mod:`repro.lang.meta`);
-DSL rules without metadata must be explicitly vouched for via
-``trusted_no_query_rules``.  Any query we cannot fit the pattern
+every rule — derived from each body by :mod:`repro.plan.analyse`; a
+rule whose body that analysis refuses must be explicitly vouched for
+via ``trusted_no_query_rules``.  Any query we cannot fit the pattern
 disqualifies its table.  (Pruning by the table's own maximum clock,
 as the engine's hints do, is more conservative than pruning by the
 global clock — it only ever keeps extra tuples.)

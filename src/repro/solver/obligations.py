@@ -9,11 +9,12 @@ aggregate query (the queried region must be strictly in the past)::
     3. inv(trig) and not(Cond)
          ==>  orderby(Tuple1(queryArgs)) < orderby(trig)
 
-A rule's Python body is opaque, so rules that want static checking
-carry a :class:`RuleMeta`: the same information the JStar compiler
-would extract from the source — per-branch path conditions, the tuples
-each branch puts (field expressions over trigger fields), and the
-queries it makes (bound fields + extra constraints).  Table invariants
+Every rule has a :class:`RuleMeta`: what the JStar compiler extracts
+from the source — per-branch path conditions, the tuples each branch
+puts (field expressions over trigger fields), and the queries it makes
+(bound fields + extra constraints).  :mod:`repro.plan.analyse` derives
+it from the rule body; the fluent builder below writes one by hand, for
+tests and for the ``meta=`` override of a body analysis refuses.  Table invariants
 (``inv`` above) are supplied per table as functions from field
 variables to constraints; obligations both *use* trigger/query
 invariants as hypotheses and *check* that puts preserve them.

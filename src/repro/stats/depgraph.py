@@ -7,9 +7,9 @@ nodes (red circles), bold trigger edges, plus read/put edges.
 
 Two graphs are offered:
 
-* :func:`program_graph` — the *static* structure, from rule metadata
-  (trigger table → rule; rule → put tables, declared via the solver
-  metadata when present);
+* :func:`program_graph` — the *static* structure, from the metadata
+  derived from each rule's body (trigger table → rule; rule → put
+  tables; queried tables → rule);
 * :func:`execution_graph` — the *observed* structure from a
   :class:`~repro.stats.collector.StatsCollector`, annotated with firing
   / tuple / query counts (the "useful basis for choosing
@@ -45,9 +45,8 @@ def _rule_node(g: nx.DiGraph, name: str) -> str:
 
 
 def program_graph(program: Program) -> nx.DiGraph:
-    """Static table/rule graph.  Put edges require solver metadata
-    (the rule body is opaque Python); rules without metadata contribute
-    only their trigger edge."""
+    """Static table/rule graph.  A rule whose body analysis refuses
+    contributes only its trigger edge."""
     from repro.solver.obligations import RuleMeta  # local: optional dep
 
     g = nx.DiGraph(name=program.name)
@@ -56,8 +55,9 @@ def program_graph(program: Program) -> nx.DiGraph:
     for rule in program.rules:
         rn = _rule_node(g, rule.name)
         g.add_edge(_table_node(g, rule.trigger.schema.name), rn, kind="trigger")
-        if isinstance(rule.meta, RuleMeta):
-            for branch in rule.meta.branches:
+        meta = rule.meta
+        if isinstance(meta, RuleMeta):
+            for branch in meta.branches:
                 for p in branch.puts:
                     g.add_edge(rn, _table_node(g, p.schema.name), kind="put")
                 for q in branch.queries:

@@ -32,7 +32,6 @@ from repro.core.errors import EngineError
 from repro.core.program import ExecOptions, Program
 from repro.dist import OnNode, Partitioned, PlacementMap, Replicated
 from repro.dist import run_distributed, run_sharded
-from repro.solver.obligations import RuleMeta
 from repro.trace.diff import trace_diff
 from tests.dist.test_dist import (
     broadcast_program,
@@ -107,13 +106,7 @@ def colocated_program() -> Program:
     Visit = p.table("Visit", "int k, int hop", orderby=("B", "seq hop"))
     p.order("A", "B")
 
-    meta = RuleMeta(Visit)
-    t = meta.trigger
-    b = meta.branch()
-    b.query(Cell, k=t["k"])
-    b.put(Visit, k=t["k"] + 1, hop=t["hop"] + 1)
-
-    @p.foreach(Visit, meta=meta)
+    @p.foreach(Visit)
     def walk(ctx, visit):
         cell = ctx.get_uniq(Cell, k=visit.k)
         ctx.println(f"hop {visit.hop}: cell {visit.k} = {cell.v}")

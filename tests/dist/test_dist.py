@@ -236,6 +236,11 @@ class TestDistEngine:
             DistOptions(n_nodes=0)
 
 
+def _elsewhere(ctx):
+    """Body analysis refuses a rule that hands its context away: what
+    the helper does with it cannot be read off the rule."""
+
+
 class TestLocalityCheck:
     def test_copartitioned_query_is_local(self):
         from repro.lang import compile_source
@@ -305,7 +310,8 @@ class TestLocalityCheck:
         T = p.table("T", "int t", orderby=("Int", "seq t"))
 
         @p.foreach(T)
-        def opaque(ctx, t): ...
+        def opaque(ctx, t):
+            _elsewhere(ctx)  # analysis refuses: the context escapes
 
         findings = check_locality(p)
         assert findings[0].verdict == "unknown"
@@ -315,11 +321,21 @@ class TestLocalityCheck:
         T = p.table("T", "int t", orderby=("Int", "seq t"))
 
         @p.foreach(T)
-        def opaque(ctx, t): ...
+        def opaque(ctx, t):
+            _elsewhere(ctx)
 
         findings = check_locality(p)
         assert findings[0].table == "T"  # not the old "?"
-        assert "observed" in findings[0].detail
+        assert "context escapes" in findings[0].detail  # the refusal reason
+
+    def test_rule_without_queries_has_no_findings(self):
+        p = Program()
+        T = p.table("T", "int t", orderby=("Int", "seq t"))
+
+        @p.foreach(T)
+        def quiet(ctx, t): ...
+
+        assert check_locality(p) == []
 
     def test_observed_shapes_classify_meta_less_rules(self):
         p = Program("observed")
@@ -331,6 +347,7 @@ class TestLocalityCheck:
         def probe(ctx, g):
             ctx.get(Data, k=g.g)      # binds the partition field
             ctx.get(Data)             # full scan -> broadcast
+            _elsewhere(ctx)           # refused statically: observed shapes classify it
 
         p.put(Data.new(0, 1))
         p.put(Go.new(0))
@@ -353,6 +370,7 @@ class TestLocalityCheck:
         @p.foreach(Go)
         def peek(ctx, g):
             ctx.get(Cfg, k=0)
+            _elsewhere(ctx)
 
         p.put(Cfg.new(0, 1))
         p.put(Go.new(0))

@@ -22,12 +22,18 @@ Extra legs beyond the 5-app matrix:
   knob must downgrade itself with a note and the run must still match
   the reference byte for byte;
 * report legs: the per-rule fired-counts notes and the
-  ``dump_generated_source`` inspection hook advertised by them.
+  ``dump_generated_source`` inspection hook advertised by them;
+* a textual leg: Fig 4, Fig 5 and ``examples/textual_jstar.py`` are
+  lowered to Python source by :mod:`repro.lang.compile`, so the codegen
+  tier compiles them like any hand-written rule — no rule is refused for
+  its body's shape.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +44,10 @@ from repro.apps.sensors import run_sensors
 from repro.apps.ship import run_ship
 from repro.apps.shortestpath import GraphSpec, run_shortestpath
 from repro.core import ExecOptions, Program
+from repro.core.errors import StratificationWarning
 from repro.csvio.synth import generate_csv_bytes
+from repro.lang import compile_source, lowered_sources
 from repro.plan.codegen import dump_generated_source
-from repro.solver import RuleMeta
 from repro.stats.report import run_report
 from repro.trace import format_divergence, trace_diff
 
@@ -50,9 +57,10 @@ APPS = ["ship", "pvwatts", "shortestpath", "sensors", "median"]
 @pytest.fixture(scope="module", autouse=True)
 def _dump_generated_sources_for_ci():
     """With CODEGEN_DUMP_DIR set (the CI codegen job), write every
-    generated driver module to disk after the suite — on failure the
-    directory is uploaded as an artifact, so a differential break
-    ships the exact code that diverged."""
+    generated driver module, and every textual rule's lowered Python
+    source, to disk after the suite — on failure the directory is
+    uploaded as an artifact, so a differential break ships the exact
+    code that diverged."""
     yield
     out = os.environ.get("CODEGEN_DUMP_DIR")
     if not out:
@@ -60,7 +68,7 @@ def _dump_generated_sources_for_ci():
     from repro.plan.codegen import all_generated_sources
 
     os.makedirs(out, exist_ok=True)
-    for qualname, src in all_generated_sources().items():
+    for qualname, src in {**all_generated_sources(), **lowered_sources()}.items():
         safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in qualname)
         with open(os.path.join(out, f"{safe}.py"), "w") as f:
             f.write(src)
@@ -153,11 +161,7 @@ def _build_where_program() -> Program:
             ctx.put(Item.new(s.k * 100 + i, i * i))
         ctx.put(Probe.new(s.k))
 
-    meta = RuleMeta(Probe)
-    t = meta.trigger
-    meta.branch().query(Item, k=t["k"])
-
-    @p.foreach(Probe, meta=meta, assume_stratified=True)
+    @p.foreach(Probe, assume_stratified=True)
     def check(ctx, probe):
         evens = ctx.get(Item, where=lambda it: it.v % 2 == 0)
         ctx.println(f"probe {probe.k}: {len(evens)} even items")
@@ -209,6 +213,114 @@ def test_dump_generated_source_hook():
     assert dump_generated_source(check) is None
     # the hook also accepts the raw body function
     assert dump_generated_source(seed.body) == src
+
+
+def test_loop_variable_shadowing_the_trigger():
+    """A loop variable named like the trigger parameter (what a textual
+    ``for (x : get T(...))`` inside ``foreach (T x)`` lowers to) used to
+    read the *trigger's* fields inside the loop under codegen."""
+
+    def build():
+        p = Program("shadow")
+        T = p.table("T", "int t -> int v", orderby=("Int", "seq t"))
+
+        @p.foreach(T, assume_stratified=True)
+        def earlier(ctx, x):
+            for x in ctx.get(T, ranges={"t": {"lt": x.t}}):
+                ctx.println(f"saw {x.t} {x.v}")
+
+        for t, v in enumerate([1, 1, 5]):
+            p.put(T.new(t, v))
+        return p
+
+    ref = build().run(ExecOptions())
+    got = build().run(ExecOptions(execution="codegen"))
+    assert ref.output == ["saw 0 1", "saw 0 1", "saw 1 1"]
+    _assert_results(got, ref, "shadowed trigger under codegen")
+    assert _kept_scalar(got) == []
+
+
+# -- textual programs: lowered to Python, compiled like the rest -------------
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "examples"))
+
+_EDGES = [(0, 1, 4), (0, 2, 1), (2, 1, 2), (1, 3, 1), (2, 3, 6), (3, 4, 2)]
+
+
+def _fig4():
+    from tests.lang.test_compile import TestFig4PvWatts
+
+    return TestFig4PvWatts()._program()
+
+
+def _fig5(src=None):
+    from tests.lang.test_compile import TestFig5Dijkstra
+
+    p = compile_source(src or TestFig5Dijkstra.SRC, "fig5")
+    for edge in _EDGES:
+        p.put(p.tables["Edge"].new(*edge))
+    return p
+
+
+def _example_fig4():
+    from textual_jstar import FIG4
+
+    data = generate_csv_bytes(n_years=1, seed=42)
+    return compile_source(FIG4, "fig4", files={"large1000.csv": data})
+
+
+def _example_fig5():
+    from textual_jstar import FIG5
+
+    return _fig5(FIG5)
+
+
+TEXTUAL = {
+    "fig4": _fig4,
+    "fig5": _fig5,
+    "example-fig4": _example_fig4,
+    "example-fig5": _example_fig5,
+}
+
+
+def _kept_scalar(result) -> list[str]:
+    return [n for n in result.stats.notes if "kept scalar" in n]
+
+
+@pytest.mark.parametrize("name", sorted(TEXTUAL))
+def test_textual_programs_compile_under_codegen(name):
+    """Byte-identical to scalar, and with the dynamic check off every
+    rule fires generated: nothing about a lowered body's shape refuses."""
+    build = TEXTUAL[name]
+    off = ExecOptions(causality_check="off")
+    ref = build().run(off)
+    got = build().run(off.with_(execution="codegen"))
+    _assert_results(got, ref, f"textual {name} under codegen")
+    assert sum(ref.table_sizes.values()) > 5  # the programs ran
+    assert _kept_scalar(got) == []
+    assert sum("generated / 0 scalar" in n for n in got.stats.notes) == len(
+        [r for r in build().rules if got.stats.rules.get(r.name)]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TEXTUAL))
+def test_textual_programs_under_the_default_check(name):
+    """Under causality_check="warn" the one rule still kept scalar is
+    Fig 5's: its negative queries need dynamic adjudication (the gate
+    every hand-written rule with a negative query sits behind too)."""
+    build = TEXTUAL[name]
+    if name.endswith("fig5"):
+        with pytest.warns(StratificationWarning, match="no statically bounded"):
+            ref = build().run(ExecOptions())
+        with pytest.warns(StratificationWarning, match="no statically bounded"):
+            got = build().run(ExecOptions(execution="codegen"))
+        (note,) = _kept_scalar(got)
+        assert "require dynamic adjudication" in note
+    else:
+        ref = build().run(ExecOptions())
+        got = build().run(ExecOptions(execution="codegen"))
+        assert _kept_scalar(got) == []
+    _assert_results(got, ref, f"textual {name} under codegen, check on")
 
 
 # -- chaos fuzz: the knob downgrades, results stay identical -----------------

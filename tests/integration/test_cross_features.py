@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core import ExecOptions, Program
 from repro.dist import Partitioned, run_distributed
 from repro.lang import compile_source, parse_expression
-from repro.lang.compile import _Evaluator
+from repro.lang.compile import _SUPPORT, _Lowering
 
 
 class TestTextualDistributed:
@@ -170,7 +170,13 @@ class TestAdvisorOnTextualPrograms:
         assert rec.kind == "array-of-hashsets"  # k spans the dense 0..3
 
 
-# -- expression-evaluator fuzz ---------------------------------------------------
+# -- expression-lowering fuzz ----------------------------------------------------
+
+
+def _evaluate(ast):
+    """Lower one expression the way a rule body's are and run it."""
+    return eval(_Lowering({}, {}).expr(ast)[0], dict(_SUPPORT))
+
 
 _INT = st.integers(-50, 50)
 
@@ -192,7 +198,7 @@ def arith_exprs(draw, depth=0):
 def test_evaluator_matches_python_arithmetic(expr_value):
     src, expected = expr_value
     ast = parse_expression(src)
-    value = _Evaluator({}).eval(ast, None, {})  # type: ignore[arg-type]
+    value = _evaluate(ast)
     assert value == expected
 
 
@@ -201,7 +207,7 @@ def test_evaluator_matches_python_arithmetic(expr_value):
 def test_evaluator_matches_python_comparison(a, b, op):
     (sa, va), (sb, vb) = a, b
     ast = parse_expression(f"{sa} {op} {sb}")
-    value = _Evaluator({}).eval(ast, None, {})  # type: ignore[arg-type]
+    value = _evaluate(ast)
     expected = {
         "<": va < vb, "<=": va <= vb, ">": va > vb,
         ">=": va >= vb, "==": va == vb, "!=": va != vb,

@@ -10,6 +10,11 @@ from repro.core import Program, StratificationError, StratificationWarning
 from repro.solver import RuleMeta, check_program
 
 
+def _elsewhere(ctx):
+    """Body analysis refuses a rule that hands its context away: what
+    the helper does with it cannot be read off the rule."""
+
+
 def good_and_bad_program():
     p = Program("mixed")
     T = p.table("T", "int t", orderby=("Int", "seq t"))
@@ -27,7 +32,8 @@ def good_and_bad_program():
     def bad(ctx, t): ...
 
     @p.foreach(T, name="opaque")
-    def opaque(ctx, t): ...
+    def opaque(ctx, t):
+        _elsewhere(ctx)
 
     return p
 
@@ -41,6 +47,10 @@ class TestCheckProgram:
         by_name = {f.rule: f.status for f in rep.findings}
         assert by_name == {"good": "proved", "bad": "failed", "opaque": "unchecked"}
         assert not rep.all_proved
+        # the finding says why the body was not analysed
+        (unchecked,) = rep.by_status("unchecked")
+        assert "context escapes" in unchecked.reason
+        assert "opaque: unchecked (the rule context escapes" in rep.summary()
 
     def test_warning_emitted_for_failure(self):
         p = good_and_bad_program()
@@ -72,10 +82,22 @@ class TestCheckProgram:
         T = p.table("T", "int t", orderby=("Int", "seq t"))
 
         @p.foreach(T, assume_stratified=True, name="trusted")
-        def r(ctx, t): ...
+        def r(ctx, t):
+            _elsewhere(ctx)
 
         rep = check_program(p)
         assert rep.findings[0].status == "assumed"
+
+    def test_body_without_sites_proves_vacuously(self):
+        p = Program()
+        T = p.table("T", "int t", orderby=("Int", "seq t"))
+
+        @p.foreach(T)
+        def quiet(ctx, t): ...
+
+        rep = check_program(p)
+        assert rep.findings[0].status == "proved"
+        assert rep.findings[0].obligations == []
 
     def test_summary_lists_unproved(self):
         p = good_and_bad_program()
