@@ -71,8 +71,8 @@ def test_ablation_distribution_report(benchmark, runs, emit):
         rows.append(FigureRow(f"  {nodes}-node comm", r.comm_time))
     good4 = sweep[4]
     rows += [
-        FigureRow("4 nodes, month-partitioned: remote queries", float(good4.remote_queries)),
-        FigureRow("4 nodes, day-partitioned: remote queries", float(mis.remote_queries)),
+        FigureRow("4 nodes, month-partitioned: remote queries", float(good4.probes_remote)),
+        FigureRow("4 nodes, day-partitioned: remote queries", float(mis.probes_remote)),
         FigureRow("4 nodes, day-partitioned elapsed (wu)", mis.elapsed),
         FigureRow("4 nodes, PvWatts replicated: tuples moved", float(repl.tuples_moved)),
         FigureRow("4 nodes, PvWatts replicated elapsed (wu)", repl.elapsed),
@@ -91,8 +91,8 @@ def test_ablation_distribution_report(benchmark, runs, emit):
     assert sweep[8].compute_time < sweep[2].compute_time
     assert sweep[4].comm_time > sweep[1].comm_time
     # co-partitioning keeps the reduce local; day-partitioning doesn't
-    assert good4.remote_queries == 0
-    assert mis.remote_queries > 0
+    assert good4.probes_remote == 0
+    assert mis.probes_remote > 0
     assert good4.elapsed < mis.elapsed
     # replication multiplies insert traffic
     assert repl.tuples_moved > good4.tuples_moved * 2

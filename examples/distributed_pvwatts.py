@@ -58,7 +58,8 @@ def main() -> None:
         assert month_means_from_output(sorted(r.output)) == ref
         print(
             f"  {label:17s}: elapsed {r.elapsed:9,.0f} wu, "
-            f"remote queries {r.remote_queries}, messages {r.messages}"
+            f"remote reads {r.probes_remote} in {r.remote_queries} round trips, "
+            f"messages {r.messages}"
         )
     print("\nco-partitioning keeps every SumMonth reduce on its own node —")
     print("the experiment cost a placement dict, not a program rewrite (§2)")

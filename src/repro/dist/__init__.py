@@ -4,26 +4,20 @@ communication costs): one step loop, a sharded tier, two wires.
 
 A distributed run is an ordinary
 :class:`~repro.core.session.EngineSession` over the ordinary
-:class:`~repro.core.kernel.StepKernel` — the global Delta order,
-duplicate verdicts, phase C, stats, trace and output are the kernel's —
-given :class:`repro.dist.superstep.ShardedExecutor` as its execution
-tier: it decides which node fires a tuple and the order firing records
-reach the kernel, and every backend fires rules through the same
+:class:`~repro.core.kernel.StepKernel`, given
+:class:`repro.dist.superstep.ShardedExecutor` as its execution tier:
+it decides which node fires a tuple and the order firing records reach
+the kernel, and every backend fires rules through the same
 ``fire_records`` on the same ``Shard``, whose plan cache resolves where
-a query shape's rows live (``PlacementMap.query_verdict``) into its
-access path when the shape compiles.  A backend implements one call,
-``execute(step, plan) -> records`` (land the planned class on its
-shards, fire it there), plus the read it hands its shards, ``fetch``;
-it may price, ship, retry and account, but not decide.
+a query shape's rows live into its access path and whose read plans
+fetch what a class will ask of other shards once.  A backend implements
+``execute(step, plan) -> records`` plus the read it hands its shards,
+``fetch``; it may price, ship, retry and account, but not decide.
 `repro.dist.engine` is the cost-model backend (in-process shards, a
 LogP-style network model, virtual time), `repro.dist.procrun` the
-worker mesh (real OS processes over pipes or TCP; tuples ride the
-coordinator's step frames and done records, routed queries the
-worker↔worker peer plane) — the latter is also reachable as
-``ExecOptions(strategy="processes")``.  Either entry point normalises
-the options it is handed to that strategy, so a knob composes through
-the step loop or refuses before any state exists
-(:mod:`repro.core.executors.registry`)."""
+worker mesh (real OS processes over pipes or TCP), also reachable as
+``ExecOptions(strategy="processes")``.  DESIGN.md §5.3 has the whole
+design."""
 
 from repro.dist.check import QueryLocality, check_locality, locality_summary
 from repro.dist.engine import DistEngine, DistOptions, DistRunResult, run_distributed

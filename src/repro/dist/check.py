@@ -14,8 +14,9 @@ makes this static: for every symbolic query under a placement,
 * ``unknown``    — analysis refused the rule's body (the detail says
   why).
 
-An aid and nothing else: no run consults it — a shard routes a query by
-the value it binds, trusting no rule's metadata.
+An aid and nothing else: a shard routes a query by the value it binds,
+and the read plans a run derives from the same metadata only decide how
+early a row is fetched, never which row a rule sees.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.program import Program
-from repro.dist.placement import OnNode, PlacementMap, Partitioned
+from repro.dist.placement import OnNode, PlacementMap
+from repro.dist.readplan import read_plan
 from repro.solver.obligations import RuleMeta
 
 __all__ = ["QueryLocality", "check_locality", "locality_summary"]
@@ -47,9 +49,22 @@ class QueryLocality:
     table: str
     verdict: str  # local | routed | broadcast | unknown
     detail: str
+    #: why a read that leaves its node is a round trip of its own and
+    #: not part of its class's one exchange: analysis-refused |
+    #: opaque-key | generator-not-local (None: its plan predicts it)
+    reason: str | None = None
+
+    @property
+    def exchange(self) -> str | None:
+        """How a routed / broadcast read travels: ``per-step`` or
+        ``per-probe``; None for the other verdicts."""
+        if self.verdict not in ("routed", "broadcast"):
+            return None
+        return "per-probe" if self.reason else "per-step"
 
     def __repr__(self) -> str:
-        return f"<{self.rule} -> {self.table}: {self.verdict} ({self.detail})>"
+        how = f", {self.exchange}" if self.exchange else ""
+        return f"<{self.rule} -> {self.table}: {self.verdict}{how} ({self.detail})>"
 
 
 def _describe(placement, verdict: str) -> str:
@@ -62,26 +77,14 @@ def _describe(placement, verdict: str) -> str:
     return f"partition field {placement.field!r} unbound"
 
 
-def _classify_observed(
-    rule: str, pm: PlacementMap, shapes: list[tuple[str, tuple[str, ...]]]
-) -> list[QueryLocality]:
-    """Classify an unanalysable rule's *observed* query shapes (gathered by
-    :class:`~repro.stats.collector.StatsCollector` during a profiling
-    run) — one finding per query, with the real table name."""
-    findings = []
-    for table, eq_fields in shapes:
-        verdict = pm.query_verdict(table, eq_fields)
-        detail = f"{_describe(pm[table], verdict)} (observed query)"
-        findings.append(QueryLocality(rule, table, verdict, detail))
-    return findings
-
-
 def check_locality(
     program: Program,
     placements: PlacementMap | dict | None = None,
     observed=None,
 ) -> list[QueryLocality]:
-    """Classify every statically-known query under a placement.
+    """Classify every statically-known query under a placement, and say
+    how each read that leaves its node will travel — what the sharded
+    tier's read plans (:mod:`repro.dist.readplan`) make of the rule.
 
     A rule whose body analysis refuses cannot be classified statically;
     pass ``observed`` (a :class:`~repro.stats.collector.StatsCollector`
@@ -95,46 +98,27 @@ def check_locality(
         else PlacementMap(program.schemas(), placements)
     )
     observed_shapes = getattr(observed, "rule_query_shapes", observed) or {}
-    by_rule: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    for (rule_name, table, eq_fields, _rng) in observed_shapes:
-        by_rule.setdefault(rule_name, []).append((table, eq_fields))
     findings: list[QueryLocality] = []
     for rule in program.rules:
-        meta = rule.meta
-        if not isinstance(meta, RuleMeta):
-            shapes = by_rule.get(rule.name)
-            if shapes:
-                findings.extend(_classify_observed(rule.name, pm, shapes))
-            else:
+        if not isinstance(rule.meta, RuleMeta):
+            shapes = [(t, eq) for (name, t, eq, _rng) in observed_shapes if name == rule.name]
+            for table, eq_fields in shapes:
+                verdict = pm.query_verdict(table, eq_fields)
+                detail = f"{_describe(pm[table], verdict)} (observed query)"
+                reason = None if verdict == "local" else "analysis-refused"
+                findings.append(QueryLocality(rule.name, table, verdict, detail, reason))
+            if not shapes:
+                detail = f"body not analysed: {rule.analysis().refusal}"
                 findings.append(
-                    QueryLocality(
-                        rule.name,
-                        rule.trigger.schema.name,
-                        "unknown",
-                        f"body not analysed: {rule.analysis().refusal}",
-                    )
+                    QueryLocality(rule.name, rule.trigger.schema.name, "unknown", detail)
                 )
-            continue
-        trig_schema = meta.trigger_schema
-        trig_placement = pm[trig_schema.name]
-        trig_part_term = None
-        if isinstance(trig_placement, Partitioned):
-            trig_part_term = meta.trigger.get(trig_placement.field)
-        for branch in meta.branches:
-            for q in branch.queries:
-                name = q.schema.name
-                placement = pm[name]
-                verdict = pm.query_verdict(name, q.bound)
-                detail = _describe(placement, verdict)
-                if (
-                    verdict == "routed"
-                    and trig_part_term is not None
-                    and isinstance(placement, Partitioned)
-                    and q.bound[placement.field] == trig_part_term
-                ):
-                    # the one refinement only the static form can make:
-                    # the bound value provably is the trigger's own
-                    verdict = "local"
-                    detail = f"co-partitioned on {placement.field!r} with the trigger"
-                findings.append(QueryLocality(rule.name, name, verdict, detail))
+        for site in read_plan(rule, pm):
+            table = site.schema.name
+            detail = _describe(pm[table], site.verdict)
+            if site.colocated:
+                # the one refinement only the static form can make: the
+                # bound value provably is the trigger's own
+                detail = f"co-partitioned on {pm[table].field!r} with the trigger"
+            reason = None if site.verdict == "local" else site.reason
+            findings.append(QueryLocality(rule.name, table, site.verdict, detail, reason))
     return findings

@@ -10,8 +10,9 @@ module only holds the per-node shards
 (:class:`~repro.dist.superstep.Shard`) in one process and **prices**
 what the tier has it execute: a :class:`~repro.exec.metering.CostMeter`
 per firing — on which a routed select charges one store lookup per
-shard it reads, like any prepared select — routed queries as round
-trips and puts as batched messages on a
+shard it reads, like any prepared select — reads of other shards as
+one round trip per (node, owner, step) plus one per read no plan
+predicted, and puts as batched messages, on a
 :class:`~repro.dist.network.NetModel`.  Outputs are therefore
 **identical to the single-node engine** and to the worker mesh (the
 same §1.3 determinism guarantee, asserted by the tests).
@@ -38,12 +39,11 @@ from typing import Mapping
 from repro.core.database import Database
 from repro.core.errors import EngineError
 from repro.core.program import ExecOptions, Program
-from repro.core.query import Query
 from repro.core.session import EngineSession
 from repro.core.tuples import JTuple
 from repro.dist.network import NetModel, StepTraffic
 from repro.dist.placement import Placement
-from repro.dist.superstep import Shard, fire_records, sharded_kernel
+from repro.dist.superstep import Probes, Shard, fire_records, sharded_kernel
 from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
 from repro.stats.collector import StatsCollector
 from repro.trace.recorder import TraceRecorder
@@ -85,7 +85,11 @@ class DistRunResult:
     node_busy: list[float] = field(default_factory=list)
     messages: int = 0
     tuples_moved: int = 0
+    #: round trips priced (the mesh's ``q`` frames) / reads other nodes
+    #: answered / those of them a class's one exchange had fetched
     remote_queries: int = 0
+    probes_remote: int = 0
+    probes_planned: int = 0
     steps: int = 0
     stats: StatsCollector = field(default_factory=StatsCollector)
     shard_sizes: dict[str, list[int]] = field(default_factory=dict)
@@ -143,18 +147,17 @@ class DistEngine:
 
     # -- the backend contract ----------------------------------------------------
 
-    def _fetch(self, node: int, query: Query, homes: list[int]) -> list[JTuple]:
-        """``node`` reads ``homes``: each answers through its own access
-        path for the shape, and the round trip is priced on the step's
-        traffic (the lookups themselves on the firing's meter, by the
-        shape's prepared select)."""
-        rows: list[JTuple] = []
-        for home in homes:
-            part = self._views[home].local(query).run(query)
-            self.traffic.remote_query(node, home, len(part))
+    def _fetch(self, node: int, asks: dict[int, Probes]) -> dict[int, list]:
+        """``node`` reads other shards: each owner serves its batch, and
+        one round trip per owner — per (node, owner, step) for a class's
+        exchange — is priced on the step's traffic (a firing's lookups
+        on its meter, by the shape's prepared select)."""
+        answers = {}
+        for owner, probes in asks.items():
+            answers[owner] = part = self._views[owner].serve(probes)
+            self.traffic.remote_query(node, owner, sum(map(len, part)))
             self._totals.remote_queries += 1
-            rows.extend(part)
-        return rows
+        return answers
 
     def execute(self, step: int, plan: list) -> dict[int, list[dict]]:
         n = self.n_nodes
@@ -167,7 +170,10 @@ class DistEngine:
         for tup, _dup, _node in plan:
             for owner in owners_of(tup, n):
                 self.shards[owner].insert(tup)
-        # phase B: fire, in class order, on the assigned nodes
+        # phase B: one exchange per node, then fire, in class order, on
+        # the assigned nodes
+        for node, view in enumerate(self._views):
+            view.exchange([tup for tup, dup, at in plan if at == node and not dup])
         records: dict[int, list[dict]] = {}
         for idx, (tup, dup, node) in enumerate(plan):
             if dup:
@@ -219,6 +225,8 @@ class DistEngine:
             }
             self.tier.check_shards(t.shard_sizes)
         t.steps = kernel.steps
+        t.probes_remote = sum(view.probes_remote for view in self._views)
+        t.probes_planned = sum(view.probes_planned for view in self._views)
         t.shards = self.shards
         t.trace = kernel.tracer
         return t

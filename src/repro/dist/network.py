@@ -9,25 +9,22 @@ the standard LogP-flavoured account:
 * messages between the same (src, dst) pair within one superstep are
   **batched**: one latency, summed payload — distributed JStar's
   natural bulk exchange (the engine moves whole put-sets per step);
+* a read of another shard is a synchronous round trip: one per (node,
+  owner) for all the probes of a class that the rules' read plans
+  predict, one more per read they did not;
 * a node's send/receive work serialises on its NIC: per-step comm time
   at a node = sum of its message costs; the step's comm makespan is the
   busiest node's total (full-duplex assumed between distinct pairs).
-
-All counters are exposed for the benchmarks: messages, tuples moved,
-per-node send/recv cost.
 
 :class:`WireStats` is the *real* counterpart: the multiprocess runtime
 (:mod:`repro.dist.procrun`) counts actual pickled bytes and messages on
 each coordinator↔worker control channel (step frames out, done records
 back — every tuple travels here) *and* on each worker's peer mesh
-(routed queries and their answers, nothing else), so the network
-columns of a distributed ``run_report`` are measured traffic, not
-modelled cost.  Workers snapshot their counters into every ``done``
-record as one fixed-width block (``repro.dist.worker.COUNTERS``), so a
-record's size does not depend on how far a counter has run and the
-byte counts of one program on one transport repeat exactly; the
-coordinator folds the last snapshot of a crashed incarnation into its
-replacement so report totals survive recovery.
+(``q`` / ``a`` frames: batches of probes and their rows), so the
+network columns of a distributed ``run_report`` are measured traffic.
+Workers snapshot their counters into every ``done`` record as one
+fixed-width block (``repro.dist.worker.COUNTERS``): a record's size does
+not depend on how far a counter has run, so byte counts repeat exactly.
 """
 
 from __future__ import annotations
@@ -85,8 +82,8 @@ class StepTraffic:
     net: NetModel
     #: (src, dst) -> tuples carried this step
     batches: dict[tuple[int, int], int] = field(default_factory=dict)
-    #: synchronous round trips issued this step (remote queries):
-    #: each pays latency twice regardless of batching
+    #: synchronous round trips issued this step (one per batch of
+    #: probes a node asks an owner): each pays latency twice
     round_trips: int = 0
     shipped_results: int = 0
 
@@ -117,8 +114,7 @@ class StepTraffic:
             cost = self.net.latency + self.net.per_tuple * n
             per_node[src] += cost
             per_node[dst] += cost
-        # synchronous round trips stall their issuing node for the full
-        # round trip; results are marshalled by the owner
+        # a round trip stalls its issuing node; the owner marshals rows
         rt = self.round_trips * 2 * self.net.latency + (
             self.shipped_results * self.net.per_result
         )

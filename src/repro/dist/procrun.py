@@ -1,9 +1,8 @@
 """The worker-mesh backend of the sharded tier —
 ``ExecOptions(strategy="processes")``.
 
-Where :class:`~repro.dist.engine.DistEngine` *prices* a cluster (N
-shard views, one process, modelled network costs), this module runs the
-real thing: N OS worker processes (:mod:`repro.dist.worker`), each
+Where :class:`~repro.dist.engine.DistEngine` *prices* a cluster, this
+module runs one: N OS worker processes (:mod:`repro.dist.worker`), each
 owning the Gamma shards its :class:`~repro.dist.placement.PlacementMap`
 assigns it.  What runs is the one step loop — an ordinary
 :class:`~repro.core.session.EngineSession` over a
@@ -22,37 +21,30 @@ the backend contract, over two planes:
   each way: a put rides the firing worker's done record to the
   coordinator (phase C needs its values), and the step frame of the
   class that later pops it carries it, by value, to its owners;
-* a **peer plane** — a direct worker↔worker mesh carrying routed
-  queries and their answers, nothing else; the coordinator never
-  touches a query.
+* a **peer plane** — a direct worker↔worker mesh carrying the reads of
+  other shards, a batch of probes per ``q`` frame and its rows per
+  ``a`` frame; the coordinator never touches a query.
 
 ``execute`` turns a planned class into one step frame per worker,
 ``{step, attempt, insert: [(table, values)…], fire: [(idx, pos)…]}`` —
 phase-A inserts for the slice the worker owns, fire assignments
-indexing into them — and gathers the done records.  The step frame is
-the once-per-iteration exchange; nothing is shipped per derived fact.
-(Shipping each put a second time — to its owners over the mesh, one
-frame per put per owner, so the later insert could name it by a 5-field
-reference — was measured and removed: for the small tuples this repo
-ships the reference was wider than the value, and without it
-``dijkstra_mesh`` moves 43 466 → 23 946 peer messages and 149.7 → 101.5
-wire bytes per stored tuple.  EXPERIMENTS.md, "Benchmark anomaly 2".)
+indexing into them — and gathers the done records.  Step frame and read
+exchange are once per iteration: nothing is shipped per derived fact,
+nor per probe a rule's read plan predicts (EXPERIMENTS.md, "Benchmark
+anomaly 2" and "4").
 
-Crash recovery: the kernel's Gamma is the control replica, and it holds
-the class being fired — phase A precedes phase B, as on one node.  When
-a worker dies mid-step (:class:`~repro.core.errors.WorkerLostError`
-names the node and the step/attempt epoch), ``execute`` aborts the step
-on the survivors, re-forks the lost node, re-meshes it (the replacement
-dials every survivor), bootstraps it from the owned slice of the
-replica, and re-sends the same step frames under a new attempt epoch.
-That the bootstrap already contains the step's inserts is harmless —
-a worker's phase A is idempotent and fire assignments index the frame,
-not the outcome — and workers replay a completed step from a reply
-cache, so rule execution stays at-most-once per completed step.  The
-frames carry values, so a replacement needs nothing its predecessor
-held.  A worker's counters are snapshotted into every done record, and
-the last snapshot of a crashed incarnation is folded into its
-replacement's totals, so ``format_nodes`` survives recovery.
+Crash recovery (DESIGN.md §5.3 has the protocol): the kernel's Gamma is
+the control replica, and it holds the class being fired — phase A
+precedes phase B, as on one node.  When a worker dies mid-step,
+``execute`` aborts the step on the survivors, re-forks and re-meshes
+the lost node, bootstraps it from its slice of the replica and re-sends
+the same frames under a new attempt epoch.  A worker's phase A is
+idempotent, a completed step is replayed from a reply cache
+(at-most-once rule execution), and one that had not completed
+exchanges again — what an aborted attempt fetched is dropped with it.
+Every done record carries a counter snapshot; a crashed incarnation's
+last one is folded into its replacement's totals, so ``format_nodes``
+survives recovery.
 """
 
 from __future__ import annotations
@@ -149,33 +141,23 @@ class ProcessShardRuntime:
     # -- worker management ---------------------------------------------------
 
     def _fork(self, node: int, incarnation: int) -> _Worker:
-        conf = dict(self._conf)
-        conf["incarnation"] = incarnation
+        conf = {**self._conf, "incarnation": incarnation}
+        parent_conn = child_conn = None
         if self.transport == "tcp":
             if self._ctl_listener is None:
                 self._ctl_listener = PeerListener("tcp", tag="ctl")
             control = ("tcp", self._ctl_listener.address)
-            proc = self._ctx.Process(
-                target=worker_entry,
-                args=(node, self.n_nodes, control, self.program, self.placements, conf),
-                daemon=True,
-            )
-            proc.start()
-            return _Worker(node, proc, None, incarnation)
-        parent_conn, child_conn = self._ctx.Pipe()
+        else:
+            parent_conn, child_conn = self._ctx.Pipe()
+            control = ("pipe", child_conn)
         proc = self._ctx.Process(
             target=worker_entry,
-            args=(
-                node,
-                self.n_nodes,
-                ("pipe", child_conn),
-                self.program,
-                self.placements,
-                conf,
-            ),
+            args=(node, self.n_nodes, control, self.program, self.placements, conf),
             daemon=True,
         )
         proc.start()
+        if child_conn is None:
+            return _Worker(node, proc, None, incarnation)  # it dials our listener
         # the child's end must live only in the child, or its death
         # would never read as EOF on our side
         child_conn.close()
@@ -336,6 +318,10 @@ class ProcessShardRuntime:
     def run(self) -> RunResult:
         t0 = time.perf_counter()
         session = EngineSession(self.program, _kernel=self.kernel)
+        # read each rule body once, before the fork: every worker's
+        # shard derives its read plans from the analysis it inherits
+        for rule in self.program.rules:
+            rule.analysis()
         try:
             self._start_workers()
             with session:
@@ -481,7 +467,7 @@ class ProcessShardRuntime:
             blocks = [msg["counters"], *self._carry.get(w.node, ())]
             counters = [sum(col) for col in zip(*map(COUNTERS.unpack, blocks))]
             wire, peer = WireStats(*counters[:4]), WireStats(*counters[4:8])
-            served, remote = counters[8:]
+            served, remote, probes_remote, probes_planned = counters[8:]
             nodes.append(
                 {
                     "node": w.node,
@@ -489,6 +475,8 @@ class ProcessShardRuntime:
                     "puts": self.tier.node_puts[w.node],
                     "queries_served": served,
                     "remote_queries": remote,
+                    "probes_remote": probes_remote,
+                    "probes_planned": probes_planned,
                     "msgs": wire.msgs_sent + wire.msgs_recv,
                     "bytes_sent": wire.bytes_sent,
                     "bytes_recv": wire.bytes_recv,

@@ -19,7 +19,9 @@ replica**), phase C, stats, trace and keyed output — whose phase B is
   fires rules.  *Where a table's rows live is a property of its access
   path* (§1.4, §2 stage 3), not of the rule that reads it: a shard's
   plan cache is built with a **routed prepare**, so a rule fired there
-  runs the ordinary :class:`~repro.core.rules.RuleContext`;
+  runs the ordinary :class:`~repro.core.rules.RuleContext` — and *when*
+  they are fetched is a hint too: once per class for the reads the
+  rules' plans predict (:mod:`repro.dist.readplan`), as asked otherwise;
 * the conversion of the records a backend returns into the kernel's
   :class:`~repro.exec.base.TaskResult` list, in (batch index, rule
   declaration) order — the single-node task order — tagged with the
@@ -42,10 +44,11 @@ from repro.core.executors.base import StepExecutor
 from repro.core.kernel import StepKernel
 from repro.core.ordering import output_keys
 from repro.core.program import ExecOptions, Program
-from repro.core.query import Query
+from repro.core.query import Query, QueryKind
 from repro.core.rules import RuleContext
 from repro.core.tuples import JTuple
 from repro.dist.placement import OnNode, Partitioned, PlacementMap, spread_hash
+from repro.dist.readplan import read_plan
 from repro.exec.base import EngineTask, Strategy, TaskResult
 from repro.exec.metering import CostMeter
 from repro.gamma.base import PreparedSelect, StoreRegistry
@@ -55,6 +58,7 @@ from repro.stats.collector import StatsCollector
 
 __all__ = [
     "Backend",
+    "Probes",
     "Shard",
     "ShardedExecutor",
     "fire_records",
@@ -72,8 +76,8 @@ class Backend(Protocol):
     records merge in, or what phase C accepts — those are the kernel's,
     :class:`ShardedExecutor`'s and :class:`Shard`'s.  It may price,
     ship, retry and account: :meth:`execute`, and the one read it hands
-    each :class:`Shard` it builds — ``fetch(query, homes)``, the rows
-    of ``query`` on the other nodes ``homes``, traffic counted."""
+    each :class:`Shard` it builds — ``fetch(owner -> Probes)``, every
+    owner's :meth:`Shard.serve` of its batch, traffic counted."""
 
     def execute(self, step: int, plan: list[Planned]) -> dict[int, list[dict]]:
         """Land the planned class on its owner shards, fire each
@@ -87,12 +91,25 @@ class Backend(Protocol):
         from are retried in here."""
 
 
+#: one batch of reads, as a shard asks it of one owner and a backend
+#: ships it: ``(table, eq positions, range items) -> eq values ->
+#: None``; answered with one list of row values per key, in order
+Probes = dict[tuple[str, tuple, tuple], dict[tuple, None]]
+
+
 class Shard:
     """One node's shard of Gamma and the access paths into it — the
     view :func:`fire_records` fires against: ``program``, ``db``,
     ``plans``, ``check_mode``, ``stats``, ``traced``.  ``plans`` is an
     ordinary :class:`~repro.plan.cache.PlanCache` built with
-    :meth:`prepare`: routing is resolved when a query shape compiles."""
+    :meth:`prepare`: routing is resolved when a query shape compiles.
+
+    Rows of other shards arrive through one call, ``fetch(owner ->
+    Probes) -> owner -> answer``, each owner's :meth:`serve`.
+    :meth:`exchange` makes it once per class, for every read the rules'
+    plans (:mod:`repro.dist.readplan`) predict; a read none predicted
+    makes it for itself, a batch of one.  ``probes_remote`` counts (read,
+    answering node) pairs, ``probes_planned`` those an exchange held."""
 
     def __init__(
         self,
@@ -100,7 +117,7 @@ class Shard:
         placements: PlacementMap,
         node: int,
         n_nodes: int,
-        fetch: Callable[[Query, list[int]], list[JTuple]],
+        fetch: Callable[[dict[int, Probes]], dict[int, list]],
         check_mode: str,
         stats: StatsCollector,
         traced: bool,
@@ -110,11 +127,22 @@ class Shard:
         self.check_mode = check_mode
         self.stats = stats
         self.traced = traced
+        self.probes_remote = self.probes_planned = 0
         self._placements = placements
         self._node = node
         self._n_nodes = n_nodes
         self._fetch = fetch
         self._local: dict[tuple, PreparedSelect] = {}
+        self._routes: dict[tuple, tuple] = {}
+        self._sites: dict[str, list] = {}
+        #: owner -> (table, eq positions, ()) -> key -> the row values
+        #: :meth:`exchange` fetched.  Phase B reads a Gamma that phase A
+        #: froze for the step — the sharded tier refuses ``-noDelta``
+        #: cascades — so a read commutes with every firing of its class
+        #: and may be made before any of them; it says nothing about the
+        #: next class, or the next attempt at this one: every exchange
+        #: starts it afresh
+        self._cache: dict[int, dict] = {}
         self.plans = PlanCache(self.db, program, self.prepare)
 
     def local(self, query: Query) -> PreparedSelect:
@@ -127,48 +155,132 @@ class Shard:
             prepared = self._local[key] = self.db.store(key[0]).prepare(query)
         return prepared
 
+    def _route(self, schema, eq) -> tuple[str, Callable[[Mapping], list[int]]]:
+        """The placement's verdict for queries on ``schema`` binding the
+        positions ``eq``, and the nodes holding such a query's rows
+        given its ``eq`` values — taken once per (table, positions)."""
+        key = (schema.name, tuple(sorted(eq)))
+        if key not in self._routes:
+            placement, n_nodes = self._placements[schema.name], self._n_nodes
+            verdict = self._placements.query_verdict(
+                schema.name, [schema.field_names[i] for i in key[1]]
+            )
+            if verdict == "routed" and isinstance(placement, Partitioned):
+                pos = schema.field_position(placement.field)
+                self._routes[key] = verdict, lambda eq: [
+                    placement.home_for_value(eq[pos], n_nodes)
+                ]
+            else:  # the pin, this node's own replica, or every shard
+                homes = list(range(n_nodes))
+                if verdict != "broadcast":
+                    homes = [placement.node if verdict == "routed" else self._node]
+                self._routes[key] = verdict, lambda eq: homes
+        return self._routes[key]
+
     def prepare(self, query: Query) -> PreparedSelect:
         """The routed prepare.  A ``local`` shape is the store's own
         access path, untouched; a ``routed`` one reads its one home —
         the pin, or the home of the bound partition value — here or
-        through ``fetch``; a ``broadcast`` one reads every shard and
-        re-sorts the union by value (per-shard results are value-sorted,
-        so this is the single-node order).  Priced as one store lookup
-        per shard read."""
+        remotely; a ``broadcast`` one reads every shard and re-sorts the
+        union by value (per-shard results are value-sorted, so this is
+        the single-node order).  Priced as one store lookup per shard
+        read."""
         schema = query.schema
         local = self.local(query)
-        placement = self._placements[schema.name]
-        verdict = self._placements.query_verdict(
-            schema.name, [schema.field_names[i] for i in query.eq]
-        )
-        if verdict == "local":
+        verdict, homes_of = self._route(schema, query.eq)
+        if verdict == "local" or self._n_nodes == 1:
             return local
-        node, n_nodes, fetch, run_local = self._node, self._n_nodes, self._fetch, local.run
-        if verdict == "broadcast":
-            homes = [h for h in range(n_nodes) if h != node]
-            if not homes:
-                return local
+        node, here, run_local, remote = self._node, [self._node], local.run, self._remote
 
-            def run(q: Query) -> list[JTuple]:
-                rows = run_local(q) + fetch(q, homes)
+        def run(q: Query) -> list[JTuple]:
+            homes = homes_of(q.eq)
+            if homes == here:
+                return run_local(q)
+            rows = remote(q, [h for h in homes if h != node])
+            if node in homes:
+                rows = run_local(q) + rows
                 rows.sort(key=lambda t: t.values)
-                return rows
-
-        else:
-            pin = placement.node if isinstance(placement, OnNode) else None
-            pos = None if pin is not None else schema.field_position(placement.field)
-
-            def run(q: Query) -> list[JTuple]:
-                home = pin if pos is None else placement.home_for_value(q.eq[pos], n_nodes)
-                return run_local(q) if home == node else fetch(q, [home])
+            return rows
 
         return PreparedSelect(
             run,
-            local.lookup_cost * (n_nodes if verdict == "broadcast" else 1),
+            local.lookup_cost * (self._n_nodes if verdict == "broadcast" else 1),
             local.lookup_tag,
             self.db.store(schema.name).cost,
             schema.name,
         )
+
+    # -- reads of other shards ---------------------------------------------------
+
+    def _pull(self, asks: dict[int, Probes]) -> None:
+        """The one read of other shards: one fetch carries ``asks`` out,
+        and each key's None comes back as its row values."""
+        answers = self._fetch(asks)
+        for owner, shapes in asks.items():
+            parts = iter(answers[owner])
+            for shape, keys in shapes.items():
+                shapes[shape] = dict(zip(keys, parts))
+
+    def serve(self, probes: Probes) -> list[list[tuple]]:
+        """Answer another shard's batch through this shard's own access
+        paths.  Only what ships is applied (eq, ranges); a ``where`` is
+        the asker's."""
+        out = []
+        for (table, pos, ranges), keys in probes.items():
+            schema, ranges = self.program.schemas()[table], dict(ranges)
+            for key in keys:
+                q = Query(schema, dict(zip(pos, key)), ranges, None, QueryKind.POSITIVE)
+                out.append([t.values for t in self.local(q).run(q)])
+        return out
+
+    def _remote(self, q: Query, owners: list[int]) -> list[JTuple]:
+        """Rows of ``q`` on ``owners``: from the class's exchange when
+        it fetched them all (it asks eq-only, so ranges and ``where``
+        filter here), else asked for now."""
+        schema = q.schema
+        pos = tuple(sorted(q.eq))
+        key = tuple(q.eq[i] for i in pos)
+        shape = (schema.name, pos, ())
+        parts = [self._cache.get(o, {}).get(shape, {}).get(key) for o in owners]
+        self.probes_remote += len(owners)
+        if None in parts:
+            shape = (schema.name, pos, tuple(sorted(q.ranges.items())))
+            asks = {o: {shape: {key: None}} for o in owners}
+            self._pull(asks)
+            parts = [asks[o][shape][key] for o in owners]
+        else:
+            self.probes_planned += len(owners)
+        fetched = (JTuple(schema, values) for part in parts for values in part)
+        return [t for t in fetched if q.matches(t)]
+
+    def _here(self, query: Query) -> list[JTuple]:
+        """A plan's generator rows when this node holds them all."""
+        if self._route(query.schema, query.eq)[1](query.eq) != [self._node]:
+            return []
+        return self.local(query).run(query)
+
+    def exchange(self, triggers: list[JTuple]) -> None:
+        """Before this shard fires ``triggers`` — its slice of a class,
+        phase A landed everywhere — fetch every row of other shards
+        their rules' read plans predict, one fetch for the class."""
+        asks: dict[int, Probes] = {}
+        for tup in triggers:
+            for rule in self.program.rules_for(tup.schema.name):
+                if rule.name not in self._sites:
+                    verdict = lambda schema, pos: self._route(schema, pos)[0]  # noqa: E731
+                    self._sites[rule.name] = [
+                        (s, self._route(s.schema, s.pos)[1], (s.schema.name, s.pos, ()))
+                        for s in read_plan(rule, self._placements, verdict)
+                        if s.reason is None and s.verdict != "local"
+                    ]
+                for site, homes_of, shape in self._sites[rule.name]:
+                    for key in site.keys(tup, self._here):
+                        for owner in homes_of(dict(zip(site.pos, key))):
+                            if owner != self._node:
+                                asks.setdefault(owner, {}).setdefault(shape, {})[key] = None
+        self._cache = asks
+        if asks:
+            self._pull(asks)
 
 
 def fire_records(shard: Shard, tup: JTuple, meter: CostMeter) -> list[dict]:

@@ -7,8 +7,8 @@ and both are pluggable:
   each class's inserts by value, done records carrying its puts,
   membership) is a :class:`PipeChannel` under the ``pipe`` transport or
   a length-prefixed :class:`SocketChannel` under ``tcp``;
-* the **peer mesh** (worker ↔ worker: routed queries and their
-  answers, nothing else) is always socket-based — ``AF_UNIX`` under ``pipe`` (same
+* the **peer mesh** (worker ↔ worker: batches of probes and their
+  rows, nothing else) is always socket-based — ``AF_UNIX`` under ``pipe`` (same
   host, pipe-like semantics, connectable after fork, which a raw pipe
   is not) and loopback ``AF_INET`` under ``tcp``.  A re-forked worker
   can therefore rejoin the mesh by *connecting*, which is what makes

@@ -1,45 +1,36 @@
 """The shard worker process of :class:`~repro.dist.procrun.ProcessShardRuntime`.
 
 One worker = one OS process owning the Gamma shards its
-:class:`~repro.dist.placement.PlacementMap` assigns it.  The worker is
-a thin loop around the existing single-node machinery:
-
-* its Gamma shard is a :class:`~repro.dist.superstep.Shard` — the same
-  database, plan cache and routed access paths the cost model's shards
-  have — whose one outside read, ``fetch``, goes to the owning peers
-  over the mesh;
-* firing is :func:`~repro.dist.superstep.fire_records`, the function
-  every backend fires through, and a peer's query is answered through
-  the shard's own access path for the shape.
+:class:`~repro.dist.placement.PlacementMap` assigns it, a thin loop
+around the single-node machinery: its shard is a
+:class:`~repro.dist.superstep.Shard` — the database, plan cache and
+routed access paths the cost model's shards have — and it fires through
+:func:`~repro.dist.superstep.fire_records`, like every backend.
 
 The workers form a **peer mesh**: every worker holds a direct
-:mod:`~repro.dist.transport` channel to every other worker, and exactly
-one kind of traffic travels on it — ``q`` / ``a``, routed queries and
-their answers, worker to owner directly.  A worker blocked on an answer
-keeps serving incoming queries, which keeps the all-to-all exchange
-deadlock-free without threads and without coordinator hops.  Tuples do
-not travel here: a put goes home in the done record, and comes back by
-value in the step frame of the class that pops it.
+:mod:`~repro.dist.transport` channel to every other, and one kind of
+traffic travels on it — a ``q`` frame, the batch of probes one shard
+asks one owner (``Shard``'s ``fetch``: a class's whole exchange, or a
+single read no plan predicted), and its ``a`` frame, the rows, which the
+owner's shard ``serve``s.  A worker blocked on an answer keeps serving
+incoming queries, which keeps the all-to-all exchange deadlock-free
+without threads and without coordinator hops.  Tuples do not travel
+here: a put goes home in the done record, and comes back by value in
+the step frame of the class that pops it.
 
-Queries are tagged with their superstep and **ready-gated**: a query
-for step N that beats the receiver's own phase-A insert for N into the
-mesh is deferred until that insert lands — the barrier a query needs
-before it may read a shard.
+A ``q`` frame is tagged with its superstep and **ready-gated**: one for
+step N that beats the receiver's own phase-A insert for N is deferred,
+whole, until that insert lands — the barrier a read needs before it may
+see a shard.
 
 The coordinator drives supersteps over the control channel:
-``bootstrap`` (load the owned slice of the control replica),
-``step`` (phase-A inserts by value, fire assignments), ``abort``
-(another worker died mid-step: unwind and await the retry), ``finish``
-(report shard sizes + stats and exit).
-
-Determinism: a worker never mutates anything but its own shard, and
-all effects (puts, output) travel back as records the coordinator
-merges in global batch order.
-
-Idempotency: the reply to each executed step is cached; a retried step
-(after another worker's crash) replays the cached records without
-re-executing, giving at-most-once rule execution per worker per step,
-which is what keeps ``unsafe`` I/O rules safe under crash recovery.
+``bootstrap`` (load the owned slice of the control replica), ``step``
+(phase-A inserts by value, fire assignments), ``abort`` (another worker
+died mid-step: unwind and await the retry), ``finish`` (report shard
+sizes + stats and exit).  A worker mutates nothing but its own shard;
+effects travel back as records.  The reply to each executed step is
+cached and a retried step replays it: at-most-once rule execution per
+worker per step, which keeps ``unsafe`` rules safe under recovery.
 """
 
 from __future__ import annotations
@@ -51,14 +42,14 @@ import struct
 import time
 import traceback
 from collections import deque
+from functools import partial
 
 from repro.core.errors import EngineError
 from repro.core.program import Program
-from repro.core.query import Query, QueryKind
 from repro.core.tuples import JTuple
 from repro.dist.network import WireStats
 from repro.dist.placement import PlacementMap
-from repro.dist.superstep import Shard, fire_records
+from repro.dist.superstep import Probes, Shard, fire_records
 from repro.dist.transport import (
     Channel,
     PeerListener,
@@ -72,13 +63,16 @@ from repro.stats.collector import StatsCollector
 
 __all__ = ["COUNTERS", "ShardWorker", "program_fingerprint", "worker_entry"]
 
+_dumps = partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL)
+
 #: a worker's counters as they ride every done record and the bye:
-#: control wire, peer wire (``WireStats.to_state`` each), queries
-#: served, remote queries.  Fixed width, because when a done record is
+#: control wire, peer wire (``WireStats.to_state`` each), ``q`` frames
+#: answered and sent, reads other nodes answered and those of them an
+#: exchange had fetched.  Fixed width, because when a done record is
 #: sent relative to a peer's query is a matter of timing, and a pickled
 #: int grows a byte at 256 and at 65 536 — the record's size, and with
 #: it the control plane's byte count, must not depend on either
-COUNTERS = struct.Struct(">10Q")
+COUNTERS = struct.Struct(">12Q")
 
 
 def program_fingerprint(program: Program) -> str:
@@ -139,7 +133,6 @@ class ShardWorker:
         self.remote_queries = 0
         self._qid = 0
         self._attempt = 0
-        self._step_no = 0
         self._applied = 0  # latest step whose phase A landed in Gamma
         # -- mesh state -------------------------------------------------------
         self.listener = PeerListener(self.transport, tag=f"w{node}")
@@ -158,7 +151,7 @@ class ShardWorker:
     # -- control framing (real byte counts, not simulated ones) ---------------
 
     def _send(self, msg: dict) -> None:
-        data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        data = _dumps(msg)
         self.channel.send_bytes(data)
         self.wire.on_send(len(data))
 
@@ -166,11 +159,6 @@ class ShardWorker:
         data = self.channel.recv_bytes()
         self.wire.on_recv(len(data))
         return pickle.loads(data)
-
-    def make_tuple(self, table: str, values) -> JTuple:
-        """Rebuild a wire tuple against this process's schema objects
-        (tuple identity/hashing is schema-identity based)."""
-        return JTuple(self.schemas[table], tuple(values))
 
     # -- mesh plumbing ---------------------------------------------------------
 
@@ -205,10 +193,7 @@ class ShardWorker:
         has dialled us.  A dial that fails is skipped: the peer is dead
         and the coordinator will orchestrate its replacement (which
         dials *us*)."""
-        hello = pickle.dumps(
-            {"t": "peer-hello", "node": self.node, "incarnation": self.incarnation},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        hello = _dumps({"t": "peer-hello", "node": self.node, "incarnation": self.incarnation})
         for j in sorted(connect):
             try:
                 ch = connect_channel(connect[j])
@@ -220,13 +205,12 @@ class ShardWorker:
         while any(j not in self.peers for j in await_nodes):
             self._accept_peer()
 
-    def _peer_send(self, node: int, msg: dict) -> bool:
+    def _peer_send(self, node: int, data: bytes) -> bool:
         ch = self.peers.get(node)
         if ch is None:
             return False
-        data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            ch.send_with_drain(data, lambda: self._pump_peers(0.01))
+            ch.send_with_drain(data, lambda: self._pump(0.01))
         except (OSError, EOFError):
             # dead peer: drop the channel and let the coordinator's
             # recovery protocol sort the membership out
@@ -235,18 +219,20 @@ class ShardWorker:
         self.peer_wire.on_send(len(data))
         return True
 
-    def _pump_peers(self, timeout: float = 0.0) -> bool:
-        """Read one round of ready mesh traffic (see :meth:`_pump_one`).
-        Returns True when anything was handled."""
-        chans: list = [self.listener]
-        chans.extend(self.peers.values())
-        ready = wait_readable(chans, timeout)
+    def _pump(self, timeout: float | None, control: bool = False) -> bool:
+        """Read one round of ready mesh traffic (see :meth:`_pump_one`;
+        a replacement peer dialling in is accepted), waiting on the
+        control channel too when ``control``.  True when anything was
+        handled — under ``control``, when a coordinator message is
+        ready."""
+        chans = [self.listener, *self.peers.values()]
+        ready = wait_readable(chans + [self.channel] if control else chans, timeout)
         for ch in ready:
             if ch is self.listener:
                 self._accept_peer()
-            else:
+            elif ch is not self.channel:
                 self._pump_one(ch)
-        return bool(ready)
+        return self.channel in ready if control else bool(ready)
 
     def _pump_one(self, ch: SocketChannel) -> None:
         """Read one mesh frame.  Answers are absorbed immediately;
@@ -266,23 +252,12 @@ class ShardWorker:
 
     def _await_control(self, timeout: float | None) -> bool:
         """Serve the inbox, then wait for traffic on the control channel
-        or the mesh and handle the mesh's share (queries, answers, a
-        replacement peer dialling in).  True when a coordinator message
-        is ready — read it only after the mesh: a re-forked peer must
-        be re-registered before the retry step whose queries we will
-        route to it."""
+        or the mesh and handle the mesh's share.  True when a
+        coordinator message is ready — read it only after the mesh: a
+        re-forked peer must be re-registered before the retry step whose
+        queries we will route to it."""
         self._service_inbox()
-        chans: list = [self.channel, self.listener]
-        chans.extend(self.peers.values())
-        control_ready = False
-        for ch in wait_readable(chans, timeout):
-            if ch is self.channel:
-                control_ready = True
-            elif ch is self.listener:
-                self._accept_peer()
-            else:
-                self._pump_one(ch)
-        return control_ready
+        return self._pump(timeout, control=True)
 
     def _service_inbox(self) -> None:
         """Serve every inbox query whose step is ready; queries that
@@ -295,12 +270,9 @@ class ShardWorker:
                 self._serve_peer(ch, msg)
 
     def _flush_deferred(self) -> None:
-        while self._deferred:
-            ch, msg = self._deferred.popleft()
-            if msg["step"] > self._applied:
-                self._deferred.appendleft((ch, msg))
-                return
-            self._serve_peer(ch, msg)
+        self._inbox.extendleft(reversed(self._deferred))
+        self._deferred.clear()
+        self._service_inbox()
 
     # -- main loop -----------------------------------------------------------
 
@@ -347,12 +319,13 @@ class ShardWorker:
             *self.peer_wire.to_state(),
             self.queries_served,
             self.remote_queries,
+            self.shard.probes_remote,
+            self.shard.probes_planned,
         )
 
     def _step(self, msg: dict) -> None:
         step = msg["step"]
         self._attempt = msg["attempt"]
-        self._step_no = step
         self._answers.clear()
         if self._cache is not None and self._cache[0] == step:
             # crash-recovery retry of a step this worker already ran:
@@ -360,7 +333,8 @@ class ShardWorker:
             # unsafe I/O must run at most once per worker per step)
             payload = self._cache[1]
         else:
-            owned = [self.make_tuple(table, vals) for table, vals in msg["insert"]]
+            # rebuilt against this process's schema objects
+            owned = [JTuple(self.schemas[t], tuple(vals)) for t, vals in msg["insert"]]
             if owned:
                 # phase A: land this shard's slice of the minimal class;
                 # duplicate outcomes are fine (retried steps re-insert)
@@ -368,6 +342,7 @@ class ShardWorker:
             self._applied = max(self._applied, step)
             self._flush_deferred()
             try:
+                self.shard.exchange([owned[pos] for _idx, pos in msg["fire"]])
                 records = [
                     (idx, fire_records(self.shard, owned[pos], NULL_METER))
                     for idx, pos in msg["fire"]
@@ -380,39 +355,28 @@ class ShardWorker:
 
     # -- the shard's one outside read ------------------------------------------
 
-    def fetch(self, query: Query, homes: list[int]) -> list[JTuple]:
-        """Gather a query's rows from the owning shard(s), directly over
-        the mesh.  Only the shippable parts travel (table, eq, ranges) —
-        residual ``where`` lambdas are applied requester-side.  While
-        blocked on an answer, the worker keeps serving incoming peer
-        queries, which is what keeps the direct all-to-all exchange
+    def fetch(self, asks: dict[int, Probes]) -> dict[int, list]:
+        """Send each owner its probes — one ``q`` frame each, pickled
+        once where owners are asked the same — and gather one ``a``
+        frame from each.  While blocked on an answer the worker keeps
+        serving incoming queries, which keeps the all-to-all exchange
         deadlock-free.  A dead responder is waited out: its death also
         severs its coordinator channel, so an abort is on its way."""
         self._qid += 1
         qid = f"{self.node}:{self.incarnation}:{self._qid}"
-        self.remote_queries += 1
-        name = query.schema.name
-        msg = {
-            "t": "q",
-            "qid": qid,
-            "node": self.node,
-            "step": self._step_no,
-            "attempt": self._attempt,
-            "table": name,
-            "eq": dict(query.eq),
-            "ranges": {i: tuple(r) for i, r in query.ranges.items()},
-        }
-        awaiting = set(homes)
-        for h in homes:
-            self._peer_send(h, msg)
-        rows: list[JTuple] = []
-        while awaiting:
-            for node, part in self._answers.pop(qid, ()):
-                if node in awaiting:
-                    awaiting.discard(node)
-                    fetched = (self.make_tuple(name, vals) for vals in part)
-                    rows.extend(t for t in fetched if query.matches(t))
-            if awaiting and self._await_control(1.0):
+        # a read is made while firing: the step is the one just applied
+        head = {"t": "q", "qid": qid, "node": self.node, "step": self._applied}
+        last = data = None
+        for owner, probes in asks.items():
+            if data is None or probes != last:
+                last = probes
+                data = _dumps({**head, "attempt": self._attempt, "probes": probes})
+            self.remote_queries += 1
+            self._peer_send(owner, data)
+        got: dict[int, list] = {}
+        while len(got) < len(asks):
+            got.update(self._answers.pop(qid, ()))
+            if len(got) < len(asks) and self._await_control(1.0):
                 cmsg = self._recv()
                 if cmsg["t"] == "abort":
                     raise _StepAborted()
@@ -420,7 +384,7 @@ class ShardWorker:
                     f"worker {self.node}: unexpected {cmsg['t']!r} while "
                     f"awaiting query {qid}"
                 )
-        return rows
+        return got
 
     def _serve_peer(self, ch: SocketChannel, msg: dict) -> None:
         if (
@@ -432,16 +396,14 @@ class ShardWorker:
             # injected failure (tests): die with the query in flight,
             # between the peer's request and our reply
             os._exit(1)
-        schema = self.schemas[msg["table"]]
-        q = Query(schema, dict(msg["eq"]), dict(msg["ranges"]), None, QueryKind.POSITIVE)
-        rows = [tuple(t.values) for t in self.shard.local(q).run(q)]
-        self.queries_served += 1
+        rows = self.shard.serve(msg["probes"])
         node = self._peer_of.get(ch)
-        if node is None:
-            return
-        self._peer_send(
-            node, {"t": "a", "qid": msg["qid"], "node": self.node, "rows": rows}
-        )
+        # counted once answered: a requester that dropped off took its
+        # q frame's other three counts with it
+        if node is not None and self._peer_send(
+            node, _dumps({"t": "a", "qid": msg["qid"], "node": self.node, "rows": rows})
+        ):
+            self.queries_served += 1
 
     # -- teardown ------------------------------------------------------------
 

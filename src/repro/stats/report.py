@@ -99,13 +99,17 @@ def format_nodes(nodes: list[dict]) -> str:
     """Per-node compute and measured wire traffic of a multiprocess
     sharded run (:mod:`repro.dist.procrun`) — control plane (msgs /
     sent B / recv B, coordinator↔worker: every tuple) and peer plane
-    (peer columns, worker↔worker: routed queries) separately."""
+    (peer columns, worker↔worker: ``q`` frames answered / sent, and the
+    reads they carried — answered by another node, and of those the
+    ones a step's one exchange had fetched) separately."""
     headers = [
         "node",
         "fires",
         "puts",
         "served",
         "remote q",
+        "probes",
+        "planned",
         "msgs",
         "sent B",
         "recv B",
@@ -121,6 +125,8 @@ def format_nodes(nodes: list[dict]) -> str:
             str(n.get("puts", 0)),
             str(n.get("queries_served", 0)),
             str(n.get("remote_queries", 0)),
+            str(n.get("probes_remote", 0)),
+            str(n.get("probes_planned", 0)),
             str(n.get("msgs", 0)),
             str(n.get("bytes_sent", 0)),
             str(n.get("bytes_recv", 0)),
