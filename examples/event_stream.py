@@ -52,7 +52,7 @@ def main() -> None:
           f"({rb.stats.tables['Reading'].gamma_discarded} discarded), "
           "same output")
     print("(at paper-scale heaps this is what keeps the GC tax bounded — "
-          "see benchmarks/test_ablation_retention.py)")
+          "see figures/test_ablation_retention.py)")
 
     # the streaming twin: events arrive in five bursts, the session
     # settles after each, and we checkpoint after the second burst the

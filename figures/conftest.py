@@ -3,7 +3,7 @@
 Every benchmark regenerates one table or figure of the paper's
 evaluation (§6) and emits a text block comparing measured numbers with
 the paper's, via :func:`emit` — printed to stdout (visible with ``-s``)
-and persisted under ``benchmarks/results/`` so EXPERIMENTS.md can be
+and persisted under ``figures/results/`` so EXPERIMENTS.md can be
 refreshed from a plain run.
 """
 

@@ -25,7 +25,7 @@ from repro.apps.pvwatts import (
     month_means_from_output,
     run_pvwatts,
 )
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 from repro.stats import advise, overrides_from
 

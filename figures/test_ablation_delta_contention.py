@@ -24,7 +24,7 @@ from repro.apps.shortestpath import (
     recommended_options,
     run_shortestpath,
 )
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 from repro.simcore import CalibratedCosts
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.pvwatts import build_pvwatts_program, month_means_from_output
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 from repro.dist import Partitioned, Replicated, run_distributed
 

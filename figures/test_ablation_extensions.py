@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions, Program, Statistics
 from repro.csvio import PVWATTS_INT_POSITIONS, read_records_bytes
 

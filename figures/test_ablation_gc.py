@@ -21,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.pvwatts import array_of_hashsets_store, run_pvwatts
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 from repro.simcore.gc import NO_GC, GcModel
 

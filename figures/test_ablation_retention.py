@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.sensors import run_sensors
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 from repro.simcore.gc import GcModel
 

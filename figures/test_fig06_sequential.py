@@ -39,7 +39,7 @@ from repro.apps.shortestpath import (
     make_graph,
     run_shortestpath,
 )
-from repro.bench import comparison_block
+from repro.figures import comparison_block
 from repro.core import ExecOptions
 from repro.csvio import PVWATTS_INT_POSITIONS, read_records_bytes, read_records_text
 

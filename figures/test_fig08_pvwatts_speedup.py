@@ -22,7 +22,7 @@ from repro.apps.pvwatts import (
     hash_index_store,
     run_pvwatts,
 )
-from repro.bench import speedup_series
+from repro.figures import speedup_series
 from repro.core import ExecOptions
 
 THREADS = (1, 2, 4, 6, 8)

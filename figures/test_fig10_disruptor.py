@@ -26,7 +26,7 @@ import pytest
 
 from repro.apps.pvwatts import run_pvwatts
 from repro.apps.pvwatts_disruptor import run_disruptor_simulated, run_disruptor_threaded
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 
 THREADS = (1, 2, 4, 8)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.matmul import random_matrix, run_matmul
-from repro.bench import speedup_series
+from repro.figures import speedup_series
 from repro.core import ExecOptions
 
 N = 96

@@ -25,7 +25,7 @@ from repro.apps.shortestpath import (
     recommended_options,
     run_shortestpath,
 )
-from repro.bench import speedup_series
+from repro.figures import speedup_series
 from repro.core import ExecOptions
 
 SPEC = GraphSpec(n_vertices=2000, extra_edges=4000)

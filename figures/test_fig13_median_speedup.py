@@ -16,7 +16,7 @@ import pytest
 
 from repro.apps.baselines.median_base import median_sort_baseline
 from repro.apps.median import median_from_result, random_doubles, run_median
-from repro.bench import speedup_series
+from repro.figures import speedup_series
 from repro.core import ExecOptions
 
 N = 200_000

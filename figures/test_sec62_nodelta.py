@@ -12,7 +12,7 @@ compiled runtime) and wall time (pytest-benchmark).
 from __future__ import annotations
 
 from repro.apps.pvwatts import month_means_from_output, run_pvwatts
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 
 PAPER_RATIO = 23.0 / 8.44  # 2.73x

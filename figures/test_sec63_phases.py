@@ -16,7 +16,7 @@ fraction.
 from __future__ import annotations
 
 from repro.apps.pvwatts import array_of_hashsets_store, run_pvwatts
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
 
 PAPER = {"read": 16.9, "gamma": 63.7, "delta": 3.8, "reduce": 15.6}

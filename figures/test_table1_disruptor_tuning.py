@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.pvwatts_disruptor import DisruptorConfig, run_disruptor_simulated
-from repro.bench import FigureRow, figure_block
+from repro.figures import FigureRow, figure_block
 from repro.disruptor import (
     BlockingWaitStrategy,
     BusySpinWaitStrategy,

@@ -27,8 +27,8 @@ Subpackages
     Run statistics and dependency-graph visualisation (Figs 7/9).
 ``repro.apps``
     The four case-study programs and their hand-coded baselines.
-``repro.bench``
-    Benchmark harness utilities shared by ``benchmarks/``.
+``repro.figures``
+    Benchmark harness utilities shared by ``figures/``.
 """
 
 from repro.core import ExecOptions, Program

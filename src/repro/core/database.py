@@ -22,7 +22,7 @@ from repro.core.errors import KeyInvariantError, UnknownTableError
 from repro.core.ordering import OrderDecls, Timestamp
 from repro.core.query import Query
 from repro.core.schema import TableSchema
-from repro.core.tuples import JTuple, TableHandle
+from repro.core.tuples import JTuple, TableHandle, _set_ts
 from repro.gamma.base import StoreRegistry, TableStore
 from repro.plan.timestamps import CompiledTimestamper
 
@@ -47,26 +47,24 @@ class Database:
         # Database can be constructed before the decls freeze (ranks
         # are only needed once a timestamp is actually evaluated)
         self._timestampers: dict[TableSchema, CompiledTimestamper] = {}
-        # tuple -> Timestamp memo: the engine timestamps each tuple up
-        # to three times (put causality check, Delta enqueue, rule
-        # trigger), and JTuple hashes are precomputed, so repeat calls
-        # collapse to one dict probe; Timestamps are immutable
-        self._ts_memo: dict[JTuple, Timestamp] = {}
 
     # -- timestamps -----------------------------------------------------------
 
     def timestamp(self, tup: JTuple) -> Timestamp:
-        ts = self._ts_memo.get(tup)
-        if ts is not None:
-            return ts
-        schema = tup.schema
-        compiled = self._timestampers.get(schema)
-        if compiled is None:
-            compiled = self._timestampers[schema] = CompiledTimestamper(
-                schema, self.decls
-            )
-        ts = compiled.timestamp(tup.values)
-        self._ts_memo[tup] = ts
+        """The tuple's timestamp, evaluated once per tuple object and
+        cached on it: the engine asks up to three times (put causality
+        check, Delta enqueue, rule trigger), and a schema's orderby and
+        the program's frozen order declarations never change under it."""
+        ts = tup._ts
+        if ts is None:
+            schema = tup.schema
+            compiled = self._timestampers.get(schema)
+            if compiled is None:
+                compiled = self._timestampers[schema] = CompiledTimestamper(
+                    schema, self.decls
+                )
+            ts = compiled.timestamp(tup.values)
+            _set_ts(tup, ts)
         return ts
 
     # -- store access -----------------------------------------------------------

@@ -5,7 +5,7 @@ did initial puts, the step loop, stats folding, and the run-end trace
 event in a single breath.  That machinery now lives in two places:
 
 * :class:`repro.core.kernel.StepKernel` — the step mechanism (pop the
-  minimal class, fire, apply effects, tallies, retention);
+  minimal class, fire, apply effects, statistics, retention);
 * :class:`repro.core.session.EngineSession` — the lifecycle (open,
   incremental ``feed``/``settle``, checkpoint/restore, close).
 

@@ -13,9 +13,10 @@ three operations:
 * :meth:`StepExecutor.handle_puts` — route one firing's puts (buffer
   for phase C, or cascade -noDelta tables immediately).
 
-``flush_stats`` runs at settle time *before* the kernel folds the plan
-cache's ``rule_hits`` into the collector, so a tier may merge its own
-per-site counters into the shared plans first.
+Every tier counts a firing, a put and a table event in the kernel's
+collector where it happens, and a query on the plan that served it;
+``flush_stats`` runs at settle time for what a tier re-reports per
+settle (codegen's fired-count notes).
 
 Which tier a run gets — including refusals raised by
 ``ExecOptions.__post_init__`` and silent-with-a-note downgrades to
@@ -28,6 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.database import InsertOutcome
+from repro.core.ordering import output_keys
 from repro.core.tuples import JTuple
 from repro.exec.base import TaskResult
 
@@ -85,19 +87,27 @@ class StepExecutor:
         keeps Delta mutation out of the parallel phase and effect order
         deterministic."""
         k = self.kernel
-        tallies = k._put_tallies
+        edges = k.stats.put_edges
         for tup in ctx_puts:
             name = tup.schema.name
             key = (rule_name, name)
-            tallies[key] = tallies.get(key, 0) + 1
+            edges[key] = edges.get(key, 0) + 1
             if name in k._no_delta:
-                k._tt(name)[0] += 1
+                k.stats.table(name).delta_bypass += 1
                 k._immediate(tup, result)
             else:
                 result.puts.append(tup)
 
+    def deliver(self, result: TaskResult, rule: str, rule_index: int, tup, ts, out: list) -> None:
+        """Hand the lines one firing printed to its task result, under
+        the keys the kernel sorts a step's output by (the same keys
+        retraction mode files them under), and count them."""
+        result.output.extend(out)
+        result.out_keys.extend(output_keys(ts, tup, rule_index, len(out)))
+        self.kernel.stats.rule(rule).output_lines += len(out)
+
     # -- bookkeeping ---------------------------------------------------------
 
     def flush_stats(self) -> None:
-        """Fold tier-private counters into the kernel's collector (and
-        the shared plan cache) at settle time; default: nothing."""
+        """Settle-time hook (see the module docstring); default:
+        nothing."""

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.database import InsertOutcome
 from repro.core.executors.base import StepExecutor
 from repro.core.executors.scalar import ScalarExecutor
-from repro.core.ordering import Lit, Timestamp, output_keys
 from repro.core.rules import Rule
 from repro.core.tuples import JTuple
 from repro.exec.base import TaskResult
@@ -43,6 +42,7 @@ class CodegenExecutor(StepExecutor):
         if kernel._metered:
             kernel._metered = False
             kernel._note(
+                "metering.forced-off",
                 "metering downgraded to 'off' under execution='codegen': "
                 "generated rule bodies carry no meter (results are "
                 "identical; per-task costs are not collected)"
@@ -52,22 +52,7 @@ class CodegenExecutor(StepExecutor):
         #: cascades re-enter generated drivers where they exist)
         self._scalar = ScalarExecutor(kernel)
         self._drivers: dict[int, Callable] = {}
-        self._rule_gen_fires: dict[str, int] = {}
-        self._rule_scalar_fires: dict[str, int] = {}
-        #: (plan, rule_name, [n_calls, n_results]) per bound query site;
-        #: merged into plan.rule_hits at flush, before the collector
-        #: absorbs the plans
-        self._site_hits: list = []
-        #: tables whose orderby is all-literal share one timestamp
-        #: object per run
-        self._const_names: frozenset[str] = frozenset(
-            name
-            for name, schema in program.schemas().items()
-            if all(isinstance(e, Lit) for e in schema.orderby)
-        )
-        self._const_ts: dict[str, Timestamp] = {}
         check_mode = kernel._check_mode
-        compiled_count = 0
         for rule in program.rules:
             compiled, reason = compiled_for(program, rule)
             if compiled is not None and reason is None:
@@ -82,17 +67,19 @@ class CodegenExecutor(StepExecutor):
                     )
                 else:
                     try:
-                        self._drivers[id(rule)] = bind_driver(
-                            compiled, kernel, rule, self._site_hits
-                        )
-                        compiled_count += 1
+                        self._drivers[id(rule)] = bind_driver(compiled, kernel, rule)
                         continue
                     except Exception as e:
                         reason = f"driver binding failed: {e!r}"
-            kernel._note(f"codegen: rule {rule.name!r} kept scalar: {reason}")
-        if compiled_count:
             kernel._note(
-                f"codegen: {compiled_count} rule(s) compiled; inspect a "
+                "codegen.kept-scalar",
+                f"codegen: rule {rule.name!r} kept scalar: {reason}",
+                rule.name,
+            )
+        if self._drivers:
+            kernel._note(
+                "codegen.compiled",
+                f"codegen: {len(self._drivers)} rule(s) compiled; inspect a "
                 "driver with repro.plan.codegen.dump_generated_source(rule)"
             )
 
@@ -102,44 +89,44 @@ class CodegenExecutor(StepExecutor):
         self, ctx_puts: list[JTuple], result: TaskResult, rule_name: str
     ) -> None:
         """:meth:`StepExecutor.handle_puts` with the store / rule-list /
-        tally lookups hoisted per same-table run — -noDelta cascades
+        record lookups hoisted per same-table run — -noDelta cascades
         put thousands of same-table tuples per firing, and this loop is
         where they spend phase B."""
         k = self.kernel
-        tallies = k._put_tallies
+        edges = k.stats.put_edges
         nd = k._no_delta
         buffered = result.puts
         insert_into = k.db._insert_into
         fire = self.fire_one
         cur: str | None = None
-        tt = rules = ret = store = None
+        events = rules = ret = store = None
         in_gamma = False
         for tup in ctx_puts:
             name = tup.schema.name
             key = (rule_name, name)
-            tallies[key] = tallies.get(key, 0) + 1
+            edges[key] = edges.get(key, 0) + 1
             if name not in nd:
                 buffered.append(tup)
                 continue
             if name != cur:
                 cur = name
-                tt = k._tt(name)
+                events = k.stats.table(name)
                 in_gamma = name not in k._no_gamma
                 store = k.db.store(name) if in_gamma else None
                 rules = k.program.rules_for(name)
                 ret = k._retention.get(name)
-            tt[0] += 1
+            events.delta_bypass += 1
             if in_gamma:
                 if insert_into(store, tup) is InsertOutcome.DUPLICATE:
-                    tt[1] += 1
+                    events.duplicates += 1
                     continue
-                tt[2] += 1
+                events.gamma_inserts += 1
                 if ret is not None:
                     v = tup.values[ret[0]]
                     if ret[2] is None or v > ret[2]:
                         ret[2] = v
             else:
-                tt[3] += 1
+                events.gamma_skipped += 1
             for rule in rules:
                 fire(rule, tup, result)
 
@@ -152,31 +139,18 @@ class CodegenExecutor(StepExecutor):
         as arguments, so -noDelta cascades re-enter it safely."""
         driver = self._drivers.get(id(rule))
         if driver is None:
-            counts = self._rule_scalar_fires
-            counts[rule.name] = counts.get(rule.name, 0) + 1
             self._scalar.fire_one(rule, tup, result)
             return
         k = self.kernel
-        name = tup.schema.name
-        tallies = k._fire_tallies
-        key = (name, rule.name)
-        tallies[key] = tallies.get(key, 0) + 1
-        counts = self._rule_gen_fires
-        counts[rule.name] = counts.get(rule.name, 0) + 1
-        ts = self._const_ts.get(name)
-        if ts is None:
-            ts = k.db.timestamp(tup)
-            if name in self._const_names:
-                self._const_ts[name] = ts
+        edges = k.stats.trigger_edges
+        key = (tup.schema.name, rule.name)
+        edges[key] = edges.get(key, 0) + 1
+        ts = k.db.timestamp(tup)
         puts: list[JTuple] = []
         out: list[str] = []
         driver(tup, ts, puts, out)
         if out:
-            result.output.extend(out)
-            result.out_keys.extend(
-                output_keys(ts, tup, k._rule_index[id(rule)], len(out))
-            )
-            k.stats.rule(rule.name).output_lines += len(out)
+            self.deliver(result, rule.name, k._rule_index[id(rule)], tup, ts, out)
         if puts:
             self.handle_puts(puts, result, rule.name)
 
@@ -191,18 +165,18 @@ class CodegenExecutor(StepExecutor):
         k = self.kernel
         sink = TaskResult(trigger=None, meter=NULL_METER)  # type: ignore[arg-type]
         rules_for = k.program.rules_for
-        tt = k._tt
+        events = k.stats.table
         fire = self.fire_one
         for tup, outcome in prepared:
             name = tup.schema.name
             if outcome is InsertOutcome.DUPLICATE:
                 sink.duplicate = True
-                tt(name)[1] += 1
+                events(name).duplicates += 1
                 continue
             if outcome is None:  # -noGamma table
-                tt(name)[3] += 1
+                events(name).gamma_skipped += 1
             else:
-                tt(name)[2] += 1
+                events(name).gamma_inserts += 1
             for rule in rules_for(name):
                 fire(rule, tup, sink)
         return [sink]
@@ -210,26 +184,17 @@ class CodegenExecutor(StepExecutor):
     # -- bookkeeping ---------------------------------------------------------
 
     def flush_stats(self) -> None:
-        k = self.kernel
-        # fold the generated sites' [n_calls, n_results] counters into
-        # the shared plans' rule_hits BEFORE the collector absorbs them
-        # (kernel.flush_stats orders executor flush first)
-        for plan, rule_name, hits in self._site_hits:
-            if hits[0]:
-                hit = plan.rule_hits.get(rule_name)
-                if hit is None:
-                    plan.rule_hits[rule_name] = [hits[0], hits[1]]
-                else:
-                    hit[0] += hits[0]
-                    hit[1] += hits[1]
-                hits[0] = 0
-                hits[1] = 0
-        # run totals: the counters accumulate across settles and each
-        # settle rewrites the rule's one line in place
-        gen, scalar = self._rule_gen_fires, self._rule_scalar_fires
-        for name in sorted(set(gen) | set(scalar)):
-            prefix = f"codegen: rule {name!r} fired "
-            k.stats.replace_note(
-                prefix,
-                f"{prefix}{gen.get(name, 0)} generated / {scalar.get(name, 0)} scalar",
+        """Re-report each fired rule's run total, one line per rule: a
+        rule has a driver or has none, so its firings all went one way."""
+        stats = self.kernel.stats
+        driven = {r.name for r in self.kernel.program.rules if id(r) in self._drivers}
+        fired: dict[str, int] = {}
+        for (_table, name), n in stats.trigger_edges.items():
+            fired[name] = fired.get(name, 0) + n
+        for name, n in sorted(fired.items()):
+            gen, scalar = (n, 0) if name in driven else (0, n)
+            stats.replace_note(
+                "codegen.fired",
+                f"codegen: rule {name!r} fired {gen} generated / {scalar} scalar",
+                name,
             )

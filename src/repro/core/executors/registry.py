@@ -187,7 +187,7 @@ def resolve_executor(kernel: "StepKernel") -> "StepExecutor":
     if requested != "scalar":
         for tier, applies, note in DOWNGRADES:
             if tier == requested and applies(kernel):
-                kernel._note(note(kernel))
+                kernel._note(f"{tier}.ignored", note(kernel))
                 return ScalarExecutor(kernel)
         from repro.core.executors.codegen import CodegenExecutor
 

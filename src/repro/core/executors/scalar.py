@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.core.database import InsertOutcome
 from repro.core.executors.base import StepExecutor
-from repro.core.ordering import output_keys
 from repro.core.rules import Rule, RuleContext
 from repro.core.support import FiringRecord
 from repro.core.tuples import JTuple
@@ -33,9 +32,9 @@ class ScalarExecutor(StepExecutor):
 
     def fire_one(self, rule: Rule, tup: JTuple, result: TaskResult) -> None:
         k = self.kernel
-        tallies = k._fire_tallies
+        edges = k.stats.trigger_edges
         key = (tup.schema.name, rule.name)
-        tallies[key] = tallies.get(key, 0) + 1
+        edges[key] = edges.get(key, 0) + 1
         result.meter.charge("rule_fire")
         trigger_ts = k.db.timestamp(tup)
         rec = (
@@ -52,7 +51,6 @@ class ScalarExecutor(StepExecutor):
             trigger_ts,
             k._plans,
             k._check_mode,
-            k.stats,
             k._lock,
             k.strategy.yield_point,
             result.events if k.tracer is not None else None,
@@ -62,16 +60,7 @@ class ScalarExecutor(StepExecutor):
         ctx.finish()
         result.fired_rules.append(rule.name)
         if ctx.output:
-            result.output.extend(ctx.output)
-            if rec is None:
-                # the keys retraction mode maintains via _insert_output,
-                # so the per-step sort in _run_step reproduces its order
-                result.out_keys.extend(
-                    output_keys(
-                        trigger_ts, tup, k._rule_index[id(rule)], len(ctx.output)
-                    )
-                )
-            k.stats.rule(rule.name).output_lines += len(ctx.output)
+            self.deliver(result, rule.name, k._rule_index[id(rule)], tup, trigger_ts, ctx.output)
         if rec is not None:
             rec.puts = tuple(ctx.puts)
             rec.lines = tuple(ctx.output)
@@ -103,21 +92,22 @@ class ScalarExecutor(StepExecutor):
             dead_now = dead or (
                 k._dead_step is not None and tup in k._dead_step
             )
+            events = k.stats.table(name)
             if dead_now:
                 result.duplicate = True
-                k._tt(name)[1] += 1
+                events.duplicates += 1
                 return result
             if outcome is None:  # -noGamma table
-                k._tt(name)[3] += 1
+                events.gamma_skipped += 1
             else:
                 result.meter.charge_store_op("insert", k.db.store(name))
                 if outcome is InsertOutcome.DUPLICATE:
-                    k._tt(name)[1] += 1
+                    events.duplicates += 1
                     if not refire:
                         result.duplicate = True
                         return result
                 else:
-                    k._tt(name)[2] += 1
+                    events.gamma_inserts += 1
             k._fire_rules(tup, result)
             return result
 

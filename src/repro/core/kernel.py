@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Iterable
 
@@ -143,10 +142,11 @@ def _node_tag(result: TaskResult) -> dict:
 class StepKernel:
     """Step machinery for one program under one set of options.
 
-    Owns the Delta tree, the Gamma database, the strategy, and all the
-    deferred tallies; exposes :meth:`feed` (admission-checked external
-    puts), :meth:`drain` (run all-minimums steps until Delta is empty),
-    and :meth:`flush_stats` (fold deferred tallies into the collector).
+    Owns the Delta tree, the Gamma database, the strategy and the
+    statistics collector; exposes :meth:`feed` (admission-checked
+    external puts), :meth:`drain` (run all-minimums steps until Delta is
+    empty), and :meth:`flush_stats` (fold the plans' query counts into
+    the collector).
     Lifecycle — when to feed, settle, snapshot, or release the strategy
     — belongs to :class:`repro.core.session.EngineSession`; the
     compatibility shim :class:`repro.core.engine.Engine` drives a whole
@@ -193,6 +193,7 @@ class StepKernel:
         self._metered = options.metering == "on" or self.strategy.requires_metering
         if options.metering == "off" and self.strategy.requires_metering:
             self._note(
+                "metering.forced-on",
                 f"metering='off' overridden: the {self.strategy.name!r} "
                 "strategy's virtual-time machine consumes per-task meters, "
                 "so metering was forced back on"
@@ -200,16 +201,6 @@ class StepKernel:
         # compiled query plans, warmed from the program's static access
         # patterns; every RuleContext query dispatches through them
         self._plans = PlanCache(self.db, program)
-        # deferred stats tallies: (table, rule) -> firings and
-        # (rule, table) -> puts, folded into the collector at settle time
-        # — totals identical to per-event on_fire/on_put, without paying
-        # three hash-structure updates on every firing and put
-        self._fire_tallies: dict[tuple[str, str], int] = {}
-        self._put_tallies: dict[tuple[str, str], int] = {}
-        # same deferral for the per-table Gamma/Delta counters:
-        # name -> [delta_bypass, duplicates, gamma_inserts,
-        # gamma_skipped, delta_inserts]
-        self._table_tallies: dict[str, list[int]] = {}
         # retention hints: table -> mutable
         # [field position, keep_last, max seen, max at last prune];
         # max-seen is maintained incrementally at insert time (NEW
@@ -261,11 +252,11 @@ class StepKernel:
 
     # -- construction helpers ------------------------------------------------
 
-    def _note(self, message: str) -> None:
+    def _note(self, code: str, message: str, subject: str = "") -> None:
         """Record a knob-override note; under strict causality checking
         the adjustment is also warned, so strict runs never silently
         diverge from their requested configuration."""
-        self.stats.note(message)
+        self.stats.note(code, message, subject)
         if self.options.causality_check == "strict":
             warnings.warn(message, EngineWarning, stacklevel=4)
 
@@ -343,15 +334,6 @@ class StepKernel:
             if specs and name not in options.no_gamma
         }
 
-    def _guarded(self) -> ContextManager:
-        return self._lock if self._lock is not None else nullcontext()
-
-    def _tt(self, name: str) -> list[int]:
-        t = self._table_tallies.get(name)
-        if t is None:
-            t = self._table_tallies[name] = [0, 0, 0, 0, 0]
-        return t
-
     # -- put routing -------------------------------------------------------------
     #
     # ``self._handle_puts`` and ``self._fire_one`` are the executor's
@@ -371,13 +353,13 @@ class StepKernel:
                     outcome = self.db.insert(tup)
             result.meter.charge_store_op("insert", store)
             if outcome is InsertOutcome.DUPLICATE:
-                self._tt(name)[1] += 1
+                self.stats.table(name).duplicates += 1
                 return
-            self._tt(name)[2] += 1
+            self.stats.table(name).gamma_inserts += 1
             if self._retention:
                 self._note_retained(name, tup)
         else:
-            self._tt(name)[3] += 1
+            self.stats.table(name).gamma_skipped += 1
         self._fire_rules(tup, result)
 
     def _note_retained(self, name: str, tup: JTuple) -> None:
@@ -405,7 +387,7 @@ class StepKernel:
         idx: list[int] = []
         ng = self._no_gamma
         db = self.db
-        tt = self._tt
+        events = self.stats.table
         # codegen tier: a batch-local repeat always resolves to a Delta
         # dedup — phase C never mutates Gamma, so the repeat sees the
         # same precheck verdict as its first occurrence, and the tree
@@ -416,11 +398,11 @@ class StepKernel:
             name = tup.schema.name
             if seen is not None:
                 if tup in seen:
-                    tt(name)[1] += 1
+                    events(name).duplicates += 1
                     continue
                 seen.add(tup)
             if name not in ng and tup in db:
-                tt(name)[1] += 1
+                events(name).duplicates += 1
                 continue
             items.append((tup, db.timestamp(tup)))
             idx.append(i)
@@ -435,12 +417,12 @@ class StepKernel:
             name = tup.schema.name
             if ok:
                 flags[i] = True
-                tt(name)[4] += 1
+                events(name).delta_inserts += 1
                 meter.charge("delta_insert")
                 if delta_serial > 0.0:
                     meter.charge_shared("delta", shared_cost)
             else:
-                tt(name)[1] += 1
+                events(name).duplicates += 1
         return flags
 
     # -- rule firing -------------------------------------------------------------
@@ -1013,18 +995,11 @@ class StepKernel:
         return self.steps - before
 
     def flush_stats(self) -> None:
-        """Fold all deferred tallies into the collector and reset them,
-        so the collector is settle-consistent (and snapshot-complete)."""
-        self.stats.absorb_tallies(self._fire_tallies, self._put_tallies)
-        self.stats.absorb_table_tallies(self._table_tallies)
-        self._fire_tallies.clear()
-        self._put_tallies.clear()
-        self._table_tallies.clear()
-        # the tier flushes first: codegen merges its per-site query
-        # counters into the shared plans' rule_hits, which
-        # absorb_planned below folds into the collector and clears
-        self.executor.flush_stats()
+        """Fold the query counts of the plans that served them into the
+        collector — firings, puts and table events are already there —
+        so its query side is settle-consistent (and snapshot-complete)."""
         self.stats.absorb_planned(self._plans.plans())
+        self.executor.flush_stats()
 
     # -- trace bookends ---------------------------------------------------------
 

@@ -352,8 +352,8 @@ def compare_timestamps(a: Timestamp, b: Timestamp) -> int:
     treats as the earliest point of the subtree).
     """
     if a is b:
-        # shared object — constant-orderby timestamps and the memoised
-        # per-tuple timestamps make this the common case
+        # shared object — constant-orderby timestamps and the timestamp
+        # cached on each tuple make this the common case
         return 0
     ka, kb = a.key, b.key
     for ca, cb in zip(ka, kb):

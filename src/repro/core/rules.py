@@ -200,7 +200,6 @@ class RuleContext:
         "_finished",
         "_neg_warned",
         "_ts_ok",
-        "_collector",
         "_lock",
         "_sched",
         "_trace",
@@ -218,7 +217,6 @@ class RuleContext:
         trigger_ts: Timestamp,
         plans: "PlanCache",
         check_mode: str = "warn",
-        collector: Any = None,
         lock: Any = None,
         scheduler: Any = None,
         trace: list | None = None,
@@ -240,11 +238,10 @@ class RuleContext:
         self._finished = False
         self._neg_warned = False
         # identity of the last timestamp object that passed the put
-        # causality check — timestamps are memoised per tuple (and
-        # shared for constant orderbys), so consecutive puts of the
-        # same table usually present the same object again
+        # causality check — a table with a constant orderby shares one
+        # timestamp object, so a rule's consecutive puts into it
+        # present the same object again
         self._ts_ok = None
-        self._collector = collector
         self._lock = lock
         # strategy yield hook: called at every put/query boundary so a
         # perturbing strategy (chaos) can interleave or fault the body
@@ -396,13 +393,12 @@ class RuleContext:
             results = self._causal_filter(results)
         n = len(results)
         self._meter.charge_planned(ps, n)
-        if self._collector is not None:
-            hit = plan.rule_hits.get(self._rule.name)
-            if hit is None:
-                plan.rule_hits[self._rule.name] = [1, n]
-            else:
-                hit[0] += 1
-                hit[1] += n
+        hit = plan.rule_hits.get(self._rule.name)
+        if hit is None:
+            plan.rule_hits[self._rule.name] = [1, n]
+        else:
+            hit[0] += 1
+            hit[1] += n
         if self._trace is not None:
             self._trace.append(
                 (

@@ -81,10 +81,11 @@ class EngineSession:
             )
         self._opened = False
         self._closed = False
-        self._settles = 0
         self._out_cursor = 0
-        self._step_cursor = 0
         self._fed_since_settle = 0
+        #: the collector's firing and rule-put totals as of the last settle
+        self._fires_seen = 0
+        self._puts_seen = 0
         self._wall = 0.0
         self._final: RunResult | None = None
 
@@ -206,17 +207,19 @@ class EngineSession:
         t0 = time.perf_counter()
         k = self.kernel
         try:
-            k.drain()
+            steps_delta = k.drain()
         except BaseException:
             self._shutdown()
             raise
-        # within one settle every firing/put went through the deferred
-        # tallies, so their pre-flush sums *are* this settle's deltas
-        fires = sum(k._fire_tallies.values())
-        puts = sum(k._put_tallies.values())
         k.flush_stats()
-        steps_delta = k.steps - self._step_cursor
-        widths = k.stats.frontier_widths[self._step_cursor :]
+        fires_seen = sum(k.stats.trigger_edges.values())
+        # the rules' put edges only: a feed's start at its source, and
+        # a long session has fed from more sources than can be walked
+        edges, tables = k.stats.put_edges, k.program.tables
+        puts_seen = sum(edges.get((r.name, t), 0) for r in k.program.rules for t in tables)
+        fires, puts = fires_seen - self._fires_seen, puts_seen - self._puts_seen
+        self._fires_seen, self._puts_seen = fires_seen, puts_seen
+        widths = k.stats.frontier_widths[k.steps - steps_delta :]
         if k.options.retraction:
             # retraction repair can insert/remove lines *below* the
             # cursor (output is causally keyed, not append-only), so the
@@ -227,10 +230,9 @@ class EngineSession:
             new_output = k.output[self._out_cursor :]
         wall = time.perf_counter() - t0
         self._wall += wall
-        self._settles += 1
-        k.stats.on_settle(
+        k.stats.settles.append(
             {
-                "settle": self._settles,
+                "settle": len(k.stats.settles) + 1,
                 "fed": self._fed_since_settle,
                 "steps": steps_delta,
                 "fires": fires,
@@ -240,7 +242,6 @@ class EngineSession:
             }
         )
         self._out_cursor = len(k.output)
-        self._step_cursor = k.steps
         self._fed_since_settle = 0
         return k.build_result(output=new_output, steps=steps_delta, wall=wall)
 

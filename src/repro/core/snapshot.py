@@ -44,9 +44,15 @@ __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "build_snapshot", "restore_ses
 SNAPSHOT_FORMAT = "jstar-session-snapshot"
 #: version 2 added the ``support`` section (retraction mode); version 3
 #: added the optional ``extra`` section (opaque caller metadata, e.g.
-#: the session service's per-tenant durability record).  Earlier
-#: versions are refused like any other version mismatch
-SNAPSHOT_VERSION = 3
+#: the session service's per-tenant durability record); version 4
+#: dropped the three deferred-tally sections (the collector holds every
+#: count the moment it happens) and stores the collector's maps, not
+#: the totals derived from them.  Earlier versions are refused like any
+#: other version mismatch
+SNAPSHOT_VERSION = 4
+#: the session's own counters (``EngineSession._<name>``), as the
+#: ``session`` section lists them
+_SESSION_CURSORS = ("out_cursor", "fed_since_settle", "fires_seen", "puts_seen")
 
 
 def _plain(value: Any) -> Any:
@@ -176,6 +182,7 @@ def _restore_support(k, data: dict, schemas) -> None:
         sup.firings[fid].out_lines = tuple(pairs)
     if opaque_restored:
         k.stats.note(
+            "restore.opaque-where",
             "restored support records carry opaque where-clauses "
             "(code cannot be serialised); grown-result invalidation will "
             "conservatively over-invalidate their firings"
@@ -204,14 +211,9 @@ def build_snapshot(session, extra: Any = None) -> dict:
         "high_water": _encode_timestamp(k.high_water),
         "output": list(k.output),
         "tables": _plain(k.db.dump_tables()),
-        "delta": [[t.schema.name, _plain(list(t.values))] for t in k.delta.dump()],
-        "quarantined": [
-            [t.schema.name, _plain(list(t.values))] for t in k.quarantined
-        ],
+        "delta": [_encode_tuple(t) for t in k.delta.dump()],
+        "quarantined": [_encode_tuple(t) for t in k.quarantined],
         "retention": {name: _plain(ent[2:4]) for name, ent in k._retention.items()},
-        "fire_tallies": [[a, b, n] for (a, b), n in k._fire_tallies.items()],
-        "put_tallies": [[a, b, n] for (a, b), n in k._put_tallies.items()],
-        "table_tallies": {n: list(t) for n, t in k._table_tallies.items()},
         "support": _encode_support(k),
         "stats": k.stats.to_state(),
         "meter": k.meter.to_state(),
@@ -222,10 +224,7 @@ def build_snapshot(session, extra: Any = None) -> dict:
             else {"step": k.tracer.step, "events": [e.to_json() for e in k.tracer.events]}
         ),
         "session": {
-            "settles": session._settles,
-            "out_cursor": session._out_cursor,
-            "step_cursor": session._step_cursor,
-            "fed_since_settle": session._fed_since_settle,
+            **{name: getattr(session, "_" + name) for name in _SESSION_CURSORS},
             "wall": f"{session._wall:017.6f}",  # measured: fixed width, size follows inputs
         },
     }
@@ -294,11 +293,6 @@ def restore_session(cls, source, program, options=None, strategy=None):
         ent = k._retention.get(name)
         if ent is not None:
             ent[2], ent[3] = tail[0], tail[1]
-    k._fire_tallies = {(a, b): int(n) for a, b, n in payload.get("fire_tallies", [])}
-    k._put_tallies = {(a, b): int(n) for a, b, n in payload.get("put_tallies", [])}
-    k._table_tallies = {
-        n: [int(x) for x in t] for n, t in payload.get("table_tallies", {}).items()
-    }
     k.stats.load_state(payload.get("stats", {}))
     k.meter.load_state(payload.get("meter", {}))
     k.strategy.load_state(payload.get("strategy_state", {}))
@@ -326,6 +320,7 @@ def restore_session(cls, source, program, options=None, strategy=None):
             k.tracer.step = int(trace["step"])
         else:
             k.stats.note(
+                "restore.trace-from-snapshot",
                 "restored with tracing on from a snapshot taken without a "
                 "trace; the restored trace starts at the snapshot point"
             )
@@ -333,10 +328,8 @@ def restore_session(cls, source, program, options=None, strategy=None):
             k.tracer.step = int(payload.get("steps", 0))
 
     sess_state = payload.get("session", {})
-    session._settles = int(sess_state.get("settles", 0))
-    session._out_cursor = int(sess_state.get("out_cursor", 0))
-    session._step_cursor = int(sess_state.get("step_cursor", 0))
-    session._fed_since_settle = int(sess_state.get("fed_since_settle", 0))
+    for name in _SESSION_CURSORS:
+        setattr(session, "_" + name, int(sess_state.get(name, 0)))
     session._wall = float(sess_state.get("wall", 0.0))
     # the run-start event (when traced) is already in the restored
     # trace; mark the session live without re-emitting it

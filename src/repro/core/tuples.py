@@ -32,12 +32,16 @@ class JTuple:
     """One immutable tuple.  Field access by attribute (``t.frame``) or
     position (``t[0]``); ``copy(**updates)`` is the builder."""
 
-    __slots__ = ("schema", "values", "_hash")
+    #: ``_ts`` caches the tuple's timestamp, filled on first use by
+    #: :meth:`repro.core.database.Database.timestamp` — so it lives and
+    #: dies with the tuple, wherever the engine holds it
+    __slots__ = ("schema", "values", "_hash", "_ts")
 
     def __init__(self, schema: TableSchema, values: tuple):
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", hash((id(schema), values)))
+        _set_schema(self, schema)
+        _set_values(self, values)
+        _set_hash(self, hash((id(schema), values)))
+        _set_ts(self, None)
 
     # -- immutability -----------------------------------------------------
 
@@ -106,6 +110,13 @@ class JTuple:
             f"{n}={v!r}" for n, v in zip(self.schema.field_names, self.values)
         )
         return f"{self.schema.name}({pairs})"
+
+
+# the slots' own descriptors: the one way past ``__setattr__``, for
+# ``__init__`` and for the timestamp cache
+_set_schema, _set_values, _set_hash, _set_ts = (
+    JTuple.__dict__[slot].__set__ for slot in JTuple.__slots__
+)
 
 
 class TableHandle:

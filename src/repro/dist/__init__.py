@@ -21,7 +21,7 @@ design."""
 
 from repro.dist.check import QueryLocality, check_locality, locality_summary
 from repro.dist.engine import DistEngine, DistOptions, DistRunResult, run_distributed
-from repro.dist.network import NetModel, StepTraffic, WireStats
+from repro.dist.network import NODE_COUNTERS, NetModel, StepTraffic
 from repro.dist.placement import (
     OnNode,
     Partitioned,
@@ -48,7 +48,7 @@ __all__ = [
     "spread_hash",
     "NetModel",
     "StepTraffic",
-    "WireStats",
+    "NODE_COUNTERS",
     "QueryLocality",
     "check_locality",
     "locality_summary",

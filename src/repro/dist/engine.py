@@ -41,7 +41,7 @@ from repro.core.errors import EngineError
 from repro.core.program import ExecOptions, Program
 from repro.core.session import EngineSession
 from repro.core.tuples import JTuple
-from repro.dist.network import NetModel, StepTraffic
+from repro.dist.network import NODE_COUNTERS, NetModel, StepTraffic
 from repro.dist.placement import Placement
 from repro.dist.superstep import Probes, Shard, fire_records, sharded_kernel
 from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
@@ -85,17 +85,22 @@ class DistRunResult:
     node_busy: list[float] = field(default_factory=list)
     messages: int = 0
     tuples_moved: int = 0
-    #: round trips priced (the mesh's ``q`` frames) / reads other nodes
-    #: answered / those of them a class's one exchange had fetched
-    remote_queries: int = 0
-    probes_remote: int = 0
-    probes_planned: int = 0
+    #: the shards' :data:`~repro.dist.network.NODE_COUNTERS`, summed and
+    #: readable as attributes: ``remote_queries`` (round trips priced),
+    #: ``probes_remote``, ``probes_planned``; the wire ones stay 0
+    counters: dict[str, int] = field(default_factory=dict)
     steps: int = 0
     stats: StatsCollector = field(default_factory=StatsCollector)
     shard_sizes: dict[str, list[int]] = field(default_factory=dict)
     shards: list[Database] = field(repr=False, default_factory=list)
     #: the kernel's node-tagged trace under ``exec_options.trace``
     trace: TraceRecorder | None = field(repr=False, default=None)
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            return self.__dict__["counters"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def imbalance(self) -> float:
@@ -121,7 +126,7 @@ class DistEngine:
         )
         self.tier = self.kernel.executor
         k = self.kernel
-        self.tier.shards = self._views = [
+        self._views = [
             Shard(
                 program,
                 self.tier.placements,
@@ -129,7 +134,6 @@ class DistEngine:
                 self.n_nodes,
                 partial(self._fetch, n),
                 k.options.causality_check,
-                k.stats,
                 k.tracer is not None,
             )
             for n in range(self.n_nodes)
@@ -156,7 +160,7 @@ class DistEngine:
         for owner, probes in asks.items():
             answers[owner] = part = self._views[owner].serve(probes)
             self.traffic.remote_query(node, owner, sum(map(len, part)))
-            self._totals.remote_queries += 1
+            self._views[node].counters["remote_queries"] += 1
         return answers
 
     def execute(self, step: int, plan: list) -> dict[int, list[dict]]:
@@ -224,9 +228,14 @@ class DistEngine:
                 for name in self.program.tables
             }
             self.tier.check_shards(t.shard_sizes)
+            # queries were counted on the shards' plans: fold them, as
+            # the mesh folds what its workers send home with their bye
+            for view in self._views:
+                kernel.stats.absorb_planned(view.plans.plans())
         t.steps = kernel.steps
-        t.probes_remote = sum(view.probes_remote for view in self._views)
-        t.probes_planned = sum(view.probes_planned for view in self._views)
+        t.counters = {
+            name: sum(view.counters[name] for view in self._views) for name in NODE_COUNTERS
+        }
         t.shards = self.shards
         t.trace = kernel.tracer
         return t

@@ -16,53 +16,58 @@ the standard LogP-flavoured account:
   at a node = sum of its message costs; the step's comm makespan is the
   busiest node's total (full-duplex assumed between distinct pairs).
 
-:class:`WireStats` is the *real* counterpart: the multiprocess runtime
-(:mod:`repro.dist.procrun`) counts actual pickled bytes and messages on
-each coordinator↔worker control channel (step frames out, done records
-back — every tuple travels here) *and* on each worker's peer mesh
-(``q`` / ``a`` frames: batches of probes and their rows), so the
-network columns of a distributed ``run_report`` are measured traffic.
-Workers snapshot their counters into every ``done`` record as one
-fixed-width block (``repro.dist.worker.COUNTERS``): a record's size does
-not depend on how far a counter has run, so byte counts repeat exactly.
+:data:`NODE_COUNTERS` is the *real* counterpart, and the one
+declaration of what a node of a sharded run counts: a mesh worker
+(:mod:`repro.dist.worker`) counts actual pickled bytes and messages on
+its coordinator channel (step frames in, done records out — every tuple
+travels here) *and* on its peer mesh (``q`` / ``a`` frames: batches of
+probes and their rows), so the network columns of a distributed
+``run_report`` are measured traffic; a shard counts its reads of other
+shards under the same names on either backend.  Workers snapshot their
+counters into every ``done`` record as one fixed-width block: a record's
+size does not depend on how far a counter has run, so byte counts
+repeat exactly.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
-__all__ = ["NetModel", "StepTraffic", "WireStats"]
+__all__ = ["NODE_COUNTERS", "NetModel", "StepTraffic", "pack_counters", "sum_counters"]
+
+#: what one node counts -> its ``format_nodes`` column.  The names are
+#: the keys of a ``RunResult.nodes`` entry and of ``Shard.counters``, in
+#: the order a worker packs them and the report prints them
+NODE_COUNTERS = {
+    "queries_served": "served",         # q frames answered
+    "remote_queries": "remote q",       # q frames sent (cost model: round trips priced)
+    "probes_remote": "probes",          # (read, answering node) pairs
+    "probes_planned": "planned",        # ... of which a class's exchange held
+    "msgs": "msgs",                     # control plane, both directions
+    "bytes_sent": "sent B",
+    "bytes_recv": "recv B",
+    "peer_msgs": "peer msgs",           # peer plane, both directions
+    "peer_bytes_sent": "peer sent B",
+    "peer_bytes_recv": "peer recv B",
+}
+
+#: the block a done record and a bye carry: one unsigned 64-bit word per
+#: counter, padded to the twelve words it has had since PR 16 — every
+#: committed control-plane byte count was measured at that size
+_BLOCK = struct.Struct(f">{len(NODE_COUNTERS)}Q{8 * (12 - len(NODE_COUNTERS))}x")
 
 
-@dataclass
-class WireStats:
-    """Measured traffic on one coordinator↔worker pipe (both counted
-    from the owning endpoint's perspective)."""
+def pack_counters(counters: Mapping[str, int]) -> bytes:
+    return _BLOCK.pack(*(counters[name] for name in NODE_COUNTERS))
 
-    msgs_sent: int = 0
-    msgs_recv: int = 0
-    bytes_sent: int = 0
-    bytes_recv: int = 0
 
-    def on_send(self, n_bytes: int) -> None:
-        self.msgs_sent += 1
-        self.bytes_sent += n_bytes
-
-    def on_recv(self, n_bytes: int) -> None:
-        self.msgs_recv += 1
-        self.bytes_recv += n_bytes
-
-    def to_state(self) -> tuple[int, int, int, int]:
-        """The four counters in field order — what a worker packs into
-        its fixed-width counter block."""
-        return (self.msgs_sent, self.msgs_recv, self.bytes_sent, self.bytes_recv)
-
-    def add_state(self, state: tuple[int, int, int, int]) -> None:
-        """Fold a :meth:`to_state` snapshot into this counter."""
-        self.msgs_sent += state[0]
-        self.msgs_recv += state[1]
-        self.bytes_sent += state[2]
-        self.bytes_recv += state[3]
+def sum_counters(blocks: Iterable[bytes]) -> dict[str, int]:
+    """The named sum of packed blocks — a node's final block plus the
+    last one of each incarnation that crashed."""
+    columns = zip(*map(_BLOCK.unpack, blocks))
+    return dict(zip(NODE_COUNTERS, map(sum, columns)))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from repro.core.errors import EngineError, WorkerLostError
 from repro.core.kernel import RunResult
 from repro.core.program import ExecOptions, Program
 from repro.core.session import EngineSession
-from repro.dist.network import WireStats
+from repro.dist.network import sum_counters
 from repro.dist.placement import PlacementMap
 from repro.dist.superstep import sharded_kernel
 from repro.dist.transport import (
@@ -68,7 +68,7 @@ from repro.dist.transport import (
     resolve_transport,
     wait_readable,
 )
-from repro.dist.worker import COUNTERS, program_fingerprint, worker_entry
+from repro.dist.worker import program_fingerprint, worker_entry
 
 __all__ = ["ProcessShardRuntime", "run_sharded"]
 
@@ -79,13 +79,12 @@ _SPAWN_TRIES = 3
 class _Worker:
     """Coordinator-side handle for one worker process."""
 
-    __slots__ = ("node", "proc", "channel", "wire", "incarnation", "peer_addr")
+    __slots__ = ("node", "proc", "channel", "incarnation", "peer_addr")
 
     def __init__(self, node: int, proc, channel, incarnation: int):
         self.node = node
         self.proc = proc
         self.channel = channel
-        self.wire = WireStats()
         self.incarnation = incarnation
         self.peer_addr = None
 
@@ -191,8 +190,10 @@ class ProcessShardRuntime:
                 return w
             self._reap(w)
             self.stats.note(
+                "worker.respawned",
                 f"worker {node} did not complete its hello handshake within "
-                f"{timeout:g}s; terminated and re-forked"
+                f"{timeout:g}s; terminated and re-forked",
+                str(node),
             )
         raise EngineError(
             f"worker {node} never completed the spawn handshake: "
@@ -259,9 +260,6 @@ class ProcessShardRuntime:
             self._carry.setdefault(node, []).append(snap)
         self._reap(w)
         fresh = self._spawn(node, incarnation=w.incarnation + 1)
-        # our side of the channel counts traffic to the node, across
-        # incarnations
-        fresh.wire.add_state(w.wire.to_state())
         self.workers[node] = fresh
         self._by_chan = {v.channel: v for v in self.workers}
         # the replacement dials every survivor; survivors accept it from
@@ -303,14 +301,12 @@ class ProcessShardRuntime:
             w.channel.send_bytes(data)
         except (BrokenPipeError, ConnectionResetError, OSError):
             raise WorkerLostError(w.node, self.kernel.steps or None, self._epoch) from None
-        w.wire.on_send(len(data))
 
     def _recv(self, w: _Worker) -> dict:
         try:
             data = w.channel.recv_bytes()
         except (EOFError, ConnectionResetError, OSError):
             raise WorkerLostError(w.node, self.kernel.steps or None, self._epoch) from None
-        w.wire.on_recv(len(data))
         return pickle.loads(data)
 
     # -- the run ---------------------------------------------------------------
@@ -424,8 +420,10 @@ class ProcessShardRuntime:
         self._epoch += 1
         self._recoveries[node] = self._recoveries.get(node, 0) + 1
         self.stats.note(
+            "worker.restarted",
             f"worker {node} died during step {self.kernel.steps}; restarted from "
-            "the control replica"
+            "the control replica",
+            str(node),
         )
         dead = [node]
         aborted: set[int] = set()
@@ -464,25 +462,12 @@ class ProcessShardRuntime:
             # workers only observe queries; fires/puts/output were
             # counted here from the merged records
             self.stats.merge_state(msg["stats"])
-            blocks = [msg["counters"], *self._carry.get(w.node, ())]
-            counters = [sum(col) for col in zip(*map(COUNTERS.unpack, blocks))]
-            wire, peer = WireStats(*counters[:4]), WireStats(*counters[4:8])
-            served, remote, probes_remote, probes_planned = counters[8:]
             nodes.append(
                 {
                     "node": w.node,
                     "fires": self.tier.node_fires[w.node],
                     "puts": self.tier.node_puts[w.node],
-                    "queries_served": served,
-                    "remote_queries": remote,
-                    "probes_remote": probes_remote,
-                    "probes_planned": probes_planned,
-                    "msgs": wire.msgs_sent + wire.msgs_recv,
-                    "bytes_sent": wire.bytes_sent,
-                    "bytes_recv": wire.bytes_recv,
-                    "peer_msgs": peer.msgs_sent + peer.msgs_recv,
-                    "peer_bytes_sent": peer.bytes_sent,
-                    "peer_bytes_recv": peer.bytes_recv,
+                    **sum_counters([msg["counters"], *self._carry.get(w.node, ())]),
                     "recovered": self._recoveries.get(w.node, 0),
                 }
             )

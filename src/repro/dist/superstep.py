@@ -42,11 +42,11 @@ from repro.core.database import Database, InsertOutcome
 from repro.core.errors import EngineError
 from repro.core.executors.base import StepExecutor
 from repro.core.kernel import StepKernel
-from repro.core.ordering import output_keys
 from repro.core.program import ExecOptions, Program
 from repro.core.query import Query, QueryKind
 from repro.core.rules import RuleContext
 from repro.core.tuples import JTuple
+from repro.dist.network import NODE_COUNTERS
 from repro.dist.placement import OnNode, Partitioned, PlacementMap, spread_hash
 from repro.dist.readplan import read_plan
 from repro.exec.base import EngineTask, Strategy, TaskResult
@@ -54,7 +54,6 @@ from repro.exec.metering import CostMeter
 from repro.gamma.base import PreparedSelect, StoreRegistry
 from repro.gamma.treeset import TreeSetStore
 from repro.plan.cache import PlanCache
-from repro.stats.collector import StatsCollector
 
 __all__ = [
     "Backend",
@@ -100,7 +99,7 @@ Probes = dict[tuple[str, tuple, tuple], dict[tuple, None]]
 class Shard:
     """One node's shard of Gamma and the access paths into it — the
     view :func:`fire_records` fires against: ``program``, ``db``,
-    ``plans``, ``check_mode``, ``stats``, ``traced``.  ``plans`` is an
+    ``plans``, ``check_mode``, ``traced``.  ``plans`` is an
     ordinary :class:`~repro.plan.cache.PlanCache` built with
     :meth:`prepare`: routing is resolved when a query shape compiles.
 
@@ -108,8 +107,9 @@ class Shard:
     Probes) -> owner -> answer``, each owner's :meth:`serve`.
     :meth:`exchange` makes it once per class, for every read the rules'
     plans (:mod:`repro.dist.readplan`) predict; a read none predicted
-    makes it for itself, a batch of one.  ``probes_remote`` counts (read,
-    answering node) pairs, ``probes_planned`` those an exchange held."""
+    makes it for itself, a batch of one.  ``counters`` holds this
+    node's :data:`~repro.dist.network.NODE_COUNTERS`: the shard counts
+    its reads of other shards, its backend the frames they travel in."""
 
     def __init__(
         self,
@@ -119,15 +119,13 @@ class Shard:
         n_nodes: int,
         fetch: Callable[[dict[int, Probes]], dict[int, list]],
         check_mode: str,
-        stats: StatsCollector,
         traced: bool,
     ):
         self.program = program
         self.db = Database(program.schemas(), StoreRegistry(TreeSetStore), program.decls)
         self.check_mode = check_mode
-        self.stats = stats
         self.traced = traced
-        self.probes_remote = self.probes_planned = 0
+        self.counters = dict.fromkeys(NODE_COUNTERS, 0)
         self._placements = placements
         self._node = node
         self._n_nodes = n_nodes
@@ -242,14 +240,14 @@ class Shard:
         key = tuple(q.eq[i] for i in pos)
         shape = (schema.name, pos, ())
         parts = [self._cache.get(o, {}).get(shape, {}).get(key) for o in owners]
-        self.probes_remote += len(owners)
+        self.counters["probes_remote"] += len(owners)
         if None in parts:
             shape = (schema.name, pos, tuple(sorted(q.ranges.items())))
             asks = {o: {shape: {key: None}} for o in owners}
             self._pull(asks)
             parts = [asks[o][shape][key] for o in owners]
         else:
-            self.probes_planned += len(owners)
+            self.counters["probes_planned"] += len(owners)
         fetched = (JTuple(schema, values) for part in parts for values in part)
         return [t for t in fetched if q.matches(t)]
 
@@ -301,7 +299,6 @@ def fire_records(shard: Shard, tup: JTuple, meter: CostMeter) -> list[dict]:
             ts,
             shard.plans,
             shard.check_mode,
-            shard.stats,
             None,
             None,
             events,
@@ -366,14 +363,6 @@ class ShardedExecutor(StepExecutor):
         #: rule name -> position, for canonical output keys (records
         #: identify rules by name)
         self._rule_pos = {r.name: i for i, r in enumerate(program.rules)}
-        #: the shards living in this process (the cost model registers
-        #: its own), whose plans' query counts :meth:`flush_stats` folds;
-        #: the mesh's live in its workers and come home with their bye
-        self.shards: list[Shard] = []
-
-    def flush_stats(self) -> None:
-        for shard in self.shards:
-            self.kernel.stats.absorb_planned(shard.plans.plans())
 
     def fire_node(self, tup: JTuple) -> int:
         """Node that fires this tuple's rules — the partition home, or
@@ -394,7 +383,7 @@ class ShardedExecutor(StepExecutor):
         ]
         records = self.backend.execute(k.steps, plan)
         traced = k.tracer is not None
-        fire_tallies, tt, handle_puts = k._fire_tallies, k._tt, k._handle_puts
+        edges, events, handle_puts = k.stats.trigger_edges, k.stats.table, k._handle_puts
         schemas, node_fires, node_puts = self.schemas, self.node_fires, self.node_puts
         # traced, one result per tuple: each task and effect event names
         # its node.  Untraced, one sink result carries the class's puts
@@ -414,13 +403,13 @@ class ShardedExecutor(StepExecutor):
                 results.append(result)
             if dup:
                 result.duplicate = True
-                tt(name)[1] += 1
+                events(name).duplicates += 1
                 continue
-            tt(name)[2] += 1
+            events(name).gamma_inserts += 1
             for entry in records.get(idx, ()):
                 rule = entry["rule"]
                 key = (name, rule)
-                fire_tallies[key] = fire_tallies.get(key, 0) + 1
+                edges[key] = edges.get(key, 0) + 1
                 node_fires[node] += 1
                 node_puts[node] += len(entry["puts"])
                 if traced:
@@ -430,11 +419,9 @@ class ShardedExecutor(StepExecutor):
                     )
                 out = entry["output"]
                 if out:
-                    result.output.extend(out)
-                    result.out_keys.extend(
-                        output_keys(k.db.timestamp(tup), tup, self._rule_pos[rule], len(out))
+                    self.deliver(
+                        result, rule, self._rule_pos[rule], tup, k.db.timestamp(tup), out
                     )
-                    k.stats.rule(rule).output_lines += len(out)
                 handle_puts(
                     [JTuple(schemas[t], tuple(vals)) for t, vals in entry["puts"]],
                     result,

@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import struct
 import time
 import traceback
 from collections import deque
@@ -47,7 +46,7 @@ from functools import partial
 from repro.core.errors import EngineError
 from repro.core.program import Program
 from repro.core.tuples import JTuple
-from repro.dist.network import WireStats
+from repro.dist.network import pack_counters
 from repro.dist.placement import PlacementMap
 from repro.dist.superstep import Probes, Shard, fire_records
 from repro.dist.transport import (
@@ -61,18 +60,9 @@ from repro.dist.transport import (
 from repro.exec.metering import NULL_METER
 from repro.stats.collector import StatsCollector
 
-__all__ = ["COUNTERS", "ShardWorker", "program_fingerprint", "worker_entry"]
+__all__ = ["ShardWorker", "program_fingerprint", "worker_entry"]
 
 _dumps = partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL)
-
-#: a worker's counters as they ride every done record and the bye:
-#: control wire, peer wire (``WireStats.to_state`` each), ``q`` frames
-#: answered and sent, reads other nodes answered and those of them an
-#: exchange had fetched.  Fixed width, because when a done record is
-#: sent relative to a peer's query is a matter of timing, and a pickled
-#: int grows a byte at 256 and at 65 536 — the record's size, and with
-#: it the control plane's byte count, must not depend on either
-COUNTERS = struct.Struct(">12Q")
 
 
 def program_fingerprint(program: Program) -> str:
@@ -122,15 +112,13 @@ class ShardWorker:
             n_nodes,
             self.fetch,
             conf["check_mode"],
-            StatsCollector(),
             conf["traced"],
         )
         self.db = self.shard.db
         self.schemas = program.schemas()
-        self.wire = WireStats()  # control channel (coordinator)
-        self.peer_wire = WireStats()  # mesh (other workers)
-        self.queries_served = 0
-        self.remote_queries = 0
+        #: this node's counters (``repro.dist.network.NODE_COUNTERS``):
+        #: the shard counts its reads, the worker its two wires
+        self.counters = self.shard.counters
         self._qid = 0
         self._attempt = 0
         self._applied = 0  # latest step whose phase A landed in Gamma
@@ -150,14 +138,20 @@ class ShardWorker:
 
     # -- control framing (real byte counts, not simulated ones) ---------------
 
+    def _count(self, plane: str, way: str, n_bytes: int) -> None:
+        """One frame of ``n_bytes`` ``sent`` / ``recv`` on the control
+        (``""``) or the ``peer_`` plane."""
+        self.counters[plane + "msgs"] += 1
+        self.counters[f"{plane}bytes_{way}"] += n_bytes
+
     def _send(self, msg: dict) -> None:
         data = _dumps(msg)
         self.channel.send_bytes(data)
-        self.wire.on_send(len(data))
+        self._count("", "sent", len(data))
 
     def _recv(self) -> dict:
         data = self.channel.recv_bytes()
-        self.wire.on_recv(len(data))
+        self._count("", "recv", len(data))
         return pickle.loads(data)
 
     # -- mesh plumbing ---------------------------------------------------------
@@ -181,7 +175,7 @@ class ShardWorker:
         if ch is None:
             return
         data = ch.recv_bytes()
-        self.peer_wire.on_recv(len(data))
+        self._count("peer_", "recv", len(data))
         hello = pickle.loads(data)
         if hello.get("t") != "peer-hello":
             ch.close()
@@ -200,7 +194,7 @@ class ShardWorker:
                 ch.send_bytes(hello)
             except (OSError, EOFError):
                 continue
-            self.peer_wire.on_send(len(hello))
+            self._count("peer_", "sent", len(hello))
             self._register_peer(j, ch)
         while any(j not in self.peers for j in await_nodes):
             self._accept_peer()
@@ -216,7 +210,7 @@ class ShardWorker:
             # recovery protocol sort the membership out
             self._drop_peer(ch)
             return False
-        self.peer_wire.on_send(len(data))
+        self._count("peer_", "sent", len(data))
         return True
 
     def _pump(self, timeout: float | None, control: bool = False) -> bool:
@@ -243,7 +237,7 @@ class ShardWorker:
         except (EOFError, ConnectionResetError, OSError):
             self._drop_peer(ch)
             return
-        self.peer_wire.on_recv(len(data))
+        self._count("peer_", "recv", len(data))
         msg = pickle.loads(data)
         if msg["t"] == "a":
             self._answers.setdefault(msg["qid"], []).append((msg["node"], msg["rows"]))
@@ -313,16 +307,6 @@ class ShardWorker:
 
     # -- superstep -----------------------------------------------------------
 
-    def _counters(self) -> bytes:
-        return COUNTERS.pack(
-            *self.wire.to_state(),
-            *self.peer_wire.to_state(),
-            self.queries_served,
-            self.remote_queries,
-            self.shard.probes_remote,
-            self.shard.probes_planned,
-        )
-
     def _step(self, msg: dict) -> None:
         step = msg["step"]
         self._attempt = msg["attempt"]
@@ -351,7 +335,13 @@ class ShardWorker:
                 return  # partial work discarded; the retry re-executes
             payload = {"t": "done", "step": step, "records": records}
             self._cache = (step, payload)
-        self._send({**payload, "attempt": self._attempt, "counters": self._counters()})
+        # fixed width, because when a done record is sent relative to a
+        # peer's query is a matter of timing, and a pickled int grows a
+        # byte at 256 and at 65 536 — the record's size, and with it the
+        # control plane's byte count, must not depend on either
+        self._send(
+            {**payload, "attempt": self._attempt, "counters": pack_counters(self.counters)}
+        )
 
     # -- the shard's one outside read ------------------------------------------
 
@@ -371,7 +361,7 @@ class ShardWorker:
             if data is None or probes != last:
                 last = probes
                 data = _dumps({**head, "attempt": self._attempt, "probes": probes})
-            self.remote_queries += 1
+            self.counters["remote_queries"] += 1
             self._peer_send(owner, data)
         got: dict[int, list] = {}
         while len(got) < len(asks):
@@ -403,13 +393,13 @@ class ShardWorker:
         if node is not None and self._peer_send(
             node, _dumps({"t": "a", "qid": msg["qid"], "node": self.node, "rows": rows})
         ):
-            self.queries_served += 1
+            self.counters["queries_served"] += 1
 
     # -- teardown ------------------------------------------------------------
 
     def _finish(self) -> None:
         # queries were counted on the plans that served them
-        stats = self.shard.stats
+        stats = StatsCollector()
         stats.absorb_planned(self.shard.plans.plans())
         self._send(
             {
@@ -417,7 +407,7 @@ class ShardWorker:
                 "node": self.node,
                 "table_sizes": self.db.table_sizes(),
                 "stats": stats.to_state(),
-                "counters": self._counters(),
+                "counters": pack_counters(self.counters),
             }
         )
         for ch in list(self.peers.values()):

@@ -29,9 +29,9 @@ from typing import Callable, Sequence
 
 from repro.core.tuples import JTuple
 from repro.exec.metering import CostMeter
-from repro.simcore.machine import MachineReport
+from repro.simcore.machine import Machine, MachineReport
 
-__all__ = ["TaskResult", "EngineTask", "Strategy"]
+__all__ = ["TaskResult", "EngineTask", "Strategy", "MachineStrategy"]
 
 
 @dataclass(slots=True)
@@ -145,3 +145,33 @@ class Strategy(ABC):
 
     def load_state(self, state: dict) -> None:
         """Restore what :meth:`state_dict` captured.  Default no-op."""
+
+
+class MachineStrategy(Strategy):
+    """A strategy that replays its steps on a virtual-time
+    :class:`~repro.simcore.machine.Machine`.  Bodies run sequentially
+    in submission order — parallelism, where there is any, exists only
+    in the account — and a subclass says how a step's results become
+    the machine's tasks (:meth:`account_step`)."""
+
+    def __init__(self, machine: Machine):
+        self._machine = machine
+
+    def run_batch(self, tasks: Sequence[EngineTask]) -> list[TaskResult]:
+        return [t.run() for t in tasks]
+
+    def account_serial(self, cost: float) -> None:
+        self._machine.run_serial(cost)
+
+    def report(self) -> MachineReport:
+        return self._machine.report
+
+    def state_dict(self) -> dict:
+        account = dict(vars(self._machine.report))
+        del account["n_cores"]  # structural: rebuilt from the options
+        return {"machine": account}
+
+    def load_state(self, state: dict) -> None:
+        report = self._machine.report
+        for name, value in state.get("machine", {}).items():
+            setattr(report, name, type(getattr(report, name))(value))

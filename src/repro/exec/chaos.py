@@ -225,8 +225,6 @@ class ChaosStrategy(Strategy):
         self._tracer: Any = None
         self._stats: Any = None
         self._batch_no = 0
-        #: triggered-fault counters for the whole run
-        self.fault_counts: dict[str, int] = {}
 
     # -- engine hookup ------------------------------------------------------
 
@@ -242,7 +240,6 @@ class ChaosStrategy(Strategy):
         return {
             "rng": [version, list(internal), gauss],
             "batch_no": self._batch_no,
-            "fault_counts": dict(self.fault_counts),
         }
 
     def load_state(self, state: dict) -> None:
@@ -251,12 +248,8 @@ class ChaosStrategy(Strategy):
         version, internal, gauss = state["rng"]
         self._rng.setstate((version, tuple(int(x) for x in internal), gauss))
         self._batch_no = int(state["batch_no"])
-        self.fault_counts.update(
-            {str(k): int(v) for k, v in state.get("fault_counts", {}).items()}
-        )
 
     def _count_fault(self, kind: str, task_index: int) -> None:
-        self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
         if self._stats is not None:
             self._stats.on_fault(kind)
         if self._tracer is not None:

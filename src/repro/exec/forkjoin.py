@@ -20,16 +20,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.exec.base import EngineTask, Strategy, TaskResult
+from repro.exec.base import MachineStrategy, TaskResult
 from repro.simcore.contention import CalibratedCosts
 from repro.simcore.gc import GcModel
-from repro.simcore.machine import Machine, MachineReport
+from repro.simcore.machine import Machine
 from repro.simcore.task import SimTask
 
 __all__ = ["ForkJoinStrategy"]
 
 
-class ForkJoinStrategy(Strategy):
+class ForkJoinStrategy(MachineStrategy):
     name = "forkjoin"
     concurrent_stores = True
     # the virtual machine schedules each task's metered cost onto its
@@ -45,16 +45,13 @@ class ForkJoinStrategy(Strategy):
         if pool_size < 1:
             raise ValueError("fork/join pool needs at least one thread")
         self.n_threads = pool_size
-        self._machine = Machine(
-            n_cores=pool_size,
-            calib=calib if calib is not None else CalibratedCosts(),
-            gc=gc if gc is not None else GcModel(),
+        super().__init__(
+            Machine(
+                n_cores=pool_size,
+                calib=calib if calib is not None else CalibratedCosts(),
+                gc=gc if gc is not None else GcModel(),
+            )
         )
-
-    def run_batch(self, tasks: Sequence[EngineTask]) -> list[TaskResult]:
-        # Real execution stays sequential and deterministic; parallelism
-        # exists only in the virtual-time account.
-        return [t.run() for t in tasks]
 
     def account_step(
         self,
@@ -80,23 +77,6 @@ class ForkJoinStrategy(Strategy):
                 per = cost / chunks
                 sim.extend(SimTask(per) for _ in range(chunks))
         self._machine.run_step(sim, allocations=allocations, retained=retained)
-
-    def account_serial(self, cost: float) -> None:
-        self._machine.run_serial(cost)
-
-    def report(self) -> MachineReport:
-        return self._machine.report
-
-    def state_dict(self) -> dict:
-        from repro.exec.sequential import _report_state
-
-        return {"machine": _report_state(self._machine.report)}
-
-    def load_state(self, state: dict) -> None:
-        from repro.exec.sequential import _load_report_state
-
-        if state:
-            _load_report_state(self._machine.report, state.get("machine", {}))
 
     @property
     def machine(self) -> Machine:

@@ -11,27 +11,24 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.exec.base import EngineTask, Strategy, TaskResult
+from repro.exec.base import MachineStrategy, TaskResult
 from repro.simcore.contention import CalibratedCosts
 from repro.simcore.gc import GcModel
-from repro.simcore.machine import Machine, MachineReport
+from repro.simcore.machine import Machine
 from repro.simcore.task import SimTask
 
 __all__ = ["SequentialStrategy"]
 
 
-class SequentialStrategy(Strategy):
+class SequentialStrategy(MachineStrategy):
     name = "sequential"
     concurrent_stores = False
     n_threads = 1
 
     def __init__(self, gc: GcModel | None = None):
-        self._machine = Machine(
-            n_cores=1, calib=CalibratedCosts(), gc=gc if gc is not None else GcModel()
+        super().__init__(
+            Machine(n_cores=1, calib=CalibratedCosts(), gc=gc if gc is not None else GcModel())
         )
-
-    def run_batch(self, tasks: Sequence[EngineTask]) -> list[TaskResult]:
-        return [t.run() for t in tasks]
 
     def account_step(
         self,
@@ -43,40 +40,3 @@ class SequentialStrategy(Strategy):
             SimTask(r.meter.total_cost, dict(r.meter.shared)) for r in results
         ]
         self._machine.run_step(sim, allocations=allocations, retained=retained)
-
-    def account_serial(self, cost: float) -> None:
-        self._machine.run_serial(cost)
-
-    def report(self) -> MachineReport:
-        return self._machine.report
-
-    def state_dict(self) -> dict:
-        return {"machine": _report_state(self._machine.report)}
-
-    def load_state(self, state: dict) -> None:
-        if state:
-            _load_report_state(self._machine.report, state.get("machine", {}))
-
-
-def _report_state(report: MachineReport) -> dict:
-    """The resumable fields of a virtual-time account (``n_cores`` is
-    structural and rebuilt from the options, not restored)."""
-    return {
-        "elapsed": report.elapsed,
-        "busy": report.busy,
-        "gc_time": report.gc_time,
-        "contention": report.contention,
-        "overhead": report.overhead,
-        "steps": report.steps,
-        "tasks": report.tasks,
-        "max_batch": report.max_batch,
-    }
-
-
-def _load_report_state(report: MachineReport, state: dict) -> None:
-    for name in (
-        "elapsed", "busy", "gc_time", "contention", "overhead"
-    ):
-        setattr(report, name, float(state.get(name, 0.0)))
-    for name in ("steps", "tasks", "max_batch"):
-        setattr(report, name, int(state.get(name, 0)))

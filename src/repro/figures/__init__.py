@@ -1,7 +1,7 @@
 """Benchmark harness utilities (paper's §6 measurement protocol)."""
 
-from repro.bench.figures import FigureRow, comparison_block, figure_block
-from repro.bench.harness import SpeedupSeries, speedup_series, timed_average
+from repro.figures.figures import FigureRow, comparison_block, figure_block
+from repro.figures.harness import SpeedupSeries, speedup_series, timed_average
 
 __all__ = [
     "timed_average",

@@ -1,8 +1,8 @@
 """Row/series formatters: print each table/figure the way the paper
 reports it, side by side with the paper's numbers.
 
-Every benchmark in ``benchmarks/`` ends by printing one of these
-blocks, so ``pytest benchmarks/ --benchmark-only -s`` regenerates the
+Every benchmark in ``figures/`` ends by printing one of these
+blocks, so ``pytest figures/ --benchmark-only -s`` regenerates the
 full evaluation section in text form; EXPERIMENTS.md records one frozen
 copy with commentary.
 """

@@ -1,4 +1,4 @@
-"""Benchmark harness utilities shared by ``benchmarks/``.
+"""Benchmark harness utilities shared by ``figures/``.
 
 Implements the paper's measurement protocol (§6.2): "Each program was
 run at least 20 times, the first 6 measurements (while the Hotspot

@@ -649,17 +649,12 @@ def compiled_for(program: "Program", rule: Rule):
 # -- bind --------------------------------------------------------------------
 
 
-def bind_driver(
-    compiled: CompiledRuleBody,
-    kernel: "StepKernel",
-    rule: Rule,
-    site_hits_out: list,
-) -> Callable:
+def bind_driver(compiled: CompiledRuleBody, kernel: "StepKernel", rule: Rule) -> Callable:
     """Resolve one compiled body against a kernel: register every query
     site's shape in the shared plan cache (the same plans the scalar
-    path would hit), wire the per-site ``[n_calls, n_results]`` counters
-    (appended to ``site_hits_out`` for the executor's flush), and build
-    the driver."""
+    path would hit), hand each site the plan's own ``[n_queries,
+    n_results]`` cell for this rule — the collector zeroes it in place
+    at settle time — and build the driver."""
     cg: dict[str, Any] = {
         "Query": Query,
         "JTuple": JTuple,
@@ -694,12 +689,10 @@ def bind_driver(
             {n: None for n in s.eq_names},
             s.kind,
         )
-        hits = [0, 0]
         cg[f"s{s.i}_run"] = plan.prepared.run
-        cg[f"s{s.i}_hits"] = hits
+        cg[f"s{s.i}_hits"] = plan.rule_hits.setdefault(rule.name, [0, 0])
         cg[f"s{s.i}_schema"] = s.handle.schema
         cg[f"s{s.i}_kind"] = s.kind
-        site_hits_out.append((plan, rule.name, hits))
         if s.key_args is not None:
             store = kernel.db.store(s.handle.schema.name)
             cg[f"s{s.i}_lookup"] = (

@@ -175,8 +175,6 @@ class CompiledQueryPlan:
         "eq_positions",
         "range_builders",
         "prepared",
-        "stat_eq_fields",
-        "stat_range_fields",
         "stat_shape",
         "bound",
         "rule_hits",
@@ -205,15 +203,17 @@ class CompiledQueryPlan:
         self.range_builders = tuple(builders)
         self.prepared = prepared
         names = schema.field_names
-        self.stat_eq_fields = tuple(sorted(names[i] for i in probe.eq))
-        self.stat_range_fields = tuple(sorted(names[i] for i in probe.ranges))
-        # prebuilt (table, eq fields, range fields) key for the stats
-        # collector, so the hot path never re-tuples it
-        self.stat_shape = (self.table_name, self.stat_eq_fields, self.stat_range_fields)
+        # the (table, eq fields, range fields) the stats collector files
+        # this shape's hits under
+        self.stat_shape = (
+            self.table_name,
+            tuple(sorted(names[i] for i in probe.eq)),
+            tuple(sorted(names[i] for i in probe.ranges)),
+        )
         self.bound = compile_bound(schema, probe, decls)
-        # rule name -> [n_queries, n_results]; the context bumps these
-        # inline per firing and the collector absorbs them at settle
-        # time (one list bump per query, no per-call dict churn)
+        # rule name -> [n_queries, n_results]; the context and the
+        # generated drivers bump a cell inline per query and the
+        # collector absorbs and zeroes it, in place, at settle time
         self.rule_hits: dict[str, list] = {}
 
     def build(

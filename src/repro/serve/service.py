@@ -38,7 +38,7 @@ import asyncio
 import contextlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.core.errors import (
@@ -116,21 +116,7 @@ class ServiceStats:
         self.rejections[code] = self.rejections.get(code, 0) + 1
 
     def as_dict(self) -> dict:
-        return {
-            "connections": self.connections,
-            "requests": self.requests,
-            "feeds": self.feeds,
-            "fed_tuples": self.fed_tuples,
-            "settles": self.settles,
-            "checkpoints": self.checkpoints,
-            "compactions": self.compactions,
-            "durable_bytes": self.durable_bytes,
-            "restores": self.restores,
-            "closes": self.closes,
-            "rejections": dict(sorted(self.rejections.items())),
-            "peak_tenants": self.peak_tenants,
-            "peak_inflight_bytes": self.peak_inflight_bytes,
-        }
+        return {**asdict(self), "rejections": dict(sorted(self.rejections.items()))}
 
 
 class SessionService:

@@ -51,6 +51,12 @@ COMPACT_FLOOR_BYTES = 64 * 1024
 #: the shortest wire triple, ``["+","T",[]]``: what an event adds to a
 #: log line at least, so an open transaction is weighed without encoding
 MIN_EVENT_BYTES = 12
+#: the tenant's own counters, as its ``stats`` payload lists them
+STATS_FIELDS = (
+    "last_seq", "durable_seq", "fed_tuples", "quarantined_tuples", "settles",
+    "checkpoints", "compactions", "log_bytes", "snapshot_bytes", "replayed_feeds",
+    "opened_at", "last_active",
+)
 
 
 def valid_tenant_id(tenant: object) -> str:
@@ -383,26 +389,14 @@ class TenantSession:
 
     def stats(self) -> dict:
         """The ``stats`` verb payload: the engine's collector view plus
-        the service-side per-tenant counters.  (The collector is
-        settle-consistent: each ``settle`` folds the kernel's deferred
-        tallies, so no extra flush is needed — or wanted, since an early
-        flush would skew the next settle's per-settle delta record.)"""
+        the service-side per-tenant counters (:data:`STATS_FIELDS`).
+        The collector's query side is settle-consistent — each
+        ``settle`` folds the plans' counts — so nothing is flushed here."""
         return {
             "tenant": self.tenant,
             "program": self.entry.name,
             "strategy": self.session.options.strategy,
             "retraction": self.session.options.retraction,
-            "last_seq": self.last_seq,
-            "durable_seq": self.durable_seq,
-            "fed_tuples": self.fed_tuples,
-            "quarantined_tuples": self.quarantined_tuples,
-            "settles": self.settles,
-            "checkpoints": self.checkpoints,
-            "compactions": self.compactions,
-            "log_bytes": self.log_bytes,
-            "snapshot_bytes": self.snapshot_bytes,
-            "replayed_feeds": self.replayed_feeds,
-            "opened_at": self.opened_at,
-            "last_active": self.last_active,
+            **{name: getattr(self, name) for name in STATS_FIELDS},
             "engine": self.session.stats.as_dict(),
         }

@@ -43,18 +43,7 @@ class MachineReport:
         return self.busy / denom if denom > 0 else 1.0
 
     def as_dict(self) -> dict:
-        return {
-            "n_cores": self.n_cores,
-            "elapsed": self.elapsed,
-            "busy": self.busy,
-            "gc_time": self.gc_time,
-            "contention": self.contention,
-            "overhead": self.overhead,
-            "steps": self.steps,
-            "tasks": self.tasks,
-            "max_batch": self.max_batch,
-            "utilisation": self.utilisation,
-        }
+        return {**vars(self), "utilisation": self.utilisation}
 
 
 @dataclass

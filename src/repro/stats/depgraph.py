@@ -71,18 +71,11 @@ def program_graph(program: Program) -> nx.DiGraph:
 def execution_graph(stats: StatsCollector, name: str = "run") -> nx.DiGraph:
     """Observed graph, annotated with counts from a finished run."""
     g = nx.DiGraph(name=name)
-    for tname, ts in stats.tables.items():
-        node = _table_node(g, tname)
-        g.nodes[node].update(
-            puts=ts.puts,
-            duplicates=ts.duplicates,
-            gamma_inserts=ts.gamma_inserts,
-            delta_inserts=ts.delta_inserts,
-            queries=ts.queries,
-        )
-    for rname, rs in stats.rules.items():
-        node = _rule_node(g, rname)
-        g.nodes[node].update(firings=rs.firings, rule_puts=rs.puts)
+    tables, rules = stats.totals()
+    for tname, ts in tables.items():
+        g.nodes[_table_node(g, tname)].update(ts)
+    for rname, rs in rules.items():
+        g.nodes[_rule_node(g, rname)].update(firings=rs["firings"], rule_puts=rs["puts"])
     for (tname, rname), n in stats.trigger_edges.items():
         g.add_edge(_table_node(g, tname), _rule_node(g, rname), kind="trigger", count=n)
     for (rname, tname), n in stats.put_edges.items():

@@ -26,44 +26,33 @@ __all__ = [
 ]
 
 
-def _table_text(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+def _table_text(columns: dict[str, str], records: list[dict]) -> str:
+    """``records`` as an aligned text table: one column per key of
+    ``columns``, under its header."""
+    headers = list(columns.values())
+    rows = [[str(r[key]) for key in columns] for r in records]
+    widths = [max(map(len, cells)) for cells in zip(headers, *rows)]
+
     def fmt(row: list[str]) -> str:
         return "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines)
+
+    return "\n".join(map(fmt, [headers, ["-" * w for w in widths], *rows]))
 
 
 def format_table_stats(stats: StatsCollector) -> str:
-    headers = ["table", "puts", "dups", "delta", "bypass", "gamma", "queries", "results"]
-    rows = []
-    for name, t in stats.summary_rows():
-        rows.append(
-            [
-                name,
-                str(t.puts),
-                str(t.duplicates),
-                str(t.delta_inserts),
-                str(t.delta_bypass),
-                str(t.gamma_inserts),
-                str(t.queries),
-                str(t.results),
-            ]
-        )
-    return _table_text(headers, rows)
+    columns = {
+        "table": "table", "puts": "puts", "duplicates": "dups", "delta_inserts": "delta",
+        "delta_bypass": "bypass", "gamma_inserts": "gamma", "queries": "queries",
+        "results": "results",
+    }
+    tables, _rules = stats.totals()
+    return _table_text(columns, [{"table": name, **t} for name, t in sorted(tables.items())])
 
 
 def format_rule_stats(stats: StatsCollector) -> str:
-    headers = ["rule", "firings", "puts", "output"]
-    rows = [
-        [name, str(r.firings), str(r.puts), str(r.output_lines)]
-        for name, r in sorted(stats.rules.items())
-    ]
-    return _table_text(headers, rows)
+    columns = {"rule": "rule", "firings": "firings", "puts": "puts", "output_lines": "output"}
+    _tables, rules = stats.totals()
+    return _table_text(columns, [{"rule": name, **r} for name, r in sorted(rules.items())])
 
 
 def format_machine(report: MachineReport) -> str:
@@ -79,20 +68,11 @@ def format_machine(report: MachineReport) -> str:
 
 def format_settles(settles: list[dict]) -> str:
     """Per-settle frontier/fire deltas of an incremental session run."""
-    headers = ["settle", "fed", "steps", "fires", "puts", "output", "max width"]
-    rows = [
-        [
-            str(s.get("settle", i + 1)),
-            str(s.get("fed", 0)),
-            str(s.get("steps", 0)),
-            str(s.get("fires", 0)),
-            str(s.get("puts", 0)),
-            str(s.get("output_lines", 0)),
-            str(s.get("max_width", 0)),
-        ]
-        for i, s in enumerate(settles)
-    ]
-    return _table_text(headers, rows)
+    columns = {
+        "settle": "settle", "fed": "fed", "steps": "steps", "fires": "fires",
+        "puts": "puts", "output_lines": "output", "max_width": "max width",
+    }
+    return _table_text(columns, settles)
 
 
 def format_nodes(nodes: list[dict]) -> str:
@@ -102,42 +82,10 @@ def format_nodes(nodes: list[dict]) -> str:
     (peer columns, worker↔worker: ``q`` frames answered / sent, and the
     reads they carried — answered by another node, and of those the
     ones a step's one exchange had fetched) separately."""
-    headers = [
-        "node",
-        "fires",
-        "puts",
-        "served",
-        "remote q",
-        "probes",
-        "planned",
-        "msgs",
-        "sent B",
-        "recv B",
-        "peer msgs",
-        "peer sent B",
-        "peer recv B",
-        "recovered",
-    ]
-    rows = [
-        [
-            str(n.get("node", i)),
-            str(n.get("fires", 0)),
-            str(n.get("puts", 0)),
-            str(n.get("queries_served", 0)),
-            str(n.get("remote_queries", 0)),
-            str(n.get("probes_remote", 0)),
-            str(n.get("probes_planned", 0)),
-            str(n.get("msgs", 0)),
-            str(n.get("bytes_sent", 0)),
-            str(n.get("bytes_recv", 0)),
-            str(n.get("peer_msgs", 0)),
-            str(n.get("peer_bytes_sent", 0)),
-            str(n.get("peer_bytes_recv", 0)),
-            str(n.get("recovered", 0)),
-        ]
-        for i, n in enumerate(nodes)
-    ]
-    return _table_text(headers, rows)
+    from repro.dist.network import NODE_COUNTERS  # here: repro.dist imports the engine
+
+    own = {key: key for key in ("node", "fires", "puts")}
+    return _table_text({**own, **NODE_COUNTERS, "recovered": "recovered"}, nodes)
 
 
 def run_report(result: "RunResult") -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
+from repro.figures import (
     FigureRow,
     SpeedupSeries,
     comparison_block,

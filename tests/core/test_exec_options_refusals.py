@@ -191,11 +191,11 @@ RESOLUTION = [
 def test_registry_resolves_executor_and_notes_downgrades(kwargs, tier, note):
     kernel = StepKernel(_tiny_program(), ExecOptions(**kwargs))
     assert kernel.executor.name == tier
-    notes = "\n".join(kernel.stats.notes)
+    ignored = [n.text for n in kernel.stats.note_records if n.code == "codegen.ignored"]
     if note is None:
-        assert "ignored" not in notes, notes
+        assert ignored == []
     else:
-        assert note in notes, notes
+        assert len(ignored) == 1 and note in ignored[0], ignored
 
 
 # -- the generated half: one test per registry row ---------------------------

@@ -199,7 +199,10 @@ class TestCrashRecovery:
         _assert_identical(ref, got, "counter kill")
         assert got.nodes is not None
         assert got.nodes[1]["recovered"] == 1
-        assert any("worker 1 died during step 4" in n for n in got.stats.notes)
+        assert any(
+            (n.code, n.subject) == ("worker.restarted", "1") and "step 4" in n.text
+            for n in got.stats.note_records
+        )
 
     def test_kill_node_zero_during_remote_query_traffic(self):
         ref = run_shortestpath(SPEC, ExecOptions(), n_gen_tasks=4)

@@ -128,7 +128,9 @@ class TestInFlightQueryCrash:
         )
         _assert_identical(ref, got, "in-flight query crash")
         assert got.nodes[0]["recovered"] == 1
-        assert any("worker 0 died" in n for n in got.stats.notes)
+        assert any(
+            (n.code, n.subject) == ("worker.restarted", "0") for n in got.stats.note_records
+        )
 
 
 # -- spawn handshake (bounded hello wait) -------------------------------------
@@ -142,7 +144,7 @@ class TestSpawnHandshake:
         got = run_sharded(counter_program(), n_workers=2)
         assert ref.output_text() == got.output_text()
         assert len(list(tmp_path.iterdir())) == 1  # exactly one hung fork
-        assert any("hello handshake" in n for n in got.stats.notes)
+        assert any(n.code == "worker.respawned" for n in got.stats.note_records)
 
     def test_permanently_hung_worker_fails_clearly(self, monkeypatch, tmp_path):
         monkeypatch.setenv("DIST_HANG_HELLO", f"1:{tmp_path}:99")

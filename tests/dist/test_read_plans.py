@@ -212,16 +212,16 @@ def test_batch_ahead_of_phase_a_is_deferred_whole():
         worker._inbox.append((ours, ask))
         worker._service_inbox()
         assert list(worker._deferred) == [(ours, ask)] and not theirs.poll(0.05)
-        assert worker.queries_served == 0
+        assert worker.counters["queries_served"] == 0
         worker._applied = 3
         worker._flush_deferred()
         answer = pickle.loads(theirs.recv_bytes())
         assert answer["qid"] == "1:0:1" and answer["rows"] == [[(2, 5)], [], [(4, 6)]]
-        assert not theirs.poll(0.05) and worker.queries_served == 1
+        assert not theirs.poll(0.05) and worker.counters["queries_served"] == 1
         # a requester that has gone takes its count with it
         worker._drop_peer(ours)
         worker._serve_peer(ours, ask)
-        assert worker.queries_served == 1
+        assert worker.counters["queries_served"] == 1
     finally:
         theirs.close()
         worker.listener.close()

@@ -136,8 +136,7 @@ def test_trace_downgrades_codegen_to_scalar(app, apps, traced_references):
     got = apps[app](ExecOptions(trace=True, execution="codegen"))
     _assert_same(got, traced_references[app], f"{app} traced under codegen")
     assert any(
-        "execution='codegen' ignored" in n and "trace" in n
-        for n in got.stats.notes
+        n.code == "codegen.ignored" and "trace" in n.text for n in got.stats.note_records
     ), got.stats.notes
 
 
@@ -180,18 +179,12 @@ def test_opaque_where_keeps_rule_scalar():
     ref = _build_where_program().run(ExecOptions())
     got = _build_where_program().run(ExecOptions(execution="codegen"))
     _assert_results(got, ref, "where-lambda program under codegen")
-    notes = got.stats.notes
-    assert any(
-        "codegen: rule 'check' kept scalar" in n for n in notes
-    ), notes
+    notes = {(n.code, n.subject): n.text for n in got.stats.note_records}
+    assert ("codegen.kept-scalar", "check") in notes, notes
     # the refused rule fired scalar inside the codegen tier...
-    assert any(
-        "rule 'check' fired 0 generated / 4 scalar" in n for n in notes
-    ), notes
+    assert "fired 0 generated / 4 scalar" in notes["codegen.fired", "check"], notes
     # ...while its siblings fired through generated drivers
-    assert any(
-        "rule 'seed' fired 4 generated / 0 scalar" in n for n in notes
-    ), notes
+    assert "fired 4 generated / 0 scalar" in notes["codegen.fired", "seed"], notes
 
 
 def test_run_report_renders_codegen_notes(apps):
@@ -284,7 +277,7 @@ TEXTUAL = {
 
 
 def _kept_scalar(result) -> list[str]:
-    return [n for n in result.stats.notes if "kept scalar" in n]
+    return [n.text for n in result.stats.note_records if n.code == "codegen.kept-scalar"]
 
 
 @pytest.mark.parametrize("name", sorted(TEXTUAL))
@@ -298,7 +291,10 @@ def test_textual_programs_compile_under_codegen(name):
     _assert_results(got, ref, f"textual {name} under codegen")
     assert sum(ref.table_sizes.values()) > 5  # the programs ran
     assert _kept_scalar(got) == []
-    assert sum("generated / 0 scalar" in n for n in got.stats.notes) == len(
+    assert sum(
+        n.code == "codegen.fired" and "generated / 0 scalar" in n.text
+        for n in got.stats.note_records
+    ) == len(
         [r for r in build().rules if got.stats.rules.get(r.name)]
     )
 
@@ -340,6 +336,4 @@ def test_chaos_fuzz_codegen_downgrades(seed, apps, traced_references):
     _assert_same(
         got, traced_references["shortestpath"], f"chaos seed {seed} codegen"
     )
-    assert any(
-        "execution='codegen' ignored" in n for n in got.stats.notes
-    ), got.stats.notes
+    assert any(n.code == "codegen.ignored" for n in got.stats.note_records), got.stats.notes

@@ -229,9 +229,9 @@ def _absent_program(assume: bool):
 def test_negative_query_needs_stratification_promise():
     got = _absent_program(assume=False).run(ExecOptions(execution="codegen"))
     assert any(
-        "codegen: rule 'probe' kept scalar" in n
-        and "dynamic adjudication" in n
-        for n in got.stats.notes
+        (n.code, n.subject) == ("codegen.kept-scalar", "probe")
+        and "dynamic adjudication" in n.text
+        for n in got.stats.note_records
     ), got.stats.notes
 
 
@@ -240,8 +240,9 @@ def test_assume_stratified_unlocks_negative_queries():
     got = _absent_program(assume=True).run(ExecOptions(execution="codegen"))
     assert got.output_text() == ref.output_text()
     assert any(
-        "rule 'probe' fired 3 generated / 0 scalar" in n
-        for n in got.stats.notes
+        (n.code, n.subject) == ("codegen.fired", "probe")
+        and "fired 3 generated / 0 scalar" in n.text
+        for n in got.stats.note_records
     ), got.stats.notes
 
 
@@ -252,7 +253,8 @@ def test_causality_check_off_also_unlocks_negative_queries():
     )
     assert got.output_text() == ref.output_text()
     assert any(
-        "rule 'probe' fired 3 generated" in n for n in got.stats.notes
+        (n.code, n.subject) == ("codegen.fired", "probe") and "fired 3 generated" in n.text
+        for n in got.stats.note_records
     ), got.stats.notes
 
 
@@ -278,7 +280,7 @@ def test_fired_count_notes_are_run_totals_one_line_per_rule():
             s.feed([Tick.new(t, k) for k in range(width)])
             s.settle()
             fed += width
-        notes = [n for n in s.kernel.stats.notes if "fired" in n]
+        notes = [n.text for n in s.kernel.stats.note_records if n.code == "codegen.fired"]
     assert sorted(notes) == [
         f"codegen: rule 'emit' fired {fed} generated / 0 scalar",
         f"codegen: rule 'peers' fired 0 generated / {fed} scalar",

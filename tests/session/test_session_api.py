@@ -222,7 +222,7 @@ class TestKnobOverrideNotes:
         p, T, _ = counter_program()
         p.put(T.new(0, 1))
         r = p.run(ExecOptions(strategy="forkjoin", metering="off"))
-        assert any("metering" in n for n in r.stats.notes)
+        assert [n.code for n in r.stats.note_records] == ["metering.forced-on"]
 
     def test_metering_note_warns_under_strict(self):
         p, T, _ = counter_program()
@@ -238,7 +238,7 @@ class TestKnobOverrideNotes:
         p, T, _ = counter_program()
         p.put(T.new(0, 1))
         r = p.run(ExecOptions(strategy="threads", threads=2, metering="off"))
-        assert not any("metering" in n for n in r.stats.notes)
+        assert r.stats.note_records == []
 
     def test_notes_shown_in_run_report(self):
         from repro.stats import run_report

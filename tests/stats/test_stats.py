@@ -47,12 +47,14 @@ class TestCollector:
         c = StatsCollector()
         c.on_step(5)
         c.on_step(2)
-        c.on_fire("T", "r")
+        c.trigger_edges[("T", "r")] = 1  # a firing is one cell, bumped in place
         c.on_put("r", "U", 3)
-        # query counts arrive one way: folded from the plans that served them
-        plan = SimpleNamespace(stat_shape=("T", (), ()), rule_hits={"r": [1, 7]})
+        # query counts arrive one way: folded from the plans that served
+        # them, whose cells are zeroed in place (a bound driver holds one)
+        cell = [1, 7]
+        plan = SimpleNamespace(stat_shape=("T", (), ()), rule_hits={"r": cell})
         c.absorb_planned([plan])
-        assert not plan.rule_hits
+        assert plan.rule_hits["r"] is cell and cell == [0, 0]
         assert c.steps == 2 and c.max_batch == 5
         assert c.tables["T"].triggers == 1
         assert c.rules["r"].firings == 1 and c.rules["r"].puts == 3
@@ -63,7 +65,7 @@ class TestCollector:
 
     def test_as_dict(self):
         c = StatsCollector()
-        c.on_fire("T", "r")
+        c.trigger_edges[("T", "r")] = 1
         d = c.as_dict()
         assert d["tables"]["T"]["triggers"] == 1
 
