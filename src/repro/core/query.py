@@ -16,7 +16,10 @@ A query names a table, equality constraints on a prefix of the fields
 constraints, and an optional residual boolean predicate (the paper's
 ``[distance < dist.distance]`` lambda).  Gamma stores receive the whole
 :class:`Query` and may use whatever parts of it their index supports;
-:meth:`Query.matches` is the always-correct fallback filter.
+:meth:`Query.matches` is the reference definition of a match.  A store's
+read does not interpret it per row: :func:`residual` compiles, once per
+query shape, a filter that checks only what the store's access path does
+not already guarantee, and :func:`probe_key` the access path's key.
 
 The ``kind`` classification (POSITIVE / NEGATIVE / AGGREGATE) is what
 the law of causality cares about (§4): positive queries may look at
@@ -26,13 +29,15 @@ timestamps ``≤ T``, negative and aggregate queries only ``< T``.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Mapping
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from repro.core.errors import SchemaError, UnknownFieldError
 from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple, TableHandle
 
-__all__ = ["QueryKind", "Query", "build_query"]
+__all__ = ["QueryKind", "Query", "build_query", "probe_key", "residual"]
 
 
 class QueryKind(enum.Enum):
@@ -192,3 +197,62 @@ def build_query(
         if idx >= len(schema.fields):
             raise UnknownFieldError(f"field index {idx} out of range for {schema.name}")
     return Query(schema, eq, rng, where, kind)
+
+
+#: ``(query, rows) -> the rows the query matches``, in input order
+Residual = Callable[[Query, Iterable[JTuple]], list[JTuple]]
+
+
+def probe_key(positions: Sequence[int]) -> Callable[[Mapping[int, Any]], tuple]:
+    """``eq -> tuple(eq[p] for p in positions)``, built once per query
+    shape: the key an access path probes with."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda eq: (eq[p],)
+    return itemgetter(*positions) if positions else lambda eq: ()
+
+
+def residual(shape: Query, covered: Collection[int] = ()) -> Residual:
+    """The filter a store's access path hands its rows to, compiled once
+    per query shape: it keeps exactly the rows :meth:`Query.matches`
+    keeps, in input order, and checks only what the path does not
+    guarantee — eq positions outside ``covered``, then every range, then
+    ``where``.  Eq tests keep ``!=``, so ``1``, ``1.0`` and ``True`` match
+    each other and a NaN matches nothing, as in :meth:`Query.matches`.
+
+    ``covered`` are the eq positions the path matched by hash or tuple
+    equality.  That agrees with ``!=`` except on a NaN that is the very
+    object stored, so a query binding NaN there is checked in full."""
+    eq = tuple(p for p in shape.eq if p not in covered)
+    guard = tuple(p for p in shape.eq if p in covered)
+    return _compile(eq, guard, tuple(shape.ranges))
+
+
+@lru_cache(maxsize=None)  # keyed by positions alone: a handful per program
+def _compile(eq: tuple[int, ...], guard: tuple[int, ...], ranges: tuple[int, ...]) -> Residual:
+    """One list comprehension whose test is :meth:`Query.matches`
+    unrolled over this shape's positions; the values read once per call."""
+    src = ["def keep(q, rows):"] + (["    e = q.eq"] if eq or guard else [])
+    if guard:
+        nan = " or ".join(f"e[{p}] != e[{p}]" for p in guard)
+        src.append(f"    if {nan}:\n        return [t for t in rows if q.matches(t)]")
+    tests = []
+    if eq:
+        src += [f"    w{p} = e[{p}]" for p in eq]
+        tests.append("not (" + " or ".join(f"v[{p}] != w{p}" for p in eq) + ")")
+    for p in ranges:
+        src.append(f"    lo{p}, hi{p}, li{p}, hc{p} = q.ranges[{p}]")
+        tests.append(
+            f"not (lo{p} is not None and (v[{p}] < lo{p} or (v[{p}] == lo{p} and not li{p}))"
+            f" or hi{p} is not None and (v[{p}] > hi{p} or (v[{p}] == hi{p} and not hc{p})))"
+        )
+    loop = "t for t in rows for v in (t.values,) if " + " and ".join(tests) if tests else ""
+    src += [
+        "    w = q.where",
+        "    if w is None:",
+        f"        return [{loop}]" if tests else "        return list(rows)",
+        f"    return [{loop} and w(t)]" if tests else "    return [t for t in rows if w(t)]",
+    ]
+    namespace: dict[str, Any] = {}
+    exec(compile("\n".join(src), "<residual>", "exec"), namespace)
+    return namespace["keep"]

@@ -41,13 +41,29 @@ __all__ = [
 
 
 class Reducer(Generic[V, A, R]):
-    """User-defined reduction operator (monoid + projection)."""
+    """User-defined reduction operator (monoid + projection).
+
+    ``fold`` is ``step`` over many values; a reducer may override it
+    with a faster loop that performs the identical operations in the
+    identical order, so its result is the same bits.  A subclass that
+    redefines ``step`` without ``fold`` folds through its own ``step``."""
+
+    def __init_subclass__(cls, **kw: Any) -> None:
+        super().__init_subclass__(**kw)
+        if "step" in vars(cls) and "fold" not in vars(cls):
+            cls.fold = Reducer.fold  # type: ignore[method-assign]
 
     def zero(self) -> A:
         raise NotImplementedError
 
     def step(self, acc: A, value: V) -> A:
         raise NotImplementedError
+
+    def fold(self, acc: A, values: Iterable[V]) -> A:
+        step = self.step
+        for v in values:
+            acc = step(acc, v)
+        return acc
 
     def combine(self, left: A, right: A) -> A:
         raise NotImplementedError
@@ -160,6 +176,20 @@ class Statistics(Reducer[float, StatisticsAcc, StatisticsAcc]):
             n, mean, m2, min(acc.min, value), max(acc.max, value)
         )
 
+    def fold(self, acc: StatisticsAcc, values: Iterable[float]) -> StatisticsAcc:
+        # step's arithmetic on locals; one accumulator at the end
+        n, mean, m2, lo, hi = acc.count, acc.mean, acc.m2, acc.min, acc.max
+        for value in values:
+            n = n + 1
+            delta = value - mean
+            mean = mean + delta / n
+            m2 = m2 + delta * (value - mean)
+            if value < lo:  # min(lo, value) keeps lo unless value < lo
+                lo = value
+            if value > hi:
+                hi = value
+        return StatisticsAcc(n, mean, m2, lo, hi)
+
     def combine(self, left: StatisticsAcc, right: StatisticsAcc) -> StatisticsAcc:
         if left.count == 0:
             return right
@@ -201,10 +231,7 @@ class FnReducer(Reducer[V, A, A]):
 
 def reduce_all(reducer: Reducer[V, A, R], values: Iterable[V]) -> R:
     """Sequential fold."""
-    acc = reducer.zero()
-    for v in values:
-        acc = reducer.step(acc, v)
-    return reducer.finish(acc)
+    return reducer.finish(reducer.fold(reducer.zero(), values))
 
 
 def scan(reducer: Reducer[V, A, R], values: Iterable[V]) -> Iterator[R]:
@@ -222,12 +249,7 @@ def tree_reduce(
     balanced tree — the §5.2 parallel-loop reduction shape.  Returns
     ``(result, tree_depth)``; the depth feeds the virtual-time model
     (the combine pass is a log-depth critical path)."""
-    accs: list[A] = []
-    for chunk in chunks:
-        acc = reducer.zero()
-        for v in chunk:
-            acc = reducer.step(acc, v)
-        accs.append(acc)
+    accs: list[A] = [reducer.fold(reducer.zero(), chunk) for chunk in chunks]
     if not accs:
         return reducer.finish(reducer.zero()), 0
     depth = 0

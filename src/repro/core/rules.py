@@ -582,7 +582,7 @@ class RuleContext:
             table, prefix, where, ranges, eq, QueryKind.AGGREGATE
         )
         self._meter.charge("reduce_op", n=len(results))
-        return reduce_all(reducer, (value(t) for t in results))
+        return reduce_all(reducer, map(value, results))
 
     def par_reduce(
         self,

@@ -137,6 +137,9 @@ class TableSchema:
         :class:`Par` objects or strings (``"Int"``, ``"seq frame"``).
         An empty orderby is legal: all tuples of the table are mutually
         equivalent.
+
+    Schemas compare and hash by identity (``object``'s own): a program
+    declares each table name once, and tuples hold the schema itself.
     """
 
     __slots__ = (
@@ -244,12 +247,3 @@ class TableSchema:
         cols = ", ".join(f"{f.type} {f.name}{'*' if f.is_key else ''}" for f in self.fields)
         ob = ", ".join(repr(e) for e in self.orderby)
         return f"table {self.name}({cols}) orderby ({ob})"
-
-    # Identity semantics: schemas are compared by object identity — a
-    # program must not declare two tables with the same name (enforced
-    # by Program), and tuples hold a direct schema reference.
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other

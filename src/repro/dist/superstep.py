@@ -43,7 +43,7 @@ from repro.core.errors import EngineError
 from repro.core.executors.base import StepExecutor
 from repro.core.kernel import StepKernel
 from repro.core.program import ExecOptions, Program
-from repro.core.query import Query, QueryKind
+from repro.core.query import Query, QueryKind, probe_key, residual
 from repro.core.rules import RuleContext
 from repro.core.tuples import JTuple
 from repro.dist.network import NODE_COUNTERS
@@ -188,7 +188,7 @@ class Shard:
         verdict, homes_of = self._route(schema, query.eq)
         if verdict == "local" or self._n_nodes == 1:
             return local
-        node, here, run_local, remote = self._node, [self._node], local.run, self._remote
+        node, here, run_local, remote = self._node, [self._node], local.run, self._remote(query)
 
         def run(q: Query) -> list[JTuple]:
             homes = homes_of(q.eq)
@@ -231,25 +231,28 @@ class Shard:
                 out.append([t.values for t in self.local(q).run(q)])
         return out
 
-    def _remote(self, q: Query, owners: list[int]) -> list[JTuple]:
-        """Rows of ``q`` on ``owners``: from the class's exchange when
-        it fetched them all (it asks eq-only, so ranges and ``where``
-        filter here), else asked for now."""
-        schema = q.schema
-        pos = tuple(sorted(q.eq))
-        key = tuple(q.eq[i] for i in pos)
-        shape = (schema.name, pos, ())
-        parts = [self._cache.get(o, {}).get(shape, {}).get(key) for o in owners]
-        self.counters["probes_remote"] += len(owners)
-        if None in parts:
-            shape = (schema.name, pos, tuple(sorted(q.ranges.items())))
-            asks = {o: {shape: {key: None}} for o in owners}
-            self._pull(asks)
-            parts = [asks[o][shape][key] for o in owners]
-        else:
-            self.counters["probes_planned"] += len(owners)
-        fetched = (JTuple(schema, values) for part in parts for values in part)
-        return [t for t in fetched if q.matches(t)]
+    def _remote(self, shape: Query) -> Callable[[Query, list[int]], list[JTuple]]:
+        """``(q, owners) ->`` rows of a query of ``shape`` on ``owners``:
+        from the class's exchange when it fetched them all, else asked
+        for now.  Owners apply the eq constraints; the exchange asks
+        eq-only, so ranges and ``where`` are the compiled residual's."""
+        schema, pos, counters = shape.schema, tuple(sorted(shape.eq)), self.counters
+        key_of, keep, planned = probe_key(pos), residual(shape, pos), (schema.name, pos, ())
+
+        def rows(q: Query, owners: list[int]) -> list[JTuple]:
+            key = key_of(q.eq)
+            parts = [self._cache.get(o, {}).get(planned, {}).get(key) for o in owners]
+            counters["probes_remote"] += len(owners)
+            if None in parts:
+                asked = (schema.name, pos, tuple(sorted(q.ranges.items())))
+                asks = {o: {asked: {key: None}} for o in owners}
+                self._pull(asks)
+                parts = [asks[o][asked][key] for o in owners]
+            else:
+                counters["probes_planned"] += len(owners)
+            return keep(q, [JTuple(schema, values) for part in parts for values in part])
+
+        return rows
 
     def _here(self, query: Query) -> list[JTuple]:
         """A plan's generator rows when this node holds them all."""

@@ -15,10 +15,13 @@ detection: ``False`` for duplicates — set semantics), ``__contains__``,
 — the store's one read: given a :class:`~repro.core.query.Query`'s
 *shape* it resolves the access path (key probe, prefix range, bucket,
 index, scan) once and hands back a :class:`PreparedSelect` whose
-``run`` serves every query of that shape.  The base ``prepare`` probes
-a fully bound key through :meth:`~TableStore.lookup_key` and otherwise
-filters a scan through :meth:`Query.matches`, which is always correct;
-a store overrides it to exploit whatever indexes it has.
+``run`` serves every query of that shape.  A prepared select is a probe
+plus the shape's compiled :func:`~repro.core.query.residual` filter,
+which checks only what the probe does not guarantee and keeps exactly
+the rows :meth:`Query.matches` — the reference — keeps.  The base
+``prepare`` probes a fully bound key through
+:meth:`~TableStore.lookup_key` and otherwise scans; a store overrides
+it to exploit whatever indexes it has.
 :meth:`~TableStore.select` is derived from it and is never overridden.
 
 Each store also carries a :class:`CostProfile` used by the virtual-time
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.core.errors import SchemaError
-from repro.core.query import Query
+from repro.core.query import Query, probe_key, residual
 from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple
 
@@ -176,22 +179,21 @@ class TableStore(ABC):
         choice, prefix length — is made here and nowhere else.  The
         default exploits a fully bound key if present, else filters a
         full scan; stores with shape-dependent paths override this and
-        fall back to it for the shapes they do not serve."""
+        fall back to it for the shapes they do not serve.  Every path is
+        a probe plus the shape's compiled :func:`~repro.core.query.residual`."""
         if query.key_if_fully_bound() is not None:
             key_idx = self.schema.key_indexes
-            lookup_key = self.lookup_key
+            lookup_key, key, keep = self.lookup_key, probe_key(key_idx), residual(query, key_idx)
 
             def run(q: Query) -> list[JTuple]:
-                t = lookup_key(tuple(q.eq[i] for i in key_idx))
-                if t is not None and q.matches(t):
-                    return [t]
-                return []
+                t = lookup_key(key(q.eq))
+                return [] if t is None else keep(q, (t,))
 
         else:
-            scan = self.scan
+            scan, keep = self.scan, residual(query)
 
             def run(q: Query) -> list[JTuple]:
-                return [t for t in scan() if q.matches(t)]
+                return keep(q, scan())
 
         return self._priced(run)
 

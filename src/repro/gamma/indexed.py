@@ -11,8 +11,8 @@ and maintains the secondary indexes of an index plan (see
   constraints on that field.
 
 ``prepare`` picks the most selective usable index for a query shape
-and filters the candidates through
-:meth:`~repro.core.query.Query.matches` — the index only narrows the
+and filters the candidates through the shape's compiled
+:func:`~repro.core.query.residual` — the index only narrows the
 candidate set, so residual ``where`` predicates and extra constraints
 stay correct.  Shapes no index serves fall back to the base store's own
 prepared select (which still exploits a fully-bound primary key).
@@ -28,9 +28,10 @@ decorator that applies a plan when the engine builds the database.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Iterator, Mapping
 
-from repro.core.query import Query
+from repro.core.query import Query, probe_key, residual
 from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple
 from repro.gamma.base import CostProfile, PreparedSelect, StoreRegistry, TableStore
@@ -45,18 +46,21 @@ SORTED_PROBE_COST = 2.0
 #: per-index surcharge on every insert/discard (bucket upkeep)
 MAINTENANCE_COST = 0.6
 
+_by_values = attrgetter("values")
+
 
 class _HashIndex:
     """Buckets keyed by the equality fields' values; each bucket is kept
     sorted by full tuple values so yields match tree-store order."""
 
-    __slots__ = ("spec", "positions", "buckets")
+    __slots__ = ("spec", "positions", "probe", "buckets")
 
     probe_cost = HASH_PROBE_COST
 
     def __init__(self, spec: IndexSpec, schema: TableSchema):
         self.spec = spec
         self.positions = tuple(schema.field_position(n) for n in spec.eq_fields)
+        self.probe = probe_key(self.positions)
         self.buckets: dict[tuple, list[JTuple]] = {}
 
     def _key(self, tup: JTuple) -> tuple:
@@ -94,9 +98,7 @@ class _HashIndex:
         return len(self.spec.eq_fields)
 
     def candidates(self, query: Query) -> list[JTuple]:
-        key = query.eq_on(self.spec.eq_fields)
-        assert key is not None
-        return self.buckets.get(key, [])
+        return self.buckets.get(self.probe(query.eq), [])
 
 
 class _SortedIndex(_HashIndex):
@@ -145,9 +147,7 @@ class _SortedIndex(_HashIndex):
         return len(self.spec.eq_fields) + (1 if constrained else 0)
 
     def candidates(self, query: Query) -> list[JTuple]:
-        key = query.eq_on(self.spec.eq_fields)
-        assert key is not None
-        bucket = self.buckets.get(key, [])
+        bucket = self.buckets.get(self.probe(query.eq), [])
         if not bucket:
             return bucket
         if self.range_pos in query.eq:
@@ -160,9 +160,11 @@ class _SortedIndex(_HashIndex):
             lo = 0
             hi = len(bucket)
             field = lambda t: t.values[self.range_pos]
-            if lo_v is not None:
+            # a NaN bound orders against nothing: it prunes nothing, and
+            # the residual applies it as Query.matches does
+            if lo_v is not None and lo_v == lo_v:
                 lo = (bisect_left if lo_inc else bisect_right)(bucket, lo_v, key=field)
-            if hi_v is not None:
+            if hi_v is not None and hi_v == hi_v:
                 hi = (bisect_right if hi_inc else bisect_left)(bucket, hi_v, key=field)
             return bucket[lo:hi]
         return bucket
@@ -286,18 +288,17 @@ class IndexedStore(TableStore):
                 return base_run(q)
 
             return self._priced(run)
-        hits = self.index_hits
-        spec = ix.spec
-        candidates = ix.candidates
+        hits, spec, candidates = self.index_hits, ix.spec, ix.candidates
+        # a bucket shares the index's eq values; a sorted index's range
+        # field, even when bound by eq, is bisected, so it stays residual
+        keep = residual(query, ix.positions)
 
         def run(q: Query) -> list[JTuple]:
             hits[spec] += 1
             # candidates are bucket-sorted; a sorted index orders by the
             # range field first, so re-sort by values to keep the §1.3
             # deterministic yield order of the default stores
-            return [
-                t for t in sorted(candidates(q), key=lambda t: t.values) if q.matches(t)
-            ]
+            return keep(q, sorted(candidates(q), key=_by_values))
 
         return self._priced(run, min(ix.probe_cost, base.cost.lookup_cost), "ixlookup")
 

@@ -200,7 +200,7 @@ def spec_for_pattern(
         return None
     if rng:
         # one range field becomes the bucket ordering; further range
-        # fields are residually filtered by Query.matches
+        # fields are left to the shape's compiled residual filter
         return IndexSpec(eq, rng[0])
     if eq:
         return IndexSpec(eq)

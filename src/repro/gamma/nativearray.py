@@ -96,6 +96,17 @@ class NativeArrayStore(TableStore):
     def key_of(self, tup: JTuple) -> tuple[int, ...]:
         return tuple(tup.values[i] for i in self._key_pos)
 
+    def _cell(self, key: tuple) -> tuple[int, ...] | None:
+        """The cell of ``key``, or ``None`` where no in-bounds int key
+        equals it (negative — numpy would wrap —, too large, NaN, 1.5)."""
+        try:
+            cell = tuple(map(int, key))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if cell != key or not all(0 <= i < n for i, n in zip(cell, self.array.shape)):
+            return None
+        return cell
+
     def value_at(self, *key: int):
         if not bool(self._present[key]):
             return None
@@ -119,7 +130,9 @@ class NativeArrayStore(TableStore):
     # -- TableStore API -----------------------------------------------------
 
     def insert(self, tup: JTuple) -> bool:
-        key = self.key_of(tup)
+        key = self._cell(self.key_of(tup))
+        if key is None:
+            raise SchemaError(f"{self.schema.name} key {tup.key()} outside {self.array.shape}")
         value = tup.values[self._vpos]
         if bool(self._present[key]):
             if self.array[key].item() == value:
@@ -133,8 +146,7 @@ class NativeArrayStore(TableStore):
         return True
 
     def __contains__(self, tup: JTuple) -> bool:
-        key = self.key_of(tup)
-        return bool(self._present[key]) and self.array[key].item() == tup.values[self._vpos]
+        return self.lookup_key(self.key_of(tup)) == tup
 
     def __len__(self) -> int:
         return self._size
@@ -154,11 +166,12 @@ class NativeArrayStore(TableStore):
         self._size = 0
 
     def lookup_key(self, key: tuple) -> JTuple | None:
-        if not bool(self._present[key]):
+        key = self._cell(key)
+        if key is None or not bool(self._present[key]):
             return None
         vals: list = [None] * len(self.schema.fields)
         for pos, k in zip(self._key_pos, key):
-            vals[pos] = int(k)
+            vals[pos] = k
         vals[self._vpos] = self.array[key].item()
         return JTuple(self.schema, tuple(vals))
 
@@ -242,12 +255,22 @@ class TwoIterationArrayStore(TableStore):
         # order); sessions over this store refuse to snapshot
         return False
 
+    def _cell(self, it, idx) -> tuple[int, int] | None:
+        """``(it, idx)`` as the ring holds it, or ``None`` where it holds
+        no int key equal to it (another iteration, outside the written
+        slice, NaN, 1.5)."""
+        try:
+            cell = int(it), int(idx)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        slot = cell[0] % 2
+        if cell != (it, idx) or self._plane_iter[slot] != cell[0]:
+            return None
+        return cell if 0 <= cell[1] < self._counts[slot] else None
+
     def __contains__(self, tup: JTuple) -> bool:
-        it = tup.values[self._iter_pos]
-        if self._plane_iter[it % 2] != it:
-            return False
-        idx = tup.values[self._index_pos]
-        return self.planes[it % 2][idx].item() == tup.values[self._vpos]
+        key = tup.values[self._iter_pos], tup.values[self._index_pos]
+        return self.lookup_key(key) == tup
 
     def __len__(self) -> int:
         return sum(self._counts)
@@ -270,9 +293,10 @@ class TwoIterationArrayStore(TableStore):
         self._counts = [0, 0]
 
     def lookup_key(self, key: tuple) -> JTuple | None:
-        it, idx = key
-        if self._plane_iter[it % 2] != it or idx >= self._counts[it % 2]:
+        cell = self._cell(*key)
+        if cell is None:
             return None
+        it, idx = cell
         vals: list = [None] * len(self.schema.fields)
         vals[self._iter_pos] = it
         vals[self._index_pos] = idx

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.query import Query
+from repro.core.query import Query, probe_key, residual
 from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple
 from repro.gamma.base import CostProfile, PreparedSelect, TableStore
@@ -83,24 +83,25 @@ class TreeSetStore(TableStore):
 
     def prepare(self, query: Query) -> PreparedSelect:
         """The longest all-equality prefix of the field order becomes
-        an ordered range scan; a fully bound key, or no prefix at all,
-        is the base store's key probe / full scan."""
+        an ordered range scan, filtered by the residual; a fully bound
+        key, or no prefix at all, is the base store's key probe / full
+        scan."""
         n = 0
         while n in query.eq:
             n += 1
         if n == 0 or query.key_if_fully_bound() is not None:
             return super().prepare(query)
-        items_from = self._map.items_from
+        items_from, covered = self._map.items_from, tuple(range(n))
+        key, keep = probe_key(covered), residual(query, covered)
 
         def run(q: Query) -> list[JTuple]:
-            prefix = tuple(q.eq[i] for i in range(n))
-            out: list[JTuple] = []
+            prefix = key(q.eq)
+            rows: list[JTuple] = []
             for values, tup in items_from(prefix):
                 if values[:n] != prefix:
                     break
-                if q.matches(tup):
-                    out.append(tup)
-            return out
+                rows.append(tup)
+            return keep(q, rows)
 
         return self._priced(run)
 

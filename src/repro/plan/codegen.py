@@ -439,8 +439,7 @@ def _emit_query_site(s: QuerySite, a) -> None:
             emit(f"{p}return _cg_min(_cg_r, key=_cg_s{i}_key)")
         elif s.flavor == "reduce":
             emit(
-                f"{p}return _cg_reduce_all(_cg_red, "
-                "(_cg_val(_cg_t) for _cg_t in _cg_r))"
+                f"{p}return _cg_reduce_all(_cg_red, _cg_map(_cg_val, _cg_r))"
             )
 
     if s.flavor == "get_min":
@@ -548,6 +547,7 @@ def _assemble(rule, decls, analysis, body_stmts, tr: _BodyTransformer) -> str:
         a("    _cg_min = _cg['min']")
     if any(s.flavor == "reduce" for s in qsites):
         a("    _cg_reduce_all = _cg['reduce_all']")
+        a("    _cg_map = _cg['map']")
     if not all(p.typed for p in psites):
         a("    _cg_isinstance = _cg['isinstance']")
         a("    _cg_type = _cg['type']")
@@ -662,6 +662,7 @@ def bind_driver(compiled: CompiledRuleBody, kernel: "StepKernel", rule: Rule) ->
         "len": len,
         "str": str,
         "min": min,
+        "map": map,
         "bool": bool,
         "isinstance": isinstance,
         "type": type,

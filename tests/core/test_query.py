@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SchemaError
-from repro.core.query import QueryKind, build_query
+from repro.core.query import Query, QueryKind, build_query, probe_key, residual
 from repro.core.schema import TableSchema
-from repro.core.tuples import TableHandle
+from repro.core.tuples import JTuple, TableHandle
 
 
 @pytest.fixture
@@ -111,3 +113,62 @@ class TestKeyBinding:
         q = build_query(PvWatts, 2012, ranges={"power": {"lt": 5}}, where=lambda t: True)
         r = repr(q)
         assert "year=2012" in r and "power<5" in r and "[...]" in r
+
+
+# -- the compiled residual is Query.matches, shape by shape ---------------------
+
+#: one NaN object stored in rows *and* bound by queries: hash and tuple
+#: equality match it by identity, ``!=`` never does
+NAN = float("nan")
+ANY = TableSchema("R", "any a, any b, any c")
+#: ``None`` draws a NaN of its own
+_value = st.sampled_from([0, 1, 1.0, True, 0.0, -0.0, 2, 2.5, NAN, None]).map(
+    lambda v: float("nan") if v is None else v
+)
+_bound = st.none() | _value
+
+
+@st.composite
+def _case(draw):
+    """A shape (eq positions, the ones the access path covers, range
+    positions, ``where`` on or off), a query of it, and rows as that
+    path would hand them over: every covered position hash-equal to the
+    query's value."""
+    eq_pos = draw(st.sets(st.sampled_from(range(3))))
+    covered = draw(st.sets(st.sampled_from(sorted(eq_pos)))) if eq_pos else set()
+    free = [p for p in range(3) if p not in eq_pos]
+    rng_pos = draw(st.sets(st.sampled_from(free))) if free else set()
+    eq = {p: draw(_value) for p in sorted(eq_pos)}
+    ranges = {
+        p: (draw(_bound), draw(_bound), draw(st.booleans()), draw(st.booleans()))
+        for p in sorted(rng_pos)
+    }
+    where = (lambda t: str(t.values[2]) < "1") if draw(st.booleans()) else None
+    q = Query(ANY, eq, ranges, where, QueryKind.POSITIVE)
+    rows = []
+    for _ in range(draw(st.integers(0, 20))):
+        values = draw(st.lists(_value, min_size=3, max_size=3))
+        for p in covered:  # often the very object bound, as a stored key is
+            values[p] = eq[p] if draw(st.booleans()) else values[p]
+        if all(values[p] is eq[p] or values[p] == eq[p] for p in covered):
+            rows.append(JTuple(ANY, tuple(values)))
+    # compiled from a different query of the same shape
+    open_range = (None, None, True, True)
+    shape = Query(ANY, dict.fromkeys(eq, 7), dict.fromkeys(ranges, open_range), None, QueryKind.POSITIVE)
+    return shape, covered, q, rows
+
+
+@settings(max_examples=500)
+@given(_case())
+def test_residual_keeps_what_matches_keeps_in_order(case):
+    shape, covered, q, rows = case
+    got = residual(shape, covered)(q, rows)
+    assert [id(t) for t in got] == [id(t) for t in rows if q.matches(t)]
+    assert residual(shape, covered)(q, iter(rows)) == got  # any iterable
+
+
+def test_probe_key_is_the_eq_values_in_position_order():
+    eq = {0: "a", 2: "c", 1: "b"}
+    assert probe_key((2,))(eq) == ("c",)
+    assert probe_key((0, 2))(eq) == ("a", "c")
+    assert probe_key(())(eq) == ()

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.core import Program
 from repro.core.reducers import (
     CountReducer,
     FnReducer,
     MaxReducer,
     MinReducer,
+    Reducer,
     Statistics,
+    StatisticsAcc,
     SumReducer,
     reduce_all,
     scan,
@@ -112,6 +116,128 @@ def test_min_combine_matches_sequential(xs, k):
     chunks = [xs[i::k] for i in range(k)]
     par, _ = tree_reduce(MinReducer(), chunks)
     assert par == min(xs)
+
+
+class _UserMean(Reducer):
+    """A user reducer without ``fold``: it folds through ``step``."""
+
+    def zero(self):
+        return (0, 0.0)
+
+    def step(self, acc, value):
+        return (acc[0] + 1, acc[1] + (value - acc[1]) / (acc[0] + 1))
+
+    def combine(self, left, right):
+        n = left[0] + right[0]
+        return (n, left[1] + (right[1] - left[1]) * right[0] / n) if n else left
+
+
+class _DoubledStatistics(Statistics):
+    """Redefines ``step`` only: the inherited fast ``fold`` must not
+    bypass it."""
+
+    def step(self, acc, value):
+        return super().step(acc, 2 * value)
+
+
+REDUCERS = [
+    SumReducer(),
+    CountReducer(),
+    MinReducer(),
+    MaxReducer(),
+    Statistics(),
+    FnReducer(lambda: 1.0, lambda a, v: a * v + 0.5, lambda a, b: a * b),
+    _UserMean(),
+    _DoubledStatistics(),
+]
+_IDS_OF = lambda r: type(r).__name__  # noqa: E731
+_IDS = [_IDS_OF(r) for r in REDUCERS]
+numbers = st.lists(st.floats() | st.integers(-(2**60), 2**60), max_size=60)
+
+
+def _bits(x):
+    """Floats by their IEEE bits (so -0.0 and the last ulp count),
+    accumulators field by field.  A NaN is just NaN: which operand's
+    payload and sign ``nan + nan`` keeps is up to the C compiler, and
+    CPython's specialised and generic float adds disagree."""
+    if isinstance(x, StatisticsAcc):
+        return tuple(_bits(getattr(x, f)) for f in ("count", "mean", "m2", "min", "max"))
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, float):
+        return "nan" if x != x else struct.pack("d", x)
+    return x
+
+
+def _step_loop(reducer, acc, values):
+    for v in values:
+        acc = reducer.step(acc, v)
+    return acc
+
+
+def _tree_by_steps(reducer, chunks):
+    """tree_reduce with every chunk folded by the step loop."""
+    accs = [_step_loop(reducer, reducer.zero(), c) for c in chunks]
+    if not accs:
+        return reducer.finish(reducer.zero())
+    while len(accs) > 1:
+        pairs = [reducer.combine(accs[i], accs[i + 1]) for i in range(0, len(accs) - 1, 2)]
+        accs = pairs + accs[len(accs) - len(accs) % 2 :]
+    return reducer.finish(accs[0])
+
+
+class TestFoldIsTheStepLoop:
+    """``fold`` is an optimisation, never a different answer: the same
+    bits as ``step`` value by value, for every built-in reducer and for
+    user reducers that define no ``fold`` of their own."""
+
+    @pytest.mark.parametrize("reducer", REDUCERS, ids=_IDS)
+    @given(xs=numbers)
+    # ties: min/max keep the first of equal values, whose bits may differ
+    @example(xs=[0.0, -0.0, 0.0])
+    @example(xs=[1, 1.0, True, 1])
+    @example(xs=[0.1, 0.2, 0.3, 1e16, -1e16, float("nan"), 2.0])
+    def test_bit_for_bit(self, reducer, xs):
+        want = _bits(_step_loop(reducer, reducer.zero(), xs))
+        assert _bits(reducer.fold(reducer.zero(), xs)) == want
+        assert _bits(reducer.fold(reducer.zero(), (x for x in xs))) == want
+        finished = reducer.finish(_step_loop(reducer, reducer.zero(), xs))
+        assert _bits(reduce_all(reducer, iter(xs))) == _bits(finished)
+
+    @pytest.mark.parametrize("reducer", REDUCERS, ids=_IDS)
+    def test_empty_input_is_zero(self, reducer):
+        assert _bits(reducer.fold(reducer.zero(), [])) == _bits(reducer.zero())
+        assert _bits(reducer.fold(reducer.zero(), iter(()))) == _bits(reducer.zero())
+
+    @pytest.mark.parametrize("reducer", REDUCERS, ids=_IDS)
+    @given(xs=numbers, k=st.integers(1, 6))
+    def test_tree_reduce_folds_its_chunks_the_same(self, reducer, xs, k):
+        chunks = [xs[i::k] for i in range(k)]
+        got, _ = tree_reduce(reducer, [iter(c) for c in chunks])
+        assert _bits(got) == _bits(_tree_by_steps(reducer, chunks))
+
+    def test_user_reducers_fold_through_their_step(self):
+        assert type(_UserMean()).fold is Reducer.fold
+        doubled = _DoubledStatistics()
+        assert doubled.fold(doubled.zero(), [1.0, 2.0]).mean == 3.0
+
+    @pytest.mark.parametrize("reducer", [SumReducer(), Statistics(), _UserMean()], ids=_IDS_OF)
+    @pytest.mark.parametrize("chunks", [1, 3, 8])
+    def test_par_reduce(self, reducer, chunks):
+        values = [(v * 7919 % 1000) / 7.0 for v in range(50)]
+        p = Program("parfold")
+        Go = p.table("Go", "int g", orderby=("B",))
+        got = {}
+
+        @p.foreach(Go)
+        def agg(ctx, go):
+            got["r"] = ctx.par_reduce(iter(values), reducer, chunks=chunks)
+
+        p.put(Go.new(0))
+        p.run()
+        size = -(-len(values) // chunks)
+        want = _tree_by_steps(reducer, [values[i * size : (i + 1) * size] for i in range(chunks)])
+        assert _bits(got["r"]) == _bits(want)
 
 
 @given(st.lists(floats, min_size=2, max_size=80))

@@ -70,6 +70,10 @@ class TestNativeArray:
         s.insert(T.new(0, 1, 1, 9))
         got = list(s.select(build_query(T, 0, 1, 1)))
         assert [t.value for t in got] == [9]
+        # the same key as Query.matches sees it; no cell holds the others
+        assert s.select(build_query(T, 0, 1.0, True)) == got
+        for key in ((0, 1, 1.5), (0, 1, float("nan")), (-2, 1, 1), (0, 1, 4)):
+            assert s.select(build_query(T, *key)) == []
 
     def test_clear(self):
         T, s = matrix_env()
@@ -118,6 +122,27 @@ class TestTwoIterationStore:
         assert t in self.s
         assert self.s.lookup_key((0, 3)) is not None
         assert self.s.lookup_key((1, 3)) is None
+
+    def test_reads_outside_the_written_slice_find_nothing(self):
+        """A plane holds indexes [0, count): neither a stale or zeroed
+        cell past it nor a negative index numpy would wrap is a row."""
+        self.s.bulk_set(0, 0, np.array([0.0, 0.0, 7.0]))
+        assert self.T.new(0, 2, 7.0) in self.s
+        assert self.T.new(0, 5, 0.0) not in self.s
+        assert self.T.new(0, -1, 7.0) not in self.s
+        assert self.s.lookup_key((0, -1)) is None
+        assert self.s.lookup_key((0, 3)) is None
+
+    def test_keys_are_compared_as_query_matches_compares_them(self):
+        self.s.bulk_set(1, 0, np.array([4.0, 7.0]))
+        got = self.s.select(build_query(self.T, 1, 1))
+        assert [t.value for t in got] == [7.0]
+        for key in ((1.0, 1), (True, 1.0), (1, True)):
+            assert self.s.select(build_query(self.T, *key)) == got
+        nan = float("nan")
+        for key in ((1.5, 1), (nan, 1), (1, 1.5), (1, nan), (1, "1"), (None, 0)):
+            assert self.s.select(build_query(self.T, *key)) == []
+            assert self.s.lookup_key(key) is None
 
     def test_scan_lists_retained_iterations(self):
         self.s.bulk_set(0, 0, np.array([1.0, 2.0]))

@@ -13,6 +13,12 @@ order (§1.3: the default stores and every index path), as a multiset
 otherwise.  The prepared select is resolved from a *different* query of
 the same shape than the ones it then serves, which is how the plan cache
 uses it.
+
+Queries bind the values on which a probe and ``!=`` could part ways:
+``1.0`` and ``True`` for an int ``1``, ``-0.0`` beside ``0.0``, NaN,
+and ints outside the array stores' ranges (a representation must not
+change an answer, §1.4: an out-of-range probe answers empty).  Stored
+rows hold ``-0.0`` but no NaN: no ordered structure orders it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import random
 
 import pytest
 
+from repro.core.errors import SchemaError
 from repro.core.query import build_query
 from repro.core.schema import TableSchema
 from repro.core.tuples import TableHandle
@@ -67,10 +74,16 @@ STORES = {
 }
 
 RANGE_FORMS = (None, ("ge", "lt"), ("le",), ("gt",), "pair")
+STORED_FLOATS = [0.0, -0.0, 0.5, 1.0, 1.5, 2.0]
+#: query values beside the stored ones (a None draws a fresh NaN)
+EDGE_VALUES = {"int": [1.0, True, -1, 5, None], "float": [1, True, None]}
 
 
 def _values(field, rng):
-    return rng.randrange(5) if field.type == "int" else rng.choice([0.0, 0.5, 1.0, 1.5, 2.0])
+    if rng.random() < 0.25:
+        v = rng.choice(EDGE_VALUES[field.type])
+        return float("nan") if v is None else v
+    return rng.randrange(5) if field.type == "int" else rng.choice(STORED_FLOATS)
 
 
 def _query(schema, eq_fields, range_form, where, rng):
@@ -99,7 +112,7 @@ def test_prepared_run_is_the_brute_force_scan_and_select_is_derived(name, seed):
     rng = random.Random(seed)
     keys = set()
     for _ in range(60):
-        tup = handle.new(rng.randrange(5), rng.randrange(5), rng.choice([0.0, 0.5, 1.0, 1.5, 2.0]))
+        tup = handle.new(rng.randrange(5), rng.randrange(5), rng.choice(STORED_FLOATS))
         if schema.has_key and tup.key() in keys:
             continue  # the engine's key invariant: one tuple per key
         keys.add(tup.key() if schema.has_key else tup)
@@ -128,3 +141,21 @@ def test_prepared_run_is_the_brute_force_scan_and_select_is_derived(name, seed):
                     assert list(store.select(q)) == got, f"{q!r}"
                     checked += 1
     assert checked == 240
+
+
+@pytest.mark.parametrize("name", ["array-of-hashsets", "native-array"])
+@pytest.mark.parametrize("a", [-1, 5, 7])
+def test_an_out_of_range_array_probe_answers_empty(name, a):
+    """The array stores hold a in range(5): reading outside it answers
+    like every other store — nothing there — and only an insert refuses."""
+    fields, factory, _ = STORES[name]
+    schema = TableSchema("T", fields, orderby=("T",))
+    handle = TableHandle(schema)
+    store = factory(schema)
+    store.insert(handle.new(a % 5, 1, 0.5))
+    assert store.select(build_query(schema, a, 1)) == []
+    assert store.select(build_query(schema, a)) == []
+    assert handle.new(a, 1, 0.5) not in store
+    with pytest.raises(SchemaError):
+        store.insert(handle.new(a, 1, 0.5))
+    assert len(store) == 1
