@@ -11,18 +11,23 @@ key value (§3).  Tables with no ``->`` are plain sets of tuples.
 This module parses that notation (:func:`parse_fields`) and represents
 the result as a :class:`TableSchema`, which also owns the table's
 ``orderby`` specification.  Actual tuple instances live in
-:mod:`repro.core.tuples`.
+:mod:`repro.core.tuples`; :func:`table_class` generates each table's
+:class:`~repro.core.tuples.JTuple` subclass when its schema is built.
 """
 
 from __future__ import annotations
 
+import functools
+import zlib
 from dataclasses import dataclass
-from typing import Any, Iterable
+from types import CodeType
+from typing import Any, Callable, Iterable
 
 from repro.core.errors import SchemaError, UnknownFieldError
 from repro.core.ordering import Lit, OrderByEntry, Par, Seq, parse_orderby
+from repro.core.tuples import JTuple, shadowed
 
-__all__ = ["Field", "TableSchema", "parse_fields", "TYPE_DEFAULTS"]
+__all__ = ["Field", "TableSchema", "parse_fields", "table_class", "TYPE_DEFAULTS"]
 
 # Java-style type names from the paper mapped to Python checkers.
 _TYPE_ALIASES = {
@@ -139,7 +144,8 @@ class TableSchema:
         equivalent.
 
     Schemas compare and hash by identity (``object``'s own): a program
-    declares each table name once, and tuples hold the schema itself.
+    declares each table name once, and its tuple class holds the schema
+    itself.
     """
 
     __slots__ = (
@@ -154,6 +160,8 @@ class TableSchema:
         "_checks",
         "_all_int",
         "_exact",
+        "tuple_class",
+        "make_tuple",
     )
 
     def __init__(
@@ -194,6 +202,8 @@ class TableSchema:
             {"int": int, "float": float, "str": str, "bool": bool}.get(f.type)
             for f in self.fields
         )
+        # the table's own tuple class and its checked constructor
+        self.tuple_class, self.make_tuple = table_class(self)
 
     # -- helpers used by tuples/engine -----------------------------------
 
@@ -247,3 +257,51 @@ class TableSchema:
         cols = ", ".join(f"{f.type} {f.name}{'*' if f.is_key else ''}" for f in self.fields)
         ob = ", ".join(repr(e) for e in self.orderby)
         return f"table {self.name}({cols}) orderby ({ob})"
+
+
+#: how a tuple is built, the one place that writes its slots: plain
+#: stores into the table's writable twin class, then the switch to the
+#: immutable class (a descriptor call per slot costs more than all four)
+_BUILD = """    t = new(twin)
+    t.values = values
+    t._hash = hash((KEY, values))
+    t._ts = None
+    t.__class__ = cls
+    return t
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(src: str) -> CodeType:
+    """Tables of one shape (arity, exact-type tests) share one code
+    object; each table execs it into its own globals."""
+    return compile(src, "<table class>", "exec")
+
+
+def table_class(schema: TableSchema) -> tuple[type[JTuple], Callable[[tuple], JTuple]]:
+    """``schema``'s tuple class and checked constructor, over a values
+    tuple of the table's arity.  A value of exactly its field's runtime
+    type passes inline; a widening or a wrong type goes to
+    ``schema.check_types`` for the verdict and its error text.  The
+    class's ``_build`` skips the check (``JTuple(schema, values)``).
+    The hash key is the table name's CRC-32: a tuple of numbers hashes
+    alike in every process and under every hash seed."""
+    n, exact = len(schema.fields), schema._exact
+    test = " and ".join(f"type(v{i}) is T{i}" for i in range(n) if exact[i] is not None)
+    src = "def build(values):\n" + _BUILD + "def make(values):\n"
+    src += f"    {''.join(f'v{i}, ' for i in range(n))}= values\n"
+    src += f"    if not ({test or 'True'}):\n        check(values)\n" + _BUILD
+    src += "".join(f"def f{i}(self):\n    return self.values[{i}]\n" for i in range(n))
+    env: dict[str, Any] = {f"T{i}": tp for i, tp in enumerate(exact)}
+    env.update(new=object.__new__, check=schema.check_types, KEY=zlib.crc32(schema.name.encode()))
+    exec(_compiled(src), env)
+    ns = {"__slots__": (), "schema": schema, "_build": staticmethod(env["build"])}
+    for i, name in enumerate(schema.field_names):
+        if not shadowed(name):
+            ns[name] = property(env[f"f{i}"])
+    env["cls"] = cls = type(schema.name, (JTuple,), ns)
+    # both hooks back to object's, or stores still dispatch through Python
+    env["twin"] = type(schema.name, (cls,), {
+        "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+    })
+    return cls, env["make"]

@@ -2,30 +2,32 @@
 
 Each JStar tuple is an immutable record with a fixed set of named fields
 (§3: "Each tuple in a table is typically implemented as an immutable
-Java object with a fixed set of named fields").  The paper offers three
-construction styles — positional, by-name, and by-name with defaults —
-plus a generated *builder* that copies an existing tuple while updating
-a few fields.  All three map onto :meth:`TableSchema`-driven
-construction here::
+Java object with a fixed set of named fields"): here an instance of its
+table's own :class:`JTuple` subclass, generated when the table is
+declared (:func:`repro.core.schema.table_class`).  The paper's
+construction styles — positional, by-name, by-name with defaults — and
+its generated *builder*::
 
     ship = Ship.new(0, 10, 10, 150, 0)          # by position
     ship = Ship.new(frame=0, x=10, dx=150, y=10, dy=0)   # by name
     ship = Ship.new(x=10, dx=150, y=10)         # defaults for the rest
     ship2 = ship.copy(frame=1, x=160)           # builder / copy method
 
-Tuples hash and compare by (schema, values), giving the set semantics
-the engine relies on for deduplication (§6.2: "JStar has a set-oriented
-semantics, so duplicate SumMonth tuples are discarded").
+Tuples compare by (schema, values) and hash by (stable table key,
+values): the set semantics the engine deduplicates by (§6.2: "JStar has
+a set-oriented semantics, so duplicate SumMonth tuples are discarded").
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.errors import SchemaError
-from repro.core.schema import TableSchema
 
-__all__ = ["JTuple", "TableHandle"]
+if TYPE_CHECKING:  # pragma: no cover - schema.py imports this module
+    from repro.core.schema import TableSchema
+
+__all__ = ["JTuple", "TableHandle", "shadowed"]
 
 
 class JTuple:
@@ -35,13 +37,15 @@ class JTuple:
     #: ``_ts`` caches the tuple's timestamp, filled on first use by
     #: :meth:`repro.core.database.Database.timestamp` — so it lives and
     #: dies with the tuple, wherever the engine holds it
-    __slots__ = ("schema", "values", "_hash", "_ts")
+    __slots__ = ("values", "_hash", "_ts")
+    #: a class attribute of each table's class, as is ``_build``, its
+    #: unchecked constructor (:func:`repro.core.schema.table_class`)
+    schema: TableSchema
 
-    def __init__(self, schema: TableSchema, values: tuple):
-        _set_schema(self, schema)
-        _set_values(self, values)
-        _set_hash(self, hash((id(schema), values)))
-        _set_ts(self, None)
+    def __new__(cls, schema: TableSchema, values: tuple) -> JTuple:
+        """The generic entry point (snapshots, serve, dist, gamma): an
+        instance of ``schema``'s class; the values are not type-checked."""
+        return schema.tuple_class._build(values)
 
     # -- immutability -----------------------------------------------------
 
@@ -51,16 +55,13 @@ class JTuple:
     def __delattr__(self, name: str) -> None:
         raise AttributeError("JStar tuples are immutable")
 
-    # -- field access -----------------------------------------------------
+    def __copy__(self) -> JTuple:
+        return self
 
-    def __getattr__(self, name: str) -> Any:
-        # Only called when normal attribute lookup fails, i.e. for field
-        # names.  __slots__ attributes resolve before reaching here.
-        schema: TableSchema = object.__getattribute__(self, "schema")
-        idx = schema.index.get(name)
-        if idx is None:
-            raise AttributeError(f"{schema.name} tuple has no field {name!r}")
-        return object.__getattribute__(self, "values")[idx]
+    def __deepcopy__(self, memo: dict) -> JTuple:
+        return self
+
+    # -- field access -----------------------------------------------------
 
     def __getitem__(self, i: int) -> Any:
         return self.values[i]
@@ -84,16 +85,14 @@ class JTuple:
 
     # -- builder ----------------------------------------------------------
 
-    def copy(self, **updates: Any) -> "JTuple":
+    def copy(self, **updates: Any) -> JTuple:
         """Builder-style copy: a new tuple with some fields replaced."""
         if not updates:
             return self
         vals = list(self.values)
         for name, value in updates.items():
             vals[self.schema.field_position(name)] = value
-        new_values = tuple(vals)
-        self.schema.check_types(new_values)
-        return JTuple(self.schema, new_values)
+        return self.schema.make_tuple(tuple(vals))
 
     # -- identity ----------------------------------------------------------
 
@@ -112,21 +111,23 @@ class JTuple:
         return f"{self.schema.name}({pairs})"
 
 
-# the slots' own descriptors: the one way past ``__setattr__``, for
-# ``__init__`` and for the timestamp cache
-_set_schema, _set_values, _set_hash, _set_ts = (
-    JTuple.__dict__[slot].__set__ for slot in JTuple.__slots__
-)
+# the ``_ts`` slot's own descriptor: the timestamp cache's one way past
+# ``__setattr__``
+_set_ts = JTuple.__dict__["_ts"].__set__
+_MEMBERS = frozenset(n for n in dir(JTuple) if not n.startswith("_")) | {"schema"}
+
+
+def shadowed(name: str) -> bool:
+    """Whether a field called ``name`` has no attribute: a member every
+    tuple has (``values``, ``schema``, ``key``, ``copy``, ``field``,
+    ``asdict``) or any ``_`` name wins; ``t.field(name)`` reads it."""
+    return name.startswith("_") or name in _MEMBERS
 
 
 class TableHandle:
-    """User-facing handle for a declared table.
-
-    Returned by :meth:`repro.core.program.Program.table`; provides the
-    ``new`` constructor and is what rules pass to queries (``get``,
-    ``foreach``).  The handle is a thin façade over the schema so that
-    application code reads like the paper's listings.
-    """
+    """User-facing handle for a declared table: the ``new`` constructor,
+    and what rules pass to queries (``get``, ``foreach``) — a thin
+    façade over the schema so application code reads like the paper."""
 
     __slots__ = ("schema",)
 
@@ -142,26 +143,18 @@ class TableHandle:
         fields take their type's default value."""
         schema = self.schema
         n = len(schema.fields)
-        if len(args) > n:
-            raise SchemaError(
-                f"{schema.name} has {n} fields, got {len(args)} positional values"
-            )
         if len(args) == n and not kwargs:
-            values = tuple(args)
-        else:
-            vals = list(schema.defaults())
-            for i, a in enumerate(args):
-                vals[i] = a
-            for name, value in kwargs.items():
-                idx = schema.field_position(name)
-                if idx < len(args):
-                    raise SchemaError(
-                        f"{schema.name}.{name} given both positionally and by name"
-                    )
-                vals[idx] = value
-            values = tuple(vals)
-        schema.check_types(values)
-        return JTuple(schema, values)
+            return schema.make_tuple(args)
+        if len(args) > n:
+            raise SchemaError(f"{schema.name} has {n} fields, got {len(args)} positional values")
+        vals = list(schema.defaults())
+        vals[: len(args)] = args
+        for name, value in kwargs.items():
+            idx = schema.field_position(name)
+            if idx < len(args):
+                raise SchemaError(f"{schema.name}.{name} given both positionally and by name")
+            vals[idx] = value
+        return schema.make_tuple(tuple(vals))
 
     def __call__(self, *args: Any, **kwargs: Any) -> JTuple:
         """``Ship(0, 10, ...)`` is sugar for ``Ship.new(0, 10, ...)``,

@@ -38,7 +38,8 @@ class HashKeyStore(TableStore):
     """Keyed table as a hash map key → tuple (HashMap analogue).
 
     Requires a primary key.  A select is O(1) when the key is fully
-    bound, otherwise a scan.
+    bound (the base store's key path over :meth:`lookup_key`),
+    otherwise a scan.
     """
 
     kind = "hashkey"
@@ -99,22 +100,6 @@ class HashKeyStore(TableStore):
     def remove(self, tup: JTuple) -> bool:
         # retraction-exact: the key map is the whole representation
         return self.discard(tup)
-
-    def prepare(self, query: Query) -> PreparedSelect:
-        """A fully bound key is one dict probe; the residual checks what
-        the key does not.  (The base store's key path, with the dict's
-        own ``get`` bound in place of :meth:`lookup_key`: one Python
-        frame less per probe on the hottest read of the keyed tables.)"""
-        if query.key_if_fully_bound() is not None:
-            key_idx = self.schema.key_indexes
-            get, key, keep = self._data.get, probe_key(key_idx), residual(query, key_idx)
-
-            def run(q: Query) -> list[JTuple]:
-                t = get(key(q.eq))
-                return [] if t is None else keep(q, (t,))
-
-            return self._priced(run)
-        return super().prepare(query)
 
 
 class HashIndexStore(TableStore):

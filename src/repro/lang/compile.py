@@ -37,11 +37,10 @@ from repro.core import Program
 from repro.core.errors import JStarError
 from repro.core.ordering import Seq
 from repro.core.reducers import Reducer, Statistics
-from repro.core.tuples import TableHandle
+from repro.core.tuples import TableHandle, shadowed
 from repro.lang import ast as A
 from repro.lang.lexer import LangSyntaxError
 from repro.lang.parser import parse_program
-from repro.plan.analyse import JTUPLE_ATTRS
 
 __all__ = [
     "CompileError",
@@ -231,7 +230,7 @@ class _Lowering:
             _, schema, nullable = kind
             pos = schema.index.get(e.field)
             ftype = schema.fields[pos].type if pos is not None else None
-            if pos is not None and not nullable and e.field not in JTUPLE_ATTRS and _plain(e.field):
+            if pos is not None and not nullable and not shadowed(e.field) and _plain(e.field):
                 return f"{src}.{e.field}", ftype
             if not nullable:
                 return f"{src}.field({e.field!r})", ftype

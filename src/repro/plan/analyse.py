@@ -35,7 +35,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.query import QueryKind
-from repro.core.tuples import JTuple, TableHandle
+from repro.core.tuples import TableHandle, shadowed
 from repro.solver.obligations import Branch, RuleMeta, SymPut, SymQuery, _field_vars
 from repro.solver.terms import Constraint, Term, var
 
@@ -44,10 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["BodyAnalysis", "QuerySite", "PutSite", "analyse_rule"]
 
-#: real attributes of JTuple (``schema``, ``values``, ``copy``...);
-#: a field with one of these names never reaches ``__getattr__``, so
-#: attribute rewriting must leave it alone
-JTUPLE_ATTRS = frozenset(dir(JTuple))
 
 QUERY_KINDS = {
     "get": QueryKind.POSITIVE,
@@ -263,7 +259,7 @@ class _Analyser(ast.NodeVisitor):
             v = None if node.id in self.stores else self.out.env.get(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             t = self.fields.get(node.value.id, {}).get(node.attr)
-            if t is None or node.attr in JTUPLE_ATTRS:
+            if t is None or shadowed(node.attr):
                 raise _Opaque()
             return t
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):

@@ -3,8 +3,8 @@
 The scalar tier interprets every rule firing through a
 :class:`~repro.core.rules.RuleContext`: each ``ctx.get`` re-enters the
 plan cache through keyword dicts, each ``ctx.put`` re-derives the §4
-causality comparison, and every tuple field read goes through
-``JTuple.__getattr__``.  This module removes that interpretation layer
+causality comparison, and every tuple field read calls its table
+class's property.  This module removes that interpretation layer
 once per program: it takes the rule body's source and the site records
 :mod:`repro.plan.analyse` resolved for its ``ctx.*`` calls — this module
 re-derives nothing about a site — intercepts only those calls, and emits
@@ -15,9 +15,9 @@ the whole query-and-put loop as straight-line Python with
   inline :class:`~repro.core.query.Query` (or a direct primary-key
   ``lookup_key`` when the store provides one and the site binds the
   whole key),
-* put sites that inline the positional ``TableHandle.new`` fast path and
-  skip the causality comparison when the orderby structure decides it
-  statically (:func:`~repro.plan.timestamps.put_always_causal`) or by
+* put sites that call the table's generated constructor (what the
+  positional ``TableHandle.new`` calls) and skip the causality
+  comparison when the orderby structure decides it statically (:func:`~repro.plan.timestamps.put_always_causal`) or by
   one seq-value compare (:func:`~repro.plan.timestamps.put_fast_compare`),
 * the trigger timestamp, output list, and put buffer passed as plain
   arguments — the generated driver holds no per-firing state, so
@@ -50,10 +50,9 @@ from repro.core.ordering import compare_timestamps
 from repro.core.query import Query, QueryKind
 from repro.core.reducers import reduce_all
 from repro.core.rules import Rule
-from repro.core.tuples import JTuple
+from repro.core.tuples import JTuple, shadowed
 from repro.gamma.base import TableStore
 from repro.plan.analyse import (
-    JTUPLE_ATTRS,
     QUERY_KINDS,
     BodyAnalysis,
     PutSite,
@@ -216,7 +215,7 @@ class _BodyTransformer(ast.NodeTransformer):
             isinstance(node.ctx, ast.Load)
             and isinstance(node.value, ast.Name)
             and node.value.id in self.elem
-            and node.attr not in JTUPLE_ATTRS
+            and not shadowed(node.attr)
         ):
             schema = self.elem[node.value.id]
             pos = schema.index.get(node.attr)
@@ -474,10 +473,9 @@ def _emit_put_site(p: PutSite, a, trig_schema, decls) -> None:
     # "always": statically causal; "ge": one seq compare short-circuits
     # the check; "dyn": the full check (always, for an untyped put)
     mode, pp, tp = "dyn", -1, -1
+    if p.inline:
+        a(f"    _p{i}_new = _cg['p{i}_new']")
     if p.typed:
-        a(f"    _p{i}_schema = _cg['p{i}_schema']")
-        if p.inline:
-            a(f"    _p{i}_types = _cg['p{i}_types']")
         if put_always_causal(p.schema, trig_schema, decls):
             mode = "always"
         else:
@@ -493,10 +491,8 @@ def _emit_put_site(p: PutSite, a, trig_schema, decls) -> None:
         a("        _puts.append(_cg_t)")
 
     if p.inline:
-        build = [
-            f"_p{i}_types(_cg_v)",
-            f"_cg_t = _cg_JTuple(_p{i}_schema, _cg_v)",
-        ]
+        # the table's generated constructor: the type check inline
+        build = [f"_cg_t = _p{i}_new(_cg_v)"]
     elif p.typed:
         build = []
     else:
@@ -702,10 +698,8 @@ def bind_driver(compiled: CompiledRuleBody, kernel: "StepKernel", rule: Rule) ->
                 else None
             )
     for p in compiled.put_sites:
-        if p.typed:
-            cg[f"p{p.i}_schema"] = p.schema
-            if p.inline:
-                cg[f"p{p.i}_types"] = p.schema.check_types
+        if p.inline:
+            cg[f"p{p.i}_new"] = p.schema.make_tuple
     return compiled.make(cg)
 
 
