@@ -8,7 +8,9 @@ live outside the program.  This example takes the unmodified PvWatts
 program and:
 
 1. statically checks a placement's query locality (stage 2/3 tooling);
-2. runs it on simulated clusters of 1–8 nodes;
+2. runs it on simulated clusters of 1–8 nodes — the sharded tier
+   (``ExecOptions(strategy="processes")``) on its cost-model backend,
+   ``transport="model"``; ``pipe`` or ``tcp`` would fork real workers;
 3. compares a good placement (co-partition PvWatts and SumMonth by
    month) with a bad one (partition by day) — same program, same
    output, very different communication bills.
@@ -19,7 +21,7 @@ Run:  python examples/distributed_pvwatts.py
 from repro.apps.pvwatts import build_pvwatts_program, month_means_from_output
 from repro.core import ExecOptions
 from repro.csvio import generate_csv_bytes
-from repro.dist import Partitioned, Replicated, check_locality, run_distributed
+from repro.dist import Partitioned, Replicated, check_locality, run_sharded
 
 GOOD = {
     "PvWattsRequest": Replicated(),
@@ -28,6 +30,11 @@ GOOD = {
     "SumMonth": Partitioned("month"),
 }
 BAD = {**GOOD, "PvWatts": Partitioned("day")}
+
+
+def simulate(program, nodes, placements):
+    opts = ExecOptions(threads=nodes, placements=placements)
+    return run_sharded(program, opts, transport="model")
 
 
 def main() -> None:
@@ -44,22 +51,26 @@ def main() -> None:
 
     print("\n== node sweep, good placement ==")
     for nodes in (1, 2, 4, 8):
-        r = run_distributed(build().program, n_nodes=nodes, placements=GOOD)
+        r = simulate(build().program, nodes, GOOD)
         assert month_means_from_output(sorted(r.output)) == ref
+        compute = [nd["compute"] for nd in r.nodes]
         print(
-            f"  {nodes} node(s): elapsed {r.elapsed:9,.0f} wu "
-            f"(compute {r.compute_time:,.0f}, comm {r.comm_time:,.0f}; "
-            f"{r.tuples_moved} tuples moved, imbalance {r.imbalance:.2f})"
+            f"  {nodes} node(s): elapsed {r.virtual_time:9,.0f} wu "
+            f"(compute {r.report.compute:,.0f}, comm {r.report.comm:,.0f}; "
+            f"{r.report.tuples_moved} tuples moved, "
+            f"imbalance {max(compute) * nodes / sum(compute):.2f})"
         )
 
     print("\n== placement experiment at 4 nodes (same program!) ==")
     for label, placements in (("by month (good)", GOOD), ("by day (bad)", BAD)):
-        r = run_distributed(build().program, n_nodes=4, placements=placements)
+        r = simulate(build().program, 4, placements)
         assert month_means_from_output(sorted(r.output)) == ref
+        reads = sum(nd["probes_remote"] for nd in r.nodes)
+        trips = sum(nd["remote_queries"] for nd in r.nodes)
         print(
-            f"  {label:17s}: elapsed {r.elapsed:9,.0f} wu, "
-            f"remote reads {r.probes_remote} in {r.remote_queries} round trips, "
-            f"messages {r.messages}"
+            f"  {label:17s}: elapsed {r.virtual_time:9,.0f} wu, "
+            f"remote reads {reads} in {trips} round trips, "
+            f"messages {r.report.messages}"
         )
     print("\nco-partitioning keeps every SumMonth reduce on its own node —")
     print("the experiment cost a placement dict, not a program rewrite (§2)")

@@ -24,7 +24,7 @@ import pytest
 from repro.apps.pvwatts import build_pvwatts_program, month_means_from_output
 from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
-from repro.dist import Partitioned, Replicated, run_distributed
+from repro.dist import Partitioned, Replicated, run_sharded
 
 GOOD = {
     "PvWattsRequest": Replicated(),
@@ -36,6 +36,16 @@ MISALIGNED = {**GOOD, "PvWatts": Partitioned("day")}
 REPLICATED = {**GOOD, "PvWatts": Replicated()}
 
 
+def simulate(program, nodes, placements):
+    """``program`` on the cost-model backend of the sharded tier."""
+    opts = ExecOptions(threads=nodes, placements=placements)
+    return run_sharded(program, opts, transport="model")
+
+
+def probes_remote(result) -> int:
+    return sum(nd["probes_remote"] for nd in result.nodes)
+
+
 @pytest.fixture(scope="module")
 def runs(csv_by_month):
     def build():
@@ -45,12 +55,12 @@ def runs(csv_by_month):
 
     sweep = {}
     for nodes in (1, 2, 4, 8):
-        r = run_distributed(build().program, n_nodes=nodes, placements=GOOD)
+        r = simulate(build().program, nodes, GOOD)
         assert month_means_from_output(sorted(r.output)) == ref
         sweep[nodes] = r
 
-    mis = run_distributed(build().program, n_nodes=4, placements=MISALIGNED)
-    repl = run_distributed(build().program, n_nodes=4, placements=REPLICATED)
+    mis = simulate(build().program, 4, MISALIGNED)
+    repl = simulate(build().program, 4, REPLICATED)
     for r in (mis, repl):
         assert month_means_from_output(sorted(r.output)) == ref
     return sweep, mis, repl
@@ -64,18 +74,18 @@ def test_ablation_distribution_report(benchmark, runs, emit):
         rows.append(
             FigureRow(
                 f"{nodes} node(s): elapsed (wu) [compute/comm]",
-                r.elapsed,
+                r.virtual_time,
             )
         )
-        rows.append(FigureRow(f"  {nodes}-node compute", r.compute_time))
-        rows.append(FigureRow(f"  {nodes}-node comm", r.comm_time))
+        rows.append(FigureRow(f"  {nodes}-node compute", r.report.compute))
+        rows.append(FigureRow(f"  {nodes}-node comm", r.report.comm))
     good4 = sweep[4]
     rows += [
-        FigureRow("4 nodes, month-partitioned: remote queries", float(good4.probes_remote)),
-        FigureRow("4 nodes, day-partitioned: remote queries", float(mis.probes_remote)),
-        FigureRow("4 nodes, day-partitioned elapsed (wu)", mis.elapsed),
-        FigureRow("4 nodes, PvWatts replicated: tuples moved", float(repl.tuples_moved)),
-        FigureRow("4 nodes, PvWatts replicated elapsed (wu)", repl.elapsed),
+        FigureRow("4 nodes, month-partitioned: remote queries", float(probes_remote(good4))),
+        FigureRow("4 nodes, day-partitioned: remote queries", float(probes_remote(mis))),
+        FigureRow("4 nodes, day-partitioned elapsed (wu)", mis.virtual_time),
+        FigureRow("4 nodes, PvWatts replicated: tuples moved", float(repl.report.tuples_moved)),
+        FigureRow("4 nodes, PvWatts replicated elapsed (wu)", repl.virtual_time),
     ]
     emit(
         "ablation_distribution",
@@ -87,12 +97,12 @@ def test_ablation_distribution_report(benchmark, runs, emit):
         ),
     )
     # compute shrinks with nodes; communication appears
-    assert sweep[4].compute_time < sweep[1].compute_time
-    assert sweep[8].compute_time < sweep[2].compute_time
-    assert sweep[4].comm_time > sweep[1].comm_time
+    assert sweep[4].report.compute < sweep[1].report.compute
+    assert sweep[8].report.compute < sweep[2].report.compute
+    assert sweep[4].report.comm > sweep[1].report.comm
     # co-partitioning keeps the reduce local; day-partitioning doesn't
-    assert good4.probes_remote == 0
-    assert mis.probes_remote > 0
-    assert good4.elapsed < mis.elapsed
+    assert probes_remote(good4) == 0
+    assert probes_remote(mis) > 0
+    assert good4.virtual_time < mis.virtual_time
     # replication multiplies insert traffic
-    assert repl.tuples_moved > good4.tuples_moved * 2
+    assert repl.report.tuples_moved > good4.report.tuples_moved * 2

@@ -19,7 +19,7 @@ Public API::
 
 from repro.core.database import Database, InsertOutcome
 from repro.core.delta import Delete, DeltaTree, Insert
-from repro.core.engine import Engine, FeedReport, RunResult
+from repro.core.kernel import FeedReport, RunResult
 from repro.core.errors import (
     AdmissionWarning,
     BackpressureError,
@@ -80,7 +80,6 @@ __all__ = [
     "Program",
     "ExecOptions",
     "RetentionHint",
-    "Engine",
     "EngineSession",
     "FeedReport",
     "causal_sort",

@@ -2,8 +2,7 @@
 
 Both kinds of row live here, keyed by tier — an ``execution`` value, or
 ``"processes"`` for the sharded tier, which the ``strategy`` selects
-(:mod:`repro.dist.superstep`; the sharded runtimes hand it to the
-kernel, so it never passes through :func:`resolve_executor`):
+(:mod:`repro.dist.superstep`):
 
 * **refusal rows** are *configuration contradictions* — combinations the
   run could never honour even in principle (codegen with retraction, a
@@ -183,6 +182,10 @@ def resolve_executor(kernel: "StepKernel") -> "StepExecutor":
     ``ExecOptions.__post_init__`` long before any tier is needed."""
     from repro.core.executors.scalar import ScalarExecutor
 
+    if kernel.options.strategy == "processes":
+        from repro.dist.superstep import ShardedExecutor  # local: dist imports the kernel
+
+        return ShardedExecutor(kernel)
     requested = kernel.options.execution
     if requested != "scalar":
         for tier, applies, note in DOWNGRADES:

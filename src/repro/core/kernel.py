@@ -41,7 +41,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Iterable
+from typing import ContextManager, Iterable
 
 from repro.core.database import Database, InsertOutcome
 from repro.core.delta import Delete, DeltaTree, Insert
@@ -54,7 +54,6 @@ from repro.core.errors import (
     RetractionError,
     UnknownTableError,
 )
-from repro.core.executors.base import StepExecutor
 from repro.core.executors.registry import resolve_executor
 from repro.core.ordering import Timestamp, compare_timestamps, output_keys
 from repro.core.program import ExecOptions, Program
@@ -86,6 +85,9 @@ class RunResult:
     threads: int
     output: list[str]
     wall_time: float
+    #: the strategy's virtual-time account: a fork/join machine's
+    #: :class:`~repro.simcore.machine.MachineReport`, or the sharded cost
+    #: model's :class:`~repro.dist.network.NetReport`
     report: MachineReport | None
     stats: StatsCollector
     table_sizes: dict[str, int]
@@ -97,8 +99,10 @@ class RunResult:
     database: Database | None = field(repr=False, default=None)
     #: the run's event trace (only when ``ExecOptions.trace`` was set)
     trace: TraceRecorder | None = field(repr=False, default=None)
-    #: per-node compute/traffic summaries of a multiprocess sharded run
-    #: (:mod:`repro.dist.procrun`); None for single-process runs
+    #: per-node summaries of a sharded run (``fires``, ``puts``, the
+    #: :data:`~repro.dist.network.NODE_COUNTERS`, ``recovered`` and the
+    #: shard ``tables``' sizes; the cost model adds ``compute``); None
+    #: for single-node runs, and for a worker mesh until it closes
     nodes: list[dict] | None = None
 
     def require_database(self) -> Database:
@@ -112,8 +116,8 @@ class RunResult:
 
     @property
     def virtual_time(self) -> float:
-        """Elapsed virtual time (work units); falls back to total cost
-        for strategies without a machine."""
+        """Elapsed virtual time (work units) of the strategy's account;
+        falls back to total cost for strategies without one."""
         if self.report is not None:
             return self.report.elapsed
         return self.meter.total_cost
@@ -148,9 +152,7 @@ class StepKernel:
     empty), and :meth:`flush_stats` (fold the plans' query counts into
     the collector).
     Lifecycle — when to feed, settle, snapshot, or release the strategy
-    — belongs to :class:`repro.core.session.EngineSession`; the
-    compatibility shim :class:`repro.core.engine.Engine` drives a whole
-    run through a private session.
+    — belongs to :class:`repro.core.session.EngineSession`.
     """
 
     def __init__(
@@ -158,15 +160,26 @@ class StepKernel:
         program: Program,
         options: ExecOptions,
         strategy: Strategy | None = None,
-        executor: Callable[["StepKernel"], StepExecutor] | None = None,
     ):
         program.freeze()
+        if options.strategy == "processes":
+            # the sharded tier's backends account for themselves: the
+            # kernel meters nothing
+            options = options.with_(metering="off")
+        elif options.placements:
+            # checked like any hint; one node has nothing to place
+            from repro.dist.placement import PlacementMap  # local: dist imports us
+
+            PlacementMap(program.schemas(), options.placements)
         self.program = program
         self.options = options
         # an injected strategy overrides options.strategy — the trace
-        # replayer uses this to run a *scripted* ChaosStrategy, and the
-        # chaos test harness to run an intentionally-broken variant
-        self.strategy = strategy if strategy is not None else self._make_strategy(options)
+        # replayer uses this to run a *scripted* ChaosStrategy, the
+        # chaos test harness an intentionally-broken variant, and
+        # ``run_sharded`` a sharded backend on a chosen wire
+        self.strategy = (
+            strategy if strategy is not None else self._make_strategy(options, program)
+        )
         registry = self._make_registry(options, self.strategy, program)
         self.db = Database(program.schemas(), registry, program.decls)
         self.delta = DeltaTree()
@@ -238,15 +251,14 @@ class StepKernel:
             import threading
 
             self._lock = threading.Lock()
-        # execution tier (ExecOptions.execution): how phase B fires and
-        # how puts route.  The registry applies the one downgrade table
-        # (noting why a requested tier stays off) unless the caller
-        # hands the kernel its tier — the sharded runtimes do, because
-        # that tier needs a backend no option can name; whatever tier
-        # wins, results are byte-identical — tiers change cost, never
-        # semantics.  The bound methods are cached on the instance so
-        # cascades pay one attribute load, not a dispatch chain.
-        self.executor = executor(self) if executor is not None else resolve_executor(self)
+        # execution tier (ExecOptions.execution, or the sharded tier
+        # under strategy="processes"): how phase B fires and how puts
+        # route.  The registry applies the one downgrade table (noting
+        # why a requested tier stays off); whatever tier wins, results
+        # are byte-identical — tiers change cost, never semantics.  The
+        # bound methods are cached on the instance so cascades pay one
+        # attribute load, not a dispatch chain.
+        self.executor = resolve_executor(self)
         self._fire_one = self.executor.fire_one
         self._handle_puts = self.executor.handle_puts
 
@@ -261,7 +273,7 @@ class StepKernel:
             warnings.warn(message, EngineWarning, stacklevel=4)
 
     @staticmethod
-    def _make_strategy(options: ExecOptions) -> Strategy:
+    def _make_strategy(options: ExecOptions, program: Program) -> Strategy:
         if options.strategy == "sequential":
             return SequentialStrategy(gc=options.gc_model)
         if options.strategy == "forkjoin":
@@ -275,14 +287,10 @@ class StepKernel:
         if options.strategy == "threads":
             return ThreadStrategy(options.threads)
         if options.strategy == "processes":
-            raise EngineError(
-                "'processes' is a whole-engine runtime, not a step strategy: "
-                "its execution tier fires classes on worker processes that "
-                "only repro.dist.procrun starts and reaps, so a bare "
-                "StepKernel cannot be built for it (sessions/checkpoints "
-                "are unsupported).  Use Program.run(strategy='processes') "
-                "or repro.dist.procrun.run_sharded directly"
-            )
+            # the backend the DIST_TRANSPORT wire switch names
+            from repro.dist.procrun import sharded_backend  # local: dist imports us
+
+            return sharded_backend(program, options)
         raise EngineError(
             f"unknown strategy {options.strategy!r}; valid strategies: "
             "sequential, forkjoin, threads, chaos, processes"
@@ -960,6 +968,7 @@ class StepKernel:
         if result.puts:
             pending = [(put, result.meter) for put in result.puts]
             flags = self._enqueue_delta_batch(pending)
+            self.strategy.account_feed(sum(flags))
             if self.tracer is not None:
                 for (put, _meter), accepted in zip(pending, flags):
                     self.tracer.emit("admit", {"tuple": repr(put), "accepted": accepted})
@@ -1050,4 +1059,5 @@ class StepKernel:
             options=self.options,
             database=self.db,
             trace=self.tracer,
+            nodes=self.strategy.nodes(),
         )

@@ -91,9 +91,10 @@ class ExecOptions:
     the pool size, the paper's ``--threads=N``), ``"threads"`` (real
     CPython threads, functional validation only), ``"chaos"`` (seeded
     adversarial scheduling, see :mod:`repro.exec.chaos`) or
-    ``"processes"`` (real multiprocess shard execution, one OS worker
-    process per node — ``threads`` is the worker count; see
-    :mod:`repro.dist.procrun`).
+    ``"processes"`` (the sharded tier: ``threads`` nodes, each owning
+    the Gamma shards ``placements`` assigns it — OS worker processes
+    over pipes or TCP, or in-process shards priced on a network model,
+    as the ``DIST_TRANSPORT`` wire switch says; see :mod:`repro.dist`).
     """
 
     strategy: str = "sequential"
@@ -140,7 +141,7 @@ class ExecOptions:
     #: fed below the completed high-water mark is rejected with a
     #: :class:`~repro.core.errors.CausalityError` (``"strict"``) or
     #: quarantined with an :class:`~repro.core.errors.AdmissionWarning`
-    #: (``"warn"``).  Irrelevant to one-shot ``Engine.run`` (everything
+    #: (``"warn"``).  Irrelevant to one-shot ``Program.run`` (everything
     #: is fed before the first step).
     admission: str = "strict"
     #: opt-in incremental view maintenance: ``feed`` accepts
@@ -158,6 +159,13 @@ class ExecOptions:
     #: refusal/downgrade rows are :mod:`repro.core.executors.registry`.
     #: Outputs and table sizes are byte-identical either way.
     execution: str = "scalar"
+    #: where each table's tuples live under the sharded tier (§2 stage
+    #: 3: "partitioned, duplicated or shared"): table name ->
+    #: :class:`~repro.dist.placement.Placement`, defaults per
+    #: :class:`~repro.dist.placement.PlacementMap`.  Checked against the
+    #: program's tables under every strategy; one node has nothing to
+    #: place
+    placements: Mapping[str, Any] = field(default_factory=dict)
 
     def with_(self, **kw: Any) -> "ExecOptions":
         """Functional update, e.g. ``opts.with_(threads=8)``."""
@@ -394,21 +402,11 @@ class Program:
     # -- execution -----------------------------------------------------------
 
     def run(self, options: ExecOptions | None = None, **kw: Any):
-        """Execute the program; returns a
-        :class:`repro.core.engine.RunResult`.  Keyword arguments are
+        """Execute the program: ``open -> feed(initial puts) -> settle
+        -> close`` on :meth:`session`; returns the cumulative
+        :class:`repro.core.kernel.RunResult`.  Keyword arguments are
         shorthand for ``ExecOptions`` fields."""
-        from repro.core.engine import Engine  # local: engine imports us
-
-        opts = options if options is not None else ExecOptions()
-        if kw:
-            opts = opts.with_(**kw)
-        if opts.strategy == "processes":
-            # the sharded tier needs worker processes around the step
-            # loop, which only the mesh runtime starts and reaps
-            from repro.dist.procrun import run_sharded  # local: dist imports us
-
-            return run_sharded(self, opts)
-        return Engine(self, opts).run()
+        return self.session(options, **kw).run()
 
     def session(self, options: ExecOptions | None = None, **kw: Any):
         """Open-ended execution: an

@@ -4,7 +4,8 @@ The old monolithic ``Engine.run`` did everything in one breath: initial
 puts, the step loop, stats folding, the run-end trace event.  A session
 decomposes that breath so a caller can *stream*:
 
-* :meth:`EngineSession.open` — emit the run-start event, mark live;
+* :meth:`EngineSession.open` — emit the run-start event, start the
+  strategy (a sharded run's workers), mark live;
 * :meth:`EngineSession.feed` — admit external tuples against the
   **high-water mark** (the timestamp of the last popped equivalence
   class).  Everything at or above the mark is sound: the engine has
@@ -19,10 +20,10 @@ decomposes that breath so a caller can *stream*:
   checkpoint the full engine state (Gamma, Delta, stats, meters,
   strategy RNG) to a versioned JSON document and rebuild a live session
   from it (:mod:`repro.core.snapshot`);
-* :meth:`EngineSession.close` — settle anything pending, emit run-end,
-  release the strategy (thread pools), and return the cumulative
-  result.  Sessions are context managers; the strategy is released even
-  when a step raises.
+* :meth:`EngineSession.close` — settle anything pending, release the
+  strategy (thread pools, a sharded run's workers), emit run-end, and
+  return the cumulative result.  Sessions are context managers; the
+  strategy is released even when a step raises.
 
 Determinism: feeding a workload in K causally-sorted chunks produces
 byte-identical output, table sizes, and semantic trace to feeding it in
@@ -61,7 +62,7 @@ class EngineSession:
             r2 = s.settle()
         total = s.result          # cumulative RunResult
 
-    The compatibility shim ``Engine.run()`` is exactly
+    :meth:`run` — what ``Program.run`` calls — is exactly
     ``open -> feed(initial puts) -> settle -> close``.
     """
 
@@ -70,15 +71,10 @@ class EngineSession:
         program: Program,
         options: ExecOptions | None = None,
         strategy: Strategy | None = None,
-        *,
-        _kernel: StepKernel | None = None,
     ):
-        if _kernel is not None:
-            self.kernel = _kernel
-        else:
-            self.kernel = StepKernel(
-                program, options if options is not None else ExecOptions(), strategy
-            )
+        self.kernel = StepKernel(
+            program, options if options is not None else ExecOptions(), strategy
+        )
         self._opened = False
         self._closed = False
         self._out_cursor = 0
@@ -142,13 +138,34 @@ class EngineSession:
 
     def open(self) -> "EngineSession":
         """Mark the session live (idempotent).  Emits the run-start
-        trace event on the first call."""
+        trace event and starts the strategy on the first call."""
         if self._closed:
             raise EngineError("this session is closed; construct a fresh one")
         if not self._opened:
+            t0 = time.perf_counter()
             self._opened = True
             self.kernel.emit_run_start()
+            self._go_live()
+            self._wall += time.perf_counter() - t0
         return self
+
+    def _go_live(self) -> None:
+        """Start the strategy — a sharded backend's workers start here,
+        at ``open`` or at the end of ``restore``; a failed start shuts
+        the session down."""
+        try:
+            self.kernel.strategy.start()
+        except BaseException:
+            self._shutdown()
+            raise
+
+    def run(self) -> RunResult:
+        """The single-shot run: ``open -> feed(initial puts) -> settle
+        -> close``, returning the cumulative result."""
+        with self:
+            self.feed(self.program.initial_puts, source="<init>")
+            self.settle()
+        return self.result
 
     def __enter__(self) -> "EngineSession":
         return self.open()
@@ -259,6 +276,10 @@ class EngineSession:
                 self.settle()
             t0 = time.perf_counter()
             k = self.kernel
+            # released before the result is built: a sharded backend
+            # folds what its shards counted into the collector as it
+            # reaps them
+            k.strategy.close()
             k.flush_stats()
             k.emit_run_end()
             self._wall += time.perf_counter() - t0

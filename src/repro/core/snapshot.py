@@ -199,6 +199,9 @@ def build_snapshot(session, extra: Any = None) -> dict:
     it describes, so a crash can never separate the two."""
     k = session.kernel
     schemas = k.program.schemas()
+    # first: a sharded backend folds what its shards counted into the
+    # collector the ``stats`` section reads
+    strategy_state = k.strategy.state_dict()
     return {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -217,7 +220,7 @@ def build_snapshot(session, extra: Any = None) -> dict:
         "support": _encode_support(k),
         "stats": k.stats.to_state(),
         "meter": k.meter.to_state(),
-        "strategy_state": k.strategy.state_dict(),
+        "strategy_state": strategy_state,
         "trace": (
             None
             if k.tracer is None
@@ -332,6 +335,9 @@ def restore_session(cls, source, program, options=None, strategy=None):
         setattr(session, "_" + name, int(sess_state.get(name, 0)))
     session._wall = float(sess_state.get("wall", 0.0))
     # the run-start event (when traced) is already in the restored
-    # trace; mark the session live without re-emitting it
+    # trace; mark the session live without re-emitting it — a sharded
+    # backend's workers start now, each loaded with its slice of the
+    # restored replica
     session._opened = True
+    session._go_live()
     return session

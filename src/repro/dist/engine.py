@@ -1,10 +1,10 @@
 """The cost-model backend of the sharded tier (§2 stage 3, the [7]
-track).
+track) — ``DIST_TRANSPORT=model``.
 
 A :class:`DistEngine` runs an *unmodified* program on a simulated
-cluster.  What runs is the one step loop
-(:class:`~repro.core.kernel.StepKernel`, driven through an ordinary
-:class:`~repro.core.session.EngineSession`) with the sharded tier
+cluster.  What runs is an ordinary
+:class:`~repro.core.session.EngineSession` over the one step loop
+(:class:`~repro.core.kernel.StepKernel`) with the sharded tier
 (:class:`~repro.dist.superstep.ShardedExecutor`) as its phase B; this
 module only holds the per-node shards
 (:class:`~repro.dist.superstep.Shard`) in one process and **prices**
@@ -22,6 +22,11 @@ Virtual time per superstep::
     max_node(compute) + comm(batched sends, remote-query round trips)
     + coordination barrier
 
+plus each feed's admitted tuples, priced as Delta inserts on the
+coordinator (their traffic is not modelled).  The account is the run's
+``RunResult.report`` (a :class:`~repro.dist.network.NetReport`, carried
+through snapshots); per-node compute and shard sizes are its ``nodes``.
+
 Limitations (documented, not hidden): one core per node (compose with
 the fork/join machine mentally, not in code), and the Delta order is
 coordinated globally — the cost of that coordination is charged per
@@ -32,122 +37,47 @@ too ([7]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict
 from functools import partial
-from typing import Mapping
 
-from repro.core.database import Database
-from repro.core.errors import EngineError
-from repro.core.program import ExecOptions, Program
-from repro.core.session import EngineSession
 from repro.core.tuples import JTuple
-from repro.dist.network import NODE_COUNTERS, NetModel, StepTraffic
-from repro.dist.placement import Placement
-from repro.dist.superstep import Probes, Shard, fire_records, sharded_kernel
+from repro.dist.network import NODE_COUNTERS, NetModel, NetReport, StepTraffic
+from repro.dist.superstep import Backend, Probes, Shard, ShardedExecutor, fire_records
 from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
-from repro.stats.collector import StatsCollector
-from repro.trace.recorder import TraceRecorder
 
-__all__ = ["DistOptions", "DistRunResult", "DistEngine", "run_distributed"]
+__all__ = ["DistEngine"]
 
 #: per-superstep coordination cost (the global minimal-class agreement)
 _BARRIER_COST = 6.0
+#: the interconnect every priced run assumes
+NET = NetModel()
 
 
-@dataclass(frozen=True)
-class DistOptions:
-    """Cluster-level hints (all outside the program, §2)."""
+class DistEngine(Backend):
+    """The cost model: every node's shard in this process, priced."""
 
-    n_nodes: int = 4
-    placements: Mapping[str, Placement] = field(default_factory=dict)
-    net: NetModel = field(default_factory=NetModel)
-    #: the single-node options this distributed run stands in for, and
-    #: the only source of ``causality_check``, ``max_steps`` and
-    #: ``trace``; normalised to the sharded tier's
-    #: (:func:`~repro.dist.superstep.sharded_kernel`), so a knob either
-    #: composes through the step loop or refuses before any state exists
-    exec_options: ExecOptions | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise EngineError("a cluster needs at least one node")
-
-
-@dataclass
-class DistRunResult:
-    program: str
-    n_nodes: int
-    output: list[str]
-    elapsed: float = 0.0
-    compute_time: float = 0.0
-    comm_time: float = 0.0
-    barrier_time: float = 0.0
-    node_busy: list[float] = field(default_factory=list)
-    messages: int = 0
-    tuples_moved: int = 0
-    #: the shards' :data:`~repro.dist.network.NODE_COUNTERS`, summed and
-    #: readable as attributes: ``remote_queries`` (round trips priced),
-    #: ``probes_remote``, ``probes_planned``; the wire ones stay 0
-    counters: dict[str, int] = field(default_factory=dict)
-    steps: int = 0
-    stats: StatsCollector = field(default_factory=StatsCollector)
-    shard_sizes: dict[str, list[int]] = field(default_factory=dict)
-    shards: list[Database] = field(repr=False, default_factory=list)
-    #: the kernel's node-tagged trace under ``exec_options.trace``
-    trace: TraceRecorder | None = field(repr=False, default=None)
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return self.__dict__["counters"][name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    @property
-    def imbalance(self) -> float:
-        """Busiest node's share of compute vs a perfect split."""
-        total = sum(self.node_busy)
-        if total == 0:
-            return 1.0
-        return max(self.node_busy) * self.n_nodes / total
-
-    def table_total(self, table: str) -> int:
-        return sum(self.shard_sizes[table])
-
-
-class DistEngine:
-    """One distributed execution of one program on the cost model."""
-
-    def __init__(self, program: Program, options: DistOptions):
-        self.program = program
-        self.options = options
-        self.n_nodes = options.n_nodes
-        self.kernel = sharded_kernel(
-            program, options.exec_options, options.placements, self.n_nodes, self
-        )
-        self.tier = self.kernel.executor
-        k = self.kernel
+    def attach(self, tier: ShardedExecutor) -> None:
+        super().attach(tier)
+        k, n = self.kernel, self.n_nodes
         self._views = [
             Shard(
-                program,
-                self.tier.placements,
+                k.program,
+                tier.placements,
+                node,
                 n,
-                self.n_nodes,
-                partial(self._fetch, n),
+                partial(self._fetch, node),
                 k.options.causality_check,
                 k.tracer is not None,
             )
-            for n in range(self.n_nodes)
+            for node in range(n)
         ]
-        self.shards = [view.db for view in self._views]
-        self.traffic = StepTraffic(options.net)
-        self._totals = DistRunResult(
-            program.name,
-            self.n_nodes,
-            self.kernel.output,
-            node_busy=[0.0] * self.n_nodes,
-            stats=self.kernel.stats,
-        )
-        self._ran = False
+        self.account = NetReport(n)
+        self._compute = [0.0] * n
+
+    def start(self) -> None:
+        # a restored replica is loaded slice by slice (a fresh one is empty)
+        for node, view in enumerate(self._views):
+            view.db.load_tables(self.tier.replica_slice(node))
 
     # -- the backend contract ----------------------------------------------------
 
@@ -168,12 +98,12 @@ class DistEngine:
         owners_of = self.tier.placements.owners_of
         schemas = self.tier.schemas
         gamma = self.kernel.db
-        self.traffic = traffic = StepTraffic(self.options.net)
+        self.traffic = traffic = StepTraffic(NET)
         node_cost = [0.0] * n
         # phase A: land the class on its shards
         for tup, _dup, _node in plan:
             for owner in owners_of(tup, n):
-                self.shards[owner].insert(tup)
+                self._views[owner].db.insert(tup)
         # phase B: one exchange per node, then fire, in class order, on
         # the assigned nodes
         for node, view in enumerate(self._views):
@@ -198,54 +128,57 @@ class DistEngine:
         compute = max(node_cost)
         comm = traffic.comm_time(n)
         barrier = _BARRIER_COST * math.log2(max(2, n))
-        t = self._totals
-        t.compute_time += compute
-        t.comm_time += comm
-        t.barrier_time += barrier
-        t.elapsed += compute + comm + barrier
-        t.messages += traffic.messages()
-        t.tuples_moved += traffic.tuples_moved()
+        a = self.account
+        a.compute += compute
+        a.comm += comm
+        a.barrier += barrier
+        a.elapsed += compute + comm + barrier
+        a.messages += traffic.messages()
+        a.tuples_moved += traffic.tuples_moved()
         for i, c in enumerate(node_cost):
-            t.node_busy[i] += c
+            self._compute[i] += c
         return records
 
-    # -- run ------------------------------------------------------------
+    # -- the account -------------------------------------------------------------
 
-    def run(self) -> DistRunResult:
-        if self._ran:
-            raise EngineError("a DistEngine instance can only run once")
-        self._ran = True
-        kernel = self.kernel
-        t = self._totals
-        with EngineSession(self.program, _kernel=kernel) as session:
-            session.feed(self.program.initial_puts, source="<init>")
-            # the initial puts are priced as Delta inserts on the
-            # coordinator; their traffic is not modelled
-            t.elapsed += len(kernel.delta) * DEFAULT_WEIGHTS["delta_insert"]
-            session.settle()
-            t.shard_sizes = {
-                name: [shard.size(name) for shard in self.shards]
-                for name in self.program.tables
-            }
-            self.tier.check_shards(t.shard_sizes)
-            # queries were counted on the shards' plans: fold them, as
-            # the mesh folds what its workers send home with their bye
-            for view in self._views:
-                kernel.stats.absorb_planned(view.plans.plans())
-        t.steps = kernel.steps
-        t.counters = {
-            name: sum(view.counters[name] for view in self._views) for name in NODE_COUNTERS
+    def account_feed(self, admitted: int) -> None:
+        self.account.elapsed += admitted * DEFAULT_WEIGHTS["delta_insert"]
+
+    def report(self) -> NetReport:
+        return self.account
+
+    def nodes(self) -> list[dict]:
+        sizes = {
+            name: [view.db.size(name) for view in self._views] for name in self.program.tables
         }
-        t.shards = self.shards
-        t.trace = kernel.tracer
-        return t
+        self.tier.check_shards(sizes)
+        tier = self.tier
+        return [
+            {
+                "node": node,
+                "fires": tier.node_fires[node],
+                "puts": tier.node_puts[node],
+                **{name: view.counters[name] for name in NODE_COUNTERS},
+                "recovered": 0,
+                "compute": self._compute[node],
+                "tables": {name: per_node[node] for name, per_node in sizes.items()},
+            }
+            for node, view in enumerate(self._views)
+        ]
 
+    def _fold_queries(self) -> None:
+        # queries were counted on the shards' plans, as on a mesh worker
+        for view in self._views:
+            self.kernel.stats.absorb_planned(view.plans.plans())
 
-def run_distributed(
-    program: Program, options: DistOptions | None = None, **kw
-) -> DistRunResult:
-    """Run a program on the simulated cluster."""
-    opts = options or DistOptions()
-    if kw:
-        opts = replace(opts, **kw)
-    return DistEngine(program, opts).run()
+    def state_dict(self) -> dict:
+        self._fold_queries()
+        return {"account": asdict(self.account), "compute": list(self._compute)}
+
+    def load_state(self, state: dict) -> None:
+        if "account" in state:  # a snapshot the mesh took carries none
+            self.account = NetReport(**state["account"])
+            self._compute = [float(c) for c in state["compute"]]
+
+    def close(self) -> None:
+        self._fold_queries()

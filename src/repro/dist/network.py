@@ -35,7 +35,14 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-__all__ = ["NODE_COUNTERS", "NetModel", "StepTraffic", "pack_counters", "sum_counters"]
+__all__ = [
+    "NODE_COUNTERS",
+    "NetModel",
+    "NetReport",
+    "StepTraffic",
+    "pack_counters",
+    "sum_counters",
+]
 
 #: what one node counts -> its ``format_nodes`` column.  The names are
 #: the keys of a ``RunResult.nodes`` entry and of ``Shard.counters``, in
@@ -78,6 +85,22 @@ class NetModel:
     per_tuple: float = 1.5     # marshalling + copy per tuple
     #: per-tuple cost of a remote *query* result (row shipped back)
     per_result: float = 1.0
+
+
+@dataclass
+class NetReport:
+    """The cost model's account of a sharded run, in virtual work units
+    — its ``RunResult.report``: per superstep the busiest node's
+    ``compute``, the ``comm`` makespan and the ``barrier``, summed into
+    ``elapsed`` with the fed tuples' Delta inserts."""
+
+    n_nodes: int
+    elapsed: float = 0.0
+    compute: float = 0.0
+    comm: float = 0.0
+    barrier: float = 0.0
+    messages: int = 0
+    tuples_moved: int = 0
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """The worker-mesh backend of the sharded tier —
-``ExecOptions(strategy="processes")``.
+``ExecOptions(strategy="processes")`` on the ``pipe`` or ``tcp`` wire.
 
 Where :class:`~repro.dist.engine.DistEngine` *prices* a cluster, this
 module runs one: N OS worker processes (:mod:`repro.dist.worker`), each
 owning the Gamma shards its :class:`~repro.dist.placement.PlacementMap`
-assigns it.  What runs is the one step loop — an ordinary
+assigns it, forked when the session goes live and reaped when it
+closes.  What runs is the one step loop — an ordinary
 :class:`~repro.core.session.EngineSession` over a
 :class:`~repro.core.kernel.StepKernel` whose phase B is the sharded
 tier (:class:`~repro.dist.superstep.ShardedExecutor`): class order,
@@ -38,7 +39,8 @@ the control replica, and it holds the class being fired — phase A
 precedes phase B, as on one node.  When a worker dies mid-step,
 ``execute`` aborts the step on the survivors, re-forks and re-meshes
 the lost node, bootstraps it from its slice of the replica and re-sends
-the same frames under a new attempt epoch.  A worker's phase A is
+the same frames under a new attempt epoch.  A restored session starts
+its workers through the same bootstrap frame.  A worker's phase A is
 idempotent, a completed step is replayed from a reply cache
 (at-most-once rule execution), and one that had not completed
 exchanges again — what an aborted attempt fetched is dropped with it.
@@ -52,16 +54,14 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import time
 from multiprocessing import get_context
 
 from repro.core.errors import EngineError, WorkerLostError
 from repro.core.kernel import RunResult
 from repro.core.program import ExecOptions, Program
-from repro.core.session import EngineSession
+from repro.dist.engine import DistEngine
 from repro.dist.network import sum_counters
-from repro.dist.placement import PlacementMap
-from repro.dist.superstep import sharded_kernel
+from repro.dist.superstep import Backend
 from repro.dist.transport import (
     PeerListener,
     PipeChannel,
@@ -70,7 +70,7 @@ from repro.dist.transport import (
 )
 from repro.dist.worker import program_fingerprint, worker_entry
 
-__all__ = ["ProcessShardRuntime", "run_sharded"]
+__all__ = ["ProcessShardRuntime", "run_sharded", "sharded_backend"]
 
 #: forks attempted per node before the spawn handshake gives up
 _SPAWN_TRIES = 3
@@ -89,33 +89,23 @@ class _Worker:
         self.peer_addr = None
 
 
-class ProcessShardRuntime:
-    """One multiprocess sharded run: the worker processes and the wire
-    behind the step kernel's sharded tier."""
+class ProcessShardRuntime(Backend):
+    """The worker processes and the wire behind a sharded session's
+    tier: forked at :meth:`start`, reaped at :meth:`close`."""
 
     def __init__(
         self,
         program: Program,
         options: ExecOptions | None = None,
         *,
-        n_workers: int | None = None,
-        placements: dict | PlacementMap | None = None,
         fault_kill: tuple[int, int] | None = None,
         fault_die_on_serve: tuple[int, int] | None = None,
         transport: str | None = None,
     ):
-        self.program = program
-        if options is None:
-            options = ExecOptions()
-        self.n_nodes = n_workers if n_workers is not None else options.threads
-        if self.n_nodes < 1:
-            raise EngineError("the process runtime needs at least one worker")
+        super().__init__(program, options)
         self.transport = resolve_transport(transport)
-        self.kernel = sharded_kernel(program, options, placements, self.n_nodes, self)
-        self.tier = self.kernel.executor
-        self.options = self.kernel.options
-        self.placements = self.tier.placements
-        self.stats = self.kernel.stats
+        if self.transport == "model":
+            raise EngineError("a worker mesh runs on the pipe or tcp wire, not 'model'")
         self._fingerprint = program_fingerprint(program)
         self._fault_kill = fault_kill
         self._killed = False
@@ -130,6 +120,10 @@ class ProcessShardRuntime:
         self._last_counters: dict[int, bytes] = {}
         #: node -> the last counter block of each crashed incarnation
         self._carry: dict[int, list[bytes]] = {}
+        #: True while every worker is between steps: what lets ``close``
+        #: finish them instead of terminating them
+        self._live = False
+        self._nodes: list[dict] | None = None
         self._conf = {
             "check_mode": self.options.causality_check,
             "traced": self.options.trace,
@@ -151,7 +145,7 @@ class ProcessShardRuntime:
             control = ("pipe", child_conn)
         proc = self._ctx.Process(
             target=worker_entry,
-            args=(node, self.n_nodes, control, self.program, self.placements, conf),
+            args=(node, self.n_nodes, control, self.program, self.tier.placements, conf),
             daemon=True,
         )
         proc.start()
@@ -189,7 +183,7 @@ class ProcessShardRuntime:
                 w.peer_addr = hello["peer_addr"]
                 return w
             self._reap(w)
-            self.stats.note(
+            self.kernel.stats.note(
                 "worker.respawned",
                 f"worker {node} did not complete its hello handshake within "
                 f"{timeout:g}s; terminated and re-forked",
@@ -220,15 +214,18 @@ class ProcessShardRuntime:
             )
         return msg
 
-    def _expect_mesh(self, w: _Worker) -> None:
+    def _expect(self, w: _Worker, kind: str) -> dict:
+        """The worker's next ``kind`` frame; stale done records of an
+        aborted attempt are drained on the way."""
         msg = self._recv(w)
-        while msg.get("t") != "mesh":
+        while msg.get("t") != kind:
             if msg.get("t") == "error":
                 raise EngineError(
-                    f"worker {w.node} failed while meshing: "
+                    f"worker {w.node} failed awaiting {kind!r}: "
                     f"{msg['error']}\n{msg['traceback']}"
                 )
             msg = self._recv(w)
+        return msg
 
     def _start_workers(self) -> None:
         # append as we go: a handshake failure on node k must still let
@@ -249,7 +246,7 @@ class ProcessShardRuntime:
                 },
             )
         for w in self.workers:
-            self._expect_mesh(w)
+            self._expect(w, "mesh")
 
     def _replace_worker(self, node: int) -> None:
         w = self.workers[node]
@@ -274,21 +271,16 @@ class ProcessShardRuntime:
                 "await": [],
             },
         )
-        self._expect_mesh(fresh)
-        tables: dict[str, list] = {}
-        for name, store in self.kernel.db.stores.items():
-            rows = []
-            for t in store.scan():
-                home = self.placements.home_of(t, self.n_nodes)
-                if home is None or home == node:
-                    rows.append(list(t.values))
-            if rows:
-                tables[name] = rows
-        self._send(fresh, {"t": "bootstrap", "tables": tables})
+        self._expect(fresh, "mesh")
+        self._bootstrap(fresh)
+
+    def _bootstrap(self, w: _Worker) -> None:
+        self._send(w, {"t": "bootstrap", "tables": self.tier.replica_slice(w.node)})
 
     def _terminate_all(self) -> None:
         for w in self.workers:
             self._reap(w)
+        self.workers = []
         if self._ctl_listener is not None:
             self._ctl_listener.close()
             self._ctl_listener = None
@@ -309,33 +301,44 @@ class ProcessShardRuntime:
             raise WorkerLostError(w.node, self.kernel.steps or None, self._epoch) from None
         return pickle.loads(data)
 
-    # -- the run ---------------------------------------------------------------
+    # -- the session's lifetime ---------------------------------------------------
 
-    def run(self) -> RunResult:
-        t0 = time.perf_counter()
-        session = EngineSession(self.program, _kernel=self.kernel)
+    def start(self) -> None:
         # read each rule body once, before the fork: every worker's
         # shard derives its read plans from the analysis it inherits
         for rule in self.program.rules:
             rule.analysis()
+        self._start_workers()
+        if any(self.kernel.db.table_sizes().values()):
+            # a restored replica: each worker loads its slice, as a
+            # recovered one does (a fresh open sends no such frame)
+            for w in self.workers:
+                self._bootstrap(w)
+        self._live = True
+
+    def state_dict(self) -> dict:
+        """A snapshot folds the queries the workers' plans counted since
+        they were last asked into the collector — one ``stats`` frame
+        each way per worker; a run that never snapshots sends none."""
+        for w in self.workers:
+            self._send(w, {"t": "stats"})
+        for w in self.workers:
+            self.kernel.stats.merge_state(self._expect(w, "stats")["stats"])
+        return {}
+
+    def nodes(self) -> list[dict] | None:
+        return self._nodes
+
+    def close(self) -> None:
+        """Reap the workers.  Between steps each one finishes first —
+        reports its shard sizes, query counts and counters; a step or a
+        start that failed leaves them to be terminated."""
         try:
-            self._start_workers()
-            with session:
-                session.feed(self.program.initial_puts, source="<init>")
-                session.settle()
-                nodes = self._finish()
-        except BaseException:
+            if self._live:
+                self._live = False
+                self._nodes = self._finish()
+        finally:
             self._terminate_all()
-            raise
-        if self._ctl_listener is not None:
-            self._ctl_listener.close()
-            self._ctl_listener = None
-        result = session.result
-        # the session timed its own feed and settle; a sharded run's
-        # wall also covers spawning, meshing and reaping the workers
-        result.wall_time = time.perf_counter() - t0
-        result.nodes = nodes
-        return result
 
     # -- the backend contract ----------------------------------------------------
 
@@ -354,11 +357,14 @@ class ProcessShardRuntime:
             victim = self.workers[self._fault_kill[0]]
             os.kill(victim.proc.pid, signal.SIGKILL)
             victim.proc.join(timeout=10)
+        self._live = False  # until the step completes on every node
         frames = self._build_frames(step, plan)
         deaths = 0
         while True:
             try:
-                return self._attempt(step, frames)
+                records = self._attempt(step, frames)
+                self._live = True
+                return records
             except WorkerLostError as exc:
                 deaths += 1
                 if deaths > 2 * self.n_nodes:
@@ -378,7 +384,7 @@ class ProcessShardRuntime:
         fires: list[list] = [[] for _ in range(self.n_nodes)]
         for idx, (tup, dup, node) in enumerate(plan):
             row = (tup.schema.name, tuple(tup.values))
-            for o in self.placements.owners_of(tup, self.n_nodes):
+            for o in self.tier.placements.owners_of(tup, self.n_nodes):
                 if o == node and not dup:
                     fires[o].append((idx, len(inserts[o])))
                 inserts[o].append(row)
@@ -419,7 +425,7 @@ class ProcessShardRuntime:
         in-flight attempt on the survivors."""
         self._epoch += 1
         self._recoveries[node] = self._recoveries.get(node, 0) + 1
-        self.stats.note(
+        self.kernel.stats.note(
             "worker.restarted",
             f"worker {node} died during step {self.kernel.steps}; restarted from "
             "the control replica",
@@ -454,14 +460,12 @@ class ProcessShardRuntime:
             name: [0] * self.n_nodes for name in self.tier.schemas
         }
         for w in self.workers:
-            msg = self._recv(w)
-            while msg.get("t") != "bye":  # drain stragglers (stale dones)
-                msg = self._recv(w)
+            msg = self._expect(w, "bye")
             for name, size in msg["table_sizes"].items():
                 shard_sizes[name][w.node] = size
             # workers only observe queries; fires/puts/output were
             # counted here from the merged records
-            self.stats.merge_state(msg["stats"])
+            self.kernel.stats.merge_state(msg["stats"])
             nodes.append(
                 {
                     "node": w.node,
@@ -469,43 +473,56 @@ class ProcessShardRuntime:
                     "puts": self.tier.node_puts[w.node],
                     **sum_counters([msg["counters"], *self._carry.get(w.node, ())]),
                     "recovered": self._recoveries.get(w.node, 0),
+                    "tables": msg["table_sizes"],
                 }
             )
             w.proc.join(timeout=10)
-            w.channel.close()
         self.tier.check_shards(shard_sizes)
         return nodes
+
+
+def sharded_backend(
+    program: Program,
+    options: ExecOptions | None = None,
+    transport: str | None = None,
+    **faults,
+) -> Backend:
+    """The sharded tier's backend on ``transport`` — the
+    ``DIST_TRANSPORT`` wire switch when None, then ``pipe``: ``pipe`` or
+    ``tcp`` fork a worker mesh, ``model`` prices in-process shards on
+    the network model (:mod:`repro.dist.engine`)."""
+    if resolve_transport(transport) != "model":
+        return ProcessShardRuntime(program, options, transport=transport, **faults)
+    if any(faults.values()):
+        raise EngineError("fault hooks kill worker processes; transport='model' forks none")
+    return DistEngine(program, options)
 
 
 def run_sharded(
     program: Program,
     options: ExecOptions | None = None,
     *,
-    n_workers: int | None = None,
-    placements: dict | PlacementMap | None = None,
+    transport: str | None = None,
     fault_kill: tuple[int, int] | None = None,
     fault_die_on_serve: tuple[int, int] | None = None,
-    transport: str | None = None,
 ) -> RunResult:
-    """Run ``program`` on real worker processes and return the merged
-    :class:`~repro.core.kernel.RunResult` (its ``nodes`` field carries
-    the per-node compute/traffic summaries, control and peer planes
-    separately).
+    """Run ``program`` on the sharded tier — ``options.threads`` nodes
+    under ``options.placements`` — and return the merged
+    :class:`~repro.core.kernel.RunResult`; its ``nodes`` carry the
+    per-node summaries (on the mesh the control and peer planes
+    separately, on the cost model per-node compute), and on the cost
+    model ``report`` is the run's :class:`~repro.dist.network.NetReport`.
 
-    ``transport`` picks the wire (``pipe`` or ``tcp``; default honours
-    the ``DIST_TRANSPORT`` environment variable).  ``fault_kill=(node,
-    step)`` SIGKILLs one worker at the start of one superstep;
-    ``fault_die_on_serve=(node, step)`` makes a worker die with a peer
-    query in flight (between request and reply) — the crash-recovery
-    test hooks.  The result's ``meter`` is empty: the mesh measures real
-    wire traffic, not virtual time.
+    ``transport`` picks the backend (see :func:`sharded_backend`).
+    ``fault_kill=(node, step)`` SIGKILLs one worker at the start of one
+    superstep; ``fault_die_on_serve=(node, step)`` makes a worker die
+    with a peer query in flight (between request and reply) — the
+    crash-recovery test hooks.
     """
-    return ProcessShardRuntime(
+    return sharded_backend(
         program,
         options,
-        n_workers=n_workers,
-        placements=placements,
+        transport,
         fault_kill=fault_kill,
         fault_die_on_serve=fault_die_on_serve,
-        transport=transport,
     ).run()

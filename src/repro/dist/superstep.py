@@ -31,17 +31,19 @@ replica**), phase C, stats, trace and keyed output — whose phase B is
 A :class:`Backend` only *executes* a planned class on its shards.  That
 is what keeps the cost-model backend (:mod:`repro.dist.engine`) and the
 worker mesh (:mod:`repro.dist.procrun`) byte-identical to the
-sequential engine and to each other.
+sequential engine and to each other.  A backend is the run's
+:class:`~repro.exec.base.Strategy`, so its shards live exactly as long
+as the session: started when it goes live, reaped when it closes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping
 
 from repro.core.database import Database, InsertOutcome
 from repro.core.errors import EngineError
 from repro.core.executors.base import StepExecutor
-from repro.core.kernel import StepKernel
+from repro.core.kernel import RunResult, StepKernel
 from repro.core.program import ExecOptions, Program
 from repro.core.query import Query, QueryKind, probe_key, residual
 from repro.core.rules import RuleContext
@@ -61,22 +63,55 @@ __all__ = [
     "Shard",
     "ShardedExecutor",
     "fire_records",
-    "sharded_kernel",
 ]
 
 #: one planned tuple of a class: (tuple, already in Gamma, fire node)
 Planned = tuple[JTuple, bool, int]
 
 
-class Backend(Protocol):
-    """What a wire implements.  It may not decide anything a run's
-    result depends on: which class runs, which node fires a tuple,
-    whether a tuple is a duplicate, where a query goes, the order
-    records merge in, or what phase C accepts — those are the kernel's,
+class Backend(Strategy):
+    """What a wire implements — the strategy of a sharded run, one node
+    per ``threads``.  It may not decide anything a run's result depends
+    on: which class runs, which node fires a tuple, whether a tuple is
+    a duplicate, where a query goes, the order records merge in, or
+    what phase C accepts — those are the kernel's,
     :class:`ShardedExecutor`'s and :class:`Shard`'s.  It may price,
     ship, retry and account: :meth:`execute`, and the one read it hands
     each :class:`Shard` it builds — ``fetch(owner -> Probes)``, every
-    owner's :meth:`Shard.serve` of its batch, traffic counted."""
+    owner's :meth:`Shard.serve` of its batch, traffic counted.  Its
+    shards live as long as the session: :meth:`start` when it goes live
+    (a restored session's shards load their slices of the replica, as a
+    recovered worker does), ``close`` when it closes or fails."""
+
+    name = "processes"
+
+    def __init__(self, program: Program, options: ExecOptions | None = None):
+        self.program = program
+        # a knob either composes with the sharded tier or refuses here,
+        # before any state exists (the one refusal table)
+        self.options = (options if options is not None else ExecOptions()).with_(
+            strategy="processes"
+        )
+        self.n_threads = self.n_nodes = self.options.threads
+        self.tier: ShardedExecutor | None = None
+
+    def attach(self, tier: "ShardedExecutor") -> None:
+        """Bind the tier the kernel built around this backend."""
+        self.tier = tier
+        self.kernel = tier.kernel
+
+    def run(self) -> RunResult:
+        """``open -> feed(initial puts) -> settle -> close`` on an
+        ordinary session over this backend."""
+        from repro.core.session import EngineSession  # local: session imports the kernel
+
+        return EngineSession(self.program, self.options, self).run()
+
+    def run_batch(self, tasks: list[EngineTask]) -> list[TaskResult]:
+        raise NotImplementedError  # classes go to the backend whole
+
+    def account_step(self, results, allocations: float, retained: float) -> None:
+        pass  # never called: the kernel runs unmetered
 
     def execute(self, step: int, plan: list[Planned]) -> dict[int, list[dict]]:
         """Land the planned class on its owner shards, fire each
@@ -88,6 +123,7 @@ class Backend(Protocol):
         already holds the class: re-sending the step re-inserts, and
         shard inserts are idempotent.  Failures the wire can recover
         from are retried in here."""
+        raise NotImplementedError
 
 
 #: one batch of reads, as a shard asks it of one owner and a backend
@@ -319,43 +355,20 @@ def fire_records(shard: Shard, tup: JTuple, meter: CostMeter) -> list[dict]:
     return entries
 
 
-class _ShardStrategy(Strategy):
-    """What the kernel asks of a strategy, for a run whose classes fire
-    on shards: its name and its width.  It schedules nothing — the
-    sharded tier hands whole classes to its backend — and keeps no
-    virtual-time machine: both backends account for themselves."""
-
-    name = "processes"
-
-    def __init__(self, n_nodes: int):
-        self.n_threads = n_nodes
-
-    def run_batch(self, tasks: list[EngineTask]) -> list[TaskResult]:
-        raise NotImplementedError  # classes go to the backend whole
-
-    def account_step(self, results, allocations: float, retained: float) -> None:
-        pass  # never called: the kernel runs unmetered
-
-
 class ShardedExecutor(StepExecutor):
-    """Phase B on the shards of a :class:`Backend`: plan the class,
-    have the backend execute it, hand the kernel its records as task
-    results."""
+    """Phase B on the shards of a :class:`Backend` — the kernel's
+    strategy: plan the class, have the backend execute it, hand the
+    kernel its records as task results."""
 
     name = "sharded"
 
-    def __init__(
-        self,
-        kernel: StepKernel,
-        placements: Mapping | PlacementMap | None,
-        n_nodes: int,
-        backend: Backend,
-    ):
+    def __init__(self, kernel: StepKernel):
         super().__init__(kernel)
         program = kernel.program
-        self.n_nodes = n_nodes
-        self.backend = backend
+        self.backend = backend = kernel.strategy
+        self.n_nodes = n_nodes = backend.n_threads
         self.schemas = program.schemas()
+        placements = kernel.options.placements
         self.placements = (
             placements
             if isinstance(placements, PlacementMap)
@@ -366,6 +379,22 @@ class ShardedExecutor(StepExecutor):
         #: rule name -> position, for canonical output keys (records
         #: identify rules by name)
         self._rule_pos = {r.name: i for i, r in enumerate(program.rules)}
+        backend.attach(self)
+
+    def replica_slice(self, node: int) -> dict[str, list]:
+        """The rows of the control replica ``node`` holds, by table — a
+        shard's load when it starts from a restored replica or replaces
+        a lost one."""
+        tables: dict[str, list] = {}
+        for name, store in self.kernel.db.stores.items():
+            rows = [
+                list(t.values)
+                for t in store.scan()
+                if self.placements.home_of(t, self.n_nodes) in (None, node)
+            ]
+            if rows:
+                tables[name] = rows
+        return tables
 
     def fire_node(self, tup: JTuple) -> int:
         """Node that fires this tuple's rules — the partition home, or
@@ -453,30 +482,3 @@ class ShardedExecutor(StepExecutor):
                     f"shard integrity check failed for table {name!r}: "
                     f"control replica has {total} tuples, {detail}"
                 )
-
-
-def sharded_kernel(
-    program: Program,
-    options: ExecOptions | None,
-    placements: Mapping | PlacementMap | None,
-    n_nodes: int,
-    backend: Backend,
-) -> StepKernel:
-    """The step kernel of a sharded run on ``n_nodes`` shards of
-    ``backend``; its ``executor`` is the :class:`ShardedExecutor`.
-
-    Whatever options the caller holds are normalised to the sharded
-    tier's — ``strategy="processes"``, one 'thread' per node, no kernel
-    metering (both backends account for themselves) — so the one
-    refusal table (:mod:`repro.core.executors.registry`) decides what
-    composes, before any state exists: the ``with_`` below is what
-    raises."""
-    options = (options if options is not None else ExecOptions()).with_(
-        strategy="processes", threads=n_nodes, metering="off"
-    )
-    return StepKernel(
-        program,
-        options,
-        _ShardStrategy(n_nodes),
-        executor=lambda k: ShardedExecutor(k, placements, n_nodes, backend),
-    )

@@ -24,6 +24,8 @@ request.
 The transport is chosen per run (``run_sharded(transport=...)``) or via
 the ``DIST_TRANSPORT`` environment variable, which is how CI runs the
 whole differential matrix over both transports without editing tests.
+A third value, ``model``, is no wire: it selects the cost-model backend
+(:mod:`repro.dist.engine`, in-process shards priced on a network model).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ HEADER = struct.Struct(">I")
 #: protocol's request ceiling
 MAX_FRAME_BYTES = 512 * 1024 * 1024
 
-TRANSPORTS = ("pipe", "tcp")
+TRANSPORTS = ("pipe", "tcp", "model")
 
 
 def resolve_transport(transport: str | None) -> str:

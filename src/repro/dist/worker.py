@@ -26,7 +26,8 @@ see a shard.
 The coordinator drives supersteps over the control channel:
 ``bootstrap`` (load the owned slice of the control replica), ``step``
 (phase-A inserts by value, fire assignments), ``abort`` (another worker
-died mid-step: unwind and await the retry), ``finish`` (report shard
+died mid-step: unwind and await the retry), ``stats`` (a snapshot:
+report the queries counted since last asked), ``finish`` (report shard
 sizes + stats and exit).  A worker mutates nothing but its own shard;
 effects travel back as records.  The reply to each executed step is
 cached and a retried step replays it: at-most-once rule execution per
@@ -292,6 +293,8 @@ class ShardWorker:
                 self.db.load_tables(msg["tables"])
             elif t == "abort":
                 pass  # nothing in flight at the main loop
+            elif t == "stats":
+                self._send({"t": "stats", "stats": self._query_counts()})
             elif t == "finish":
                 self._finish()
                 return
@@ -397,16 +400,21 @@ class ShardWorker:
 
     # -- teardown ------------------------------------------------------------
 
-    def _finish(self) -> None:
-        # queries were counted on the plans that served them
+    def _query_counts(self) -> dict:
+        """The queries this shard's plans served since they were last
+        asked, as a collector state (counted on the plans that served
+        them, folded on the coordinator)."""
         stats = StatsCollector()
         stats.absorb_planned(self.shard.plans.plans())
+        return stats.to_state()
+
+    def _finish(self) -> None:
         self._send(
             {
                 "t": "bye",
                 "node": self.node,
                 "table_sizes": self.db.table_sizes(),
-                "stats": stats.to_state(),
+                "stats": self._query_counts(),
                 "counters": pack_counters(self.counters),
             }
         )

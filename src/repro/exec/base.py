@@ -119,13 +119,28 @@ class Strategy(ABC):
     def account_serial(self, cost: float) -> None:
         """Account inherently sequential work (e.g. initial puts)."""
 
-    def report(self) -> MachineReport | None:
-        """Virtual-time report, if this strategy keeps one."""
+    def account_feed(self, admitted: int) -> None:
+        """Account a feed that admitted ``admitted`` tuples into Delta
+        (the sharded cost model prices them on the coordinator)."""
+
+    def report(self):
+        """Virtual-time report, if this strategy keeps one: a
+        :class:`~repro.simcore.machine.MachineReport`, or the sharded
+        cost model's :class:`~repro.dist.network.NetReport`."""
         return None
 
+    def nodes(self) -> list[dict] | None:
+        """Per-node summaries, if this strategy runs on nodes (the
+        sharded tier's ``RunResult.nodes``)."""
+        return None
+
+    def start(self) -> None:
+        """Called once when the session goes live — at ``open``, or at
+        the end of ``restore``: a sharded backend starts its workers."""
+
     def close(self) -> None:
-        """Release pools/threads.  Must be idempotent: sessions close
-        strategies through try/finally paths that can run twice."""
+        """Release pools/threads/workers.  Must be idempotent: sessions
+        close strategies through try/finally paths that can run twice."""
 
     # -- context-manager protocol -------------------------------------------
 

@@ -42,7 +42,7 @@ from repro.gamma import ArrayOfHashSetsStore, HashIndexStore, HashKeyStore
 from repro.gamma.base import StoreFactory
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a circular import with the engine
-    from repro.core.engine import RunResult
+    from repro.core.kernel import RunResult
 
 __all__ = [
     "Recommendation",

@@ -1,9 +1,10 @@
 """Text reports over run statistics and machine accounts.
 
 The profiling companion of §2's workflow stages 3–4: after a run,
-print per-table usage, per-rule firings, and the virtual-machine time
-breakdown (busy / contention / GC / overhead) that guides strategy and
-data-structure choices.
+print per-table usage, per-rule firings, the virtual-machine time
+breakdown (busy / contention / GC / overhead) or a sharded run's
+network account, and its per-node table — what guides strategy,
+placement and data-structure choices.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from repro.simcore.machine import MachineReport
 from repro.stats.collector import StatsCollector
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a circular import with the engine
-    from repro.core.engine import RunResult
+    from repro.core.kernel import RunResult
 
 __all__ = [
     "format_table_stats",
     "format_rule_stats",
     "format_machine",
+    "format_network",
     "format_settles",
     "format_nodes",
     "run_report",
@@ -30,7 +32,8 @@ def _table_text(columns: dict[str, str], records: list[dict]) -> str:
     """``records`` as an aligned text table: one column per key of
     ``columns``, under its header."""
     headers = list(columns.values())
-    rows = [[str(r[key]) for key in columns] for r in records]
+    cell = lambda v: f"{v:.1f}" if isinstance(v, float) else str(v)  # noqa: E731
+    rows = [[cell(r[key]) for key in columns] for r in records]
     widths = [max(map(len, cells)) for cells in zip(headers, *rows)]
 
     def fmt(row: list[str]) -> str:
@@ -66,6 +69,17 @@ def format_machine(report: MachineReport) -> str:
     )
 
 
+def format_network(report) -> str:
+    """The sharded cost model's account (a
+    :class:`~repro.dist.network.NetReport`)."""
+    return (
+        f"network model: {report.n_nodes} nodes, elapsed {report.elapsed:.1f} wu\n"
+        f"  compute {report.compute:.1f}  comm {report.comm:.1f}  "
+        f"barrier {report.barrier:.1f}\n"
+        f"  messages {report.messages}  tuples moved {report.tuples_moved}"
+    )
+
+
 def format_settles(settles: list[dict]) -> str:
     """Per-settle frontier/fire deltas of an incremental session run."""
     columns = {
@@ -76,16 +90,20 @@ def format_settles(settles: list[dict]) -> str:
 
 
 def format_nodes(nodes: list[dict]) -> str:
-    """Per-node compute and measured wire traffic of a multiprocess
-    sharded run (:mod:`repro.dist.procrun`) — control plane (msgs /
-    sent B / recv B, coordinator↔worker: every tuple) and peer plane
-    (peer columns, worker↔worker: ``q`` frames answered / sent, and the
-    reads they carried — answered by another node, and of those the
-    ones a step's one exchange had fetched) separately."""
+    """Per-node work and traffic of a sharded run — on the worker mesh
+    (:mod:`repro.dist.procrun`) measured: control plane (msgs / sent B /
+    recv B, coordinator↔worker: every tuple) and peer plane (peer
+    columns, worker↔worker: ``q`` frames answered / sent, and the reads
+    they carried — answered by another node, and of those the ones a
+    step's one exchange had fetched) separately; on the cost model
+    (:mod:`repro.dist.engine`) its reads and priced ``compute``."""
     from repro.dist.network import NODE_COUNTERS  # here: repro.dist imports the engine
 
     own = {key: key for key in ("node", "fires", "puts")}
-    return _table_text({**own, **NODE_COUNTERS, "recovered": "recovered"}, nodes)
+    columns = {**own, **NODE_COUNTERS, "recovered": "recovered"}
+    if "compute" in nodes[0]:
+        columns["compute"] = "compute"
+    return _table_text(columns, nodes)
 
 
 def run_report(result: "RunResult") -> str:
@@ -125,9 +143,11 @@ def run_report(result: "RunResult") -> str:
                 f"firings per check, {st.grown_doomed} invalidated"
             )
         parts.append(line)
-    if result.report is not None:
+    if isinstance(result.report, MachineReport):
         parts.append(format_machine(result.report))
-    if getattr(result, "nodes", None):
+    elif result.report is not None:
+        parts.append(format_network(result.report))
+    if result.nodes:
         parts.append(format_nodes(result.nodes))
     parts.append(format_table_stats(result.stats))
     if result.stats.rules:

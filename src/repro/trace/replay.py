@@ -24,7 +24,7 @@ from repro.trace.events import TraceEvent
 from repro.trace.recorder import TraceLike, load_events
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import RunResult
+    from repro.core.kernel import RunResult
     from repro.core.program import ExecOptions, Program
 
 __all__ = ["ReplayError", "ReplaySchedule", "TraceReplayer"]
@@ -115,21 +115,19 @@ class TraceReplayer:
         self, program: "Program", base_options: "ExecOptions | None" = None
     ) -> "RunResult":
         """Run ``program`` under the recorded schedule; returns the
-        replay's :class:`~repro.core.engine.RunResult` (with its own
+        replay's :class:`~repro.core.kernel.RunResult` (with its own
         trace attached, for diffing)."""
-        from repro.core.engine import Engine
+        from repro.core.session import EngineSession
 
         opts = self.options(base_options)
+        strategy = None
         if opts.strategy == "chaos":
             strategy = ChaosStrategy(
                 seed=opts.chaos_seed or 0,
                 fault_plan=opts.fault_plan,
                 script=ReplaySchedule(self.events),
             )
-            engine = Engine(program, opts, strategy=strategy)
-        else:
-            engine = Engine(program, opts)
-        return engine.run()
+        return EngineSession(program, opts, strategy).run()
 
     def verify(
         self, program: "Program", base_options: "ExecOptions | None" = None

@@ -2,7 +2,7 @@
 
 Every example app is exposed as a ``name -> runner(options)`` mapping,
 sized so that 20 chaos seeds per app stay cheap.  Runners build a fresh
-program per call (an Engine runs once) and take *plain* options — no
+program per call (a session runs once) and take *plain* options — no
 ``-noDelta`` hints — because raise-faults require fully delta-buffered
 effects (see ``ExecOptions.__post_init__``).
 """

@@ -15,7 +15,7 @@ import pytest
 
 from repro.apps.sensors import build_sensor_program
 from repro.core import ExecOptions
-from repro.core.engine import Engine
+from repro.core.session import EngineSession
 from repro.exec.chaos import ChaosStrategy
 from repro.trace import trace_diff
 
@@ -30,10 +30,10 @@ def baseline():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_completion_order_engine_is_caught(seed, baseline):
     strategy = ChaosStrategy(seed=seed, completion_order_effects=True)
-    broken = Engine(
+    broken = EngineSession(
         build_sensor_program(12, 4).program,
         ExecOptions(strategy="chaos", chaos_seed=seed, trace=True),
-        strategy=strategy,
+        strategy,
     ).run()
     diverged = (
         broken.output_text() != baseline.output_text()

@@ -8,7 +8,7 @@ import pytest
 from repro.apps.sensors import build_sensor_program
 from repro.apps.ship import run_ship
 from repro.core import ExecOptions
-from repro.core.engine import Engine
+from repro.core.session import EngineSession
 from repro.core.errors import EngineError
 from repro.exec.chaos import DEFAULT_INTERLEAVE_CAP, ChaosStrategy, FaultPlan
 
@@ -102,10 +102,10 @@ class TestKnobValidation:
 class TestSchedulingModes:
     def _modes(self, interleave_cap: int) -> set[str]:
         strategy = ChaosStrategy(seed=3, interleave_cap=interleave_cap)
-        r = Engine(
+        r = EngineSession(
             build_sensor_program(8, 4).program,
             ExecOptions(strategy="chaos", chaos_seed=3, trace=True),
-            strategy=strategy,
+            strategy,
         ).run()
         return {e.data["mode"] for e in r.trace.events if e.kind == "sched"}
 

@@ -46,13 +46,11 @@ class TestLifecycle:
         assert vals == [1, 2, 4, 8, 16, 32]
 
     def test_engine_single_use(self):
-        from repro.core.engine import Engine
-
         p, _, _ = counter_program()
-        e = Engine(p, ExecOptions())
-        e.run()
-        with pytest.raises(EngineError, match="once"):
-            e.run()
+        s = p.session(ExecOptions())
+        s.run()
+        with pytest.raises(EngineError, match="closed"):
+            s.run()
 
     def test_max_steps_guard(self):
         p = Program("forever")

@@ -13,11 +13,11 @@ registry (:mod:`repro.core.executors.registry`): every ``REFUSALS`` row
 refuse before any engine state exists, every ``DOWNGRADES`` row must
 run byte-identical to scalar with its note, and the option table in
 ``docs/LANGUAGE.md`` must carry exactly one row per registry row.  The
-sharded entry points (``run_sharded``, ``run_distributed``) normalise
-whatever options they are handed to that tier, so the same rows decide
-for them: every single-node knob either composes — byte-identical to
-the sequential run — or refuses with no worker forked.  Nothing in this
-file forks."""
+sharded entry point (``run_sharded``, on the mesh or the cost model)
+normalises whatever options it is handed to that tier, so the same rows
+decide for it: every single-node knob either composes — byte-identical
+to the sequential run — or refuses with no worker forked.  Nothing in
+this file forks."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from repro.core import EngineError, ExecOptions
 from repro.core.executors.registry import DOWNGRADES, EXECUTION_TIERS, REFUSALS
 from repro.core.kernel import StepKernel
 from repro.core.program import RetentionHint
-from repro.dist import run_distributed, run_sharded
+from repro.dist import Replicated, run_sharded
 from repro.exec.chaos import FaultPlan
 from repro.gamma import HashKeyStore
 from repro.simcore.gc import NO_GC
@@ -148,7 +148,7 @@ def test_removed_plan_cache_option_is_not_a_field():
 def test_removed_knob_is_not_a_field(knob):
     with pytest.raises(TypeError):
         ExecOptions(**{knob: True})
-    assert len(fields(ExecOptions)) == 19
+    assert len(fields(ExecOptions)) == 20
 
 
 # -- registry resolution: one table decides the kernel's tier ----------------
@@ -237,6 +237,7 @@ SHARDED_KNOBS = [
     dict(causality_check="off"),
     dict(retraction=True),
     dict(execution="codegen"),
+    dict(placements={"Ship": Replicated()}),
 ]
 
 _DEFAULTS = {f.name: getattr(ExecOptions(), f.name) for f in fields(ExecOptions)}
@@ -310,11 +311,11 @@ def test_every_refusal_row_refuses_before_engine_state(row):
     ids=[f"{i}:" + "-".join(sorted(k)) for i, k in enumerate(SHARDED_KNOBS)],
 )
 def test_sharded_entry_points_compose_or_refuse(knobs):
-    """``run_sharded`` and ``run_distributed`` normalise the options
-    they are handed through ``with_(strategy="processes", ...)``: what
-    that refuses, they refuse — same message, program not frozen, no
-    worker forked — and what it accepts runs byte-identical to the
-    sequential engine, with nothing noted as ignored."""
+    """``run_sharded`` normalises the options it is handed through
+    ``with_(strategy="processes")`` on both backends: what that refuses,
+    it refuses — same message, program not frozen, no worker forked —
+    and what it accepts runs byte-identical to the sequential engine,
+    with nothing noted as ignored."""
     handed = ExecOptions(**knobs)
     try:
         handed.with_(strategy="processes")
@@ -325,19 +326,16 @@ def test_sharded_entry_points_compose_or_refuse(knobs):
     p, _ = build_ship_program()
     if refusal is None:
         ref = build_ship_program()[0].run()
-        got = run_distributed(p, n_nodes=2, exec_options=handed)
+        got = run_sharded(p, handed, transport="model")
         assert got.output == ref.output
-        assert {t: got.table_total(t) for t in ref.table_sizes} == ref.table_sizes
+        assert got.table_sizes == ref.table_sizes
         assert got.steps == ref.steps
         assert got.stats.notes == []
         return
     assert CANONICAL.match(refusal), refusal
-    for entry in (
-        lambda: run_sharded(p, handed, n_workers=2),
-        lambda: run_distributed(p, n_nodes=2, exec_options=handed),
-    ):
+    for transport in (None, "model"):
         with pytest.raises(EngineError) as err:
-            entry()
+            run_sharded(p, handed, transport=transport)
         assert str(err.value) == refusal
     assert not p._frozen
     assert multiprocessing.active_children() == []

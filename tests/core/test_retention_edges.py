@@ -1,4 +1,4 @@
-"""Edge cases of ``Engine._apply_retention`` (§5 step 4).
+"""Edge cases of ``StepKernel._apply_retention`` (§5 step 4).
 
 The happy path — keep the last N generations, prune the rest — is
 covered by ``tests/core/test_extensions.py``.  These tests pin down the

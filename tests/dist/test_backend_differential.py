@@ -1,8 +1,8 @@
 """One differential over the backends of the sharded tier.
 
-The sequential engine, the cost-model backend (``run_distributed``) and
-the worker mesh (``run_sharded``) run the same program under the same
-placement and must agree on everything the program computes: output
+The sequential engine, the cost-model backend (``transport="model"``)
+and the worker mesh (``pipe`` / ``tcp``) run the same program under the
+same placement and must agree on everything the program computes: output
 bytes, table sizes, step count and per-rule fire/put counts.  Placement
 is a hint (§2 stage 3), so the matrix sweeps it generically over each
 program's own tables — default, everything replicated, every table
@@ -17,21 +17,31 @@ ints and on rows with a ~1 KiB string alike.  A second, short list
 re-runs chosen cases traced, per transport and under a worker kill:
 the cost model and the mesh tag every ``task`` / ``effect`` event with
 the same node (one spread function), and a repeated mesh run reports
-identical per-node wire counts."""
+identical per-node wire counts.
+
+A sharded run is a session like any other, so the last matrix drives
+sessions on both backends: three causal chunks fed and settled one by
+one, a snapshot through JSON restored and settled (on the backend that
+took it, and from the cost model onto the mesh), and a mesh worker
+SIGKILLed during the second settle — each must match the single-shot
+sequential run."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 
 import pytest
 
 from repro.apps.pvwatts import build_pvwatts_program
+from repro.apps.sensors import build_sensor_program
 from repro.apps.ship import build_ship_program
 from repro.apps.shortestpath import GraphSpec, build_shortestpath_program
 from repro.core.errors import EngineError
 from repro.core.program import ExecOptions, Program
+from repro.core.session import EngineSession, causal_chunks
 from repro.dist import OnNode, Partitioned, PlacementMap, Replicated
-from repro.dist import run_distributed, run_sharded
+from repro.dist import run_sharded, sharded_backend
 from repro.trace.diff import trace_diff
 from tests.dist.test_dist import (
     broadcast_program,
@@ -171,12 +181,9 @@ def _agree(name, kind, n, csv, *, trace=False, **mesh_kw):
     seq = build(csv).run(ExecOptions(trace=trace))
     program = build(csv)
     placements = _placements(kind, program, n)
-    sim = run_distributed(
-        program, n_nodes=n, placements=placements, exec_options=ExecOptions(trace=trace)
-    )
-    mesh = run_sharded(
-        build(csv), ExecOptions(trace=trace), n_workers=n, placements=placements, **mesh_kw
-    )
+    opts = ExecOptions(threads=n, placements=placements, trace=trace)
+    sim = run_sharded(program, opts, transport="model")
+    mesh = run_sharded(build(csv), opts, **mesh_kw)
 
     assert sim.output == seq.output, "cost-model backend output diverged"
     assert mesh.output == seq.output, "mesh backend output diverged"
@@ -188,7 +195,7 @@ def _agree(name, kind, n, csv, *, trace=False, **mesh_kw):
     pm = PlacementMap(program.schemas(), placements, n_nodes=n)
     for table, total in seq.table_sizes.items():
         copies = n if isinstance(pm[table], Replicated) else 1
-        assert sim.table_total(table) == total * copies, table
+        assert sum(nd["tables"][table] for nd in sim.nodes) == total * copies, table
     return seq, sim, mesh
 
 
@@ -263,9 +270,7 @@ def test_mesh_places_like_the_cost_model_and_repeats_its_wire_counts(
     program = PROGRAMS[name](pvwatts_csv)
     again = run_sharded(
         program,
-        ExecOptions(trace=True),
-        n_workers=n,
-        placements=_placements(kind, program, n),
+        ExecOptions(threads=n, placements=_placements(kind, program, n), trace=True),
         transport=transport,
     )
     wire = [{k: nd[k] for k in WIRE_KEYS} for nd in mesh.nodes]
@@ -277,16 +282,13 @@ def test_max_steps_overrun_raises_the_kernels_error(transport):
     """The sequential engine, the cost model and the mesh stop a
     diverging program with one error from one place, and the mesh
     leaves no worker behind."""
-    opts = ExecOptions(max_steps=5)
+    opts = ExecOptions(max_steps=5, threads=2)
     with pytest.raises(EngineError) as seq:
         counter_program(limit=50).run(opts)
     assert "exceeded max_steps=5" in str(seq.value)
-    for run in (
-        lambda: run_distributed(counter_program(limit=50), n_nodes=2, exec_options=opts),
-        lambda: run_sharded(counter_program(limit=50), opts, n_workers=2, transport=transport),
-    ):
+    for backend in ("model", transport):
         with pytest.raises(EngineError) as err:
-            run()
+            run_sharded(counter_program(limit=50), opts, transport=backend)
         assert str(err.value) == str(seq.value)
     assert multiprocessing.active_children() == []
 
@@ -307,8 +309,12 @@ def test_routing_is_resolved_per_query_shape_not_per_query(monkeypatch):
     taken = []
     for spec in (GraphSpec(40, 60, 3), GraphSpec(80, 160, 3)):
         del calls[:]
-        sim = run_distributed(build_shortestpath_program(spec, 4).program, n_nodes=2)
-        assert sim.remote_queries > len(calls)
+        sim = run_sharded(
+            build_shortestpath_program(spec, 4).program,
+            ExecOptions(threads=2),
+            transport="model",
+        )
+        assert sum(nd["remote_queries"] for nd in sim.nodes) > len(calls)
         # two range variants of Done(vertex) share one (table, eq) pair
         assert len(calls) <= 2 * 2 * len(set(calls))
         taken.append(sorted(calls))
@@ -322,7 +328,80 @@ def test_broadcast_gather_is_in_single_node_value_order():
     placements = {"Data": Partitioned("k")}
     seq = broadcast_program()[0].run(ExecOptions()).output
     assert seq == ["0,1,2,3,4,5,6,7"]
-    sim = run_distributed(broadcast_program()[0], n_nodes=4, placements=placements)
-    mesh = run_sharded(broadcast_program()[0], n_workers=4, placements=placements)
-    assert sim.output == seq
-    assert mesh.output == seq
+    opts = ExecOptions(threads=4, placements=placements)
+    for transport in ("model", None):
+        assert run_sharded(broadcast_program()[0], opts, transport=transport).output == seq
+
+
+# -- sessions on both backends ------------------------------------------------
+
+#: programs whose initial puts span two or three causal chunks (the
+#: sensors' first chunk already queries, so its snapshot carries counts)
+SESSION_PROGRAMS = {**PROGRAMS, "sensors": lambda csv: build_sensor_program(12, 4).program}
+SESSION_CASES = [
+    ("shortestpath", "default", 2),
+    ("sensors", "pinned", 3),
+    ("remote-probe", "mispartitioned", 3),
+]
+
+#: the mesh on ``DIST_TRANSPORT``'s wire, which ``Program.session``
+#: and ``EngineSession.restore`` pick when no strategy is handed in
+MESH = None
+
+#: leg -> (backend the session starts on, backend a snapshot of it
+#: after the first settle is restored on — None: no snapshot)
+SESSION_LEGS = {
+    "chunked-model": ("model", None),
+    "chunked-mesh": (MESH, None),
+    "snapshot-model": ("model", "model"),
+    "snapshot-mesh": (MESH, MESH),
+    "snapshot-model-to-mesh": ("model", MESH),
+    "kill-mesh": (MESH, None),
+}
+
+
+def _backend(program, opts, transport):
+    return None if transport is MESH else sharded_backend(program, opts, transport)
+
+
+def _chunked(program, opts, leg):
+    """The program's initial puts in three causal chunks, fed and
+    settled one by one on the leg's backends; the cumulative result."""
+    first, restore_on = SESSION_LEGS[leg]
+    session = EngineSession(program, opts, _backend(program, opts, first))
+    chunks = causal_chunks(session.database, program.initial_puts, 3)
+    session.open()
+    session.feed(chunks[0], source="<init>")
+    session.settle()
+    if leg.startswith("snapshot"):
+        doc = json.loads(json.dumps(session.snapshot()))
+        session.close()
+        restored = _backend(program, opts, restore_on)
+        session = EngineSession.restore(doc, program, opts, restored)
+    if leg == "kill-mesh":
+        # the last node dies at the start of the second settle's second step
+        session.strategy._fault_kill = (opts.threads - 1, session.steps + 2)
+    for chunk in chunks[1:]:
+        session.feed(chunk, source="<init>")
+        session.settle()
+    return session.close()
+
+
+@pytest.mark.parametrize("leg", sorted(SESSION_LEGS))
+@pytest.mark.parametrize("name,kind,n", SESSION_CASES)
+def test_session_legs_agree_with_single_shot_sequential(name, kind, n, leg, pvwatts_csv):
+    seq = SESSION_PROGRAMS[name](pvwatts_csv).run(ExecOptions())
+    program = SESSION_PROGRAMS[name](pvwatts_csv)
+    placements = _placements(kind, program, n)
+    opts = ExecOptions(strategy="processes", threads=n, placements=placements)
+    got = _chunked(program, opts, leg)
+    assert got.output == seq.output
+    assert got.table_sizes == seq.table_sizes
+    assert got.steps == seq.steps
+    assert _rule_counts(got.stats) == _rule_counts(seq.stats)
+    if leg == "kill-mesh":
+        assert got.nodes[n - 1]["recovered"] == 1
+    else:
+        # a snapshot carries what the shards' plans counted so far
+        assert _query_counts(got.stats) == _query_counts(seq.stats)
+    assert multiprocessing.active_children() == []

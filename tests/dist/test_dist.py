@@ -7,7 +7,6 @@ import pytest
 from repro.core import ExecOptions, Program
 from repro.core.errors import EngineError
 from repro.dist import (
-    DistOptions,
     NetModel,
     OnNode,
     Partitioned,
@@ -15,9 +14,24 @@ from repro.dist import (
     Replicated,
     StepTraffic,
     check_locality,
-    run_distributed,
+    run_sharded,
 )
 from repro.dist.placement import _stable_hash
+
+
+def model(program, n=4, placements=None, **options):
+    """``program`` on the cost-model backend: ``n`` nodes under
+    ``placements``."""
+    opts = ExecOptions(threads=n, placements=placements or {}, **options)
+    return run_sharded(program, opts, transport="model")
+
+
+def shard_sizes(result, table) -> list[int]:
+    return [nd["tables"][table] for nd in result.nodes]
+
+
+def node_total(result, key) -> int:
+    return sum(nd[key] for nd in result.nodes)
 
 
 class TestPlacement:
@@ -158,82 +172,73 @@ class TestDistEngine:
     def test_output_identical_to_single_node(self):
         ref = counter_program().run().output
         for nodes in (1, 2, 4, 7):
-            r = run_distributed(counter_program(), n_nodes=nodes)
+            r = model(counter_program(), nodes)
             assert r.output == ref, nodes
 
     def test_deterministic(self):
-        a = run_distributed(counter_program(), n_nodes=3)
-        b = run_distributed(counter_program(), n_nodes=3)
-        assert a.output == b.output and a.elapsed == b.elapsed
-        assert a.shard_sizes == b.shard_sizes
+        a = model(counter_program(), 3)
+        b = model(counter_program(), 3)
+        assert a.output == b.output and a.virtual_time == b.virtual_time
+        assert a.nodes == b.nodes
 
     def test_partitioned_shards_disjoint_and_complete(self):
-        r = run_distributed(counter_program(), n_nodes=4)
-        assert r.table_total("T") == 7
-        assert r.table_total("Log") == 7
+        r = model(counter_program(), 4)
+        assert sum(shard_sizes(r, "T")) == 7
+        assert sum(shard_sizes(r, "Log")) == 7
 
     def test_replicated_everywhere(self):
         p = counter_program()
-        r = run_distributed(p, n_nodes=3, placements={"Log": Replicated()})
-        assert r.shard_sizes["Log"] == [7, 7, 7]
+        r = model(p, 3, {"Log": Replicated()})
+        assert shard_sizes(r, "Log") == [7, 7, 7]
 
     def test_on_node_pins(self):
-        r = run_distributed(
-            counter_program(), n_nodes=3, placements={"Log": OnNode(2)}
-        )
-        assert r.shard_sizes["Log"] == [0, 0, 7]
+        r = model(counter_program(), 3, {"Log": OnNode(2)})
+        assert shard_sizes(r, "Log") == [0, 0, 7]
 
     def test_engine_single_use(self):
+        from repro.core.session import EngineSession
         from repro.dist import DistEngine
 
-        e = DistEngine(counter_program(), DistOptions(n_nodes=2))
-        e.run()
-        with pytest.raises(EngineError, match="once"):
-            e.run()
+        p = counter_program()
+        backend = DistEngine(p, ExecOptions(threads=2))
+        s = EngineSession(p, backend.options, backend)
+        s.run()
+        with pytest.raises(EngineError, match="closed"):
+            s.run()
 
     def test_max_steps(self):
         with pytest.raises(EngineError, match="max_steps"):
-            run_distributed(
-                counter_program(limit=50),
-                n_nodes=2,
-                exec_options=ExecOptions(max_steps=5),
-            )
+            model(counter_program(limit=50), 2, max_steps=5)
 
     def test_remote_queries_counted(self):
         """A query binding a foreign partition value must travel."""
         p, seen = remote_probe_program()
-        r = run_distributed(
-            p,
-            n_nodes=3,
-            placements={"Data": Partitioned("k"), "Go": Partitioned("g")},
-        )
+        r = model(p, 3, {"Data": Partitioned("k"), "Go": Partitioned("g")})
         assert seen == {2: 30}
         # Go(2) fires on node 2; Data(3) lives on node 0: remote
-        assert r.remote_queries >= 1
+        assert node_total(r, "remote_queries") >= 1
 
     def test_unbound_partition_field_broadcasts(self):
         p, got = broadcast_program()
-        r = run_distributed(p, n_nodes=4, placements={"Data": Partitioned("k")})
+        r = model(p, 4, {"Data": Partitioned("k")})
         assert got["n"] == 8  # gather returns everything
-        assert r.remote_queries >= 3  # asked every other shard
+        assert node_total(r, "remote_queries") >= 3  # asked every other shard
 
     def test_comm_time_grows_with_scatter(self):
         """Partitioning the Log table somewhere other than its producer
         forces traffic; replicating it forces more."""
-        base = run_distributed(counter_program(), n_nodes=4)
-        repl = run_distributed(
-            counter_program(), n_nodes=4, placements={"Log": Replicated()}
-        )
-        assert repl.tuples_moved >= base.tuples_moved
-        assert repl.comm_time >= base.comm_time
+        base = model(counter_program(), 4)
+        repl = model(counter_program(), 4, {"Log": Replicated()})
+        assert repl.report.tuples_moved >= base.report.tuples_moved
+        assert repl.report.comm >= base.report.comm
 
     def test_imbalance_metric(self):
-        r = run_distributed(counter_program(), n_nodes=2)
-        assert r.imbalance >= 1.0
+        compute = [nd["compute"] for nd in model(counter_program(), 2).nodes]
+        assert max(compute) * len(compute) / sum(compute) >= 1.0
 
     def test_invalid_nodes(self):
         with pytest.raises(EngineError):
-            DistOptions(n_nodes=0)
+            model(counter_program(), 0)
 
 
 def _elsewhere(ctx):
@@ -396,9 +401,7 @@ class TestOnNodePinValidation:
 
     def test_out_of_range_pin_rejected_at_run_start(self):
         with pytest.raises(EngineError, match=r"'Log'.*node 5.*4 node"):
-            run_distributed(
-                counter_program(), n_nodes=4, placements={"Log": OnNode(5)}
-            )
+            model(counter_program(), 4, {"Log": OnNode(5)})
 
     def test_home_of_never_wraps(self):
         p = Program()
@@ -408,10 +411,8 @@ class TestOnNodePinValidation:
             pm.home_of(T.new(1, 1), 4)
 
     def test_in_range_pin_still_works(self):
-        r = run_distributed(
-            counter_program(), n_nodes=4, placements={"Log": OnNode(3)}
-        )
-        assert r.shard_sizes["Log"] == [0, 0, 0, 7]
+        r = model(counter_program(), 4, {"Log": OnNode(3)})
+        assert shard_sizes(r, "Log") == [0, 0, 0, 7]
 
 
 class TestExecKnobSurfacing:
@@ -429,28 +430,18 @@ class TestExecKnobSurfacing:
             with pytest.raises(
                 EngineError, match="invalid ExecOptions: strategy='processes', no_"
             ):
-                run_distributed(p, n_nodes=2, exec_options=eo)
+                run_sharded(p, eo.with_(threads=2), transport="model")
             assert not p._frozen
 
     def test_exec_options_alone_decide_check_mode_and_max_steps(self):
-        """``DistOptions`` used to carry its own ``causality_check`` and
-        ``max_steps``, merged with ``exec_options``' under a precedence
-        that ran "off" + strict as off and could not say "warn" over
-        strict."""
-        from dataclasses import fields
-
+        """A sharded run once carried a second options type with its own
+        ``causality_check`` and ``max_steps``, merged under a precedence
+        that ran "off" + strict as off; now ``ExecOptions`` is the one
+        source, and ``run_sharded`` takes no knob of its own."""
         from repro.core import CausalityError
 
-        assert [f.name for f in fields(DistOptions)] == [
-            "n_nodes",
-            "placements",
-            "net",
-            "exec_options",
-        ]
         with pytest.raises(TypeError):
-            DistOptions(causality_check="off")
-        with pytest.raises(TypeError):
-            run_distributed(counter_program(), max_steps=5)
+            run_sharded(counter_program(), max_steps=5)
 
         def backwards():
             p = Program()
@@ -466,21 +457,14 @@ class TestExecKnobSurfacing:
 
         for mode in ("warn", "strict"):
             with pytest.raises(CausalityError):
-                run_distributed(
-                    backwards(), n_nodes=2, exec_options=ExecOptions(causality_check=mode)
-                )
-        r = run_distributed(
-            backwards(), n_nodes=2, exec_options=ExecOptions(causality_check="off")
-        )
-        assert r.table_total("T") == 2
+                model(backwards(), 2, causality_check=mode)
+        r = model(backwards(), 2, causality_check="off")
+        assert sum(shard_sizes(r, "T")) == 2
 
     def test_honoured_knobs_fold_in(self):
-        eo = ExecOptions(max_steps=5)
         with pytest.raises(EngineError, match="max_steps"):
-            run_distributed(counter_program(limit=50), n_nodes=2, exec_options=eo)
+            model(counter_program(limit=50), 2, max_steps=5)
 
     def test_default_exec_options_are_silent(self):
-        r = run_distributed(
-            counter_program(), n_nodes=2, exec_options=ExecOptions()
-        )
+        r = model(counter_program(), 2)
         assert r.stats.notes == []

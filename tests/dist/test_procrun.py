@@ -139,8 +139,9 @@ class TestDifferentialMatrix:
         placements = {name: Replicated() for name in p2.schemas()}
         got = run_sharded(
             p2,
-            ExecOptions(strategy="processes", threads=n_workers, trace=True),
-            placements=placements,
+            ExecOptions(
+                strategy="processes", threads=n_workers, trace=True, placements=placements
+            ),
         )
         _assert_identical(ref, got, f"ship replicated x{n_workers}")
 
@@ -157,8 +158,9 @@ class TestDifferentialMatrix:
         }
         got = run_sharded(
             handles.program,
-            ExecOptions(strategy="processes", threads=n_workers, trace=True),
-            placements=placements,
+            ExecOptions(
+                strategy="processes", threads=n_workers, trace=True, placements=placements
+            ),
         )
         _assert_identical(ref, got, f"shortestpath mixed x{n_workers}")
 
@@ -171,8 +173,9 @@ class TestDifferentialMatrix:
         placements = {"PvWatts": Partitioned("month"), "SumMonth": OnNode(1)}
         got = run_sharded(
             handles.program,
-            ExecOptions(strategy="processes", threads=n_workers, trace=True),
-            placements=placements,
+            ExecOptions(
+                strategy="processes", threads=n_workers, trace=True, placements=placements
+            ),
         )
         _assert_identical(ref, got, f"pvwatts pinned x{n_workers}")
 
@@ -183,8 +186,9 @@ class TestDifferentialMatrix:
         placements = {"Reading": Partitioned("sensor")}
         got = run_sharded(
             handles.program,
-            ExecOptions(strategy="processes", threads=n_workers, trace=True),
-            placements=placements,
+            ExecOptions(
+                strategy="processes", threads=n_workers, trace=True, placements=placements
+            ),
         )
         _assert_identical(ref, got, f"sensors explicit x{n_workers}")
 
@@ -195,7 +199,7 @@ class TestDifferentialMatrix:
 class TestCrashRecovery:
     def test_killed_worker_recovers_identically(self):
         ref = counter_program().run(ExecOptions())
-        got = run_sharded(counter_program(), n_workers=2, fault_kill=(1, 4))
+        got = run_sharded(counter_program(), ExecOptions(threads=2), fault_kill=(1, 4))
         _assert_identical(ref, got, "counter kill")
         assert got.nodes is not None
         assert got.nodes[1]["recovered"] == 1
@@ -237,9 +241,19 @@ class TestWiring:
         assert got.threads == 2
         assert got.nodes is not None and len(got.nodes) == 2
 
-    def test_step_kernel_rejects_processes_as_step_strategy(self):
-        with pytest.raises(EngineError, match="whole-engine runtime"):
-            StepKernel(counter_program(), ExecOptions(strategy="processes"))
+    def test_step_kernel_builds_the_sharded_tier(self):
+        """``strategy="processes"`` is a strategy like any other: the
+        kernel builds the tier around its backend, and nothing forks
+        before the session goes live."""
+        import multiprocessing
+
+        from repro.dist.superstep import ShardedExecutor
+
+        kernel = StepKernel(counter_program(), ExecOptions(strategy="processes", threads=2))
+        assert isinstance(kernel.executor, ShardedExecutor)
+        assert kernel.strategy.n_threads == 2 and kernel.options.metering == "off"
+        assert multiprocessing.active_children() == []
+        kernel.strategy.close()
 
     def test_store_overrides_rejected(self):
         rng = np.random.default_rng(3)
@@ -258,13 +272,13 @@ class TestWiring:
             EngineError,
             match=r"invalid ExecOptions: strategy='processes', no_delta=\['T'\]",
         ):
-            run_sharded(p, ExecOptions(no_delta=frozenset({"T"})), n_workers=2)
+            run_sharded(p, ExecOptions(threads=2, no_delta=frozenset({"T"})))
         assert not p._frozen
         assert multiprocessing.active_children() == []
         # metering="off" is what the sharded tier does anyway: honoured,
         # silent — as is every default
-        for eo in (None, ExecOptions(metering="off")):
-            assert run_sharded(counter_program(), eo, n_workers=2).stats.notes == []
+        for eo in (ExecOptions(threads=2), ExecOptions(threads=2, metering="off")):
+            assert run_sharded(counter_program(), eo).stats.notes == []
 
     def test_max_steps_enforced(self):
         with pytest.raises(EngineError, match="max_steps=3"):
@@ -274,7 +288,7 @@ class TestWiring:
             )
 
     def test_node_summaries_and_report(self):
-        got = run_sharded(counter_program(), n_workers=2)
+        got = run_sharded(counter_program(), ExecOptions(threads=2))
         assert sum(n["fires"] for n in got.nodes) == sum(
             r.firings for r in got.stats.rules.values()
         )
@@ -284,13 +298,13 @@ class TestWiring:
         assert format_nodes(got.nodes) in run_report(got)
 
     def test_database_and_require_database(self):
-        got = run_sharded(counter_program(), n_workers=2)
+        got = run_sharded(counter_program(), ExecOptions(threads=2))
         db = got.require_database()
         assert db.table_sizes() == got.table_sizes
 
     def test_single_worker_degenerate_cluster(self):
         ref = counter_program().run(ExecOptions())
-        got = run_sharded(counter_program(), n_workers=1)
+        got = run_sharded(counter_program(), ExecOptions(threads=1))
         _assert_identical(ref, got, "counter x1")
 
 
@@ -388,11 +402,17 @@ class TestPlacementValidation:
         assert pm["Blob"] == Partitioned("n")
 
     def test_runtime_rejects_empty_cluster(self):
-        with pytest.raises(EngineError, match="at least one worker"):
-            ProcessShardRuntime(counter_program(), n_workers=0)
+        with pytest.raises(EngineError, match="threads must be >= 1"):
+            ProcessShardRuntime(counter_program(), ExecOptions(threads=0))
 
     def test_runtime_validates_pins_at_construction(self):
+        """An out-of-range pin refuses when the session's kernel is
+        built, before any worker forks."""
+        import multiprocessing
+
+        runtime = ProcessShardRuntime(
+            counter_program(), ExecOptions(threads=2, placements={"Log": OnNode(7)})
+        )
         with pytest.raises(EngineError, match=r"node 7.*2 node"):
-            ProcessShardRuntime(
-                counter_program(), n_workers=2, placements={"Log": OnNode(7)}
-            )
+            runtime.run()
+        assert multiprocessing.active_children() == []

@@ -67,8 +67,9 @@ class TestEightWorkerMatrix:
         handles = build_shortestpath_program(SPEC, 4)
         got = run_sharded(
             handles.program,
-            ExecOptions(strategy="processes", threads=8, trace=True),
-            placements=MIXED_PLACEMENTS,
+            ExecOptions(
+                strategy="processes", threads=8, trace=True, placements=MIXED_PLACEMENTS
+            ),
             transport=transport,
         )
         _assert_identical(ref, got, f"shortestpath x8 {transport}")
@@ -99,8 +100,9 @@ class TestPeerMesh:
         handles = build_shortestpath_program(SPEC, 4)
         got = run_sharded(
             handles.program,
-            ExecOptions(strategy="processes", threads=3),
-            placements=MIXED_PLACEMENTS,
+            ExecOptions(
+                strategy="processes", threads=3, placements=MIXED_PLACEMENTS
+            ),
         )
         assert sum(n["remote_queries"] for n in got.nodes) > 0
         assert sum(n["queries_served"] for n in got.nodes) > 0
@@ -122,8 +124,9 @@ class TestInFlightQueryCrash:
         handles = build_shortestpath_program(SPEC, 4)
         got = run_sharded(
             handles.program,
-            ExecOptions(strategy="processes", threads=3, trace=True),
-            placements=MIXED_PLACEMENTS,
+            ExecOptions(
+                strategy="processes", threads=3, trace=True, placements=MIXED_PLACEMENTS
+            ),
             fault_die_on_serve=(0, 3),
         )
         _assert_identical(ref, got, "in-flight query crash")
@@ -141,7 +144,7 @@ class TestSpawnHandshake:
         monkeypatch.setenv("DIST_HANG_HELLO", f"1:{tmp_path}:1")
         monkeypatch.setenv("DIST_HELLO_TIMEOUT", "0.5")
         ref = counter_program().run(ExecOptions())
-        got = run_sharded(counter_program(), n_workers=2)
+        got = run_sharded(counter_program(), ExecOptions(threads=2))
         assert ref.output_text() == got.output_text()
         assert len(list(tmp_path.iterdir())) == 1  # exactly one hung fork
         assert any(n.code == "worker.respawned" for n in got.stats.note_records)
@@ -150,7 +153,7 @@ class TestSpawnHandshake:
         monkeypatch.setenv("DIST_HANG_HELLO", f"1:{tmp_path}:99")
         monkeypatch.setenv("DIST_HELLO_TIMEOUT", "0.5")
         with pytest.raises(EngineError, match="never completed the spawn handshake"):
-            run_sharded(counter_program(), n_workers=2)
+            run_sharded(counter_program(), ExecOptions(threads=2))
         assert len(list(tmp_path.iterdir())) == 3  # every fork attempt hung
 
 
@@ -177,8 +180,8 @@ class TestCounterCarryover:
         must fold the crashed incarnation's last done-record snapshot
         into the node's totals, so a crashed node reports at least as
         much traffic as a clean run (recovery only adds messages)."""
-        clean = run_sharded(counter_program(), n_workers=2)
-        crashed = run_sharded(counter_program(), n_workers=2, fault_kill=(1, 6))
+        clean = run_sharded(counter_program(), ExecOptions(threads=2))
+        crashed = run_sharded(counter_program(), ExecOptions(threads=2), fault_kill=(1, 6))
         assert crashed.nodes[1]["recovered"] == 1
         assert crashed.nodes[1]["msgs"] >= clean.nodes[1]["msgs"]
         # a done frame cannot include its own size in the snapshot it

@@ -27,7 +27,7 @@ from repro.apps.sensors import build_sensor_program
 from repro.apps.ship import build_ship_program
 from repro.apps.shortestpath import GraphSpec, build_shortestpath_program
 from repro.core.program import ExecOptions
-from repro.dist import Partitioned, PlacementMap, check_locality, run_distributed, run_sharded
+from repro.dist import Partitioned, PlacementMap, check_locality, run_sharded
 from repro.dist.readplan import SitePlan, read_plan
 from repro.dist.transport import SocketChannel
 from repro.dist.worker import ShardWorker
@@ -170,19 +170,20 @@ def test_result_never_depends_on_the_plan(name, kind, n, plans, pvwatts_csv, mon
     served = sum(nd["queries_served"] for nd in mesh.nodes)
     assert sum(nd["peer_msgs"] for nd in mesh.nodes) == n * (n - 1) + 4 * served
     remote = sum(nd["probes_remote"] for nd in mesh.nodes)
-    assert remote == sim.probes_remote
+    assert remote == sum(nd["probes_remote"] for nd in sim.nodes)
     if plans == "none":
         # every read that leaves its node is a round trip of its own
-        assert sim.probes_planned == 0 == sum(nd["probes_planned"] for nd in mesh.nodes)
+        planned = [sum(nd["probes_planned"] for nd in r.nodes) for r in (sim, mesh)]
+        assert planned == [0, 0]
         assert sum(nd["remote_queries"] for nd in mesh.nodes) >= remote
 
 
 def test_planned_reads_are_the_unplanned_ones(monkeypatch):
     """The exchange changes how many frames carry the reads, not how
     many reads leave their node."""
-    planned = run_sharded(build_shortestpath_program(QUICK, 4).program, n_workers=2)
+    planned = run_sharded(build_shortestpath_program(QUICK, 4).program, ExecOptions(threads=2))
     monkeypatch.setattr(superstep, "read_plan", _no_plans)
-    probed = run_sharded(build_shortestpath_program(QUICK, 4).program, n_workers=2)
+    probed = run_sharded(build_shortestpath_program(QUICK, 4).program, ExecOptions(threads=2))
     for a, b in zip(planned.nodes, probed.nodes):
         assert a["probes_remote"] == b["probes_remote"] == b["remote_queries"] > 0
         assert a["probes_planned"] == a["probes_remote"]
@@ -235,8 +236,7 @@ def test_owner_dies_with_a_batch_in_flight(transport):
     ref = build_shortestpath_program(QUICK, 4).program.run(ExecOptions(trace=True))
     got = run_sharded(
         build_shortestpath_program(QUICK, 4).program,
-        ExecOptions(trace=True),
-        n_workers=2,
+        ExecOptions(threads=2, trace=True),
         transport=transport,
         fault_die_on_serve=(0, 12),
     )
@@ -250,7 +250,7 @@ def test_worker_dies_between_exchange_and_firing(transport, tmp_path, monkeypatc
     """Node 1 dies holding a fetched class it has not fired; its
     replacement must ask again — the dead attempt's rows are nobody's."""
     clean = run_sharded(
-        build_shortestpath_program(QUICK, 4).program, n_workers=2, transport=transport
+        build_shortestpath_program(QUICK, 4).program, ExecOptions(threads=2), transport=transport
     )
     marker = tmp_path / "died"
     fire = superstep.fire_records
@@ -263,7 +263,7 @@ def test_worker_dies_between_exchange_and_firing(transport, tmp_path, monkeypatc
 
     monkeypatch.setattr("repro.dist.worker.fire_records", die_once)
     got = run_sharded(
-        build_shortestpath_program(QUICK, 4).program, n_workers=2, transport=transport
+        build_shortestpath_program(QUICK, 4).program, ExecOptions(threads=2), transport=transport
     )
     assert marker.exists() and got.nodes[1]["recovered"] == 1
     assert got.output_text() == clean.output_text() and got.table_sizes == clean.table_sizes
@@ -286,7 +286,7 @@ def test_wire_counts_repeat_and_stay_under_one_exchange_per_pair():
     n = 2
     keys = WIRE_KEYS + ("probes_remote", "probes_planned")
     runs = [
-        run_sharded(build_shortestpath_program(QUICK, 4).program, n_workers=n, transport=None)
+        run_sharded(build_shortestpath_program(QUICK, 4).program, ExecOptions(threads=n))
         for _ in range(5)
     ]
     first = runs[0]
@@ -306,6 +306,8 @@ def test_wire_counts_repeat_and_stay_under_one_exchange_per_pair():
                 "\n\n".join(format_nodes(run.nodes) for run in runs) + "\n"
             )
         raise
-    sim = run_distributed(build_shortestpath_program(QUICK, 4).program, n_nodes=n)
-    assert sim.probes_remote == sum(nd["probes_remote"] for nd in first.nodes)
-    assert sim.remote_queries == sum(nd["remote_queries"] for nd in first.nodes)
+    sim = run_sharded(
+        build_shortestpath_program(QUICK, 4).program, ExecOptions(threads=n), transport="model"
+    )
+    for key in ("probes_remote", "remote_queries"):
+        assert sum(nd[key] for nd in sim.nodes) == sum(nd[key] for nd in first.nodes)

@@ -88,9 +88,9 @@ class TestStrategyValidation:
         """Defence in depth: even an options object that dodged
         ``__post_init__`` (e.g. mutated after construction) must not
         silently fall through to the threads strategy."""
-        from repro.core.engine import Engine
+        from repro.core.session import EngineSession
 
         opts = ExecOptions()
         object.__setattr__(opts, "strategy", "warp")
         with pytest.raises(EngineError, match="sequential, forkjoin, threads, chaos"):
-            Engine(tiny_program(), opts)
+            EngineSession(tiny_program(), opts)

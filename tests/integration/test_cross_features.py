@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExecOptions, Program
-from repro.dist import Partitioned, run_distributed
+from repro.dist import Partitioned, run_sharded
 from repro.lang import compile_source, parse_expression
 from repro.lang.compile import _SUPPORT, _Lowering
 
@@ -42,11 +42,8 @@ class TestTextualDistributed:
     EDGES = [(0, 1, 4), (0, 2, 1), (2, 1, 2), (1, 3, 1), (2, 3, 6), (3, 4, 2)]
 
     def _distances(self, result) -> dict[int, int]:
-        total: dict[int, int] = {}
-        for shard in result.shards:
-            for t in shard.store("Done").scan():
-                total[t.vertex] = t.distance
-        return total
+        # the control replica, which the shards are checked against
+        return {t.vertex: t.distance for t in result.database.store("Done").scan()}
 
     def test_fig5_distributed_matches_single_node(self):
         single = compile_source(self.SRC)
@@ -65,20 +62,23 @@ class TestTextualDistributed:
             Edge = dist_prog.tables["Edge"]
             for e in self.EDGES:
                 dist_prog.put(Edge.new(*e))
-            r = run_distributed(
+            r = run_sharded(
                 dist_prog,
-                n_nodes=nodes,
-                placements={
-                    "Edge": Partitioned("src"),
-                    "Estimate": Partitioned("vertex"),
-                    "Done": Partitioned("vertex"),
-                },
-                exec_options=ExecOptions(causality_check="off"),
+                ExecOptions(
+                    threads=nodes,
+                    causality_check="off",
+                    placements={
+                        "Edge": Partitioned("src"),
+                        "Estimate": Partitioned("vertex"),
+                        "Done": Partitioned("vertex"),
+                    },
+                ),
+                transport="model",
             )
             assert self._distances(r) == ref
             # vertex co-partitioning keeps the Done guard local; the
             # Done(edge.dst) probe and Estimate sends may travel
-            assert r.messages >= 0
+            assert r.report.messages >= 0
 
 
 class TestThreadsWithCascades:

@@ -134,7 +134,7 @@ class TestVizEdges:
 
 class TestDistEdges:
     def test_single_node_cluster_no_traffic(self):
-        from repro.dist import run_distributed
+        from repro.dist import run_sharded
 
         p = Program()
         T = p.table("T", "int t", orderby=("Int", "seq t"))
@@ -145,13 +145,14 @@ class TestDistEdges:
                 ctx.put(T.new(t.t + 1))
 
         p.put(T.new(0))
-        r = run_distributed(p, n_nodes=1)
-        assert r.messages == 0 and r.tuples_moved == 0 and r.comm_time == 0.0
-        assert r.table_total("T") == 6
+        r = run_sharded(p, ExecOptions(threads=1), transport="model")
+        assert r.report.messages == 0 and r.report.tuples_moved == 0
+        assert r.report.comm == 0.0
+        assert [nd["tables"]["T"] for nd in r.nodes] == [6]
 
     def test_causality_violation_surfaces_in_dist(self):
         from repro.core import CausalityError
-        from repro.dist import run_distributed
+        from repro.dist import run_sharded
 
         p = Program()
         T = p.table("T", "int t", orderby=("Int", "seq t"))
@@ -163,6 +164,6 @@ class TestDistEdges:
 
         p.put(T.new(1))
         with pytest.raises(CausalityError):
-            run_distributed(
-                p, n_nodes=2, exec_options=ExecOptions(causality_check="strict")
+            run_sharded(
+                p, ExecOptions(threads=2, causality_check="strict"), transport="model"
             )

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExecOptions, Program
-from repro.dist import run_distributed
+from repro.dist import run_sharded
 
 
 @st.composite
@@ -92,9 +92,9 @@ def test_all_strategies_agree(spec):
 @given(program_specs(), st.integers(1, 5))
 def test_distributed_agrees(spec, nodes):
     ref = build(spec).run(ExecOptions(max_steps=500))
-    r = run_distributed(
-        build(spec), n_nodes=nodes, exec_options=ExecOptions(max_steps=500)
+    r = run_sharded(
+        build(spec), ExecOptions(threads=nodes, max_steps=500), transport="model"
     )
     assert r.output == ref.output
     for name, total in ref.table_sizes.items():
-        assert r.table_total(name) == total
+        assert sum(nd["tables"][name] for nd in r.nodes) == total

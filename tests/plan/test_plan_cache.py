@@ -226,19 +226,19 @@ def test_planned_select_equals_brute_force(index_mode, call):
 
 
 def test_shapes_compile_once():
-    from repro.core.engine import Engine
+    from repro.core.session import EngineSession
 
     p = plan_program()
-    e = Engine(p, ExecOptions())
-    assert e._plans is not None
-    assert len(e._plans) == 0  # a shape compiles when a rule first asks for it
-    e.run()
-    n_plans = len(e._plans)
+    s = EngineSession(p, ExecOptions())
+    plans = s.kernel._plans
+    assert len(plans) == 0  # a shape compiles when a rule first asks for it
+    s.run()
+    n_plans = len(plans)
     assert n_plans > 0
-    # a second engine over the same program compiles the same shapes
-    e2 = Engine(p, ExecOptions())
-    e2.run()
-    assert len(e2._plans) == n_plans
+    # a second session over the same program compiles the same shapes
+    s2 = EngineSession(p, ExecOptions())
+    s2.run()
+    assert len(s2.kernel._plans) == n_plans
 
 
 def test_validation_errors_survive_planning():

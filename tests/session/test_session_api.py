@@ -250,18 +250,7 @@ class TestKnobOverrideNotes:
 
 
 class TestStrategyRelease:
-    """Satellite: reuse raises a clear error naming the session API, and
-    strategy.close() runs even when a step raises."""
-
-    def test_engine_reuse_names_session_api(self):
-        from repro.core.engine import Engine
-
-        p, T, _ = counter_program()
-        p.put(T.new(0, 1))
-        e = Engine(p, ExecOptions())
-        e.run()
-        with pytest.raises(EngineError, match="EngineSession"):
-            e.run()
+    """strategy.close() runs even when a step raises."""
 
     def test_pool_released_when_rule_raises(self):
         p = Program("boom")
@@ -272,12 +261,10 @@ class TestStrategyRelease:
             raise RuntimeError("kaboom")
 
         p.put(T.new(0))
-        from repro.core.engine import Engine
-
-        e = Engine(p, ExecOptions(strategy="threads", threads=2))
+        s = p.session(ExecOptions(strategy="threads", threads=2))
         with pytest.raises(Exception, match="kaboom"):
-            e.run()
-        assert e.strategy._pool is None  # ThreadPoolExecutor released
+            s.run()
+        assert s.strategy._pool is None  # ThreadPoolExecutor released
 
     def test_pool_released_on_max_steps(self):
         p = Program("forever")
@@ -288,12 +275,10 @@ class TestStrategyRelease:
             ctx.put(T.new(t.t + 1))
 
         p.put(T.new(0))
-        from repro.core.engine import Engine
-
-        e = Engine(p, ExecOptions(strategy="threads", threads=2, max_steps=5))
+        s = p.session(ExecOptions(strategy="threads", threads=2, max_steps=5))
         with pytest.raises(EngineError, match="max_steps"):
-            e.run()
-        assert e.strategy._pool is None
+            s.run()
+        assert s.strategy._pool is None
 
     def test_session_context_manager_releases_on_error(self):
         p = Program("boom")

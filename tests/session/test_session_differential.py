@@ -1,5 +1,5 @@
 """Session equivalence: chunked feed/settle and snapshot→restore runs
-must be byte-identical to single-shot ``Engine.run``.
+must be byte-identical to single-shot ``Program.run``.
 
 Every example app's inputs are split into causally-aligned chunks
 (:func:`repro.core.causal_chunks`) and driven through an

@@ -35,7 +35,7 @@ from repro.core import ExecOptions, Program
 from repro.core.delta import Delete, Insert
 from repro.core.errors import SchemaError
 from repro.core.session import EngineSession
-from repro.dist import NODE_COUNTERS, ProcessShardRuntime, run_distributed, run_sharded
+from repro.dist import NODE_COUNTERS, ProcessShardRuntime, run_sharded
 from repro.dist.network import sum_counters
 from repro.gamma.nativearray import NativeArrayStore, TwoIterationArrayStore
 from repro.serve.protocol import decode_events
@@ -159,8 +159,9 @@ def test_every_total_is_the_sum_of_its_edges_on_every_leg(name, pvwatts_csv):
     if name not in NO_CODEGEN:
         legs["codegen"] = _session_run(build, pvwatts_csv, execution="codegen")
     if name not in NO_SHARDS:
-        legs["sim"] = run_distributed(build(pvwatts_csv)[0], n_nodes=2).stats
-        legs["mesh"] = run_sharded(build(pvwatts_csv)[0], n_workers=2).stats
+        for leg, transport in (("sim", "model"), ("mesh", None)):
+            opts = ExecOptions(threads=2)
+            legs[leg] = run_sharded(build(pvwatts_csv)[0], opts, transport=transport).stats
     for leg, stats in legs.items():
         tables, rules = _recount(stats)
         assert set(tables) <= set(stats.tables) and set(rules) == set(stats.rules), leg
@@ -237,8 +238,9 @@ def test_a_bound_driver_keeps_counting_across_settles():
 @pytest.fixture(scope="module")
 def mesh_runs():
     build = lambda: build_shortestpath_program(GraphSpec(40, 60, 3), 4).program  # noqa: E731
-    crashed = ProcessShardRuntime(build(), n_workers=2, fault_kill=(1, 6))
-    return run_sharded(build(), n_workers=2), crashed.run(), sum_counters(crashed._carry[1])
+    opts = ExecOptions(threads=2)
+    crashed = ProcessShardRuntime(build(), opts, fault_kill=(1, 6))
+    return run_sharded(build(), opts), crashed.run(), sum_counters(crashed._carry[1])
 
 
 @pytest.mark.parametrize("counter", NODE_COUNTERS)
@@ -249,7 +251,7 @@ def test_node_counters_are_declared_once(counter, mesh_runs):
     header, rule, *rows = format_nodes(clean.nodes).splitlines()
     at = [h.strip() for h in _columns(header, rule)].index(NODE_COUNTERS[counter])
     for node, row in zip(clean.nodes, rows):
-        assert set(node) == {"node", "fires", "puts", *NODE_COUNTERS, "recovered"}
+        assert set(node) == {"node", "fires", "puts", *NODE_COUNTERS, "recovered", "tables"}
         assert _columns(row, rule)[at].strip() == str(node[counter])
     # node 1 died at step 6: what its dead incarnation had counted by its
     # last done record is carried, by name, into what the node reports

@@ -7,7 +7,6 @@ import pytest
 from repro.apps.sensors import build_sensor_program
 from repro.apps.ship import build_ship_program
 from repro.core import ExecOptions
-from repro.core.engine import Engine
 from repro.core.errors import EngineError
 from repro.exec.chaos import FaultPlan
 from repro.trace import ReplayError, ReplaySchedule, TraceRecorder, TraceReplayer
@@ -16,7 +15,7 @@ FAULTS = FaultPlan(raise_prob=0.2, duplicate_prob=0.2, delay_prob=0.2)
 
 
 def _record(program, **opt_kw):
-    return Engine(program, ExecOptions(trace=True, **opt_kw)).run()
+    return program.run(ExecOptions(trace=True, **opt_kw))
 
 
 class TestReplay:
