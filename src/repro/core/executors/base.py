@@ -3,10 +3,12 @@
 An executor owns phase B (firing the popped class) and put routing for
 one :class:`~repro.core.kernel.StepKernel`.  The kernel keeps everything
 an execution tier must *not* vary — the Delta tree, Gamma, admission,
-retraction repair, retention, phase C ordering — and delegates exactly
-three operations:
+retention, phase C ordering — and retraction repair lives in the
+kernel's :class:`~repro.core.support.SupportIndex`; a tier is delegated
+exactly three operations:
 
-* :meth:`StepExecutor.fire_class` — phase B for one prepared class;
+* :meth:`StepExecutor.fire_class` — phase B for one prepared class,
+  the kernel's one phase-B call;
 * :meth:`StepExecutor.fire_one` — fire a single (rule, trigger) pair;
   the kernel routes -noDelta cascades and retraction refires through
   this, so a tier's fast path and its cascade path stay one code path;
@@ -70,10 +72,10 @@ class StepExecutor:
     def fire_class(
         self, prepared: list[tuple[JTuple, InsertOutcome | None]]
     ) -> list[TaskResult]:
-        """Phase B for one popped class (non-retraction runs only; the
-        retraction repair path builds scalar tasks through the kernel).
-        ``prepared`` pairs each trigger with its phase-A insert outcome,
-        in pop order."""
+        """Phase B for one popped class.  ``prepared`` pairs each
+        trigger with its phase-A insert outcome, in pop order.  Under
+        retraction (scalar tier only: it refuses every other) an entry
+        also carries the support index's refire and dead flags."""
         raise NotImplementedError
 
     # -- put routing ---------------------------------------------------------
@@ -100,8 +102,8 @@ class StepExecutor:
 
     def deliver(self, result: TaskResult, rule: str, rule_index: int, tup, ts, out: list) -> None:
         """Hand the lines one firing printed to its task result, under
-        the keys the kernel sorts a step's output by (the same keys
-        retraction mode files them under), and count them."""
+        the keys the kernel sorts a step's output by (the same keys the
+        support index files them under), and count them."""
         result.output.extend(out)
         result.out_keys.extend(output_keys(ts, tup, rule_index, len(out)))
         self.kernel.stats.rule(rule).output_lines += len(out)

@@ -7,10 +7,11 @@ each popped tuple becomes one :class:`~repro.exec.base.EngineTask`
 firing gets a fresh :class:`~repro.core.rules.RuleContext`, and the
 strategy is free to interleave the tasks however it likes.
 
-The retraction repair path also builds its tasks here
-(:meth:`ScalarExecutor.make_task` with ``refire``/``dead``): retraction
-refuses every other tier, so repair and scalar firing share one code
-path by construction.
+It is also the only tier retraction composes with: under
+``ExecOptions(retraction=True)`` every firing leaves a
+:class:`~repro.core.support.FiringRecord` on its task result, and each
+entry phase A hands :meth:`ScalarExecutor.fire_class` carries the
+support index's finished refire/dead flags (:meth:`make_task`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ __all__ = ["ScalarExecutor"]
 class ScalarExecutor(StepExecutor):
     name = "scalar"
 
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        #: retraction mode: every firing is recorded for the support index
+        self._records = kernel.options.retraction
+
     # -- firing --------------------------------------------------------------
 
     def fire_one(self, rule: Rule, tup: JTuple, result: TaskResult) -> None:
@@ -39,7 +45,7 @@ class ScalarExecutor(StepExecutor):
         trigger_ts = k.db.timestamp(tup)
         rec = (
             FiringRecord(rule.name, k._rule_index[id(rule)], tup, trigger_ts)
-            if k._support is not None
+            if self._records
             else None
         )
         ctx = RuleContext(
@@ -80,20 +86,17 @@ class ScalarExecutor(StepExecutor):
         insertion result decided in the sequential prepare phase; the
         task charges for it and fires the triggered rules.  Retraction
         mode adds ``refire`` (fire even though the Gamma insert is a
-        duplicate — DRed rederivation) and ``dead`` (the tuple was
-        killed by a repair cascade after it was popped — behave like a
-        duplicate, trace-stable)."""
+        duplicate — DRed rederivation) and ``dead`` (a repair cascade
+        killed the tuple during phase A — behave like a duplicate,
+        trace-stable)."""
         k = self.kernel
 
         def run() -> TaskResult:
             result = k._new_result(tup)
             result.meter.charge("delta_pop")
             name = tup.schema.name
-            dead_now = dead or (
-                k._dead_step is not None and tup in k._dead_step
-            )
             events = k.stats.table(name)
-            if dead_now:
+            if dead:
                 result.duplicate = True
                 events.duplicates += 1
                 return result
@@ -113,10 +116,7 @@ class ScalarExecutor(StepExecutor):
 
         return EngineTask(trigger=tup, run=run)
 
-    def fire_class(
-        self, prepared: list[tuple[JTuple, InsertOutcome | None]]
-    ) -> list[TaskResult]:
-        # Phase B: fire (possibly genuinely threaded).
-        return self.kernel.strategy.run_batch(
-            [self.make_task(tup, outcome) for tup, outcome in prepared]
-        )
+    def fire_class(self, prepared: list[tuple]) -> list[TaskResult]:
+        # Phase B: fire (possibly genuinely threaded); a retraction
+        # entry is (trigger, outcome, refire, dead)
+        return self.kernel.strategy.run_batch([self.make_task(*entry) for entry in prepared])

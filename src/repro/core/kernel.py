@@ -29,6 +29,14 @@ has made no commitments there); a tuple strictly below it could
 invalidate negative/aggregate answers already computed (§4), so it is
 rejected (``admission="strict"``) or quarantined (``"warn"``).
 
+Retraction (``ExecOptions(retraction=True)``) is one layer,
+:class:`~repro.core.support.SupportIndex` at ``StepKernel._support``:
+it checks and applies a feed's ``Insert`` / ``Delete`` events, inserts
+each popped class with its repair interleaved (phase A), and indexes
+the step's firings and their keyed output after phase B.  The step loop
+is the same loop either way; with retraction off ``_support`` is None
+and each hook costs one ``is None`` test.
+
 Cost attribution: each task's meter is charged for the Gamma insertion
 of its trigger, the rules it fires, the queries they make, and the
 Delta insertions of the tuples it put — the *producer* pays for shared
@@ -39,7 +47,6 @@ scalability bottleneck in Fig 12.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import ContextManager, Iterable
 
@@ -50,14 +57,11 @@ from repro.core.errors import (
     CausalityError,
     EngineError,
     EngineWarning,
-    KeyInvariantError,
-    RetractionError,
     UnknownTableError,
 )
 from repro.core.executors.registry import resolve_executor
-from repro.core.ordering import Timestamp, compare_timestamps, output_keys
+from repro.core.ordering import Timestamp, compare_timestamps
 from repro.core.program import ExecOptions, Program
-from repro.core.rules import Rule
 from repro.core.support import SupportIndex
 from repro.core.tuples import JTuple
 from repro.exec.base import Strategy, TaskResult
@@ -146,9 +150,10 @@ def _node_tag(result: TaskResult) -> dict:
 class StepKernel:
     """Step machinery for one program under one set of options.
 
-    Owns the Delta tree, the Gamma database, the strategy and the
-    statistics collector; exposes :meth:`feed` (admission-checked
-    external puts), :meth:`drain` (run all-minimums steps until Delta is
+    Owns the Delta tree, the Gamma database, the strategy, the
+    statistics collector and, under retraction, the support index;
+    exposes :meth:`feed` (external events, checked whole before any
+    applies), :meth:`drain` (run all-minimums steps until Delta is
     empty), and :meth:`flush_stats` (fold the plans' query counts into
     the collector).
     Lifecycle — when to feed, settle, snapshot, or release the strategy
@@ -224,28 +229,16 @@ class StepKernel:
             if schema is None:
                 raise EngineError(f"retention hint for unknown table {name!r}")
             self._retention[name] = [schema.field_position(hint.field), hint.keep_last, None, None]
-        # retraction mode: the support index is the whole switch — when
-        # None, no hot-path branch below does anything beyond one
-        # is-None check, so insert-only runs are byte-identical to the
-        # non-retraction build
-        self._support: SupportIndex | None = None
-        #: triggers re-enqueued by DRed rederivation: fire their rules
-        #: again even though the Gamma insert is a duplicate
-        self._refire: set[JTuple] = set()
-        #: tuples killed by a repair cascade *during the current step's*
-        #: phase A — their already-built tasks must no-op (None between
-        #: steps; only mutated in the sequential phases)
-        self._dead_step: set[JTuple] | None = None
         #: rule identity -> position, for deterministic output keys and
         #: the retraction live-firing index
         self._rule_index: dict[int, int] = {
             id(r): i for i, r in enumerate(program.rules)
         }
-        #: sort keys parallel to ``self.output`` (retraction mode keys
-        #: every line so retracted lines can be removed exactly)
-        self._out_keys: list[tuple] = []
-        if options.retraction:
-            self._support = SupportIndex()
+        # retraction mode: the support index is the whole switch — when
+        # None, no hot-path branch below does anything beyond one
+        # is-None check, so insert-only runs are byte-identical to the
+        # non-retraction build
+        self._support: SupportIndex | None = SupportIndex(self) if options.retraction else None
         self._lock: ContextManager | None = None
         if self.strategy.needs_locks:
             import threading
@@ -460,317 +453,6 @@ class StepKernel:
             return TaskResult(trigger=trigger)
         return TaskResult(trigger=trigger, meter=NULL_METER)
 
-    # -- retraction machinery ---------------------------------------------------
-    #
-    # Classic incremental Datalog maintenance, specialised to the
-    # all-minimums engine: counting for the non-recursive case (a
-    # derived tuple lives while any firing supports it), DRed-style
-    # over-delete/rederive for the recursive case, plus one engine
-    # -specific repair — *grown-result invalidation* — for rederivations
-    # that descend below an already-fired frontier.  All repair runs in
-    # the sequential phases (feed, phase A), so it is deterministic and
-    # identical under every strategy.
-
-    def _prepare_retraction_batch(
-        self, batch: list[JTuple]
-    ) -> list[tuple[JTuple, InsertOutcome, bool, bool]]:
-        """Phase A under retraction: per-tuple (outcome, refire, dead),
-        with grown-result invalidation and stale-key repair interleaved
-        — all sequential, so cascades triggered by one tuple are visible
-        to every later tuple of the same class."""
-        sup = self._support
-        assert sup is not None
-        db = self.db
-        self._dead_step = set()
-        prepared: list[tuple[JTuple, InsertOutcome, bool, bool]] = []
-        for tup in batch:
-            refire = tup in self._refire
-            if refire:
-                self._refire.discard(tup)
-            if tup in self._dead_step:
-                prepared.append((tup, InsertOutcome.DUPLICATE, False, True))
-                continue
-            if tup in db:
-                prepared.append((tup, InsertOutcome.DUPLICATE, refire, False))
-                continue
-            self._invalidate_grown(tup, db.timestamp(tup))
-            if tup in self._dead_step:
-                prepared.append((tup, InsertOutcome.DUPLICATE, False, True))
-                continue
-            forced = False
-            try:
-                outcome = db.insert(tup)
-            except KeyInvariantError:
-                # a rederivation replacing a key's binding: the old
-                # binding must be stale *derived* state — kill its
-                # supporters and retry.  A conflict with a live base
-                # fact is a genuine invariant violation.
-                store = db.store(tup.schema.name)
-                existing = store.lookup_key(tup.key())
-                fids = sup.support.get(existing) if existing is not None else None
-                if existing is None or existing in sup.base or not fids:
-                    raise
-                self._over_delete([], seed_fids=sorted(fids))
-                if store.lookup_key(tup.key()) is not None:
-                    raise
-                forced = True
-            if forced:
-                if tup in self._dead_step:
-                    prepared.append((tup, InsertOutcome.DUPLICATE, False, True))
-                    continue
-                outcome = db.insert(tup)
-            prepared.append((tup, outcome, refire, False))
-        return prepared
-
-    def _invalidate_grown(self, tup: JTuple, ts: Timestamp) -> None:
-        """A NEW tuple whose timestamp lies strictly below an already
-        -fired trigger means that trigger's firing queried a region that
-        has since *grown* — only possible during repair (forward insert
-        -only runs never descend below the frontier).  Any firing whose
-        recorded query on this table would have matched the newcomer
-        computed its result from incomplete data: kill it so it refires
-        against the repaired state.  Equal-timestamp firings are safe —
-        phase A inserts the whole class before phase B fires it."""
-        sup = self._support
-        assert sup is not None
-        self.stats.grown_checks += 1
-        candidates = sup.candidates(tup)
-        if not candidates:
-            return
-        self.stats.grown_candidates += len(candidates)
-        firings = sup.firings
-        doomed: list[int] = []
-        for fid in sorted(candidates):
-            rec = firings[fid]
-            if tup in rec.reads or tup == rec.trigger:
-                continue
-            if compare_timestamps(ts, rec.trigger_ts) >= 0:
-                continue
-            if any(q.matches(tup) for q in candidates[fid]):
-                doomed.append(fid)
-        if doomed:
-            self.stats.grown_doomed += len(doomed)
-            self._over_delete([], seed_fids=doomed)
-
-    def _over_delete(
-        self, seed_tuples: list[JTuple], seed_fids: Iterable[int] = ()
-    ) -> None:
-        """DRed over-delete + rederive.  Kills the seed firings and the
-        dependent cone of the seed tuples (everything whose support or
-        read set transitively touches them), removes the dead tuples
-        from Gamma/Delta, retracts their output lines, then re-enqueues
-        every surviving trigger of a dead firing so the engine rederives
-        what is still justified."""
-        sup = self._support
-        assert sup is not None
-        db = self.db
-        dead_fids: dict[int, None] = {}
-        dead_tuples: dict[JTuple, None] = {}
-        cleared_tables: dict[str, None] = {}
-        work: list[JTuple] = []
-
-        def kill(fid: int) -> None:
-            if fid in dead_fids or fid not in sup.firings:
-                return
-            dead_fids[fid] = None
-            rec = sup.firings[fid]
-            for name in sorted(rec.native):
-                if name in cleared_tables:
-                    continue
-                # a native bulk write is untracked below table level:
-                # the whole table is tainted, so every firing that wrote
-                # or read it goes down with this one
-                cleared_tables[name] = None
-                tainted = sup.query_fids(name)
-                tainted.update(sup.native_users.get(name, ()))
-                for ofid in sorted(tainted):
-                    kill(ofid)
-            for t in rec.puts:
-                fids = sup.support.get(t)
-                if fids is None:
-                    continue
-                fids.discard(fid)
-                if not fids and t not in sup.base and t not in dead_tuples:
-                    work.append(t)
-
-        for fid in seed_fids:
-            kill(fid)
-        work.extend(seed_tuples)
-        while work:
-            t = work.pop()
-            if t in dead_tuples or t in sup.base:
-                continue
-            if sup.support.get(t):
-                continue  # re-supported: counting keeps it alive
-            dead_tuples[t] = None
-            dependents = set(sup.triggered.get(t, ()))
-            dependents.update(sup.readers.get(t, ()))
-            for fid in sorted(dependents):
-                kill(fid)
-
-        # apply: drop dead firings (and their printed lines), collect
-        # surviving triggers for rederivation
-        refire: dict[JTuple, None] = {}
-        for fid in dead_fids:
-            rec = sup.unregister(fid)
-            if rec is None:
-                continue
-            for key, line in rec.out_lines:
-                self._remove_output(key, line)
-            if (
-                rec.trigger not in dead_tuples
-                and rec.trigger not in sup.retracted_base
-            ):
-                refire[rec.trigger] = None
-        for name in cleared_tables:
-            db.store(name).clear()
-        for t in dead_tuples:
-            store = db.store(t.schema.name)
-            if t in store:
-                store.remove(t)
-            if t in self.delta:
-                self.delta.remove(t, db.timestamp(t))
-            self._refire.discard(t)
-            if self._dead_step is not None:
-                self._dead_step.add(t)
-            if self.tracer is not None:
-                self.tracer.emit("retract", {"tuple": repr(t)})
-            self.stats.retractions += 1
-
-        # rederive: every surviving trigger re-enters Delta at its own
-        # timestamp; its next delivery re-fires exactly the rules whose
-        # firings died (see _fire_rules' live-skip)
-        for trig in refire:
-            if trig in dead_tuples or trig not in db:
-                continue
-            ts = db.timestamp(trig)
-            if self.delta.insert(trig, ts):
-                self._refire.add(trig)
-                self.stats.rederivations += 1
-                if self.high_water is not None and (
-                    compare_timestamps(ts, self.high_water) < 0
-                ):
-                    # the repair legitimately travels below the old
-                    # frontier; drain() re-advances the mark as the
-                    # rederived region settles again
-                    self.high_water = ts
-
-    # -- retraction: keyed output ----------------------------------------------
-
-    def _output_keys(self, rec: FiringRecord) -> list[tuple]:
-        """Sort keys of the lines one firing printed.  Sorting by them
-        reproduces the causal append order whenever at most one firing
-        per equivalence class prints (true of every example app: output
-        goes through dedicated println tables with singleton classes)."""
-        return output_keys(rec.trigger_ts, rec.trigger, rec.rule_index, len(rec.lines))
-
-    def _insert_output(self, key: tuple, line: str) -> None:
-        i = bisect_right(self._out_keys, key)
-        self._out_keys.insert(i, key)
-        self.output.insert(i, line)
-
-    def _remove_output(self, key: tuple, line: str) -> None:
-        i = bisect_left(self._out_keys, key)
-        while i < len(self._out_keys) and self._out_keys[i] == key:
-            if self.output[i] == line:
-                del self._out_keys[i]
-                del self.output[i]
-                return
-            i += 1
-
-    def _register_firing(self, rec: FiringRecord) -> None:
-        """Index one firing after its batch joined (submission order, so
-        fids are deterministic).  A live (rule, trigger) entry means a
-        duplicate delivery already registered this firing — skip."""
-        sup = self._support
-        assert sup is not None
-        if (rec.rule_index, rec.trigger) in sup.live:
-            return
-        sup.register(rec)
-        if rec.lines:
-            out = []
-            for key, line in zip(self._output_keys(rec), rec.lines):
-                self._insert_output(key, line)
-                out.append((key, line))
-            rec.out_lines = tuple(out)
-
-    # -- retraction: feed-side event processing ---------------------------------
-
-    def _process_delete(self, tup: JTuple) -> None:
-        """Retract one base fact.  Raises :class:`RetractionError` —
-        before any mutation — when the tuple is not a retractable base
-        fact; duplicate deletes of an already-retracted fact are no-ops
-        (chaos duplicate-delivery tolerance)."""
-        sup = self._support
-        assert sup is not None
-        if tup not in sup.base:
-            if tup in sup.retracted_base:
-                return  # idempotent duplicate delete
-            if tup in sup.support or tup in self.db or tup in self.delta:
-                raise RetractionError(
-                    f"cannot delete {tup!r}: it is a derived tuple, not a "
-                    "base fact — only externally fed facts can be retracted"
-                )
-            raise RetractionError(
-                f"cannot delete {tup!r}: it was never inserted as a base fact"
-            )
-        sup.base.discard(tup)
-        sup.retracted_base.add(tup)
-        if sup.support.get(tup):
-            # counting: live firings still derive it; the fact stays
-            # until its last supporter dies
-            return
-        if tup in self.db:
-            self._over_delete([tup])
-        elif tup in self.delta:
-            self.delta.remove(tup, self.db.timestamp(tup))
-            if self.tracer is not None:
-                self.tracer.emit("retract", {"tuple": repr(tup), "pending": True})
-            self.stats.retractions += 1
-
-    def _feed_events(self, events: Iterable, source: str) -> FeedReport:
-        """Retraction-mode feed: events are processed strictly in order
-        (an insert after a delete of the same fact re-asserts it).
-
-        The §4 high-water admission gate does not apply here: support
-        tracking *subsumes* it.  A tuple below the mark would invalidate
-        negative/aggregate answers already computed — which is exactly
-        what grown-result invalidation detects and repairs when the
-        tuple's class is popped (:meth:`_invalidate_grown`), so every
-        insert is admissible and ``admission="strict"/"warn"`` never
-        fires on a retraction session.  The price is repair work
-        proportional to the firings that observed the late tuple's
-        absence — the cost the admission law exists to refuse."""
-        sup = self._support
-        assert sup is not None
-        schemas = self.program.schemas()
-        admitted = 0
-        result = self._new_result(None)  # type: ignore[arg-type]
-        for ev in events:
-            is_delete = isinstance(ev, Delete)
-            tup = ev.tuple if isinstance(ev, (Insert, Delete)) else ev
-            name = tup.schema.name
-            if schemas.get(name) is not tup.schema:
-                raise UnknownTableError(
-                    f"fed tuple {tup!r} belongs to no table of program "
-                    f"{self.program.name!r}"
-                )
-            if is_delete:
-                self._process_delete(tup)
-                continue
-            admitted += 1
-            result.meter.charge("tuple_put")
-            self.stats.on_put(source, name)
-            sup.base.add(tup)
-            sup.retracted_base.discard(tup)
-            flags = self._enqueue_delta_batch([(tup, result.meter)])
-            if self.tracer is not None:
-                self.tracer.emit("admit", {"tuple": repr(tup), "accepted": flags[0]})
-        if self._metered:
-            self.meter.merge(result.meter)
-            self.strategy.account_serial(result.meter.total_cost)
-        return FeedReport(source=source, admitted=admitted, quarantined=[])
-
     def _apply_retention(self) -> None:
         """Prune Gamma generations per the lifetime hints (§5 step 4).
         The per-table max is tracked incrementally at insert time
@@ -827,34 +509,41 @@ class StepKernel:
         # rules fired in phase B see every tuple of the class ("positive
         # queries with timestamps <= T", §4) and Gamma stays read-only
         # while the batch fires.  One batched insert resolves each store
-        # once per same-table run instead of once per tuple.
-        if self._support is not None:
-            rprepared = self._prepare_retraction_batch(batch)
-            tasks = [
-                self.executor.make_task(t, o, refire=rf, dead=dd)
-                for t, o, rf, dd in rprepared
-            ]
-            results = self.strategy.run_batch(tasks)
-        else:
+        # once per same-table run instead of once per tuple.  Under
+        # retraction the support index inserts the class with its repair
+        # interleaved, and each entry carries its refire/dead flags.
+        sup = self._support
+        if sup is None:
             prepared = list(zip(batch, self.db.insert_batch(batch, self._no_gamma)))
             if self._retention:
                 for tup, outcome in prepared:
                     if outcome is InsertOutcome.NEW:
                         self._note_retained(tup.schema.name, tup)
-            # Phase B: the execution tier fires the class (the scalar
-            # tier builds one task per trigger and hands them to the
-            # strategy; the codegen tier owns the whole-class firing loop)
-            results = self.executor.fire_class(prepared)
+        else:
+            prepared = sup.prepare(batch)
+        # Phase B: the execution tier fires the class (the scalar tier
+        # builds one task per trigger and hands them to the strategy;
+        # the codegen tier owns the whole-class firing loop)
+        results = self.executor.fire_class(prepared)
         if self.tracer is not None:
             self._flush_task_events(results)
-        if self._support is not None:
-            # register this step's firings in submission order (fids —
-            # and thus repair order — are deterministic across
-            # strategies); output lines enter self.output keyed, here,
-            # instead of via the per-result extends below
+        if sup is None:
+            # canonical output order: a step is one equivalence class,
+            # so sorting its lines by the (ts, trigger, rule, line) key
+            # makes the cumulative output a pure function of the firing
+            # set — the order the support index keeps its keyed output
+            # in — instead of leaking the within-class pop order when
+            # several firings of one class print
+            step_lines: list[tuple[tuple, str]] = []
             for r in results:
-                for rec in r.firings:
-                    self._register_firing(rec)
+                if r.output:
+                    step_lines.extend(zip(r.out_keys, r.output))
+            if step_lines:
+                if len(step_lines) > 1:
+                    step_lines.sort(key=lambda kl: kl[0])
+                self.output.extend(line for _key, line in step_lines)
+        else:
+            sup.record(results)
         # Phase C (sequential, deterministic order): apply buffered puts
         # as one Delta batch.
         pending = [(put, r.meter) for r in results for put in r.puts]
@@ -871,21 +560,6 @@ class StepKernel:
                         )
         if self._retention:
             self._apply_retention()
-        if self._support is None:
-            # canonical output order: a step is one equivalence class,
-            # so sorting its lines by the (ts, trigger, rule, line) key
-            # makes the cumulative output a pure function of the firing
-            # set — the same order retraction mode maintains via
-            # _insert_output — instead of leaking the within-class pop
-            # order when several firings of one class print
-            step_lines: list[tuple[tuple, str]] = []
-            for r in results:
-                if r.output:
-                    step_lines.extend(zip(r.out_keys, r.output))
-            if step_lines:
-                if len(step_lines) > 1:
-                    step_lines.sort(key=lambda kl: kl[0])
-                self.output.extend(line for _key, line in step_lines)
         if self._metered:
             allocations = 0.0
             for r in results:
@@ -893,85 +567,94 @@ class StepKernel:
                 self.meter.merge(r.meter)
             retained = float(self.db.heap_tuples())
             self.strategy.account_step(results, allocations=allocations, retained=retained)
-        self._dead_step = None
 
     # -- incremental surface: feed / drain / flush -----------------------------
 
-    def feed(self, tuples: Iterable[JTuple], source: str = "<feed>") -> FeedReport:
+    def feed(self, events: Iterable, source: str = "<feed>") -> FeedReport:
         """Admit external tuples into the engine.
 
-        Admission is checked **before** any mutation: a tuple whose
+        Every event is checked **before** any event applies, so a feed
+        that raises leaves the kernel untouched: a tuple of no table of
+        the program raises :class:`UnknownTableError`; a tuple whose
         timestamp is strictly below the high-water mark is rejected
-        (``admission="strict"`` raises :class:`CausalityError`; ``"warn"``
-        quarantines it with an :class:`AdmissionWarning`), so a strict
-        rejection leaves the kernel untouched.  Admitted tuples run as
-        one synthetic sequential task — exactly like the old engine's
-        initial puts — so -noDelta cascades work during feeding too.
+        (``admission="strict"`` raises :class:`CausalityError`;
+        ``"warn"`` quarantines it with an :class:`AdmissionWarning`).
+        Admitted tuples run as one synthetic sequential task — exactly
+        like the old engine's initial puts — so -noDelta cascades work
+        during feeding too.
 
         Under ``ExecOptions(retraction=True)`` the iterable may also
         contain :class:`~repro.core.delta.Insert` / ``Delete`` events
-        (plain tuples remain sugar for inserts); see :meth:`_feed_events`.
+        (plain tuples remain sugar for inserts).  The support index
+        checks them instead of the admission gate (a ``Delete`` of no
+        base fact raises :class:`~repro.core.errors.RetractionError`),
+        and they apply in order: the inserts before a ``Delete`` reach
+        Delta as one batch before it does, so an insert after a delete
+        of the same fact re-asserts it.
         """
-        if self._support is not None:
-            return self._feed_events(tuples, source)
+        sup = self._support
         schemas = self.program.schemas()
-        admitted: list[JTuple] = []
+        checked: list[tuple[JTuple, bool]] = []
         quarantined: list[JTuple] = []
-        hwm = self.high_water
+        fed: dict[JTuple, bool] = {}
+        # the support index's repair subsumes the admission gate
+        hwm = self.high_water if sup is None else None
         mode = self.options.admission
-        for tup in tuples:
-            if isinstance(tup, Insert):
-                tup = tup.tuple
-            elif isinstance(tup, Delete):
+        for ev in events:
+            delete = isinstance(ev, Delete)
+            tup = ev.tuple if delete or isinstance(ev, Insert) else ev
+            if delete and sup is None:
                 raise EngineError(
                     "feed received a Delete event but retraction is not "
                     "enabled; run with ExecOptions(retraction=True)"
                 )
-            name = tup.schema.name
-            if schemas.get(name) is not tup.schema:
+            if schemas.get(tup.schema.name) is not tup.schema:
                 raise UnknownTableError(
                     f"fed tuple {tup!r} belongs to no table of program "
                     f"{self.program.name!r}"
                 )
-            if hwm is not None:
-                ts = self.db.timestamp(tup)
-                if compare_timestamps(ts, hwm) < 0:
-                    if mode == "strict":
-                        raise CausalityError(
-                            f"cannot feed {tup!r}: its timestamp is below the "
-                            "completed high-water mark, so admitting it would "
-                            "invalidate negative/aggregate answers already "
-                            "computed below the mark (§4).  Feed tuples at or "
-                            "above the mark, or use "
-                            "ExecOptions(admission='warn') to quarantine late "
-                            "arrivals"
-                        )
-                    warnings.warn(
-                        f"quarantined late tuple {tup!r}: timestamp below the "
-                        "completed high-water mark",
-                        AdmissionWarning,
-                        stacklevel=3,
+            if sup is not None:
+                sup.check(tup, delete, fed)
+            elif hwm is not None and compare_timestamps(self.db.timestamp(tup), hwm) < 0:
+                if mode == "strict":
+                    raise CausalityError(
+                        f"cannot feed {tup!r}: its timestamp is below the "
+                        "completed high-water mark, so admitting it would "
+                        "invalidate negative/aggregate answers already "
+                        "computed below the mark (§4).  Feed tuples at or "
+                        "above the mark, or use "
+                        "ExecOptions(admission='warn') to quarantine late "
+                        "arrivals"
                     )
-                    quarantined.append(tup)
-                    continue
-            admitted.append(tup)
+                warnings.warn(
+                    f"quarantined late tuple {tup!r}: timestamp below the "
+                    "completed high-water mark",
+                    AdmissionWarning,
+                    stacklevel=3,
+                )
+                quarantined.append(tup)
+                continue
+            checked.append((tup, delete))
         self.quarantined.extend(quarantined)
         result = self._new_result(None)  # type: ignore[arg-type]
-        for tup in admitted:
+        admitted = 0
+        for tup, delete in checked:
+            if delete:
+                self._admit(result)
+                sup.delete(tup)
+                continue
+            admitted += 1
+            name = tup.schema.name
             result.meter.charge("tuple_put")
-            self.stats.on_put(source, tup.schema.name)
-            if tup.schema.name in self._no_delta:
-                self.stats.table(tup.schema.name).delta_bypass += 1
+            self.stats.on_put(source, name)
+            if sup is not None:
+                sup.insert(tup)
+            if name in self._no_delta:
+                self.stats.table(name).delta_bypass += 1
                 self._immediate(tup, result)
             else:
                 result.puts.append(tup)
-        if result.puts:
-            pending = [(put, result.meter) for put in result.puts]
-            flags = self._enqueue_delta_batch(pending)
-            self.strategy.account_feed(sum(flags))
-            if self.tracer is not None:
-                for (put, _meter), accepted in zip(pending, flags):
-                    self.tracer.emit("admit", {"tuple": repr(put), "accepted": accepted})
+        self._admit(result)
         if self.tracer is not None and result.events:
             for kind, data in result.events:
                 self.tracer.emit(kind, data)
@@ -983,7 +666,19 @@ class StepKernel:
             # -noDelta cascades can run entirely inside a feed (zero
             # engine steps); lifetime hints still apply
             self._apply_retention()
-        return FeedReport(source=source, admitted=len(admitted), quarantined=quarantined)
+        return FeedReport(source=source, admitted=admitted, quarantined=quarantined)
+
+    def _admit(self, result: TaskResult) -> None:
+        """Move the feed's buffered puts into Delta as one batch."""
+        if not result.puts:
+            return
+        pending = [(put, result.meter) for put in result.puts]
+        result.puts.clear()
+        flags = self._enqueue_delta_batch(pending)
+        self.strategy.account_feed(sum(flags))
+        if self.tracer is not None:
+            for (put, _meter), accepted in zip(pending, flags):
+                self.tracer.emit("admit", {"tuple": repr(put), "accepted": accepted})
 
     def drain(self) -> int:
         """Run all-minimums steps until Delta is empty; returns the

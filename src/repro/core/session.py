@@ -196,8 +196,10 @@ class EngineSession:
         """Admit external tuples (see :meth:`StepKernel.feed`).
 
         Admission failures (:class:`~repro.core.errors.CausalityError`
-        under strict mode, :class:`~repro.core.errors.UnknownTableError`)
-        are checked before any mutation and leave the session open;
+        under strict mode, :class:`~repro.core.errors.UnknownTableError`,
+        and under retraction :class:`~repro.core.errors.RetractionError`)
+        are checked for every event before any event applies, so they
+        leave the session open and unchanged;
         any other error during the feed shuts the session down
         (releasing the strategy) and re-raises.
         """

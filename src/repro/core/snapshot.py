@@ -34,8 +34,6 @@ from typing import IO, Any
 
 from repro.core.errors import EngineError
 from repro.core.ordering import Timestamp
-from repro.core.query import Query, QueryKind
-from repro.core.support import FiringRecord
 from repro.core.tuples import JTuple
 from repro.trace.events import TraceEvent
 
@@ -84,111 +82,6 @@ def _encode_tuple(t: JTuple) -> list:
     return [t.schema.name, _plain(list(t.values))]
 
 
-def _encode_support(k) -> dict | None:
-    """The retraction support index, or None when the session does not
-    track support.  Query ``where`` closures are code and cannot be
-    serialised; they are flagged ``opaque`` and restored as ``None``,
-    which makes the restored query match a superset — conservative for
-    grown-result invalidation (it can only kill *more* firings, never
-    miss one)."""
-    sup = k._support
-    if sup is None:
-        return None
-    firings = []
-    for fid in sorted(sup.firings):
-        rec = sup.firings[fid]
-        firings.append(
-            {
-                "fid": fid,
-                "rule": rec.rule_name,
-                "rule_index": rec.rule_index,
-                "trigger": _encode_tuple(rec.trigger),
-                "reads": [_encode_tuple(t) for t in rec.reads],
-                "puts": [_encode_tuple(t) for t in rec.puts],
-                "lines": list(rec.lines),
-                "native": sorted(rec.native),
-                "queries": [
-                    {
-                        "table": q.schema.name,
-                        "kind": q.kind.value,
-                        "eq": [[i, _plain(v)] for i, v in sorted(q.eq.items())],
-                        "ranges": [
-                            [i, [_plain(lo), _plain(hi), li, hi2]]
-                            for i, (lo, hi, li, hi2) in sorted(q.ranges.items())
-                        ],
-                        "opaque": q.where is not None,
-                    }
-                    for q in rec.queries
-                ],
-            }
-        )
-    return {
-        "next_fid": sup.next_fid,
-        "base": [_encode_tuple(t) for t in sorted(sup.base, key=repr)],
-        "retracted_base": [
-            _encode_tuple(t) for t in sorted(sup.retracted_base, key=repr)
-        ],
-        "refire": [_encode_tuple(t) for t in sorted(k._refire, key=repr)],
-        "firings": firings,
-    }
-
-
-def _restore_support(k, data: dict, schemas) -> None:
-    """Rebuild the support index and the keyed output from the snapshot.
-    Output keys are *recomputed* (they derive from trigger timestamps,
-    which the restored database reproduces), so the keyed output list is
-    rebuilt from the firings rather than trusted from the document."""
-    sup = k._support
-    tup = lambda enc: JTuple(schemas[enc[0]], tuple(enc[1]))  # noqa: E731
-    sup.base = {tup(e) for e in data.get("base", [])}
-    sup.retracted_base = {tup(e) for e in data.get("retracted_base", [])}
-    k._refire = {tup(e) for e in data.get("refire", [])}
-    opaque_restored = False
-    entries: list[tuple[tuple, str, FiringRecord, int]] = []
-    for f in data.get("firings", []):
-        trigger = tup(f["trigger"])
-        rec = FiringRecord(f["rule"], int(f["rule_index"]), trigger, k.db.timestamp(trigger))
-        rec.fid = int(f["fid"])
-        rec.reads = {tup(e): None for e in f.get("reads", [])}
-        rec.puts = tuple(tup(e) for e in f.get("puts", []))
-        rec.lines = tuple(str(s) for s in f.get("lines", []))
-        rec.native = set(f.get("native", []))
-        for q in f.get("queries", []):
-            if q.get("opaque"):
-                opaque_restored = True
-            rec.queries.append(
-                Query(
-                    schemas[q["table"]],
-                    {int(i): v for i, v in q.get("eq", [])},
-                    {
-                        int(i): (lo, hi, bool(li), bool(hi2))
-                        for i, (lo, hi, li, hi2) in q.get("ranges", [])
-                    },
-                    None,
-                    QueryKind(q.get("kind", "positive")),
-                )
-            )
-        sup.register_restored(rec)
-        for j, (key, line) in enumerate(zip(k._output_keys(rec), rec.lines)):
-            entries.append((key, line, rec, j))
-    sup.next_fid = int(data.get("next_fid", 0))
-    entries.sort(key=lambda e: e[0])
-    k._out_keys = [key for key, _line, _rec, _j in entries]
-    k.output[:] = [line for _key, line, _rec, _j in entries]
-    per_rec: dict[int, list] = {}
-    for key, line, rec, _j in entries:
-        per_rec.setdefault(rec.fid, []).append((key, line))
-    for fid, pairs in per_rec.items():
-        sup.firings[fid].out_lines = tuple(pairs)
-    if opaque_restored:
-        k.stats.note(
-            "restore.opaque-where",
-            "restored support records carry opaque where-clauses "
-            "(code cannot be serialised); grown-result invalidation will "
-            "conservatively over-invalidate their firings"
-        )
-
-
 def build_snapshot(session, extra: Any = None) -> dict:
     """The snapshot document for one open session (pure read).
 
@@ -217,7 +110,7 @@ def build_snapshot(session, extra: Any = None) -> dict:
         "delta": [_encode_tuple(t) for t in k.delta.dump()],
         "quarantined": [_encode_tuple(t) for t in k.quarantined],
         "retention": {name: _plain(ent[2:4]) for name, ent in k._retention.items()},
-        "support": _encode_support(k),
+        "support": None if k._support is None else k._support.to_state(),
         "stats": k.stats.to_state(),
         "meter": k.meter.to_state(),
         "strategy_state": strategy_state,
@@ -315,7 +208,7 @@ def restore_session(cls, source, program, options=None, strategy=None):
             )
         )
     if support is not None:
-        _restore_support(k, support, schemas)
+        k._support.load_state(support, schemas)
     trace = payload.get("trace")
     if k.tracer is not None:
         if trace is not None:

@@ -4,7 +4,7 @@ Two claims, both about *which firings* the repair path looks at, never
 about how long it takes:
 
 * **index ≡ linear scan** — for Hypothesis-generated firing sets and
-  newcomers, the firings ``StepKernel._invalidate_grown`` dooms through
+  newcomers, the firings ``SupportIndex._invalidate_grown`` dooms through
   the footprint index are exactly those a brute-force scan over every
   live firing dooms (the reference lives here, not in ``src/``), and
   unregistering everything leaves every index map empty;
@@ -112,12 +112,12 @@ def test_indexed_invalidation_dooms_exactly_what_a_linear_scan_dooms(
         sup.register(rec)
 
     seeded: list[list[int]] = []
-    k._over_delete = lambda seeds, seed_fids=(): seeded.append(list(seed_fids))
+    sup._over_delete = lambda seeds, seed_fids=(): seeded.append(list(seed_fids))
     candidates = 0
     for spec in newcomer_specs:
         tup = new(spec)
         seeded.clear()
-        k._invalidate_grown(tup, db.timestamp(tup))
+        sup._invalidate_grown(tup, db.timestamp(tup))
         got = seeded[0] if seeded else []
         assert got == _reference_doomed(sup, db, tup)
         # the probe never looks at more firings than there are
