@@ -23,7 +23,7 @@ from repro.apps.pvwatts_disruptor import (
     run_disruptor_simulated,
     run_disruptor_threaded,
 )
-from repro.apps.sensors import alerts_from_output, build_sensor_program, run_sensors
+from repro.apps.sensors import build_sensor_program, run_sensors
 from repro.apps.ship import FIG2_TRACE, build_ship_program, run_ship, ship_trace
 from repro.apps.shortestpath import (
     GraphSpec,
@@ -63,5 +63,4 @@ __all__ = [
     "random_doubles",
     "build_sensor_program",
     "run_sensors",
-    "alerts_from_output",
 ]

@@ -11,10 +11,10 @@ hand-coded *Python* idioms):
 
 * :func:`median_sort_baseline` — the hand-coded idiom: standard-library
   full sort, then index (``Arrays.sort`` ↦ ``sorted``).
-* :func:`median_npsort_baseline` — the same algorithm on the unboxed
-  substrate (numpy introsort); paired with ``np.partition`` in
-  :func:`kernel_comparison` it isolates the paper's algorithmic claim
-  (selection beats full sort ≈2×) from interpreter effects.
+* :func:`kernel_comparison` — the same algorithm on the unboxed
+  substrate (numpy introsort) beside ``np.partition``: the paper's
+  algorithmic claim (selection beats full sort ≈2×) without
+  interpreter effects.
 * :func:`quickselect_reference` — sequential selection reference used
   as ground truth by tests.
 """
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "median_sort_baseline",
-    "median_npsort_baseline",
     "quickselect_reference",
     "kernel_comparison",
 ]
@@ -36,11 +35,6 @@ def median_sort_baseline(values: np.ndarray) -> float:
     lower median (the ``Arrays.sort`` way)."""
     ordered = sorted(values.tolist())
     return float(ordered[(len(ordered) - 1) // 2])
-
-
-def median_npsort_baseline(values: np.ndarray) -> float:
-    """Full sort on the unboxed substrate (numpy introsort)."""
-    return float(np.sort(values)[(len(values) - 1) // 2])
 
 
 def quickselect_reference(values: np.ndarray) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "sensor_events",
     "run_sensors",
     "run_sensors_streaming",
-    "alerts_from_output",
 ]
 
 
@@ -191,7 +190,3 @@ def run_sensors_streaming(
             s.feed(chunk)
             s.settle()
     return s.result
-
-
-def alerts_from_output(result: RunResult) -> list[str]:
-    return list(result.output)

@@ -76,9 +76,6 @@ class _Node:
         self.par_child: _Node | None = None
         self.count = 0  # tuples in this subtree, including `here`
 
-    def is_empty(self) -> bool:
-        return self.count == 0
-
 
 class DeltaTree:
     """The Delta set (§5, Fig 3).

@@ -40,7 +40,6 @@ __all__ = [
     "Lit",
     "Seq",
     "Par",
-    "OrderBySpec",
     "OrderDecls",
     "Timestamp",
     "output_keys",
@@ -96,7 +95,6 @@ class Par:
 
 
 OrderByEntry = Lit | Seq | Par
-OrderBySpec = tuple  # tuple[OrderByEntry, ...]
 
 
 def parse_orderby(entries: Iterable[OrderByEntry | str]) -> tuple[OrderByEntry, ...]:

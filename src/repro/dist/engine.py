@@ -40,9 +40,9 @@ import math
 from dataclasses import asdict
 from functools import partial
 
-from repro.core.tuples import JTuple
 from repro.dist.network import NODE_COUNTERS, NetModel, NetReport, StepTraffic
-from repro.dist.superstep import Backend, Probes, Shard, ShardedExecutor, fire_records
+from repro.dist.superstep import Backend, Probes, Shard, ShardedExecutor
+from repro.dist.superstep import done_record, fire_records, unpack_rows
 from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
 
 __all__ = ["DistEngine"]
@@ -77,7 +77,7 @@ class DistEngine(Backend):
     def start(self) -> None:
         # a restored replica is loaded slice by slice (a fresh one is empty)
         for node, view in enumerate(self._views):
-            view.db.load_tables(self.tier.replica_slice(node))
+            view.db.insert_batch(unpack_rows(self.tier.schemas, self.tier.replica_slice(node)))
 
     # -- the backend contract ----------------------------------------------------
 
@@ -93,10 +93,9 @@ class DistEngine(Backend):
             self._views[node].counters["remote_queries"] += 1
         return answers
 
-    def execute(self, step: int, plan: list) -> dict[int, list[dict]]:
+    def execute(self, step: int, plan: list) -> list[dict]:
         n = self.n_nodes
         owners_of = self.tier.placements.owners_of
-        schemas = self.tier.schemas
         gamma = self.kernel.db
         self.traffic = traffic = StepTraffic(NET)
         node_cost = [0.0] * n
@@ -108,23 +107,21 @@ class DistEngine(Backend):
         # the assigned nodes
         for node, view in enumerate(self._views):
             view.exchange([tup for tup, dup, at in plan if at == node and not dup])
-        records: dict[int, list[dict]] = {}
+        records = [done_record(view.traced) for view in self._views]
         for idx, (tup, dup, node) in enumerate(plan):
             if dup:
                 continue
             meter = CostMeter()
             meter.charge("delta_pop")
-            records[idx] = fire_records(self._views[node], tup, meter)
+            puts = fire_records(self._views[node], idx, tup, meter, records[node])
             node_cost[node] += meter.total_cost
-            for entry in records[idx]:
-                for table, values in entry["puts"]:
-                    # a put travels to its owners unless Gamma already
-                    # holds it (one Delta still holds is sent again: the
-                    # producer cannot know)
-                    put = JTuple(schemas[table], values)
-                    if put not in gamma:
-                        for owner in owners_of(put, n):
-                            traffic.send(node, owner, 1)
+            for put in puts:
+                # a put travels to its owners unless Gamma already
+                # holds it (one Delta still holds is sent again: the
+                # producer cannot know)
+                if put not in gamma:
+                    for owner in owners_of(put, n):
+                        traffic.send(node, owner, 1)
         compute = max(node_cost)
         comm = traffic.comm_time(n)
         barrier = _BARRIER_COST * math.log2(max(2, n))

@@ -61,9 +61,8 @@ NODE_COUNTERS = {
 }
 
 #: the block a done record and a bye carry: one unsigned 64-bit word per
-#: counter, padded to the twelve words it has had since PR 16 — every
-#: committed control-plane byte count was measured at that size
-_BLOCK = struct.Struct(f">{len(NODE_COUNTERS)}Q{8 * (12 - len(NODE_COUNTERS))}x")
+#: counter
+_BLOCK = struct.Struct(f">{len(NODE_COUNTERS)}Q")
 
 
 def pack_counters(counters: Mapping[str, int]) -> bytes:

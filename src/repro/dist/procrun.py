@@ -27,12 +27,12 @@ the backend contract, over two planes:
   ``a`` frame; the coordinator never touches a query.
 
 ``execute`` turns a planned class into one step frame per worker,
-``{step, attempt, insert: [(table, values)…], fire: [(idx, pos)…]}`` —
+``{step, attempt, insert: row runs, fire: [idx, pos, idx, pos, …]}`` —
 phase-A inserts for the slice the worker owns, fire assignments
-indexing into them — and gathers the done records.  Step frame and read
-exchange are once per iteration: nothing is shipped per derived fact,
-nor per probe a rule's read plan predicts (EXPERIMENTS.md, "Benchmark
-anomaly 2" and "4").
+indexing into them — and gathers one done record per worker.  Step
+frame and read exchange are once per iteration: nothing is shipped per
+derived fact, nor per probe a rule's read plan predicts, nor as an
+object per row (EXPERIMENTS.md, "Benchmark anomaly 2", "4" and "7").
 
 Crash recovery (DESIGN.md §5.3 has the protocol): the kernel's Gamma is
 the control replica, and it holds the class being fired — phase A
@@ -61,7 +61,7 @@ from repro.core.kernel import RunResult
 from repro.core.program import ExecOptions, Program
 from repro.dist.engine import DistEngine
 from repro.dist.network import sum_counters
-from repro.dist.superstep import Backend
+from repro.dist.superstep import Backend, pack_rows
 from repro.dist.transport import (
     PeerListener,
     PipeChannel,
@@ -275,7 +275,7 @@ class ProcessShardRuntime(Backend):
         self._bootstrap(fresh)
 
     def _bootstrap(self, w: _Worker) -> None:
-        self._send(w, {"t": "bootstrap", "tables": self.tier.replica_slice(w.node)})
+        self._send(w, {"t": "bootstrap", "rows": self.tier.replica_slice(w.node)})
 
     def _terminate_all(self) -> None:
         for w in self.workers:
@@ -342,7 +342,7 @@ class ProcessShardRuntime(Backend):
 
     # -- the backend contract ----------------------------------------------------
 
-    def execute(self, step: int, plan: list) -> dict[int, list[dict]]:
+    def execute(self, step: int, plan: list) -> list[dict]:
         """Broadcast the planned class and gather its done records,
         re-forking lost workers and retrying the step until one attempt
         completes on every node."""
@@ -378,29 +378,29 @@ class ProcessShardRuntime(Backend):
 
     def _build_frames(self, step: int, plan: list) -> list[dict]:
         """One step frame per worker: the phase-A inserts of the slice
-        it owns, by value, and fire assignments as (batch index,
-        position in that insert list)."""
+        it owns, as row runs, and fire assignments as flat (batch index,
+        position in those inserts) pairs — for tuples that trigger a
+        rule; the others have nothing to fire."""
         inserts: list[list] = [[] for _ in range(self.n_nodes)]
         fires: list[list] = [[] for _ in range(self.n_nodes)]
         for idx, (tup, dup, node) in enumerate(plan):
-            row = (tup.schema.name, tuple(tup.values))
+            fire = not dup and self.program.rules_for(tup.schema.name)
             for o in self.tier.placements.owners_of(tup, self.n_nodes):
-                if o == node and not dup:
-                    fires[o].append((idx, len(inserts[o])))
-                inserts[o].append(row)
+                if o == node and fire:
+                    fires[o] += (idx, len(inserts[o]))
+                inserts[o].append(tup)
         return [
-            {"t": "step", "step": step, "insert": inserts[n], "fire": fires[n]}
+            {"t": "step", "step": step, "insert": pack_rows(inserts[n]), "fire": fires[n]}
             for n in range(self.n_nodes)
         ]
 
-    def _attempt(self, step: int, frames: list[dict]) -> dict:
+    def _attempt(self, step: int, frames: list[dict]) -> list[dict]:
         epoch = self._epoch
         for w in self.workers:
             self._send(w, {**frames[w.node], "attempt": epoch})
-        records: dict[int, list] = {}
-        done: set[int] = set()
+        records: list = [None] * self.n_nodes
         chans = [w.channel for w in self.workers]
-        while len(done) < self.n_nodes:
+        while None in records:
             for ch in wait_readable(chans):
                 w = self._by_chan[ch]
                 msg = self._recv(w)
@@ -408,10 +408,8 @@ class ProcessShardRuntime(Backend):
                 if t == "done":
                     if msg["attempt"] != epoch:
                         continue  # stale reply from before a recovery
-                    done.add(w.node)
                     self._last_counters[w.node] = msg["counters"]
-                    for idx, entries in msg["records"]:
-                        records[idx] = entries
+                    records[w.node] = msg
                 elif t == "error":
                     # a deterministic failure inside a rule: re-raise
                     # here instead of looping through crash recovery

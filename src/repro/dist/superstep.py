@@ -22,10 +22,11 @@ replica**), phase C, stats, trace and keyed output — whose phase B is
   runs the ordinary :class:`~repro.core.rules.RuleContext` — and *when*
   they are fetched is a hint too: once per class for the reads the
   rules' plans predict (:mod:`repro.dist.readplan`), as asked otherwise;
-* the conversion of the records a backend returns into the kernel's
-  :class:`~repro.exec.base.TaskResult` list, in (batch index, rule
-  declaration) order — the single-node task order — tagged with the
-  node that fired them;
+* the **done record** a node's firings of a class come back in, tuples
+  as **row runs** (:func:`pack_rows`) like every frame's, and its
+  conversion into the kernel's :class:`~repro.exec.base.TaskResult`
+  list, in (batch index, rule declaration) order — the single-node task
+  order — tagged with the node that fired them;
 * the shard integrity check both backends run before they report.
 
 A :class:`Backend` only *executes* a planned class on its shards.  That
@@ -38,7 +39,8 @@ as the session: started when it goes live, reaped when it closes.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from itertools import count, islice
+from typing import Callable, Iterable, Mapping
 
 from repro.core.database import Database, InsertOutcome
 from repro.core.errors import EngineError
@@ -47,6 +49,7 @@ from repro.core.kernel import RunResult, StepKernel
 from repro.core.program import ExecOptions, Program
 from repro.core.query import Query, QueryKind, probe_key, residual
 from repro.core.rules import RuleContext
+from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple
 from repro.dist.network import NODE_COUNTERS
 from repro.dist.placement import OnNode, Partitioned, PlacementMap, spread_hash
@@ -62,7 +65,10 @@ __all__ = [
     "Probes",
     "Shard",
     "ShardedExecutor",
+    "done_record",
     "fire_records",
+    "pack_rows",
+    "unpack_rows",
 ]
 
 #: one planned tuple of a class: (tuple, already in Gamma, fire node)
@@ -113,10 +119,10 @@ class Backend(Strategy):
     def account_step(self, results, allocations: float, retained: float) -> None:
         pass  # never called: the kernel runs unmetered
 
-    def execute(self, step: int, plan: list[Planned]) -> dict[int, list[dict]]:
+    def execute(self, step: int, plan: list[Planned]) -> list[dict]:
         """Land the planned class on its owner shards, fire each
         non-duplicate tuple on its assigned node through
-        :func:`fire_records`, and return batch index → records.  The
+        :func:`fire_records`, and return each node's done record.  The
         kernel committed the class to the control replica before this
         call (phase A precedes phase B, as on one node), so a backend
         that loses a shard mid-step rebuilds it from a replica that
@@ -320,15 +326,60 @@ class Shard:
             self._pull(asks)
 
 
-def fire_records(shard: Shard, tup: JTuple, meter: CostMeter) -> list[dict]:
-    """Fire every rule ``tup`` triggers on ``shard``'s node: one
-    wire-safe record per rule in declaration order, which the
-    coordinator merges in global (batch index, rule) order."""
-    entries: list[dict] = []
+def pack_rows(rows: Iterable[JTuple], runs: list | None = None) -> list:
+    """``rows`` as row runs ``[table, n_rows, [v0, v1, …]]`` — how every
+    frame carries tuples: one run per stretch of one table's rows, values
+    flat, row order kept.  Given ``runs``, extends its last run."""
+    runs = [] if runs is None else runs
+    run = runs[-1] if runs else None
+    for t in rows:
+        if run is None or run[0] != t.schema.name:
+            run = [t.schema.name, 0, []]
+            runs.append(run)
+        run[1] += 1
+        run[2] += t.values
+    return runs
+
+
+def unpack_rows(schemas: Mapping[str, TableSchema], runs: list) -> list[JTuple]:
+    """The rows of :func:`pack_rows`' ``runs``, in order, each run at its
+    table's arity: a run whose values do not fill its rows exactly is an
+    :class:`EngineError` naming the table."""
+    rows: list[JTuple] = []
+    for table, n, flat in runs:
+        schema = schemas.get(table)
+        arity = None if schema is None else len(schema.fields)
+        if arity is None or n * arity != len(flat):
+            raise EngineError(f"a run of {n} {table!r} rows at arity {arity}: {len(flat)} values")
+        each = zip(*[iter(flat)] * arity) if arity else [()] * n
+        rows += map(schema.tuple_class._build, each)
+    return rows
+
+
+def done_record(traced: bool) -> dict:
+    """An empty done record, one node's firings of one class: the batch
+    indices fired; per entry (one per rule fired) the rule's position in
+    the program and its put count; the puts as row runs; entry -> lines
+    where one printed; and, traced, each entry's events."""
+    return {"fired": [], "rules": [], "nputs": [], "puts": [], "output": {},
+            "events": [] if traced else None}
+
+
+def fire_records(
+    shard: Shard, idx: int, tup: JTuple, meter: CostMeter, record: dict
+) -> list[JTuple]:
+    """Fire every rule ``tup`` — batch index ``idx`` — triggers on
+    ``shard``'s node into ``record`` (:func:`done_record`), which the
+    coordinator reads in plan order; the firings' puts are returned."""
+    triggered = shard.program.rules_for(tup.schema.name)
+    if not triggered:
+        return []  # nothing fires: the tuple takes no place in the record
+    record["fired"].append(idx)
+    puts: list[JTuple] = []
     ts = shard.db.timestamp(tup)
-    for rule in shard.program.rules_for(tup.schema.name):
+    for rule in triggered:
         meter.charge("rule_fire")
-        events: list | None = [] if shard.traced else None
+        trace: list | None = [] if shard.traced else None
         ctx = RuleContext(
             shard.db,
             shard.program.decls,
@@ -340,19 +391,19 @@ def fire_records(shard: Shard, tup: JTuple, meter: CostMeter) -> list[dict]:
             shard.check_mode,
             None,
             None,
-            events,
+            trace,
         )
         rule.body(ctx, tup)
         ctx.finish()
-        entries.append(
-            {
-                "rule": rule.name,
-                "puts": [(p.schema.name, tuple(p.values)) for p in ctx.puts],
-                "output": list(ctx.output),
-                "events": events or [],
-            }
-        )
-    return entries
+        if ctx.output:
+            record["output"][len(record["rules"])] = list(ctx.output)
+        record["rules"].append(shard.program.rules.index(rule))
+        record["nputs"].append(len(ctx.puts))
+        puts += ctx.puts
+        if trace is not None:
+            record["events"].append(trace)
+    pack_rows(puts, record["puts"])
+    return puts
 
 
 class ShardedExecutor(StepExecutor):
@@ -376,25 +427,14 @@ class ShardedExecutor(StepExecutor):
         )
         self.node_fires = [0] * n_nodes
         self.node_puts = [0] * n_nodes
-        #: rule name -> position, for canonical output keys (records
-        #: identify rules by name)
-        self._rule_pos = {r.name: i for i, r in enumerate(program.rules)}
         backend.attach(self)
 
-    def replica_slice(self, node: int) -> dict[str, list]:
-        """The rows of the control replica ``node`` holds, by table — a
-        shard's load when it starts from a restored replica or replaces
-        a lost one."""
-        tables: dict[str, list] = {}
-        for name, store in self.kernel.db.stores.items():
-            rows = [
-                list(t.values)
-                for t in store.scan()
-                if self.placements.home_of(t, self.n_nodes) in (None, node)
-            ]
-            if rows:
-                tables[name] = rows
-        return tables
+    def replica_slice(self, node: int) -> list:
+        """The rows of the control replica ``node`` holds, as row runs —
+        a shard's load when it starts from a restored replica or
+        replaces a lost one."""
+        home_of, n, stores = self.placements.home_of, self.n_nodes, self.kernel.db.stores.values()
+        return pack_rows(t for s in stores for t in s.scan() if home_of(t, n) in (None, node))
 
     def fire_node(self, tup: JTuple) -> int:
         """Node that fires this tuple's rules — the partition home, or
@@ -413,10 +453,17 @@ class ShardedExecutor(StepExecutor):
             (tup, outcome is InsertOutcome.DUPLICATE, self.fire_node(tup))
             for tup, outcome in prepared
         ]
-        records = self.backend.execute(k.steps, plan)
+        # a node fires its share of the class in plan order, and each
+        # tuple's rules in declaration order: one cursor per node
+        cursors = [
+            (iter(rec["fired"]), zip(count(), rec["rules"], rec["nputs"]),
+             iter(unpack_rows(self.schemas, rec["puts"])), rec)
+            for rec in self.backend.execute(k.steps, plan)
+        ]
         traced = k.tracer is not None
         edges, events, handle_puts = k.stats.trigger_edges, k.stats.table, k._handle_puts
-        schemas, node_fires, node_puts = self.schemas, self.node_fires, self.node_puts
+        rules, rules_for = k.program.rules, k.program.rules_for
+        node_fires, node_puts = self.node_fires, self.node_puts
         # traced, one result per tuple: each task and effect event names
         # its node.  Untraced, one sink result carries the class's puts
         # and output in the order the per-tuple results would
@@ -438,27 +485,25 @@ class ShardedExecutor(StepExecutor):
                 events(name).duplicates += 1
                 continue
             events(name).gamma_inserts += 1
-            for entry in records.get(idx, ()):
-                rule = entry["rule"]
+            n_rules = len(rules_for(name))
+            fired, entries, puts, record = cursors[node]
+            if n_rules and next(fired, None) != idx:
+                raise EngineError(f"node {node}'s done record is out of step at batch index {idx}")
+            for entry, pos, n_puts in islice(entries, n_rules):
+                rule = rules[pos].name
                 key = (name, rule)
                 edges[key] = edges.get(key, 0) + 1
                 node_fires[node] += 1
-                node_puts[node] += len(entry["puts"])
+                node_puts[node] += n_puts
                 if traced:
                     result.fired_rules.append(rule)
                     result.events.extend(
-                        (kind, {**data, "node": node}) for kind, data in entry["events"]
+                        (kind, {**data, "node": node}) for kind, data in record["events"][entry]
                     )
-                out = entry["output"]
+                out = record["output"].get(entry)
                 if out:
-                    self.deliver(
-                        result, rule, self._rule_pos[rule], tup, k.db.timestamp(tup), out
-                    )
-                handle_puts(
-                    [JTuple(schemas[t], tuple(vals)) for t, vals in entry["puts"]],
-                    result,
-                    rule,
-                )
+                    self.deliver(result, rule, pos, tup, k.db.timestamp(tup), out)
+                handle_puts(list(islice(puts, n_puts)), result, rule)
         return results
 
     def check_shards(self, shard_sizes: dict[str, list[int]]) -> None:

@@ -25,13 +25,16 @@ see a shard.
 
 The coordinator drives supersteps over the control channel:
 ``bootstrap`` (load the owned slice of the control replica), ``step``
-(phase-A inserts by value, fire assignments), ``abort`` (another worker
+(phase-A inserts by value, fire assignments; a ``done`` record
+answers), ``abort`` (another worker
 died mid-step: unwind and await the retry), ``stats`` (a snapshot:
 report the queries counted since last asked), ``finish`` (report shard
-sizes + stats and exit).  A worker mutates nothing but its own shard;
-effects travel back as records.  The reply to each executed step is
-cached and a retried step replays it: at-most-once rule execution per
-worker per step, which keeps ``unsafe`` rules safe under recovery.
+sizes + stats and exit).  Tuples travel as row runs both ways
+(:func:`~repro.dist.superstep.pack_rows`).  A worker mutates nothing
+but its own shard; effects travel back as records.  The reply to each
+executed step is cached and a retried step replays it: at-most-once
+rule execution per worker per step, which keeps ``unsafe`` rules safe
+under recovery.
 """
 
 from __future__ import annotations
@@ -46,10 +49,9 @@ from functools import partial
 
 from repro.core.errors import EngineError
 from repro.core.program import Program
-from repro.core.tuples import JTuple
 from repro.dist.network import pack_counters
 from repro.dist.placement import PlacementMap
-from repro.dist.superstep import Probes, Shard, fire_records
+from repro.dist.superstep import Probes, Shard, done_record, fire_records, unpack_rows
 from repro.dist.transport import (
     Channel,
     PeerListener,
@@ -290,7 +292,7 @@ class ShardWorker:
                 self._connect_mesh(msg["connect"], msg["await"])
                 self._send({"t": "mesh", "node": self.node})
             elif t == "bootstrap":
-                self.db.load_tables(msg["tables"])
+                self.db.insert_batch(unpack_rows(self.schemas, msg["rows"]))
             elif t == "abort":
                 pass  # nothing in flight at the main loop
             elif t == "stats":
@@ -321,22 +323,21 @@ class ShardWorker:
             payload = self._cache[1]
         else:
             # rebuilt against this process's schema objects
-            owned = [JTuple(self.schemas[t], tuple(vals)) for t, vals in msg["insert"]]
-            if owned:
-                # phase A: land this shard's slice of the minimal class;
-                # duplicate outcomes are fine (retried steps re-insert)
-                self.db.insert_batch(owned, frozenset())
+            owned = unpack_rows(self.schemas, msg["insert"])
+            # phase A: land this shard's slice of the minimal class;
+            # duplicate outcomes are fine (retried steps re-insert)
+            self.db.insert_batch(owned, frozenset())
             self._applied = max(self._applied, step)
             self._flush_deferred()
+            fire = msg["fire"]
+            record = done_record(self.shard.traced)
             try:
-                self.shard.exchange([owned[pos] for _idx, pos in msg["fire"]])
-                records = [
-                    (idx, fire_records(self.shard, owned[pos], NULL_METER))
-                    for idx, pos in msg["fire"]
-                ]
+                self.shard.exchange([owned[pos] for pos in fire[1::2]])
+                for idx, pos in zip(fire[::2], fire[1::2]):
+                    fire_records(self.shard, idx, owned[pos], NULL_METER, record)
             except _StepAborted:
                 return  # partial work discarded; the retry re-executes
-            payload = {"t": "done", "step": step, "records": records}
+            payload = {"t": "done", "step": step, **record}
             self._cache = (step, payload)
         # fixed width, because when a done record is sent relative to a
         # peer's query is a matter of timing, and a pickled int grows a

@@ -47,8 +47,6 @@ __all__ = ["RANGE_PAIR", "range_form", "CompiledBound", "CompiledQueryPlan"]
 #: shape tag for the inclusive ``(lo, hi)`` range form
 RANGE_PAIR = "pair"
 
-_VALID_OPS = frozenset(("gt", "ge", "lt", "le"))
-
 
 def range_form(spec: Any):
     """The shape of one range spec: :data:`RANGE_PAIR` for a 2-tuple,

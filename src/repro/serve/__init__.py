@@ -29,7 +29,6 @@ Quick taste::
 from repro.serve.client import ServiceCallError, ServiceClient
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
-    VERBS,
     decode_events,
     encode_frame,
     read_frame,
@@ -47,7 +46,6 @@ from repro.serve.tenant import TenantSession
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "VERBS",
     "ProgramEntry",
     "ProgramRegistry",
     "ServiceCallError",

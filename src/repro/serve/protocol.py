@@ -35,6 +35,7 @@ from repro.core.errors import (
     JStarError,
     ProtocolError,
     RetractionError,
+    SchemaError,
     ServiceError,
     UnknownTableError,
 )
@@ -43,7 +44,6 @@ from repro.core.tuples import JTuple
 __all__ = [
     "HEADER",
     "MAX_FRAME_BYTES",
-    "VERBS",
     "encode_frame",
     "read_frame",
     "read_frame_with_size",
@@ -60,18 +60,6 @@ HEADER = struct.Struct(">I")
 #: (``ServiceConfig.max_frame_bytes``) but frames above this are always
 #: refused — the length prefix is attacker-controlled input
 MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-#: the verbs the service speaks
-VERBS = (
-    "open",
-    "feed",
-    "retract",
-    "settle",
-    "snapshot",
-    "stats",
-    "close",
-    "ping",
-)
 
 
 def encode_frame(obj: Mapping[str, Any]) -> bytes:
@@ -161,8 +149,10 @@ def wire_events(events: Iterable[Any]) -> list[list]:
 
 def decode_events(schemas: Mapping[str, Any], triples: Iterable[Any]) -> list:
     """Wire triples -> engine events against ``schemas`` (table name ->
-    :class:`~repro.core.schema.TableSchema`).  Unknown tables and
-    malformed triples are refused *before* anything is admitted."""
+    :class:`~repro.core.schema.TableSchema`), each tuple built by its
+    table's checked constructor.  Unknown tables, malformed triples and
+    values that do not fit their fields are refused *before* anything is
+    admitted."""
     out: list = []
     for i, triple in enumerate(triples):
         if (
@@ -181,7 +171,14 @@ def decode_events(schemas: Mapping[str, Any], triples: Iterable[Any]) -> list:
             raise UnknownTableError(
                 f"feed event #{i} names unknown table {table!r}"
             )
-        tup = JTuple(schema, tuple(values))
+        if len(values) != len(schema.fields):
+            raise ProtocolError(
+                f"feed event #{i}: {values!r} do not fill {table}{schema.field_names}"
+            )
+        try:
+            tup = schema.make_tuple(tuple(values))
+        except SchemaError as exc:
+            raise ProtocolError(f"feed event #{i}: {exc}") from None
         out.append(Insert(tup) if op == "+" else Delete(tup))
     return out
 

@@ -14,7 +14,6 @@ submission order), so the same run always produces the same stream.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from pathlib import Path
 from typing import IO, Any, Iterable, Sequence, Union
@@ -80,21 +79,6 @@ class TraceRecorder:
         finally:
             if close:
                 fh.close()
-
-    def to_jsonl_str(self) -> str:
-        buf = io.StringIO()
-        self.to_jsonl(buf)
-        return buf.getvalue()
-
-    @classmethod
-    def from_events(cls, events: Iterable[TraceEvent]) -> "TraceRecorder":
-        """Rebuild a recorder from stored events (session snapshot
-        restore); the step cursor resumes from the last event."""
-        rec = cls()
-        rec.events = list(events)
-        if rec.events:
-            rec.step = rec.events[-1].step
-        return rec
 
     @classmethod
     def from_jsonl(cls, src: str | Path | IO[str]) -> "TraceRecorder":

@@ -275,6 +275,12 @@ def test_mesh_places_like_the_cost_model_and_repeats_its_wire_counts(
     )
     wire = [{k: nd[k] for k in WIRE_KEYS} for nd in mesh.nodes]
     assert [{k: nd[k] for k in WIRE_KEYS} for nd in again.nodes] == wire
+    if (name, kind, n) == ("shortestpath", "default", 2):
+        # frames carry tuples as row runs, not an object per row: 137.4
+        # control-plane bytes per stored tuple here, traced (155.7 with
+        # an object per row); the budget is 10 % above
+        coord = sum(nd["bytes_sent"] + nd["bytes_recv"] for nd in mesh.nodes)
+        assert coord / sum(mesh.table_sizes.values()) < 151.0
 
 
 @pytest.mark.parametrize("transport", ["pipe", "tcp"])

@@ -255,11 +255,11 @@ def test_worker_dies_between_exchange_and_firing(transport, tmp_path, monkeypatc
     marker = tmp_path / "died"
     fire = superstep.fire_records
 
-    def die_once(shard, tup, meter):
+    def die_once(shard, *args):
         if shard._node == 1 and shard._cache and not marker.exists():
             marker.touch()
             os._exit(1)
-        return fire(shard, tup, meter)
+        return fire(shard, *args)
 
     monkeypatch.setattr("repro.dist.worker.fire_records", die_once)
     got = run_sharded(
