@@ -186,9 +186,11 @@ class Database:
             for name, store in self.stores.items()
         }
 
-    def load_tables(self, tables: dict[str, list]) -> None:
-        """Rebuild Gamma from :meth:`dump_tables` output (stores must be
-        empty — i.e. a freshly constructed database)."""
+    def load_tables(self, tables: dict[str, list[JTuple]]) -> None:
+        """Rebuild Gamma from the tuples of :meth:`dump_tables` output,
+        in its order (stores must be empty — i.e. a freshly constructed
+        database)."""
         for name, rows in tables.items():
-            store = self.store(name)
-            store.load_rows(rows)
+            insert = self.store(name).insert
+            for tup in rows:
+                insert(tup)

@@ -8,7 +8,8 @@ tree is sorted according to the *i*-th entries of the orderby lists."
 * literal levels are "a linear array of subtrees, indexed by a total
   ordering of the order relationship" — here a rank-keyed child map;
 * ``seq`` levels use a sorted map (the paper's ``TreeMap`` /
-  ``ConcurrentSkipListMap``) — here our skip list;
+  ``ConcurrentSkipListMap``) — here a ``sortedcontainers.SortedDict``,
+  whose layout depends only on its keys;
 * ``par`` levels collapse: all values share one subtree (unordered ⇒
   equivalent ⇒ parallel);
 * leaves hold *sets* of tuples — one equivalence class, executable in
@@ -30,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from sortedcontainers import SortedDict
+
 from repro.core.errors import OrderingError
 from repro.core.ordering import KIND_LIT, KIND_PAR, KIND_SEQ, Timestamp
 from repro.core.tuples import JTuple
-from repro.gamma.skiplist import SkipListMap
 
 __all__ = ["DeltaTree", "Insert", "Delete"]
 
@@ -62,7 +64,7 @@ class _Node:
     ``here`` holds tuples whose timestamp ends at this node (insertion
     -ordered dict used as a deterministic set).  ``kind`` is fixed by
     the first child inserted: KIND_LIT (children keyed by literal rank,
-    plain dict), KIND_SEQ (children in a sorted skip list), or KIND_PAR
+    plain dict), KIND_SEQ (children in a sorted map), or KIND_PAR
     (single collapsed child).  Mixing kinds at one level is a malformed
     program.
     """
@@ -72,7 +74,7 @@ class _Node:
     def __init__(self) -> None:
         self.here: dict[JTuple, None] = {}
         self.kind: int | None = None
-        self.children: dict | SkipListMap | None = None
+        self.children: dict | SortedDict | None = None
         self.par_child: _Node | None = None
         self.count = 0  # tuples in this subtree, including `here`
 
@@ -84,11 +86,9 @@ class DeltaTree:
     iteration (for visualisation).  All operations are deterministic.
     """
 
-    def __init__(self, seed: int = 0xD317A):
+    def __init__(self) -> None:
         self._root = _Node()
         self._members: set[JTuple] = set()
-        self._seed = seed
-        self._seq_counter = 0  # distinct seeds for nested skip lists
 
     def __len__(self) -> int:
         return self._root.count
@@ -141,8 +141,7 @@ class DeltaTree:
                 if kind == KIND_LIT:
                     node.children = {}
                 elif kind == KIND_SEQ:
-                    self._seq_counter += 1
-                    node.children = SkipListMap(self._seed ^ self._seq_counter)
+                    node.children = SortedDict()
                 # KIND_PAR uses par_child only
             elif node.kind != kind:
                 raise OrderingError(
@@ -153,17 +152,11 @@ class DeltaTree:
                 child = node.par_child
                 if child is None:
                     child = node.par_child = _Node()
-            elif kind == KIND_LIT:
+            else:  # a literal rank or a seq value: a SortedDict is a dict
                 assert isinstance(node.children, dict)
                 child = node.children.get(comp[1])
                 if child is None:
                     child = node.children[comp[1]] = _Node()
-            else:  # KIND_SEQ
-                assert isinstance(node.children, SkipListMap)
-                child = node.children.get(comp[1])
-                if child is None:
-                    child = _Node()
-                    node.children.insert(comp[1], child)
             node = child
             path.append(node)
         node.here[tup] = None
@@ -188,11 +181,8 @@ class DeltaTree:
                 return False
             if kind == KIND_PAR:
                 child = node.par_child
-            elif kind == KIND_LIT:
+            else:
                 assert isinstance(node.children, dict)
-                child = node.children.get(comp[1])
-            else:  # KIND_SEQ
-                assert isinstance(node.children, SkipListMap)
                 child = node.children.get(comp[1])
             if child is None:
                 return False
@@ -223,8 +213,10 @@ class DeltaTree:
             assert isinstance(node.children, dict)
             key = min(r for r, c in node.children.items() if c.count > 0)
             return key, node.children[key]
-        assert isinstance(node.children, SkipListMap)
-        for k, c in node.children.items():
+        assert isinstance(node.children, SortedDict)
+        children = node.children
+        for k in children:
+            c = children[k]
             if c.count > 0:
                 return k, c
         raise AssertionError("non-empty node had no non-empty child")
@@ -257,25 +249,17 @@ class DeltaTree:
         node.count -= n
         for parent, key in reversed(path):
             parent.count -= n
-            # prune empty children to keep min-descent fast
-            child_empty = False
+            # prune empty children to keep min-descent fast (best-effort;
+            # counts are authoritative).  A seq level's SortedDict is a
+            # dict, so literal and seq levels prune alike.
             if parent.kind == KIND_PAR:
                 if parent.par_child is not None and parent.par_child.count == 0:
                     parent.par_child = None
-                    child_empty = True
-            elif parent.kind == KIND_LIT:
-                assert isinstance(parent.children, dict)
-                if key is not None and parent.children[key].count == 0:
-                    del parent.children[key]
-                    child_empty = True
             else:
-                assert isinstance(parent.children, SkipListMap)
-                if key is not None:
-                    c = parent.children.get(key)
-                    if c is not None and c.count == 0:
-                        parent.children.delete(key)
-                        child_empty = True
-            del child_empty  # pruning is best-effort; counts are authoritative
+                children = parent.children
+                assert isinstance(children, dict)
+                if key is not None and children[key].count == 0:
+                    del children[key]
         self._members.difference_update(batch)
         return batch
 
@@ -299,7 +283,7 @@ class DeltaTree:
             elif node.kind == KIND_LIT and isinstance(node.children, dict):
                 for rank in sorted(node.children):
                     walk(node.children[rank], prefix + (("lit", rank),))
-            elif node.kind == KIND_SEQ and isinstance(node.children, SkipListMap):
+            elif node.kind == KIND_SEQ and isinstance(node.children, SortedDict):
                 for k, child in node.children.items():
                     walk(child, prefix + (("seq", k),))
 
@@ -324,7 +308,7 @@ class DeltaTree:
             elif node.kind == KIND_LIT and isinstance(node.children, dict):
                 for rank in sorted(node.children):
                     walk(node.children[rank])
-            elif node.kind == KIND_SEQ and isinstance(node.children, SkipListMap):
+            elif node.kind == KIND_SEQ and isinstance(node.children, SortedDict):
                 for _k, child in node.children.items():
                     walk(child)
 

@@ -249,6 +249,15 @@ class TableSchema:
                     f"{self.name}.{f.name} expects {f.type}, got {type(v).__name__} ({v!r})"
                 )
 
+    def from_row(self, values: Any) -> JTuple:
+        """An outside row — a wire event's values, a snapshot row — as a
+        tuple of this table: a list or tuple filling every field, each
+        value checked by :attr:`make_tuple`.  The :class:`SchemaError`
+        names the table's fields, or the one field a value does not fit."""
+        if not isinstance(values, (list, tuple)) or len(values) != len(self.fields):
+            raise SchemaError(f"{values!r} do not fill {self.name}{self.field_names}")
+        return self.make_tuple(tuple(values))
+
     def key_of(self, values: tuple) -> tuple:
         """Primary-key projection of a value tuple."""
         return tuple(values[i] for i in self.key_indexes)

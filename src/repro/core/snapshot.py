@@ -32,7 +32,7 @@ import json
 from pathlib import Path
 from typing import IO, Any
 
-from repro.core.errors import EngineError
+from repro.core.errors import EngineError, SchemaError
 from repro.core.ordering import Timestamp
 from repro.core.tuples import JTuple
 from repro.trace.events import TraceEvent
@@ -80,6 +80,21 @@ def _decode_timestamp(d: dict | None) -> Timestamp | None:
 
 def _encode_tuple(t: JTuple) -> list:
     return [t.schema.name, _plain(list(t.values))]
+
+
+def _decode_tuple(schemas, where: str, enc: Any) -> JTuple:
+    """A ``[table, values]`` pair of the document as a tuple built by
+    its table's checked :meth:`~repro.core.schema.TableSchema.from_row`:
+    an unknown table or a row that does not fit is an
+    :class:`EngineError` saying where in the document it sits."""
+    name, values = enc if isinstance(enc, list) and len(enc) == 2 else (None, None)
+    schema = schemas.get(name) if isinstance(name, str) else None
+    if schema is None:
+        raise EngineError(f"snapshot {where} names no table of this program: {enc!r}")
+    try:
+        return schema.from_row(values)
+    except SchemaError as exc:
+        raise EngineError(f"snapshot {where}: {exc}") from None
 
 
 def build_snapshot(session, extra: Any = None) -> dict:
@@ -164,6 +179,18 @@ def restore_session(cls, source, program, options=None, strategy=None):
             "snapshot table schemas disagree with the supplied program; "
             "restore needs the exact program the snapshot was taken from"
         )
+    # every row is checked before anything is built from it
+    tables = {}
+    for name, rows in payload.get("tables", {}).items():
+        if name not in schemas:
+            raise EngineError(f"snapshot tables names no table of this program: {name!r}")
+        tables[name] = [_decode_tuple(schemas, f"tables.{name} row #{i}", [name, v])
+                        for i, v in enumerate(rows)]
+    delta, quarantined = (
+        [_decode_tuple(schemas, f"{section} row #{i}", e)
+         for i, e in enumerate(payload.get(section, []))]
+        for section in ("delta", "quarantined")
+    )
 
     session = cls(program, options, strategy)
     k = session.kernel
@@ -177,14 +204,10 @@ def restore_session(cls, source, program, options=None, strategy=None):
             f"{k.strategy.n_threads} — pass matching options"
         )
 
-    k.db.load_tables(payload.get("tables", {}))
-    for name, values in payload.get("delta", []):
-        tup = JTuple(schemas[name], tuple(values))
+    k.db.load_tables(tables)
+    for tup in delta:
         k.delta.insert(tup, k.db.timestamp(tup))
-    k.quarantined = [
-        JTuple(schemas[name], tuple(values))
-        for name, values in payload.get("quarantined", [])
-    ]
+    k.quarantined = quarantined
     for name, tail in payload.get("retention", {}).items():
         ent = k._retention.get(name)
         if ent is not None:

@@ -48,7 +48,7 @@ from repro.core.database import InsertOutcome
 from repro.core.errors import KeyInvariantError, RetractionError
 from repro.core.ordering import Timestamp, compare_timestamps, output_keys
 from repro.core.query import Query, QueryKind
-from repro.core.snapshot import _encode_tuple, _plain
+from repro.core.snapshot import _decode_tuple, _encode_tuple, _plain
 from repro.core.tuples import JTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -592,23 +592,28 @@ class SupportIndex:
 
     def load_state(self, data: dict, schemas) -> None:
         """Rebuild the index and the keyed output from a ``support``
-        section.  Output keys are *recomputed* (they derive from trigger
+        section, every tuple through the snapshot's checked decoder.
+        Output keys are *recomputed* (they derive from trigger
         timestamps, which the restored database reproduces), so the
         kernel's output is rebuilt from the firings rather than trusted
         from the document."""
         k = self.kernel
-        tup = lambda enc: JTuple(schemas[enc[0]], tuple(enc[1]))  # noqa: E731
-        self.base = {tup(e) for e in data.get("base", [])}
-        self.retracted_base = {tup(e) for e in data.get("retracted_base", [])}
-        self._refire = {tup(e) for e in data.get("refire", [])}
+
+        def tuples(where: str, encs: list) -> list[JTuple]:
+            return [_decode_tuple(schemas, f"support.{where} row #{i}", e)
+                    for i, e in enumerate(encs)]
+
+        self.base = set(tuples("base", data.get("base", [])))
+        self.retracted_base = set(tuples("retracted_base", data.get("retracted_base", [])))
+        self._refire = set(tuples("refire", data.get("refire", [])))
         opaque_restored = False
         entries: list[tuple[tuple, str]] = []
-        for f in data.get("firings", []):
-            trigger = tup(f["trigger"])
+        for n, f in enumerate(data.get("firings", [])):
+            trigger = _decode_tuple(schemas, f"support.firings[{n}].trigger", f["trigger"])
             rec = FiringRecord(f["rule"], int(f["rule_index"]), trigger, k.db.timestamp(trigger))
             rec.fid = int(f["fid"])
-            rec.reads = {tup(e): None for e in f.get("reads", [])}
-            rec.puts = tuple(tup(e) for e in f.get("puts", []))
+            rec.reads = dict.fromkeys(tuples(f"firings[{n}].reads", f.get("reads", [])))
+            rec.puts = tuple(tuples(f"firings[{n}].puts", f.get("puts", [])))
             rec.lines = tuple(str(s) for s in f.get("lines", []))
             rec.native = set(f.get("native", []))
             for q in f.get("queries", []):

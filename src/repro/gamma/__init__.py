@@ -20,6 +20,10 @@ backend                        Java analogue in the paper
 :class:`TwoIterationArrayStore` ``double[2][N]`` Median store (§6.6)
 ============================  ==============================================
 
+The two ordered stores — and the Delta tree's ``seq`` levels — sit on
+one ``sortedcontainers.SortedDict``, a dict for point probes beside a
+sorted key list for ordered scans; they differ only in cost profile.
+
 On top of any backend, :class:`IndexedStore` maintains the secondary
 indexes of an :class:`IndexSpec` plan — derived statically from the
 program's rules by :func:`plan_indexes` (``ExecOptions(index_mode=
@@ -37,7 +41,6 @@ from repro.gamma.indexplan import (
     spec_for_pattern,
 )
 from repro.gamma.nativearray import NativeArrayStore, TwoIterationArrayStore
-from repro.gamma.skiplist import SkipListMap, SkipListSet
 from repro.gamma.treeset import ConcurrentSkipListStore, TreeSetStore
 
 __all__ = [
@@ -45,8 +48,6 @@ __all__ = [
     "StoreFactory",
     "StoreRegistry",
     "TableStore",
-    "SkipListMap",
-    "SkipListSet",
     "TreeSetStore",
     "ConcurrentSkipListStore",
     "HashKeyStore",

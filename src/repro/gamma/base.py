@@ -218,27 +218,20 @@ class TableStore(ABC):
     # -- checkpoint hooks ----------------------------------------------------
 
     def supports_checkpoint(self) -> bool:
-        """Whether this store round-trips through
-        :meth:`dump_rows`/:meth:`load_rows`.  True for every store whose
-        full contents are reachable by :meth:`scan` and reinsertable by
-        :meth:`insert`; stores backed by bulk-loaded native planes (the
-        Median ``double[2][N]`` specialisation) override this to opt
-        out, which makes sessions over them refuse to snapshot with a
-        clear error instead of silently losing data."""
+        """Whether this store round-trips through :meth:`dump_rows` and
+        the re-insertion of those rows (a snapshot's restore).  True for
+        every store whose full contents are reachable by :meth:`scan`
+        and reinsertable by :meth:`insert`; stores backed by bulk-loaded
+        native planes (the Median ``double[2][N]`` specialisation)
+        override this to opt out, which makes sessions over them refuse
+        to snapshot with a clear error instead of silently losing data."""
         return True
 
     def dump_rows(self) -> list[tuple]:
         """Value rows for a session snapshot, in :meth:`scan` order —
-        re-inserting them in this order through :meth:`load_rows`
-        reproduces an insertion-ordered store exactly."""
+        re-inserting them in this order reproduces an insertion-ordered
+        store exactly."""
         return [t.values for t in self.scan()]
-
-    def load_rows(self, rows: list) -> None:
-        """Rebuild contents from :meth:`dump_rows` output (the store
-        must be empty)."""
-        schema = self.schema
-        for values in rows:
-            self.insert(JTuple(schema, tuple(values)))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.schema.name} n={len(self)}>"

@@ -5,8 +5,12 @@
 parallel code, which both support ordered traversals so that queries
 need only traverse a subset of the table." (§6.2)
 
-Both variants here share one skip-list implementation (see
-:mod:`repro.gamma.skiplist`); they differ in their
+Both variants keep their rows in one ``sortedcontainers.SortedDict``:
+a hash table for point probes (membership, insert, remove) beside a
+chunked sorted list of the keys for ordered scans, so a probe is one
+dict lookup and a prefix scan is one bisect plus a slice walk.  Its
+layout depends only on the keys it holds, so every run over the same
+rows is identical.  The two variants differ only in their
 :class:`~repro.gamma.base.CostProfile` — the concurrent variant costs
 more per op and serialises a fraction of each op on a per-table shared
 resource, which is how the paper's ≈35 % sequential-vs-concurrent gap
@@ -22,11 +26,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from sortedcontainers import SortedDict
+
 from repro.core.query import Query, probe_key, residual
 from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple
 from repro.gamma.base import CostProfile, PreparedSelect, TableStore
-from repro.gamma.skiplist import SkipListMap
 
 __all__ = ["TreeSetStore", "ConcurrentSkipListStore"]
 
@@ -37,32 +42,35 @@ class TreeSetStore(TableStore):
     kind = "treeset"
     cost = CostProfile(insert_cost=3.0, lookup_cost=3.0, result_cost=0.3)
 
-    def __init__(self, schema: TableSchema, seed: int = 0x5EED):
+    def __init__(self, schema: TableSchema):
         super().__init__(schema)
-        self._map = SkipListMap(seed)
-        # Keyed tables get a direct key index so lookup_key is O(log n)
-        # even when the key is not a prefix of the field order.
-        self._by_key: SkipListMap | None = SkipListMap(seed ^ 0xA5) if schema.has_key else None
+        self._rows: SortedDict = SortedDict()
+        # Keyed tables get a direct key index so lookup_key is one probe
+        # even when the key is not a prefix of the field order; it never
+        # needs order, so it is a plain dict.
+        self._by_key: dict | None = {} if schema.has_key else None
 
     def insert(self, tup: JTuple) -> bool:
-        before = len(self._map)
-        self._map.setdefault(tup.values, tup)
-        new = len(self._map) != before
-        if new and self._by_key is not None:
-            self._by_key.insert(tup.key(), tup)
-        return new
+        rows = self._rows
+        if tup.values in rows:
+            return False
+        rows[tup.values] = tup
+        if self._by_key is not None:
+            self._by_key[tup.key()] = tup
+        return True
 
     def __contains__(self, tup: JTuple) -> bool:
-        return tup.values in self._map
+        return tup.values in self._rows
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self._rows)
 
     def scan(self) -> Iterator[JTuple]:
-        return self._map.values()
+        rows = self._rows
+        return map(rows.__getitem__, rows)
 
     def clear(self) -> None:
-        self._map.clear()
+        self._rows.clear()
         if self._by_key is not None:
             self._by_key.clear()
 
@@ -72,10 +80,11 @@ class TreeSetStore(TableStore):
         return self._by_key.get(key)
 
     def discard(self, tup: JTuple) -> bool:
-        removed = self._map.delete(tup.values)
-        if removed and self._by_key is not None:
-            self._by_key.delete(tup.key())
-        return removed
+        if self._rows.pop(tup.values, None) is None:
+            return False
+        if self._by_key is not None:
+            self._by_key.pop(tup.key(), None)
+        return True
 
     def remove(self, tup: JTuple) -> bool:
         # retraction-exact: discard already unwinds the key index too
@@ -91,17 +100,18 @@ class TreeSetStore(TableStore):
             n += 1
         if n == 0 or query.key_if_fully_bound() is not None:
             return super().prepare(query)
-        items_from, covered = self._map.items_from, tuple(range(n))
+        rows, covered = self._rows, tuple(range(n))
+        bisect_left, islice, row = rows.bisect_left, rows.islice, rows.__getitem__
         key, keep = probe_key(covered), residual(query, covered)
 
         def run(q: Query) -> list[JTuple]:
             prefix = key(q.eq)
-            rows: list[JTuple] = []
-            for values, tup in items_from(prefix):
+            out: list[JTuple] = []
+            for values in islice(bisect_left(prefix)):
                 if values[:n] != prefix:
                     break
-                rows.append(tup)
-            return keep(q, rows)
+                out.append(row(values))
+            return keep(q, out)
 
         return self._priced(run)
 
@@ -116,8 +126,8 @@ class ConcurrentSkipListStore(TreeSetStore):
 
     kind = "concurrent-skiplist"
 
-    def __init__(self, schema: TableSchema, seed: int = 0x5EED):
-        super().__init__(schema, seed)
+    def __init__(self, schema: TableSchema):
+        super().__init__(schema)
         # Per-table contention domain named after the table.
         self.cost = CostProfile(
             insert_cost=6.0,

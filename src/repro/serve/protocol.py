@@ -149,10 +149,10 @@ def wire_events(events: Iterable[Any]) -> list[list]:
 
 def decode_events(schemas: Mapping[str, Any], triples: Iterable[Any]) -> list:
     """Wire triples -> engine events against ``schemas`` (table name ->
-    :class:`~repro.core.schema.TableSchema`), each tuple built by its
-    table's checked constructor.  Unknown tables, malformed triples and
-    values that do not fit their fields are refused *before* anything is
-    admitted."""
+    :class:`~repro.core.schema.TableSchema`), each tuple built by
+    :meth:`~repro.core.schema.TableSchema.from_row`.  Unknown tables,
+    malformed triples and values that do not fit their fields are
+    refused *before* anything is admitted."""
     out: list = []
     for i, triple in enumerate(triples):
         if (
@@ -171,12 +171,8 @@ def decode_events(schemas: Mapping[str, Any], triples: Iterable[Any]) -> list:
             raise UnknownTableError(
                 f"feed event #{i} names unknown table {table!r}"
             )
-        if len(values) != len(schema.fields):
-            raise ProtocolError(
-                f"feed event #{i}: {values!r} do not fill {table}{schema.field_names}"
-            )
         try:
-            tup = schema.make_tuple(tuple(values))
+            tup = schema.from_row(values)
         except SchemaError as exc:
             raise ProtocolError(f"feed event #{i}: {exc}") from None
         out.append(Insert(tup) if op == "+" else Delete(tup))

@@ -1,194 +1,167 @@
-"""Skip list tests, incl. a hypothesis model check against dict+sorted."""
+"""The ordered stores' sorted map, operation by operation.
+
+The paper's ``TreeSet`` / ``ConcurrentSkipListSet`` analogues
+(:class:`TreeSetStore`, :class:`ConcurrentSkipListStore`) keep their rows
+in one sorted map: a hash table for point probes beside a sorted key
+list for ordered scans.  These are its example-level cases — the keyed
+map (rows plus the key index) and the set view of the concurrent
+variant; ``test_ordered_store_model.py`` checks random interleavings of
+the same operations against a model.
+"""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from repro.core.query import build_query
+from repro.core.schema import TableSchema
+from repro.core.tuples import TableHandle
+from repro.gamma import ConcurrentSkipListStore, TreeSetStore
 
-from repro.gamma.skiplist import SkipListMap, SkipListSet
+
+def keyed() -> tuple[TableHandle, TreeSetStore]:
+    schema = TableSchema("Kv", "int k -> str v", orderby=("Kv",))
+    return TableHandle(schema), TreeSetStore(schema)
+
+
+def pairs() -> tuple[TableHandle, TreeSetStore]:
+    schema = TableSchema("Pair", "int a, int b", orderby=("Pair",))
+    return TableHandle(schema), TreeSetStore(schema)
+
+
+def ints() -> tuple[TableHandle, ConcurrentSkipListStore]:
+    schema = TableSchema("Num", "int n", orderby=("Num",))
+    return TableHandle(schema), ConcurrentSkipListStore(schema)
+
+
+def values(store) -> list[tuple]:
+    return [t.values for t in store.scan()]
 
 
 class TestMapBasics:
     def test_insert_get(self):
-        m = SkipListMap()
-        assert m.insert(3, "c")
-        assert m.insert(1, "a")
-        assert not m.insert(3, "C")  # replace, not new
-        assert m.get(3) == "C"
-        assert m.get(1) == "a"
-        assert m.get(9, "dflt") == "dflt"
-        assert len(m) == 2
+        T, s = keyed()
+        assert s.insert(T.new(3, "c"))
+        assert s.insert(T.new(1, "a"))
+        assert not s.insert(T.new(3, "c"))  # present: not new
+        assert s.lookup_key((3,)).v == "c"
+        assert s.lookup_key((1,)).v == "a"
+        assert s.lookup_key((9,)) is None
+        assert len(s) == 2
 
     def test_ordered_iteration(self):
-        m = SkipListMap()
+        T, s = pairs()
         for k in (5, 1, 4, 2, 3):
-            m.insert(k, k)
-        assert list(m.keys()) == [1, 2, 3, 4, 5]
-        assert list(m.values()) == [1, 2, 3, 4, 5]
+            s.insert(T.new(k, k))
+        assert values(s) == [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
 
     def test_items_from(self):
-        m = SkipListMap()
-        for k in range(0, 10, 2):
-            m.insert(k, k)
-        assert [k for k, _ in m.items_from(3)] == [4, 6, 8]
-        assert [k for k, _ in m.items_from(4)] == [4, 6, 8]
-        assert [k for k, _ in m.items_from(99)] == []
+        T, s = pairs()
+        for a in range(0, 10, 2):
+            for b in (1, 0):
+                s.insert(T.new(a, b))
+        assert [t.values for t in s.select(build_query(T, 4))] == [(4, 0), (4, 1)]
+        assert s.select(build_query(T, 3)) == []  # between keys
+        assert s.select(build_query(T, 99)) == []  # past the last key
 
     def test_min_max(self):
-        m = SkipListMap()
-        assert m.min_item() is None and m.max_item() is None
+        T, s = pairs()
+        assert values(s) == []
         for k in (2, 7, 4):
-            m.insert(k, str(k))
-        assert m.min_item() == (2, "2")
-        assert m.max_item() == (7, "7")
+            s.insert(T.new(k, 0))
+        assert values(s)[0] == (2, 0) and values(s)[-1] == (7, 0)
 
     def test_ceiling(self):
-        m = SkipListMap()
-        for k in (10, 20):
-            m.insert(k, k)
-        assert m.ceiling_item(5) == (10, 10)
-        assert m.ceiling_item(10) == (10, 10)
-        assert m.ceiling_item(15) == (20, 20)
-        assert m.ceiling_item(25) is None
+        T, s = pairs()
+        for a in (10, 20):
+            s.insert(T.new(a, 0))
+        # a prefix scan starts at the first row >= the prefix and stops
+        # at the first row past it
+        assert [t.values for t in s.select(build_query(T, 10))] == [(10, 0)]
+        assert s.select(build_query(T, 5)) == []
+        assert s.select(build_query(T, 15)) == []
+        assert s.select(build_query(T, 25)) == []
 
     def test_delete(self):
-        m = SkipListMap()
+        T, s = pairs()
         for k in range(10):
-            m.insert(k, k)
-        assert m.delete(5)
-        assert not m.delete(5)
-        assert 5 not in m
-        assert list(m.keys()) == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+            s.insert(T.new(k, k))
+        assert s.discard(T.new(5, 5))
+        assert not s.discard(T.new(5, 5))
+        assert T.new(5, 5) not in s
+        assert [a for a, _ in values(s)] == [0, 1, 2, 3, 4, 6, 7, 8, 9]
 
     def test_delete_all_then_reuse(self):
-        m = SkipListMap()
+        T, s = keyed()
         for k in range(20):
-            m.insert(k, k)
+            s.insert(T.new(k, str(k)))
         for k in range(20):
-            assert m.delete(k)
-        assert len(m) == 0 and not m
-        m.insert(1, "x")
-        assert m.get(1) == "x"
+            assert s.remove(T.new(k, str(k)))
+        assert len(s) == 0 and values(s) == [] and s.lookup_key((3,)) is None
+        assert s.insert(T.new(1, "x"))
+        assert s.lookup_key((1,)).v == "x"
 
     def test_setdefault(self):
-        m = SkipListMap()
-        assert m.setdefault(1, "a") == "a"
-        assert m.setdefault(1, "b") == "a"
-        assert len(m) == 1
+        T, s = keyed()
+        first = T.new(1, "a")
+        s.insert(first)
+        assert not s.insert(T.new(1, "a"))  # an equal tuple is not stored again
+        assert s.lookup_key((1,)) is first
+        assert next(s.scan()) is first
+        assert len(s) == 1
 
     def test_clear(self):
-        m = SkipListMap()
-        m.insert(1, 1)
-        m.clear()
-        assert len(m) == 0 and m.min_item() is None
+        T, s = keyed()
+        s.insert(T.new(1, "a"))
+        s.clear()
+        assert len(s) == 0 and values(s) == [] and s.lookup_key((1,)) is None
 
     def test_contains(self):
-        m = SkipListMap()
-        m.insert(1, None)  # None values are legal
-        assert 1 in m and 2 not in m
+        T, s = keyed()
+        s.insert(T.new(1, ""))
+        assert T.new(1, "") in s and T.new(2, "") not in s
+        assert T.new(1, "other") not in s  # membership is by every value
 
     def test_tuple_keys(self):
-        m = SkipListMap()
-        m.insert((1, 2), "a")
-        m.insert((1,), "b")
-        m.insert((0, 9), "c")
-        assert list(m.keys()) == [(0, 9), (1,), (1, 2)]
+        T, s = pairs()
+        for row in ((1, 2), (1, 0), (0, 9)):
+            s.insert(T.new(*row))
+        assert values(s) == [(0, 9), (1, 0), (1, 2)]  # lexicographic
 
     def test_repr(self):
-        assert "size=0" in repr(SkipListMap())
+        _T, s = keyed()
+        assert repr(s) == "<TreeSetStore Kv n=0>"
 
 
 class TestSetBasics:
     def test_add_discard(self):
-        s = SkipListSet()
-        assert s.add(3)
-        assert not s.add(3)
-        assert 3 in s
-        assert s.discard(3)
-        assert not s.discard(3)
+        T, s = ints()
+        assert s.insert(T.new(3))
+        assert not s.insert(T.new(3))
+        assert T.new(3) in s
+        assert s.discard(T.new(3))
+        assert not s.discard(T.new(3))
 
     def test_readd_after_discard(self):
-        s = SkipListSet()
-        s.add(1)
-        s.discard(1)
-        assert s.add(1)  # regression: sentinel dedup must not linger
+        T, s = ints()
+        s.insert(T.new(1))
+        s.discard(T.new(1))
+        assert s.insert(T.new(1))  # a discarded row leaves nothing behind
 
     def test_ordered_iter_and_from(self):
-        s = SkipListSet()
+        T, s = ints()
         for k in (3, 1, 2):
-            s.add(k)
-        assert list(s) == [1, 2, 3]
-        assert list(s.iter_from(2)) == [2, 3]
+            s.insert(T.new(k))
+        assert values(s) == [(1,), (2,), (3,)]
+        assert [t.values for t in s.select(build_query(T, 2))] == [(2,)]
 
     def test_min_max(self):
-        s = SkipListSet()
-        assert s.min() is None and s.max() is None
-        s.add(5)
-        s.add(2)
-        assert (s.min(), s.max()) == (2, 5)
+        T, s = ints()
+        assert values(s) == []
+        s.insert(T.new(5))
+        s.insert(T.new(2))
+        assert (values(s)[0], values(s)[-1]) == ((2,), (5,))
 
     def test_clear(self):
-        s = SkipListSet()
-        s.add(1)
+        T, s = ints()
+        s.insert(T.new(1))
         s.clear()
         assert len(s) == 0
-
-
-# -- model-based property tests -------------------------------------------------
-
-ops = st.lists(
-    st.tuples(st.sampled_from(["insert", "delete", "get"]), st.integers(0, 30)),
-    max_size=200,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(ops, st.integers(0, 2**31))
-def test_map_matches_dict_model(operations, seed):
-    m = SkipListMap(seed)
-    model: dict[int, int] = {}
-    for i, (op, k) in enumerate(operations):
-        if op == "insert":
-            assert m.insert(k, i) == (k not in model)
-            model[k] = i
-        elif op == "delete":
-            assert m.delete(k) == (k in model)
-            model.pop(k, None)
-        else:
-            assert m.get(k) == model.get(k)
-    assert len(m) == len(model)
-    assert list(m.items()) == sorted(model.items())
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-100, 100), max_size=120), st.integers(-100, 100))
-def test_items_from_matches_model(keys, start):
-    m = SkipListMap()
-    for k in keys:
-        m.insert(k, k)
-    expected = sorted(k for k in set(keys) if k >= start)
-    assert [k for k, _ in m.items_from(start)] == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 50), max_size=100))
-def test_set_matches_model(keys):
-    s = SkipListSet()
-    model: set[int] = set()
-    for k in keys:
-        assert s.add(k) == (k not in model)
-        model.add(k)
-    assert list(s) == sorted(model)
-    assert len(s) == len(model)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 20), min_size=1, max_size=60))
-def test_deterministic_for_fixed_seed(keys):
-    a, b = SkipListMap(7), SkipListMap(7)
-    for k in keys:
-        a.insert(k, k)
-        b.insert(k, k)
-    assert list(a.items()) == list(b.items())
-    assert a._level == b._level  # identical internal structure
