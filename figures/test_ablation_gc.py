@@ -23,7 +23,7 @@ import pytest
 from repro.apps.pvwatts import array_of_hashsets_store, run_pvwatts
 from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
-from repro.simcore.gc import NO_GC, GcModel
+from repro.simcore import NO_GC, CalibratedCosts
 
 BASE = ExecOptions(
     strategy="forkjoin",
@@ -40,9 +40,9 @@ def runs(csv_by_month):
 
     with_gc_1 = run(BASE.with_(threads=1))
     with_gc_8 = run(BASE)
-    no_gc_1 = run(BASE.with_(threads=1, gc_model=NO_GC))
-    no_gc_8 = run(BASE.with_(gc_model=NO_GC))
-    heavy_gc_8 = run(BASE.with_(gc_model=GcModel(alloc_cost=1.2)))
+    no_gc_1 = run(BASE.with_(threads=1, calib=NO_GC))
+    no_gc_8 = run(BASE.with_(calib=NO_GC))
+    heavy_gc_8 = run(BASE.with_(calib=CalibratedCosts(gc_alloc_cost=1.2)))
     return with_gc_1, with_gc_8, no_gc_1, no_gc_8, heavy_gc_8
 
 

@@ -20,14 +20,14 @@ import pytest
 from repro.apps.sensors import run_sensors
 from repro.figures import FigureRow, figure_block
 from repro.core import ExecOptions
-from repro.simcore.gc import GcModel
+from repro.simcore import CalibratedCosts
 
 TICKS = 150
 SENSORS = 8
 # the GC model's half-full point is calibrated for the paper-scale
 # heaps (hundreds of thousands of tuples); this stream is scaled down
 # ~100x, so the model is scaled with it
-OPTS = ExecOptions(strategy="forkjoin", threads=8, gc_model=GcModel(half_full=600.0))
+OPTS = ExecOptions(strategy="forkjoin", threads=8, calib=CalibratedCosts(gc_half_full=600.0))
 
 
 @pytest.fixture(scope="module")

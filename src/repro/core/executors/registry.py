@@ -148,16 +148,10 @@ def check_execution_options(options: Any, refuse: Callable[..., None]) -> None:
 # cares about.
 
 
-def _non_sequential(kernel: "StepKernel") -> bool:
-    from repro.exec.sequential import SequentialStrategy
-
-    return not isinstance(kernel.strategy, SequentialStrategy)
-
-
 DOWNGRADES: list[tuple[str, Callable[["StepKernel"], bool], Callable[["StepKernel"], str]]] = [
     (
         "codegen",
-        _non_sequential,
+        lambda k: k.strategy.name != "sequential",
         lambda k: (
             "execution='codegen' ignored: the generated firing path is "
             f"sequential-only and this run uses the {k.strategy.name!r} "

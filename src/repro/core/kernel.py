@@ -64,15 +64,14 @@ from repro.core.ordering import Timestamp, compare_timestamps
 from repro.core.program import ExecOptions, Program
 from repro.core.support import SupportIndex
 from repro.core.tuples import JTuple
-from repro.exec.base import Strategy, TaskResult
+from repro.exec.base import MachineStrategy, Strategy, TaskResult
 from repro.exec.chaos import ChaosStrategy
-from repro.exec.forkjoin import ForkJoinStrategy
-from repro.exec.metering import DEFAULT_WEIGHTS, NULL_METER, CostMeter
-from repro.exec.sequential import SequentialStrategy
+from repro.exec.metering import NULL_METER, CostMeter
 from repro.exec.threads import ThreadStrategy
 from repro.gamma.base import StoreRegistry
 from repro.gamma.treeset import ConcurrentSkipListStore, TreeSetStore
 from repro.plan.cache import PlanCache
+from repro.simcore.costs import DEFAULT_WEIGHTS
 from repro.simcore.machine import MachineReport
 from repro.stats.collector import StatsCollector
 from repro.trace.recorder import TraceRecorder, output_hash
@@ -89,9 +88,8 @@ class RunResult:
     threads: int
     output: list[str]
     wall_time: float
-    #: the strategy's virtual-time account: a fork/join machine's
-    #: :class:`~repro.simcore.machine.MachineReport`, or the sharded cost
-    #: model's :class:`~repro.dist.network.NetReport`
+    #: the strategy's virtual-time account (sequential, fork/join and the
+    #: sharded cost model); None for strategies that keep none
     report: MachineReport | None
     stats: StatsCollector
     table_sizes: dict[str, int]
@@ -268,11 +266,9 @@ class StepKernel:
     @staticmethod
     def _make_strategy(options: ExecOptions, program: Program) -> Strategy:
         if options.strategy == "sequential":
-            return SequentialStrategy(gc=options.gc_model)
+            return MachineStrategy(calib=options.calib)
         if options.strategy == "forkjoin":
-            return ForkJoinStrategy(
-                options.threads, calib=options.calib, gc=options.gc_model
-            )
+            return MachineStrategy("forkjoin", options.threads, options.calib)
         if options.strategy == "chaos":
             return ChaosStrategy(
                 seed=options.chaos_seed or 0, fault_plan=options.fault_plan
@@ -675,7 +671,6 @@ class StepKernel:
         pending = [(put, result.meter) for put in result.puts]
         result.puts.clear()
         flags = self._enqueue_delta_batch(pending)
-        self.strategy.account_feed(sum(flags))
         if self.tracer is not None:
             for (put, _meter), accepted in zip(pending, flags):
                 self.tracer.emit("admit", {"tuple": repr(put), "accepted": accepted})

@@ -34,8 +34,7 @@ from repro.core.rules import Rule, RuleBody
 from repro.core.schema import Field, TableSchema
 from repro.core.tuples import JTuple, TableHandle
 from repro.gamma.base import StoreFactory
-from repro.simcore.contention import CalibratedCosts
-from repro.simcore.gc import GcModel
+from repro.simcore.costs import CalibratedCosts
 
 __all__ = ["RetentionHint", "ExecOptions", "Program"]
 
@@ -118,9 +117,10 @@ class ExecOptions:
     #: on top of the planner's output in "auto" mode, used alone in
     #: "explicit" mode, ignored when indexing is off
     indexes: Mapping[str, tuple] = field(default_factory=dict)
-    #: virtual-machine calibration
+    #: virtual-machine calibration: spawn/join, contention and the GC
+    #: tax of the sequential and fork/join machines (the sharded cost
+    #: model prices on its own cluster constants)
     calib: CalibratedCosts = field(default_factory=CalibratedCosts)
-    gc_model: GcModel = field(default_factory=GcModel)
     #: safety valve against diverging programs (None = unlimited)
     max_steps: int | None = None
     #: record a structured event trace of the run (see repro.trace);

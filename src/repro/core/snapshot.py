@@ -45,9 +45,12 @@ SNAPSHOT_FORMAT = "jstar-session-snapshot"
 #: the session service's per-tenant durability record); version 4
 #: dropped the three deferred-tally sections (the collector holds every
 #: count the moment it happens) and stores the collector's maps, not
-#: the totals derived from them.  Earlier versions are refused like any
-#: other version mismatch
-SNAPSHOT_VERSION = 4
+#: the totals derived from them; version 5 stores every virtual-time
+#: strategy's account as one ``machine`` section (the non-zero fields of
+#: its MachineReport; the cost model's ``account`` / ``compute`` pair
+#: is gone).  Earlier versions are refused like any other version
+#: mismatch
+SNAPSHOT_VERSION = 5
 #: the session's own counters (``EngineSession._<name>``), as the
 #: ``session`` section lists them
 _SESSION_CURSORS = ("out_cursor", "fed_since_settle", "fires_seen", "puts_seen")

@@ -17,7 +17,14 @@ from repro.disruptor.claim import ClaimStrategy, SingleThreadedClaimStrategy
 from repro.disruptor.sequence import Sequence, SequenceBarrier
 from repro.disruptor.wait import BlockingWaitStrategy, WaitStrategy
 
-__all__ = ["RingBuffer"]
+__all__ = ["RingBuffer", "check_ring_size"]
+
+
+def check_ring_size(size: int) -> None:
+    """The rule every ring (real or simulated) is held to: slots are
+    indexed by ``sequence & (size - 1)``."""
+    if size < 2 or size & (size - 1):
+        raise DisruptorError(f"ring size must be a power of two >= 2, got {size}")
 
 
 class RingBuffer:
@@ -29,8 +36,7 @@ class RingBuffer:
         wait_strategy: WaitStrategy | None = None,
         claim_strategy: ClaimStrategy | None = None,
     ):
-        if size < 2 or size & (size - 1):
-            raise DisruptorError(f"ring size must be a power of two >= 2, got {size}")
+        check_ring_size(size)
         self.size = size
         self._mask = size - 1
         self._slots: list[list[Any]] = [[None] for _ in range(size)]

@@ -32,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.errors import DisruptorError
 from repro.disruptor.claim import ClaimStrategy, SingleThreadedClaimStrategy
+from repro.disruptor.ring import check_ring_size
 from repro.disruptor.wait import BlockingWaitStrategy, WaitStrategy
 
 __all__ = ["PipelineCosts", "PipelineResult", "simulate_pipeline"]
@@ -86,9 +88,18 @@ def simulate_pipeline(
     actors that have work, stretching the critical path by up to
     ``1 + 1.5*switch_cost`` (saturating).  §6.3 runs 13 actors on 8
     cores, so this is on the paper's own operating point.
+
+    ``ring_size`` is held to :class:`~repro.disruptor.ring.RingBuffer`'s
+    rule and ``batch`` must be at least 1; anything else is a
+    :class:`~repro.core.errors.DisruptorError`.  A batch larger than the
+    ring still runs (Table 1's ring-64 row does), although the real
+    ring's ``publish_batch`` refuses it.
     """
     if cores < 1 or n_consumers < 1:
         raise ValueError("need >=1 core and >=1 consumer")
+    check_ring_size(ring_size)
+    if batch < 1:
+        raise DisruptorError(f"producer batch must be >= 1, got {batch}")
     wait = wait if wait is not None else BlockingWaitStrategy()
     claim = claim if claim is not None else SingleThreadedClaimStrategy(ring_size)
     c = costs if costs is not None else PipelineCosts()

@@ -24,7 +24,7 @@ DESIGN.md §5.3 has the whole design."""
 
 from repro.dist.check import QueryLocality, check_locality, locality_summary
 from repro.dist.engine import DistEngine
-from repro.dist.network import NODE_COUNTERS, NetModel, NetReport, StepTraffic
+from repro.dist.network import NODE_COUNTERS
 from repro.dist.placement import (
     OnNode,
     Partitioned,
@@ -35,6 +35,7 @@ from repro.dist.placement import (
 )
 from repro.dist.procrun import ProcessShardRuntime, run_sharded, sharded_backend
 from repro.dist.transport import TRANSPORTS, resolve_transport
+from repro.simcore import NetModel, StepTraffic
 
 __all__ = [
     "DistEngine",
@@ -48,7 +49,6 @@ __all__ = [
     "PlacementMap",
     "spread_hash",
     "NetModel",
-    "NetReport",
     "StepTraffic",
     "NODE_COUNTERS",
     "QueryLocality",

@@ -13,19 +13,18 @@ per firing — on which a routed select charges one store lookup per
 shard it reads, like any prepared select — reads of other shards as
 one round trip per (node, owner, step) plus one per read no plan
 predicted, and puts as batched messages, on a
-:class:`~repro.dist.network.NetModel`.  Outputs are therefore
+:class:`~repro.simcore.machine.StepTraffic`.  Outputs are therefore
 **identical to the single-node engine** and to the worker mesh (the
 same §1.3 determinism guarantee, asserted by the tests).
 
-Virtual time per superstep::
-
-    max_node(compute) + comm(batched sends, remote-query round trips)
-    + coordination barrier
-
-plus each feed's admitted tuples, priced as Delta inserts on the
-coordinator (their traffic is not modelled).  The account is the run's
-``RunResult.report`` (a :class:`~repro.dist.network.NetReport`, carried
-through snapshots); per-node compute and shard sizes are its ``nodes``.
+The price is the one step account every virtual-time strategy uses
+(:meth:`~repro.simcore.machine.Machine.run_step`), on a machine with a
+lane per node and the cluster's constants
+(:data:`~repro.simcore.costs.CLUSTER`): per superstep the busiest
+node's firings, the exchange's comm makespan and the coordination
+barrier.  Its :class:`~repro.simcore.machine.MachineReport` is the run's
+``RunResult.report`` and its snapshot state, as under any machine; the
+lanes' compute and shard sizes are its ``nodes``.
 
 Limitations (documented, not hidden): one core per node (compose with
 the fork/join machine mentally, not in code), and the Delta order is
@@ -36,21 +35,15 @@ too ([7]).
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict
 from functools import partial
 
-from repro.dist.network import NODE_COUNTERS, NetModel, NetReport, StepTraffic
+from repro.dist.network import NODE_COUNTERS
 from repro.dist.superstep import Backend, Probes, Shard, ShardedExecutor
 from repro.dist.superstep import done_record, fire_records, unpack_rows
-from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
+from repro.exec.metering import CostMeter
+from repro.simcore import CLUSTER, NET, Machine, SimTask, StepTraffic
 
 __all__ = ["DistEngine"]
-
-#: per-superstep coordination cost (the global minimal-class agreement)
-_BARRIER_COST = 6.0
-#: the interconnect every priced run assumes
-NET = NetModel()
 
 
 class DistEngine(Backend):
@@ -71,8 +64,7 @@ class DistEngine(Backend):
             )
             for node in range(n)
         ]
-        self.account = NetReport(n)
-        self._compute = [0.0] * n
+        self.machine = Machine(n, CLUSTER)
 
     def start(self) -> None:
         # a restored replica is loaded slice by slice (a fresh one is empty)
@@ -98,7 +90,7 @@ class DistEngine(Backend):
         owners_of = self.tier.placements.owners_of
         gamma = self.kernel.db
         self.traffic = traffic = StepTraffic(NET)
-        node_cost = [0.0] * n
+        tasks = []
         # phase A: land the class on its shards
         for tup, _dup, _node in plan:
             for owner in owners_of(tup, n):
@@ -114,7 +106,7 @@ class DistEngine(Backend):
             meter = CostMeter()
             meter.charge("delta_pop")
             puts = fire_records(self._views[node], idx, tup, meter, records[node])
-            node_cost[node] += meter.total_cost
+            tasks.append(SimTask(meter.total_cost, lane=node))
             for put in puts:
                 # a put travels to its owners unless Gamma already
                 # holds it (one Delta still holds is sent again: the
@@ -122,27 +114,8 @@ class DistEngine(Backend):
                 if put not in gamma:
                     for owner in owners_of(put, n):
                         traffic.send(node, owner, 1)
-        compute = max(node_cost)
-        comm = traffic.comm_time(n)
-        barrier = _BARRIER_COST * math.log2(max(2, n))
-        a = self.account
-        a.compute += compute
-        a.comm += comm
-        a.barrier += barrier
-        a.elapsed += compute + comm + barrier
-        a.messages += traffic.messages()
-        a.tuples_moved += traffic.tuples_moved()
-        for i, c in enumerate(node_cost):
-            self._compute[i] += c
+        self.machine.run_step(tasks, traffic=traffic)
         return records
-
-    # -- the account -------------------------------------------------------------
-
-    def account_feed(self, admitted: int) -> None:
-        self.account.elapsed += admitted * DEFAULT_WEIGHTS["delta_insert"]
-
-    def report(self) -> NetReport:
-        return self.account
 
     def nodes(self) -> list[dict]:
         sizes = {
@@ -150,6 +123,7 @@ class DistEngine(Backend):
         }
         self.tier.check_shards(sizes)
         tier = self.tier
+        compute = self.machine.report.lanes or [0.0] * self.n_nodes
         return [
             {
                 "node": node,
@@ -157,7 +131,7 @@ class DistEngine(Backend):
                 "puts": tier.node_puts[node],
                 **{name: view.counters[name] for name in NODE_COUNTERS},
                 "recovered": 0,
-                "compute": self._compute[node],
+                "compute": compute[node],
                 "tables": {name: per_node[node] for name, per_node in sizes.items()},
             }
             for node, view in enumerate(self._views)
@@ -170,12 +144,7 @@ class DistEngine(Backend):
 
     def state_dict(self) -> dict:
         self._fold_queries()
-        return {"account": asdict(self.account), "compute": list(self._compute)}
-
-    def load_state(self, state: dict) -> None:
-        if "account" in state:  # a snapshot the mesh took carries none
-            self.account = NetReport(**state["account"])
-            self._compute = [float(c) for c in state["compute"]]
+        return super().state_dict()
 
     def close(self) -> None:
         self._fold_queries()

@@ -509,7 +509,7 @@ def run_sharded(
     :class:`~repro.core.kernel.RunResult`; its ``nodes`` carry the
     per-node summaries (on the mesh the control and peer planes
     separately, on the cost model per-node compute), and on the cost
-    model ``report`` is the run's :class:`~repro.dist.network.NetReport`.
+    model ``report`` is the run's :class:`~repro.simcore.machine.MachineReport`.
 
     ``transport`` picks the backend (see :func:`sharded_backend`).
     ``fault_kill=(node, step)`` SIGKILLs one worker at the start of one

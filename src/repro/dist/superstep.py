@@ -116,9 +116,6 @@ class Backend(Strategy):
     def run_batch(self, tasks: list[EngineTask]) -> list[TaskResult]:
         raise NotImplementedError  # classes go to the backend whole
 
-    def account_step(self, results, allocations: float, retained: float) -> None:
-        pass  # never called: the kernel runs unmetered
-
     def execute(self, step: int, plan: list[Planned]) -> list[dict]:
         """Land the planned class on its owner shards, fire each
         non-duplicate tuple on its assigned node through

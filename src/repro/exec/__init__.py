@@ -1,10 +1,8 @@
 """Execution strategies and cost metering (§5 parallelisation strategies)."""
 
-from repro.exec.base import EngineTask, Strategy, TaskResult
+from repro.exec.base import EngineTask, MachineStrategy, Strategy, TaskResult
 from repro.exec.chaos import ChaosFault, ChaosStrategy, FaultPlan
-from repro.exec.forkjoin import ForkJoinStrategy
-from repro.exec.metering import DEFAULT_WEIGHTS, CostMeter
-from repro.exec.sequential import SequentialStrategy
+from repro.exec.metering import CostMeter
 from repro.exec.threads import ThreadStrategy
 
 __all__ = [
@@ -14,9 +12,7 @@ __all__ = [
     "ChaosFault",
     "ChaosStrategy",
     "FaultPlan",
-    "ForkJoinStrategy",
-    "SequentialStrategy",
+    "MachineStrategy",
     "ThreadStrategy",
     "CostMeter",
-    "DEFAULT_WEIGHTS",
 ]

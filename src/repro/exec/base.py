@@ -14,8 +14,10 @@ A strategy decides three things:
    built-in strategy except :class:`~repro.exec.threads.ThreadStrategy`
    runs bodies sequentially in deterministic order, because virtual
    time is accounted separately from real execution;
-3. how the batch is *accounted* (``account_step``) — the virtual-time
-   machine for the fork/join simulator, a plain sum for sequential.
+3. which virtual-time :class:`~repro.simcore.machine.Machine` the batch
+   is *accounted* on (``machine``) — N cores for the fork/join pool,
+   one for ``-sequential``, a node per shard for the sharded cost
+   model, none for real threads and chaos.
 
 ``TaskResult`` order always equals submission order, so effect
 application is deterministic regardless of strategy.
@@ -29,7 +31,8 @@ from typing import Callable, Sequence
 
 from repro.core.tuples import JTuple
 from repro.exec.metering import CostMeter
-from repro.simcore.machine import Machine, MachineReport
+from repro.simcore.costs import CalibratedCosts
+from repro.simcore.machine import Machine, MachineReport, SimTask
 
 __all__ = ["TaskResult", "EngineTask", "Strategy", "MachineStrategy"]
 
@@ -97,6 +100,9 @@ class Strategy(ABC):
     #: strategy uses it to interleave and fault task bodies; every other
     #: strategy leaves it None (zero overhead).
     yield_point: Callable[[], None] | None = None
+    #: the virtual-time machine the steps are priced on; None keeps no
+    #: account (``report()`` is None)
+    machine: Machine | None = None
 
     def bind(self, tracer=None, stats=None) -> None:
         """Attach the run's trace recorder / stats collector.  Base
@@ -107,27 +113,41 @@ class Strategy(ABC):
     def run_batch(self, tasks: Sequence[EngineTask]) -> list[TaskResult]:
         """Execute a batch; results in submission order."""
 
-    @abstractmethod
     def account_step(
         self,
         results: Sequence[TaskResult],
         allocations: float,
         retained: float,
     ) -> None:
-        """Advance virtual time for one completed step."""
+        """Advance virtual time for one completed step: each result's
+        meter is a free task on the machine, plus one per chunk of its
+        divisible loops."""
+        if self.machine is None:
+            return
+        sim: list[SimTask] = []
+        for r in results:
+            m = r.meter
+            if not m.splittable:
+                sim.append(SimTask(m.total_cost, m.shared))
+                continue
+            divisible = sum(c for c, _ in m.splittable)
+            sim.append(SimTask(max(0.0, m.total_cost - divisible), m.shared))
+            # §5.2 in-rule parallel loops: fan each divisible slice out
+            # as chunk tasks inside the same step (the step's join
+            # barrier approximates the loop's own join)
+            for cost, chunks in m.splittable:
+                per = cost / chunks
+                sim.extend(SimTask(per) for _ in range(chunks))
+        self.machine.run_step(sim, allocations=allocations, retained=retained)
 
     def account_serial(self, cost: float) -> None:
-        """Account inherently sequential work (e.g. initial puts)."""
+        """Account inherently sequential work (a feed, initial puts)."""
+        if self.machine is not None:
+            self.machine.run_serial(cost)
 
-    def account_feed(self, admitted: int) -> None:
-        """Account a feed that admitted ``admitted`` tuples into Delta
-        (the sharded cost model prices them on the coordinator)."""
-
-    def report(self):
-        """Virtual-time report, if this strategy keeps one: a
-        :class:`~repro.simcore.machine.MachineReport`, or the sharded
-        cost model's :class:`~repro.dist.network.NetReport`."""
-        return None
+    def report(self) -> MachineReport | None:
+        """The machine's virtual-time account, if this strategy keeps one."""
+        return None if self.machine is None else self.machine.report
 
     def nodes(self) -> list[dict] | None:
         """Per-node summaries, if this strategy runs on nodes (the
@@ -154,39 +174,42 @@ class Strategy(ABC):
     # -- checkpoint hooks ----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-serialisable resumable state (RNG cursors, virtual-time
-        accounts).  Strategies without such state return ``{}``."""
-        return {}
+        """JSON-serialisable resumable state (RNG cursors, the machine's
+        account).  Strategies without such state return ``{}``."""
+        return {} if self.machine is None else {"machine": self.machine.state_dict()}
 
     def load_state(self, state: dict) -> None:
-        """Restore what :meth:`state_dict` captured.  Default no-op."""
+        """Restore what :meth:`state_dict` captured."""
+        if self.machine is not None:
+            self.machine.load_state(state.get("machine", {}))
 
 
 class MachineStrategy(Strategy):
-    """A strategy that replays its steps on a virtual-time
-    :class:`~repro.simcore.machine.Machine`.  Bodies run sequentially
-    in submission order — parallelism, where there is any, exists only
-    in the account — and a subclass says how a step's results become
-    the machine's tasks (:meth:`account_step`)."""
+    """The virtual-time strategies: bodies run sequentially in
+    submission order, and parallelism, where there is any, exists only
+    in the account.
 
-    def __init__(self, machine: Machine):
-        self._machine = machine
+    ``"forkjoin"`` is the paper's default (§5): "It treats the Delta set
+    as an event queue, ordered by the causality ordering.  At each
+    execution step, it takes all minimal tuples out of the Delta set,
+    and executes all those tuples in parallel" — here each task's
+    metered cost is replayed on a ``cores``-core machine (the paper's
+    ``--threads=N``) with concurrent stores; DESIGN.md §2 says why the
+    substitution is sound on a GIL-bound host.  ``"sequential"`` (the
+    ``-sequential`` flag) is one core with sequential stores: no
+    spawn/barrier overhead, no contention, no concurrent-structure
+    premium — the baseline *absolute* speedup is defined against (§6.2
+    footnote 11)."""
+
+    def __init__(
+        self, name: str = "sequential", cores: int = 1, calib: CalibratedCosts | None = None
+    ):
+        self.name = name
+        # the pool's virtual cores consume meters and share concurrent
+        # stores; the sequential build needs neither
+        self.concurrent_stores = self.requires_metering = name != "sequential"
+        self.n_threads = cores
+        self.machine = Machine(cores, calib if calib is not None else CalibratedCosts())
 
     def run_batch(self, tasks: Sequence[EngineTask]) -> list[TaskResult]:
         return [t.run() for t in tasks]
-
-    def account_serial(self, cost: float) -> None:
-        self._machine.run_serial(cost)
-
-    def report(self) -> MachineReport:
-        return self._machine.report
-
-    def state_dict(self) -> dict:
-        account = dict(vars(self._machine.report))
-        del account["n_cores"]  # structural: rebuilt from the options
-        return {"machine": account}
-
-    def load_state(self, state: dict) -> None:
-        report = self._machine.report
-        for name, value in state.get("machine", {}).items():
-            setattr(report, name, type(getattr(report, name))(value))

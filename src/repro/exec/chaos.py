@@ -451,13 +451,3 @@ class ChaosStrategy(Strategy):
             if state.error is not None:
                 raise state.error
         return picks, completion
-
-    # -- accounting ---------------------------------------------------------
-
-    def account_step(
-        self,
-        results: Sequence[TaskResult],
-        allocations: float,
-        retained: float,
-    ) -> None:
-        pass  # chaos runs validate semantics, not virtual time

@@ -20,32 +20,20 @@ Two ledgers per meter:
 
 Costs for store operations come from each store's
 :class:`~repro.gamma.base.CostProfile`; everything else uses
-:data:`DEFAULT_WEIGHTS`.  All constants are calibrated in one place —
-see :mod:`repro.simcore.contention` for the machine-level ones.
+:data:`~repro.simcore.costs.DEFAULT_WEIGHTS`, the one table of the
+model's weights.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.simcore.costs import DEFAULT_WEIGHTS
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gamma.base import PreparedSelect, TableStore
 
-__all__ = ["DEFAULT_WEIGHTS", "CostMeter", "NullMeter", "NULL_METER"]
-
-#: Work units charged per op for non-store counters.
-DEFAULT_WEIGHTS: dict[str, float] = {
-    "tuple_put": 1.0,      # a rule issuing put (allocation + handoff)
-    "delta_insert": 7.0,   # insertion into the Delta tree (calibrated to the paper's §6.2 noDelta effect)
-    "delta_pop": 5.5,      # removal of one tuple from the Delta tree
-    "rule_fire": 0.5,      # dispatch overhead of firing a rule
-    "reduce_op": 0.3,      # one reducer step
-    "user_work": 1.0,      # explicit ctx.charge (cost given by caller)
-    "csv_parse": 0.6,      # parsing one CSV record (byte-level reader)
-    "csv_parse_slow": 1.4, # parsing via split/str (baseline style)
-    "task_spawn": 0.8,     # fork/join task creation overhead
-    "io_record": 0.2,      # reading one record's bytes
-}
+__all__ = ["CostMeter", "NullMeter", "NULL_METER"]
 
 
 class CostMeter:

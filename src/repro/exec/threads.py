@@ -45,14 +45,6 @@ class ThreadStrategy(Strategy):
         # the engine needs for deterministic effect application.
         return list(self._pool.map(lambda t: t.run(), tasks))
 
-    def account_step(
-        self,
-        results: Sequence[TaskResult],
-        allocations: float,
-        retained: float,
-    ) -> None:
-        pass  # wall-clock only
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)

@@ -1,25 +1,33 @@
-"""Virtual-time multicore machine — the hardware substitute (DESIGN.md §2).
+"""Virtual-time machine — the hardware substitute (DESIGN.md §2).
 
-Public surface: :class:`Machine` (N cores, calibrated contention + GC
-models), :class:`SimTask` records, :class:`CalibratedCosts` /
-:class:`GcModel` tunables, and the raw :func:`step_makespan` model.
+Public surface: :class:`Machine` (N cores or nodes, one step account),
+:class:`SimTask` records, :class:`StepTraffic` exchanges, and the one
+table of weights (:mod:`repro.simcore.costs`).
 """
 
-from repro.simcore.contention import CalibratedCosts, StepTiming, step_makespan
-from repro.simcore.gc import NO_GC, GcModel
-from repro.simcore.machine import Machine, MachineReport
-from repro.simcore.scheduler import greedy_makespan, lpt_makespan
-from repro.simcore.task import SimTask
+from repro.simcore.costs import CLUSTER, DEFAULT_WEIGHTS, NET, NO_GC, CalibratedCosts, NetModel
+from repro.simcore.machine import (
+    Machine,
+    MachineReport,
+    SimTask,
+    StepTiming,
+    StepTraffic,
+    lpt_makespan,
+    step_makespan,
+)
 
 __all__ = [
-    "CalibratedCosts",
-    "StepTiming",
-    "step_makespan",
-    "GcModel",
+    "CLUSTER",
+    "DEFAULT_WEIGHTS",
+    "NET",
     "NO_GC",
+    "CalibratedCosts",
+    "NetModel",
     "Machine",
     "MachineReport",
-    "greedy_makespan",
-    "lpt_makespan",
     "SimTask",
+    "StepTiming",
+    "StepTraffic",
+    "lpt_makespan",
+    "step_makespan",
 ]

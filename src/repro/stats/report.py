@@ -2,9 +2,9 @@
 
 The profiling companion of §2's workflow stages 3–4: after a run,
 print per-table usage, per-rule firings, the virtual-machine time
-breakdown (busy / contention / GC / overhead) or a sharded run's
-network account, and its per-node table — what guides strategy,
-placement and data-structure choices.
+breakdown (compute / comm / contention / GC / overhead) and a sharded
+run's per-node table — what guides strategy, placement and
+data-structure choices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "format_table_stats",
     "format_rule_stats",
     "format_machine",
-    "format_network",
     "format_settles",
     "format_nodes",
     "run_report",
@@ -62,21 +61,12 @@ def format_machine(report: MachineReport) -> str:
     d = report.as_dict()
     return (
         f"virtual machine: {d['n_cores']} cores, elapsed {d['elapsed']:.1f} wu\n"
-        f"  busy {d['busy']:.1f}  contention {d['contention']:.1f}  "
-        f"gc {d['gc_time']:.1f}  overhead {d['overhead']:.1f}\n"
+        f"  busy {d['busy']:.1f}  compute {d['compute']:.1f}  comm {d['comm']:.1f}  "
+        f"contention {d['contention']:.1f}  gc {d['gc_time']:.1f}  "
+        f"overhead {d['overhead']:.1f}\n"
         f"  steps {d['steps']}  tasks {d['tasks']}  max batch {d['max_batch']}  "
+        f"messages {d['messages']}  tuples moved {d['tuples_moved']}  "
         f"utilisation {d['utilisation']:.1%}"
-    )
-
-
-def format_network(report) -> str:
-    """The sharded cost model's account (a
-    :class:`~repro.dist.network.NetReport`)."""
-    return (
-        f"network model: {report.n_nodes} nodes, elapsed {report.elapsed:.1f} wu\n"
-        f"  compute {report.compute:.1f}  comm {report.comm:.1f}  "
-        f"barrier {report.barrier:.1f}\n"
-        f"  messages {report.messages}  tuples moved {report.tuples_moved}"
     )
 
 
@@ -143,10 +133,8 @@ def run_report(result: "RunResult") -> str:
                 f"firings per check, {st.grown_doomed} invalidated"
             )
         parts.append(line)
-    if isinstance(result.report, MachineReport):
+    if result.report is not None:
         parts.append(format_machine(result.report))
-    elif result.report is not None:
-        parts.append(format_network(result.report))
     if result.nodes:
         parts.append(format_nodes(result.nodes))
     parts.append(format_table_stats(result.stats))

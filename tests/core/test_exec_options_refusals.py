@@ -37,7 +37,7 @@ from repro.core.program import RetentionHint
 from repro.dist import Replicated, run_sharded
 from repro.exec.chaos import FaultPlan
 from repro.gamma import HashKeyStore
-from repro.simcore.gc import NO_GC
+from repro.simcore import NO_GC
 from repro.trace import trace_diff
 
 CANONICAL = re.compile(r"^invalid ExecOptions: \S.* -- \S.*$")
@@ -144,11 +144,13 @@ def test_removed_plan_cache_option_is_not_a_field():
         ExecOptions(plan_cache=False)
 
 
-@pytest.mark.parametrize("knob", ["coalesce_steps", "collect_stats", "task_granularity"])
+@pytest.mark.parametrize(
+    "knob", ["coalesce_steps", "collect_stats", "task_granularity", "gc_model"]
+)
 def test_removed_knob_is_not_a_field(knob):
     with pytest.raises(TypeError):
         ExecOptions(**{knob: True})
-    assert len(fields(ExecOptions)) == 20
+    assert len(fields(ExecOptions)) == 19
 
 
 # -- registry resolution: one table decides the kernel's tier ----------------
@@ -222,7 +224,7 @@ SHARDED_KNOBS = [
     dict(threads=3),
     dict(no_delta=frozenset({"Ship"})),
     dict(no_gamma=frozenset({"Ship"})),
-    dict(gc_model=NO_GC),  # virtual-time calibration: no shard consumes it
+    dict(calib=NO_GC),  # virtual-time calibration: no shard consumes it
     dict(retention={"Ship": RetentionHint("frame", 2)}),
     dict(store_overrides={"Ship": HashKeyStore}),
     dict(index_mode="auto"),

@@ -90,7 +90,7 @@ class TestParReduce:
 
 class TestRetentionHints:
     def _program(self, retention):
-        from repro.simcore.gc import GcModel
+        from repro.simcore import CalibratedCosts
 
         p = Program("gen")
         T = p.table("T", "int gen, int i", orderby=("Int", "seq gen", "par i"))
@@ -104,7 +104,7 @@ class TestRetentionHints:
             p.put(T.new(0, i))
         # GC model scaled to this tiny heap so pressure differences are
         # visible (the default half-full point is ~200k tuples)
-        return p.run(ExecOptions(retention=retention, gc_model=GcModel(half_full=20.0)))
+        return p.run(ExecOptions(retention=retention, calib=CalibratedCosts(gc_half_full=20.0)))
 
     def test_without_hint_everything_retained(self):
         r = self._program({})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import DisruptorError
 from repro.disruptor import (
     BlockingWaitStrategy,
     BusySpinWaitStrategy,
@@ -23,6 +24,17 @@ class TestModelShape:
             simulate_pipeline([], 0, 1)
         with pytest.raises(ValueError):
             simulate_pipeline([], 1, 0)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [dict(ring_size=0), dict(batch=0), dict(ring_size=-4), dict(ring_size=100)],
+        ids=["ring-0", "batch-0", "ring-negative", "ring-not-power-of-two"],
+    )
+    def test_refuses_what_the_real_ring_refuses(self, ring):
+        """The real ring's rule, checked before any event runs: no bare
+        ZeroDivisionError / IndexError, no silently accepted ring."""
+        with pytest.raises(DisruptorError):
+            simulate_pipeline(RR, 4, 4, **ring)
 
     def test_empty_stream(self):
         r = simulate_pipeline([], 4, 4)

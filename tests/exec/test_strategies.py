@@ -8,9 +8,7 @@ import pytest
 
 from repro.core.schema import TableSchema
 from repro.core.tuples import TableHandle
-from repro.exec.base import EngineTask, TaskResult
-from repro.exec.forkjoin import ForkJoinStrategy
-from repro.exec.sequential import SequentialStrategy
+from repro.exec.base import EngineTask, MachineStrategy, TaskResult
 from repro.exec.threads import ThreadStrategy
 
 T = TableHandle(TableSchema("T", "int x"))
@@ -32,20 +30,20 @@ def make_tasks(n, record=None):
 class TestSequential:
     def test_runs_in_order(self):
         order = []
-        s = SequentialStrategy()
+        s = MachineStrategy()
         results = s.run_batch(make_tasks(5, order))
         assert [i for i, _ in order] == [0, 1, 2, 3, 4]
         assert [r.trigger.x for r in results] == [0, 1, 2, 3, 4]
 
     def test_accounts_on_one_core(self):
-        s = SequentialStrategy()
+        s = MachineStrategy()
         results = s.run_batch(make_tasks(3))
         s.account_step(results, allocations=0, retained=0)
         assert s.report().n_cores == 1
         assert s.report().elapsed == pytest.approx(1 + 2 + 3)
 
     def test_account_serial(self):
-        s = SequentialStrategy()
+        s = MachineStrategy()
         s.account_serial(7.0)
         assert s.report().elapsed == 7.0
 
@@ -53,13 +51,13 @@ class TestSequential:
 class TestForkJoin:
     def test_deterministic_execution_order(self):
         order = []
-        s = ForkJoinStrategy(pool_size=8)
+        s = MachineStrategy("forkjoin", 8)
         s.run_batch(make_tasks(6, order))
         assert [i for i, _ in order] == list(range(6))  # sequential replay
 
     def test_virtual_parallelism(self):
-        s1 = ForkJoinStrategy(pool_size=1)
-        s4 = ForkJoinStrategy(pool_size=4)
+        s1 = MachineStrategy("forkjoin", 1)
+        s4 = MachineStrategy("forkjoin", 4)
         r1 = s1.run_batch(make_tasks(16))
         r4 = s4.run_batch(make_tasks(16))
         s1.account_step(r1, 0, 0)
@@ -68,11 +66,11 @@ class TestForkJoin:
 
     def test_pool_size_validated(self):
         with pytest.raises(ValueError):
-            ForkJoinStrategy(0)
+            MachineStrategy("forkjoin", 0)
 
     def test_concurrent_store_flag(self):
-        assert ForkJoinStrategy(2).concurrent_stores
-        assert not SequentialStrategy().concurrent_stores
+        assert MachineStrategy("forkjoin", 2).concurrent_stores
+        assert not MachineStrategy().concurrent_stores
 
 
 class TestThreads:

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simcore import (
+    CLUSTER,
     NO_GC,
     CalibratedCosts,
-    GcModel,
     Machine,
+    NetModel,
     SimTask,
+    StepTraffic,
     step_makespan,
 )
 
@@ -59,20 +61,20 @@ class TestStepMakespan:
 
 class TestGcModel:
     def test_zero_allocations_no_tax(self):
-        assert GcModel().step_tax(0, 1e9) == 0.0
+        assert CalibratedCosts().gc_tax(0, 1e9) == 0.0
 
     def test_tax_grows_with_retained(self):
-        gc = GcModel()
-        small = gc.step_tax(1000, 0)
-        big = gc.step_tax(1000, 10_000_000)
+        gc = CalibratedCosts()
+        small = gc.gc_tax(1000, 0)
+        big = gc.gc_tax(1000, 10_000_000)
         assert big > small
 
     def test_tax_linear_in_allocations(self):
-        gc = GcModel()
-        assert gc.step_tax(2000, 5000) == pytest.approx(2 * gc.step_tax(1000, 5000))
+        gc = CalibratedCosts()
+        assert gc.gc_tax(2000, 5000) == pytest.approx(2 * gc.gc_tax(1000, 5000))
 
     def test_no_gc_model(self):
-        assert NO_GC.step_tax(1e6, 1e9) == 0.0
+        assert NO_GC.gc_tax(1e6, 1e9) == 0.0
 
 
 class TestMachine:
@@ -91,7 +93,7 @@ class TestMachine:
         assert m.now == r.elapsed
 
     def test_gc_tax_counted(self):
-        m = Machine(2, gc=GcModel(alloc_cost=1.0, amplify=0.0, serial_share=1.0))
+        m = Machine(2, CalibratedCosts(gc_alloc_cost=1.0, gc_amplify=0.0, gc_serial_share=1.0))
         m.run_step([SimTask(1.0)], allocations=100, retained=0)
         assert m.report.gc_time == pytest.approx(100.0)
 
@@ -123,3 +125,31 @@ def test_speedup_bounded_by_cores(costs, n1, n2):
     if n1 <= n2:
         assert t2 <= t1 + 1e-9  # more cores never slower (no overheads)
         assert t1 / t2 <= n2 / min(n1, 1) + 1e-6
+
+
+class TestSuperstep:
+    """The sharded cost model's shape on the same machine: pinned
+    tasks, an exchange, a coordination barrier."""
+
+    def test_pinned_tasks_price_their_lanes(self):
+        m = Machine(2, CLUSTER)
+        traffic = StepTraffic(NetModel(latency=10, per_tuple=2))
+        traffic.send(0, 1, 1)
+        tasks = [SimTask(3.0, lane=0), SimTask(1.0, lane=1), SimTask(2.0, lane=1)]
+        m.run_step(tasks, traffic=traffic)
+        r = m.report
+        assert r.compute == 3.0 and r.comm == 12.0 and r.overhead == 6.0
+        assert r.elapsed == 21.0 and r.lanes == [3.0, 3.0]
+        assert r.messages == 1 and r.tuples_moved == 1 and r.busy == 6.0
+
+    def test_superstep_pays_its_barrier_on_one_node(self):
+        m = Machine(1, CLUSTER)
+        m.run_step([], traffic=StepTraffic(NetModel()))
+        assert m.report.elapsed == m.report.overhead == 6.0
+
+    def test_account_round_trips(self):
+        m = Machine(2, CLUSTER)
+        m.run_step([SimTask(5.0, lane=1)], traffic=StepTraffic(NetModel()))
+        restored = Machine(2, CLUSTER)
+        restored.load_state(m.state_dict())
+        assert vars(restored.report) == vars(m.report)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore.scheduler import greedy_makespan, lpt_makespan
-from repro.simcore.task import SimTask
+from repro.simcore import CalibratedCosts, SimTask, lpt_makespan, step_makespan
 
 
 class TestExactCases:
@@ -33,11 +32,7 @@ class TestExactCases:
 
     def test_greedy_from_simtasks(self):
         tasks = [SimTask(3.0), SimTask(1.0), SimTask(2.0)]
-        assert greedy_makespan(tasks, 2) == pytest.approx(3.0)
-
-    def test_simtask_scaled(self):
-        t = SimTask(2.0, {"delta": 1.0}).scaled(3.0)
-        assert t.cost == 6.0 and t.shared == {"delta": 3.0}
+        assert step_makespan(tasks, 2, CalibratedCosts()).compute == pytest.approx(3.0)
 
 
 costs = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=40)
