@@ -17,7 +17,20 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-__all__ = ["iter_lines", "parse_int_fields", "read_records_bytes", "read_records_text"]
+__all__ = [
+    "PVWATTS_FIELDS",
+    "PVWATTS_INT_POSITIONS",
+    "iter_lines",
+    "parse_int_fields",
+    "read_records_bytes",
+    "read_records_text",
+]
+
+#: field order of one PVWatts CSV record (:mod:`repro.csvio.synth`)
+PVWATTS_FIELDS = ("year", "month", "day", "hour", "power")
+#: positions parsed as integers (hour stays a string, as in Fig 4's
+#: ``String hour`` column)
+PVWATTS_INT_POSITIONS = (0, 1, 2, 4)
 
 
 def iter_lines(data: bytes, start: int = 0, end: int | None = None) -> Iterator[bytes]:

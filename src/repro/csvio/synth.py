@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from repro.csvio.reader import PVWATTS_FIELDS, PVWATTS_INT_POSITIONS
+
 __all__ = [
     "PVWATTS_FIELDS",
     "PVWATTS_INT_POSITIONS",
@@ -35,12 +37,6 @@ __all__ = [
     "generate_csv_bytes",
     "expected_month_means",
 ]
-
-#: field order of one CSV record
-PVWATTS_FIELDS = ("year", "month", "day", "hour", "power")
-#: positions parsed as integers (hour stays a string, as in Fig 4's
-#: ``String hour`` column)
-PVWATTS_INT_POSITIONS = (0, 1, 2, 4)
 
 _DAYS = {m: calendar.monthrange(2001, m)[1] for m in range(1, 13)}  # non-leap
 

@@ -30,6 +30,7 @@ program's rules by :func:`plan_indexes` (``ExecOptions(index_mode=
 "auto")``) or given explicitly per table.
 """
 
+from repro._lazy import lazy_exports
 from repro.gamma.base import CostProfile, StoreFactory, StoreRegistry, TableStore
 from repro.gamma.hashindex import ArrayOfHashSetsStore, HashIndexStore, HashKeyStore
 from repro.gamma.indexed import IndexedStore, IndexingRegistry
@@ -40,8 +41,12 @@ from repro.gamma.indexplan import (
     plan_indexes,
     spec_for_pattern,
 )
-from repro.gamma.nativearray import NativeArrayStore, TwoIterationArrayStore
 from repro.gamma.treeset import ConcurrentSkipListStore, TreeSetStore
+
+# numpy loads with the first native-array store, not with the engine
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"nativearray": ("NativeArrayStore", "TwoIterationArrayStore")}
+)
 
 __all__ = [
     "CostProfile",

@@ -17,7 +17,7 @@ and never includes resource-shaped ones (``strategy``, ``threads``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.errors import EngineError, UnknownProgramError
@@ -29,6 +29,9 @@ __all__ = ["ProgramEntry", "ProgramRegistry", "DEFAULT_TENANT_KNOBS"]
 #: otherwise — the ones that change *what the tenant means*, not what
 #: the server spends
 DEFAULT_TENANT_KNOBS = frozenset({"retraction", "admission"})
+#: no verb, reply or ``stats`` payload reads a tenant's virtual-time
+#: report, so an entry registered without options skips its metering
+_TENANT_OPTIONS = ExecOptions(metering="off")
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class ProgramEntry:
 
     name: str
     factory: Callable[[], Program]
-    options: ExecOptions = field(default_factory=ExecOptions)
+    options: ExecOptions = _TENANT_OPTIONS
     tenant_knobs: frozenset[str] = DEFAULT_TENANT_KNOBS
 
     def build_options(self, overrides: dict | None) -> ExecOptions:
@@ -73,7 +76,7 @@ class ProgramRegistry:
         entry = ProgramEntry(
             name,
             factory,
-            options if options is not None else ExecOptions(),
+            options if options is not None else _TENANT_OPTIONS,
             tenant_knobs if tenant_knobs is not None else DEFAULT_TENANT_KNOBS,
         )
         self._entries[name] = entry

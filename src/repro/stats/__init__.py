@@ -1,5 +1,6 @@
 """Run statistics and dependency graphs (§1.5 logging subsystem)."""
 
+from repro._lazy import lazy_exports
 from repro.stats.advisor import (
     IndexReport,
     Recommendation,
@@ -9,12 +10,16 @@ from repro.stats.advisor import (
     recommend_indexes,
 )
 from repro.stats.collector import RuleStats, StatsCollector, TableStats
-from repro.stats.depgraph import execution_graph, program_graph
 from repro.stats.report import (
     format_machine,
     format_rule_stats,
     format_table_stats,
     run_report,
+)
+
+# networkx loads with the first dependency graph, not with the engine
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"depgraph": ("execution_graph", "program_graph")}
 )
 
 __all__ = [
