@@ -74,8 +74,8 @@ class StepExecutor:
     ) -> list[TaskResult]:
         """Phase B for one popped class.  ``prepared`` pairs each
         trigger with its phase-A insert outcome, in pop order.  Under
-        retraction (scalar tier only: it refuses every other) an entry
-        also carries the support index's refire and dead flags."""
+        retraction an entry also carries the support index's refire
+        and dead flags."""
         raise NotImplementedError
 
     # -- put routing ---------------------------------------------------------

@@ -11,6 +11,12 @@ stats collector.  Queries run live against Gamma, so results are
 byte-identical to the scalar tier by construction.  Sequential
 strategies only; the registry downgrades everything else, including
 traced runs (generated bodies emit no trace events).
+
+Under retraction the kernel binds *recording* drivers instead — each
+firing builds its :class:`~repro.core.support.FiringRecord` as the
+scalar tier's does — and phase B honours the support index's
+refire/dead flags and its live-firing skip.  A kernel without a support
+index binds the plain drivers and pays for none of it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from repro.core.database import InsertOutcome
 from repro.core.executors.base import StepExecutor
 from repro.core.executors.scalar import ScalarExecutor
 from repro.core.rules import Rule
+from repro.core.support import FiringRecord
 from repro.core.tuples import JTuple
 from repro.exec.base import TaskResult
 from repro.exec.metering import NULL_METER
@@ -52,9 +59,14 @@ class CodegenExecutor(StepExecutor):
         #: cascades re-enter generated drivers where they exist)
         self._scalar = ScalarExecutor(kernel)
         self._drivers: dict[int, Callable] = {}
+        #: retraction mode: recording drivers, and phase B reads the
+        #: support index's flags
+        self._record = kernel._support is not None
+        if self._record:
+            self.fire_class = self._fire_recorded  # type: ignore[method-assign]
         check_mode = kernel._check_mode
         for rule in program.rules:
-            compiled, reason = compiled_for(program, rule)
+            compiled, reason = compiled_for(program, rule, self._record)
             if compiled is not None and reason is None:
                 if compiled.has_neg_agg and not (
                     check_mode == "off" or rule.assume_stratified
@@ -148,7 +160,13 @@ class CodegenExecutor(StepExecutor):
         ts = k.db.timestamp(tup)
         puts: list[JTuple] = []
         out: list[str] = []
-        driver(tup, ts, puts, out)
+        if self._record:
+            rec = FiringRecord(rule.name, k._rule_index[id(rule)], tup, ts)
+            driver(tup, ts, puts, out, rec)
+            rec.puts, rec.lines = tuple(puts), tuple(out)
+            result.firings.append(rec)
+        else:
+            driver(tup, ts, puts, out)
         if out:
             self.deliver(result, rule.name, k._rule_index[id(rule)], tup, ts, out)
         if puts:
@@ -181,19 +199,44 @@ class CodegenExecutor(StepExecutor):
                 fire(rule, tup, sink)
         return [sink]
 
+    def _fire_recorded(self, prepared: list[tuple]) -> list[TaskResult]:
+        """:meth:`fire_class` under retraction, where an entry is
+        (trigger, outcome, refire, dead): a dead trigger fires nothing,
+        a duplicate fires only when refired, and the kernel's
+        ``_fire_rules`` skips every (rule, trigger) firing the support
+        index still holds — the scalar tier's task, per trigger."""
+        k = self.kernel
+        sink = TaskResult(trigger=None, meter=NULL_METER)  # type: ignore[arg-type]
+        events = k.stats.table
+        fire_rules = k._fire_rules
+        for tup, outcome, refire, dead in prepared:
+            counts = events(tup.schema.name)
+            if dead or outcome is InsertOutcome.DUPLICATE:
+                counts.duplicates += 1
+                if dead or not refire:
+                    sink.duplicate = True
+                    continue
+            else:  # retraction refuses -noGamma: every trigger is stored
+                counts.gamma_inserts += 1
+            fire_rules(tup, sink)
+        return [sink]
+
     # -- bookkeeping ---------------------------------------------------------
 
     def flush_stats(self) -> None:
-        """Re-report each fired rule's run total, one line per rule: a
-        rule has a driver or has none, so its firings all went one way."""
+        """Re-report each fired rule's run total, one line per rule and
+        last, in rule-name order — a restored kernel, whose state
+        document carries no tier notes, reports the same lines.  A rule
+        has a driver or has none, so its firings all went one way."""
         stats = self.kernel.stats
         driven = {r.name for r in self.kernel.program.rules if id(r) in self._drivers}
         fired: dict[str, int] = {}
         for (_table, name), n in stats.trigger_edges.items():
             fired[name] = fired.get(name, 0) + n
+        stats.note_records[:] = [n for n in stats.note_records if n.code != "codegen.fired"]
         for name, n in sorted(fired.items()):
             gen, scalar = (n, 0) if name in driven else (0, n)
-            stats.replace_note(
+            stats.note(
                 "codegen.fired",
                 f"codegen: rule {name!r} fired {gen} generated / {scalar} scalar",
                 name,

@@ -5,8 +5,8 @@ Both kinds of row live here, keyed by tier — an ``execution`` value, or
 (:mod:`repro.dist.superstep`):
 
 * **refusal rows** are *configuration contradictions* — combinations the
-  run could never honour even in principle (codegen with retraction, a
-  ``-noDelta`` cascade on a shard that holds no Delta tree).  They raise
+  run could never honour even in principle (codegen on the worker mesh,
+  a ``-noDelta`` cascade on a shard that holds no Delta tree).  They raise
   the canonical ``invalid ExecOptions: ...`` error from
   ``ExecOptions.__post_init__`` via :func:`check_execution_options`, so
   an impossible request fails before any engine state exists — for the
@@ -68,12 +68,6 @@ def _sharded(knob: str, default: Any, reason: str):
 # ``invalid ExecOptions: knob=value[, ...] -- reason`` message.
 
 REFUSALS: list[tuple[str, Callable[[Any], dict | None], str]] = [
-    (
-        "codegen",
-        lambda o: _knobs(o, "retraction") if o.retraction else None,
-        "codegen execution is incompatible with retraction: "
-        "generated rule drivers do not record per-firing support yet",
-    ),
     (
         "codegen",
         lambda o: _knobs(o, "strategy") if o.strategy == "processes" else None,

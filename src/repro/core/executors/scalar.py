@@ -7,11 +7,11 @@ each popped tuple becomes one :class:`~repro.exec.base.EngineTask`
 firing gets a fresh :class:`~repro.core.rules.RuleContext`, and the
 strategy is free to interleave the tasks however it likes.
 
-It is also the only tier retraction composes with: under
-``ExecOptions(retraction=True)`` every firing leaves a
+Under ``ExecOptions(retraction=True)`` every firing leaves a
 :class:`~repro.core.support.FiringRecord` on its task result, and each
 entry phase A hands :meth:`ScalarExecutor.fire_class` carries the
-support index's finished refire/dead flags (:meth:`make_task`).
+support index's finished refire/dead flags (:meth:`make_task`); the
+codegen tier's recording drivers reproduce both.
 """
 
 from __future__ import annotations

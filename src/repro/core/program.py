@@ -376,12 +376,12 @@ class Program:
         every ``meta=`` override to its body (see
         :func:`repro.solver.check.check_cover`).  Idempotent; called
         automatically by :meth:`run`."""
-        from repro.solver.check import check_cover  # local: solver imports us
-
         self.decls.freeze()
         self._index_rules()
         for rule in self.rules:
             if rule._meta is not None:
+                from repro.solver.check import check_cover  # local: solver imports us
+
                 check_cover(rule)
 
     def _index_rules(self) -> None:

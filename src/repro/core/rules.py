@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.plan.cache import PlanCache
     from repro.plan.compile import CompiledQueryPlan
 
-__all__ = ["Rule", "RuleContext", "query_upper_bound"]
+__all__ = ["Rule", "RuleContext", "causal_past", "query_upper_bound"]
 
 RuleBody = Callable[["RuleContext", JTuple], None]
 
@@ -181,6 +181,27 @@ def _literal_levels_declared(a: Timestamp, b: Timestamp, decls: OrderDecls) -> b
                 return False
         return True  # first difference is a value level: fine
     return True  # equal or prefix-related: no literal decision involved
+
+
+def causal_past(
+    timestamp: Callable[[JTuple], Timestamp], results: list[JTuple], trigger_ts: Timestamp
+) -> list[JTuple]:
+    """Restrict a recorded firing's query results to its causal past.
+
+    Forward execution keeps the invariant "Gamma holds only tuples
+    at or below the current class", so this filter never drops
+    anything there.  Under retraction, a repair drain travels below
+    the old frontier while Gamma still holds later-derived tuples a
+    scratch run could not have seen at this timestamp — a refired
+    non-monotonic rule observing them diverges from the scratch
+    recompute.  Hiding tuples ordered strictly after the trigger's
+    class restores scratch-equivalent visibility (same-class tuples
+    stay visible: phase A lands the whole class before phase B
+    fires it).  Both tiers' recording firings filter through here.
+    """
+    if not results:
+        return results
+    return [t for t in results if compare_timestamps(timestamp(t), trigger_ts) <= 0]
 
 
 class RuleContext:
@@ -352,26 +373,6 @@ class RuleContext:
 
     # -- queries ------------------------------------------------------------
 
-    def _causal_filter(self, results: list[JTuple]) -> list[JTuple]:
-        """Restrict query results to the firing's causal past.
-
-        Forward execution keeps the invariant "Gamma holds only tuples
-        at or below the current class", so this filter never drops
-        anything there.  Under retraction, a repair drain travels below
-        the old frontier while Gamma still holds later-derived tuples a
-        scratch run could not have seen at this timestamp — a refired
-        non-monotonic rule observing them diverges from the scratch
-        recompute.  Hiding tuples ordered strictly after the trigger's
-        class restores scratch-equivalent visibility (same-class tuples
-        stay visible: phase A lands the whole class before phase B
-        fires it).
-        """
-        if not results:
-            return results
-        ts_of = self._db.timestamp
-        tts = self.trigger_ts
-        return [t for t in results if compare_timestamps(ts_of(t), tts) <= 0]
-
     def _run_planned(self, plan: "CompiledQueryPlan", query: Query) -> list[JTuple]:
         """Serve one query — every ``get``-family method funnels
         through here, on every tier and every node: this class has no
@@ -389,8 +390,8 @@ class RuleContext:
                 results = ps.run(query)
         else:
             results = ps.run(query)
-        if self._record is not None:
-            results = self._causal_filter(results)
+        if self._record is not None and results:
+            results = causal_past(self._db.timestamp, results, self.trigger_ts)
         n = len(results)
         self._meter.charge_planned(ps, n)
         hit = plan.rule_hits.get(self._rule.name)

@@ -555,6 +555,10 @@ def analyse_rule(rule: "Rule") -> BodyAnalysis:
     body it cannot read — the refusal is the result — and never swallows
     a defect of its own: an unexpected exception propagates."""
     body = rule.body
+    if inspect.unwrap(body) is not body:
+        # getsource follows __wrapped__, globals and closure would not:
+        # the source read is not the code that runs
+        return BodyAnalysis("rule body wraps another function (__wrapped__)")
     try:
         src = textwrap.dedent(inspect.getsource(body))
     except (OSError, TypeError):

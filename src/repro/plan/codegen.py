@@ -23,6 +23,14 @@ the whole query-and-put loop as straight-line Python with
   arguments — the generated driver holds no per-firing state, so
   -noDelta cascades may re-enter it freely.
 
+Under retraction a kernel binds the *recording* variant of each driver
+(``record=True``: a second compile, cached beside the plain one): it
+takes the firing's :class:`~repro.core.support.FiringRecord` as a fifth
+argument, and every query site runs the planned path, filters its
+results to the causal past and notes query and results on the record —
+what the scalar tier's recording ``RuleContext`` does.  The plain
+driver's source does not change.
+
 Everything outside ``ctx.*`` — closure variables, helper calls, user
 lambdas — resolves against the rule body's own globals and closure
 cells, snapshotted when the driver is compiled (kernel init).  Bodies
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import ast
 import linecache
+import threading
 import weakref
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -49,7 +58,7 @@ from repro.core.errors import CausalityError, RuleError
 from repro.core.ordering import compare_timestamps
 from repro.core.query import Query, QueryKind
 from repro.core.reducers import reduce_all
-from repro.core.rules import Rule
+from repro.core.rules import Rule, causal_past
 from repro.core.tuples import JTuple, shadowed
 from repro.gamma.base import TableStore
 from repro.plan.analyse import (
@@ -79,6 +88,8 @@ __all__ = [
 
 #: generated source by rule body function, for post-mortem inspection
 _SOURCE_BY_BODY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: guards the per-program compile cache (:func:`compiled_for`)
+_COMPILE_LOCK = threading.Lock()
 
 
 class CodegenRefusal(Exception):
@@ -183,8 +194,9 @@ class _BodyTransformer(ast.NodeTransformer):
     construct generated code cannot reproduce raises
     :class:`CodegenRefusal`."""
 
-    def __init__(self, rule: Rule, analysis: BodyAnalysis):
+    def __init__(self, rule: Rule, analysis: BodyAnalysis, record: bool):
         self.rule = rule
+        self.record = record
         self.ctx_name = analysis.ctx_name
         self.trig_name = analysis.trig_name
         self.elem = analysis.elem  # name -> TableSchema
@@ -338,7 +350,8 @@ class _BodyTransformer(ast.NodeTransformer):
             args += range_values(kw["ranges"])
         if s.flavor == "reduce":
             args += [kw["reducer"], kw["value"]]
-        return _call(_name(f"_cg_s{s.i}"), *[self.visit(a) for a in args], at=node)
+        rec = [_name("_cg_rec")] if self.record else []
+        return _call(_name(f"_cg_s{s.i}"), *rec, *[self.visit(a) for a in args], at=node)
 
     def _put_site(self, p: PutSite, node: ast.Call) -> ast.Call:
         if len(node.args) != 1 or node.keywords or isinstance(node.args[0], ast.Starred):
@@ -377,7 +390,7 @@ def _quad_src(form, syms: list[str]) -> str:
     return f"({lo}, {hi}, {lo_inc}, {hi_inc})"
 
 
-def _emit_query_site(s: QuerySite, a) -> None:
+def _emit_query_site(s: QuerySite, a, record: bool) -> None:
     i = s.i
     schema = s.handle.schema
     n_eq = s.prefix_arity + len(s.eq_names)
@@ -398,7 +411,7 @@ def _emit_query_site(s: QuerySite, a) -> None:
     ]
     eq_src = "{" + ", ".join(f"{p}: {v}" for p, v in zip(positions, eq_syms)) + "}"
     rng_src = "{" + ", ".join(rng_parts) + "}"
-    params = eq_syms + rng_syms
+    params = (["_cg_rec"] if record else []) + eq_syms + rng_syms
     if s.flavor == "reduce":
         params += ["_cg_red", "_cg_val"]
     sig = ", ".join(params)
@@ -411,12 +424,18 @@ def _emit_query_site(s: QuerySite, a) -> None:
     def planned_body(emit, indent):
         p = " " * indent
         emit(f"{p}_s{i}_hits[0] += 1")
-        emit(
-            f"{p}_cg_r = _s{i}_run(_cg_Query(_s{i}_schema, {eq_src}, "
-            f"{rng_src}, None, _s{i}_kind))"
-        )
+        query = f"_cg_Query(_s{i}_schema, {eq_src}, {rng_src}, None, _s{i}_kind)"
+        if record:
+            # what the scalar tier's recording RuleContext does: the
+            # causal past of the results, noted with the query
+            emit(f"{p}_cg_q = {query}")
+            emit(f"{p}_cg_r = _cg_past(_cg_tsof, _s{i}_run(_cg_q), _cg_rec.trigger_ts)")
+        else:
+            emit(f"{p}_cg_r = _s{i}_run({query})")
         emit(f"{p}_cg_n = _cg_len(_cg_r)")
         emit(f"{p}_s{i}_hits[1] += _cg_n")
+        if record:
+            emit(f"{p}_cg_rec.note_query(_cg_q, _cg_r)")
         if s.flavor == "get":
             emit(f"{p}return _cg_r")
         elif s.flavor == "exists":
@@ -445,9 +464,10 @@ def _emit_query_site(s: QuerySite, a) -> None:
         a(f"    def _cg_s{i}_key(_cg_t):")
         a(f"        return _cg_t.values[{s.min_pos}]")
 
-    if s.key_args is not None:
+    if s.key_args is not None and not record:
         # the binder supplies the store's lookup_key when it overrides
-        # the base linear scan; otherwise the planned path runs
+        # the base linear scan; otherwise the planned path runs (always
+        # when recording: the record notes the Query the site stands for)
         key_src = ", ".join(f"_cg_a{k}" for k in s.key_args)
         if len(s.key_args) == 1:
             key_src += ","
@@ -526,6 +546,7 @@ def _emit_put_site(p: PutSite, a, trig_schema, decls) -> None:
 
 
 def _assemble(rule, decls, analysis, body_stmts, tr: _BodyTransformer) -> str:
+    record = tr.record
     qsites, psites = analysis.query_sites, analysis.put_sites
     trig_name = analysis.trig_name
     lines: list[str] = []
@@ -551,11 +572,15 @@ def _assemble(rule, decls, analysis, body_stmts, tr: _BodyTransformer) -> str:
         a("    _cg_str = _cg['str']")
     if "strjoin" in tr.uses:
         a("    _cg_strjoin = _cg['strjoin']")
+    if record and qsites:
+        a("    _cg_past = _cg['past']")
+        a("    _cg_tsof = _cg['timestamp']")
     for s in qsites:
-        _emit_query_site(s, a)
+        _emit_query_site(s, a, record)
     for p in psites:
         _emit_put_site(p, a, rule.trigger.schema, decls)
-    a(f"    def _cg_driver({trig_name}, _cg_ts, _cg_puts, _cg_out):")
+    rec = ", _cg_rec" if record else ""
+    a(f"    def _cg_driver({trig_name}, _cg_ts, _cg_puts, _cg_out{rec}):")
     if psites:
         a(f"        _cg_trig = {trig_name}")
     if tr.uses_tv:
@@ -570,7 +595,9 @@ def _assemble(rule, decls, analysis, body_stmts, tr: _BodyTransformer) -> str:
 # -- compile -----------------------------------------------------------------
 
 
-def _compile(rule: Rule, program: "Program", analysis: BodyAnalysis) -> CompiledRuleBody:
+def _compile(
+    rule: Rule, program: "Program", analysis: BodyAnalysis, record: bool
+) -> CompiledRuleBody:
     body = rule.body
     if analysis.source is None:
         raise CodegenRefusal(analysis.refusal)
@@ -581,13 +608,13 @@ def _compile(rule: Rule, program: "Program", analysis: BodyAnalysis) -> Compiled
     # the analysis keeps positions, not nodes: the transformer rewrites
     # this tree in place and finds each site again by source position
     fn = ast.parse(analysis.source).body[0]
-    tr = _BodyTransformer(rule, analysis)
+    tr = _BodyTransformer(rule, analysis, record)
     body_stmts = [tr.visit(stmt) for stmt in fn.body]
     for stmt in body_stmts:
         ast.fix_missing_locations(stmt)
 
     source = _assemble(rule, program.decls, analysis, body_stmts, tr)
-    filename = f"<codegen:{rule.name}:{id(body):x}>"
+    filename = f"<codegen:{rule.name}:{id(body):x}{':record' if record else ''}>"
     linecache.cache[filename] = (
         len(source),
         None,
@@ -607,38 +634,43 @@ def _compile(rule: Rule, program: "Program", analysis: BodyAnalysis) -> Compiled
     compiled.has_neg_agg = any(
         s.kind is not QueryKind.POSITIVE for s in analysis.query_sites
     )
-    _SOURCE_BY_BODY[body] = source
+    if not record:
+        _SOURCE_BY_BODY[body] = source
     return compiled
 
 
-def compile_rule(rule: Rule, program: "Program") -> CompiledRuleBody:
+def compile_rule(rule: Rule, program: "Program", record: bool = False) -> CompiledRuleBody:
     """Compile one rule body, raising :class:`CodegenRefusal` (with a
     human-readable reason) when the body cannot be proven equivalent.
     Reading the body is the analyser's job and its defects are loud;
-    only emission failures turn into refusals."""
+    only emission failures turn into refusals.  A ``record`` driver
+    takes the firing's :class:`~repro.core.support.FiringRecord` as a
+    fifth argument and notes every query on it, as the scalar tier's
+    recording context does."""
     analysis = rule.analysis()
     try:
-        return _compile(rule, program, analysis)
+        return _compile(rule, program, analysis, record)
     except CodegenRefusal:
         raise
     except Exception as e:  # defensive: refusal, never a crash
         raise CodegenRefusal(f"compilation error: {e!r}")
 
 
-def compiled_for(program: "Program", rule: Rule):
-    """``(compiled, None)`` or ``(None, reason)`` for one rule, cached
+def compiled_for(program: "Program", rule: Rule, record: bool = False):
+    """``(compiled, None)`` or ``(None, reason)`` for one rule and
+    driver kind (plain or ``record``), cached
     on the program — source analysis runs once however many kernels the
-    program freezes into."""
-    cache = getattr(program, "_codegen_cache", None)
-    if cache is None:
-        cache = program._codegen_cache = {}
-    ent = cache.get(id(rule))
-    if ent is None:
-        try:
-            ent = (compile_rule(rule, program), None)
-        except CodegenRefusal as r:
-            ent = (None, r.reason)
-        cache[id(rule)] = ent
+    program freezes into, also when they are built on several threads
+    at once (the service's tenants of one program)."""
+    with _COMPILE_LOCK:
+        cache = program.__dict__.setdefault("_codegen_cache", {})
+        ent = cache.get((id(rule), record))
+        if ent is None:
+            try:
+                ent = (compile_rule(rule, program, record), None)
+            except CodegenRefusal as r:
+                ent = (None, r.reason)
+            cache[id(rule), record] = ent
     return ent
 
 
@@ -664,6 +696,8 @@ def bind_driver(compiled: CompiledRuleBody, kernel: "StepKernel", rule: Rule) ->
         "type": type,
         "strjoin": _strjoin,
         "reduce_all": reduce_all,
+        "past": causal_past,
+        "timestamp": kernel.db.timestamp,
         "put_check": (
             None
             if kernel._check_mode == "off"

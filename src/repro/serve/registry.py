@@ -2,11 +2,13 @@
 
 Rules are code, so a service cannot accept programs over the wire — it
 is configured at construction with named *program factories*.  A tenant
-opens a session naming a registered program; the factory builds a fresh
-:class:`~repro.core.Program` per tenant (sessions never share mutable
-engine state; a frozen program is shareable in principle, but a fresh
-instance per tenant keeps tenants fully isolated, plan caches
-included).
+opens a session naming a registered program.  Registration calls the
+factory once and freezes what it builds; every tenant of the entry runs
+that one :class:`~repro.core.Program`, whose generated drivers compile
+once (:func:`repro.plan.codegen.compiled_for`): a frozen program holds
+declarations and code, never run state.  Each tenant's kernel keeps its
+own Delta, Gamma, plan cache and statistics, so tenants see none of
+each other's tuples, plan hits or notes.
 
 Each entry also fixes the *server-side* execution options and which of
 them a tenant may override.  Tenants are untrusted: the overridable set
@@ -30,16 +32,19 @@ __all__ = ["ProgramEntry", "ProgramRegistry", "DEFAULT_TENANT_KNOBS"]
 #: the server spends
 DEFAULT_TENANT_KNOBS = frozenset({"retraction", "admission"})
 #: no verb, reply or ``stats`` payload reads a tenant's virtual-time
-#: report, so an entry registered without options skips its metering
-_TENANT_OPTIONS = ExecOptions(metering="off")
+#: report, so an entry registered without options skips its metering,
+#: and its tenants fire through generated drivers (tiers change cost,
+#: never output)
+_TENANT_OPTIONS = ExecOptions(metering="off", execution="codegen")
 
 
 @dataclass(frozen=True)
 class ProgramEntry:
-    """One registered program: factory + server-side options policy."""
+    """One registered program: the frozen program its tenants run +
+    server-side options policy."""
 
     name: str
-    factory: Callable[[], Program]
+    program: Program
     options: ExecOptions = _TENANT_OPTIONS
     tenant_knobs: frozenset[str] = DEFAULT_TENANT_KNOBS
 
@@ -73,9 +78,11 @@ class ProgramRegistry:
     ) -> ProgramEntry:
         if name in self._entries:
             raise EngineError(f"program {name!r} registered twice")
+        program = factory()
+        program.freeze()
         entry = ProgramEntry(
             name,
-            factory,
+            program,
             options if options is not None else _TENANT_OPTIONS,
             tenant_knobs if tenant_knobs is not None else DEFAULT_TENANT_KNOBS,
         )

@@ -126,7 +126,7 @@ class TenantSession:
         data_dir: Path | None,
     ) -> "TenantSession":
         options = entry.build_options(overrides)
-        session = EngineSession(entry.factory(), options).open()
+        session = EngineSession(entry.program, options).open()
         return cls(tenant, entry, overrides, data_dir, session)
 
     @classmethod
@@ -155,7 +155,7 @@ class TenantSession:
             )
         overrides = extra.get("overrides") or {}
         options = entry.build_options(overrides)
-        session = EngineSession.restore(doc, entry.factory(), options)
+        session = EngineSession.restore(doc, entry.program, options)
         restored = cls(
             tenant,
             entry,

@@ -258,15 +258,6 @@ class StatsCollector:
         if Note(code, text, subject) not in self.note_records:
             self.note_records.append(Note(code, text, subject))
 
-    def replace_note(self, code: str, text: str, subject: str = "") -> None:
-        """Record a note that supersedes the earlier one of the same
-        code and subject (a running total re-reported at every settle)."""
-        for i, old in enumerate(self.note_records):
-            if (old.code, old.subject) == (code, subject):
-                self.note_records[i] = Note(code, text, subject)
-                return
-        self.note_records.append(Note(code, text, subject))
-
     def absorb_planned(self, plans) -> None:
         """Fold the per-plan query tallies (see
         :attr:`~repro.plan.compile.CompiledQueryPlan.rule_hits`) into
@@ -328,11 +319,12 @@ class StatsCollector:
             "rules": {n: s.output_lines for n, s in self.rule_events.items()},
             "trigger_edges": [[*key, n] for key, n in self.trigger_edges.items()],
             "put_edges": [[*key, n] for key, n in self.put_edges.items()],
-            "query_hits": [[*key, *hit] for key, hit in self.query_hits.items()],
+            # key order: a tier registers its plans' shapes in its own order
+            "query_hits": [[*key, *hit] for key, hit in sorted(self.query_hits.items())],
             "frontier_widths": list(self.frontier_widths),
             "faults": dict(self.faults),
             **{name: getattr(self, name) for name in _REPAIR_COUNTERS},
-            "notes": [list(n) for n in self.note_records],
+            "notes": [list(n) for n in self.note_records if not _rederived(n.code)],
             "settles": [dict(s) for s in self.settles],
         }
 
@@ -361,20 +353,32 @@ class StatsCollector:
         for name in _REPAIR_COUNTERS:
             setattr(self, name, getattr(self, name) + int(state.get(name, 0)))
         for code, text, subject in state.get("notes", []):
-            self.note(code, text, subject)
+            if not _rederived(code):
+                self.note(code, text, subject)
         self.settles.extend(dict(s) for s in state.get("settles", []))
 
     def load_state(self, state: dict) -> None:
         """Restore in place (the engine's tiers and strategies hold
         references to this collector and its maps, so neither may be
-        replaced): empty everything, then :meth:`merge_state`."""
+        replaced): empty everything but the notes this kernel derived
+        from its own options and tier, then :meth:`merge_state`."""
+        kept = [n for n in self.note_records if _rederived(n.code)]
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, (dict, list)):
                 value.clear()
             else:
                 setattr(self, f.name, 0)
+        self.note_records.extend(kept)
         self.merge_state(state)
+
+
+def _rederived(code: str) -> bool:
+    """A note a kernel re-derives from its options or its tier — noted
+    at construction, or a run total re-reported at every flush — and so
+    never written to a state document: two tiers of one run write equal
+    ``stats`` sections, and a restore keeps the restoring kernel's own."""
+    return code.startswith(("codegen.", "metering.")) or code.endswith(".ignored")
 
 
 #: the retraction-mode scalars, as ``as_dict`` and the state document list them

@@ -335,3 +335,144 @@ def test_duplicate_delete_is_idempotent():
         r = s.close()
     assert s.stats.retractions == before
     assert "shortest path to 0 is 0" in r.output
+
+
+# -- the codegen tier ----------------------------------------------------------
+#
+# Generated drivers build the same firing records as the scalar rule
+# context.  A traced run downgrades to scalar, so these legs run
+# untraced and hold the codegen run to the scalar one directly: output,
+# Gamma, repair counters and the support index itself, fid for fid.
+
+
+def _run_tier(program, batches, execution, opts_kw):
+    opts = ExecOptions(strategy="sequential", retraction=True, execution=execution, **opts_kw)
+    with program.session(opts) as s:
+        for batch in batches:
+            s.feed(batch)
+            s.settle()
+        support, tier = s.kernel._support, s.kernel.executor.name
+        return s.close(), support, tier
+
+
+def _assert_tiers_agree(program, batches, opts_kw=None):
+    """The codegen run equals the scalar run and the scratch recompute;
+    returns the codegen result."""
+    opts_kw = opts_kw or {}
+    scalar, sup_s, _ = _run_tier(program, batches, "scalar", opts_kw)
+    codegen, sup_c, tier = _run_tier(program, batches, "codegen", opts_kw)
+    scr = run_scratch(program, batches, opts_kw)
+    assert tier == "codegen"
+    assert codegen.output_text() == scalar.output_text() == scr.output_text()
+    assert codegen.table_sizes == scalar.table_sizes == scr.table_sizes
+    assert len(sup_c) == len(sup_s) and sorted(sup_c.firings) == sorted(sup_s.firings)
+    assert sup_c.next_fid == sup_s.next_fid
+    for fid, rec in sup_s.firings.items():
+        other = sup_c.firings[fid]
+        assert (other.rule_name, other.trigger, other.puts, other.lines) == (
+            rec.rule_name, rec.trigger, rec.puts, rec.lines,
+        )
+        assert list(other.reads) == list(rec.reads)
+        assert [(q.eq, q.ranges, q.kind) for q in other.queries] == [
+            (q.eq, q.ranges, q.kind) for q in rec.queries
+        ]
+    for counter in ("retractions", "rederivations", "grown_doomed"):
+        assert getattr(codegen.stats, counter) == getattr(scalar.stats, counter), counter
+    return codegen
+
+
+def _fired(result) -> dict[str, str]:
+    return {n.subject: n.text for n in result.stats.note_records if n.code == "codegen.fired"}
+
+
+@pytest.mark.parametrize("app", list(APPS))
+def test_codegen_incremental_matches_scalar_and_scratch(app):
+    program, batches, opts_kw = _app(app)
+    codegen = _assert_tiers_agree(program, batches, opts_kw)
+    assert codegen.stats.retractions > 0
+    assert any(text.endswith(" 0 scalar") for text in _fired(codegen).values())
+
+
+def _churn_program():
+    """``bench/programs.py::churn_program``, copied: Fig 5's rule over
+    externally fed edges, no output lines."""
+    p = Program("dijkstra-churn")
+    Edge = p.table("Edge", "int src, int dst, int value", orderby=("Edge",))
+    Estimate = p.table(
+        "Estimate", "int vertex, int distance", orderby=("Int", "seq distance", "Estimate")
+    )
+    Done = p.table(
+        "Done", "int vertex -> int distance", orderby=("Int", "seq distance", "Done")
+    )
+    p.order("Edge", "Int")
+    p.order("Estimate", "Done")
+
+    @p.foreach(Estimate, assume_stratified=True)
+    def dijkstra(ctx, dist):
+        if (
+            ctx.get_uniq(Done, vertex=dist.vertex, ranges={"distance": {"lt": dist.distance}})
+            is None
+        ):
+            ctx.put(Done.new(dist.vertex, dist.distance))
+            for edge in ctx.get(Edge, dist.vertex):
+                if ctx.get_uniq(Done, vertex=edge.dst) is None:
+                    ctx.put(Estimate.new(edge.dst, dist.distance + edge.value))
+
+    return p, Edge, Estimate
+
+
+def test_codegen_churn_is_byte_identical_to_scalar():
+    """Rounds of two edge deletes and two edge inserts over a connected
+    random graph: the ``dijkstra_churn`` workload's shape at a test's
+    size."""
+    import random
+
+    p, Edge, Estimate = _churn_program()
+    rng = random.Random(5)
+    n = 60
+    live: dict[tuple[int, int], int] = {}
+    for v in range(1, n):  # spanning tree, both directions, then chords
+        u = rng.randrange(v)
+        live[(u, v)] = live[(v, u)] = rng.randint(1, 10)
+    while len(live) < 3 * n:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b and (a, b) not in live:
+            live[(a, b)] = rng.randint(1, 10)
+    batches = [[Edge.new(a, b, w) for (a, b), w in live.items()] + [Estimate.new(0, 0)]]
+    for _ in range(12):
+        evs = [Delete(Edge.new(*key, live.pop(key))) for key in rng.sample(sorted(live), 2)]
+        while len(evs) < 4:
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b and (a, b) not in live:
+                live[(a, b)] = rng.randint(1, 10)
+                evs.append(Edge.new(a, b, live[(a, b)]))
+        batches.append(evs)
+    codegen = _assert_tiers_agree(p, batches)
+    assert codegen.stats.rederivations > 0 and codegen.stats.grown_doomed > 0
+
+
+def test_a_rule_that_refuses_codegen_fires_scalar_beside_generated_drivers():
+    """One rule reads through a ``where=`` lambda, which generated code
+    does not reproduce: it records through the scalar rule context, the
+    other rule through its recording driver, and the mixed run matches
+    scalar and the scratch recompute."""
+    p, Edge, Estimate = _build_dijkstra()
+
+    @p.foreach(p.tables["Done"])
+    def heavy(ctx, done):
+        for edge in ctx.get(Edge, done.vertex, where=lambda e: e.value >= 4):
+            ctx.println(f"heavy edge {edge.src}->{edge.dst} from a vertex at {done.distance}")
+
+    edges = [Edge.new(0, 1, 1), Edge.new(0, 2, 4), Edge.new(1, 2, 1), Edge.new(1, 3, 5)]
+    batches = [
+        edges + [Edge.new(2, 3, 1), Estimate.new(0, 0)],
+        [Delete(edges[0])],
+        [Edge.new(0, 3, 1)],
+        [Delete(edges[1]), Edge.new(0, 1, 2)],
+    ]
+    codegen = _assert_tiers_agree(p, batches)
+    fired = _fired(codegen)
+    assert fired["dijkstra"].endswith(" 0 scalar") and " 0 generated" in fired["heavy"]
+    kept = [n.text for n in codegen.stats.note_records if n.code == "codegen.kept-scalar"]
+    assert len(kept) == 1 and "'heavy'" in kept[0]
+    assert "heavy edge" in codegen.output_text()

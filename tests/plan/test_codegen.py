@@ -12,6 +12,8 @@ generated code cannot prove equivalent) and the identical-error cases
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core import CausalityError, ExecOptions, Program, RuleError
@@ -26,6 +28,21 @@ from repro.plan.codegen import (
 
 def _module_helper(ctx):  # a target for the ctx-escape refusal
     return ctx
+
+
+def _counted(calls: list):
+    """A decorator that keeps ``__wrapped__``: the wrapper runs, but
+    ``inspect.getsource`` reads the function it wraps."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def wrapper(ctx, trig):
+            calls.append(trig)
+            return body(ctx, trig)
+
+        return wrapper
+
+    return wrap
 
 
 def _make_tables(p: Program):
@@ -115,6 +132,13 @@ def _refusal_rules():
 
     cases.append((p, dyn_table, "not a statically-known table handle"))
 
+    @p.foreach(Probe)
+    @_counted([])
+    def wrapped(ctx, pr):
+        ctx.println(pr.k)
+
+    cases.append((p, wrapped, "wraps another function"))
+
     return cases
 
 
@@ -130,6 +154,36 @@ def test_refusal_reason(program, rule, fragment):
     with pytest.raises(CodegenRefusal) as err:
         compile_rule(rule, program)
     assert fragment in err.value.reason, err.value.reason
+
+
+def test_a_wrapped_body_keeps_the_scalar_path():
+    """Compiling the wrapped function's source against the wrapper's
+    globals and closure would lose ``limit`` (a NameError at the first
+    firing) and skip the wrapper: the rule refuses and runs scalar."""
+
+    def build():
+        p = Program("wrapped")
+        _Src, _Item, Probe = _make_tables(p)
+        limit = 2
+        calls: list = []
+
+        @p.foreach(Probe)
+        @_counted(calls)
+        def big(ctx, pr):
+            if pr.k > limit:
+                ctx.println(f"big {pr.k}")
+
+        for k in range(5):
+            p.put(Probe.new(k))
+        return p, calls
+
+    (ref, ref_calls), (got, got_calls) = build(), build()
+    scalar = ref.run(ExecOptions())
+    codegen = got.run(ExecOptions(execution="codegen"))
+    assert codegen.output == scalar.output == ["big 3", "big 4"]
+    assert len(got_calls) == len(ref_calls) == 5
+    kept = [n.text for n in codegen.stats.note_records if n.code == "codegen.kept-scalar"]
+    assert len(kept) == 1 and "wraps another function" in kept[0]
 
 
 def test_compiled_rule_is_cached_on_the_program():

@@ -213,3 +213,59 @@ def test_dijkstra_scripts_incremental_equals_scratch(script):
         batches.append(evs)
     survivors = [origin] + [fact(k, g) for k, g in sorted(live.items())]
     _assert_equivalent(p, batches, survivors)
+
+
+# -- the codegen leg -----------------------------------------------------------
+#
+# The same scripts through the codegen tier's recording drivers: equal
+# to the scratch recompute, and to the scalar run down to the support
+# index's firing ids.
+
+
+def _assert_codegen_equivalent(program, batches, survivors):
+    def incremental(execution):
+        opts = ExecOptions(strategy="sequential", retraction=True, execution=execution)
+        with program.session(opts) as s:
+            for batch in batches:
+                s.feed(batch)
+                s.settle()
+            sup = s.kernel._support
+            return s.close(), sorted(sup.firings), s.kernel.executor.name
+
+    (scalar, fids_s, _), (codegen, fids_c, tier) = incremental("scalar"), incremental("codegen")
+    with program.session(ExecOptions(strategy="sequential")) as s2:
+        s2.feed(survivors)
+        scr = s2.close()
+    assert tier == "codegen"
+    assert codegen.output_text() == scalar.output_text() == scr.output_text()
+    assert codegen.table_sizes == scalar.table_sizes == scr.table_sizes
+    assert fids_c == fids_s
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=sensor_scripts())
+def test_sensor_scripts_codegen_equals_scalar_and_scratch(script):
+    program, Reading = _SENSORS
+    batches, survivors = _materialise(Reading, script)
+    _assert_codegen_equivalent(program, batches, survivors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=edge_scripts())
+def test_dijkstra_scripts_codegen_equals_scalar_and_scratch(script):
+    p, Edge, Estimate = _DIJKSTRA
+    origin = Estimate.new(0, 0)
+    fact = lambda key, gen: Edge.new(key[0], key[1], _edge_weight(key, gen))  # noqa: E731
+    batches, live = [], {}
+    for i, batch in enumerate(script):
+        evs = [origin] if i == 0 else []
+        for op, key, gen in batch:
+            if op == "insert":
+                live[key] = gen
+                evs.append(fact(key, gen))
+            else:
+                live.pop(key, None)
+                evs.append(Delete(fact(key, gen)))
+        batches.append(evs)
+    survivors = [origin] + [fact(k, g) for k, g in sorted(live.items())]
+    _assert_codegen_equivalent(p, batches, survivors)

@@ -295,3 +295,51 @@ def test_restore_rebuilds_footprint_index_and_trigger_timestamps():
     assert resumed.table_sizes == full.table_sizes
     assert resumed.stats.retractions == full.stats.retractions
     assert resumed.stats.rederivations == full.stats.rederivations
+
+
+# -- the codegen leg -----------------------------------------------------------
+
+CODEGEN = OPTS.with_(execution="codegen")
+
+
+def test_codegen_writes_the_scalar_document_and_resumes_from_either():
+    """The codegen tier's firing records are the scalar tier's: both
+    write the same support and stats sections, and a checkpoint of
+    either restores into either and finishes byte-identical."""
+    p, Edge, Estimate = _dijkstra_fixture()
+    edges = [
+        Edge.new(0, 1, 1),
+        Edge.new(0, 2, 4),
+        Edge.new(1, 2, 1),
+        Edge.new(1, 3, 5),
+        Edge.new(2, 3, 1),
+    ]
+    head = [edges + [Estimate.new(0, 0)], [Delete(edges[0])], [Edge.new(0, 3, 2)]]
+    tail = [[Delete(edges[1])], [Edge.new(0, 1, 1)]]
+
+    def play(session, batches):
+        for batch in batches:
+            session.feed(batch)
+            session.settle()
+
+    docs = {}
+    for name, opts in (("scalar", OPTS), ("codegen", CODEGEN)):
+        with p.session(opts.with_(metering="off")) as s:
+            play(s, head)
+            assert s.kernel.executor.name == name
+            docs[name] = json.loads(json.dumps(s.snapshot()))
+    for section in ("support", "stats", "tables", "output", "delta"):
+        assert docs["codegen"][section] == docs["scalar"][section], section
+
+    with p.session(OPTS) as s:
+        play(s, head + tail)
+        full = s.close()
+    for doc in docs.values():
+        for opts in (OPTS, CODEGEN):
+            s2 = EngineSession.restore(doc, p, opts.with_(metering="off"))
+            play(s2, tail)
+            resumed = s2.close()
+            assert resumed.output_text() == full.output_text()
+            assert resumed.table_sizes == full.table_sizes
+            assert resumed.stats.retractions == full.stats.retractions
+            assert resumed.stats.rederivations == full.stats.rederivations

@@ -95,7 +95,6 @@ CASES = {
     "churn": _churn,
 }
 #: what refuses which leg, before any state exists (REFUSALS has the rows)
-NO_CODEGEN = {"churn"}  # codegen x retraction
 NO_SHARDS = {"median", "matmul", "churn", "telemetry"}  # native stores; retraction; session-fed
 
 
@@ -155,9 +154,10 @@ def _comparable(stats) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_every_total_is_the_sum_of_its_edges_on_every_leg(name, pvwatts_csv):
     build = CASES[name]
-    legs = {"scalar": _session_run(build, pvwatts_csv)}
-    if name not in NO_CODEGEN:
-        legs["codegen"] = _session_run(build, pvwatts_csv, execution="codegen")
+    legs = {
+        "scalar": _session_run(build, pvwatts_csv),
+        "codegen": _session_run(build, pvwatts_csv, execution="codegen"),
+    }
     if name not in NO_SHARDS:
         for leg, transport in (("sim", "model"), ("mesh", None)):
             opts = ExecOptions(threads=2)
@@ -190,8 +190,6 @@ NO_SNAPSHOT = {"median"}
 @pytest.mark.parametrize("execution", ["scalar", "codegen"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_snapshot_between_feed_and_settle_loses_no_count(name, execution, pvwatts_csv):
-    if execution == "codegen" and name in NO_CODEGEN:
-        pytest.skip("codegen refuses retraction")
     build = CASES[name]
     feeds = build(pvwatts_csv)[1]
     at = 0 if feeds is None else len(feeds) // 2
@@ -203,6 +201,30 @@ def test_snapshot_between_feed_and_settle_loses_no_count(name, execution, pvwatt
     resumed = _session_run(build, pvwatts_csv, snapshot_at=at, execution=execution)
     assert resumed.as_dict() == whole.as_dict()
     assert resumed.to_state() == whole.to_state()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tiers_write_equal_stats_sections(name, pvwatts_csv):
+    """A tier's notes (``codegen.*``, ``metering.*``, ``*.ignored``) are
+    what the kernel re-derives from its options, not state: the same
+    script writes the same ``stats`` section under either tier."""
+    build = CASES[name]
+    scalar = _session_run(build, pvwatts_csv, metering="off")
+    codegen = _session_run(build, pvwatts_csv, metering="off", execution="codegen")
+    assert any(n.code.startswith("codegen.") for n in codegen.note_records)
+    assert codegen.to_state() == scalar.to_state()
+
+
+def test_a_restored_codegen_session_reports_its_tier_notes(pvwatts_csv):
+    """The construction notes survive ``load_state`` and the run totals
+    re-report at the next flush: restored or not, the same notes."""
+    build = CASES["telemetry"]
+    feeds = build(pvwatts_csv)[1]
+    whole = _session_run(build, pvwatts_csv, execution="codegen")
+    resumed = _session_run(build, pvwatts_csv, len(feeds) // 2, execution="codegen")
+    codes = {n.code for n in whole.note_records}
+    assert {"codegen.compiled", "codegen.fired", "metering.forced-off"} <= codes
+    assert resumed.note_records == whole.note_records
 
 
 def test_a_bound_driver_keeps_counting_across_settles():
