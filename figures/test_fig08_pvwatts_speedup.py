@@ -89,7 +89,7 @@ def test_fig08_wall_at_8_threads(benchmark, csv_by_month):
     )
 
 
-def test_fig08_report(benchmark, series, emit, csv_by_month):
+def test_fig08_report(benchmark, series, emit):
     benchmark.pedantic(lambda: None, rounds=1)
     blocks = [s.format() for s in series.values()]
     custom = series["array-of-hashsets (custom, §6.2)"]
@@ -102,22 +102,6 @@ def test_fig08_report(benchmark, series, emit, csv_by_month):
         f"(paper ~{PAPER_ABS_DISCOUNT:.0%}: TreeMap vs ConcurrentSkipListMap)"
     )
 
-    # index-mode note: the hand overrides above pick the (year, month)
-    # hash index; on default stores, index_mode="auto" plans the same
-    # index from the per-month aggregation query
-    off = run_pvwatts(csv_by_month, ExecOptions(index_mode="off"), n_readers=8)
-    auto = run_pvwatts(csv_by_month, ExecOptions(index_mode="auto"), n_readers=8)
-    assert auto.output_text() == off.output_text()
-    sel_off = off.meter.cost_by_prefix("gamma_lookup:")
-    sel_auto = auto.meter.cost_by_prefix("gamma_lookup:") + auto.meter.cost_by_prefix(
-        "gamma_ixlookup:"
-    )
-    assert auto.meter.cost_by_prefix("gamma_ixlookup:PvWatts") > 0
-    assert sel_auto < sel_off
-    blocks.append(
-        f"auto-index on default stores: select cost {sel_off:.1f} -> {sel_auto:.1f} "
-        "(planner derives the (year, month) hash index by itself)"
-    )
     emit("fig08_pvwatts_speedup", "### Fig 8 — PvWatts speedup by Gamma backend\n" + "\n\n".join(blocks))
 
     assert 3.0 < rel8 < 5.5           # "nearly 4X with 8 threads"

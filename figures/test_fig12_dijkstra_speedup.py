@@ -29,8 +29,6 @@ from repro.figures import speedup_series
 from repro.core import ExecOptions
 
 SPEC = GraphSpec(n_vertices=2000, extra_edges=4000)
-#: smaller instance for the index-mode cost note (one-off sequential runs)
-SPEC_SMALL = GraphSpec(n_vertices=500, extra_edges=1000)
 THREADS = (1, 2, 4, 6, 8)
 PAPER_MAX = 4.0
 
@@ -70,29 +68,13 @@ def test_fig12_report(benchmark, series, emit):
     s, contention = series
     rel = dict(zip(s.threads, s.relative))
 
-    # index-mode note: §6.5's first hand optimisation is the hash store
-    # on Edge keyed by src; on *default* stores, index_mode="auto"
-    # derives the same access path from the rule's query shape alone
-    off = run_shortestpath(SPEC_SMALL, ExecOptions(index_mode="off"))
-    auto = run_shortestpath(SPEC_SMALL, ExecOptions(index_mode="auto"))
-    assert auto.output_text() == off.output_text()
-    sel_off = off.meter.cost_by_prefix("gamma_lookup:")
-    sel_auto = auto.meter.cost_by_prefix("gamma_lookup:") + auto.meter.cost_by_prefix(
-        "gamma_ixlookup:"
-    )
-    assert auto.meter.cost_by_prefix("gamma_ixlookup:Edge") > 0
-    assert sel_auto < sel_off
-
     emit(
         "fig12_dijkstra_speedup",
         "### Fig 12 — Dijkstra speedup vs pool size (paper: mediocre, max 4.0 at 8 cores)\n"
         + s.format()
         + f"\n\nmax relative speedup: {max(rel.values()):.2f} (paper 4.0)"
         + f"\nDelta-tree contention share of elapsed at 8 threads: {contention[8]:.0%}"
-        + "\n(the paper's diagnosis: Estimate tuples contending in the Delta tree)"
-        + f"\nauto-index on default stores (|V|={SPEC_SMALL.n_vertices}): "
-        + f"select cost {sel_off:.1f} -> {sel_auto:.1f} "
-        + "(planner derives §6.5's Edge hash(src) by itself)",
+        + "\n(the paper's diagnosis: Estimate tuples contending in the Delta tree)",
     )
     # mediocre: max speedup lands in the paper's band, nowhere near linear
     assert 3.0 < max(rel.values()) < 5.5

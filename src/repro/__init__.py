@@ -17,7 +17,7 @@ Subpackages
     Virtual-time multicore machine and the execution strategies
     (sequential / simulated fork-join / real threads).
 ``repro.gamma``
-    Swappable Gamma data-structure backends (skip lists, hash indexes,
+    Swappable Gamma data-structure backends (sorted maps, hash indexes,
     numpy native arrays, ...).
 ``repro.disruptor``
     LMAX-Disruptor-style ring-buffer substrate (§6.3).

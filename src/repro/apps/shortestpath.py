@@ -145,8 +145,8 @@ def build_shortestpath_program(
         """Fig 5's rule, line for line.  What the static passes read off
         it: the guard query with its ``[distance < dist.distance]``
         bound; ``get Edge(dist.vertex)``, trivially causal (Edge < Int)
-        and the eq-on-src shape the index planner derives the §6.5 Edge
-        hash index from; and the unbounded ``get uniq? Done(edge.to)`` —
+        and the eq-on-src shape for which ``advise()`` picks the §6.5
+        Edge hash index; and the unbounded ``get uniq? Done(edge.to)`` —
         distance free, hence unprovable (see module docstring)."""
         if (
             ctx.get_uniq(

@@ -107,12 +107,6 @@ REFUSALS: list[tuple[str, Callable[[Any], dict | None], str]] = [
         "ctx.native, which has no meaning across shards; run such "
         "programs single-node",
     ),
-    _sharded(
-        "index_mode",
-        "off",
-        "shard databases carry no secondary indexes; the plan would index "
-        "only the control replica, which no rule reads",
-    ),
 ]
 
 

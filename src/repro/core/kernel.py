@@ -183,7 +183,7 @@ class StepKernel:
         self.strategy = (
             strategy if strategy is not None else self._make_strategy(options, program)
         )
-        registry = self._make_registry(options, self.strategy, program)
+        registry = self._make_registry(options, self.strategy)
         self.db = Database(program.schemas(), registry, program.decls)
         self.delta = DeltaTree()
         self.stats = StatsCollector()
@@ -286,9 +286,7 @@ class StepKernel:
         )
 
     @staticmethod
-    def _make_registry(
-        options: ExecOptions, strategy: Strategy, program: Program | None = None
-    ) -> StoreRegistry:
+    def _make_registry(options: ExecOptions, strategy: Strategy) -> StoreRegistry:
         if strategy.concurrent_stores:
             default = lambda schema: ConcurrentSkipListStore(schema)  # noqa: E731
         else:
@@ -296,40 +294,7 @@ class StepKernel:
         registry = StoreRegistry(default)
         for name, factory in options.store_overrides.items():
             registry.override(name, factory)
-        plan = StepKernel._index_plan(options, program)
-        if plan:
-            from repro.gamma.indexed import IndexingRegistry
-
-            return IndexingRegistry(registry, plan)
         return registry
-
-    @staticmethod
-    def _index_plan(options: ExecOptions, program: Program | None) -> dict:
-        """The effective index plan for this run: empty when indexing is
-        off, the static planner's output merged with explicit specs in
-        ``auto`` mode, the explicit specs alone in ``explicit`` mode.
-        -noGamma tables never get indexes (they are never stored), and
-        auto mode leaves tables with a hand-chosen ``store_overrides``
-        representation alone — an explicit §1.4 commitment beats the
-        planner (explicit ``indexes`` entries still apply)."""
-        if options.index_mode == "off":
-            return {}
-        plan: dict[str, tuple] = {}
-        if options.index_mode == "auto" and program is not None:
-            from repro.gamma.indexplan import plan_indexes
-
-            plan.update(
-                (name, specs)
-                for name, specs in plan_indexes(program).items()
-                if name not in options.store_overrides
-            )
-        for name, specs in options.indexes.items():
-            plan[name] = tuple(specs)
-        return {
-            name: specs
-            for name, specs in plan.items()
-            if specs and name not in options.no_gamma
-        }
 
     # -- put routing -------------------------------------------------------------
     #

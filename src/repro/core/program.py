@@ -109,14 +109,6 @@ class ExecOptions:
     retention: Mapping[str, "RetentionHint"] = field(default_factory=dict)
     #: per-table Gamma store replacements (§1.4 late commitment)
     store_overrides: Mapping[str, StoreFactory] = field(default_factory=dict)
-    #: secondary indexing: "off" (no secondary indexes), "auto" (plan
-    #: from the rules' access patterns, see repro.gamma.indexplan) or
-    #: "explicit" (use only the ``indexes`` mapping below)
-    index_mode: str = "off"
-    #: per-table index specs (table name -> tuple of IndexSpec); merged
-    #: on top of the planner's output in "auto" mode, used alone in
-    #: "explicit" mode, ignored when indexing is off
-    indexes: Mapping[str, tuple] = field(default_factory=dict)
     #: virtual-machine calibration: spawn/join, contention and the GC
     #: tax of the sequential and fork/join machines (the sharded cost
     #: model prices on its own cluster constants)
@@ -191,11 +183,6 @@ class ExecOptions:
             )
         if self.threads < 1:
             _refuse("threads must be >= 1", threads=self.threads)
-        if self.index_mode not in ("off", "auto", "explicit"):
-            _refuse(
-                "unknown index_mode; valid modes: off, auto, explicit",
-                index_mode=self.index_mode,
-            )
         if self.metering not in ("on", "off"):
             _refuse(
                 "unknown metering mode; valid modes: on, off",
@@ -214,12 +201,6 @@ class ExecOptions:
             _refuse(
                 "unknown admission mode; valid modes: strict, warn",
                 admission=self.admission,
-            )
-        if self.index_mode == "off" and self.indexes:
-            _refuse(
-                "explicit indexes need index_mode 'auto' or 'explicit'",
-                index_mode=self.index_mode,
-                indexes=sorted(self.indexes),
             )
         if self.strategy != "chaos" and (
             self.chaos_seed is not None or self.fault_plan is not None

@@ -18,8 +18,8 @@ methods — but they interact with the world only through the
 
 Every rule has symbolic metadata (``meta``), derived from its body's
 source by :mod:`repro.plan.analyse` and consumed by the static causality
-prover in :mod:`repro.solver`, the index planner and the locality
-checker; that is the analogue of the paper's compiler handing each
+prover in :mod:`repro.solver`, the locality checker and the codegen
+tier; that is the analogue of the paper's compiler handing each
 rule's puts and queries to the SMT solvers (§4).
 """
 

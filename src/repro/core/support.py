@@ -13,13 +13,12 @@ support relation of classic incremental Datalog maintenance:
   over-deleted and its own dependents are visited in turn.
 * ``readers[t]`` / ``triggered[t]`` — the firings whose *inputs*
   include ``t``, used to find the dependent cone of a deleted fact.
-* ``footprints`` — recorded query footprints, keyed the way
-  ``plan.indexplan`` keys Gamma (table, eq-bound columns, eq values),
-  used for grown-result invalidation: when a *new* tuple with a smaller
-  timestamp appears (a DRed rederivation descending below an already
-  -fired frontier), any earlier firing whose recorded query would have
-  matched it computed its result from incomplete data and must be
-  re-run.
+* ``footprints`` — recorded query footprints, keyed by (table,
+  eq-bound columns, eq values), used for grown-result invalidation:
+  when a *new* tuple with a smaller timestamp appears (a DRed
+  rederivation descending below an already-fired frontier), any earlier
+  firing whose recorded query would have matched it computed its result
+  from incomplete data and must be re-run.
 
 The index is also the whole of retraction mode's behaviour: the repair
 loop (over-delete, rederive, grown-result invalidation), the triggers

@@ -242,7 +242,6 @@ class Shard:
         return PreparedSelect(
             run,
             local.lookup_cost * (self._n_nodes if verdict == "broadcast" else 1),
-            local.lookup_tag,
             self.db.store(schema.name).cost,
             schema.name,
         )

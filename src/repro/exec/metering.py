@@ -92,10 +92,9 @@ class CostMeter:
     def charge_planned(self, ps: "PreparedSelect", n_results: int) -> None:
         """Charge one select served through a compiled plan: the lookup
         as the store priced the shape in
-        :meth:`~repro.gamma.base.TableStore.prepare` (plain paths charge
-        ``gamma_lookup:``, index-served shapes the cheaper
-        ``gamma_ixlookup:``, a routed path one lookup per shard read),
-        then ``gamma_result:`` per result yielded.  Costs, counters and
+        :meth:`~repro.gamma.base.TableStore.prepare` as
+        ``gamma_lookup:`` (a routed path one lookup per shard read), then
+        ``gamma_result:`` per result yielded.  Costs, counters and
         shared fractions were precomputed per shape on the
         :class:`~repro.gamma.base.PreparedSelect`."""
         counters = self.counters

@@ -23,24 +23,11 @@ backend                        Java analogue in the paper
 The two ordered stores — and the Delta tree's ``seq`` levels — sit on
 one ``sortedcontainers.SortedDict``, a dict for point probes beside a
 sorted key list for ordered scans; they differ only in cost profile.
-
-On top of any backend, :class:`IndexedStore` maintains the secondary
-indexes of an :class:`IndexSpec` plan — derived statically from the
-program's rules by :func:`plan_indexes` (``ExecOptions(index_mode=
-"auto")``) or given explicitly per table.
 """
 
 from repro._lazy import lazy_exports
 from repro.gamma.base import CostProfile, StoreFactory, StoreRegistry, TableStore
 from repro.gamma.hashindex import ArrayOfHashSetsStore, HashIndexStore, HashKeyStore
-from repro.gamma.indexed import IndexedStore, IndexingRegistry
-from repro.gamma.indexplan import (
-    AccessPattern,
-    IndexSpec,
-    collect_access_patterns,
-    plan_indexes,
-    spec_for_pattern,
-)
 from repro.gamma.treeset import ConcurrentSkipListStore, TreeSetStore
 
 # numpy loads with the first native-array store, not with the engine
@@ -60,11 +47,4 @@ __all__ = [
     "ArrayOfHashSetsStore",
     "NativeArrayStore",
     "TwoIterationArrayStore",
-    "IndexedStore",
-    "IndexingRegistry",
-    "IndexSpec",
-    "AccessPattern",
-    "collect_access_patterns",
-    "plan_indexes",
-    "spec_for_pattern",
 ]

@@ -75,14 +75,11 @@ class PreparedSelect:
     :meth:`~repro.exec.metering.CostMeter.charge_planned` charge the
     lookup and its results without re-deriving anything.  ``lookup_shared`` / ``result_shared`` are the
     serialisable work units per lookup / per result (0.0 when the store
-    is uncontended).  ``lookup_tag`` names the kind of access path the
-    lookup is charged as (``lookup``, or ``ixlookup`` when a secondary
-    index serves the shape)."""
+    is uncontended)."""
 
     __slots__ = (
         "run",
         "lookup_cost",
-        "lookup_tag",
         "lookup_counter",
         "lookup_shared",
         "result_cost",
@@ -95,15 +92,13 @@ class PreparedSelect:
         self,
         run: Callable[["Query"], list[JTuple]],
         lookup_cost: float,
-        lookup_tag: str,
         profile: CostProfile,
         table_name: str,
     ):
         self.run = run
         sf = profile.serial_fraction if profile.resource is not None else 0.0
         self.lookup_cost = lookup_cost
-        self.lookup_tag = lookup_tag
-        self.lookup_counter = f"gamma_{lookup_tag}:{table_name}"
+        self.lookup_counter = f"gamma_lookup:{table_name}"
         self.lookup_shared = lookup_cost * sf
         self.result_cost = profile.result_cost
         self.result_counter = f"gamma_result:{table_name}"
@@ -165,10 +160,9 @@ class TableStore(ABC):
         raise SchemaError(f"{self.kind} store cannot discard tuples")
 
     def remove(self, tup: JTuple) -> bool:
-        """Remove a tuple for *retraction* (incremental maintenance).
-        Semantically identical to :meth:`discard`; a separate entry
-        point so stores can keep GC-only deletion cheap while making
-        retraction exact (e.g. also unwinding secondary indexes)."""
+        """Remove a tuple for *retraction* (incremental maintenance):
+        the same exact removal as :meth:`discard`, under the name the
+        retraction layer calls."""
         return self.discard(tup)
 
     def prepare(self, query: Query) -> PreparedSelect:
@@ -197,17 +191,9 @@ class TableStore(ABC):
 
         return self._priced(run)
 
-    def _priced(
-        self,
-        run: Callable[[Query], list[JTuple]],
-        lookup_cost: float | None = None,
-        lookup_tag: str = "lookup",
-    ) -> PreparedSelect:
-        """Price an access path of this store: the flat profile cost
-        under the ``lookup`` tag unless the path says otherwise."""
-        if lookup_cost is None:
-            lookup_cost = self.cost.lookup_cost
-        return PreparedSelect(run, lookup_cost, lookup_tag, self.cost, self.schema.name)
+    def _priced(self, run: Callable[[Query], list[JTuple]]) -> PreparedSelect:
+        """Price an access path of this store at its flat profile cost."""
+        return PreparedSelect(run, self.cost.lookup_cost, self.cost, self.schema.name)
 
     def heap_tuples(self) -> int:
         """Number of tuples retained on the heap — feeds the GC-pressure

@@ -97,10 +97,6 @@ class HashKeyStore(TableStore):
             return True
         return False
 
-    def remove(self, tup: JTuple) -> bool:
-        # retraction-exact: the key map is the whole representation
-        return self.discard(tup)
-
 
 class HashIndexStore(TableStore):
     """Hash index over a field subset; buckets are sets of tuples.
@@ -173,10 +169,6 @@ class HashIndexStore(TableStore):
             self._size -= 1
             return True
         return False
-
-    def remove(self, tup: JTuple) -> bool:
-        # retraction-exact: bucket membership and size stay consistent
-        return self.discard(tup)
 
     def prepare(self, query: Query) -> PreparedSelect:
         """Index-covered shapes resolve to their bucket probe once;

@@ -86,10 +86,6 @@ class TreeSetStore(TableStore):
             self._by_key.pop(tup.key(), None)
         return True
 
-    def remove(self, tup: JTuple) -> bool:
-        # retraction-exact: discard already unwinds the key index too
-        return self.discard(tup)
-
     def prepare(self, query: Query) -> PreparedSelect:
         """The longest all-equality prefix of the field order becomes
         an ordered range scan, filtered by the residual; a fully bound

@@ -1,14 +1,7 @@
 """Run statistics and dependency graphs (§1.5 logging subsystem)."""
 
 from repro._lazy import lazy_exports
-from repro.stats.advisor import (
-    IndexReport,
-    Recommendation,
-    advise,
-    index_report,
-    overrides_from,
-    recommend_indexes,
-)
+from repro.stats.advisor import Recommendation, advise, overrides_from
 from repro.stats.collector import RuleStats, StatsCollector, TableStats
 from repro.stats.report import (
     format_machine,
@@ -24,11 +17,8 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "Recommendation",
-    "IndexReport",
     "advise",
     "overrides_from",
-    "index_report",
-    "recommend_indexes",
     "StatsCollector",
     "TableStats",
     "RuleStats",

@@ -23,7 +23,7 @@ each table that served queries:
       §6.2 custom structure, now derived automatically),
    b. else → :class:`HashIndexStore` over those fields;
 3. tables whose queries are range-heavy keep the ordered default
-   (skip list / tree), which supports ordered traversals;
+   (a sorted map), which supports ordered traversals;
 4. tables never queried get ``-noGamma`` *suggested* only if they also
    trigger no rules is out of scope here (that is §5.1's flag, a
    separate analysis); we simply report them as query-free.
@@ -44,14 +44,7 @@ from repro.gamma.base import StoreFactory
 if TYPE_CHECKING:  # pragma: no cover — avoids a circular import with the engine
     from repro.core.kernel import RunResult
 
-__all__ = [
-    "Recommendation",
-    "IndexReport",
-    "advise",
-    "overrides_from",
-    "index_report",
-    "recommend_indexes",
-]
+__all__ = ["Recommendation", "advise", "overrides_from"]
 
 #: a field qualifies for the dense-array top level if its observed
 #: value range is at most this wide (the paper's month array is 12)
@@ -210,72 +203,3 @@ def overrides_from(
     return {
         r.table: r.factory for r in recommendations if r.factory is not None
     }
-
-
-# ---------------------------------------------------------------------------
-# secondary-index reporting (the index_mode companion to advise())
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexReport:
-    """Per-table index effectiveness, read off an indexed run.
-
-    ``usage`` maps each select path — every index's label plus the
-    ``key`` fast path and the base-store ``scan`` fallback — to its
-    select count; ``hit_rate`` is the fraction of selects any index
-    (or the key path) served.
-    """
-
-    table: str
-    usage: dict[str, int]
-    hit_rate: float
-
-    def __repr__(self) -> str:
-        paths = ", ".join(f"{k}={v}" for k, v in self.usage.items())
-        return f"<index report {self.table}: {self.hit_rate:.0%} hit ({paths})>"
-
-
-def index_report(result: "RunResult") -> list[IndexReport]:
-    """Index hit rates for every indexed table of a finished run
-    (empty when the run had ``index_mode="off"``)."""
-    from repro.gamma.indexed import IndexedStore
-
-    reports: list[IndexReport] = []
-    for name, store in sorted(result.require_database().stores.items()):
-        if not isinstance(store, IndexedStore):
-            continue
-        usage = store.index_usage()
-        total = sum(usage.values())
-        hits = total - usage.get("scan", 0)
-        reports.append(
-            IndexReport(name, usage, hits / total if total else 0.0)
-        )
-    return reports
-
-
-def recommend_indexes(
-    result: "RunResult", min_queries: int = 1
-) -> dict[str, tuple]:
-    """Indexes the planner would have built, derived from the *observed*
-    query shapes of a profiled run — the dynamic mirror of
-    :func:`repro.gamma.indexplan.plan_indexes`, able to see queries that
-    opaque rule bodies hide from the static pass.  Returns a plan ready
-    for ``ExecOptions(index_mode="auto", indexes=...)``."""
-    from repro.gamma.indexplan import MAX_INDEXES_PER_TABLE, spec_for_pattern
-
-    plan: dict[str, tuple] = {}
-    for name, store in sorted(result.require_database().stores.items()):
-        shapes = result.stats.shapes_for(name)
-        specs = []
-        for (eq, rng), n in sorted(shapes.items()):
-            if n < min_queries:
-                continue
-            spec = spec_for_pattern(store.schema, eq, rng)
-            if spec is not None and spec not in specs:
-                specs.append(spec)
-        if specs:
-            plan[name] = tuple(
-                sorted(specs, key=lambda s: (s.eq_fields, s.range_field or ""))
-            )[:MAX_INDEXES_PER_TABLE]
-    return plan

@@ -51,14 +51,10 @@ MATRIX = [
      ["causality_check='maybe'", "off, warn, strict"]),
     (dict(threads=0), ["threads=0", ">= 1"]),
     (dict(strategy="threads", threads=-2), ["threads=-2"]),
-    (dict(index_mode="magic"),
-     ["index_mode='magic'", "off, auto, explicit"]),
     (dict(metering="sometimes"),
      ["metering='sometimes'", "metering"]),
     (dict(admission="lax"),
      ["admission='lax'", "strict, warn"]),
-    (dict(index_mode="off", indexes={"Edge": ("dst",)}),
-     ["index_mode='off'", "'Edge'", "explicit indexes"]),
     (dict(chaos_seed=7),
      ["strategy='sequential'", "chaos_seed=7", "'chaos' strategy"]),
     (dict(fault_plan=FaultPlan(raise_prob=0.5)),
@@ -121,7 +117,6 @@ def test_refusals_are_catchable_as_engine_errors():
         dict(strategy="chaos", fault_plan=FaultPlan(raise_prob=0.2)),
         dict(retraction=True),
         dict(retraction=True, strategy="threads", threads=2),
-        dict(index_mode="explicit", indexes={"Edge": ("dst",)}),
         dict(retention={"T": RetentionHint("gen", 2)}),
         dict(execution="scalar"),
         dict(execution="scalar", metering="off"),
@@ -150,7 +145,7 @@ def test_removed_plan_cache_option_is_not_a_field():
 def test_removed_knob_is_not_a_field(knob):
     with pytest.raises(TypeError):
         ExecOptions(**{knob: True})
-    assert len(fields(ExecOptions)) == 19
+    assert len(fields(ExecOptions)) == 17
 
 
 # -- registry resolution: one table decides the kernel's tier ----------------
@@ -213,7 +208,6 @@ KNOB_POOL = [
     dict(strategy="chaos", chaos_seed=3),
     dict(trace=True),
     dict(metering="off"),
-    dict(index_mode="auto"),
 ]
 
 #: one deviation per ExecOptions knob a caller might hand a sharded run:
@@ -227,8 +221,6 @@ SHARDED_KNOBS = [
     dict(calib=NO_GC),  # virtual-time calibration: no shard consumes it
     dict(retention={"Ship": RetentionHint("frame", 2)}),
     dict(store_overrides={"Ship": HashKeyStore}),
-    dict(index_mode="auto"),
-    dict(index_mode="explicit", indexes={"Ship": ("x",)}),
     dict(metering="off"),
     dict(trace=True),
     dict(admission="warn"),

@@ -4,13 +4,41 @@ The happy path — keep the last N generations, prune the rest — is
 covered by ``tests/core/test_extensions.py``.  These tests pin down the
 boundaries: hints on tables that never reach Gamma, retention firing
 during initialisation before any engine step runs, interaction with
-negative queries that observe the discards, and indexed stores staying
-consistent through retention discards.
+negative queries that observe the discards, and a hash-index store
+staying consistent through retention discards.
 """
 
 from __future__ import annotations
 
 from repro.core import ExecOptions, Program, RetentionHint
+from repro.gamma import HashIndexStore
+
+
+class _GenBuckets(HashIndexStore):
+    """A hash index on ``gen`` that counts the reads it serves, and the
+    ones among them that fell back to a scan."""
+
+    def __init__(self, schema):
+        super().__init__(schema, ("gen",))
+        self.reads = self.scanned_reads = self._scans = 0
+
+    def scan(self):
+        self._scans += 1
+        return super().scan()
+
+    def prepare(self, query):
+        prepared = super().prepare(query)
+        run = prepared.run
+
+        def counted(q):
+            before = self._scans
+            rows = run(q)
+            self.reads += 1
+            self.scanned_reads += self._scans != before
+            return rows
+
+        prepared.run = counted
+        return prepared
 
 
 class TestNoGammaRetention:
@@ -94,7 +122,7 @@ class TestDiscardsObservedByNegativeQuery:
     *absent*: retention feeds straight into negative-query semantics
     (the bounded-memory sensors pattern)."""
 
-    def _run(self, retention, index_mode="off", indexes=None):
+    def _run(self, retention, store_overrides=None):
         p = Program("observe-discards")
         Tick = p.table("Tick", "int gen", orderby=("Int", "seq gen", "Tick"))
         Probe = p.table("Probe", "int gen", orderby=("Int", "seq gen", "Probe"))
@@ -116,11 +144,7 @@ class TestDiscardsObservedByNegativeQuery:
 
         p.put(Tick.new(0))
         return p.run(
-            ExecOptions(
-                retention=retention,
-                index_mode=index_mode,
-                indexes=indexes or {},
-            )
+            ExecOptions(retention=retention, store_overrides=store_overrides or {})
         )
 
     @staticmethod
@@ -142,22 +166,16 @@ class TestDiscardsObservedByNegativeQuery:
         assert vis == {g: False for g in range(7)}
 
     def test_indexed_store_sees_the_same_discards(self):
-        """Retention discards must be withdrawn from secondary indexes
-        too — a stale index entry would make the pruned tuple visible
-        again (opaque rule bodies hide the query from the planner, so
-        the index is requested explicitly)."""
-        from repro.gamma import IndexSpec, IndexedStore
-
+        """Retention discards must be withdrawn from a hash index's
+        buckets too — a stale bucket entry would make the pruned tuple
+        visible again through the non-default access path."""
         hint = {"Tick": RetentionHint("gen", keep_last=2)}
         plain = self._run(hint)
-        indexed = self._run(
-            hint,
-            index_mode="explicit",
-            indexes={"Tick": (IndexSpec(("gen",)),)},
-        )
+        indexed = self._run(hint, store_overrides={"Tick": _GenBuckets})
         store = indexed.database.store("Tick")
-        assert isinstance(store, IndexedStore)
-        assert store.index_usage()["hash(gen)"] > 0
+        assert isinstance(store, _GenBuckets)
+        # every probe of Tick was a bucket probe, none a scan
+        assert store.reads > 0 and store.scanned_reads == 0
         assert self._visibility(indexed) == self._visibility(plain)
         assert indexed.output_text() == plain.output_text()
         assert indexed.table_sizes == plain.table_sizes

@@ -3,16 +3,14 @@
 A store's only read is ``prepare(query)``: the access path for a query
 *shape*, resolved once, whose ``run`` serves every query of that shape.
 ``select`` is derived from it.  So for every store class and arrangement
-— tree plain and keyed, hash-key, hash-index plain and keyed,
-array-of-hashsets, native array, and :class:`IndexedStore` with a hash
-index, a sorted index and over a hash-key base — a seeded sweep over
+— tree plain and keyed, hash-key, hash-index plain, keyed and over a
+field pair, array-of-hashsets and native array — a seeded sweep over
 every equality subset × range form × residual ``where`` holds
 ``prepare(shape).run(query)`` to a brute-force :meth:`Query.matches`
 scan: element for element in value order where the store promises that
-order (§1.3: the default stores and every index path), as a multiset
-otherwise.  The prepared select is resolved from a *different* query of
-the same shape than the ones it then serves, which is how the plan cache
-uses it.
+order (§1.3: the default stores), as a multiset otherwise.  The
+prepared select is resolved from a *different* query of the same shape
+than the ones it then serves, which is how the plan cache uses it.
 
 Queries bind the values on which a probe and ``!=`` could part ways:
 ``1.0`` and ``True`` for an int ``1``, ``-0.0`` beside ``0.0``, NaN,
@@ -37,8 +35,6 @@ from repro.gamma import (
     ConcurrentSkipListStore,
     HashIndexStore,
     HashKeyStore,
-    IndexSpec,
-    IndexedStore,
     NativeArrayStore,
     TreeSetStore,
 )
@@ -54,23 +50,9 @@ STORES = {
     "hash-key": (KEYED, HashKeyStore, False),
     "hash-index-plain": (PLAIN, lambda s: HashIndexStore(s, ("b",)), False),
     "hash-index-keyed": (KEYED, HashIndexStore, False),
+    "hash-index-pair": (PLAIN, lambda s: HashIndexStore(s, ("a", "b")), False),
     "array-of-hashsets": (PLAIN, lambda s: ArrayOfHashSetsStore(s, "a", 0, 4), False),
     "native-array": (KEYED, lambda s: NativeArrayStore(s, (5, 5)), False),
-    "indexed-hash": (
-        PLAIN,
-        lambda s: IndexedStore(TreeSetStore(s), (IndexSpec(("b",)), IndexSpec(("a", "b")))),
-        True,
-    ),
-    "indexed-sorted": (
-        PLAIN,
-        lambda s: IndexedStore(TreeSetStore(s), (IndexSpec(("a",), "c"), IndexSpec((), "c"))),
-        True,
-    ),
-    "indexed-over-hash-key": (
-        KEYED,
-        lambda s: IndexedStore(HashKeyStore(s), (IndexSpec(("a",)), IndexSpec(("b",), "c"))),
-        False,
-    ),
 }
 
 RANGE_FORMS = (None, ("ge", "lt"), ("le",), ("gt",), "pair")

@@ -1,17 +1,14 @@
-"""Cross-strategy differential harness for the secondary-index layer.
+"""Cross-strategy differential harness.
 
 §1.3's guarantee — identical output under every strategy and thread
-count — must survive ``index_mode="auto"``: indexes change *how*
-``select`` finds tuples, never *which* tuples (or in which order they
-are yielded).  This harness runs every example program under the full
-matrix
+count.  This harness runs every example program under the full matrix
 
-    {sequential, forkjoin, threads, chaos×3 seeds} × {off, auto}
+    {sequential, forkjoin×{1, 2, 4}, threads×{1, 2, 4}, chaos×3 seeds}
 
 and asserts byte-identical ``output_text()``, equal ``table_sizes``,
 and — every run being traced — zero divergent semantic trace events
-(``trace_diff``) against the sequential / index-off reference.  A
-divergence pinpoints its configuration via the parametrised test id.
+(``trace_diff``) against the sequential reference.  A divergence
+pinpoints its configuration via the parametrised test id.
 """
 
 from __future__ import annotations
@@ -41,28 +38,20 @@ CONFIGS = [
     ("chaos", 1),
     ("chaos", 2),
 ]
-INDEX_MODES = ["off", "auto"]
-
-MATRIX = [
-    pytest.param((s, t, m), id=f"{s}-{t}-{m}")
-    for (s, t) in CONFIGS
-    for m in INDEX_MODES
-]
+MATRIX = [pytest.param((s, t), id=f"{s}-{t}") for (s, t) in CONFIGS]
 
 
 def _options(config) -> ExecOptions:
-    strategy, n, mode = config
+    strategy, n = config
     if strategy == "chaos":
-        return ExecOptions(
-            strategy="chaos", chaos_seed=n, index_mode=mode, trace=True
-        )
-    return ExecOptions(strategy=strategy, threads=n, index_mode=mode, trace=True)
+        return ExecOptions(strategy="chaos", chaos_seed=n, trace=True)
+    return ExecOptions(strategy=strategy, threads=n, trace=True)
 
 
 @pytest.fixture(scope="module")
 def small_csv() -> bytes:
     """A sliced-down PvWatts year: header + ~1500 records, enough for
-    every month to appear without making 14 runs per app expensive."""
+    every month to appear without making 10 runs per app expensive."""
     lines = generate_csv_bytes(n_years=1).split(b"\n")
     return b"\n".join(lines[:1500]) + b"\n"
 
@@ -108,25 +97,3 @@ class TestDifferential:
         vals = np.random.default_rng(9).random(500)
         _assert_same(lambda o: run_median(vals, o, n_regions=6), config)
 
-
-class TestIndexesActuallyUsed:
-    """Guard against the matrix passing vacuously: auto mode must build
-    and hit at least one index on the apps with indexable queries."""
-
-    def test_shortestpath_uses_edge_index(self):
-        from repro.stats import index_report
-
-        spec = GraphSpec(n_vertices=90, extra_edges=140, seed=3)
-        r = run_shortestpath(spec, ExecOptions(index_mode="auto"), n_gen_tasks=4)
-        reports = {rep.table: rep for rep in index_report(r)}
-        assert "Edge" in reports
-        assert reports["Edge"].hit_rate == 1.0
-
-    def test_pvwatts_uses_month_index(self, small_csv):
-        from repro.stats import index_report
-
-        r = run_pvwatts(small_csv, ExecOptions(index_mode="auto"), n_readers=2)
-        reports = {rep.table: rep for rep in index_report(r)}
-        assert "PvWatts" in reports
-        assert sum(reports["PvWatts"].usage.values()) > 0
-        assert reports["PvWatts"].hit_rate == 1.0

@@ -32,7 +32,6 @@ from repro.core import ExecOptions, Program, ProgramError
 from repro.core.query import QueryKind
 from repro.csvio.synth import generate_csv_bytes
 from repro.gamma import NativeArrayStore, TwoIterationArrayStore
-from repro.gamma.indexplan import _pattern_of_symquery
 from repro.lang import compile_source
 from repro.plan import analyse
 from repro.solver import RuleMeta, check_program
@@ -115,11 +114,12 @@ def test_derived_meta_predicts_the_run(name):
     for rule in program.rules:
         meta = rule.meta
         assert isinstance(meta, RuleMeta), (rule.name, rule.analysis().refusal)
+        for site in rule.analysis().query_sites:
+            ranged = tuple(sorted(field for field, _form in site.ranges))
+            shapes.add((rule.name, site.handle.schema.name, site.eq_fields(), ranged))
         for branch in meta.branches:
             for q in branch.queries:
-                pat = _pattern_of_symquery(q, rule.name)
-                shapes.add((rule.name, pat.table, pat.eq_fields, pat.range_fields))
-                kinds.add((rule.name, pat.table, q.kind.value))
+                kinds.add((rule.name, q.schema.name, q.kind.value))
             puts.update((rule.name, p.schema.name) for p in branch.puts)
 
     observed = set(result.stats.rule_query_shapes)

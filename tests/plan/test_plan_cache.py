@@ -86,37 +86,9 @@ _COSTS = {
 }
 
 
-def _swap(d: dict, old: str, **new) -> dict:
-    return {**{k: v for k, v in d.items() if k != old}, **new}
-
-
 #: (options, counters, costs, shared, virtual_time)
 PINNED = {
-    "off": (dict(), _COUNTERS, _COSTS, {"delta": 27.3}, 342.36045778460755),
-    # the planner reads every query site off the rule bodies: hash(src)
-    # and hash(dst, src) on Edge, hash(v) and sorted(d) on Dist serve
-    # every query at probe cost and charge their maintenance on insert
-    # (re-pinned when metas became derived: the hand meta this program
-    # used to carry declared one of its five access patterns)
-    "auto": (
-        dict(index_mode="auto"),
-        _swap(
-            _swap(_COUNTERS, "gamma_lookup:Edge", **{"gamma_ixlookup:Edge": 14}),
-            "gamma_lookup:Dist",
-            **{"gamma_ixlookup:Dist": 17},
-        ),
-        _swap(
-            _swap(
-                _COSTS,
-                "gamma_lookup:Edge",
-                **{"gamma_ixlookup:Edge": 16.8, "gamma_insert:Edge": 16.8},
-            ),
-            "gamma_lookup:Dist",
-            **{"gamma_ixlookup:Dist": 30.0, "gamma_insert:Dist": 21.0},
-        ),
-        {"delta": 27.3},
-        306.96045778460757,
-    ),
+    "sequential": (dict(), _COUNTERS, _COSTS, {"delta": 27.3}, 342.36045778460755),
     # concurrent stores: dearer ops, a serialised fraction per table
     "forkjoin": (
         dict(strategy="forkjoin", threads=4),
@@ -137,8 +109,8 @@ PINNED = {
 @pytest.mark.parametrize("leg", sorted(PINNED))
 def test_planned_ledger_matches_pinned_reference(leg):
     """Output, table sizes, meter counters, per-counter costs, shared
-    fractions and virtual time of the planned path, for plain, indexed
-    and concurrent stores."""
+    fractions and virtual time of the planned path, for plain and
+    concurrent stores."""
     options, counters, costs, shared, virtual_time = PINNED[leg]
     got = plan_program().run(ExecOptions(**options))
     assert got.output == _OUTPUT
@@ -183,37 +155,32 @@ def _call(draw):
 
 
 @functools.lru_cache(maxsize=None)
-def _populated_kernel(index_mode: str):
+def _populated_kernel():
     from repro.core.kernel import StepKernel
-    from repro.solver import RuleMeta
 
     p = Program("shapes")
     T = p.table("T", "int a, int b, int c", orderby=("T",))
     Probe = p.table("Probe", "int b", orderby=("Z",))
     p.order("T", "Z")
-    meta = RuleMeta(Probe)
-    meta.branch().query(T, b=meta.trigger["b"])  # auto mode: hash(b) on T
 
-    @p.foreach(Probe, meta=meta)
+    @p.foreach(Probe)
     def probe(ctx, t):
         ctx.get(T, b=t.b)
 
-    kernel = StepKernel(p, ExecOptions(index_mode=index_mode))
+    kernel = StepKernel(p, ExecOptions())
     kernel.feed([T.new(*row) for row in _ROWS])
     kernel.drain()
     return kernel, T
 
 
-@pytest.mark.parametrize("index_mode", ["off", "auto"])
 @settings(max_examples=150, deadline=None)
 @given(call=_call())
-def test_planned_select_equals_brute_force(index_mode, call):
+def test_planned_select_equals_brute_force(call):
     """``plans.lookup`` builds the query ``build_query`` would, field
     for field, and its prepared select returns exactly the value-sorted
     brute-force filter of the table — on first compile and from cache."""
-    kernel, T = _populated_kernel(index_mode)
+    kernel, T = _populated_kernel()
     store = kernel.db.store("T")
-    assert (type(store).__name__ == "IndexedStore") == (index_mode == "auto")
     prefix, eq, ranges, where, kind = call
     ref = build_query(T, *prefix, where=where, ranges=ranges, kind=kind, **eq)
     brute = sorted((t for t in store.scan() if ref.matches(t)), key=lambda t: t.values)
