@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import ContextManager, Iterable
 
 from repro.core.database import Database, InsertOutcome
@@ -640,10 +641,11 @@ class StepKernel:
             for (put, _meter), accepted in zip(pending, flags):
                 self.tracer.emit("admit", {"tuple": repr(put), "accepted": accepted})
 
-    def drain(self) -> int:
-        """Run all-minimums steps until Delta is empty; returns the
-        number of steps taken.  Advances the high-water mark to the
-        timestamp of each popped class."""
+    def drain(self, until: float | None = None) -> int:
+        """Run all-minimums steps until Delta is empty, or until the
+        first step that ends past the ``perf_counter`` deadline
+        ``until``; returns the number of steps taken.  Advances the
+        high-water mark to the timestamp of each popped class."""
         before = self.steps
         max_steps = self.options.max_steps
         while self.delta:
@@ -656,6 +658,8 @@ class StepKernel:
             batch = self.delta.pop_min_class()
             self.high_water = self.db.timestamp(batch[-1])
             self._run_step(batch)
+            if until is not None and perf_counter() >= until:
+                break
         return self.steps - before
 
     def flush_stats(self) -> None:

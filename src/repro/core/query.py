@@ -141,21 +141,27 @@ def _normalise_range(spec: Any) -> tuple[Any, Any, bool, bool]:
     if isinstance(spec, tuple) and len(spec) == 2:
         return (spec[0], spec[1], True, True)
     if isinstance(spec, Mapping):
-        lo = hi = None
-        lo_inc = hi_inc = True
-        for op, v in spec.items():
-            if op == "gt":
-                lo, lo_inc = v, False
-            elif op == "ge":
-                lo, lo_inc = v, True
-            elif op == "lt":
-                hi, hi_inc = v, False
-            elif op == "le":
-                hi, hi_inc = v, True
-            else:
-                raise SchemaError(f"unknown range operator {op!r}")
-        return (lo, hi, lo_inc, hi_inc)
+        return range_from_ops(spec)
     raise SchemaError(f"bad range spec {spec!r}")
+
+
+def range_from_ops(spec: Mapping) -> tuple[Any, Any, bool, bool]:
+    """An op dict (lt/le/gt/ge keys, the last one per side wins) as
+    ``(lo, hi, lo_inc, hi_inc)``."""
+    lo = hi = None
+    lo_inc = hi_inc = True
+    for op, v in spec.items():
+        if op == "gt":
+            lo, lo_inc = v, False
+        elif op == "ge":
+            lo, lo_inc = v, True
+        elif op == "lt":
+            hi, hi_inc = v, False
+        elif op == "le":
+            hi, hi_inc = v, True
+        else:
+            raise SchemaError(f"unknown range operator {op!r}")
+    return (lo, hi, lo_inc, hi_inc)
 
 
 def build_query(

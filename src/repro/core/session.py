@@ -83,6 +83,8 @@ class EngineSession:
         self._fires_seen = 0
         self._puts_seen = 0
         self._wall = 0.0
+        #: a settle drained in slices: the steps and wall it started at
+        self._settling: tuple[int, float] | None = None
         self._final: RunResult | None = None
 
     # -- delegated views -------------------------------------------------------
@@ -216,20 +218,29 @@ class EngineSession:
         self._wall += time.perf_counter() - t0
         return report
 
-    def settle(self) -> RunResult:
+    def settle(self, until: float | None = None) -> RunResult | None:
         """Drain Delta to quiescence and return this settle's increment:
         a RunResult whose ``output`` and ``steps`` cover only the work
         since the previous settle.  Records a per-settle frontier/fire
         delta on ``stats.settles`` (see
-        :func:`repro.stats.report.format_settles`)."""
+        :func:`repro.stats.report.format_settles`).  Given a
+        ``perf_counter`` deadline ``until``, a call that passes it with
+        work still pending returns None; the call that reaches
+        quiescence returns the increment of the whole settle."""
         self._require_open()
         t0 = time.perf_counter()
         k = self.kernel
+        start, wall0 = self._settling = self._settling or (k.steps, self._wall)
         try:
-            steps_delta = k.drain()
+            k.drain(until)
         except BaseException:
             self._shutdown()
             raise
+        if k.delta:
+            self._wall += time.perf_counter() - t0
+            return None
+        self._settling = None
+        steps_delta = k.steps - start
         k.flush_stats()
         fires_seen = sum(k.stats.trigger_edges.values())
         # the rules' put edges only: a feed's start at its source, and
@@ -247,8 +258,7 @@ class EngineSession:
             new_output = list(k.output)
         else:
             new_output = k.output[self._out_cursor :]
-        wall = time.perf_counter() - t0
-        self._wall += wall
+        self._wall += time.perf_counter() - t0
         k.stats.settles.append(
             {
                 "settle": len(k.stats.settles) + 1,
@@ -262,7 +272,7 @@ class EngineSession:
         )
         self._out_cursor = len(k.output)
         self._fed_since_settle = 0
-        return k.build_result(output=new_output, steps=steps_delta, wall=wall)
+        return k.build_result(output=new_output, steps=steps_delta, wall=self._wall - wall0)
 
     def close(self) -> RunResult:
         """Settle anything pending, emit the run-end event, release the

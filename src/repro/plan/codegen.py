@@ -661,7 +661,7 @@ def compiled_for(program: "Program", rule: Rule, record: bool = False):
     driver kind (plain or ``record``), cached
     on the program — source analysis runs once however many kernels the
     program freezes into, also when they are built on several threads
-    at once (the service's tenants of one program)."""
+    at once (the service registry warms it for an entry's tenants)."""
     with _COMPILE_LOCK:
         cache = program.__dict__.setdefault("_codegen_cache", {})
         ent = cache.get((id(rule), record))

@@ -11,9 +11,8 @@ so all of its validation errors still fire — and extracts:
 * ``eq_positions`` — the field positions of the equality constraints,
   in the insertion order ``build_query`` would produce (prefix first,
   then named kwargs), so rebuilt queries are structurally identical;
-* per-range extractor closures replaying
-  :func:`~repro.core.query._normalise_range` for the shape's exact
-  spec form (``(lo, hi)`` pair or an op dict with a fixed key order);
+* per-range extractors for the shape's spec form (``(lo, hi)`` pair,
+  or an op dict: :func:`~repro.core.query.range_from_ops`);
 * the stats-collector field-name tuples (sorted eq / range names);
 * a compiled causality upper bound (:class:`CompiledBound`) replaying
   :func:`repro.core.rules.query_upper_bound` without re-walking the
@@ -38,7 +37,7 @@ from repro.core.ordering import (
     Seq,
     Timestamp,
 )
-from repro.core.query import Query
+from repro.core.query import Query, range_from_ops
 from repro.core.schema import TableSchema
 from repro.gamma.base import PreparedSelect
 
@@ -69,26 +68,8 @@ def _make_range_extractor(form) -> Callable[[Any], tuple]:
     normalised ``(lo, hi, lo_inc, hi_inc)`` quadruple."""
     if form == RANGE_PAIR:
         return lambda spec: (spec[0], spec[1], True, True)
-    # op-dict form: the key order is part of the shape, so replaying the
-    # ops in that order reproduces _normalise_range's last-wins result
-    ops = tuple(form)
-
-    def extract(spec: Mapping) -> tuple:
-        lo = hi = None
-        lo_inc = hi_inc = True
-        for op in ops:
-            v = spec[op]
-            if op == "gt":
-                lo, lo_inc = v, False
-            elif op == "ge":
-                lo, lo_inc = v, True
-            elif op == "lt":
-                hi, hi_inc = v, False
-            else:  # "le" — unknown ops already rejected at compile
-                hi, hi_inc = v, True
-        return (lo, hi, lo_inc, hi_inc)
-
-    return extract
+    # op-dict form: every spec of the shape carries the same keys
+    return range_from_ops
 
 
 # CompiledBound op codes

@@ -5,10 +5,10 @@ is configured at construction with named *program factories*.  A tenant
 opens a session naming a registered program.  Registration calls the
 factory once and freezes what it builds; every tenant of the entry runs
 that one :class:`~repro.core.Program`, whose generated drivers compile
-once (:func:`repro.plan.codegen.compiled_for`): a frozen program holds
-declarations and code, never run state.  Each tenant's kernel keeps its
-own Delta, Gamma, plan cache and statistics, so tenants see none of
-each other's tuples, plan hits or notes.
+at registration (:func:`repro.plan.codegen.compiled_for`): a frozen
+program holds declarations and code, never run state.  Each tenant's
+kernel keeps its own Delta, Gamma, plan cache and statistics, so
+tenants see none of each other's tuples, plan hits or notes.
 
 Each entry also fixes the *server-side* execution options and which of
 them a tenant may override.  Tenants are untrusted: the overridable set
@@ -86,6 +86,12 @@ class ProgramRegistry:
             options if options is not None else _TENANT_OPTIONS,
             tenant_knobs if tenant_knobs is not None else DEFAULT_TENANT_KNOBS,
         )
+        if entry.options.execution == "codegen":
+            # compiled here, not inside a tenant's first open on the loop
+            from repro.plan.codegen import compiled_for
+
+            for rule in program.rules:
+                compiled_for(program, rule, entry.options.retraction)
         self._entries[name] = entry
         return entry
 

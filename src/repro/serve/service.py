@@ -4,16 +4,18 @@ multiplexing many concurrent tenant :class:`~repro.core.EngineSession`s.
 Architecture
 ------------
 
-* One asyncio event loop owns all connections and the tenant table.
-  Requests on one connection are processed in order; concurrency comes
-  from many connections.
-* Engine work (feed admission, settling, snapshotting) is synchronous
-  Python; the loop pushes it onto a bounded thread-pool executor so a
-  tenant settling a deep derivation never stalls another tenant's
-  feeds.  A per-tenant ``asyncio.Lock`` serialises verbs for the same
-  tenant — an :class:`~repro.core.EngineSession` is single-threaded by
-  contract — while different tenants' sessions proceed in parallel
-  across the pool.
+* One asyncio event loop owns all connections, the tenant table and
+  all engine work.  Requests on one connection are processed in order;
+  concurrency comes from many connections.  A per-tenant
+  ``asyncio.Lock`` serialises verbs for the same tenant.
+* Under the GIL a thread pool buys engine work no parallelism, only a
+  hand-off per verb, so every verb runs inline.  A settle drains in
+  slices of ``sys.getswitchinterval()`` (the fairness the GIL gave pool
+  threads), yielding to the loop and the pool's writes between them.  A
+  rule body holds the loop for its step, so it must not block (a
+  ``threads`` or ``processes`` entry waits inside a step).  Only disk
+  I/O — a durable point's write and ``fsync``, ``close``'s reaping —
+  runs on a small pool, where the GIL is released.
 * **Admission control** happens on the loop, before any engine work:
   ``open`` beyond ``max_tenants`` and feeds that would push the
   in-flight feed bytes over ``max_inflight_bytes`` are refused with
@@ -23,13 +25,13 @@ Architecture
   valid later".
 * **Durability** is per-tenant (:mod:`repro.serve.tenant`): a durable
   point fsyncs the ops applied since the last one as one line of the
-  tenant's write-ahead log, in the same executor hop as its settle; an
-  atomic snapshot of the engine state plus the feed sequence number it
-  covers is written only to compact that log.  ``open`` of a tenant
-  with durable state restores it and reports ``last_seq`` so the client
-  can replay exactly the feeds the crash lost — duplicates are
-  acknowledged without re-admission, gaps are refused, which together
-  give exactly-once admission across restarts.
+  tenant's write-ahead log before its settle is answered; an atomic
+  snapshot of the engine state plus the feed sequence number it covers
+  is written only to compact that log.  ``open`` of a tenant with
+  durable state restores it and reports ``last_seq`` so the client can
+  replay exactly the feeds the crash lost — duplicates are acknowledged
+  without re-admission, gaps are refused, which together give
+  exactly-once admission across restarts.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.core.errors import (
@@ -81,7 +86,8 @@ class ServiceConfig:
     #: reach a durable point every N settles (0 = only on explicit
     #: ``snapshot`` verbs and graceful shutdown)
     checkpoint_every_settles: int = 1
-    #: thread-pool width for engine work
+    #: width of the thread pool that runs durable points' disk writes
+    #: and close's reaping; engine work runs on the event loop
     executor_workers: int = 8
 
     def __post_init__(self) -> None:
@@ -131,6 +137,7 @@ class SessionService:
         self.stats = ServiceStats()
         self._server: asyncio.base_events.Server | None = None
         self._pool: ThreadPoolExecutor | None = None
+        self._io: set[asyncio.Future] = set()  # writes in flight on the pool
         self._stopping = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -148,7 +155,7 @@ class SessionService:
             Path(self.config.data_dir).mkdir(parents=True, exist_ok=True)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.executor_workers,
-            thread_name_prefix="serve-engine",
+            thread_name_prefix="serve-io",
         )
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port
@@ -170,7 +177,8 @@ class SessionService:
         if checkpoint and self.config.data_dir is not None:
             for tenant in list(self.tenants.values()):
                 if not tenant.session.closed:
-                    await self._run_tenant(tenant, tenant.checkpoint, True)
+                    async with self._turn(tenant):
+                        await self._checkpoint(tenant, True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -184,30 +192,31 @@ class SessionService:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _lock_for(self, tenant: str) -> asyncio.Lock:
-        lock = self._locks.get(tenant)
-        if lock is None:
-            lock = self._locks[tenant] = asyncio.Lock()
-        return lock
-
-    async def _run_engine(self, fn, *args):
-        """Run synchronous engine work on the pool."""
+    async def _run_io(self, fn):
+        """Run blocking disk I/O on the pool."""
         if self._pool is None:
             raise ServiceError("service is stopped")
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, fn, *args
-        )
+        io = asyncio.get_running_loop().run_in_executor(self._pool, fn)
+        self._io.add(io)
+        io.add_done_callback(self._io.discard)
+        return await io
 
-    async def _run_tenant(self, tenant: TenantSession, fn, *args):
-        """One verb's engine work on a live tenant: under its lock, in
-        one executor hop; the service's durable totals advance — on the
-        loop — by what the tenant's did.  A session that ends here, closed
-        by its tenant or shut down by an engine error, frees its slot; the
-        durable snapshot and log of the latter stay restorable."""
-        async with self._lock_for(tenant.tenant):
+    async def _checkpoint(self, tenant: TenantSession, compact: bool = False) -> dict:
+        """A durable point: encoded on the loop, written on the pool."""
+        data = tenant.encode_checkpoint(compact)
+        return await self._run_io(partial(tenant.checkpoint, data=data))
+
+    @contextlib.asynccontextmanager
+    async def _turn(self, tenant: TenantSession):
+        """One verb on a live tenant, under its lock; the service's
+        durable totals advance by what the tenant's did.  A session that
+        ends here, closed by its tenant or shut down by an engine error,
+        frees its slot; the durable snapshot and log of the latter stay
+        restorable."""
+        async with self._locks.setdefault(tenant.tenant, asyncio.Lock()):
             before = tenant.checkpoints, tenant.compactions, tenant.durable_bytes
             try:
-                return await self._run_engine(fn, *args)
+                yield
             finally:
                 self.stats.checkpoints += tenant.checkpoints - before[0]
                 self.stats.compactions += tenant.compactions - before[1]
@@ -300,59 +309,42 @@ class SessionService:
             raise ProtocolError(f"open options must be an object, got {overrides!r}")
         entry = self.registry.get(program)
 
-        live = self.tenants.get(tenant_id)
-        if live is not None:
+        tenant = self.tenants.get(tenant_id)
+        resumed = tenant is not None
+        if resumed:
             # idempotent re-open (e.g. a client retrying after a lost
             # response): same program required, nothing re-built
-            if live.entry.name != program:
+            if tenant.entry.name != program:
                 raise ProtocolError(
                     f"tenant {tenant_id!r} is open on program "
-                    f"{live.entry.name!r}, not {program!r}"
+                    f"{tenant.entry.name!r}, not {program!r}"
                 )
-            return {
-                "tenant": tenant_id,
-                "program": program,
-                "resumed": True,
-                "created": False,
-                "last_seq": live.last_seq,
-                "durable_seq": live.durable_seq,
-            }
-
-        if len(self.tenants) >= self.config.max_tenants:
+        elif len(self.tenants) >= self.config.max_tenants:
             raise TenantLimitError(
                 f"session table is full ({self.config.max_tenants} "
                 "tenants); close a tenant or retry later"
             )
-
-        data_dir = self.config.data_dir
-        restored = False
-        async with self._lock_for(tenant_id):
-            if TenantSession.has_durable_state(data_dir, tenant_id):
-                tenant = await self._run_engine(
-                    TenantSession.restore_from_disk, tenant_id, entry, data_dir
+        elif resumed := TenantSession.has_durable_state(self.config.data_dir, tenant_id):
+            tenant = TenantSession.restore_from_disk(tenant_id, entry, self.config.data_dir)
+            # a restored tenant keeps its original overrides; a
+            # conflicting re-open request is a client bug
+            if overrides and overrides != tenant.overrides:
+                tenant.session.close()
+                raise ProtocolError(
+                    f"tenant {tenant_id!r} was opened with options "
+                    f"{tenant.overrides!r}; reopen with the same "
+                    f"options (got {overrides!r})"
                 )
-                # a restored tenant keeps its original overrides; a
-                # conflicting re-open request is a client bug
-                if overrides and overrides != tenant.overrides:
-                    tenant.session.close()
-                    raise ProtocolError(
-                        f"tenant {tenant_id!r} was opened with options "
-                        f"{tenant.overrides!r}; reopen with the same "
-                        f"options (got {overrides!r})"
-                    )
-                restored = True
-                self.stats.restores += 1
-            else:
-                tenant = await self._run_engine(
-                    TenantSession.create, tenant_id, entry, overrides, data_dir
-                )
-            self.tenants[tenant_id] = tenant
+            self.stats.restores += 1
+        else:
+            tenant = TenantSession.create(tenant_id, entry, overrides, self.config.data_dir)
+        self.tenants[tenant_id] = tenant
         self.stats.peak_tenants = max(self.stats.peak_tenants, len(self.tenants))
         return {
             "tenant": tenant_id,
             "program": program,
-            "resumed": restored,
-            "created": not restored,
+            "resumed": resumed,
+            "created": not resumed,
             "last_seq": tenant.last_seq,
             "durable_seq": tenant.durable_seq,
         }
@@ -379,9 +371,8 @@ class SessionService:
             self.stats.peak_inflight_bytes, self._inflight_bytes
         )
         try:
-            payload = await self._run_tenant(
-                tenant, tenant.feed, events, seq, deletes_only
-            )
+            async with self._turn(tenant):
+                payload = tenant.feed(events, seq, deletes_only)
         finally:
             self._inflight_bytes -= nbytes
         self.stats.feeds += 1
@@ -393,19 +384,27 @@ class SessionService:
 
     async def _verb_settle(self, msg: dict, nbytes: int) -> dict:
         tenant = self._live_tenant(msg)
-        payload = await self._run_tenant(
-            tenant, tenant.settle, self.config.checkpoint_every_settles
-        )
+        async with self._turn(tenant):
+            slice_s = sys.getswitchinterval()
+            while (payload := tenant.settle(until=time.perf_counter() + slice_s)) is None:
+                # a write on the pool takes the GIL back after each system
+                # call: writes in flight finish (within a slice) first
+                await (asyncio.wait(self._io, timeout=slice_s) if self._io else asyncio.sleep(0))
+            if tenant.checkpoint_due(self.config.checkpoint_every_settles):
+                payload["durable_seq"] = (await self._checkpoint(tenant))["durable_seq"]
         self.stats.settles += 1
         return payload
 
     async def _verb_snapshot(self, msg: dict, nbytes: int) -> dict:
         tenant = self._live_tenant(msg)
-        return await self._run_tenant(tenant, tenant.checkpoint, True)
+        async with self._turn(tenant):
+            return await self._checkpoint(tenant, True)
 
     async def _verb_close(self, msg: dict, nbytes: int) -> dict:
         tenant = self._live_tenant(msg)
-        payload = await self._run_tenant(tenant, tenant.close)
+        async with self._turn(tenant):
+            payload = tenant.close()
+            await self._run_io(tenant.reap)
         self.stats.closes += 1
         return payload
 
@@ -423,18 +422,13 @@ class SessionService:
                 },
             }
         tenant = self._live_tenant(msg)
-        return await self._run_tenant(tenant, tenant.stats)
+        async with self._turn(tenant):
+            return tenant.stats()
 
 
+#: verb name -> handler: every ``_verb_<name>`` method
 _HANDLERS = {
-    "ping": SessionService._verb_ping,
-    "open": SessionService._verb_open,
-    "feed": SessionService._verb_feed,
-    "retract": SessionService._verb_retract,
-    "settle": SessionService._verb_settle,
-    "snapshot": SessionService._verb_snapshot,
-    "close": SessionService._verb_close,
-    "stats": SessionService._verb_stats,
+    name[6:]: fn for name, fn in vars(SessionService).items() if name.startswith("_verb_")
 }
 
 

@@ -21,13 +21,16 @@ restores the snapshot, replays every complete line through the ordinary
 ``feed`` / ``settle`` and tells the client which ``seq`` is durable; the
 client replays everything after it.
 
-All methods that touch the engine are synchronous and must be
-serialised per tenant — the service runs them on its executor under a
-per-tenant lock.
+All methods are synchronous and must be serialised per tenant — the
+service runs them on its event loop under a per-tenant lock.  Only the
+blocking disk halves — writing a durable point encoded on the loop
+(``checkpoint(data=...)``) and ``reap`` — read no engine state, so the
+service runs them on its write pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -77,6 +80,32 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _write_durable(tdir: Path, data: bytes | str) -> None:
+    """A durable point's disk half, blocking I/O that reads no engine
+    state: append a log line (bytes) and ``fsync`` it, or compact the log
+    into a snapshot (str).  The directory is fsynced after the replace —
+    the rename and the log's creation must not sit in the page cache
+    behind an acked durable point — and only then is the log cut."""
+    if isinstance(data, bytes):
+        with open(tdir / LOG_FILE, "ab") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        return
+    if not tdir.exists():
+        tdir.mkdir(parents=True)
+        _fsync_dir(tdir.parent)
+    tmp = tdir / (SNAPSHOT_FILE + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, tdir / SNAPSHOT_FILE)
+    with open(tdir / LOG_FILE, "ab") as log:
+        _fsync_dir(tdir)
+        log.truncate(0)
+
+
 class TenantSession:
     """A live tenant: engine session + sequence/durability bookkeeping."""
 
@@ -95,7 +124,7 @@ class TenantSession:
         self.tenant = tenant
         self.entry = entry
         self.overrides = dict(overrides or {})
-        self.data_dir = Path(data_dir) if data_dir is not None else None
+        self.tdir = self.tenant_dir(data_dir, tenant) if data_dir is not None else None
         self.session = session
         self.last_seq = last_seq            # last feed applied to the engine
         self.durable_seq = last_seq         # last feed covered by a durable point
@@ -217,13 +246,11 @@ class TenantSession:
         tdir = cls.tenant_dir(data_dir, tenant)
         return (tdir / SNAPSHOT_FILE).exists() or (tdir / LOG_FILE).exists()
 
-    # -- verbs (sync; run on the service executor under the tenant lock) ------
+    # -- verbs (sync; run on the service's loop under the tenant lock) -------
 
     def _require_live(self) -> None:
         if self.session.closed:
-            raise TenantClosedError(
-                f"tenant {self.tenant!r} session is closed"
-            )
+            raise TenantClosedError(f"tenant {self.tenant!r} session is closed")
 
     def feed(self, triples: list, seq: int | None, deletes_only: bool = False) -> dict:
         """Apply one sequenced feed.  Returns the wire payload."""
@@ -237,14 +264,7 @@ class TenantSession:
             # a replay of an already-applied feed: acknowledge without
             # touching the engine — this is what makes client replay
             # after a crash idempotent
-            return {
-                "seq": seq,
-                "duplicate": True,
-                "admitted": 0,
-                "quarantined": 0,
-                "last_seq": self.last_seq,
-                "durable_seq": self.durable_seq,
-            }
+            return self._fed(seq, True, 0, 0)
         if seq != self.last_seq + 1:
             raise ProtocolError(
                 f"feed seq {seq} leaves a gap: tenant {self.tenant!r} has "
@@ -272,21 +292,27 @@ class TenantSession:
                 # too big to ever be logged: holding it would be unbounded
                 # memory when no durable point comes.  The next one compacts
                 self._txn = None
+        return self._fed(seq, False, report.admitted, len(report.quarantined))
+
+    def _fed(self, seq: int, duplicate: bool, admitted: int, quarantined: int) -> dict:
         return {
             "seq": seq,
-            "duplicate": False,
-            "admitted": report.admitted,
-            "quarantined": len(report.quarantined),
+            "duplicate": duplicate,
+            "admitted": admitted,
+            "quarantined": quarantined,
             "last_seq": self.last_seq,
             "durable_seq": self.durable_seq,
         }
 
-    def settle(self, checkpoint_every: int = 0) -> dict:
+    def settle(self, checkpoint_every: int = 0, until: float | None = None) -> dict | None:
         """Settle and, every ``checkpoint_every`` settles of a durable
-        tenant, reach a durable point in the same call."""
+        tenant, reach a durable point in the same call.  With a deadline
+        ``until``, None means work is still pending: call again."""
         self._require_live()
         self.last_active = time.time()
-        result = self.session.settle()
+        result = self.session.settle(until)
+        if result is None:
+            return None
         self.settles += 1
         if self._txn is not None:
             self._txn.append(["settle", self.settles])
@@ -296,20 +322,43 @@ class TenantSession:
             "output": list(result.output),
             "engine_wall": result.wall_time,
         }
-        if checkpoint_every and self.data_dir and self.settles % checkpoint_every == 0:
+        if self.checkpoint_due(checkpoint_every):
             payload["durable_seq"] = self.checkpoint()["durable_seq"]
         return payload
+
+    def checkpoint_due(self, every: int) -> bool:
+        return bool(every and self.tdir and self.settles % every == 0)
 
     def _log_limit(self) -> int:
         return max(COMPACT_FLOOR_BYTES, self.snapshot_bytes)
 
-    def checkpoint(self, compact: bool = False) -> dict:
+    def checkpoint(self, compact: bool = False, data: bytes | str | None = None) -> dict:
         """A durable point: everything applied so far is on disk when
-        this returns — as one fsynced log line, or as a compaction when
-        asked for, when there is no base snapshot yet, when the open
-        transaction was dropped or when the line would outgrow the log."""
+        this returns.  The service encodes ``data`` on its loop
+        (:meth:`encode_checkpoint`) and runs this, the write and its
+        count, on its write pool."""
+        if data is None:
+            data = self.encode_checkpoint(compact)
+        _write_durable(self.tdir, data)
+        size = len(data)
+        if isinstance(data, bytes):
+            self.log_bytes += size
+        else:
+            self.snapshot_bytes, self.log_bytes = size, 0
+            self.compactions += 1
+        self.durable_bytes += size
+        self._txn, self._txn_events = [], 0
+        self.durable_seq = self.last_seq
+        self.checkpoints += 1
+        return {"durable_seq": self.durable_seq, "checkpoints": self.checkpoints}
+
+    def encode_checkpoint(self, compact: bool = False) -> bytes | str:
+        """The open transaction as one log line, or the engine state as
+        a compaction when asked for, when there is no base snapshot yet,
+        when the open transaction was dropped or when the line would
+        outgrow the log."""
         self._require_live()
-        if self.data_dir is None:
+        if self.tdir is None:
             raise ProtocolError(
                 "this service runs without a data directory; snapshots "
                 "are disabled"
@@ -319,42 +368,8 @@ class TenantSession:
             txn = {"seq": self.last_seq, "settles": self.settles, "ops": self._txn}
             line = json.dumps(txn, separators=(",", ":")).encode() + b"\n"
         if line is None or self.log_bytes + len(line) > self._log_limit():
-            self._compact()
-        else:
-            with open(self.tenant_dir(self.data_dir, self.tenant) / LOG_FILE, "ab") as fh:
-                fh.write(line)
-                fh.flush()
-                os.fsync(fh.fileno())
-            self.log_bytes += len(line)
-            self.durable_bytes += len(line)
-        self._txn, self._txn_events = [], 0
-        self.durable_seq = self.last_seq
-        self.checkpoints += 1
-        return {"durable_seq": self.durable_seq, "checkpoints": self.checkpoints}
-
-    def _compact(self) -> None:
-        """Fold the log into a fresh base snapshot.  The directory is
-        fsynced after the replace — the rename and the log's creation
-        must not sit in the page cache behind an acked durable point —
-        and only then is the log cut."""
-        tdir = self.tenant_dir(self.data_dir, self.tenant)
-        if not tdir.exists():
-            tdir.mkdir(parents=True)
-            _fsync_dir(tdir.parent)
-        tmp = tdir / (SNAPSHOT_FILE + ".tmp")
-        text = json.dumps(self.session.snapshot(extra=self._extra()))
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, tdir / SNAPSHOT_FILE)
-        with open(tdir / LOG_FILE, "ab") as log:
-            _fsync_dir(tdir)
-            log.truncate(0)
-        self.snapshot_bytes = len(text)
-        self.log_bytes = 0
-        self.compactions += 1
-        self.durable_bytes += len(text)
+            return json.dumps(self.session.snapshot(extra=self._extra()))
+        return line
 
     def _extra(self) -> dict:
         return {
@@ -367,18 +382,10 @@ class TenantSession:
         }
 
     def close(self) -> dict:
-        """Close the engine session and reap the durable state: a closed
-        tenant is finished, not restartable."""
+        """Close the engine session: a closed tenant is finished, not
+        restartable; :meth:`reap` deletes its durable state."""
         self._require_live()
         result = self.session.close()
-        if self.data_dir is not None:
-            tdir = self.tenant_dir(self.data_dir, self.tenant)
-            try:
-                for name in (SNAPSHOT_FILE, SNAPSHOT_FILE + ".tmp", LOG_FILE):
-                    (tdir / name).unlink(missing_ok=True)
-                tdir.rmdir()
-            except OSError:
-                pass  # someone else's files in the dir: leave them
         return {
             "output": list(result.output),
             "steps": result.steps,
@@ -386,6 +393,14 @@ class TenantSession:
             "fed_tuples": self.fed_tuples,
             "settles": self.settles,
         }
+
+    def reap(self) -> None:
+        """Delete a closed tenant's durable files (blocking I/O)."""
+        if self.tdir is not None:
+            with contextlib.suppress(OSError):  # someone else's files: leave them
+                for name in (SNAPSHOT_FILE, SNAPSHOT_FILE + ".tmp", LOG_FILE):
+                    (self.tdir / name).unlink(missing_ok=True)
+                self.tdir.rmdir()
 
     def stats(self) -> dict:
         """The ``stats`` verb payload: the engine's collector view plus

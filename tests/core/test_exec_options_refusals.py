@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,6 +41,35 @@ from repro.simcore import NO_GC
 from repro.trace import trace_diff
 
 CANONICAL = re.compile(r"^invalid ExecOptions: \S.* -- \S.*$")
+
+
+def _shown(value) -> str:
+    """A knob value as a test id shows it: a class by its name, a
+    dataclass by the fields it sets away from its defaults."""
+    if isinstance(value, type):
+        return value.__name__
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{_shown(v)}" for k, v in sorted(value.items())) + "}"
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(value)) + "}"
+    if is_dataclass(value):
+        try:
+            base = type(value)()
+        except TypeError:  # no default instance: every field is set
+            base = None
+        set_ = [
+            f"{f.name}={_shown(getattr(value, f.name))}"
+            for f in fields(value)
+            if base is None or getattr(value, f.name) != getattr(base, f.name)
+        ]
+        return f"{type(value).__name__}({','.join(set_)})"
+    return str(value)
+
+
+def _knob_id(kwargs: dict) -> str:
+    """A test id built from the knob values alone, so deleting a row of
+    a table renames no other test."""
+    return "-".join(f"{k}={_shown(v)}" for k, v in sorted(kwargs.items())) or "default"
 
 #: (kwargs, fragments that must appear in the message)
 MATRIX = [
@@ -82,12 +111,7 @@ MATRIX = [
 
 
 @pytest.mark.parametrize(
-    "kwargs, fragments",
-    MATRIX,
-    ids=[
-        "-".join(sorted(kwargs)) + ":" + str(i)
-        for i, (kwargs, _) in enumerate(MATRIX)
-    ],
+    "kwargs, fragments", MATRIX, ids=[_knob_id(kwargs) for kwargs, _ in MATRIX]
 )
 def test_refusal_names_offending_knobs_in_canonical_format(kwargs, fragments):
     with pytest.raises(EngineError) as err:
@@ -108,28 +132,40 @@ def test_refusals_are_catchable_as_engine_errors():
     assert error_code(err.value) == ("engine", False)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(),
-        dict(strategy="forkjoin", threads=4),
-        dict(strategy="chaos", chaos_seed=3),
-        dict(strategy="chaos", fault_plan=FaultPlan(raise_prob=0.2)),
-        dict(retraction=True),
-        dict(retraction=True, strategy="threads", threads=2),
-        dict(retention={"T": RetentionHint("gen", 2)}),
-        dict(execution="scalar"),
-        dict(execution="scalar", metering="off"),
-        dict(execution="codegen"),
-        dict(execution="codegen", metering="off"),
-        # not refused: non-sequential strategies downgrade to scalar at
-        # run time with a note rather than refusing up front
-        dict(execution="codegen", strategy="chaos", chaos_seed=3),
-        dict(execution="codegen", strategy="forkjoin", threads=2),
-        dict(execution="codegen", strategy="threads", threads=2),
-        dict(execution="codegen", trace=True),
-    ],
-)
+#: Each id names the row's knobs in at most 17 characters, so the full
+#: test name stays unique when cut to 100 characters.
+VALID = [
+    pytest.param(dict(), id="default"),
+    pytest.param(dict(strategy="forkjoin", threads=4), id="forkjoin"),
+    pytest.param(dict(strategy="chaos", chaos_seed=3), id="chaos-seed"),
+    pytest.param(
+        dict(strategy="chaos", fault_plan=FaultPlan(raise_prob=0.2)), id="chaos-faultplan"
+    ),
+    pytest.param(dict(retraction=True), id="retraction"),
+    pytest.param(
+        dict(retraction=True, strategy="threads", threads=2), id="retract-threads"
+    ),
+    pytest.param(dict(retention={"T": RetentionHint("gen", 2)}), id="retention"),
+    pytest.param(dict(execution="scalar"), id="scalar"),
+    pytest.param(dict(execution="scalar", metering="off"), id="scalar-meter-off"),
+    pytest.param(dict(execution="codegen"), id="codegen"),
+    pytest.param(dict(execution="codegen", metering="off"), id="codegen-meter-off"),
+    # not refused: non-sequential strategies downgrade to scalar at
+    # run time with a note rather than refusing up front
+    pytest.param(
+        dict(execution="codegen", strategy="chaos", chaos_seed=3), id="codegen-chaos"
+    ),
+    pytest.param(
+        dict(execution="codegen", strategy="forkjoin", threads=2), id="codegen-forkjoin"
+    ),
+    pytest.param(
+        dict(execution="codegen", strategy="threads", threads=2), id="codegen-threads"
+    ),
+    pytest.param(dict(execution="codegen", trace=True), id="codegen-trace"),
+]
+
+
+@pytest.mark.parametrize("kwargs", VALID)
 def test_valid_option_combinations_are_accepted(kwargs):
     assert ExecOptions(**kwargs)
 
@@ -178,12 +214,7 @@ RESOLUTION = [
 
 
 @pytest.mark.parametrize(
-    "kwargs, tier, note",
-    RESOLUTION,
-    ids=[
-        "-".join(f"{k}={v}" for k, v in sorted(kwargs.items())) or "default"
-        for kwargs, _, _ in RESOLUTION
-    ],
+    "kwargs, tier, note", RESOLUTION, ids=[_knob_id(kwargs) for kwargs, _, _ in RESOLUTION]
 )
 def test_registry_resolves_executor_and_notes_downgrades(kwargs, tier, note):
     kernel = StepKernel(_tiny_program(), ExecOptions(**kwargs))
@@ -270,14 +301,28 @@ def _downgrade_row_applied(kwargs: dict) -> int | None:
     return None
 
 
-@pytest.mark.parametrize("row", range(len(REFUSALS)))
-def test_every_refusal_row_refuses_before_engine_state(row):
-    tier, offending, reason = REFUSALS[row]
-    tripping = [
+def _tripping(row: int) -> list[dict]:
+    """The pool entries, on the row's tier, that trip REFUSALS[row]."""
+    tier = REFUSALS[row][0]
+    return [
         kwargs
         for knobs in KNOB_POOL + SHARDED_KNOBS
         if row in _refusal_rows_tripped(kwargs := {**_selecting(tier), **knobs})
     ]
+
+
+def _row_id(row: int) -> str:
+    """A REFUSALS row's test id: the knobs its refusal names."""
+    tripping = _tripping(row)
+    if not tripping:
+        return REFUSALS[row][0] + ":untripped"
+    return "-".join(sorted(REFUSALS[row][1](_probe(tripping[0]))))
+
+
+@pytest.mark.parametrize("row", range(len(REFUSALS)), ids=_row_id)
+def test_every_refusal_row_refuses_before_engine_state(row):
+    tier, offending, reason = REFUSALS[row]
+    tripping = _tripping(row)
     assert tripping, f"no KNOB_POOL / SHARDED_KNOBS entry trips REFUSALS[{row}]"
     for kwargs in tripping:
         with pytest.raises(EngineError) as err:
@@ -299,11 +344,7 @@ def test_every_refusal_row_refuses_before_engine_state(row):
 # -- the sharded entry points: compose or refuse, nothing dropped -------------
 
 
-@pytest.mark.parametrize(
-    "knobs",
-    SHARDED_KNOBS,
-    ids=[f"{i}:" + "-".join(sorted(k)) for i, k in enumerate(SHARDED_KNOBS)],
-)
+@pytest.mark.parametrize("knobs", SHARDED_KNOBS, ids=[_knob_id(k) for k in SHARDED_KNOBS])
 def test_sharded_entry_points_compose_or_refuse(knobs):
     """``run_sharded`` normalises the options it is handed through
     ``with_(strategy="processes")`` on both backends: what that refuses,
@@ -335,14 +376,26 @@ def test_sharded_entry_points_compose_or_refuse(knobs):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("row", range(len(DOWNGRADES)))
-def test_every_downgrade_row_runs_identical_to_scalar_with_its_note(row):
-    tier, _applies, note = DOWNGRADES[row]
-    deciding = [
+def _deciding(row: int) -> list[dict]:
+    """The pool entries, on the row's tier, that DOWNGRADES[row] decides."""
+    tier = DOWNGRADES[row][0]
+    return [
         kwargs
         for knobs in KNOB_POOL
         if _downgrade_row_applied(kwargs := dict(execution=tier, **knobs)) == row
     ]
+
+
+def _downgrade_id(row: int) -> str:
+    """A DOWNGRADES row's test id: the first pool entry it decides."""
+    deciding = _deciding(row)
+    return _knob_id(deciding[0]) if deciding else DOWNGRADES[row][0] + ":undecided"
+
+
+@pytest.mark.parametrize("row", range(len(DOWNGRADES)), ids=_downgrade_id)
+def test_every_downgrade_row_runs_identical_to_scalar_with_its_note(row):
+    tier, _applies, note = DOWNGRADES[row]
+    deciding = _deciding(row)
     assert deciding, f"no KNOB_POOL entry makes DOWNGRADES[{row}] decide a run"
     for kwargs in deciding:
         kernel = StepKernel(build_ship_program()[0], ExecOptions(**kwargs))

@@ -50,6 +50,29 @@ def test_a_default_tenant_fires_generated_drivers():
     assert fired and all(text.endswith(" 0 scalar") for text in fired)
 
 
+def test_registration_compiles_so_a_first_open_compiles_nothing(monkeypatch):
+    """The service opens tenants on its event loop: the imports and the
+    compile of a codegen entry's drivers happen at registration, not in
+    the first client request."""
+    from repro.plan import codegen
+
+    compiles = []
+    compile_rule = codegen.compile_rule
+
+    def counted(*args):
+        compiles.append(args[0].name)
+        return compile_rule(*args)
+
+    monkeypatch.setattr(codegen, "compile_rule", counted)
+    entry = ProgramRegistry().register("telemetry", telemetry_factory)
+    assert sorted(compiles) == sorted(rule.name for rule in entry.program.rules)
+    compiles.clear()
+    tenant = TenantSession.create("acme", entry, None, None)
+    assert compiles == []
+    assert tenant.session.kernel.executor.name == "codegen"
+    assert _finish(tenant).output == ORACLE
+
+
 def test_explicit_entry_options_are_kept():
     entry = ProgramRegistry().register("t", telemetry_factory, ExecOptions())
     assert entry.options == ExecOptions()
