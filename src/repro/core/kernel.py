@@ -186,7 +186,7 @@ class StepKernel:
         )
         registry = self._make_registry(options, self.strategy)
         self.db = Database(program.schemas(), registry, program.decls)
-        self.delta = DeltaTree()
+        self.delta = DeltaTree(program.schemas().values())
         self.stats = StatsCollector()
         self.tracer = TraceRecorder() if options.trace else None
         self.strategy.bind(tracer=self.tracer, stats=self.stats)

@@ -142,3 +142,103 @@ def test_popped_tuple_can_reenter(inserts):
         assert t not in tree
         assert tree.insert(t, ts(t))
     assert len(tree) >= len(batch)
+
+
+# -- differential over the whole timestamp structure ---------------------------
+
+
+def make_rich_env():
+    """Tables whose keys are prefixes of others (``Req`` / ``Job``,
+    ``Step`` / ``Part``), par levels, a literal tie (``Step`` and
+    ``Mark`` share every level) and an ``any`` seq field, so ``1``,
+    ``1.0`` and ``True`` meet at one level."""
+    decls = OrderDecls()
+    decls.declare("Req", "Work", "Done")
+    decls.freeze()
+    tables = tuple(
+        TableHandle(TableSchema(name, fields, orderby=orderby))
+        for name, fields, orderby in (
+            ("Req", "int id, any v", ("Req",)),
+            ("Job", "int id, any v", ("Req", "par v")),
+            ("Step", "int id, any v", ("Work", "seq v")),
+            ("Mark", "int id, any v", ("Work", "seq v")),
+            ("Part", "int id, any v", ("Work", "seq v", "par id")),
+            ("Done", "int id, any v", ("Done", "par id", "seq v")),
+        )
+    )
+
+    def ts(tup):
+        return evaluate_orderby(tup.schema.orderby, tup.asdict(), decls)
+
+    return tables, ts
+
+
+class RichReference(ReferenceDelta):
+    """:class:`ReferenceDelta` plus removal and the causal dump."""
+
+    def remove(self, tup) -> bool:
+        if tup not in self._pending:
+            return False
+        self._pending.remove(tup)
+        return True
+
+    def dump(self) -> list:
+        return sorted(  # stable: a class keeps insertion order
+            self._pending,
+            key=functools.cmp_to_key(
+                lambda a, b: compare_timestamps(self._ts(a), self._ts(b))
+            ),
+        )
+
+
+_RICH = st.tuples(
+    st.integers(0, 5), st.integers(0, 2), st.sampled_from([0, 1, 1.0, True, 2])
+)
+RICH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _RICH),
+        st.tuples(st.just("batch"), st.lists(_RICH, max_size=8)),
+        st.tuples(st.just("remove"), _RICH),
+        st.tuples(st.just("pop")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=RICH_OPS, screened=st.booleans())
+def test_delta_matches_reference_over_prefixes_pars_and_ties(ops, screened):
+    tables, ts = make_rich_env()
+
+    def new(triple):
+        which, ident, v = triple
+        return tables[which].new(ident, v)
+
+    tree = DeltaTree([t.schema for t in tables] if screened else None)
+    model = RichReference(ts)
+    for op in ops:
+        if op[0] == "insert":
+            tup = new(op[1])
+            assert tree.insert(tup, ts(tup)) == model.insert(tup)
+        elif op[0] == "batch":
+            tups = [new(x) for x in op[1]]
+            got = tree.insert_batch([(t, ts(t)) for t in tups])
+            assert got == [model.insert(t) for t in tups]
+        elif op[0] == "remove":
+            tup = new(op[1])
+            assert tree.remove(tup, ts(tup)) == model.remove(tup)
+        else:
+            assert tree.pop_min_class() == model.pop_min_class()
+        assert len(tree) == len(model)
+        assert tree.dump() == model.dump()
+    # a snapshot's Delta half: the dump re-inserted rebuilds the tree
+    copy = DeltaTree()
+    for t in tree.dump():
+        assert copy.insert(t, ts(t))
+    assert copy.dump() == tree.dump()
+    assert copy.snapshot() == tree.snapshot()
+    while model:
+        batch = model.pop_min_class()
+        assert tree.pop_min_class() == batch
+        assert copy.pop_min_class() == batch
+    assert not tree and not copy
